@@ -18,7 +18,7 @@ use crate::cmd::{DmaCmd, DMA_CMD_WORDS};
 use crate::port::SpPort;
 use nicsim_fault::{CmdOutcome, DmaFaults};
 use nicsim_host::HostMemory;
-use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId, XbarPort};
+use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId};
 use nicsim_obs::{DmaDir, Event, FaultKind, FaultUnit, NullProbe, Probe, RecoveryKind};
 use nicsim_sim::{NextEvent, Ps};
 
@@ -151,11 +151,6 @@ impl DmaRead {
             faults: None,
             deferred: None,
         }
-    }
-
-    /// The crossbar port this engine owns.
-    pub fn port(&self) -> usize {
-        self.cfg.port
     }
 
     /// Scratchpad accesses performed (Table 4 accounting).
@@ -347,18 +342,17 @@ impl DmaRead {
         host: &HostMemory,
         fm: &mut FrameMemory,
     ) {
-        let port = self.sp.port();
-        self.tick_probed(now, &mut xbar.port(port), sp_mem, host, fm, &mut NullProbe);
+        self.tick_probed(now, xbar, sp_mem, host, fm, &mut NullProbe);
     }
 
     /// Probed variant of [`DmaRead::tick`]: emits [`Event::DmaStart`]
     /// when a command begins moving data and [`Event::DmaDone`] when a
     /// scratchpad-destination copy retires (frame-memory completions are
     /// reported through [`DmaRead::on_sdram_complete_probed`]).
-    pub fn tick_probed<X: XbarPort, P: Probe>(
+    pub fn tick_probed<P: Probe>(
         &mut self,
         now: Ps,
-        xbar: &mut X,
+        xbar: &mut Crossbar,
         sp_mem: &Scratchpad,
         host: &HostMemory,
         fm: &mut FrameMemory,
@@ -494,11 +488,6 @@ impl DmaWrite {
             deferred: None,
             dbg_payloads: Vec::new(),
         }
-    }
-
-    /// The crossbar port this engine owns.
-    pub fn port(&self) -> usize {
-        self.cfg.port
     }
 
     /// Scratchpad accesses performed.
@@ -722,18 +711,17 @@ impl DmaWrite {
         host: &mut HostMemory,
         fm: &mut FrameMemory,
     ) {
-        let port = self.sp.port();
-        self.tick_probed(now, &mut xbar.port(port), sp_mem, host, fm, &mut NullProbe);
+        self.tick_probed(now, xbar, sp_mem, host, fm, &mut NullProbe);
     }
 
     /// Probed variant of [`DmaWrite::tick`]: emits [`Event::DmaStart`]
     /// when a command begins and [`Event::DmaDone`] when an immediate or
     /// scratchpad-source command retires (frame-memory completions are
     /// reported through [`DmaWrite::on_sdram_complete_probed`]).
-    pub fn tick_probed<X: XbarPort, P: Probe>(
+    pub fn tick_probed<P: Probe>(
         &mut self,
         now: Ps,
-        xbar: &mut X,
+        xbar: &mut Crossbar,
         sp_mem: &Scratchpad,
         host: &mut HostMemory,
         fm: &mut FrameMemory,

@@ -20,6 +20,8 @@
 //! command rings and monotonic progress counters — the hardware pointers
 //! that the frame-parallel firmware's dispatch loop inspects (Figure 5).
 
+#![forbid(unsafe_code)]
+
 pub mod cmd;
 pub mod dma;
 pub mod mac;

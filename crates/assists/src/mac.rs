@@ -15,7 +15,7 @@
 
 use crate::port::SpPort;
 use nicsim_fault::LinkFault;
-use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId, XbarPort};
+use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId};
 use nicsim_net::frame::fcs_valid;
 use nicsim_net::link::{wire_time, RxGenerator, TxMonitor};
 use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe, RecoveryKind};
@@ -121,11 +121,6 @@ impl MacTx {
         std::mem::take(self.egress.as_mut().expect("egress capture enabled"))
     }
 
-    /// The crossbar port this MAC owns.
-    pub fn port(&self) -> usize {
-        self.cfg.port
-    }
-
     /// Frames fully transmitted.
     pub fn frames_sent(&self) -> u64 {
         self.frames_sent
@@ -179,18 +174,17 @@ impl MacTx {
         sp_mem: &Scratchpad,
         fm: &mut FrameMemory,
     ) {
-        let port = self.sp.port();
-        self.tick_probed(now, &mut xbar.port(port), sp_mem, fm, &mut NullProbe);
+        self.tick_probed(now, xbar, sp_mem, fm, &mut NullProbe);
     }
 
     /// Probed variant of [`MacTx::tick`]: emits [`Event::MacTxFetch`]
     /// when a ring entry has been read (the entry's fourth word is the
     /// frame sequence number the firmware stored there) and
     /// [`Event::MacTxWireDone`] as each frame leaves the wire.
-    pub fn tick_probed<X: XbarPort, P: Probe>(
+    pub fn tick_probed<P: Probe>(
         &mut self,
         now: Ps,
-        xbar: &mut X,
+        xbar: &mut Crossbar,
         sp_mem: &Scratchpad,
         fm: &mut FrameMemory,
         probe: &mut P,
@@ -396,11 +390,6 @@ impl MacRx {
         }
     }
 
-    /// The crossbar port this MAC owns.
-    pub fn port(&self) -> usize {
-        self.cfg.port
-    }
-
     /// Frames dropped because the descriptor ring or buffer was full.
     pub fn drops(&self) -> u64 {
         self.drops
@@ -495,16 +484,15 @@ impl MacRx {
         sp_mem: &Scratchpad,
         fm: &mut FrameMemory,
     ) {
-        let port = self.sp.port();
-        self.tick_probed(now, &mut xbar.port(port), sp_mem, fm, &mut NullProbe);
+        self.tick_probed(now, xbar, sp_mem, fm, &mut NullProbe);
     }
 
     /// Probed variant of [`MacRx::tick`]: emits [`Event::MacRxArrival`]
     /// for every frame taken off the wire, accepted or dropped.
-    pub fn tick_probed<X: XbarPort, P: Probe>(
+    pub fn tick_probed<P: Probe>(
         &mut self,
         now: Ps,
-        xbar: &mut X,
+        xbar: &mut Crossbar,
         sp_mem: &Scratchpad,
         fm: &mut FrameMemory,
         probe: &mut P,

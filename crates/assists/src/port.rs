@@ -5,7 +5,7 @@
 //! and issues them in order, returning each completion (tagged by the
 //! assist) as it arrives.
 
-use nicsim_mem::{SpRequest, XbarPort};
+use nicsim_mem::{Crossbar, SpRequest};
 use std::collections::VecDeque;
 
 /// A FIFO scratchpad-access port for a hardware assist.
@@ -55,21 +55,19 @@ impl SpPort {
     }
 
     /// Advance one cycle: collect the completed transaction (if any) and
-    /// issue the next queued one. Returns `(tag, response)` on
-    /// completion. Generic over the crossbar port view so assists run
-    /// against both the sequential and domain-parallel kernels.
-    pub fn tick<X: XbarPort>(&mut self, xbar: &mut X) -> Option<(u32, u32)> {
+    /// issue the next queued one. Returns `(tag, response)` on completion.
+    pub fn tick(&mut self, xbar: &mut Crossbar) -> Option<(u32, u32)> {
         let mut done = None;
         if let Some(tag) = self.inflight {
-            if let Some(v) = xbar.take_response() {
+            if let Some(v) = xbar.take_response(self.port) {
                 self.inflight = None;
                 self.accesses += 1;
                 done = Some((tag, v));
             }
         }
-        if self.inflight.is_none() && xbar.idle() {
+        if self.inflight.is_none() && xbar.port_idle(self.port) {
             if let Some((req, tag)) = self.queue.pop_front() {
-                xbar.submit(req);
+                xbar.submit(self.port, req);
                 self.inflight = Some(tag);
             }
         }
@@ -80,7 +78,7 @@ impl SpPort {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nicsim_mem::{Crossbar, Scratchpad, SpOp};
+    use nicsim_mem::{Scratchpad, SpOp};
 
     #[test]
     fn fifo_order_preserved() {
@@ -99,7 +97,7 @@ mod tests {
         let mut tags = Vec::new();
         for _ in 0..40 {
             xbar.tick(&mut sp);
-            if let Some((tag, _)) = port.tick(&mut xbar.port(0)) {
+            if let Some((tag, _)) = port.tick(&mut xbar) {
                 tags.push(tag);
             }
         }
@@ -127,7 +125,7 @@ mod tests {
         let mut got = None;
         for _ in 0..10 {
             xbar.tick(&mut sp);
-            if let Some(r) = port.tick(&mut xbar.port(0)) {
+            if let Some(r) = port.tick(&mut xbar) {
                 got = Some(r);
             }
         }

@@ -4,8 +4,7 @@
 //!
 //! Rows are matched by their `point` label inside `extra.kernels`; for
 //! each match the tool prints the kernel speedup and absolute
-//! cycles-per-host-second from both files with relative deltas, plus
-//! the skip/rendezvous accounting when the candidate row carries it.
+//! cycles-per-host-second from both files with relative deltas.
 //! Points present in only one file are listed so a renamed or dropped
 //! benchmark row can't slip through a diff unnoticed.
 //!
@@ -22,8 +21,6 @@ use std::process::exit;
 struct Row {
     speedup: f64,
     cps: f64,
-    rendezvous_per_stepped: Option<f64>,
-    skipped_fraction: Option<f64>,
 }
 
 fn main() {
@@ -75,20 +72,6 @@ fn main() {
             c.cps / 1e6,
             cps_delta * 100.0
         );
-        // The synchronization accounting only means anything on
-        // parallel rows; event rows carry zeros.
-        if let (Some(r), Some(s)) = (c.rendezvous_per_stepped, c.skipped_fraction) {
-            if r > 0.0 {
-                let old = match (b.rendezvous_per_stepped, b.skipped_fraction) {
-                    (Some(br), Some(bs)) => format!("(was {br:.3} / {bs:.3})"),
-                    _ => String::new(),
-                };
-                println!(
-                    "{:>36} rendezvous/stepped {r:.3}, skipped fraction {s:.3} {old}",
-                    ""
-                );
-            }
-        }
         if let Some(tol) = strict_tol {
             if spd_delta < -tol {
                 regressions.push(format!(
@@ -145,8 +128,6 @@ fn load(path: &str) -> Vec<(String, Row)> {
                 Row {
                     speedup: p.get("speedup")?.as_f64()?,
                     cps: p.get("cycles_per_host_sec")?.as_f64()?,
-                    rendezvous_per_stepped: p.get("rendezvous_per_stepped").and_then(Json::as_f64),
-                    skipped_fraction: p.get("skipped_fraction").and_then(Json::as_f64),
                 },
             ))
         })

@@ -45,8 +45,9 @@
 //! [`RunStats::errors`](stats::RunStats::errors) carries the injection
 //! and recovery counters.
 
+#![forbid(unsafe_code)]
+
 pub mod config;
-pub mod parallel;
 pub mod stats;
 pub mod sysdef;
 pub mod system;
@@ -55,9 +56,9 @@ pub use config::{ConfigError, NicConfig, NicConfigBuilder, Topology};
 pub use nicsim_fault::{ErrorStats, FaultPlan};
 pub use nicsim_firmware::{DispatchMode, FwMode};
 pub use nicsim_obs::{
-    ChromeTrace, DmaDir, Event, EventBuffer, EventLog, FmStream, FrameTracker, LatencySummary,
-    Metrics, NullProbe, Probe, StageStats,
+    ChromeTrace, DmaDir, Event, EventLog, FmStream, FrameTracker, LatencySummary, Metrics,
+    NullProbe, Probe, StageStats,
 };
 pub use stats::{RunStats, StatValue, SUMMARY_VERSION};
 pub use sysdef::{Attachment, ComponentDef, ComponentKind, SysDef};
-pub use system::{NicSystem, ParallelSyncStats, SystemBuilder};
+pub use system::{NicSystem, SystemBuilder};

@@ -32,9 +32,9 @@
 //! ([`ClockDomain`]): cores, scratchpad banks, and the instruction
 //! memory are `Cpu`; DMA engines and the frame memory are `Sdram`
 //! (frame-bus side); MACs are `Wire`; the host bridge (driver + host
-//! memory) is `Host`. The domain-parallel kernel derives its thread
-//! split from this: the worker owns every non-`Cpu`, non-`Host`
-//! component ([`ComponentDef::frame_side`]), the main thread the rest.
+//! memory) is `Host`. The kernels fold all four into one sequential
+//! loop, so membership documents the paper's clocking rather than
+//! steering execution ([`SysDef::domain_members`] lists a domain).
 
 use crate::config::{NicConfig, Topology};
 use nicsim_sim::ClockDomain;
@@ -104,19 +104,10 @@ pub struct ComponentDef {
     pub name: String,
     /// What to construct.
     pub kind: ComponentKind,
-    /// Clock domain membership; the parallel kernel's thread split is
-    /// derived from this.
+    /// Clock domain membership (the paper's clocking, §3).
     pub domain: ClockDomain,
     /// Interconnect attachment.
     pub attachment: Attachment,
-}
-
-impl ComponentDef {
-    /// Whether the domain-parallel kernel's worker thread owns this
-    /// component: everything outside the `Cpu` and `Host` domains.
-    pub fn frame_side(&self) -> bool {
-        !matches!(self.domain, ClockDomain::Cpu | ClockDomain::Host)
-    }
 }
 
 /// The declarative SoC definition the system builder assembles from.
@@ -317,11 +308,6 @@ impl SysDef {
             .expect("mac in definition")
     }
 
-    /// Components the domain-parallel kernel's worker thread owns.
-    pub fn frame_side_components(&self) -> impl Iterator<Item = &ComponentDef> {
-        self.components.iter().filter(|c| c.frame_side())
-    }
-
     /// Components in clock domain `d`.
     pub fn domain_members(&self, d: ClockDomain) -> impl Iterator<Item = &ComponentDef> + '_ {
         self.components.iter().filter(move |c| c.domain == d)
@@ -413,10 +399,11 @@ mod tests {
     }
 
     #[test]
-    fn frame_side_membership_is_derived_from_domains() {
+    fn domain_membership_is_declared_per_component() {
         let d = SysDef::from_config(&NicConfig::default());
-        let frame: Vec<&str> = d.frame_side_components().map(|c| c.name.as_str()).collect();
-        assert_eq!(frame, ["dmard0", "dmawr0", "mactx0", "macrx0", "fm"]);
+        let names = |dom| -> Vec<&str> { d.domain_members(dom).map(|c| c.name.as_str()).collect() };
+        assert_eq!(names(ClockDomain::Sdram), ["dmard0", "dmawr0", "fm"]);
+        assert_eq!(names(ClockDomain::Wire), ["mactx0", "macrx0"]);
         assert_eq!(d.domain_members(ClockDomain::Cpu).count(), 6 + 4 + 1);
         assert_eq!(d.domain_members(ClockDomain::Host).count(), 1);
     }

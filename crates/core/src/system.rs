@@ -107,33 +107,6 @@ pub struct NicSystem<P: Probe = NullProbe> {
     /// lost — into its replacement, so per-NIC error accounting survives
     /// the reset. Merged into [`NicSystem::collect`]'s error table.
     pub(crate) carried_errors: Option<ErrorStats>,
-    /// Domain-parallel kernel sync accounting: barrier rendezvous
-    /// opened, lookahead batches among them, cycles covered by batches,
-    /// and stepped cycles executed main-only (frame side provably
-    /// quiet, no barrier touched). Zero outside `run_until_parallel`.
-    pub(crate) sync_stats: ParallelSyncStats,
-}
-
-/// Synchronization accounting for the domain-parallel kernel (see
-/// [`NicSystem::parallel_sync_stats`]). Not part of [`RunStats`]: the
-/// kernels' statistics contract is bit-identity, and how often the
-/// threads met is a property of the kernel, not the simulated NIC.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ParallelSyncStats {
-    /// Barrier generations opened (each costs two atomic handshakes).
-    pub rendezvous: u64,
-    /// Rendezvous that opened a lookahead batch (`n_cycles > 1`).
-    pub batches: u64,
-    /// Simulated cycles covered by those batches.
-    pub batched_cycles: u64,
-    /// Stepped cycles run entirely on the main thread because the frame
-    /// side was provably quiet — no rendezvous at all.
-    pub solo_cycles: u64,
-    /// The parallel kernel declined to spawn a worker and ran the
-    /// sequential event kernel instead (single-hardware-thread host, or
-    /// an active fault plan). Results are bit-identical either way;
-    /// the flag records that no parallelism was actually exercised.
-    pub sequential_fallback: bool,
 }
 
 /// Staged constructor for [`NicSystem`], the one assembly path for
@@ -428,7 +401,6 @@ impl<P: Probe> SystemBuilder<P> {
             faults_armed,
             fw_faults,
             carried_errors: None,
-            sync_stats: ParallelSyncStats::default(),
         })
     }
 }
@@ -627,13 +599,7 @@ impl<P: Probe> NicSystem<P> {
             self.xbar.skip_cycles(1);
         }
         for core in &mut self.cores {
-            let id = core.id();
-            core.tick_probed(
-                &mut self.xbar.port(id),
-                &mut self.imem,
-                now,
-                &mut self.probe,
-            );
+            core.tick_probed(&mut self.xbar, &mut self.imem, now, &mut self.probe);
         }
 
         // Frame-side units, in definition order (reads, writes, MAC TX,
@@ -643,10 +609,9 @@ impl<P: Probe> NicSystem<P> {
         // act at their next timed event (wire completion, arrival).
         for d in &mut self.dmards {
             if !gate || d.busy(&self.sp) {
-                let p = d.port();
                 d.tick_probed(
                     now,
-                    &mut self.xbar.port(p),
+                    &mut self.xbar,
                     &self.sp,
                     &self.host_mem,
                     &mut self.fm,
@@ -656,10 +621,9 @@ impl<P: Probe> NicSystem<P> {
         }
         for d in &mut self.dmawrs {
             if !gate || d.busy(&self.sp) {
-                let p = d.port();
                 d.tick_probed(
                     now,
-                    &mut self.xbar.port(p),
+                    &mut self.xbar,
                     &self.sp,
                     &mut self.host_mem,
                     &mut self.fm,
@@ -673,26 +637,12 @@ impl<P: Probe> NicSystem<P> {
         }
         for m in &mut self.mactxs {
             if !gate || m.busy(&self.sp) || m.next_event() <= now {
-                let p = m.port();
-                m.tick_probed(
-                    now,
-                    &mut self.xbar.port(p),
-                    &self.sp,
-                    &mut self.fm,
-                    &mut self.probe,
-                );
+                m.tick_probed(now, &mut self.xbar, &self.sp, &mut self.fm, &mut self.probe);
             }
         }
         for m in &mut self.macrxs {
             if !gate || m.busy() || m.next_event() <= now {
-                let p = m.port();
-                m.tick_probed(
-                    now,
-                    &mut self.xbar.port(p),
-                    &self.sp,
-                    &mut self.fm,
-                    &mut self.probe,
-                );
+                m.tick_probed(now, &mut self.xbar, &self.sp, &mut self.fm, &mut self.probe);
             }
         }
 
@@ -1007,130 +957,6 @@ impl<P: Probe> NicSystem<P> {
     /// benchmark. Dense runs leave both at zero.
     pub fn kernel_cycle_split(&self) -> (u64, u64) {
         (self.skipped_cycles, self.stepped_cycles)
-    }
-
-    /// Synchronization accounting accumulated by the domain-parallel
-    /// kernel: rendezvous opened, lookahead batches, batch-covered
-    /// cycles, and main-only solo cycles. Sequential runs leave every
-    /// field at zero.
-    pub fn parallel_sync_stats(&self) -> ParallelSyncStats {
-        self.sync_stats
-    }
-
-    /// How many consecutive cycles, starting at the next one, the frame
-    /// side may free-run on the worker thread without any cross-domain
-    /// interaction — the lookahead horizon of the batched parallel
-    /// kernel. 1 means "run the next cycle under the per-cycle
-    /// protocol" (or solo, if the frame side is also quiet).
-    ///
-    /// A batch of `h` cycles is sound when, for every cycle in it:
-    ///
-    /// * **no crossbar arbitration is needed** — no request is pending
-    ///   now (`needs_tick`), no core submits one (a core only submits at
-    ///   the end of a `Busy` span, ≥ `wake_in()` cycles away, and the
-    ///   cores are bulk-skipped with `h < wake_in`), and any *assist*
-    ///   submission happens at the earliest on the batch's final cycle
-    ///   (see the frame-event bounds below), leaving its arbitration for
-    ///   the rendezvous that follows;
-    /// * **no scratchpad word changes** — grants (phase 0) and driver
-    ///   mailbox pokes (phase 2) are the only writers and neither runs
-    ///   mid-batch — so assist `busy(&sp)` predicates and doorbell
-    ///   watches are frozen: a not-busy assist stays not-busy until a
-    ///   frame-memory completion routes to it, and no doorbell can
-    ///   raise a parked core;
-    /// * **the driver cannot act** — when it is live (`!driver_idle`),
-    ///   the batch ends before the countdown reaches its poll; when it
-    ///   is idle, its polls are no-ops unless a DMA-write host store
-    ///   revives it, which the frame-event bound confines to the final
-    ///   two cycles of the batch — so the batch additionally ends
-    ///   before the first poll boundary at or after the first possible
-    ///   host store.
-    ///
-    /// The frame-side bounds mirror [`NicSystem::wake_cycles`]: a busy
-    /// assist may submit scratchpad traffic on the very next tick
-    /// (horizon 1), and each timed event source (frame-memory burst
-    /// edges, wire completions, frame arrivals) bounds the horizon at
-    /// its event cycle *plus one* — the cycle in which the woken unit
-    /// may push and submit a scratchpad transaction, which is legal as
-    /// the batch's last cycle because the submission itself happens on
-    /// the worker's own port view and arbitration follows at the next
-    /// rendezvous, exactly one cycle later, as in the sequential
-    /// kernel.
-    pub(crate) fn batch_horizon(&self) -> u64 {
-        if self.xbar.needs_tick() {
-            return 1;
-        }
-        if self.frame_side_busy() {
-            return 1;
-        }
-        let mut h = u64::MAX;
-        for core in &self.cores {
-            // Bulk-skip contract: skip strictly fewer cycles than
-            // `wake_in`. A due core (wake_in 1) collapses the horizon.
-            h = h.min(core.wake_in().saturating_sub(1));
-            if h == 0 {
-                return 1;
-            }
-        }
-        let fm_cycles = self.cycles_until(self.fm.next_event());
-        if self.driver_countdown != u64::MAX {
-            if !self.driver_idle {
-                h = h.min(self.driver_countdown - 1);
-            } else if let Some(c) = fm_cycles {
-                // Idle polls are elided, but the first frame-memory
-                // completion may be a DMA host store that revives them:
-                // end the batch before the first poll boundary at or
-                // after that cycle (earlier boundaries are provable
-                // no-ops and may be crossed, with the countdown
-                // realigned exactly as `skip_cycles` does).
-                let cd = self.driver_countdown;
-                let boundary = if cd >= c {
-                    cd
-                } else {
-                    cd + (c - cd).div_ceil(self.cfg.driver_interval) * self.cfg.driver_interval
-                };
-                h = h.min(boundary - 1);
-            }
-        }
-        // Timed frame-side events: event cycle + 1 (the submit cycle).
-        let mac_events = self
-            .mactxs
-            .iter()
-            .map(|m| m.next_event())
-            .chain(self.macrxs.iter().map(|m| m.next_event()));
-        for c in std::iter::once(fm_cycles)
-            .chain(mac_events.map(|t| self.cycles_until(t)))
-            .flatten()
-        {
-            h = h.min(c.saturating_add(1));
-        }
-        h.max(1)
-    }
-
-    /// Cycles from `now` until the cycle in which an absolute event
-    /// time falls due, with [`WakeTracker::at_time`]'s exact semantics
-    /// (a due-or-past event is 1 cycle away); `None` for "never".
-    fn cycles_until(&self, t: Ps) -> Option<u64> {
-        if t == Ps::MAX {
-            return None;
-        }
-        Some(if t <= self.now {
-            1
-        } else {
-            (t.0 - self.now.0).div_ceil(self.cpu_period.0)
-        })
-    }
-
-    /// Whether the frame side is provably a no-op on the *next* cycle:
-    /// every assist-section gate of [`NicSystem::step_inner`] evaluates
-    /// false at `now + 1 cycle`. Such a cycle can run entirely on the
-    /// main thread — no rendezvous — and remain bit-identical.
-    pub(crate) fn frame_side_quiet_next(&self) -> bool {
-        let next = self.now + self.cpu_period;
-        !self.frame_side_busy()
-            && self.mactxs.iter().all(|m| m.next_event() > next)
-            && self.macrxs.iter().all(|m| m.next_event() > next)
-            && self.fm.next_event() > next
     }
 
     /// Run until simulation time `until`, simulating every cycle (the

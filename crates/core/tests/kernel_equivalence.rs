@@ -5,7 +5,8 @@
 //! results*: every counter, profile bucket, and derived statistic must
 //! match what the dense reference kernel (`run_until_dense`) produces.
 //! These tests run both kernels over identical configurations and assert
-//! exact `RunStats` equality.
+//! exact `RunStats` equality — and, for probed systems, an identical
+//! event stream.
 
 use nicsim::{
     DispatchMode, EventLog, FaultPlan, FrameTracker, FwMode, NicConfig, NicSystem, RunStats, SysDef,
@@ -148,110 +149,14 @@ fn kernels_match_in_interrupt_dispatch() {
 }
 
 #[test]
-fn parallel_kernel_is_bit_identical_to_sequential_kernels() {
-    // The domain-parallel kernel splits each cycle across two threads;
-    // its contract is the same as the event kernel's: exact RunStats
-    // equality with the dense reference, in both dispatch modes and
-    // across core counts.
-    for dispatch in [DispatchMode::Polling, DispatchMode::Interrupt] {
-        for cores in [1usize, 2, 6] {
-            let cfg = NicConfig::builder()
-                .cores(cores)
-                .cpu_mhz(300)
-                .dispatch(dispatch)
-                .build()
-                .unwrap();
-            let label = format!("parallel, {cores} cores, {dispatch:?}");
-            let mut seq = NicSystem::build(cfg).finish().unwrap();
-            let s = seq.run_measured(WARMUP, WINDOW);
-            let mut par = NicSystem::build(cfg).finish().unwrap();
-            let p = par.run_measured_parallel(WARMUP, WINDOW);
-            assert_eq!(seq.now(), par.now(), "{label}: clocks diverged");
-            assert_eq!(s, p, "{label}: stats diverged");
-            assert_eq!(
-                seq.kernel_cycle_split(),
-                par.kernel_cycle_split(),
-                "{label}: skip decisions diverged"
-            );
-            assert!(s.tx_frames > 0 || s.rx_frames > 0, "{label}: no traffic");
-            let ss = par.parallel_sync_stats();
-            if ss.sequential_fallback {
-                // Single-hardware-thread host: the kernel ran the
-                // sequential path (bit-identity already asserted above).
-                assert_eq!(ss.rendezvous, 0, "{label}: fallback still met a barrier");
-            } else {
-                assert!(ss.rendezvous > 0, "{label}: no rendezvous at all");
-                assert!(ss.solo_cycles > 0, "{label}: solo stepping never fired");
-            }
-        }
-    }
-}
-
-#[test]
-fn lookahead_batches_engage_at_moderate_load() {
-    // Batching needs a horizon: every core parked, assists quiet, and a
-    // frame-side event on the clock. Saturated runs rarely get there (a
-    // core is always running), so the non-vacuity check lives on the
-    // moderate-load interrupt point — the regime the batched kernel
-    // targets — where the NIC sleeps between paced arrivals. The stats
-    // must still match the sequential kernel exactly, and the
-    // rendezvous amortization must be real: far fewer barrier
-    // generations than stepped cycles.
-    let cfg = NicConfig::builder()
-        .cores(1)
-        .cpu_mhz(200)
-        .mode(FwMode::SoftwareOnly)
-        .dispatch(DispatchMode::Interrupt)
-        .send_enabled(false)
-        .offered_rx_fps(Some(20_000.0))
-        .build()
-        .unwrap();
-    // Long windows: the first few frames run against cold rings (buffer
-    // prefetch storms keep the frame side dense), so the rendezvous
-    // amortization only shows at steady state.
-    let warmup = Ps::from_us(1_000);
-    let window = Ps::from_us(4_000);
-    let mut seq = NicSystem::build(cfg).finish().unwrap();
-    let s = seq.run_measured(warmup, window);
-    let mut par = NicSystem::build(cfg).finish().unwrap();
-    let p = par.run_measured_parallel(warmup, window);
-    assert_eq!(s, p, "moderate load: stats diverged");
-    assert_eq!(
-        seq.kernel_cycle_split(),
-        par.kernel_cycle_split(),
-        "moderate load: skip decisions diverged"
-    );
-    assert!(p.rx_frames > 0, "moderate load: no traffic");
-    let ss = par.parallel_sync_stats();
-    if ss.sequential_fallback {
-        // Amortization is unobservable on a single-hardware-thread
-        // host; the bit-identity assertions above are the whole check.
-        return;
-    }
-    assert!(ss.batches > 0, "lookahead batching never fired");
-    assert!(
-        ss.batched_cycles >= 2 * ss.batches,
-        "batches shorter than 2 cycles"
-    );
-    assert!(ss.solo_cycles > 0, "solo stepping never fired");
-    let (_skipped, stepped) = par.kernel_cycle_split();
-    assert!(
-        ss.rendezvous * 4 < stepped,
-        "rendezvous not amortized: {} generations over {} stepped cycles",
-        ss.rendezvous,
-        stepped
-    );
-}
-
-#[test]
-fn probed_parallel_event_stream_is_bit_identical() {
-    // The parallel kernel's probe contract: the worker buffers its
-    // domain's events and the coordinator replays them at the sequential
-    // emission point, so a probed parallel run must produce the *same
-    // event stream, in the same order*, as the probed event kernel —
-    // not merely the same aggregate stats. Compare raw captures in both
-    // dispatch modes (a shorter window keeps the captures tractable:
-    // grants alone run to hundreds of thousands of events).
+fn probed_event_kernel_event_stream_is_bit_identical_to_dense() {
+    // Probes observe, they never feed back — and cycle skipping and
+    // per-component gating only ever elide ticks that emit nothing. So a
+    // probed event-kernel run must produce the *same event stream, in
+    // the same order*, as the probed dense kernel — not merely the same
+    // aggregate stats. Compare raw captures in both dispatch modes (a
+    // shorter window keeps the captures tractable: grants alone run to
+    // hundreds of thousands of events).
     let warmup = Ps::from_us(40);
     let window = Ps::from_us(60);
     for dispatch in [DispatchMode::Polling, DispatchMode::Interrupt] {
@@ -261,40 +166,41 @@ fn probed_parallel_event_stream_is_bit_identical() {
             .dispatch(dispatch)
             .build()
             .unwrap();
-        let label = format!("probed parallel, {dispatch:?}");
-        let mut seq = NicSystem::build(cfg)
+        let label = format!("probed, {dispatch:?}");
+        let mut dense = NicSystem::build(cfg)
             .probe(EventLog::new())
             .finish()
             .unwrap();
-        let s = seq.run_measured(warmup, window);
-        let mut par = NicSystem::build(cfg)
+        let d = dense.run_measured_dense(warmup, window);
+        let mut event = NicSystem::build(cfg)
             .probe(EventLog::new())
             .finish()
             .unwrap();
-        let p = par.run_measured_parallel(warmup, window);
-        assert_eq!(s, p, "{label}: stats diverged");
-        let (se, pe) = (seq.probe().events(), par.probe().events());
-        assert!(!se.is_empty(), "{label}: no events captured");
-        if se != pe {
-            let n = se.len().min(pe.len());
-            let i = (0..n).find(|&i| se[i] != pe[i]).unwrap_or(n);
+        let e = event.run_measured(warmup, window);
+        assert_eq!(d, e, "{label}: stats diverged");
+        let (de, ee) = (dense.probe().events(), event.probe().events());
+        assert!(!de.is_empty(), "{label}: no events captured");
+        if de != ee {
+            let n = de.len().min(ee.len());
+            let i = (0..n).find(|&i| de[i] != ee[i]).unwrap_or(n);
             panic!(
                 "{label}: event streams diverged at index {i} \
-                 (seq {} events, par {} events):\n  seq: {:?}\n  par: {:?}",
-                se.len(),
-                pe.len(),
-                se.get(i),
-                pe.get(i),
+                 (dense {} events, event {} events):\n  dense: {:?}\n  event: {:?}",
+                de.len(),
+                ee.len(),
+                de.get(i),
+                ee.get(i),
             );
         }
     }
 }
 
 #[test]
-fn probed_parallel_frame_tracker_matches_sequential() {
-    // A real sink (not just a raw log) on the parallel path: per-frame
-    // stage timelines joined across both threads' events must come out
-    // identical to the sequential kernel's, and internally consistent.
+fn probed_event_kernel_frame_tracker_matches_dense() {
+    // A real sink (not just a raw log): per-frame stage timelines joined
+    // from the event kernel's stream must come out identical to the
+    // dense kernel's, and internally consistent. Paced interrupt-mode
+    // receive leaves long skippable spells between frames.
     let cfg = NicConfig::builder()
         .cores(2)
         .cpu_mhz(300)
@@ -302,31 +208,33 @@ fn probed_parallel_frame_tracker_matches_sequential() {
         .offered_rx_fps(Some(100_000.0))
         .build()
         .unwrap();
-    let mut seq = NicSystem::build(cfg)
+    let mut dense = NicSystem::build(cfg)
         .probe(FrameTracker::new())
         .finish()
         .unwrap();
-    let s = seq.run_measured(WARMUP, WINDOW);
-    let mut par = NicSystem::build(cfg)
+    let d = dense.run_measured_dense(WARMUP, WINDOW);
+    let mut event = NicSystem::build(cfg)
         .probe(FrameTracker::new())
         .finish()
         .unwrap();
-    let p = par.run_measured_parallel(WARMUP, WINDOW);
-    assert_eq!(s, p, "frame-tracker config: stats diverged");
-    let (st, pt) = (seq.probe(), par.probe());
+    let e = event.run_measured(WARMUP, WINDOW);
+    assert_eq!(d, e, "frame-tracker config: stats diverged");
+    let (skipped, _stepped) = event.kernel_cycle_split();
+    assert!(skipped > 0, "event kernel never skipped: vacuous");
+    let (dt, et) = (dense.probe(), event.probe());
     assert!(
-        pt.violations().is_empty(),
-        "parallel timeline violations: {:?}",
-        pt.violations()
+        et.violations().is_empty(),
+        "event-kernel timeline violations: {:?}",
+        et.violations()
     );
-    let (ss, ps) = (st.summary(), pt.summary());
+    let (ds, es) = (dt.summary(), et.summary());
     assert!(
-        ss.tx_frames + ss.rx_frames > 0,
+        ds.tx_frames + ds.rx_frames > 0,
         "no complete frame timelines"
     );
     assert_eq!(
-        format!("{ss:?}"),
-        format!("{ps:?}"),
+        format!("{ds:?}"),
+        format!("{es:?}"),
         "latency summaries diverged"
     );
 }
@@ -451,8 +359,8 @@ fn default_sysdef_reproduces_the_hand_wired_system() {
 fn kernels_match_on_non_default_topologies() {
     // Non-default definitions (extra DMA engines, extra MACs) must hold
     // the same equivalence contract as the default: the event kernel
-    // and the domain-parallel kernel each bit-identical to the dense
-    // reference, with real traffic flowing through the striped engines.
+    // bit-identical to the dense reference, with real traffic flowing
+    // through the striped engines.
     for (dma, macs) in [(2usize, 1usize), (2, 2)] {
         let cfg = NicConfig::builder()
             .cores(2)
@@ -463,17 +371,6 @@ fn kernels_match_on_non_default_topologies() {
             .unwrap();
         let label = format!("{dma} engines, {macs} macs");
         assert_identical(cfg, WARMUP, WINDOW, &label);
-        let mut seq = NicSystem::build(cfg).finish().unwrap();
-        let s = seq.run_measured(WARMUP, WINDOW);
-        let mut par = NicSystem::build(cfg).finish().unwrap();
-        let p = par.run_measured_parallel(WARMUP, WINDOW);
-        assert_eq!(s, p, "{label}: parallel stats diverged");
-        assert_eq!(
-            seq.kernel_cycle_split(),
-            par.kernel_cycle_split(),
-            "{label}: skip decisions diverged"
-        );
-        assert!(s.tx_frames > 0 && s.rx_frames > 0, "{label}: no traffic");
     }
 }
 

@@ -9,7 +9,7 @@
 use crate::func::{CoreProfile, FwFunc, StallBucket};
 use crate::layout::CodeLayout;
 use crate::slot::{new_slot, PendingOp, SharedSlot};
-use nicsim_mem::{Crossbar, ICache, ICacheConfig, InstrMemory, SpOp, SpRequest, XbarPort};
+use nicsim_mem::{Crossbar, ICache, ICacheConfig, InstrMemory, SpOp, SpRequest};
 use nicsim_obs::{Event, NullProbe, Probe};
 use nicsim_sim::Ps;
 use std::future::Future;
@@ -231,18 +231,14 @@ impl Core {
     /// Advance one CPU cycle. Must be called after `xbar.tick()` for the
     /// same cycle.
     pub fn tick(&mut self, xbar: &mut Crossbar, imem: &mut InstrMemory) {
-        let id = self.id;
-        self.tick_probed(&mut xbar.port(id), imem, Ps::ZERO, &mut NullProbe);
+        self.tick_probed(xbar, imem, Ps::ZERO, &mut NullProbe);
     }
 
     /// [`Core::tick`] with probe instrumentation, stamping events with
-    /// the simulated time `now`. Generic over the crossbar port view so
-    /// the same engine runs against the sequential kernel
-    /// ([`nicsim_mem::BoundPort`]) and the domain-parallel kernel
-    /// ([`nicsim_mem::PortHandle`]).
-    pub fn tick_probed<X: XbarPort, P: Probe>(
+    /// the simulated time `now`.
+    pub fn tick_probed<P: Probe>(
         &mut self,
-        port: &mut X,
+        xbar: &mut Crossbar,
         imem: &mut InstrMemory,
         now: Ps,
         probe: &mut P,
@@ -251,7 +247,7 @@ impl Core {
         self.stats.ticks += 1;
 
         // Drain a completed buffered store.
-        if self.store_inflight && port.take_response().is_some() {
+        if self.store_inflight && xbar.take_response(self.id).is_some() {
             self.store_inflight = false;
         }
 
@@ -352,7 +348,7 @@ impl Core {
                                     is_load: !is_store,
                                 };
                             } else if is_store {
-                                port.submit(req);
+                                xbar.submit(self.id, req);
                                 self.store_inflight = true;
                                 // Store response value is the written word.
                                 if let SpOp::Write(v) = req.op {
@@ -360,7 +356,7 @@ impl Core {
                                 }
                                 self.state = State::Poll;
                             } else {
-                                port.submit(req);
+                                xbar.submit(self.id, req);
                                 self.state = State::WaitMem { waited: 0 };
                             }
                         }
@@ -377,7 +373,7 @@ impl Core {
                         // Port freed this cycle; the submit rides the tail
                         // of this (conflict) cycle.
                         self.charge(StallBucket::Conflict);
-                        port.submit(req);
+                        xbar.submit(self.id, req);
                         if is_load {
                             self.state = State::WaitMem { waited: 0 };
                         } else {
@@ -410,7 +406,7 @@ impl Core {
                     return;
                 }
                 State::WaitMem { waited } => {
-                    if let Some(v) = port.take_response() {
+                    if let Some(v) = xbar.take_response(self.id) {
                         self.slot.borrow_mut().response = Some(v);
                         // The dependent instruction issues this very
                         // cycle: chain into Poll without consuming.

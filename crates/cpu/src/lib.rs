@@ -26,6 +26,8 @@
 //! Per-function cycle/instruction/access profiles (the raw material of
 //! Tables 1, 3, 5 and 6) are collected in [`CoreProfile`].
 
+#![forbid(unsafe_code)]
+
 pub mod ctx;
 pub mod engine;
 pub mod func;

@@ -17,6 +17,8 @@
 //! hierarchy, and the access-trace capture used by the coherence study
 //! (Figure 3).
 
+#![forbid(unsafe_code)]
+
 pub mod icache;
 pub mod scratchpad;
 pub mod sdram;
@@ -27,4 +29,4 @@ pub use icache::{ICache, ICacheConfig, InstrMemory};
 pub use scratchpad::{Scratchpad, SpOp, SpRequest};
 pub use sdram::{FrameMemory, FrameMemoryConfig, SdramCompletion, StreamId};
 pub use trace::{AccessKind, AccessTrace, TraceRecord};
-pub use xbar::{BoundPort, Crossbar, PortHandle, PortStats, RequesterId, XbarPort};
+pub use xbar::{Crossbar, PortStats, RequesterId};

@@ -47,10 +47,7 @@ struct Response {
     ready_at: u64,
 }
 
-/// All state owned by one requester port. Ports are disjoint: nothing a
-/// requester does on its own port (submit, take_response, idle) touches
-/// any other port or any crossbar-global state, which is what makes the
-/// per-port [`PortHandle`] split sound for the domain-parallel kernel.
+/// All state owned by one requester port.
 #[derive(Debug, Clone, Copy, Default)]
 struct Port {
     pending: Option<Pending>,
@@ -82,83 +79,6 @@ impl Port {
     }
 }
 
-/// A requester-side view of one crossbar port: exactly the three
-/// operations a port owner may perform. Implemented by the borrow-checked
-/// sequential view ([`BoundPort`]) and by the thread-splittable raw view
-/// ([`PortHandle`]), so cores and assists can tick against either kernel.
-pub trait XbarPort {
-    /// Submit a request on this port.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the port already has an outstanding request or an
-    /// unconsumed response — requesters are single-outstanding by
-    /// construction.
-    fn submit(&mut self, req: SpRequest);
-    /// Take the response if it is consumable this cycle.
-    fn take_response(&mut self) -> Option<u32>;
-    /// Whether the port may submit (no pending request or unconsumed
-    /// response).
-    fn idle(&self) -> bool;
-}
-
-/// Sequential port view borrowing the whole crossbar; obtained from
-/// [`Crossbar::port`].
-pub struct BoundPort<'a> {
-    xbar: &'a mut Crossbar,
-    port: RequesterId,
-}
-
-impl XbarPort for BoundPort<'_> {
-    fn submit(&mut self, req: SpRequest) {
-        self.xbar.submit(self.port, req);
-    }
-
-    fn take_response(&mut self) -> Option<u32> {
-        self.xbar.take_response(self.port)
-    }
-
-    fn idle(&self) -> bool {
-        self.xbar.port_idle(self.port)
-    }
-}
-
-/// Raw per-port view for the domain-parallel kernel: a pointer to one
-/// [`Port`] plus a read-only pointer to the crossbar's cycle counter.
-///
-/// Safety contract (upheld by `nicsim-core`'s parallel kernel, see
-/// [`Crossbar::port_handles`]): while any handle is in use, no `&mut
-/// Crossbar` method runs, the cycle counter is not advanced, and each
-/// port's handle is used by at most one thread. Distinct ports are
-/// disjoint state, so concurrent use of *different* handles is sound.
-pub struct PortHandle {
-    id: RequesterId,
-    port: *mut Port,
-    cycle: *const u64,
-}
-
-// SAFETY: a PortHandle only dereferences its own port (disjoint from all
-// other handles) and reads the cycle counter, which is frozen while
-// handles are in use per the contract above.
-unsafe impl Send for PortHandle {}
-
-impl XbarPort for PortHandle {
-    fn submit(&mut self, req: SpRequest) {
-        // SAFETY: exclusive access to this port per the handle contract.
-        unsafe { (*self.port).submit(self.id, req) }
-    }
-
-    fn take_response(&mut self) -> Option<u32> {
-        // SAFETY: as above; the cycle counter is frozen during handle use.
-        unsafe { (*self.port).take_response(*self.cycle) }
-    }
-
-    fn idle(&self) -> bool {
-        // SAFETY: as above.
-        unsafe { (*self.port).idle() }
-    }
-}
-
 /// The crossbar and its per-bank arbiters.
 ///
 /// The paper also routes processor access to the external memory interface
@@ -186,39 +106,6 @@ impl Crossbar {
     /// Number of requester ports.
     pub fn ports(&self) -> usize {
         self.ports.len()
-    }
-
-    /// A borrow-checked [`XbarPort`] view of `port` for sequential use.
-    pub fn port(&mut self, port: RequesterId) -> BoundPort<'_> {
-        assert!(port < self.ports.len(), "no such port: {port}");
-        BoundPort { xbar: self, port }
-    }
-
-    /// Split the crossbar into one raw [`PortHandle`] per port, for the
-    /// domain-parallel kernel.
-    ///
-    /// # Safety
-    ///
-    /// For the handles' whole lifetime the crossbar must be neither
-    /// moved, dropped, nor have its port set resized. Handle *use* and
-    /// `&mut Crossbar` methods must be time-sliced, never concurrent:
-    /// while any handle is being dereferenced (e.g. during the parallel
-    /// kernel's split phase) no `&mut Crossbar` method may run — in
-    /// particular no tick/skip, so the cycle counter stays put for the
-    /// duration of the phase. Each individual handle is used by at most
-    /// one thread at a time; distinct ports are disjoint state, so
-    /// concurrent use of different handles is sound.
-    pub unsafe fn port_handles(&mut self) -> Vec<PortHandle> {
-        let cycle: *const u64 = &self.cycle;
-        self.ports
-            .iter_mut()
-            .enumerate()
-            .map(|(id, p)| PortHandle {
-                id,
-                port: p as *mut Port,
-                cycle,
-            })
-            .collect()
     }
 
     /// Submit a request on `port`.
@@ -608,50 +495,23 @@ mod tests {
     }
 
     #[test]
-    fn bound_port_view_matches_direct_calls() {
+    fn port_idle_tracks_transaction_lifetime() {
         let (mut xb, mut sp) = setup(2, 4);
         sp.poke(8, 42);
-        {
-            let mut p = xb.port(0);
-            assert!(p.idle());
-            p.submit(SpRequest {
+        assert!(xb.port_idle(0));
+        xb.submit(
+            0,
+            SpRequest {
                 addr: 8,
                 op: SpOp::Read,
-            });
-            assert!(!p.idle());
-        }
+            },
+        );
+        assert!(!xb.port_idle(0));
+        assert!(xb.port_idle(1), "ports are independent");
         xb.tick(&mut sp);
         xb.tick(&mut sp);
-        assert_eq!(xb.port(0).take_response(), Some(42));
+        assert_eq!(xb.take_response(0), Some(42));
         assert!(xb.port_idle(0));
-    }
-
-    #[test]
-    fn port_handles_split_ports_disjointly() {
-        let (mut xb, mut sp) = setup(3, 4);
-        sp.poke(0, 10);
-        sp.poke(4, 20);
-        // SAFETY: handles are used (sequentially here) strictly between
-        // &mut Crossbar uses; the crossbar does not move.
-        let mut handles = unsafe { xb.port_handles() };
-        handles[0].submit(SpRequest {
-            addr: 0,
-            op: SpOp::Read,
-        });
-        handles[2].submit(SpRequest {
-            addr: 4,
-            op: SpOp::Read,
-        });
-        assert!(!handles[0].idle() && handles[1].idle() && !handles[2].idle());
-        drop(handles);
-        xb.tick(&mut sp);
-        xb.tick(&mut sp);
-        let mut handles = unsafe { xb.port_handles() };
-        assert_eq!(handles[0].take_response(), Some(10));
-        assert_eq!(handles[1].take_response(), None);
-        assert_eq!(handles[2].take_response(), Some(20));
-        drop(handles);
-        assert!(!xb.has_pending());
     }
 
     #[test]

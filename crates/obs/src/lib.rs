@@ -48,6 +48,8 @@
 //! Compose sinks with tuples: `(ChromeTrace, (FrameTracker, Metrics))`
 //! is a `Probe` that feeds all three.
 
+#![forbid(unsafe_code)]
+
 pub mod chrome;
 pub mod event;
 pub mod frame;
@@ -150,55 +152,6 @@ impl Probe for EventLog {
         if self.limit == 0 || self.events.len() < self.limit {
             self.events.push(ev);
         }
-    }
-}
-
-/// A per-domain event buffer for the domain-parallel kernel: a probe
-/// that records events locally on the emitting thread, to be drained
-/// into the user's real probe at the next rendezvous.
-///
-/// The parallel kernel cannot hand both threads the user's probe (a
-/// single sink would serialize exactly the work it splits), so the
-/// worker thread emits into one of these and the coordinator replays
-/// the buffer with [`EventBuffer::drain_into`] at the point of the
-/// sequential kernel's emission order — after the core events of the
-/// batch's cycles, before the host-driver phase. Buffered events stay
-/// in emission order, so the replayed stream is byte-identical to a
-/// sequential probed run.
-#[derive(Debug, Clone, Default)]
-pub struct EventBuffer {
-    events: Vec<Event>,
-}
-
-impl EventBuffer {
-    /// An empty buffer.
-    pub fn new() -> EventBuffer {
-        EventBuffer::default()
-    }
-
-    /// Number of buffered events.
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
-    /// Replay every buffered event into `probe` in emission order and
-    /// clear the buffer (capacity is kept: the parallel kernel drains
-    /// once per rendezvous and reuses the allocation).
-    pub fn drain_into<P: Probe>(&mut self, probe: &mut P) {
-        for ev in self.events.drain(..) {
-            probe.emit(ev);
-        }
-    }
-}
-
-impl Probe for EventBuffer {
-    fn emit(&mut self, ev: Event) {
-        self.events.push(ev);
     }
 }
 

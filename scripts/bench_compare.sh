@@ -1,7 +1,6 @@
 #!/bin/sh
 # Diff two BENCH_simspeed.json result files point by point: kernel
-# speedups, absolute cycles-per-host-second, and the skip/rendezvous
-# accounting the parallel kernel reports. Informational by default;
+# speedups and absolute cycles-per-host-second. Informational by default;
 # pass --strict[=TOL] as the third argument to fail on a speedup drop
 # beyond TOL (same-host A/B runs only — cross-host absolute numbers
 # are not comparable at gate precision).

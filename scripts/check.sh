@@ -14,18 +14,18 @@ cargo build --release --workspace --all-targets
 echo "==> cargo test --workspace"
 NICSIM_QUICK=1 cargo test --workspace --quiet
 
-echo "==> kernel equivalence (release: dense vs event vs parallel, both dispatch modes)"
+echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # The quick-mode test run above already covers these in debug; the
 # release run guards against optimization-dependent divergence in the
-# skip/gating fast paths. The suite asserts dense/event bit-identity in
-# interrupt dispatch, domain-parallel bit-identity (stats and skip
-# decisions) in both dispatch modes, and polling-vs-interrupt identity
-# of the delivered frame/descriptor record under a live fault plan.
+# skip/gating fast paths. The suite asserts dense/event bit-identity of
+# RunStats in both dispatch modes, of the probed event stream and
+# frame timelines, and polling-vs-interrupt identity of the delivered
+# frame/descriptor record under a live fault plan.
 # The sysdef matrix rides in the same suite: the default derived
 # SysDef must be bit-identical to the hand-wired baseline (RunStats
 # and frame-lifecycle probe streams, both dispatch modes), and
-# non-default topologies (2 DMA pairs, 2 MACs) must agree across
-# dense, event, and domain-parallel kernels.
+# non-default topologies (2 DMA pairs, 2 MACs) must agree across the
+# dense and event kernels.
 cargo test --release --quiet -p nicsim --test kernel_equivalence
 
 echo "==> sysdef smoke (non-default topologies end-to-end, ~3 s)"
@@ -42,14 +42,15 @@ rm -f target/archsweep.json
 echo "==> simspeed smoke (event kernel sanity, ~2 s)"
 NICSIM_SIMSPEED_SMOKE=1 ./target/release/simspeed
 
-echo "==> simspeed floors + probe overhead guard (full windows, ~5 s)"
-# The full-window run enforces each point's speedup floor — including
-# the >=3x interrupt-dispatch point at moderate load, the simspeed
-# regression gate for this feature — and re-asserts stats identity on
-# every kernel. The baseline comparison proves the disabled-probe
-# (NullProbe) path is free: cycles/host-second is checked against the
-# committed results/BENCH_simspeed.json (NICSIM_BASELINE_TOL
-# overrides the tolerance). Full windows match the baseline's
+echo "==> simspeed floors, dense vs event + probe overhead guard (full windows, ~15 s)"
+# The full-window run enforces each point's dense-vs-event speedup
+# floor — including the >=3x interrupt-dispatch point at moderate
+# load — timing each kernel as the fastest of three alternating runs
+# and re-asserting stats identity on every one. The baseline
+# comparison proves the disabled-probe (NullProbe) path is free:
+# cycles/host-second is checked against the committed
+# results/BENCH_simspeed.json (NICSIM_BASELINE_TOL overrides the
+# tolerance). Full windows match the baseline's
 # methodology — smoke windows would pay a fixed per-run cost the
 # committed numbers amortize away. The default tolerance is wide
 # because absolute cycles/second on a shared single-hardware-thread
@@ -65,9 +66,9 @@ NICSIM_BASELINE_TOL="${NICSIM_BASELINE_TOL:-0.35}" \
 
 echo "==> bench_compare vs committed baseline (informational)"
 # Point-by-point diff of the run above against the committed results:
-# surfaces per-row speedup and throughput drift (and the parallel
-# row's rendezvous accounting) in the check log without gating on it —
-# the floors inside simspeed are the gates; this is the trend readout.
+# surfaces per-row speedup and throughput drift in the check log
+# without gating on it — the floors inside simspeed are the gates;
+# this is the trend readout.
 sh scripts/bench_compare.sh results/BENCH_simspeed.json target/BENCH_simspeed.json
 rm -f target/BENCH_simspeed.json
 
