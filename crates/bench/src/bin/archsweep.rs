@@ -1,19 +1,19 @@
-//! Architecture sweep over the declarative system definition: how
-//! full-duplex UDP throughput responds to the frame-side topology —
-//! DMA engine pairs and MACs, the `SysDef` axes — alongside the core
-//! count. The paper's board is fixed at one DMA pair and one MAC; this
-//! sweep is the what-if the `SysDef` layer exists to ask.
+//! Architecture sweep over `NicConfig::topology`: how full-duplex UDP
+//! throughput responds to the frame-side topology — DMA engine pairs
+//! and MACs — alongside the core count. The paper's board is fixed at
+//! one DMA pair and one MAC; this sweep is the what-if a configurable
+//! topology exists to ask.
 //!
 //! Each topology point recomposes the SoC (crossbar ports, scratchpad
-//! memory map, dispatch sources, clock-domain membership) from the
-//! same declarative definition the default system is built from.
+//! memory map, dispatch sources) through the same builder path the
+//! default system takes.
 //! Results land in `results/archsweep.json`; every row carries its
 //! full resolved configuration (including `"topology"`), so any point
 //! can be rebuilt and re-run from the results file alone.
 //!
 //! Run with: `cargo run --release --bin archsweep -- --jobs 8`.
 
-use nicsim::{NicConfig, SysDef};
+use nicsim::NicConfig;
 use nicsim_bench::{header, Args};
 use nicsim_exp::{RunSpec, Sweep};
 
@@ -21,7 +21,7 @@ fn main() {
     let args = Args::parse("archsweep");
     let exp = &args.exp;
     header(
-        "Architecture sweep: cores x DMA engines (SysDef topologies)",
+        "Architecture sweep: cores x DMA engines (NicConfig::topology)",
         "the paper's board is 1 DMA pair + 1 MAC; extra frame-side units probe the next bottleneck",
     );
     let cores = [2usize, 4, 6];
@@ -65,12 +65,10 @@ fn main() {
         println!();
     }
     let wide = report.runs.last().expect("dual-MAC run");
-    let def = SysDef::from_config(&wide.config);
     println!(
-        "6 cores, 2 DMA pairs, 2 MACs: {:.2} Gb/s ({} components on {} crossbar ports)",
+        "6 cores, 2 DMA pairs, 2 MACs: {:.2} Gb/s ({} crossbar ports)",
         wide.stats.total_udp_gbps(),
-        def.components.len(),
-        def.xbar_ports()
+        wide.config.topology.xbar_ports(wide.config.cores)
     );
     exp.write(&report).expect("write results");
 }

@@ -10,7 +10,7 @@
 //! * `--cores N` — override the core count of every configuration the
 //!   binary builds;
 //! * `--dma-engines N` / `--macs N` — frame-side topology overrides
-//!   (the `SysDef` sweep axes): DMA engine pairs and MACs per
+//!   (the `archsweep` axes): DMA engine pairs and MACs per
 //!   configuration;
 //! * `--nics N` / `--shards N` / `--workload SPEC` — fleet-level
 //!   overrides for binaries that run multi-NIC fleets (fleet size,

@@ -7,11 +7,16 @@ use nicsim_mem::{FrameMemoryConfig, ICacheConfig};
 /// How many of each frame-side unit the SoC instantiates.
 ///
 /// The default (one DMA engine pair, one MAC) is the paper's board; extra
-/// units are the architecture-exploration axis the system-definition
-/// layer ([`crate::sysdef`]) exposes. Each DMA "engine" is a read/write
-/// pair with its own command rings, scratchpad ports, and crossbar
-/// attachments; extra MACs are attached structurally (ports, clocking,
-/// completion routing) but the firmware drives MAC 0.
+/// units are the architecture-exploration axis (`archsweep`). Each DMA
+/// "engine" is a read/write pair with its own command rings, scratchpad
+/// ports, and crossbar attachments; extra MACs are attached structurally
+/// (ports, clocking, completion routing) but the firmware drives MAC 0.
+///
+/// Crossbar ports (the paper's "P+4 × S+1" switch, generalized): cores
+/// take `0..cores`, then every DMA read engine, every DMA write engine,
+/// every MAC TX, every MAC RX — `cores + 2·dma_engines + 2·macs` in
+/// all, 6/7/8/9 of 10 on the paper's board. The methods below are the
+/// one definition of that layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// DMA engine pairs (read + write), 1..=4. Firmware stripes BD
@@ -20,6 +25,34 @@ pub struct Topology {
     /// Ethernet MACs, 1..=2. MAC 0 carries traffic; extras are
     /// structural (attached and clocked, but quiescent).
     pub macs: usize,
+}
+
+impl Topology {
+    /// Total crossbar requester ports: the cores plus one per
+    /// frame-side scratchpad client.
+    pub fn xbar_ports(self, cores: usize) -> usize {
+        cores + 2 * self.dma_engines + 2 * self.macs
+    }
+
+    /// Crossbar port of DMA-read engine `k`.
+    pub fn dmard_port(self, cores: usize, k: usize) -> usize {
+        cores + k
+    }
+
+    /// Crossbar port of DMA-write engine `k`.
+    pub fn dmawr_port(self, cores: usize, k: usize) -> usize {
+        cores + self.dma_engines + k
+    }
+
+    /// Crossbar port of MAC TX `j`.
+    pub fn mactx_port(self, cores: usize, j: usize) -> usize {
+        cores + 2 * self.dma_engines + j
+    }
+
+    /// Crossbar port of MAC RX `j`.
+    pub fn macrx_port(self, cores: usize, j: usize) -> usize {
+        cores + 2 * self.dma_engines + self.macs + j
+    }
 }
 
 impl Default for Topology {
@@ -108,11 +141,15 @@ impl Default for NicConfig {
     }
 }
 
+/// Highest `cpu_mhz` the picosecond time base resolves
+/// ([`nicsim_sim::Freq`]'s 1 THz limit).
+const MAX_CPU_MHZ: u64 = 1_000_000;
+
 /// Why a [`NicConfig`] was rejected by validation.
 ///
 /// Returned by [`NicConfigBuilder::build`], [`NicConfig::validate`], and
 /// the system builder's `finish`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// `cores` was zero — the firmware needs at least one core.
     ZeroCores,
@@ -131,6 +168,24 @@ pub enum ConfigError {
     IdealMultiCore {
         /// The rejected core count.
         cores: usize,
+    },
+    /// `cpu_mhz` was zero or above `Freq`'s 1 THz limit.
+    BadCpuMhz {
+        /// The rejected clock in MHz.
+        mhz: u64,
+    },
+    /// `scratchpad_bytes` was not a whole number of 32-bit words.
+    UnalignedScratchpad {
+        /// The rejected capacity in bytes.
+        bytes: usize,
+    },
+    /// `offered_tx_fps` or `offered_rx_fps` was NaN, infinite, zero or
+    /// negative — a frame rate has to be a finite positive number.
+    BadOfferedFps {
+        /// Which direction's rate was rejected (`"tx"` or `"rx"`).
+        direction: &'static str,
+        /// The rejected rate in frames/s.
+        fps: f64,
     },
     /// `topology.dma_engines` outside `1..=MAX_DMA_ENGINES`.
     BadDmaEngines {
@@ -157,9 +212,6 @@ pub enum ConfigError {
     /// [`NicConfigBuilder::assists`] could not parse the assist
     /// specification string.
     AssistSpec(String),
-    /// A [`crate::sysdef::SysDef`] handed to the system builder failed
-    /// its structural check or disagrees with the configuration.
-    Definition(String),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -176,6 +228,16 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "ideal mode is single-core by definition (got {cores} cores)"
             ),
+            ConfigError::BadCpuMhz { mhz } => {
+                write!(f, "cpu_mhz must be in 1..={MAX_CPU_MHZ} (got {mhz})")
+            }
+            ConfigError::UnalignedScratchpad { bytes } => {
+                write!(f, "scratchpad_bytes must be a multiple of 4 (got {bytes})")
+            }
+            ConfigError::BadOfferedFps { direction, fps } => write!(
+                f,
+                "offered_{direction}_fps must be finite and positive (got {fps})"
+            ),
             ConfigError::BadDmaEngines { engines } => write!(
                 f,
                 "dma_engines must be in 1..={MAX_DMA_ENGINES} (got {engines})"
@@ -190,7 +252,6 @@ impl std::fmt::Display for ConfigError {
             ),
             ConfigError::FaultSpec(msg) => write!(f, "bad fault spec: {msg}"),
             ConfigError::AssistSpec(msg) => write!(f, "bad assist spec: {msg}"),
-            ConfigError::Definition(msg) => write!(f, "bad system definition: {msg}"),
         }
     }
 }
@@ -371,6 +432,19 @@ impl NicConfig {
         if self.mode == FwMode::Ideal && self.cores != 1 {
             return Err(ConfigError::IdealMultiCore { cores: self.cores });
         }
+        if self.cpu_mhz == 0 || self.cpu_mhz > MAX_CPU_MHZ {
+            return Err(ConfigError::BadCpuMhz { mhz: self.cpu_mhz });
+        }
+        if !self.scratchpad_bytes.is_multiple_of(4) {
+            return Err(ConfigError::UnalignedScratchpad {
+                bytes: self.scratchpad_bytes,
+            });
+        }
+        for (direction, fps) in [("tx", self.offered_tx_fps), ("rx", self.offered_rx_fps)] {
+            if let Some(fps) = fps.filter(|f| !(f.is_finite() && *f > 0.0)) {
+                return Err(ConfigError::BadOfferedFps { direction, fps });
+            }
+        }
         let t = self.topology;
         if t.dma_engines == 0 || t.dma_engines > MAX_DMA_ENGINES {
             return Err(ConfigError::BadDmaEngines {
@@ -514,6 +588,61 @@ mod tests {
             .scratchpad_bytes(512 * 1024)
             .build()
             .unwrap();
+    }
+
+    #[test]
+    fn legacy_port_assignment_is_preserved() {
+        let (cores, t) = (NicConfig::default().cores, Topology::default());
+        assert_eq!(t.xbar_ports(cores), 10);
+        assert_eq!(t.dmard_port(cores, 0), 6);
+        assert_eq!(t.dmawr_port(cores, 0), 7);
+        assert_eq!(t.mactx_port(cores, 0), 8);
+        assert_eq!(t.macrx_port(cores, 0), 9);
+    }
+
+    /// Every buildable board: the assigned ports are unique and cover
+    /// `0..xbar_ports` exactly, cores first, then the assists grouped
+    /// by kind (reads, writes, TX, RX).
+    #[test]
+    fn non_default_topologies_check_out() {
+        for cores in 1..=8 {
+            for dma_engines in 1..=MAX_DMA_ENGINES {
+                for macs in 1..=MAX_MACS {
+                    let t = Topology { dma_engines, macs };
+                    let ports: Vec<usize> = (0..cores)
+                        .chain((0..dma_engines).map(|k| t.dmard_port(cores, k)))
+                        .chain((0..dma_engines).map(|k| t.dmawr_port(cores, k)))
+                        .chain((0..macs).map(|j| t.mactx_port(cores, j)))
+                        .chain((0..macs).map(|j| t.macrx_port(cores, j)))
+                        .collect();
+                    let all: Vec<usize> = (0..t.xbar_ports(cores)).collect();
+                    assert_eq!(ports, all, "{cores} cores, {t:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn validate_rejects_what_finish_would_panic_on() {
+        let b = NicConfig::builder;
+        for mhz in [0, 2_000_000] {
+            let built = b().cpu_mhz(mhz).build();
+            assert_eq!(built, Err(ConfigError::BadCpuMhz { mhz }));
+        }
+        assert_eq!(
+            b().scratchpad_bytes(262_146).build(),
+            Err(ConfigError::UnalignedScratchpad { bytes: 262_146 })
+        );
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let tx = b().offered_tx_fps(Some(bad)).build();
+            let rx = b().offered_rx_fps(Some(bad)).build();
+            for (direction, built) in [("tx", tx), ("rx", rx)] {
+                let err = built.unwrap_err();
+                assert!(matches!(err, ConfigError::BadOfferedFps { .. }), "{err:?}");
+                let named = format!("offered_{direction}_fps");
+                assert!(err.to_string().starts_with(&named), "{err}");
+            }
+        }
     }
 
     #[test]

@@ -49,7 +49,6 @@
 
 pub mod config;
 pub mod stats;
-pub mod sysdef;
 pub mod system;
 
 pub use config::{ConfigError, NicConfig, NicConfigBuilder, Topology};
@@ -60,5 +59,4 @@ pub use nicsim_obs::{
     NullProbe, Probe, StageStats,
 };
 pub use stats::{RunStats, StatValue, SUMMARY_VERSION};
-pub use sysdef::{Attachment, ComponentDef, ComponentKind, SysDef};
 pub use system::{NicSystem, SystemBuilder};

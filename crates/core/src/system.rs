@@ -3,19 +3,18 @@
 //! `NicSystem` owns every component of Figure 6 — the cores, the
 //! crossbar and scratchpad banks, the instruction memory, the frame
 //! memory, the assists — plus the host (driver + main memory) and
-//! the network model. The component roster is no longer hand-wired:
-//! [`SystemBuilder::finish`] assembles whatever the system definition
-//! ([`SysDef`], derived from the configuration's topology section)
-//! declares — any number of DMA engine pairs and MACs, each with its
-//! own crossbar port, command rings, and clock-domain membership. The
-//! main loop advances the CPU clock domain cycle by cycle; the
-//! frame-side components keep picosecond-resolution state internally
-//! and are polled at each CPU tick, and the host's mailbox writes land
-//! between cycles as memory-mapped register writes.
+//! the network model. [`SystemBuilder::finish`] assembles whatever the
+//! configuration's [`Topology`](crate::config::Topology) asks for — any
+//! number of DMA engine pairs and MACs, each with its own crossbar port
+//! and command rings — into four typed `Vec`s that *are* the
+//! composition; `step_inner` names each kind because their tick
+//! signatures differ. The main loop advances the CPU clock domain cycle
+//! by cycle; the frame-side components keep picosecond-resolution state
+//! internally and are polled at each CPU tick, and the host's mailbox
+//! writes land between cycles as memory-mapped register writes.
 
 use crate::config::{ConfigError, NicConfig};
 use crate::stats::RunStats;
-use crate::sysdef::SysDef;
 use nicsim_assists::{
     dma_tag_engine, DmaConfig, DmaRead, DmaWrite, MacRx, MacRxConfig, MacTx, MacTxConfig,
 };
@@ -46,7 +45,6 @@ use nicsim_sim::{Freq, NextEvent, Ps, WakeTracker};
 pub struct NicSystem<P: Probe = NullProbe> {
     pub(crate) probe: P,
     pub(crate) cfg: NicConfig,
-    pub(crate) sysdef: SysDef,
     pub(crate) map: MemMap,
     pub(crate) now: Ps,
     pub(crate) cpu_period: Ps,
@@ -126,7 +124,6 @@ pub struct NicSystem<P: Probe = NullProbe> {
 #[derive(Debug)]
 pub struct SystemBuilder<P: Probe = NullProbe> {
     cfg: NicConfig,
-    sysdef: Option<SysDef>,
     probe: P,
 }
 
@@ -137,7 +134,6 @@ impl NicSystem {
     pub fn build(cfg: NicConfig) -> SystemBuilder {
         SystemBuilder {
             cfg,
-            sysdef: None,
             probe: NullProbe,
         }
     }
@@ -151,50 +147,20 @@ impl<P: Probe> SystemBuilder<P> {
     pub fn probe<Q: Probe>(self, probe: Q) -> SystemBuilder<Q> {
         SystemBuilder {
             cfg: self.cfg,
-            sysdef: self.sysdef,
             probe,
         }
     }
 
-    /// Assemble from an explicit system definition instead of deriving
-    /// one from the configuration ([`SysDef::from_config`]). The
-    /// definition's core, bank, and frame-side unit counts must agree
-    /// with the configuration; [`SystemBuilder::finish`] rejects a
-    /// mismatched or structurally unsound definition with
-    /// [`ConfigError::Definition`].
-    pub fn sysdef(mut self, def: SysDef) -> Self {
-        self.sysdef = Some(def);
-        self
-    }
-
-    /// Validate the configuration, derive (or take) the system
-    /// definition, and assemble the system it declares.
+    /// Validate the configuration and assemble the system its
+    /// topology asks for.
     ///
     /// # Errors
     ///
-    /// Returns the same [`ConfigError`] as [`NicConfig::validate`],
-    /// plus [`ConfigError::Definition`] for an explicit definition that
-    /// fails its structural check or disagrees with the configuration.
+    /// Returns the same [`ConfigError`] as [`NicConfig::validate`].
     pub fn finish(self) -> Result<NicSystem<P>, ConfigError> {
-        let SystemBuilder { cfg, sysdef, probe } = self;
+        let SystemBuilder { cfg, probe } = self;
         cfg.validate()?;
-        let def = sysdef.unwrap_or_else(|| SysDef::from_config(&cfg));
-        def.check().map_err(ConfigError::Definition)?;
-        if def.n_cores() != cfg.cores
-            || def.n_banks() != cfg.banks
-            || def.topology() != cfg.topology
-        {
-            return Err(ConfigError::Definition(format!(
-                "definition declares {} cores / {} banks / {:?}, config says {} / {} / {:?}",
-                def.n_cores(),
-                def.n_banks(),
-                def.topology(),
-                cfg.cores,
-                cfg.banks,
-                cfg.topology
-            )));
-        }
-        let t = def.topology();
+        let t = cfg.topology;
         let faults_armed = cfg.faults.as_ref().is_some_and(|p| !p.is_noop());
         let map = MemMap::for_topology(t.dma_engines, t.macs);
         let mut sp = Scratchpad::new(cfg.scratchpad_bytes, cfg.banks);
@@ -234,7 +200,7 @@ impl<P: Probe> SystemBuilder<P> {
                 sp.watch_range(bits, SLOTS / 8);
             }
         }
-        let xbar = Crossbar::new(def.xbar_ports(), cfg.banks);
+        let xbar = Crossbar::new(t.xbar_ports(cfg.cores), cfg.banks);
         let imem = InstrMemory::new();
         let mut fm = FrameMemory::new(cfg.frame_memory);
 
@@ -259,14 +225,14 @@ impl<P: Probe> SystemBuilder<P> {
             status_ret_prod: layout.status + 4,
         };
 
-        // Frame-side units, one per definition entry, each on the
-        // crossbar port and command rings the definition assigns.
+        // Frame-side units, each on the crossbar port the topology's
+        // layout assigns and the command rings the memory map holds.
         let mut dmards = Vec::with_capacity(t.dma_engines);
         let mut dmawrs = Vec::with_capacity(t.dma_engines);
         for k in 0..t.dma_engines {
             let rd = map.dmard(k);
             dmards.push(DmaRead::new(DmaConfig {
-                port: def.dmard_port(k),
+                port: t.dmard_port(cfg.cores, k),
                 cmd_ring: rd.ring,
                 cmd_entries: DMA_RING,
                 prod_addr: rd.prod,
@@ -275,7 +241,7 @@ impl<P: Probe> SystemBuilder<P> {
             }));
             let wr = map.dmawr(k);
             dmawrs.push(DmaWrite::new(DmaConfig {
-                port: def.dmawr_port(k),
+                port: t.dmawr_port(cfg.cores, k),
                 cmd_ring: wr.ring,
                 cmd_entries: DMA_RING,
                 prod_addr: wr.prod,
@@ -288,7 +254,7 @@ impl<P: Probe> SystemBuilder<P> {
         for j in 0..t.macs {
             let mi = map.mac(j);
             mactxs.push(MacTx::new(MacTxConfig {
-                port: def.mactx_port(j),
+                port: t.mactx_port(cfg.cores, j),
                 ring: mi.tx_ring,
                 entries: MACTX_RING,
                 prod_addr: mi.tx_prod,
@@ -312,7 +278,7 @@ impl<P: Probe> SystemBuilder<P> {
             }
             macrxs.push(MacRx::new(
                 MacRxConfig {
-                    port: def.macrx_port(j),
+                    port: t.macrx_port(cfg.cores, j),
                     ring: mi.rx_ring,
                     entries: MACRX_RING,
                     prod_addr: mi.rx_prod,
@@ -370,7 +336,6 @@ impl<P: Probe> SystemBuilder<P> {
         Ok(NicSystem {
             probe,
             cfg,
-            sysdef: def,
             map,
             now: Ps::ZERO,
             cpu_period: Freq::from_mhz(cfg.cpu_mhz).period(),
@@ -437,19 +402,9 @@ impl<P: Probe> NicSystem<P> {
         self.cfg
     }
 
-    /// The system definition this system was assembled from.
-    pub fn sysdef(&self) -> &SysDef {
-        &self.sysdef
-    }
-
     /// Direct scratchpad access for inspection and tests.
     pub fn scratchpad(&self) -> &Scratchpad {
         &self.sp
-    }
-
-    /// One CPU clock period.
-    pub fn cpu_period(&self) -> Ps {
-        self.cpu_period
     }
 
     /// Switch this system into fleet mode: the driver transmits the
@@ -602,7 +557,7 @@ impl<P: Probe> NicSystem<P> {
             core.tick_probed(&mut self.xbar, &mut self.imem, now, &mut self.probe);
         }
 
-        // Frame-side units, in definition order (reads, writes, MAC TX,
+        // Frame-side units, in port-layout order (reads, writes, MAC TX,
         // MAC RX). Each `busy` predicate mirrors its tick's gates
         // exactly (scratchpad traffic queued or in flight, a done
         // counter owed, a doorbell fetch ready); the MACs additionally
@@ -778,56 +733,12 @@ impl<P: Probe> NicSystem<P> {
     /// kernel to dense stepping for the whole episode.
     fn fault_supervision(&mut self, now: Ps) {
         for (k, d) in self.dmards.iter_mut().enumerate() {
-            let busy = d.busy(&self.sp);
-            if let Some(f) = d.faults_mut() {
-                if f.hung && busy {
-                    let first = f.stuck_since.is_none();
-                    if f.observe_stuck(now) {
-                        f.watchdog_reset(now);
-                        if P::ENABLED {
-                            self.probe.emit(Event::Recovery {
-                                kind: RecoveryKind::WatchdogReset,
-                                unit: FaultUnit::DmaRead,
-                                info: k as u32,
-                                at: now,
-                            });
-                        }
-                    } else if first && P::ENABLED {
-                        self.probe.emit(Event::Fault {
-                            kind: FaultKind::AssistHang,
-                            unit: FaultUnit::DmaRead,
-                            info: k as u32,
-                            at: now,
-                        });
-                    }
-                }
-            }
+            let (busy, unit) = (d.busy(&self.sp), FaultUnit::DmaRead);
+            Self::watchdog(busy, d.faults_mut(), unit, k, now, &mut self.probe);
         }
         for (k, d) in self.dmawrs.iter_mut().enumerate() {
-            let busy = d.busy(&self.sp);
-            if let Some(f) = d.faults_mut() {
-                if f.hung && busy {
-                    let first = f.stuck_since.is_none();
-                    if f.observe_stuck(now) {
-                        f.watchdog_reset(now);
-                        if P::ENABLED {
-                            self.probe.emit(Event::Recovery {
-                                kind: RecoveryKind::WatchdogReset,
-                                unit: FaultUnit::DmaWrite,
-                                info: k as u32,
-                                at: now,
-                            });
-                        }
-                    } else if first && P::ENABLED {
-                        self.probe.emit(Event::Fault {
-                            kind: FaultKind::AssistHang,
-                            unit: FaultUnit::DmaWrite,
-                            info: k as u32,
-                            at: now,
-                        });
-                    }
-                }
-            }
+            let (busy, unit) = (d.busy(&self.sp), FaultUnit::DmaWrite);
+            Self::watchdog(busy, d.faults_mut(), unit, k, now, &mut self.probe);
         }
         // Aborted DMA reads are aborted transmit frames: publish the
         // cumulative count (summed over every read engine) so the
@@ -842,6 +753,41 @@ impl<P: Probe> NicSystem<P> {
             self.aborts_published = aborts;
             self.host_mem.write_u32(self.status_aborts_addr, aborts);
             self.driver_idle = false;
+        }
+    }
+
+    /// One engine's watchdog step: count the hang on the first stuck
+    /// observation, reset the unit once the observation is older than
+    /// the plan's watchdog timeout.
+    fn watchdog(
+        busy: bool,
+        faults: Option<&mut DmaFaults>,
+        unit: FaultUnit,
+        engine: usize,
+        now: Ps,
+        probe: &mut P,
+    ) {
+        let Some(f) = faults.filter(|f| f.hung && busy) else {
+            return;
+        };
+        let first = f.stuck_since.is_none();
+        if f.observe_stuck(now) {
+            f.watchdog_reset(now);
+            if P::ENABLED {
+                probe.emit(Event::Recovery {
+                    kind: RecoveryKind::WatchdogReset,
+                    unit,
+                    info: engine as u32,
+                    at: now,
+                });
+            }
+        } else if first && P::ENABLED {
+            probe.emit(Event::Fault {
+                kind: FaultKind::AssistHang,
+                unit,
+                info: engine as u32,
+                at: now,
+            });
         }
     }
 
@@ -897,7 +843,7 @@ impl<P: Probe> NicSystem<P> {
 
     /// Whether any frame-side unit could issue work on its next tick —
     /// the fold of every unit's `busy` predicate, over however many
-    /// units the definition declares.
+    /// units the topology holds.
     #[inline]
     pub(crate) fn frame_side_busy(&self) -> bool {
         self.dmards.iter().any(|d| d.busy(&self.sp))
@@ -1149,22 +1095,6 @@ impl<P: Probe> NicSystem<P> {
         self.cores[0].slot().borrow_mut().trace.take()
     }
 
-    /// MAC receive drops so far (overruns), summed over every MAC.
-    pub fn rx_drops(&self) -> u64 {
-        self.macrxs.iter().map(|m| m.drops()).sum()
-    }
-
-    /// Out-of-order receive samples (expected, got, ret_cons, fw_seq),
-    /// for debugging.
-    pub fn driver_ooo(&self) -> &[(u32, u32, u32, u32)] {
-        self.driver.ooo_samples()
-    }
-
-    /// Debug: returns of buffers that were not outstanding.
-    pub fn driver_bad_returns(&self) -> u64 {
-        self.driver.dbg_bad_returns
-    }
-
     /// Debug: wire seq of accepted frames on MAC 0, in acceptance order.
     pub fn mac_accepted(&self) -> &[u32] {
         &self.macrxs[0].dbg_accepted
@@ -1190,6 +1120,7 @@ impl<P: Probe> std::fmt::Debug for NicSystem<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Topology;
     use nicsim_firmware::FwMode;
 
     #[test]
@@ -1211,6 +1142,38 @@ mod tests {
             NicSystem::build(cfg).finish().err(),
             Some(ConfigError::IdealMultiCore { cores: 2 })
         );
+    }
+
+    /// `validate()` is the whole gate: every configuration it accepts
+    /// assembles, so a bad input surfaces as a `ConfigError`, never as
+    /// a panic inside `finish()`.
+    #[test]
+    fn finish_never_panics_on_a_validated_config() {
+        let fps = [None, Some(f64::NAN), Some(-5.0), Some(0.0), Some(2e4)];
+        let mut accepted = 0;
+        for cpu_mhz in [0, 1, 166, 1_000_000, 2_000_000, u64::MAX] {
+            for scratchpad_bytes in [0, 262_144, 262_146, 524_288] {
+                for dma_engines in [1, 4] {
+                    for (tx, rx) in [(0, 0), (1, 0), (0, 2), (3, 3), (4, 0), (0, 4)] {
+                        let cfg = NicConfig {
+                            cpu_mhz,
+                            scratchpad_bytes,
+                            offered_tx_fps: fps[tx],
+                            offered_rx_fps: fps[rx],
+                            topology: Topology {
+                                dma_engines,
+                                macs: 1,
+                            },
+                            ..NicConfig::default()
+                        };
+                        let built = NicSystem::build(cfg).finish();
+                        assert_eq!(built.is_ok(), cfg.validate().is_ok(), "{cfg:?}");
+                        accepted += built.is_ok() as usize;
+                    }
+                }
+            }
+        }
+        assert!(accepted > 0, "the grid must include buildable points");
     }
 
     /// End-to-end smoke test: a fast small system moves real frames both

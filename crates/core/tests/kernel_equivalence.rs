@@ -9,7 +9,7 @@
 //! event stream.
 
 use nicsim::{
-    DispatchMode, EventLog, FaultPlan, FrameTracker, FwMode, NicConfig, NicSystem, RunStats, SysDef,
+    DispatchMode, EventLog, FaultPlan, FrameTracker, FwMode, NicConfig, NicSystem, RunStats,
 };
 use nicsim_sim::Ps;
 
@@ -310,49 +310,6 @@ fn polling_and_interrupt_deliver_identical_frames() {
         (i.2.link_corrupt_injected, i.2.link_truncate_injected),
         "link injection schedules diverged"
     );
-}
-
-#[test]
-fn default_sysdef_reproduces_the_hand_wired_system() {
-    // The system-definition layer's contract: composing the default
-    // topology from the config must assemble the *same* SoC the
-    // pre-sysdef hand-wired builder did. The definitions themselves
-    // must be structurally equal, and a system built from the explicit
-    // hand-wired definition must produce bit-identical RunStats and
-    // frame timelines to one whose definition was derived from the
-    // config — across both dispatch modes.
-    assert_eq!(
-        SysDef::from_config(&NicConfig::default()),
-        SysDef::hand_wired_default(),
-        "derived default definition diverged from the hand-wired wiring"
-    );
-    for dispatch in [DispatchMode::Polling, DispatchMode::Interrupt] {
-        let cfg = NicConfig::builder()
-            .cores(2)
-            .cpu_mhz(300)
-            .dispatch(dispatch)
-            .build()
-            .unwrap();
-        let label = format!("sysdef default, {dispatch:?}");
-        let mut derived = NicSystem::build(cfg)
-            .probe(FrameTracker::new())
-            .finish()
-            .unwrap();
-        let d = derived.run_measured(WARMUP, WINDOW);
-        let mut wired = NicSystem::build(cfg)
-            .sysdef(SysDef::compose(2, cfg.banks, cfg.topology))
-            .probe(FrameTracker::new())
-            .finish()
-            .unwrap();
-        let w = wired.run_measured(WARMUP, WINDOW);
-        assert_eq!(d, w, "{label}: stats diverged");
-        assert!(d.tx_frames > 0 && d.rx_frames > 0, "{label}: no traffic");
-        assert_eq!(
-            format!("{:?}", derived.probe().summary()),
-            format!("{:?}", wired.probe().summary()),
-            "{label}: frame summaries diverged"
-        );
-    }
 }
 
 #[test]

@@ -80,7 +80,7 @@ pub mod info {
 /// direction of one engine). Engine 0's interface aliases the legacy
 /// scalar `MemMap` fields; extra engines get fresh allocations past the
 /// default map's end, so the default topology's map is byte-identical
-/// to the pre-sysdef layout.
+/// to the single-engine layout.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DmaIf {
     /// Producer lock (guards ring claim + doorbell).
@@ -244,7 +244,7 @@ pub struct MemMap {
     /// data structures of Figure 5 are built here before processing.
     pub event_scratch: u32,
 
-    // ---- topology (system-definition layer) ----
+    // ---- topology (`NicConfig::topology`) ----
     /// Instantiated DMA engine pairs (1..=`MAX_DMA_ENGINES`).
     pub n_dma: u32,
     /// Instantiated MACs (1..=`MAX_MACS`).
@@ -273,7 +273,7 @@ impl MemMap {
     ///
     /// Unit 0 of each kind occupies the legacy layout; extra units are
     /// appended after it, so `for_topology(1, 1)` is byte-identical to
-    /// the pre-sysdef map.
+    /// the single-engine, single-MAC map.
     ///
     /// # Panics
     ///

@@ -224,9 +224,6 @@ pub struct Driver {
     rx_free_bufs: VecDeque<u32>,
     ret_cons: u32,
     rx_expected_seq: Option<u32>,
-    /// First few (expected, got, ret_cons, fw_seq) tuples of
-    /// out-of-order deliveries, for debugging ordering violations.
-    ooo_samples: Vec<(u32, u32, u32, u32)>,
     /// Debug: posting state per buffer (true = outstanding at the NIC).
     dbg_outstanding: Vec<bool>,
     /// Debug: count of returns for buffers that were not outstanding.
@@ -261,7 +258,6 @@ impl Driver {
             rx_free_bufs: (0..RX_BUF_COUNT).collect(),
             ret_cons: 0,
             rx_expected_seq: None,
-            ooo_samples: Vec::new(),
             dbg_outstanding: vec![false; RX_BUF_COUNT as usize],
             dbg_bad_returns: 0,
             aborts_seen: 0,
@@ -397,11 +393,6 @@ impl Driver {
         self.stats.rx_udp_payload_bytes = 0;
         self.stats.rx_frames = 0;
         self.window_start = now;
-    }
-
-    /// Out-of-order samples collected (expected, got, ret_cons, fw_seq).
-    pub fn ooo_samples(&self) -> &[(u32, u32, u32, u32)] {
-        &self.ooo_samples
     }
 
     /// Drain pending mailbox writes (the system applies them to the NIC's
@@ -701,16 +692,8 @@ impl Driver {
                     if let Some(e) = expected {
                         if info.seq > e {
                             self.stats.rx_dropped += (info.seq - e) as u64;
-                            if info.seq - e > 40 && self.ooo_samples.len() < 16 {
-                                let buf = (addr - 2 - self.layout.rx_bufs) / RX_BUF_BYTES;
-                                self.ooo_samples.push((e, info.seq, self.ret_cons, buf));
-                            }
                         } else if info.seq < e {
                             self.stats.rx_out_of_order += 1;
-                            if self.ooo_samples.len() < 16 {
-                                let fw_seq = mem.read_u32(d + 8);
-                                self.ooo_samples.push((e, info.seq, self.ret_cons, fw_seq));
-                            }
                         }
                     }
                     if self.fleet.is_some() {

@@ -1,10 +1,9 @@
-//! Clock domains and the epoch rendezvous used by the fleet engine.
+//! The epoch rendezvous used by the fleet engine.
 //!
 //! The paper's NIC has four clock domains (§3): the processor/scratchpad
 //! core clock, the SDRAM/frame-bus clock, the wire-side MAC clock, and
 //! the host-side PCI clock. The simulator folds all four into one
-//! sequential loop per NIC; [`ClockDomain`] names them so the system
-//! definition can record each component's membership.
+//! sequential loop per NIC.
 //!
 //! Parallelism lives one level up: NICs in a fleet are causally
 //! independent within an epoch, so the fleet engine runs shards of them
@@ -20,20 +19,6 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::thread::Thread;
 use std::time::Duration;
-
-/// The four clock domains of the NIC (paper §3), named for diagnostics
-/// and documentation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ClockDomain {
-    /// Processor cores, scratchpad, crossbar (the CPU clock).
-    Cpu,
-    /// Frame memory / SDRAM and its bus.
-    Sdram,
-    /// Wire-side MACs.
-    Wire,
-    /// Host-side PCI / DMA.
-    Host,
-}
 
 /// Generation published when the barrier shuts down.
 const STOP: u64 = u64::MAX;
@@ -205,19 +190,6 @@ impl EpochBarrier {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn domains_are_nameable_and_hashable() {
-        use std::collections::HashSet;
-        let all = [
-            ClockDomain::Cpu,
-            ClockDomain::Sdram,
-            ClockDomain::Wire,
-            ClockDomain::Host,
-        ];
-        let set: HashSet<_> = all.iter().collect();
-        assert_eq!(set.len(), 4);
-    }
 
     #[test]
     fn epoch_barrier_synchronizes_disjoint_shards() {

@@ -29,7 +29,7 @@ pub mod stats;
 pub mod time;
 
 pub use arbiter::RoundRobin;
-pub use domain::{ClockDomain, EpochBarrier};
+pub use domain::EpochBarrier;
 pub use events::{DrainBefore, EventHeap};
 pub use sched::{NextEvent, WakeTracker};
 pub use stats::{BandwidthMeter, Counter};

@@ -20,18 +20,15 @@ echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # skip/gating fast paths. The suite asserts dense/event bit-identity of
 # RunStats in both dispatch modes, of the probed event stream and
 # frame timelines, and polling-vs-interrupt identity of the delivered
-# frame/descriptor record under a live fault plan.
-# The sysdef matrix rides in the same suite: the default derived
-# SysDef must be bit-identical to the hand-wired baseline (RunStats
-# and frame-lifecycle probe streams, both dispatch modes), and
-# non-default topologies (2 DMA pairs, 2 MACs) must agree across the
-# dense and event kernels.
+# frame/descriptor record under a live fault plan. Non-default
+# topologies (2 DMA pairs, 2 MACs) ride in the same suite and must
+# agree across the dense and event kernels.
 cargo test --release --quiet -p nicsim --test kernel_equivalence
 
-echo "==> sysdef smoke (non-default topologies end-to-end, ~3 s)"
-# Drives declaratively composed non-default topologies through the
-# experiment engine: archsweep recomposes the SoC per point (crossbar
-# ports, memory map, dispatch sources, clock domains) and every run
+echo "==> topology smoke (non-default topologies end-to-end, ~3 s)"
+# Drives non-default topologies through the experiment engine:
+# archsweep recomposes the SoC per point (crossbar ports, memory map,
+# dispatch sources) from NicConfig::topology and every run
 # asserts end-to-end frame validation. A composition regression —
 # a bad port assignment, a broken memory-map append, a mis-routed
 # completion tag — fails here even when the default system is intact.
@@ -115,6 +112,16 @@ echo "==> trace smoke (Chrome trace_event + latency percentiles)"
 NICSIM_QUICK=1 NICSIM_RESULTS_DIR=target ./target/release/trace \
     --trace target/trace_smoke.json >/dev/null
 rm -f target/trace_smoke.json target/BENCH_trace.json
+
+echo "==> benchmark package (perf/: unit tests + smoke run against these crates)"
+# perf/ is its own workspace, so nothing above compiles it. It measures
+# the crates from outside through their public API; building it here
+# makes a public-API break against the benchmark fail locally instead
+# of at review. The smoke run (simulated spans / 20, a few seconds)
+# also checks every workload's outputs; it writes only the git-ignored
+# perf/results/.
+cargo test --quiet --manifest-path perf/Cargo.toml
+cargo run --release --quiet --manifest-path perf/Cargo.toml -- run --smoke
 
 echo "==> cargo clippy (deny warnings)"
 if cargo clippy --version >/dev/null 2>&1; then
