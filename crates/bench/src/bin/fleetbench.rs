@@ -1,8 +1,9 @@
-//! Fleet benchmark: multi-NIC simulation through the switch fabric,
-//! measuring both what the fleet *simulates* and how fast the sharded
-//! epoch engine *runs*.
+//! Fleet benchmark: multi-NIC simulation through the switch fabric —
+//! what the fleet *simulates*, and that the sharded epoch engine
+//! reproduces it bit-for-bit. (How fast it runs is the `perf/`
+//! package's `fleet8_*` workloads and `fleet.shards2_speedup_x`.)
 //!
-//! Three sections, landed together in `results/fleet.json`:
+//! Four sections, landed together in `results/fleet.json`:
 //!
 //! * **Uniform** — every NIC sprays fixed-size datagrams at every
 //!   other through the fabric (`--workload` overrides the spec).
@@ -23,20 +24,12 @@
 //!   determinism contract on the benchmark workload. The aggregated
 //!   `err_*` table (per-NIC and fleet totals) lands under
 //!   `"extra"."faults"`.
-//! * **Scaling** — the uniform fleet re-runs at shard counts 1, 2, 4
-//!   and each further power of two up to the host's hardware threads
-//!   (capped at the NIC count; `--shards` adds a point). Every count
-//!   must reproduce the single-shard result bit-for-bit — per-NIC
-//!   stats, fabric digest, per-port counters, and skip decisions —
-//!   which re-asserts the fleet determinism contract on the benchmark
-//!   workload itself. Wall-clock throughput is reported as simulated
-//!   NIC-cycles per host second.
-//!
-//! The speedup gate (4 shards at least 1.8x over 1) only binds on a
-//! host with at least 4 hardware threads, at least 8 NICs, and a full
-//! window; anywhere else the scaling rows are informational — a
-//! single-threaded host runs every shard on one core and measures
-//! barrier overhead, not parallelism.
+//! * **Scaling** — the uniform fleet re-runs at shard counts 1, 2
+//!   and 4 (capped at the NIC count; `--shards` adds a point). Every
+//!   count must reproduce the single-shard result bit-for-bit —
+//!   per-NIC stats, fabric digest, per-port counters, and skip
+//!   decisions — which re-asserts the fleet determinism contract on
+//!   the benchmark workload itself.
 //!
 //! Quick mode (`NICSIM_QUICK=1`) shrinks the windows for CI smoke and
 //! leaves the committed results file untouched; the determinism and
@@ -51,18 +44,13 @@ use nicsim_net::FabricConfig;
 use nicsim_sim::Ps;
 use std::time::{Duration, Instant};
 
-/// Wall-clock floor for 4 shards over 1, binding only where the host
-/// can actually run 4 workers (and the window is long enough for the
-/// ratio to be signal).
-const SPEEDUP_FLOOR_AT_4: f64 = 1.8;
-
 fn main() {
     let args = Args::parse("fleet");
     let exp = &args.exp;
     header(
         "Fleet: sharded multi-NIC simulation through the switch fabric",
         "bit-identical per-NIC stats and fabric digest at every shard count; \
-         incast must drop; 4 shards >= 1.8x over 1 on a >= 4-thread host",
+         incast must drop",
     );
     let quick = std::env::var("NICSIM_QUICK").is_ok_and(|v| v == "1");
     // Fleet windows are shorter than the single-NIC defaults: every
@@ -74,7 +62,6 @@ fn main() {
         (Ps::from_us(200), Ps::from_us(400))
     };
     let horizon = warmup + window;
-    let hw_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let nics = args.nics.unwrap_or(8);
 
     let nic = args.configure(NicConfig::default());
@@ -88,26 +75,16 @@ fn main() {
 
     let mut failures = Vec::new();
 
-    // Shard counts under test: the determinism triple {1, 2, 4}, the
-    // host's power-of-two ladder, and any explicit --shards point.
+    // Shard counts under test: the determinism triple {1, 2, 4} and
+    // any explicit --shards point.
     let mut counts = vec![1usize, 2, 4];
-    let mut p = 8;
-    while p <= hw_threads {
-        counts.push(p);
-        p *= 2;
-    }
-    if let Some(s) = args.shards {
-        counts.push(s);
-    }
+    counts.extend(args.shards);
     counts.retain(|&s| s <= nics);
     counts.sort_unstable();
     counts.dedup();
 
     println!("uniform: {} NICs, workload {:?}", nics, uniform.workload);
-    println!(
-        "{:>8} {:>10} {:>16} {:>8} {:>10}",
-        "shards", "wall s", "Mnic-cycles/s", "speedup", "identical"
-    );
+    println!("{:>8} {:>10}", "shards", "identical");
     let mut scaling: Vec<(usize, Duration, FleetStats)> = Vec::new();
     for &s in &counts {
         let cfg = FleetConfig {
@@ -123,46 +100,17 @@ fn main() {
         let wall = t0.elapsed();
         scaling.push((s, wall, stats));
     }
-    let (_, base_wall, reference) = &scaling[0];
-    let base_wall = *base_wall;
+    let (_, _, reference) = &scaling[0];
     if reference.fabric.delivered == 0 {
         failures.push("uniform: fabric delivered nothing — every check is vacuous".into());
     }
-    let mut speedup_at_4 = None;
-    for (s, wall, stats) in &scaling {
+    for (s, _, stats) in &scaling {
         let same = identical(reference, stats);
-        let speedup = base_wall.as_secs_f64() / wall.as_secs_f64().max(1e-9);
-        let ncps = (nics as u64 * stats.cycles_per_nic) as f64 / wall.as_secs_f64().max(1e-9);
-        println!(
-            "{:>8} {:>10.3} {:>16.1} {:>7.2}x {:>10}",
-            s,
-            wall.as_secs_f64(),
-            ncps / 1e6,
-            speedup,
-            same
-        );
+        println!("{s:>8} {same:>10}");
         if !same {
             failures.push(format!(
                 "uniform: {s} shards diverged from the single-shard reference"
             ));
-        }
-        if *s == 4 {
-            speedup_at_4 = Some(speedup);
-        }
-    }
-    let gate_binds = !quick && hw_threads >= 4 && nics >= 8;
-    match speedup_at_4 {
-        Some(sp) if gate_binds && sp < SPEEDUP_FLOOR_AT_4 => failures.push(format!(
-            "scaling: 4 shards {sp:.2}x over 1, below the {SPEEDUP_FLOOR_AT_4}x floor \
-             ({hw_threads} hw threads)"
-        )),
-        _ => {
-            if !gate_binds {
-                println!(
-                    "scaling gate informational: quick={quick}, {hw_threads} hw threads, \
-                     {nics} NICs (needs full run, >= 4 threads, >= 8 NICs)"
-                );
-            }
         }
     }
     println!(
@@ -327,22 +275,14 @@ fn main() {
         .collect();
     let scaling_json: Vec<Json> = scaling
         .iter()
-        .map(|(s, wall, stats)| {
-            let ncps = (nics as u64 * stats.cycles_per_nic) as f64 / wall.as_secs_f64().max(1e-9);
+        .map(|(s, _, stats)| {
             Json::obj()
                 .with("shards", *s as u64)
-                .with("wall_s", wall.as_secs_f64())
-                .with("nic_cycles_per_host_sec", ncps)
-                .with(
-                    "speedup",
-                    base_wall.as_secs_f64() / wall.as_secs_f64().max(1e-9),
-                )
                 .with("identical", identical(reference, stats))
         })
         .collect();
     let extra = Json::obj()
         .with("nics", nics as u64)
-        .with("hw_threads", hw_threads as u64)
         .with("warmup_us", warmup.0 / 1_000_000)
         .with("window_us", window.0 / 1_000_000)
         .with("epochs", reference.epochs)
@@ -358,7 +298,6 @@ fn main() {
             ),
         )
         .with("scaling", Json::Arr(scaling_json))
-        .with("speedup_gate_binding", gate_binds)
         .with(
             "faults",
             Json::obj()

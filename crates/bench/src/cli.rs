@@ -1,9 +1,10 @@
 //! The one command-line surface every bench binary shares.
 //!
-//! [`Args::parse`] wraps [`Experiment::from_args`] (which handles
-//! `--jobs`, `--quiet`, `--trace`, `--faults` and ignores what it does
-//! not know) and adds the simulator-level flags the binaries used to
-//! hand-roll individually:
+//! [`Args::parse`] walks the command line once: the experiment engine's
+//! flags (`--jobs`, `--quiet`, `--trace`, `--faults`) go to
+//! [`Experiment::accept_flag`], an argument nobody recognises is a
+//! usage error, and this layer adds the simulator-level flags the
+//! binaries used to hand-roll individually:
 //!
 //! * `--dispatch polling|interrupt` — the firmware dispatch mode
 //!   ablation axis ([`DispatchMode`]);
@@ -23,7 +24,7 @@
 //! win.
 
 use nicsim::{DispatchMode, NicConfig};
-use nicsim_exp::Experiment;
+use nicsim_exp::{parse_flags, Experiment};
 
 /// Parsed shared command line: the experiment engine plus the
 /// simulator-level overrides.
@@ -53,76 +54,70 @@ pub struct Args {
 impl Args {
     /// Parse the process's command line for experiment `name`.
     ///
-    /// Exits with status 2 and a usage message on a malformed value;
-    /// unknown flags are ignored (each layer parses only its own).
+    /// Exits with status 2 and a usage message on a malformed value or
+    /// an argument no layer recognises.
     pub fn parse(name: &str) -> Args {
-        let exp = Experiment::from_args(name);
         let argv: Vec<String> = std::env::args().skip(1).collect();
-        let mut dispatch = DispatchMode::Polling;
-        let mut cores = None;
-        let mut dma_engines = None;
-        let mut macs = None;
-        let mut nics = None;
-        let mut shards = None;
-        let mut workload = None;
-        let mut i = 0;
-        while i < argv.len() {
-            let arg = &argv[i];
-            if let Some(v) = arg.strip_prefix("--dispatch=") {
-                dispatch = parse_dispatch(v);
-            } else if arg == "--dispatch" {
-                i += 1;
-                dispatch = parse_dispatch(argv.get(i).unwrap_or_else(|| usage_dispatch()));
-            } else if let Some(v) = arg.strip_prefix("--cores=") {
-                cores = Some(parse_cores(v));
-            } else if arg == "--cores" {
-                i += 1;
-                cores = Some(parse_cores(argv.get(i).unwrap_or_else(|| usage_cores())));
-            } else if let Some(v) = arg.strip_prefix("--dma-engines=") {
-                dma_engines = Some(parse_count(v, "--dma-engines"));
-            } else if arg == "--dma-engines" {
-                i += 1;
-                let v = argv.get(i).unwrap_or_else(|| usage_count("--dma-engines"));
-                dma_engines = Some(parse_count(v, "--dma-engines"));
-            } else if let Some(v) = arg.strip_prefix("--macs=") {
-                macs = Some(parse_count(v, "--macs"));
-            } else if arg == "--macs" {
-                i += 1;
-                let v = argv.get(i).unwrap_or_else(|| usage_count("--macs"));
-                macs = Some(parse_count(v, "--macs"));
-            } else if let Some(v) = arg.strip_prefix("--nics=") {
-                nics = Some(parse_count(v, "--nics"));
-            } else if arg == "--nics" {
-                i += 1;
-                let v = argv.get(i).unwrap_or_else(|| usage_count("--nics"));
-                nics = Some(parse_count(v, "--nics"));
-            } else if let Some(v) = arg.strip_prefix("--shards=") {
-                shards = Some(parse_count(v, "--shards"));
-            } else if arg == "--shards" {
-                i += 1;
-                let v = argv.get(i).unwrap_or_else(|| usage_count("--shards"));
-                shards = Some(parse_count(v, "--shards"));
-            } else if let Some(v) = arg.strip_prefix("--workload=") {
-                workload = Some(parse_workload(v));
-            } else if arg == "--workload" {
-                i += 1;
-                let v = argv
-                    .get(i)
-                    .unwrap_or_else(|| usage_workload("missing spec"));
-                workload = Some(parse_workload(v));
+        Args::parse_from(name, &argv).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Args::parse`] over an explicit argument list.
+    ///
+    /// # Errors
+    ///
+    /// Returns the usage line for a malformed or missing value, or a
+    /// message naming an argument neither this layer nor the
+    /// experiment engine recognises.
+    pub fn parse_from(name: &str, argv: &[String]) -> Result<Args, String> {
+        let mut args = Args {
+            exp: Experiment::new(name),
+            dispatch: DispatchMode::Polling,
+            cores: None,
+            dma_engines: None,
+            macs: None,
+            nics: None,
+            shards: None,
+            workload: None,
+        };
+        parse_flags(argv, |flag, value| {
+            let mut count = || {
+                value()
+                    .ok()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
+                    .ok_or_else(|| format!("{flag} needs a positive integer"))
+            };
+            match flag {
+                "--dispatch" => {
+                    args.dispatch = match value() {
+                        Ok("polling") => DispatchMode::Polling,
+                        Ok("interrupt") => DispatchMode::Interrupt,
+                        _ => return Err("--dispatch needs 'polling' or 'interrupt'".into()),
+                    }
+                }
+                "--cores" => args.cores = Some(count()?),
+                "--dma-engines" => args.dma_engines = Some(count()?),
+                "--macs" => args.macs = Some(count()?),
+                "--nics" => args.nics = Some(count()?),
+                "--shards" => args.shards = Some(count()?),
+                "--workload" => {
+                    let spec = value().map_err(|_| "missing spec".to_string());
+                    let parsed = spec.and_then(nicsim_net::Workload::parse);
+                    args.workload = Some(parsed.map_err(|why| {
+                        format!(
+                            "--workload needs a spec like \
+                             'pattern=incast,target=0,fps=2e5': {why}"
+                        )
+                    })?);
+                }
+                _ => return args.exp.accept_flag(flag, value),
             }
-            i += 1;
-        }
-        Args {
-            exp,
-            dispatch,
-            cores,
-            dma_engines,
-            macs,
-            nics,
-            shards,
-            workload,
-        }
+            Ok(true)
+        })?;
+        Ok(args)
     }
 
     /// Apply the shared overrides to one configuration.
@@ -142,58 +137,45 @@ impl Args {
     }
 }
 
-fn parse_dispatch(v: &str) -> DispatchMode {
-    match v {
-        "polling" => DispatchMode::Polling,
-        "interrupt" => DispatchMode::Interrupt,
-        _ => usage_dispatch(),
-    }
-}
-
-fn parse_cores(v: &str) -> usize {
-    match v.parse() {
-        Ok(n) if n > 0 => n,
-        _ => usage_cores(),
-    }
-}
-
-fn usage_dispatch() -> ! {
-    eprintln!("--dispatch needs 'polling' or 'interrupt'");
-    std::process::exit(2);
-}
-
-fn usage_cores() -> ! {
-    eprintln!("--cores needs a positive integer");
-    std::process::exit(2);
-}
-
-fn parse_count(v: &str, flag: &str) -> usize {
-    match v.parse() {
-        Ok(n) if n > 0 => n,
-        _ => usage_count(flag),
-    }
-}
-
-fn usage_count(flag: &str) -> ! {
-    eprintln!("{flag} needs a positive integer");
-    std::process::exit(2);
-}
-
-fn parse_workload(v: &str) -> nicsim_net::Workload {
-    match nicsim_net::Workload::parse(v) {
-        Ok(w) => w,
-        Err(e) => usage_workload(&e),
-    }
-}
-
-fn usage_workload(why: &str) -> ! {
-    eprintln!("--workload needs a spec like 'pattern=incast,target=0,fps=2e5': {why}");
-    std::process::exit(2);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        let argv: Vec<String> = argv.iter().map(|a| a.to_string()).collect();
+        Args::parse_from("t", &argv)
+    }
+
+    #[test]
+    fn unrecognised_arguments_are_usage_errors() {
+        let args = parse(&["--cores=3", "--jobs", "2", "--dispatch", "interrupt"]).unwrap();
+        assert_eq!(args.cores, Some(3));
+        assert_eq!(args.exp.jobs_configured(), 2);
+        assert_eq!(args.dispatch, DispatchMode::Interrupt);
+        let w = parse(&["--workload=pattern=incast,target=0"])
+            .unwrap()
+            .workload;
+        assert!(w.is_some(), "a spec's own '=' signs stay in the value");
+
+        // An unknown flag, a misspelt known one, a stray positional and
+        // a missing value: each names what was wrong instead of running
+        // the default configuration under the requested label.
+        for (argv, names) in [
+            (&["--assist", "9x9"][..], "--assist"),
+            (&["--core", "1"], "--core"),
+            (&["--dispath=interrupt"], "--dispath=interrupt"),
+            (&["--cores", "2", "extra"], "extra"),
+            (&["--cores"], "--cores"),
+            (&["--jobs"], "--jobs"),
+            (&["--workload"], "--workload"),
+            (&["--workload", "fps=1e99"], "--workload"),
+        ] {
+            let err = parse(argv)
+                .err()
+                .unwrap_or_else(|| panic!("{argv:?} parsed"));
+            assert!(err.contains(names), "{argv:?}: {err}");
+        }
+    }
 
     #[test]
     fn configure_applies_overrides() {

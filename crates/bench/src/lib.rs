@@ -13,8 +13,7 @@
 //!   (schema documented in EXPERIMENTS.md).
 //!
 //! This crate keeps only what the binaries share beyond the engine:
-//! the report header, the ILP trace conversion, and the dependency-free
-//! micro-benchmark harness used by `benches/`.
+//! the report header and the ILP trace conversion.
 
 use nicsim::{ChromeTrace, FrameTracker, Metrics, NicConfig};
 use nicsim_cpu::OpEvent;
@@ -101,30 +100,6 @@ pub fn header(what: &str, paper: &str) {
     println!("{what}");
     println!("(paper reference: {paper})");
     println!("================================================================");
-}
-
-/// A dependency-free micro-benchmark harness (the container this repo
-/// builds in has no crates.io access, so no criterion).
-pub mod micro {
-    use std::hint::black_box;
-    use std::time::{Duration, Instant};
-
-    /// Time `f`, printing mean ns/iteration: warm up briefly, then run
-    /// for ~300 ms of wall clock.
-    pub fn bench<T>(name: &str, mut f: impl FnMut() -> T) {
-        for _ in 0..3 {
-            black_box(f());
-        }
-        let target = Duration::from_millis(300);
-        let start = Instant::now();
-        let mut iters: u64 = 0;
-        while start.elapsed() < target {
-            black_box(f());
-            iters += 1;
-        }
-        let per = start.elapsed().as_nanos() as f64 / iters as f64;
-        println!("{name:<40} {per:>12.1} ns/iter  ({iters} iters)");
-    }
 }
 
 #[cfg(test)]

@@ -80,38 +80,56 @@ impl Experiment {
     /// [`Experiment::trace_path`]), and `--faults <spec>` (or
     /// `--faults=<spec>`: a [`FaultPlan::parse`] spec such as
     /// `seed=7,rate=1e-4` — binaries opt in by applying
-    /// [`Experiment::faults`] to their configurations). Unrecognized
-    /// arguments are ignored so binaries can layer their own flags.
+    /// [`Experiment::faults`] to their configurations). Any other
+    /// argument, or a malformed value, prints a usage line and exits
+    /// with status 2: a flag that silently did nothing would label the
+    /// results file as if it had applied.
     pub fn from_args(name: &str) -> Experiment {
         let mut exp = Experiment::new(name);
-        let args: Vec<String> = std::env::args().skip(1).collect();
-        let mut i = 0;
-        while i < args.len() {
-            let arg = &args[i];
-            if arg == "--quiet" {
-                exp.quiet = true;
-            } else if let Some(v) = arg.strip_prefix("--jobs=") {
-                exp = exp.jobs(parse_jobs(v));
-            } else if arg == "--jobs" {
-                i += 1;
-                let v = args.get(i).unwrap_or_else(|| usage_jobs());
-                exp = exp.jobs(parse_jobs(v));
-            } else if let Some(v) = arg.strip_prefix("--trace=") {
-                exp.trace_path = Some(PathBuf::from(v));
-            } else if arg == "--trace" {
-                i += 1;
-                let v = args.get(i).unwrap_or_else(|| usage_trace());
-                exp.trace_path = Some(PathBuf::from(v));
-            } else if let Some(v) = arg.strip_prefix("--faults=") {
-                exp.faults = Some(parse_faults(v));
-            } else if arg == "--faults" {
-                i += 1;
-                let v = args.get(i).unwrap_or_else(|| usage_faults());
-                exp.faults = Some(parse_faults(v));
-            }
-            i += 1;
-        }
+        let argv: Vec<String> = std::env::args().skip(1).collect();
+        parse_flags(&argv, |flag, value| exp.accept_flag(flag, value)).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        });
         exp
+    }
+
+    /// Apply one command-line flag if it is one of the engine's
+    /// (`Ok(false)`: not ours), pulling its value from `value`.
+    /// Binaries with flags of their own call this from their
+    /// [`parse_flags`] callback for whatever they do not recognise, so
+    /// the command line is walked once.
+    ///
+    /// # Errors
+    ///
+    /// Returns the usage line for a missing or malformed value.
+    pub fn accept_flag<'a>(
+        &mut self,
+        flag: &str,
+        value: &mut dyn FnMut() -> Result<&'a str, String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--quiet" => self.quiet = true,
+            "--jobs" => {
+                self.jobs = value()
+                    .ok()
+                    .and_then(|v| v.parse().ok())
+                    .filter(|&n| n > 0)
+                    .ok_or("usage: --jobs <positive integer>")?;
+            }
+            "--trace" => {
+                self.trace_path = Some(PathBuf::from(
+                    value().map_err(|_| "usage: --trace <output path>")?,
+                ));
+            }
+            "--faults" => {
+                let v = value()
+                    .map_err(|_| "usage: --faults <spec>, e.g. --faults seed=7,rate=1e-4")?;
+                self.faults = Some(parse_faults(v)?);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
     }
 
     /// Where `--trace <path>` asked for a Chrome `trace_event` JSON
@@ -456,40 +474,46 @@ fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
-fn parse_jobs(v: &str) -> usize {
-    v.parse()
-        .ok()
-        .filter(|&n| n > 0)
-        .unwrap_or_else(|| usage_jobs())
+/// Walk a command line once. Each argument is split into its flag and
+/// a getter for the flag's value (`--flag=value`, or the next argument
+/// for `--flag value`) and handed to `accept`, which answers whether it
+/// recognised the flag.
+///
+/// # Errors
+///
+/// Returns `accept`'s error, or one naming the first argument `accept`
+/// did not recognise.
+pub fn parse_flags<'a>(
+    argv: &'a [String],
+    mut accept: impl FnMut(&str, &mut dyn FnMut() -> Result<&'a str, String>) -> Result<bool, String>,
+) -> Result<(), String> {
+    let mut rest = argv.iter();
+    while let Some(arg) = rest.next() {
+        let (flag, inline) = match arg.split_once('=') {
+            Some((flag, v)) => (flag, Some(v)),
+            None => (arg.as_str(), None),
+        };
+        let mut value = || {
+            inline
+                .or_else(|| rest.next().map(String::as_str))
+                .ok_or_else(|| format!("{flag} needs a value"))
+        };
+        if !accept(flag, &mut value)? {
+            return Err(format!("unknown argument '{arg}'"));
+        }
+    }
+    Ok(())
 }
 
-fn usage_jobs() -> ! {
-    eprintln!("usage: --jobs <positive integer>");
-    std::process::exit(2)
-}
-
-fn usage_trace() -> ! {
-    eprintln!("usage: --trace <output path>");
-    std::process::exit(2)
-}
-
-fn parse_faults(v: &str) -> FaultPlan {
+fn parse_faults(v: &str) -> Result<FaultPlan, String> {
     // Validated through the same builder path configurations take, so
     // `--faults` and `NicConfigBuilder::faults_spec` share one grammar
     // and one error surface.
     let built = NicConfig::builder()
         .faults_spec(v)
         .and_then(|b| b.build())
-        .unwrap_or_else(|e| {
-            eprintln!("--faults {v}: {e}");
-            std::process::exit(2)
-        });
-    built.faults.expect("faults_spec installs a plan")
-}
-
-fn usage_faults() -> ! {
-    eprintln!("usage: --faults <spec>, e.g. --faults seed=7,rate=1e-4");
-    std::process::exit(2)
+        .map_err(|e| format!("--faults {v}: {e}"))?;
+    Ok(built.faults.expect("faults_spec installs a plan"))
 }
 
 /// `git describe --always --dirty` of the working tree, cached for the

@@ -37,7 +37,7 @@ pub mod json;
 pub mod report;
 pub mod sweep;
 
-pub use engine::{git_describe, Experiment};
+pub use engine::{git_describe, parse_flags, Experiment};
 pub use json::Json;
 pub use report::{
     config_from_json, config_to_json, latency_to_json, mode_str, stats_to_json, RunReport,

@@ -13,7 +13,8 @@
 //! its own `XorShift64` stream, so schedules are identical however the
 //! fleet is sharded and whatever order NICs are built in.
 
-use crate::frame::MAX_UDP_PAYLOAD;
+use crate::frame::{MAX_UDP_PAYLOAD, MIN_FRAME};
+use crate::link::line_rate_fps;
 use nicsim_fault::XorShift64;
 use nicsim_sim::Ps;
 
@@ -282,9 +283,17 @@ impl Workload {
     }
 
     fn validate(&self) -> Result<(), String> {
-        // NaN must fail too, so the comparison is kept exclusionary.
-        if self.fps.is_nan() || self.fps <= 0.0 {
-            return Err("workload: fps must be positive".into());
+        // Nothing faster than minimum frames back to back can be offered
+        // to the wire, and `schedule` allocates one packet per gap over
+        // the horizon, so an unbounded rate wedges the run. Written so
+        // NaN fails too.
+        let max_fps = line_rate_fps(MIN_FRAME);
+        if !(self.fps > 0.0 && self.fps <= max_fps) {
+            return Err(format!(
+                "workload: fps must be positive and at most 10 GbE line rate \
+                 for minimum frames ({max_fps:.0}), got {:e}",
+                self.fps
+            ));
         }
         let ok_size = |s: usize| (4..=MAX_UDP_PAYLOAD).contains(&s);
         let sizes_ok = match self.sizes {
@@ -538,6 +547,11 @@ mod tests {
         assert!(Workload::parse("pattern=starlight").is_err());
         assert!(Workload::parse("shift=2").is_err());
         assert!(Workload::parse("nonsense").is_err());
+        for fps in ["0", "-1", "nan", "inf", "1e99", "2e7"] {
+            let err = Workload::parse(&format!("fps={fps}")).unwrap_err();
+            assert!(err.contains("fps"), "fps={fps}: {err}");
+        }
+        assert!(Workload::parse("fps=1.4e7").is_ok());
     }
 
     #[test]

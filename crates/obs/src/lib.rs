@@ -24,8 +24,9 @@
 //!   branch above is a compile-time constant and the whole arm — event
 //!   construction included — folds away. The simulator with `NullProbe`
 //!   compiles to the same hot loop as before the probe existed; `RunStats`
-//!   is bit-identical (asserted by the kernel-equivalence suite) and
-//!   wall-clock stays within noise (guarded by the simspeed benchmark).
+//!   is bit-identical (asserted by the `frame_lifecycle` suite) and what
+//!   an enabled probe costs is the `perf/` benchmark's
+//!   `perf.trace_overhead_frac`.
 //!
 //! * **Timing-neutral when on.** Probes observe; they never feed back.
 //!   An enabled probe must not change any simulation outcome, only record

@@ -36,39 +36,6 @@ NICSIM_QUICK=1 NICSIM_QUIET=1 NICSIM_RESULTS_DIR=target \
     ./target/release/archsweep >/dev/null
 rm -f target/archsweep.json
 
-echo "==> simspeed smoke (event kernel sanity, ~2 s)"
-NICSIM_SIMSPEED_SMOKE=1 ./target/release/simspeed
-
-echo "==> simspeed floors, dense vs event + probe overhead guard (full windows, ~15 s)"
-# The full-window run enforces each point's dense-vs-event speedup
-# floor — including the >=3x interrupt-dispatch point at moderate
-# load — timing each kernel as the fastest of three alternating runs
-# and re-asserting stats identity on every one. The baseline
-# comparison proves the disabled-probe (NullProbe) path is free:
-# cycles/host-second is checked against the committed
-# results/BENCH_simspeed.json (NICSIM_BASELINE_TOL overrides the
-# tolerance). Full windows match the baseline's
-# methodology — smoke windows would pay a fixed per-run cost the
-# committed numbers amortize away. The default tolerance is wide
-# because absolute cycles/second on a shared single-hardware-thread
-# CI host swings ~30% run to run (measured); this guard exists to
-# catch structural overhead — an accidentally-enabled probe path
-# costs integer factors, not 35%. The per-point speedup floors above
-# are the tight gates: they compare two kernels timed in the same
-# process, so host noise cancels.
-NICSIM_QUICK=0 NICSIM_SIMSPEED_SMOKE=0 NICSIM_RESULTS_DIR=target \
-NICSIM_SIMSPEED_BASELINE=results/BENCH_simspeed.json \
-NICSIM_BASELINE_TOL="${NICSIM_BASELINE_TOL:-0.35}" \
-    ./target/release/simspeed --quiet
-
-echo "==> bench_compare vs committed baseline (informational)"
-# Point-by-point diff of the run above against the committed results:
-# surfaces per-row speedup and throughput drift in the check log
-# without gating on it — the floors inside simspeed are the gates;
-# this is the trend readout.
-sh scripts/bench_compare.sh results/BENCH_simspeed.json target/BENCH_simspeed.json
-rm -f target/BENCH_simspeed.json
-
 echo "==> fleet smoke (sharded multi-NIC determinism + incast drops, ~2 s)"
 # fleetbench asserts its own contracts in-process: per-NIC stats, the
 # fabric's order-sensitive delivery/drop digest, per-port counters and
@@ -76,9 +43,7 @@ echo "==> fleet smoke (sharded multi-NIC determinism + incast drops, ~2 s)"
 # the incast section must actually overflow its shallow egress buffer.
 # Its faulted section re-checks shard-invariance under a live
 # all-classes fault plan and requires at least one completed NIC
-# crash/reset cycle. A nonzero exit is the gate. The wall-clock scaling table it prints
-# is informational here — the speedup floor only binds on a host with
-# at least 4 hardware threads running full windows.
+# crash/reset cycle. A nonzero exit is the gate.
 NICSIM_QUICK=1 NICSIM_RESULTS_DIR=target ./target/release/fleetbench
 
 echo "==> fleet fault plane (faulted shard-invariance, crash/reset, reliable delivery)"
@@ -122,6 +87,19 @@ echo "==> benchmark package (perf/: unit tests + smoke run against these crates)
 # perf/results/.
 cargo test --quiet --manifest-path perf/Cargo.toml
 cargo run --release --quiet --manifest-path perf/Cargo.toml -- run --smoke
+
+echo "==> results orphan check (every results/*.json still has a producer)"
+# A results file names its experiment; some binary or example must
+# still pass that name to Args::parse / Experiment::from_args, or the
+# file has outlived the code that can regenerate it.
+for f in results/*.json; do
+    name=$(sed -n 's/^ *"experiment": "\(.*\)",$/\1/p' "$f" | head -n 1)
+    if ! grep -rqF -e "Args::parse(\"$name\")" -e "Experiment::from_args(\"$name\")" \
+        crates/bench/src/bin examples; then
+        echo "FAIL: $f names experiment '$name', which no binary or example produces"
+        exit 1
+    fi
+done
 
 echo "==> cargo clippy (deny warnings)"
 if cargo clippy --version >/dev/null 2>&1; then
