@@ -4,12 +4,10 @@
 //! rings with these layouts. All counters are free-running (monotonic
 //! `u32`); ring indices are `count % entries`.
 
-/// Words per DMA command.
-pub const DMA_CMD_WORDS: u32 = 4;
-/// Words per MAC TX ring entry (`sdram_addr`, `len`).
-pub const MACTX_ENTRY_WORDS: u32 = 2;
-/// Words per MAC RX descriptor (`sdram_addr`, `len`).
-pub const MACRX_ENTRY_WORDS: u32 = 2;
+/// Words per ring entry: a DMA command, a MAC TX ring entry
+/// (`sdram_addr`, `len`, flags, `seq`) and a MAC RX descriptor
+/// (`sdram_addr`, `len`, status, checksum info) are all four words.
+pub const RING_ENTRY_WORDS: u32 = 4;
 
 /// Flag in the DMA command `len` word: the NIC-side address is in the
 /// scratchpad (otherwise it is in the frame memory).

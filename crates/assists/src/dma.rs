@@ -1,31 +1,31 @@
 //! The DMA read and DMA write engines.
 //!
-//! Firmware drives each engine through a command ring in the scratchpad
-//! plus a producer doorbell; the engine reports progress through a
-//! monotonic *done* counter it writes back to the scratchpad — one of the
-//! hardware-maintained pointers the frame-parallel dispatch loop inspects
-//! (Figure 5). Commands complete out of order internally (scratchpad
-//! copies vs. frame-memory bursts), but the done counter only advances
-//! over the contiguous prefix, so firmware can attribute completions by
-//! ring index.
+//! Firmware drives each engine through a [`CmdRing`]: a command ring in
+//! the scratchpad plus a producer doorbell, with progress reported
+//! through the ring's monotonic *done* counter — one of the
+//! hardware-maintained pointers the frame-parallel dispatch loop
+//! inspects (Figure 5). Commands complete out of order internally
+//! (scratchpad copies vs. frame-memory bursts); the ring advances the
+//! done counter only over the contiguous prefix. What is left here is
+//! what differs between the two directions: starting a transfer,
+//! completing it, and what an abort does to the destination.
 //!
 //! Per the paper's methodology (§5), the host-side interconnect is not
 //! modeled: the host-memory end of a transfer is instantaneous, and all
 //! timed cost is on the NIC side (scratchpad transactions through the
 //! crossbar, frame-memory bursts over the shared bus).
 
-use crate::cmd::{DmaCmd, DMA_CMD_WORDS};
-use crate::port::SpPort;
+use crate::cmd::DmaCmd;
+use crate::port::{CmdRing, Polled, UNIT_TAG};
 use nicsim_fault::{CmdOutcome, DmaFaults};
 use nicsim_host::HostMemory;
 use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId};
-use nicsim_obs::{DmaDir, Event, FaultKind, FaultUnit, NullProbe, Probe, RecoveryKind};
-use nicsim_sim::{NextEvent, Ps};
+use nicsim_obs::{DmaDir, Event, FaultKind, FaultUnit, Probe, RecoveryKind};
+use nicsim_sim::Ps;
 
-const TAG_CMD0: u32 = 1; // ..=4 for the four command words
-const TAG_DATA: u32 = 5;
-const TAG_DONE: u32 = 6;
-const TAG_SRC: u32 = 7;
+/// Tag of an engine's own scratchpad transactions: descriptor-word
+/// writes for the read engine, source-word reads for the write engine.
+const TAG_DATA: u32 = UNIT_TAG;
 
 /// Configuration of one DMA engine.
 #[derive(Debug, Clone, Copy)]
@@ -47,6 +47,18 @@ pub struct DmaConfig {
     pub engine: u32,
 }
 
+impl DmaConfig {
+    fn ring(&self) -> CmdRing {
+        CmdRing::new(
+            self.port,
+            self.cmd_ring,
+            self.cmd_entries,
+            self.prod_addr,
+            self.done_addr,
+        )
+    }
+}
+
 /// Pack a frame-memory burst tag from an engine id and ring index.
 pub fn dma_tag(engine: u32, idx: u32) -> u64 {
     ((engine as u64) << 32) | idx as u64
@@ -55,58 +67,6 @@ pub fn dma_tag(engine: u32, idx: u32) -> u64 {
 /// The engine id a frame-memory completion tag routes to.
 pub fn dma_tag_engine(tag: u64) -> usize {
     (tag >> 32) as usize
-}
-
-/// Completion tracking shared by both engines.
-#[derive(Debug)]
-struct DoneTracker {
-    done: u32,
-    done_written: u32,
-    write_inflight: bool,
-    completed: Vec<bool>,
-}
-
-impl DoneTracker {
-    fn new(entries: u32) -> DoneTracker {
-        DoneTracker {
-            done: 0,
-            done_written: 0,
-            write_inflight: false,
-            completed: vec![false; entries as usize],
-        }
-    }
-
-    fn complete(&mut self, idx: u32) {
-        let n = self.completed.len() as u32;
-        self.completed[(idx % n) as usize] = true;
-        while self.completed[(self.done % n) as usize] {
-            self.completed[(self.done % n) as usize] = false;
-            self.done += 1;
-        }
-    }
-
-    /// Queue a done-counter write if the value advanced.
-    fn flush(&mut self, sp_port: &mut SpPort, done_addr: u32) {
-        if !self.write_inflight && self.done != self.done_written {
-            sp_port.push(
-                SpRequest {
-                    addr: done_addr,
-                    op: SpOp::Write(self.done),
-                },
-                TAG_DONE,
-            );
-            self.done_written = self.done;
-            self.write_inflight = true;
-        }
-    }
-}
-
-/// State of the in-progress command fetch.
-#[derive(Debug, Default)]
-struct Fetch {
-    words: [u32; 4],
-    got: u8,
-    active: bool,
 }
 
 /// A payload command held back by the fault plan: it resolves (executes
@@ -122,19 +82,105 @@ struct Deferred {
     abort: bool,
 }
 
+/// The fault plan's hold on one engine: the hang check at the top of
+/// its tick, the stall/retry/abort draw between fetching a payload
+/// command and starting it, and the slot a held command waits in.
+/// Without a plan every method is one `None` check.
+#[derive(Debug)]
+struct FaultGate {
+    unit: FaultUnit,
+    faults: Option<DmaFaults>,
+    deferred: Option<Deferred>,
+}
+
+impl FaultGate {
+    fn new(unit: FaultUnit) -> FaultGate {
+        FaultGate {
+            unit,
+            faults: None,
+            deferred: None,
+        }
+    }
+
+    /// Whether the unit is wedged until the watchdog resets it. Pending
+    /// work keeps the engine's `busy()` true meanwhile, so both kernels
+    /// step densely and the watchdog counts identical cycles.
+    fn hung(&mut self, now: Ps) -> bool {
+        self.faults.as_mut().is_some_and(|f| f.hang_active(now))
+    }
+
+    /// Route a freshly fetched payload command (a frame transfer, never
+    /// descriptor or control traffic) through the fault plan: it may be
+    /// stalled, retried, or aborted. Returns whether it starts now;
+    /// otherwise it waits in the deferred slot.
+    fn launch<P: Probe>(&mut self, cmd: DmaCmd, idx: u32, now: Ps, probe: &mut P) -> bool {
+        let Some(f) = self.faults.as_mut().filter(|f| f.commands_faulty()) else {
+            return true;
+        };
+        let o = f.draw_command();
+        if P::ENABLED {
+            if o.stalled {
+                probe.emit(Event::Fault {
+                    kind: FaultKind::PciStall,
+                    unit: self.unit,
+                    info: idx,
+                    at: now,
+                });
+            }
+            if o.attempts > 0 {
+                probe.emit(Event::Fault {
+                    kind: FaultKind::DmaError,
+                    unit: self.unit,
+                    info: o.attempts,
+                    at: now,
+                });
+            }
+        }
+        if o == CmdOutcome::CLEAN {
+            return true;
+        }
+        self.deferred = Some(Deferred {
+            cmd,
+            idx,
+            resolve_at: now + o.delay,
+            attempts: o.attempts,
+            abort: o.abort,
+        });
+        false
+    }
+
+    /// Release the deferred command once its stall/backoff delay has
+    /// elapsed. The engine either starts it (a successful retry) or, if
+    /// `abort` is set, scrubs the destination and retires the ring slot
+    /// so firmware's pipeline keeps moving.
+    fn resolve_deferred<P: Probe>(&mut self, now: Ps, probe: &mut P) -> Option<Deferred> {
+        let d = self.deferred.take_if(|d| now >= d.resolve_at)?;
+        if P::ENABLED && (d.abort || d.attempts > 0) {
+            let (kind, info) = if d.abort {
+                (RecoveryKind::FrameAbort, d.idx)
+            } else {
+                (RecoveryKind::DmaRetried, d.attempts)
+            };
+            probe.emit(Event::Recovery {
+                kind,
+                unit: self.unit,
+                info,
+                at: now,
+            });
+        }
+        Some(d)
+    }
+}
+
 /// The DMA **read** engine: host memory → NIC.
 #[derive(Debug)]
 pub struct DmaRead {
     cfg: DmaConfig,
-    sp: SpPort,
-    fetched: u32,
-    fetch: Fetch,
-    tracker: DoneTracker,
+    ring: CmdRing,
     /// Scratchpad-destination command being executed (BD fetches).
     sp_exec: Option<(u32, u32)>, // (cmd idx, remaining word writes)
     sdram_outstanding: u32,
-    faults: Option<DmaFaults>,
-    deferred: Option<Deferred>,
+    gate: FaultGate,
 }
 
 impl DmaRead {
@@ -142,52 +188,43 @@ impl DmaRead {
     pub fn new(cfg: DmaConfig) -> DmaRead {
         DmaRead {
             cfg,
-            sp: SpPort::new(cfg.port),
-            fetched: 0,
-            fetch: Fetch::default(),
-            tracker: DoneTracker::new(cfg.cmd_entries),
+            ring: cfg.ring(),
             sp_exec: None,
             sdram_outstanding: 0,
-            faults: None,
-            deferred: None,
+            gate: FaultGate::new(FaultUnit::DmaRead),
         }
     }
 
     /// Scratchpad accesses performed (Table 4 accounting).
     pub fn sp_accesses(&self) -> u64 {
-        self.sp.accesses()
+        self.ring.sp_accesses()
     }
 
     /// Zero counters.
     pub fn reset_stats(&mut self) {
-        self.sp.reset_stats();
+        self.ring.reset_stats();
     }
 
     /// Enable fault injection on this engine.
     pub fn set_faults(&mut self, f: DmaFaults) {
-        self.faults = Some(f);
+        self.gate.faults = Some(f);
     }
 
     /// Fault-site state, when injection is enabled.
     pub fn faults(&self) -> Option<&DmaFaults> {
-        self.faults.as_ref()
+        self.gate.faults.as_ref()
     }
 
     /// Mutable fault-site state (the watchdog in `NicSystem` drives the
     /// stuck/reset bookkeeping from outside the engine).
     pub fn faults_mut(&mut self) -> Option<&mut DmaFaults> {
-        self.faults.as_mut()
+        self.gate.faults.as_mut()
     }
 
     /// A frame-memory burst tagged `tag` completed.
-    pub fn on_sdram_complete(&mut self, tag: u64) {
-        self.on_sdram_complete_probed(tag, Ps::ZERO, &mut NullProbe);
-    }
-
-    /// Probed variant of [`DmaRead::on_sdram_complete`].
     pub fn on_sdram_complete_probed<P: Probe>(&mut self, tag: u64, now: Ps, probe: &mut P) {
         self.sdram_outstanding -= 1;
-        self.tracker.complete(tag as u32);
+        self.ring.complete(tag as u32);
         if P::ENABLED {
             probe.emit(Event::DmaDone {
                 dir: DmaDir::Read,
@@ -224,7 +261,7 @@ impl DmaRead {
                 let mut w = [0u8; 4];
                 let n = (cmd.len as usize - b).min(4);
                 w[..n].copy_from_slice(&data[b..b + n]);
-                self.sp.push(
+                self.ring.push(
                     SpRequest {
                         addr: cmd.w1 + k * 4,
                         op: SpOp::Write(u32::from_le_bytes(w)),
@@ -245,108 +282,15 @@ impl DmaRead {
         }
     }
 
-    /// Route a freshly fetched command through the fault plan: payload
-    /// commands (frame transfers, never descriptor/control traffic) may
-    /// be stalled, retried, or aborted. Clean commands start immediately.
-    fn launch<P: Probe>(
-        &mut self,
-        cmd: DmaCmd,
-        idx: u32,
-        host: &HostMemory,
-        fm: &mut FrameMemory,
-        now: Ps,
-        probe: &mut P,
-    ) {
-        if let Some(f) = self.faults.as_mut() {
-            if f.commands_faulty() && !cmd.is_scratchpad() {
-                let o = f.draw_command();
-                if P::ENABLED {
-                    if o.stalled {
-                        probe.emit(Event::Fault {
-                            kind: FaultKind::PciStall,
-                            unit: FaultUnit::DmaRead,
-                            info: idx,
-                            at: now,
-                        });
-                    }
-                    if o.attempts > 0 {
-                        probe.emit(Event::Fault {
-                            kind: FaultKind::DmaError,
-                            unit: FaultUnit::DmaRead,
-                            info: o.attempts,
-                            at: now,
-                        });
-                    }
-                }
-                if o != CmdOutcome::CLEAN {
-                    self.deferred = Some(Deferred {
-                        cmd,
-                        idx,
-                        resolve_at: now + o.delay,
-                        attempts: o.attempts,
-                        abort: o.abort,
-                    });
-                    return;
-                }
-            }
-        }
-        self.start_command(cmd, idx, host, fm, now, probe);
+    /// Whether the engine can take another command: no descriptor copy
+    /// in progress, nothing held by the fault plan, and fewer than two
+    /// frame-memory bursts outstanding.
+    fn room(&self) -> bool {
+        self.sp_exec.is_none() && self.gate.deferred.is_none() && self.sdram_outstanding < 2
     }
 
-    /// Resolve a deferred command whose stall/backoff delay has elapsed:
-    /// either execute it (a successful retry) or abort it — the frame-
-    /// memory destination is poisoned so the stale frame cannot later
-    /// validate as goodput, and the ring slot retires so firmware's
-    /// pipeline keeps moving.
-    fn resolve_deferred<P: Probe>(
-        &mut self,
-        host: &HostMemory,
-        fm: &mut FrameMemory,
-        now: Ps,
-        probe: &mut P,
-    ) {
-        if self.deferred.as_ref().is_none_or(|d| now < d.resolve_at) {
-            return;
-        }
-        let d = self.deferred.take().expect("checked above");
-        if d.abort {
-            fm.poison(d.cmd.w1, d.cmd.len);
-            self.tracker.complete(d.idx);
-            if P::ENABLED {
-                probe.emit(Event::Recovery {
-                    kind: RecoveryKind::FrameAbort,
-                    unit: FaultUnit::DmaRead,
-                    info: d.idx,
-                    at: now,
-                });
-            }
-        } else {
-            if d.attempts > 0 && P::ENABLED {
-                probe.emit(Event::Recovery {
-                    kind: RecoveryKind::DmaRetried,
-                    unit: FaultUnit::DmaRead,
-                    info: d.attempts,
-                    at: now,
-                });
-            }
-            self.start_command(d.cmd, d.idx, host, fm, now, probe);
-        }
-    }
-
-    /// Advance one CPU cycle.
-    pub fn tick(
-        &mut self,
-        now: Ps,
-        xbar: &mut Crossbar,
-        sp_mem: &Scratchpad,
-        host: &HostMemory,
-        fm: &mut FrameMemory,
-    ) {
-        self.tick_probed(now, xbar, sp_mem, host, fm, &mut NullProbe);
-    }
-
-    /// Probed variant of [`DmaRead::tick`]: emits [`Event::DmaStart`]
-    /// when a command begins moving data and [`Event::DmaDone`] when a
+    /// Advance one CPU cycle. Emits [`Event::DmaStart`] when a command
+    /// begins moving data and [`Event::DmaDone`] when a
     /// scratchpad-destination copy retires (frame-memory completions are
     /// reported through [`DmaRead::on_sdram_complete_probed`]).
     pub fn tick_probed<P: Probe>(
@@ -358,97 +302,54 @@ impl DmaRead {
         fm: &mut FrameMemory,
         probe: &mut P,
     ) {
-        if self.faults.is_some() {
-            if self.faults.as_mut().expect("checked").hang_active(now) {
-                // Wedged: the unit freezes until the watchdog resets it.
-                // Pending work keeps `busy()` true, so both kernels step
-                // densely and the watchdog counts identical cycles.
-                return;
-            }
-            self.resolve_deferred(host, fm, now, probe);
+        if self.gate.hung(now) {
+            return;
         }
-        if let Some((tag, value)) = self.sp.tick(xbar) {
-            match tag {
-                TAG_CMD0..=4 => {
-                    self.fetch.words[(tag - TAG_CMD0) as usize] = value;
-                    self.fetch.got += 1;
-                    if self.fetch.got == 4 {
-                        self.fetch.active = false;
-                        self.fetch.got = 0;
-                        let idx = self.fetched;
-                        self.fetched += 1;
-                        let cmd = DmaCmd::decode(self.fetch.words);
-                        self.launch(cmd, idx, host, fm, now, probe);
-                    }
+        if let Some(d) = self.gate.resolve_deferred(now, probe) {
+            if d.abort {
+                // Poison the frame-memory destination so the stale
+                // frame cannot later validate as goodput.
+                fm.poison(d.cmd.w1, d.cmd.len);
+                self.ring.complete(d.idx);
+            } else {
+                self.start_command(d.cmd, d.idx, host, fm, now, probe);
+            }
+        }
+        match self.ring.poll(xbar) {
+            Some(Polled::Entry { idx, words }) => {
+                let cmd = DmaCmd::decode(words);
+                if cmd.is_scratchpad() || self.gate.launch(cmd, idx, now, probe) {
+                    self.start_command(cmd, idx, host, fm, now, probe);
                 }
-                TAG_DATA => {
-                    if let Some((idx, remaining)) = self.sp_exec {
-                        if remaining == 1 {
-                            self.sp_exec = None;
-                            self.tracker.complete(idx);
-                            if P::ENABLED {
-                                probe.emit(Event::DmaDone {
-                                    dir: DmaDir::Read,
-                                    idx,
-                                    at: now,
-                                });
-                            }
-                        } else {
-                            self.sp_exec = Some((idx, remaining - 1));
+            }
+            Some(Polled::Own { .. }) => {
+                if let Some((idx, remaining)) = self.sp_exec {
+                    if remaining == 1 {
+                        self.sp_exec = None;
+                        self.ring.complete(idx);
+                        if P::ENABLED {
+                            probe.emit(Event::DmaDone {
+                                dir: DmaDir::Read,
+                                idx,
+                                at: now,
+                            });
                         }
+                    } else {
+                        self.sp_exec = Some((idx, remaining - 1));
                     }
                 }
-                TAG_DONE => self.tracker.write_inflight = false,
-                _ => unreachable!("unknown tag {tag}"),
             }
+            None => {}
         }
-        // Fetch the next command when capacity allows. The producer
-        // doorbell is a register visible without a crossbar transaction.
-        let prod = sp_mem.peek(self.cfg.prod_addr);
-        if !self.fetch.active
-            && self.fetched != prod
-            && self.sp_exec.is_none()
-            && self.deferred.is_none()
-            && self.sdram_outstanding < 2
-        {
-            self.fetch.active = true;
-            let base =
-                self.cfg.cmd_ring + (self.fetched % self.cfg.cmd_entries) * DMA_CMD_WORDS * 4;
-            for k in 0..4 {
-                self.sp.push(
-                    SpRequest {
-                        addr: base + k * 4,
-                        op: SpOp::Read,
-                    },
-                    TAG_CMD0 + k,
-                );
-            }
-        }
-        self.tracker.flush(&mut self.sp, self.cfg.done_addr);
+        self.ring.issue(sp_mem, self.room());
     }
 
-    /// Whether the next [`DmaRead::tick`] could do real work. Mirrors
-    /// every gate in `tick` exactly: a scratchpad transaction queued or
-    /// in flight, a done-counter update pending, or a command fetch
-    /// ready to issue. When false, the engine only reacts to external
-    /// input (a doorbell write or an SDRAM completion).
+    /// Whether the next tick could do real work: a command waiting out
+    /// its injected delay, or anything [`CmdRing::busy`] reports. When
+    /// false, the engine only reacts to external input (a doorbell
+    /// write or an SDRAM completion).
     pub fn busy(&self, sp_mem: &Scratchpad) -> bool {
-        self.sp.backlog() > 0
-            || self.deferred.is_some()
-            || self.tracker.done != self.tracker.done_written
-            || (!self.fetch.active
-                && self.fetched != sp_mem.peek(self.cfg.prod_addr)
-                && self.sp_exec.is_none()
-                && self.sdram_outstanding < 2)
-    }
-}
-
-impl NextEvent for DmaRead {
-    /// The DMA engines have no self-timed events: everything they do is
-    /// triggered by crossbar responses, doorbells, or SDRAM completions
-    /// (all bounded elsewhere by the kernel).
-    fn next_event(&self) -> Ps {
-        Ps::MAX
+        self.gate.deferred.is_some() || self.ring.busy(sp_mem, self.room())
     }
 }
 
@@ -456,20 +357,14 @@ impl NextEvent for DmaRead {
 #[derive(Debug)]
 pub struct DmaWrite {
     cfg: DmaConfig,
-    sp: SpPort,
-    fetched: u32,
-    fetch: Fetch,
-    tracker: DoneTracker,
+    ring: CmdRing,
     /// Scratchpad-source command in progress: (idx, host addr, bytes
-    /// collected, total words).
+    /// collected, total bytes).
     sp_src: Option<(u32, u32, Vec<u8>, u32)>,
     /// SDRAM-source commands in flight: host destination per tag.
     sdram_dst: Vec<Option<u32>>,
     sdram_outstanding: u32,
-    faults: Option<DmaFaults>,
-    deferred: Option<Deferred>,
-    /// Debug: (src, dst, len) of every SDRAM-source command (capped).
-    pub dbg_payloads: Vec<(u32, u32, u32)>,
+    gate: FaultGate,
 }
 
 impl DmaWrite {
@@ -477,50 +372,40 @@ impl DmaWrite {
     pub fn new(cfg: DmaConfig) -> DmaWrite {
         DmaWrite {
             cfg,
-            sp: SpPort::new(cfg.port),
-            fetched: 0,
-            fetch: Fetch::default(),
-            tracker: DoneTracker::new(cfg.cmd_entries),
+            ring: cfg.ring(),
             sp_src: None,
             sdram_dst: vec![None; cfg.cmd_entries as usize],
             sdram_outstanding: 0,
-            faults: None,
-            deferred: None,
-            dbg_payloads: Vec::new(),
+            gate: FaultGate::new(FaultUnit::DmaWrite),
         }
     }
 
     /// Scratchpad accesses performed.
     pub fn sp_accesses(&self) -> u64 {
-        self.sp.accesses()
+        self.ring.sp_accesses()
     }
 
     /// Zero counters.
     pub fn reset_stats(&mut self) {
-        self.sp.reset_stats();
+        self.ring.reset_stats();
     }
 
     /// Enable fault injection on this engine.
     pub fn set_faults(&mut self, f: DmaFaults) {
-        self.faults = Some(f);
+        self.gate.faults = Some(f);
     }
 
     /// Fault-site state, when injection is enabled.
     pub fn faults(&self) -> Option<&DmaFaults> {
-        self.faults.as_ref()
+        self.gate.faults.as_ref()
     }
 
     /// Mutable fault-site state (see [`DmaRead::faults_mut`]).
     pub fn faults_mut(&mut self) -> Option<&mut DmaFaults> {
-        self.faults.as_mut()
+        self.gate.faults.as_mut()
     }
 
     /// A frame-memory read burst completed; write its data to the host.
-    pub fn on_sdram_complete(&mut self, tag: u64, data: &[u8], host: &mut HostMemory) {
-        self.on_sdram_complete_probed(tag, data, host, Ps::ZERO, &mut NullProbe);
-    }
-
-    /// Probed variant of [`DmaWrite::on_sdram_complete`].
     pub fn on_sdram_complete_probed<P: Probe>(
         &mut self,
         tag: u64,
@@ -533,7 +418,11 @@ impl DmaWrite {
         let dst = self.sdram_dst[(idx % self.cfg.cmd_entries) as usize]
             .take()
             .expect("sdram completion for unknown command");
-        let poison = self.faults.as_mut().and_then(|f| f.draw_poison(data.len()));
+        let poison = self
+            .gate
+            .faults
+            .as_mut()
+            .and_then(|f| f.draw_poison(data.len()));
         if let Some(off) = poison {
             let mut bad = data.to_vec();
             bad[off] ^= 0xff;
@@ -550,7 +439,7 @@ impl DmaWrite {
             host.write(dst, data);
         }
         self.sdram_outstanding -= 1;
-        self.tracker.complete(idx);
+        self.ring.complete(idx);
         if P::ENABLED {
             probe.emit(Event::DmaDone {
                 dir: DmaDir::Write,
@@ -579,7 +468,7 @@ impl DmaWrite {
         }
         if cmd.is_immediate() {
             host.write_u32(cmd.w1, cmd.w0);
-            self.tracker.complete(idx);
+            self.ring.complete(idx);
             if P::ENABLED {
                 probe.emit(Event::DmaDone {
                     dir: DmaDir::Write,
@@ -590,19 +479,16 @@ impl DmaWrite {
         } else if cmd.is_scratchpad() {
             let words = cmd.len.div_ceil(4);
             for k in 0..words {
-                self.sp.push(
+                self.ring.push(
                     SpRequest {
                         addr: cmd.w0 + k * 4,
                         op: SpOp::Read,
                     },
-                    TAG_SRC,
+                    TAG_DATA,
                 );
             }
             self.sp_src = Some((idx, cmd.w1, Vec::with_capacity(cmd.len as usize), cmd.len));
         } else {
-            if self.dbg_payloads.len() < 8192 {
-                self.dbg_payloads.push((cmd.w0, cmd.w1, cmd.len));
-            }
             self.sdram_dst[(idx % self.cfg.cmd_entries) as usize] = Some(cmd.w1);
             fm.submit_read(
                 StreamId::DmaWrite,
@@ -615,107 +501,14 @@ impl DmaWrite {
         }
     }
 
-    /// Fault-plan gate for fetched commands; see [`DmaRead::launch`].
-    /// Only payload transfers (frame memory → host buffer) are faulted —
-    /// immediate and scratchpad-source commands carry control state.
-    fn launch<P: Probe>(
-        &mut self,
-        cmd: DmaCmd,
-        idx: u32,
-        host: &mut HostMemory,
-        fm: &mut FrameMemory,
-        now: Ps,
-        probe: &mut P,
-    ) {
-        if let Some(f) = self.faults.as_mut() {
-            if f.commands_faulty() && !cmd.is_immediate() && !cmd.is_scratchpad() {
-                let o = f.draw_command();
-                if P::ENABLED {
-                    if o.stalled {
-                        probe.emit(Event::Fault {
-                            kind: FaultKind::PciStall,
-                            unit: FaultUnit::DmaWrite,
-                            info: idx,
-                            at: now,
-                        });
-                    }
-                    if o.attempts > 0 {
-                        probe.emit(Event::Fault {
-                            kind: FaultKind::DmaError,
-                            unit: FaultUnit::DmaWrite,
-                            info: o.attempts,
-                            at: now,
-                        });
-                    }
-                }
-                if o != CmdOutcome::CLEAN {
-                    self.deferred = Some(Deferred {
-                        cmd,
-                        idx,
-                        resolve_at: now + o.delay,
-                        attempts: o.attempts,
-                        abort: o.abort,
-                    });
-                    return;
-                }
-            }
-        }
-        self.start_command(cmd, idx, host, fm, now, probe);
+    /// Whether the engine can take another command (see
+    /// [`DmaRead::room`]).
+    fn room(&self) -> bool {
+        self.sp_src.is_none() && self.gate.deferred.is_none() && self.sdram_outstanding < 2
     }
 
-    /// Resolve a deferred command (see [`DmaRead::resolve_deferred`]).
-    /// An abort zeroes the host destination buffer — the frame bytes
-    /// never left the NIC, so stale host memory must not validate — and
-    /// retires the ring slot.
-    fn resolve_deferred<P: Probe>(
-        &mut self,
-        host: &mut HostMemory,
-        fm: &mut FrameMemory,
-        now: Ps,
-        probe: &mut P,
-    ) {
-        if self.deferred.as_ref().is_none_or(|d| now < d.resolve_at) {
-            return;
-        }
-        let d = self.deferred.take().expect("checked above");
-        if d.abort {
-            host.write(d.cmd.w1, &vec![0u8; d.cmd.len as usize]);
-            self.tracker.complete(d.idx);
-            if P::ENABLED {
-                probe.emit(Event::Recovery {
-                    kind: RecoveryKind::FrameAbort,
-                    unit: FaultUnit::DmaWrite,
-                    info: d.idx,
-                    at: now,
-                });
-            }
-        } else {
-            if d.attempts > 0 && P::ENABLED {
-                probe.emit(Event::Recovery {
-                    kind: RecoveryKind::DmaRetried,
-                    unit: FaultUnit::DmaWrite,
-                    info: d.attempts,
-                    at: now,
-                });
-            }
-            self.start_command(d.cmd, d.idx, host, fm, now, probe);
-        }
-    }
-
-    /// Advance one CPU cycle.
-    pub fn tick(
-        &mut self,
-        now: Ps,
-        xbar: &mut Crossbar,
-        sp_mem: &Scratchpad,
-        host: &mut HostMemory,
-        fm: &mut FrameMemory,
-    ) {
-        self.tick_probed(now, xbar, sp_mem, host, fm, &mut NullProbe);
-    }
-
-    /// Probed variant of [`DmaWrite::tick`]: emits [`Event::DmaStart`]
-    /// when a command begins and [`Event::DmaDone`] when an immediate or
+    /// Advance one CPU cycle. Emits [`Event::DmaStart`] when a command
+    /// begins and [`Event::DmaDone`] when an immediate or
     /// scratchpad-source command retires (frame-memory completions are
     /// reported through [`DmaWrite::on_sdram_complete_probed`]).
     pub fn tick_probed<P: Probe>(
@@ -727,89 +520,58 @@ impl DmaWrite {
         fm: &mut FrameMemory,
         probe: &mut P,
     ) {
-        if self.faults.is_some() {
-            if self.faults.as_mut().expect("checked").hang_active(now) {
-                return; // wedged until the watchdog resets the unit
-            }
-            self.resolve_deferred(host, fm, now, probe);
+        if self.gate.hung(now) {
+            return;
         }
-        if let Some((tag, value)) = self.sp.tick(xbar) {
-            match tag {
-                TAG_CMD0..=4 => {
-                    self.fetch.words[(tag - TAG_CMD0) as usize] = value;
-                    self.fetch.got += 1;
-                    if self.fetch.got == 4 {
-                        self.fetch.active = false;
-                        self.fetch.got = 0;
-                        let idx = self.fetched;
-                        self.fetched += 1;
-                        let cmd = DmaCmd::decode(self.fetch.words);
-                        self.launch(cmd, idx, host, fm, now, probe);
-                    }
+        if let Some(d) = self.gate.resolve_deferred(now, probe) {
+            if d.abort {
+                // The frame bytes never left the NIC: zero the host
+                // buffer so stale host memory cannot validate.
+                host.write(d.cmd.w1, &vec![0u8; d.cmd.len as usize]);
+                self.ring.complete(d.idx);
+            } else {
+                self.start_command(d.cmd, d.idx, host, fm, now, probe);
+            }
+        }
+        match self.ring.poll(xbar) {
+            Some(Polled::Entry { idx, words }) => {
+                let cmd = DmaCmd::decode(words);
+                // Immediate and scratchpad-source commands carry
+                // control state; only payload transfers are faulted.
+                if cmd.is_immediate()
+                    || cmd.is_scratchpad()
+                    || self.gate.launch(cmd, idx, now, probe)
+                {
+                    self.start_command(cmd, idx, host, fm, now, probe);
                 }
-                TAG_SRC => {
-                    let (idx, dst, mut buf, len) =
-                        self.sp_src.take().expect("source read without command");
-                    buf.extend_from_slice(&value.to_le_bytes());
-                    if buf.len() >= len as usize {
-                        buf.truncate(len as usize);
-                        host.write(dst, &buf);
-                        self.tracker.complete(idx);
-                        if P::ENABLED {
-                            probe.emit(Event::DmaDone {
-                                dir: DmaDir::Write,
-                                idx,
-                                at: now,
-                            });
-                        }
-                    } else {
-                        self.sp_src = Some((idx, dst, buf, len));
+            }
+            Some(Polled::Own { value, .. }) => {
+                let (idx, dst, mut buf, len) =
+                    self.sp_src.take().expect("source read without command");
+                buf.extend_from_slice(&value.to_le_bytes());
+                if buf.len() >= len as usize {
+                    buf.truncate(len as usize);
+                    host.write(dst, &buf);
+                    self.ring.complete(idx);
+                    if P::ENABLED {
+                        probe.emit(Event::DmaDone {
+                            dir: DmaDir::Write,
+                            idx,
+                            at: now,
+                        });
                     }
+                } else {
+                    self.sp_src = Some((idx, dst, buf, len));
                 }
-                TAG_DONE => self.tracker.write_inflight = false,
-                _ => unreachable!("unknown tag {tag}"),
             }
+            None => {}
         }
-        let prod = sp_mem.peek(self.cfg.prod_addr);
-        if !self.fetch.active
-            && self.fetched != prod
-            && self.sp_src.is_none()
-            && self.deferred.is_none()
-            && self.sdram_outstanding < 2
-        {
-            self.fetch.active = true;
-            let base =
-                self.cfg.cmd_ring + (self.fetched % self.cfg.cmd_entries) * DMA_CMD_WORDS * 4;
-            for k in 0..4 {
-                self.sp.push(
-                    SpRequest {
-                        addr: base + k * 4,
-                        op: SpOp::Read,
-                    },
-                    TAG_CMD0 + k,
-                );
-            }
-        }
-        self.tracker.flush(&mut self.sp, self.cfg.done_addr);
+        self.ring.issue(sp_mem, self.room());
     }
 
-    /// Whether the next [`DmaWrite::tick`] could do real work (see
-    /// [`DmaRead::busy`]).
+    /// Whether the next tick could do real work (see [`DmaRead::busy`]).
     pub fn busy(&self, sp_mem: &Scratchpad) -> bool {
-        self.sp.backlog() > 0
-            || self.deferred.is_some()
-            || self.tracker.done != self.tracker.done_written
-            || (!self.fetch.active
-                && self.fetched != sp_mem.peek(self.cfg.prod_addr)
-                && self.sp_src.is_none()
-                && self.sdram_outstanding < 2)
-    }
-}
-
-impl NextEvent for DmaWrite {
-    /// See [`DmaRead::next_event`]: nothing self-timed.
-    fn next_event(&self) -> Ps {
-        Ps::MAX
+        self.gate.deferred.is_some() || self.ring.busy(sp_mem, self.room())
     }
 }
 
@@ -818,6 +580,7 @@ mod tests {
     use super::*;
     use crate::cmd::{FLAG_IMM, FLAG_SP};
     use nicsim_mem::FrameMemoryConfig;
+    use nicsim_obs::NullProbe;
 
     struct Rig {
         sp: Scratchpad,
@@ -835,6 +598,45 @@ mod tests {
                 host: HostMemory::new(1 << 20),
                 fm: FrameMemory::new(FrameMemoryConfig::default()),
                 now: Ps::ZERO,
+            }
+        }
+
+        /// `cycles` CPU cycles of crossbar, engine and frame memory.
+        fn run_read(&mut self, eng: &mut DmaRead, cycles: usize) {
+            for _ in 0..cycles {
+                self.now += Ps(5000);
+                self.xbar.tick(&mut self.sp);
+                let (now, probe) = (self.now, &mut NullProbe);
+                eng.tick_probed(
+                    now,
+                    &mut self.xbar,
+                    &self.sp,
+                    &self.host,
+                    &mut self.fm,
+                    probe,
+                );
+                for c in self.fm.advance(now) {
+                    eng.on_sdram_complete_probed(c.tag, now, probe);
+                }
+            }
+        }
+
+        fn run_write(&mut self, eng: &mut DmaWrite, cycles: usize) {
+            for _ in 0..cycles {
+                self.now += Ps(5000);
+                self.xbar.tick(&mut self.sp);
+                let (now, probe) = (self.now, &mut NullProbe);
+                let host = &mut self.host;
+                eng.tick_probed(now, &mut self.xbar, &self.sp, host, &mut self.fm, probe);
+                for c in self.fm.advance(now) {
+                    eng.on_sdram_complete_probed(
+                        c.tag,
+                        c.data.as_deref().unwrap(),
+                        host,
+                        now,
+                        probe,
+                    );
+                }
             }
         }
 
@@ -874,14 +676,7 @@ mod tests {
             },
         );
         rig.sp.poke(0x100, 1); // doorbell
-        for _ in 0..100 {
-            rig.now += Ps(5000);
-            rig.xbar.tick(&mut rig.sp);
-            eng.tick(rig.now, &mut rig.xbar, &rig.sp, &rig.host, &mut rig.fm);
-            for c in rig.fm.advance(rig.now) {
-                eng.on_sdram_complete(c.tag);
-            }
-        }
+        rig.run_read(&mut eng, 100);
         assert_eq!(rig.sp.peek(0x2000), 0x0403_0201);
         assert_eq!(rig.sp.peek(0x2004), 0x0807_0605);
         assert_eq!(rig.sp.peek(0x104), 1, "done counter advanced");
@@ -905,14 +700,7 @@ mod tests {
             },
         );
         rig.sp.poke(0x100, 1);
-        for _ in 0..200 {
-            rig.now += Ps(5000);
-            rig.xbar.tick(&mut rig.sp);
-            eng.tick(rig.now, &mut rig.xbar, &rig.sp, &rig.host, &mut rig.fm);
-            for c in rig.fm.advance(rig.now) {
-                eng.on_sdram_complete(c.tag);
-            }
-        }
+        rig.run_read(&mut eng, 200);
         assert_eq!(rig.fm.peek(0x4000, 200), &payload[..]);
         assert_eq!(rig.sp.peek(0x104), 1);
     }
@@ -949,15 +737,7 @@ mod tests {
             },
         );
         rig.sp.poke(0x100, 2);
-        for _ in 0..200 {
-            rig.now += Ps(5000);
-            rig.xbar.tick(&mut rig.sp);
-            eng.tick(rig.now, &mut rig.xbar, &rig.sp, &mut rig.host, &mut rig.fm);
-            let comps = rig.fm.advance(rig.now);
-            for c in comps {
-                eng.on_sdram_complete(c.tag, c.data.as_deref().unwrap(), &mut rig.host);
-            }
-        }
+        rig.run_write(&mut eng, 200);
         assert_eq!(rig.host.read_u32(0x900), 0xabcd);
         assert_eq!(rig.host.read_u32(0x910), 0x1111_2222);
         assert_eq!(rig.host.read_u32(0x914), 0x3333_4444);
@@ -985,15 +765,7 @@ mod tests {
         );
         rig.sp.poke(0x100, 1);
         rig.now = Ps::from_us(2);
-        for _ in 0..400 {
-            rig.now += Ps(5000);
-            rig.xbar.tick(&mut rig.sp);
-            eng.tick(rig.now, &mut rig.xbar, &rig.sp, &mut rig.host, &mut rig.fm);
-            let comps = rig.fm.advance(rig.now);
-            for c in comps {
-                eng.on_sdram_complete(c.tag, c.data.as_deref().unwrap(), &mut rig.host);
-            }
-        }
+        rig.run_write(&mut eng, 400);
         assert_eq!(rig.host.read(0xa000, 1518), &frame[..]);
         assert_eq!(rig.sp.peek(0x104), 1);
     }
@@ -1028,14 +800,7 @@ mod tests {
         );
         rig.sp.poke(0x100, 1);
         rig.now = Ps::from_us(1);
-        for _ in 0..400 {
-            rig.now += Ps(5000);
-            rig.xbar.tick(&mut rig.sp);
-            eng.tick(rig.now, &mut rig.xbar, &rig.sp, &rig.host, &mut rig.fm);
-            for c in rig.fm.advance(rig.now) {
-                eng.on_sdram_complete(c.tag);
-            }
-        }
+        rig.run_read(&mut eng, 400);
         assert_eq!(rig.sp.peek(0x104), 1, "aborted command still retires");
         assert!(
             rig.fm.peek(0x4000, 200).iter().all(|&b| b == 0),
@@ -1074,28 +839,10 @@ mod tests {
         );
         rig.sp.poke(0x100, 1);
         rig.now = Ps::from_us(2);
-        for _ in 0..600 {
-            rig.now += Ps(5000);
-            rig.xbar.tick(&mut rig.sp);
-            eng.tick(rig.now, &mut rig.xbar, &rig.sp, &mut rig.host, &mut rig.fm);
-            for c in rig.fm.advance(rig.now) {
-                eng.on_sdram_complete(c.tag, c.data.as_deref().unwrap(), &mut rig.host);
-            }
-        }
+        rig.run_write(&mut eng, 600);
         assert_eq!(rig.host.read(0xa000, 600), &frame[..], "stalled, not lost");
         assert_eq!(rig.sp.peek(0x104), 1);
         assert_eq!(eng.faults().unwrap().stalls, 1);
         assert_eq!(eng.faults().unwrap().aborts, 0);
-    }
-
-    #[test]
-    fn done_counter_is_contiguous_prefix() {
-        let mut t = DoneTracker::new(8);
-        t.complete(1);
-        assert_eq!(t.done, 0, "command 0 still outstanding");
-        t.complete(0);
-        assert_eq!(t.done, 2, "both now contiguous");
-        t.complete(2);
-        assert_eq!(t.done, 3);
     }
 }

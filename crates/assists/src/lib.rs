@@ -29,4 +29,4 @@ pub mod port;
 
 pub use dma::{dma_tag, dma_tag_engine, DmaConfig, DmaRead, DmaWrite};
 pub use mac::{MacRx, MacRxConfig, MacTx, MacTxConfig};
-pub use port::SpPort;
+pub use port::{CmdRing, SpPort};

@@ -13,20 +13,15 @@
 //! dropped — a receiver overrun, exactly what happens to a real NIC whose
 //! firmware cannot keep up.
 
-use crate::port::SpPort;
+use crate::port::{CmdRing, Polled, SpPort};
 use nicsim_fault::LinkFault;
 use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId};
 use nicsim_net::frame::fcs_valid;
 use nicsim_net::link::{wire_time, RxGenerator, TxMonitor};
-use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe, RecoveryKind};
+use nicsim_obs::{Event, FaultKind, FaultUnit, Probe, RecoveryKind};
 use nicsim_sim::{NextEvent, Ps};
 use std::collections::VecDeque;
 
-const TAG_ENTRY0: u32 = 1;
-const TAG_ENTRY1: u32 = 2;
-const TAG_ENTRY2: u32 = 3;
-const TAG_ENTRY3: u32 = 4;
-const TAG_DONE: u32 = 5;
 const TAG_DESC: u32 = 6;
 const TAG_PROD: u32 = 7;
 
@@ -52,20 +47,13 @@ pub struct MacTxConfig {
 #[derive(Debug)]
 pub struct MacTx {
     cfg: MacTxConfig,
-    sp: SpPort,
+    ring: CmdRing,
     /// Link monitor validating and accounting every transmitted frame.
     pub monitor: TxMonitor,
-    fetched: u32,
-    fetch_active: bool,
-    entry_addr: u32,
-    entry_len: u32,
     reads_outstanding: u32,
     wire_busy_until: Ps,
     /// Frames in flight on the wire: completion time and bytes.
     tx_done: VecDeque<(Ps, Vec<u8>)>,
-    done: u32,
-    done_written: u32,
-    done_inflight: bool,
     frames_sent: u64,
     /// Observability only (maintained when the probe is enabled): frame
     /// sequence numbers whose frame-memory read is in flight. Reads
@@ -85,18 +73,17 @@ impl MacTx {
     pub fn new(cfg: MacTxConfig) -> MacTx {
         MacTx {
             cfg,
-            sp: SpPort::new(cfg.port),
+            ring: CmdRing::new(
+                cfg.port,
+                cfg.ring,
+                cfg.entries,
+                cfg.prod_addr,
+                cfg.done_addr,
+            ),
             monitor: TxMonitor::new(),
-            fetched: 0,
-            fetch_active: false,
-            entry_addr: 0,
-            entry_len: 0,
             reads_outstanding: 0,
             wire_busy_until: Ps::ZERO,
             tx_done: VecDeque::new(),
-            done: 0,
-            done_written: 0,
-            done_inflight: false,
             frames_sent: 0,
             obs_fetch_seq: VecDeque::new(),
             obs_wire_seq: VecDeque::new(),
@@ -128,26 +115,20 @@ impl MacTx {
 
     /// Scratchpad accesses performed.
     pub fn sp_accesses(&self) -> u64 {
-        self.sp.accesses()
+        self.ring.sp_accesses()
     }
 
     /// Zero counters (keeps ring state).
     pub fn reset_stats(&mut self) {
-        self.sp.reset_stats();
+        self.ring.reset_stats();
         self.frames_sent = 0;
     }
 
     /// A frame-memory read completed: the frame goes on the wire.
     /// Reads complete in ring order (per-stream FIFO), preserving the
-    /// in-order transmit guarantee.
-    pub fn on_sdram_complete(&mut self, now: Ps, data: &[u8]) {
-        self.on_sdram_complete_probed(now, data, &mut NullProbe);
-    }
-
-    /// Probed variant of [`MacTx::on_sdram_complete`]: emits
-    /// [`Event::MacTxWireStart`] at the moment the frame starts
-    /// occupying the wire (which may be later than `now` when the wire
-    /// is busy).
+    /// in-order transmit guarantee. Emits [`Event::MacTxWireStart`] at
+    /// the moment the frame starts occupying the wire (which may be
+    /// later than `now` when the wire is busy).
     pub fn on_sdram_complete_probed<P: Probe>(&mut self, now: Ps, data: &[u8], probe: &mut P) {
         self.reads_outstanding -= 1;
         let mut frame = data.to_vec();
@@ -166,20 +147,16 @@ impl MacTx {
         }
     }
 
-    /// Advance one CPU cycle.
-    pub fn tick(
-        &mut self,
-        now: Ps,
-        xbar: &mut Crossbar,
-        sp_mem: &Scratchpad,
-        fm: &mut FrameMemory,
-    ) {
-        self.tick_probed(now, xbar, sp_mem, fm, &mut NullProbe);
+    /// The MAC buffers at most two frames (paper: "enough buffering for
+    /// two maximum-sized frames in each assist"), on their way from the
+    /// frame memory or on the wire.
+    fn room(&self) -> bool {
+        self.reads_outstanding as usize + self.tx_done.len() < 2
     }
 
-    /// Probed variant of [`MacTx::tick`]: emits [`Event::MacTxFetch`]
-    /// when a ring entry has been read (the entry's fourth word is the
-    /// frame sequence number the firmware stored there) and
+    /// Advance one CPU cycle. Emits [`Event::MacTxFetch`] when a ring
+    /// entry has been read (the entry's fourth word is the frame
+    /// sequence number the firmware stored there) and
     /// [`Event::MacTxWireDone`] as each frame leaves the wire.
     pub fn tick_probed<P: Probe>(
         &mut self,
@@ -189,40 +166,23 @@ impl MacTx {
         fm: &mut FrameMemory,
         probe: &mut P,
     ) {
-        if let Some((tag, value)) = self.sp.tick(xbar) {
-            match tag {
-                TAG_ENTRY0 => self.entry_addr = value,
-                TAG_ENTRY1 => self.entry_len = value,
-                TAG_ENTRY2 => {} // flags (unused by this MAC revision)
-                TAG_ENTRY3 => {
-                    self.fetch_active = false;
-                    self.fetched += 1;
-                    fm.submit_read(
-                        StreamId::MacTx,
-                        self.entry_addr,
-                        self.entry_len,
-                        self.cfg.mac as u64,
-                        now,
-                    );
-                    self.reads_outstanding += 1;
-                    if P::ENABLED {
-                        probe.emit(Event::MacTxFetch {
-                            seq: value,
-                            at: now,
-                        });
-                        self.obs_fetch_seq.push_back(value);
-                    }
-                }
-                TAG_DONE => self.done_inflight = false,
-                _ => unreachable!("unknown tag {tag}"),
+        // An entry is (addr, len, flags, seq); this MAC revision ignores
+        // the flags. The MAC pushes no transactions of its own.
+        if let Some(Polled::Entry { words, .. }) = self.ring.poll(xbar) {
+            let [addr, len, _, seq] = words;
+            fm.submit_read(StreamId::MacTx, addr, len, self.cfg.mac as u64, now);
+            self.reads_outstanding += 1;
+            if P::ENABLED {
+                probe.emit(Event::MacTxFetch { seq, at: now });
+                self.obs_fetch_seq.push_back(seq);
             }
         }
-        // Wire completions advance the done counter (in order); the
-        // frame is validated and accounted as it leaves the wire.
+        // Wire completions retire ring entries (in order); the frame is
+        // validated and accounted as it leaves the wire.
         while self.tx_done.front().is_some_and(|(t, _)| *t <= now) {
             let (t, frame) = self.tx_done.pop_front().expect("nonempty");
             self.monitor.on_frame(&frame);
-            self.done += 1;
+            self.ring.complete(self.ring.done());
             self.frames_sent += 1;
             if P::ENABLED {
                 let seq = self
@@ -235,50 +195,14 @@ impl MacTx {
                 egress.push((t, frame));
             }
         }
-        // Fetch the next ring entry; the MAC buffers at most two frames
-        // (paper: "enough buffering for two maximum-sized frames in each
-        // assist").
-        let prod = sp_mem.peek(self.cfg.prod_addr);
-        let buffered = self.reads_outstanding as usize + self.tx_done.len();
-        if !self.fetch_active && self.fetched != prod && buffered < 2 {
-            self.fetch_active = true;
-            let base = self.cfg.ring + (self.fetched % self.cfg.entries) * 16;
-            for (k, tag) in [TAG_ENTRY0, TAG_ENTRY1, TAG_ENTRY2, TAG_ENTRY3]
-                .into_iter()
-                .enumerate()
-            {
-                self.sp.push(
-                    SpRequest {
-                        addr: base + k as u32 * 4,
-                        op: SpOp::Read,
-                    },
-                    tag,
-                );
-            }
-        }
-        if !self.done_inflight && self.done != self.done_written {
-            self.sp.push(
-                SpRequest {
-                    addr: self.cfg.done_addr,
-                    op: SpOp::Write(self.done),
-                },
-                TAG_DONE,
-            );
-            self.done_written = self.done;
-            self.done_inflight = true;
-        }
+        self.ring.issue(sp_mem, self.room());
     }
 
-    /// Whether the next [`MacTx::tick`] could do real work. Mirrors the
-    /// tick's gates: scratchpad traffic pending, a done-counter update
-    /// owed, or a ring-entry fetch ready to issue. Wire completions are
-    /// time-driven and reported via [`NextEvent`] instead.
+    /// Whether the next tick could do real work (see [`CmdRing::busy`]).
+    /// Wire completions are time-driven and reported via [`NextEvent`]
+    /// instead.
     pub fn busy(&self, sp_mem: &Scratchpad) -> bool {
-        self.sp.backlog() > 0
-            || self.done != self.done_written
-            || (!self.fetch_active
-                && self.fetched != sp_mem.peek(self.cfg.prod_addr)
-                && (self.reads_outstanding as usize + self.tx_done.len()) < 2)
+        self.ring.busy(sp_mem, self.room())
     }
 }
 
@@ -348,9 +272,6 @@ pub struct MacRx {
     /// FCS bytes zero, which would never verify).
     crc_check: bool,
     crc_dropped: u64,
-    /// Debug: wire sequence number of each accepted frame, in
-    /// acceptance order (capped).
-    pub dbg_accepted: Vec<u32>,
 }
 
 /// One receive descriptor queued for in-order publication.
@@ -386,7 +307,6 @@ impl MacRx {
             frames_received: 0,
             crc_check: false,
             crc_dropped: 0,
-            dbg_accepted: Vec::new(),
         }
     }
 
@@ -424,12 +344,7 @@ impl MacRx {
     }
 
     /// An SDRAM write completed: the frame is visible, produce its
-    /// descriptor (writes complete in arrival order).
-    pub fn on_sdram_complete(&mut self) {
-        self.on_sdram_complete_probed(Ps::ZERO, &mut NullProbe);
-    }
-
-    /// Probed variant of [`MacRx::on_sdram_complete`]: emits
+    /// descriptor (writes complete in arrival order). Emits
     /// [`Event::MacRxDescPublish`] as each descriptor is produced.
     pub fn on_sdram_complete_probed<P: Probe>(&mut self, now: Ps, probe: &mut P) {
         self.writes_outstanding -= 1;
@@ -476,19 +391,8 @@ impl MacRx {
         }
     }
 
-    /// Advance one CPU cycle.
-    pub fn tick(
-        &mut self,
-        now: Ps,
-        xbar: &mut Crossbar,
-        sp_mem: &Scratchpad,
-        fm: &mut FrameMemory,
-    ) {
-        self.tick_probed(now, xbar, sp_mem, fm, &mut NullProbe);
-    }
-
-    /// Probed variant of [`MacRx::tick`]: emits [`Event::MacRxArrival`]
-    /// for every frame taken off the wire, accepted or dropped.
+    /// Advance one CPU cycle. Emits [`Event::MacRxArrival`] for every
+    /// frame taken off the wire, accepted or dropped.
     pub fn tick_probed<P: Probe>(
         &mut self,
         now: Ps,
@@ -587,10 +491,6 @@ impl MacRx {
                 continue;
             }
             let addr = self.cfg.buf_base + head % self.cfg.buf_bytes + 2;
-            if self.dbg_accepted.len() < 4096 {
-                let seq = u32::from_be_bytes([frame[42], frame[43], frame[44], frame[45]]);
-                self.dbg_accepted.push(seq);
-            }
             if P::ENABLED {
                 let seq = u32::from_be_bytes([frame[42], frame[43], frame[44], frame[45]]);
                 probe.emit(Event::MacRxArrival {
@@ -614,7 +514,7 @@ impl MacRx {
         }
     }
 
-    /// Whether the next [`MacRx::tick`] could do real work besides
+    /// Whether the next tick could do real work besides
     /// accepting an arrival (arrivals are time-driven, see
     /// [`NextEvent`]): descriptor or producer writes pending on the
     /// scratchpad port.
@@ -643,6 +543,7 @@ mod tests {
     use super::*;
     use nicsim_mem::FrameMemoryConfig;
     use nicsim_net::frame::build_udp_frame;
+    use nicsim_obs::NullProbe;
 
     fn fm() -> FrameMemory {
         FrameMemory::new(FrameMemoryConfig::default())
@@ -677,9 +578,9 @@ mod tests {
         for _ in 0..2000 {
             now += Ps(5000);
             xbar.tick(&mut sp);
-            mac.tick(now, &mut xbar, &sp, &mut fmem);
+            mac.tick_probed(now, &mut xbar, &sp, &mut fmem, &mut NullProbe);
             for c in fmem.advance(now) {
-                mac.on_sdram_complete(c.at, c.data.as_deref().unwrap());
+                mac.on_sdram_complete_probed(c.at, c.data.as_deref().unwrap(), &mut NullProbe);
             }
         }
         assert_eq!(mac.frames_sent(), 2);
@@ -711,9 +612,9 @@ mod tests {
         for _ in 0..3000 {
             now += Ps(5000);
             xbar.tick(&mut sp);
-            mac.tick(now, &mut xbar, &sp, &mut fmem);
+            mac.tick_probed(now, &mut xbar, &sp, &mut fmem, &mut NullProbe);
             for _ in fmem.advance(now) {
-                mac.on_sdram_complete();
+                mac.on_sdram_complete_probed(now, &mut NullProbe);
             }
             if sp.peek(0x200) >= 3 {
                 break;
@@ -754,9 +655,9 @@ mod tests {
         for _ in 0..5000 {
             now += Ps(5000);
             xbar.tick(&mut sp);
-            mac.tick(now, &mut xbar, &sp, &mut fmem);
+            mac.tick_probed(now, &mut xbar, &sp, &mut fmem, &mut NullProbe);
             for _ in fmem.advance(now) {
-                mac.on_sdram_complete();
+                mac.on_sdram_complete_probed(now, &mut NullProbe);
             }
         }
         assert!(mac.drops() > 0, "overrun must drop");
@@ -793,9 +694,9 @@ mod tests {
         for _ in 0..3000 {
             now += Ps(5000);
             xbar.tick(&mut sp);
-            mac.tick(now, &mut xbar, &sp, &mut fmem);
+            mac.tick_probed(now, &mut xbar, &sp, &mut fmem, &mut NullProbe);
             for _ in fmem.advance(now) {
-                mac.on_sdram_complete();
+                mac.on_sdram_complete_probed(now, &mut NullProbe);
             }
             if sp.peek(0x200) >= 3 {
                 break;

@@ -1094,16 +1094,6 @@ impl<P: Probe> NicSystem<P> {
     pub fn take_ilp_trace(&mut self) -> Option<Vec<OpEvent>> {
         self.cores[0].slot().borrow_mut().trace.take()
     }
-
-    /// Debug: wire seq of accepted frames on MAC 0, in acceptance order.
-    pub fn mac_accepted(&self) -> &[u32] {
-        &self.macrxs[0].dbg_accepted
-    }
-
-    /// Debug: payload DMA-write commands (src, dst, len) on engine 0.
-    pub fn dmawr_payloads(&self) -> &[(u32, u32, u32)] {
-        &self.dmawrs[0].dbg_payloads
-    }
 }
 
 impl<P: Probe> std::fmt::Debug for NicSystem<P> {

@@ -8,7 +8,9 @@
 //! exact `RunStats` equality — and, for probed systems, an identical
 //! event stream.
 
-use nicsim::{DispatchMode, EventLog, FaultPlan, FrameTracker, FwMode, NicConfig, NicSystem};
+use nicsim::{
+    DispatchMode, Event, EventLog, FaultPlan, FrameTracker, FwMode, NicConfig, NicSystem, Probe,
+};
 use nicsim_sim::Ps;
 
 const WARMUP: Ps = Ps(100_000_000); // 100 us
@@ -263,6 +265,30 @@ fn probed_event_kernel_frame_tracker_matches_dense() {
     );
 }
 
+/// The frame-visible record of a receive path: the wire sequence
+/// numbers MAC RX accepted, and the ones the driver delivered to the
+/// host (a payload DMA write the fault plan aborted never delivers, so
+/// this also pins which payload command each abort draw landed on).
+#[derive(Default)]
+struct RxRecord {
+    accepted: Vec<u32>,
+    delivered: Vec<u32>,
+}
+
+impl Probe for RxRecord {
+    fn emit(&mut self, ev: Event) {
+        match ev {
+            Event::MacRxArrival {
+                seq,
+                dropped: false,
+                ..
+            } => self.accepted.push(seq),
+            Event::HostRxDeliver { seq, .. } => self.delivered.push(seq),
+            _ => {}
+        }
+    }
+}
+
 #[test]
 fn polling_and_interrupt_deliver_identical_frames() {
     // The dispatch modes differ only in the cost of waiting: at a paced
@@ -270,8 +296,8 @@ fn polling_and_interrupt_deliver_identical_frames() {
     // same descriptors in the same order. Cycle counts differ (that is
     // the point), so this compares the frame-visible record instead of
     // RunStats: the wire sequence numbers the MAC accepted and the
-    // (src, dst, len) of every payload DMA write, under a fault plan
-    // that exercises CRC drops and DMA retries in both modes.
+    // ones that reached the host, under a fault plan that exercises
+    // CRC drops and DMA retries in both modes.
     let plan = FaultPlan {
         seed: 7,
         link_corrupt: 0.01,
@@ -289,13 +315,17 @@ fn polling_and_interrupt_deliver_identical_frames() {
     let mut runs = Vec::new();
     for dispatch in [DispatchMode::Polling, DispatchMode::Interrupt] {
         let cfg = base.to_builder().dispatch(dispatch).build().unwrap();
-        let mut sys = NicSystem::build(cfg).finish().unwrap();
+        let mut sys = NicSystem::build(cfg)
+            .probe(RxRecord::default())
+            .finish()
+            .unwrap();
         sys.run_until(Ps::from_us(400));
         let stats = sys.collect();
         assert!(stats.tx_frames > 10 && stats.rx_frames > 10, "no traffic");
+        let record = sys.unwrap_probe();
         runs.push((
-            sys.mac_accepted().to_vec(),
-            sys.dmawr_payloads().to_vec(),
+            record.accepted,
+            record.delivered,
             stats.errors.expect("fault plan configured"),
             stats.tx_frames,
             stats.rx_frames,
@@ -314,9 +344,9 @@ fn polling_and_interrupt_deliver_identical_frames() {
     let n = p.1.len().min(i.1.len());
     assert!(
         p.1.len().abs_diff(i.1.len()) <= 4,
-        "payload DMA counts diverged"
+        "delivery counts diverged"
     );
-    assert_eq!(p.1[..n], i.1[..n], "payload DMA commands diverged");
+    assert_eq!(p.1[..n], i.1[..n], "delivered sequences diverged");
     assert!(
         p.3.abs_diff(i.3) <= 4 && p.4.abs_diff(i.4) <= 4,
         "delivered frame counts diverged: polling ({}, {}), interrupt ({}, {})",

@@ -16,7 +16,7 @@
 use crate::memory::HostMemory;
 use nicsim_net::frame::{build_udp_frame, set_endpoints, validate_frame};
 use nicsim_net::workload::TxPacket;
-use nicsim_obs::{Event, FaultUnit, NullProbe, Probe, RecoveryKind};
+use nicsim_obs::{Event, FaultUnit, Probe, RecoveryKind};
 use nicsim_sim::Ps;
 use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 
@@ -740,14 +740,11 @@ impl Driver {
     /// under offered-load pacing, where the send budget also depends on
     /// `now`. The event-driven kernel uses this to elide polls while the
     /// NIC leaves host memory untouched.
-    pub fn tick(&mut self, now: Ps, mem: &mut HostMemory) -> bool {
-        self.tick_probed(now, mem, &mut NullProbe)
-    }
-
-    /// [`Driver::tick`] with probe instrumentation: emits
-    /// [`Event::HostTxPost`] per frame posted, [`Event::HostTxComplete`]
-    /// when the NIC's completion count advances, and
-    /// [`Event::HostRxDeliver`] per validated frame delivered.
+    ///
+    /// Emits [`Event::HostTxPost`] per frame posted,
+    /// [`Event::HostTxComplete`] when the NIC's completion count
+    /// advances, and [`Event::HostRxDeliver`] per validated frame
+    /// delivered.
     pub fn tick_probed<P: Probe>(&mut self, now: Ps, mem: &mut HostMemory, probe: &mut P) -> bool {
         let consumed = self.consume_returns(now, mem, probe);
         let sent = self.post_send_frames(now, mem, probe);
@@ -759,6 +756,7 @@ impl Driver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nicsim_obs::NullProbe;
 
     fn setup() -> (Driver, HostMemory) {
         let layout = HostLayout::default();
@@ -769,7 +767,7 @@ mod tests {
     #[test]
     fn posts_send_bd_pairs_and_mailbox() {
         let (mut d, mut mem) = setup();
-        d.tick(Ps::ZERO, &mut mem);
+        d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_posted, 32);
         let writes = d.take_mailbox_writes();
         assert!(writes
@@ -796,12 +794,12 @@ mod tests {
     fn window_limits_outstanding_sends() {
         let (mut d, mut mem) = setup();
         for _ in 0..100 {
-            d.tick(Ps::ZERO, &mut mem);
+            d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         }
         assert_eq!(d.stats().tx_posted, SEND_FRAME_WINDOW as u64);
         // Completing frames opens the window.
         mem.write_u32(d.layout().status, 20); // 10 frames done
-        d.tick(Ps::ZERO, &mut mem);
+        d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_posted, SEND_FRAME_WINDOW as u64 + 10);
     }
 
@@ -814,14 +812,14 @@ mod tests {
             ..DriverConfig::default()
         };
         let mut d = Driver::new(cfg, layout);
-        d.tick(Ps::from_us(10), &mut mem); // 10us at 1Mfps = 10 frames
+        d.tick_probed(Ps::from_us(10), &mut mem, &mut NullProbe); // 10us at 1Mfps = 10 frames
         assert_eq!(d.stats().tx_posted, 10);
     }
 
     #[test]
     fn posts_rx_buffers() {
         let (mut d, mut mem) = setup();
-        d.tick(Ps::ZERO, &mut mem);
+        d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         let writes = d.take_mailbox_writes();
         let rx = writes.iter().find(|w| w.reg == Mailbox::RxBdProd).unwrap();
         assert_eq!(rx.value, 64);
@@ -833,7 +831,7 @@ mod tests {
     #[test]
     fn consumes_returns_and_validates() {
         let (mut d, mut mem) = setup();
-        d.tick(Ps::ZERO, &mut mem);
+        d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         let l = d.layout();
         // Simulate the NIC: put a valid frame in rx buffer 0 and a return
         // descriptor for it.
@@ -843,7 +841,7 @@ mod tests {
         mem.write_u32(l.return_ring, addr);
         mem.write_u32(l.return_ring + 4, frame.len() as u32);
         mem.write_u32(l.status + 4, 1); // return producer
-        d.tick(Ps::from_us(1), &mut mem);
+        d.tick_probed(Ps::from_us(1), &mut mem, &mut NullProbe);
         let s = d.stats();
         assert_eq!(s.rx_frames, 1);
         assert_eq!(s.rx_udp_payload_bytes, 1472);
@@ -853,7 +851,7 @@ mod tests {
     #[test]
     fn detects_drops_via_seq_gap() {
         let (mut d, mut mem) = setup();
-        d.tick(Ps::ZERO, &mut mem);
+        d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         let l = d.layout();
         for (i, seq) in [0u32, 3].iter().enumerate() {
             let frame = build_udp_frame(*seq, 100);
@@ -864,7 +862,7 @@ mod tests {
             mem.write_u32(dsc + 4, frame.len() as u32);
         }
         mem.write_u32(l.status + 4, 2);
-        d.tick(Ps::from_us(1), &mut mem);
+        d.tick_probed(Ps::from_us(1), &mut mem, &mut NullProbe);
         assert_eq!(d.stats().rx_frames, 2);
         assert_eq!(d.stats().rx_dropped, 2, "frames 1 and 2 were dropped");
         assert_eq!(d.stats().rx_out_of_order, 0);
@@ -875,7 +873,7 @@ mod tests {
         let (mut d, mut mem) = setup();
         // Drain the free list entirely.
         for _ in 0..40 {
-            d.tick(Ps::ZERO, &mut mem);
+            d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         }
         assert_eq!(d.rx_bd_prod, RX_BUF_COUNT);
         // Return one frame; its buffer must be reusable.
@@ -885,7 +883,7 @@ mod tests {
         mem.write_u32(l.return_ring, l.rx_bufs + 2);
         mem.write_u32(l.return_ring + 4, frame.len() as u32);
         mem.write_u32(l.status + 4, 1);
-        d.tick(Ps::from_us(1), &mut mem);
+        d.tick_probed(Ps::from_us(1), &mut mem, &mut NullProbe);
         assert_eq!(d.rx_bd_prod, RX_BUF_COUNT + 1, "buffer 0 reposted");
     }
 
@@ -898,14 +896,14 @@ mod tests {
             ..DriverConfig::default()
         };
         let mut d = Driver::new(cfg, layout);
-        d.tick(Ps::ZERO, &mut mem);
+        d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         let l = d.layout();
         // Error return for buffer 0: flags word nonzero, no payload.
         mem.write_u32(l.return_ring, l.rx_bufs + 2);
         mem.write_u32(l.return_ring + 4, 64);
         mem.write_u32(l.return_ring + 12, 1);
         mem.write_u32(l.status + 4, 1);
-        d.tick(Ps::from_us(1), &mut mem);
+        d.tick_probed(Ps::from_us(1), &mut mem, &mut NullProbe);
         let s = d.stats();
         assert_eq!(s.rx_error_returns, 1);
         assert_eq!(s.rx_corrupt, 0, "error returns bypass validation");
@@ -923,10 +921,10 @@ mod tests {
             ..DriverConfig::default()
         };
         let mut d = Driver::new(cfg, layout);
-        d.tick(Ps::from_us(10), &mut mem); // 10 us at 1 Mfps = 10 frames
+        d.tick_probed(Ps::from_us(10), &mut mem, &mut NullProbe); // 10 us at 1 Mfps = 10 frames
         assert_eq!(d.stats().tx_posted, 10);
         mem.write_u32(layout.status + 8, 3); // NIC aborted 3 of them
-        d.tick(Ps::from_us(10), &mut mem);
+        d.tick_probed(Ps::from_us(10), &mut mem, &mut NullProbe);
         let s = d.stats();
         assert_eq!(s.tx_retries, 3);
         assert_eq!(s.tx_posted, 13, "aborted frames re-posted beyond pacing");
@@ -952,7 +950,7 @@ mod tests {
             ],
         );
         assert!(d.time_sensitive());
-        d.tick(Ps::ZERO, &mut mem);
+        d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         // Only the first packet is due.
         assert_eq!(d.stats().tx_posted, 1);
         assert_eq!(d.fleet_pending(), 1);
@@ -970,7 +968,7 @@ mod tests {
         assert_eq!(validate_frame(&frame).unwrap().seq, 3 << 24);
         // The second packet posts once its time comes; then the
         // schedule is drained and time sensitivity ends.
-        d.tick(Ps::from_us(5), &mut mem);
+        d.tick_probed(Ps::from_us(5), &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_posted, 2);
         assert!(!d.time_sensitive());
         assert_eq!(d.fleet_pending(), 0);
@@ -980,7 +978,7 @@ mod tests {
     fn fleet_rx_tracks_ordering_per_source() {
         let (mut d, mut mem) = setup();
         d.set_fleet(0, Vec::new());
-        d.tick(Ps::ZERO, &mut mem);
+        d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         let l = d.layout();
         // Interleaved sources 1 and 2; source 2 has a one-frame gap.
         let seqs = [1u32 << 24, 2 << 24, (1 << 24) + 1, (2 << 24) + 2];
@@ -993,7 +991,7 @@ mod tests {
             mem.write_u32(dsc + 4, frame.len() as u32);
         }
         mem.write_u32(l.status + 4, 4);
-        d.tick(Ps::from_us(1), &mut mem);
+        d.tick_probed(Ps::from_us(1), &mut mem, &mut NullProbe);
         let s = d.stats();
         assert_eq!(s.rx_frames, 4);
         assert_eq!(
@@ -1015,29 +1013,29 @@ mod tests {
             }],
         );
         d.set_reliable(Ps::from_us(10));
-        d.tick(Ps::ZERO, &mut mem);
+        d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_posted, 1);
         assert_eq!(d.unacked_frames(), 1);
         assert!(d.time_sensitive(), "unacked frames keep the driver hot");
         // Before the timeout: no retransmit.
-        d.tick(Ps::from_us(9), &mut mem);
+        d.tick_probed(Ps::from_us(9), &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_retransmits, 0);
         // At the timeout: one retransmit of the same seq into slot 1.
-        d.tick(Ps::from_us(10), &mut mem);
+        d.tick_probed(Ps::from_us(10), &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_retransmits, 1);
         assert_eq!(mem.read_u32(d.layout().send_bd_ring + BD_BYTES * 2 + 12), 0);
         // Backoff doubles: the next attempt waits 20 us, not 10.
-        d.tick(Ps::from_us(25), &mut mem);
+        d.tick_probed(Ps::from_us(25), &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_retransmits, 1);
-        d.tick(Ps::from_us(30), &mut mem);
+        d.tick_probed(Ps::from_us(30), &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_retransmits, 2);
         // An ack in the past applies at the next poll and stops the
         // retransmission.
         d.deliver_ack(Ps::from_us(31), 0);
-        d.tick(Ps::from_us(32), &mut mem);
+        d.tick_probed(Ps::from_us(32), &mut mem, &mut NullProbe);
         assert_eq!(d.unacked_frames(), 0);
         assert!(!d.time_sensitive());
-        d.tick(Ps::from_us(200), &mut mem);
+        d.tick_probed(Ps::from_us(200), &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_retransmits, 2, "acked frames stay quiet");
     }
 
@@ -1046,7 +1044,7 @@ mod tests {
         let (mut d, mut mem) = setup();
         d.set_fleet(0, Vec::new());
         d.set_reliable(Ps::from_us(10));
-        d.tick(Ps::ZERO, &mut mem);
+        d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         let l = d.layout();
         // The same frame from source 1 returned twice (a retransmit
         // racing its original), plus a distinct one.
@@ -1060,7 +1058,7 @@ mod tests {
             mem.write_u32(dsc + 4, frame.len() as u32);
         }
         mem.write_u32(l.status + 4, 3);
-        d.tick(Ps::from_us(1), &mut mem);
+        d.tick_probed(Ps::from_us(1), &mut mem, &mut NullProbe);
         let s = d.stats();
         assert_eq!(s.rx_frames, 2, "exactly-once delivery");
         assert_eq!(s.rx_duplicates, 1);
@@ -1086,7 +1084,7 @@ mod tests {
             }],
         );
         d.resume_fleet_seq(7);
-        d.tick(Ps::ZERO, &mut mem);
+        d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         assert_eq!(d.fleet_seq_next(), 8);
         let seq = mem.read_u32(d.layout().send_bd_ring + 12);
         assert_eq!(seq, (2 << 24) | 7);

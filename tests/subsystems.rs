@@ -1,6 +1,7 @@
 //! Cross-crate subsystem tests that exercise component seams the unit
 //! tests inside each crate cannot reach.
 
+use nicsim::NullProbe;
 use nicsim_assists::{DmaConfig, DmaRead};
 use nicsim_firmware::map::{self, MemMap};
 use nicsim_host::{Driver, DriverConfig, HostLayout, HostMemory, Mailbox};
@@ -47,9 +48,9 @@ fn dma_read_cycles_its_ring_many_times() {
             sp.poke(0x100, issued);
         }
         xbar.tick(&mut sp);
-        eng.tick(now, &mut xbar, &sp, &host, &mut fm);
+        eng.tick_probed(now, &mut xbar, &sp, &host, &mut fm, &mut NullProbe);
         for c in fm.advance(now) {
-            eng.on_sdram_complete(c.tag);
+            eng.on_sdram_complete_probed(c.tag, now, &mut NullProbe);
         }
         if sp.peek(0x104) == total {
             break;
@@ -74,7 +75,7 @@ fn driver_reassembles_every_posted_frame() {
         },
         layout,
     );
-    drv.tick(Ps::ZERO, &mut mem);
+    drv.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
     let writes = drv.take_mailbox_writes();
     let bds = writes
         .iter()
