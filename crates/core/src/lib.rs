@@ -59,4 +59,4 @@ pub use nicsim_obs::{
     NullProbe, Probe, StageStats,
 };
 pub use stats::{RunStats, StatValue, SUMMARY_VERSION};
-pub use system::{NicSystem, SystemBuilder};
+pub use system::{FleetMember, NicSystem, SystemBuilder};

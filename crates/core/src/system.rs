@@ -29,6 +29,7 @@ use nicsim_firmware::{dispatch_loop, DispatchMode, MemMap};
 use nicsim_host::{Driver, DriverConfig, HostLayout, HostMemory, Mailbox};
 use nicsim_mem::{Crossbar, FrameMemory, InstrMemory, Scratchpad, StreamId};
 use nicsim_net::link::RxGenerator;
+use nicsim_net::workload::TxPacket;
 use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe, RecoveryKind};
 use nicsim_sim::{Freq, NextEvent, Ps, WakeTracker};
 
@@ -125,6 +126,33 @@ pub struct NicSystem<P: Probe = NullProbe> {
 pub struct SystemBuilder<P: Probe = NullProbe> {
     cfg: NicConfig,
     probe: P,
+    fleet: Option<FleetMember>,
+}
+
+/// What makes a system one NIC of a fleet ([`SystemBuilder::fleet_member`]).
+#[derive(Debug)]
+pub struct FleetMember {
+    /// This NIC's id: frames are addressed from it, and its sequence
+    /// numbers are namespaced `src << 24`.
+    pub src: u16,
+    /// The packets the driver posts instead of the fixed-size
+    /// full-duplex stream, sorted by time.
+    pub schedule: Vec<TxPacket>,
+    /// Sequence number of the schedule's first packet: 0 for a fresh
+    /// NIC; a crashed NIC's replacement continues where its predecessor
+    /// stopped, so receivers see a gap for the frames lost in flight,
+    /// never a regression.
+    pub first_seq: u32,
+    /// Reliable delivery with this base retransmit timeout (see
+    /// [`nicsim_host::Driver::set_reliable`]): unacked transmits are
+    /// retransmitted with exponential backoff, received frames are
+    /// deduplicated and acknowledged.
+    pub rto: Option<Ps>,
+    /// The time the system's clock and measurement window start at:
+    /// zero, or the moment a crashed NIC's replacement boots. Seeded
+    /// fault timers laid out relative to boot (the DMA hang schedule)
+    /// start from here too.
+    pub boot_at: Ps,
 }
 
 impl NicSystem {
@@ -135,6 +163,7 @@ impl NicSystem {
         SystemBuilder {
             cfg,
             probe: NullProbe,
+            fleet: None,
         }
     }
 }
@@ -148,7 +177,23 @@ impl<P: Probe> SystemBuilder<P> {
         SystemBuilder {
             cfg: self.cfg,
             probe,
+            fleet: self.fleet,
         }
+    }
+
+    /// Build the system as a fleet member: the driver transmits
+    /// `member.schedule`, MAC 0 records every wire-completed egress
+    /// frame for the fabric to collect via [`NicSystem::take_egress`],
+    /// and MAC 0's receive generator stops synthesizing and serves only
+    /// frames injected with [`NicSystem::inject_rx`].
+    ///
+    /// Build fleet members with `send_enabled` and `recv_enabled` both
+    /// set (the defaults): the schedule replaces the legacy transmit
+    /// stream inside the driver's posting path, and injected arrivals
+    /// replace the receive generator's synthesized stream.
+    pub fn fleet_member(mut self, member: FleetMember) -> Self {
+        self.fleet = Some(member);
+        self
     }
 
     /// Validate the configuration and assemble the system its
@@ -158,7 +203,7 @@ impl<P: Probe> SystemBuilder<P> {
     ///
     /// Returns the same [`ConfigError`] as [`NicConfig::validate`].
     pub fn finish(self) -> Result<NicSystem<P>, ConfigError> {
-        let SystemBuilder { cfg, probe } = self;
+        let SystemBuilder { cfg, probe, fleet } = self;
         cfg.validate()?;
         let t = cfg.topology;
         let faults_armed = cfg.faults.as_ref().is_some_and(|p| !p.is_noop());
@@ -207,7 +252,7 @@ impl<P: Probe> SystemBuilder<P> {
         // Host.
         let layout = HostLayout::default();
         let host_mem = HostMemory::new(layout.memory_size());
-        let driver = Driver::new(
+        let mut driver = Driver::new(
             DriverConfig {
                 udp_payload: cfg.udp_payload,
                 offered_fps: cfg.offered_tx_fps,
@@ -333,11 +378,27 @@ impl<P: Probe> SystemBuilder<P> {
             cores.push(core);
         }
 
+        let boot_at = fleet.as_ref().map_or(Ps::ZERO, |m| m.boot_at);
+        if let Some(m) = fleet {
+            driver.set_fleet(m.src, m.schedule);
+            driver.resume_fleet_seq(m.first_seq);
+            if let Some(rto) = m.rto {
+                driver.set_reliable(rto);
+            }
+            mactxs[0].capture_egress();
+            macrxs[0].generator.set_external();
+            let rd = dmards.iter_mut().filter_map(DmaRead::faults_mut);
+            let wr = dmawrs.iter_mut().filter_map(DmaWrite::faults_mut);
+            for f in rd.chain(wr) {
+                f.rebase(boot_at);
+            }
+        }
+
         Ok(NicSystem {
             probe,
             cfg,
             map,
-            now: Ps::ZERO,
+            now: boot_at,
             cpu_period: Freq::from_mhz(cfg.cpu_mhz).period(),
             sp,
             xbar,
@@ -358,7 +419,7 @@ impl<P: Probe> SystemBuilder<P> {
             driver_idle: false,
             skipped_cycles: 0,
             stepped_cycles: 0,
-            window_start: Ps::ZERO,
+            window_start: boot_at,
             stopped: false,
             status_aborts_addr: layout.status + 8,
             aborts_published: 0,
@@ -407,41 +468,11 @@ impl<P: Probe> NicSystem<P> {
         &self.sp
     }
 
-    /// Switch this system into fleet mode: the driver transmits the
-    /// given flow schedule (frames addressed and sequence-namespaced by
-    /// `src`) instead of the fixed-size full-duplex generator, MAC 0
-    /// records every wire-completed egress frame for the fabric to
-    /// collect via [`NicSystem::take_egress`], and MAC 0's receive
-    /// generator stops synthesizing and serves only frames injected
-    /// with [`NicSystem::inject_rx`].
-    ///
-    /// Build fleet members with `send_enabled` and `recv_enabled` both
-    /// set (the defaults): the schedule replaces the legacy transmit
-    /// stream inside the driver's posting path, and injected arrivals
-    /// replace the receive generator's synthesized stream.
-    pub fn enable_fleet(&mut self, src: u16, schedule: Vec<nicsim_net::workload::TxPacket>) {
-        self.driver.set_fleet(src, schedule);
-        self.mactxs[0].capture_egress();
-        self.macrxs[0].generator.set_external();
-        // The schedule makes the driver time-sensitive again.
-        self.driver_idle = false;
-    }
-
     /// Drain the frames MAC 0 completed on the wire since the last
     /// drain, as `(wire-done time, frame bytes)` in completion order.
-    /// Fleet mode only (see [`NicSystem::enable_fleet`]).
+    /// Fleet members only (see [`SystemBuilder::fleet_member`]).
     pub fn take_egress(&mut self) -> Vec<(Ps, Vec<u8>)> {
         self.mactxs[0].take_egress()
-    }
-
-    /// Switch the fleet driver into reliable-delivery mode (see
-    /// [`nicsim_host::Driver::set_reliable`]): unacked transmits are
-    /// retransmitted on timeout with exponential backoff, and received
-    /// frames are deduplicated and acknowledged. Call after
-    /// [`NicSystem::enable_fleet`].
-    pub fn enable_reliable(&mut self, rto: Ps) {
-        self.driver.set_reliable(rto);
-        self.driver_idle = false;
     }
 
     /// Deliver an acknowledgment for fleet sequence `seq`, applied at
@@ -457,45 +488,16 @@ impl<P: Probe> NicSystem<P> {
         self.driver.take_acks()
     }
 
-    /// Transmit frames posted to the NIC but not yet completed — work
-    /// that dies with the NIC if it crashes now.
-    pub fn tx_in_flight(&self) -> u32 {
-        self.driver.tx_in_flight()
-    }
-
-    /// The next fleet sequence number the driver would assign.
-    pub fn fleet_seq_next(&self) -> u32 {
-        self.driver.fleet_seq_next()
-    }
-
-    /// Continue a predecessor's fleet sequence numbering (crash/reset
-    /// lifecycle): the replacement NIC's first frame takes sequence `n`,
-    /// so receivers see a gap for the lost in-flight frames, never a
-    /// regression. Call before the first tick.
-    pub fn resume_fleet_seq(&mut self, n: u32) {
-        self.driver.resume_fleet_seq(n);
-    }
-
-    /// Restart this (freshly built) system's clock at absolute time
-    /// `at` — the crash/reset lifecycle's "firmware re-initialised,
-    /// rings re-posted" moment. Seeded fault timers that were laid out
-    /// relative to time zero (the DMA hang schedule) are rebased so the
-    /// replacement's fault exposure matches a NIC that had booted at
-    /// `at`.
-    pub fn restart_at(&mut self, at: Ps) {
-        debug_assert_eq!(self.now, Ps::ZERO, "restart_at expects a fresh build");
-        self.now = at;
-        self.window_start = at;
-        for d in &mut self.dmards {
-            if let Some(f) = d.faults_mut() {
-                f.rebase(at);
-            }
-        }
-        for d in &mut self.dmawrs {
-            if let Some(f) = d.faults_mut() {
-                f.rebase(at);
-            }
-        }
+    /// What a crash at this instant costs and where a replacement
+    /// resumes: `(frames that die with the NIC, next fleet sequence
+    /// number)`. The frames are the transmits posted to the NIC but not
+    /// yet completed plus the injected arrivals still queued on MAC 0;
+    /// the sequence number is the replacement's
+    /// [`FleetMember::first_seq`].
+    pub fn crash_state(&self) -> (u64, u32) {
+        let dying = self.driver.tx_in_flight() as u64
+            + self.macrxs[0].generator.pending_injections() as u64;
+        (dying, self.driver.fleet_seq_next())
     }
 
     /// Fold a dead predecessor's error table into this replacement
@@ -510,16 +512,11 @@ impl<P: Probe> NicSystem<P> {
     }
 
     /// Schedule a frame to arrive on MAC 0's wire at absolute time
-    /// `at`. Fleet mode only; arrivals must be injected in
+    /// `at`. Fleet members only; arrivals must be injected in
     /// non-decreasing time order and strictly after the current time.
     pub fn inject_rx(&mut self, at: Ps, frame: Vec<u8>) {
         debug_assert!(at > self.now, "injected arrival is already due");
         self.macrxs[0].generator.inject(at, frame);
-    }
-
-    /// Undelivered injected arrivals still queued on MAC 0.
-    pub fn pending_rx(&self) -> usize {
-        self.macrxs[0].generator.pending_injections()
     }
 
     /// Absolute time of the earliest cycle on which this system may

@@ -41,7 +41,7 @@
 //! before the epoch ends — an incast victim or a NIC with an exhausted
 //! schedule costs one wake computation per epoch, not a kernel entry.
 
-use nicsim::{ErrorStats, NicConfig, NicSystem, RunStats};
+use nicsim::{ErrorStats, FleetMember, NicConfig, NicSystem, RunStats};
 use nicsim_net::workload::Workload;
 use nicsim_net::{Fabric, FabricConfig, FabricFaults, FabricStats, PortStats};
 use nicsim_obs::{FrameTracker, LatencySummary};
@@ -215,6 +215,14 @@ impl Fleet {
             ));
         }
         cfg.workload.check(cfg.nics).map_err(FleetError)?;
+        // Refuse a schedule that cannot fit its source's sequence
+        // namespace before generating it: `build_member` checks the
+        // exact length, but only after allocating every packet.
+        let expected = cfg.workload.fps * horizon.as_secs_f64();
+        if expected >= SEQ_NAMESPACE as f64 {
+            let i = (0..cfg.nics).find(|&i| cfg.workload.sends(i)).unwrap_or(0);
+            return Err(seq_namespace_error(i, expected as u64));
+        }
         let mut fabric = Fabric::new(cfg.nics, cfg.fabric);
         let epoch = cfg.fabric.link_latency;
         let period = nicsim_sim::Freq::from_mhz(cfg.nic.cpu_mhz).period();
@@ -244,21 +252,9 @@ impl Fleet {
                     .unwrap_or(Ps::MAX)
             })
             .collect();
-        let mut systems = Vec::with_capacity(cfg.nics);
-        for i in 0..cfg.nics {
-            let mut nic = cfg.nic;
-            nic.faults = cfg.nic.faults.map(|p| p.derive_nic(i as u64));
-            let mut sys = NicSystem::build(nic)
-                .probe(FrameTracker::new())
-                .finish()
-                .map_err(|e| FleetError(e.to_string()))?;
-            let schedule = cfg.workload.schedule(i, cfg.nics, horizon);
-            sys.enable_fleet(i as u16, schedule);
-            if cfg.workload.reliable {
-                sys.enable_reliable(Ps::from_us(cfg.workload.rto_us));
-            }
-            systems.push(sys);
-        }
+        let systems = (0..cfg.nics)
+            .map(|i| build_member(&cfg, horizon, i, 0, Ps::ZERO))
+            .collect::<Result<Vec<_>, _>>()?;
         Ok(Fleet {
             systems,
             fabric,
@@ -343,16 +339,7 @@ impl Fleet {
     fn run_epochs_sequential(&mut self, warm_epochs: u64, total_epochs: u64) {
         for k in 1..=total_epochs {
             let end = Ps(k * self.epoch.0);
-            for (i, sys) in self.systems.iter_mut().enumerate() {
-                if self.up_at[i] != Ps::ZERO {
-                    // Crashed: frozen until the watchdog resets it.
-                    self.skipped += 1;
-                } else if sys.next_activity() <= end {
-                    sys.run_until(end);
-                } else {
-                    self.skipped += 1;
-                }
-            }
+            self.skipped += run_chunk(&mut self.systems, &self.up_at, end);
             self.exchange(k, warm_epochs);
         }
     }
@@ -368,15 +355,14 @@ impl Fleet {
         let mut worker_skipped = vec![0u64; shards];
 
         /// One worker's view: a raw chunk of the systems vector, its
-        /// skip counter, and a read-only view of the fleet's down-state
-        /// vector (indexed by `base + chunk offset`). Dereferenced only
-        /// while a generation is open (see the disjointness argument at
-        /// the spawn site).
+        /// skip counter, and a read-only view of the same chunk of the
+        /// fleet's down-state vector. Dereferenced only while a
+        /// generation is open (see the disjointness argument at the
+        /// spawn site).
         struct Shard {
             systems: *mut [NicSystem<FrameTracker>],
             skipped: *mut u64,
             up_at: *const [Ps],
-            base: usize,
         }
         // SAFETY: the pointers are dereferenced only between
         // `wait_open` and `finish`, when the coordinator touches
@@ -392,25 +378,23 @@ impl Fleet {
         // Release/Acquire edges.
         unsafe impl Send for Shard {}
 
-        let up_at_view: *const [Ps] = self.up_at.as_slice();
         let mut shards_vec = Vec::with_capacity(shards);
         {
             let mut rest: &mut [NicSystem<FrameTracker>] = &mut self.systems;
+            let mut rest_up: &[Ps] = &self.up_at;
             let mut counters = worker_skipped.iter_mut();
             let base = rest.len() / shards;
             let extra = rest.len() % shards;
-            let mut start = 0;
             for w in 0..shards {
                 let take = base + usize::from(w < extra);
                 let (chunk, tail) = rest.split_at_mut(take);
-                rest = tail;
+                let (chunk_up, tail_up) = rest_up.split_at(take);
+                (rest, rest_up) = (tail, tail_up);
                 shards_vec.push(Shard {
                     systems: chunk,
                     skipped: counters.next().expect("one counter per shard"),
-                    up_at: up_at_view,
-                    base: start,
+                    up_at: chunk_up,
                 });
-                start += take;
             }
         }
 
@@ -448,17 +432,7 @@ impl Fleet {
                             // generation.
                             let systems = unsafe { &mut *shard.systems };
                             let up_at = unsafe { &*shard.up_at };
-                            let mut skipped = 0u64;
-                            for (j, sys) in systems.iter_mut().enumerate() {
-                                if up_at[shard.base + j] != Ps::ZERO {
-                                    // Crashed: frozen until reset.
-                                    skipped += 1;
-                                } else if sys.next_activity() <= end {
-                                    sys.run_until(end);
-                                } else {
-                                    skipped += 1;
-                                }
-                            }
+                            let skipped = run_chunk(systems, up_at, end);
                             unsafe { *shard.skipped += skipped };
                             b.finish(idx, g);
                         }
@@ -584,36 +558,84 @@ impl Fleet {
     fn reset_nic(&mut self, i: usize, at: Ps) {
         let old = &self.systems[i];
         // Frames that died with the NIC: driver-posted transmits not
-        // yet completed, arrivals still queued on the wire, and
+        // yet completed and arrivals still queued on the wire, plus
         // fabric deliveries dropped while it was down.
-        let lost = old.tx_in_flight() as u64
-            + old.pending_rx() as u64
-            + std::mem::take(&mut self.pending_lost[i]);
+        let (dying, posted) = old.crash_state();
         let mut carry = old.collect().errors.unwrap_or_default();
         carry.nic_resets += 1;
-        carry.nic_reset_lost_frames += lost;
-        let posted = old.fleet_seq_next();
+        carry.nic_reset_lost_frames += dying + std::mem::take(&mut self.pending_lost[i]);
 
-        let mut nic = self.cfg.nic;
-        nic.faults = self.cfg.nic.faults.map(|p| p.derive_nic(i as u64));
-        let mut sys = NicSystem::build(nic)
-            .probe(FrameTracker::new())
-            .finish()
+        let mut sys = build_member(&self.cfg, self.horizon, i, posted, at)
             .expect("replacement NIC build (config already validated)");
-        sys.restart_at(at);
-        let full = self.cfg.workload.schedule(i, self.cfg.nics, self.horizon);
-        let remaining = full
-            .get(posted as usize..)
-            .map_or(Vec::new(), |s| s.to_vec());
-        sys.enable_fleet(i as u16, remaining);
-        sys.resume_fleet_seq(posted);
-        if self.reliable {
-            sys.enable_reliable(Ps::from_us(self.cfg.workload.rto_us));
-        }
         sys.carry_errors(carry);
         let old = std::mem::replace(&mut self.systems[i], sys);
         self.carry_probe.merge(old.probe());
     }
+}
+
+/// Sequence numbers carry the source NIC in their top byte, which
+/// leaves each source 24 bits.
+const SEQ_NAMESPACE: usize = 1 << 24;
+
+fn seq_namespace_error(nic: usize, packets: u64) -> FleetError {
+    FleetError(format!(
+        "NIC {nic}'s schedule would hold {packets} packets, but sequence numbers \
+         carry 24 bits per source (at most {} packets): shorten the horizon \
+         or lower fps",
+        SEQ_NAMESPACE - 1
+    ))
+}
+
+/// Build NIC `i` of the fleet, booting at `boot_at` and resuming its
+/// share of the workload schedule (generated over `horizon`) at packet
+/// `first_seq` — `(0, Ps::ZERO)` for a fresh fleet, the predecessor's
+/// progress and the reset time for a crashed NIC's replacement. Each
+/// NIC gets its own derived fault plan (same rates, decorrelated
+/// per-site streams) so faults don't strike every NIC in lockstep.
+fn build_member(
+    cfg: &FleetConfig,
+    horizon: Ps,
+    i: usize,
+    first_seq: u32,
+    boot_at: Ps,
+) -> Result<NicSystem<FrameTracker>, FleetError> {
+    let mut schedule = cfg.workload.schedule(i, cfg.nics, horizon);
+    if schedule.len() >= SEQ_NAMESPACE {
+        return Err(seq_namespace_error(i, schedule.len() as u64));
+    }
+    schedule.drain(..schedule.len().min(first_seq as usize));
+    let mut nic = cfg.nic;
+    nic.faults = cfg.nic.faults.map(|p| p.derive_nic(i as u64));
+    NicSystem::build(nic)
+        .probe(FrameTracker::new())
+        .fleet_member(FleetMember {
+            src: i as u16,
+            schedule,
+            first_seq,
+            rto: cfg
+                .workload
+                .reliable
+                .then(|| Ps::from_us(cfg.workload.rto_us)),
+            boot_at,
+        })
+        .finish()
+        .map_err(|e| FleetError(e.to_string()))
+}
+
+/// One epoch for one chunk of NICs: advance each to the boundary `end`
+/// and return how many were skipped — crashed (`up_at` nonzero: frozen
+/// until the watchdog resets it) or provably unable to act before
+/// `end`.
+fn run_chunk(systems: &mut [NicSystem<FrameTracker>], up_at: &[Ps], end: Ps) -> u64 {
+    let mut skipped = 0;
+    for (sys, up) in systems.iter_mut().zip(up_at) {
+        if *up == Ps::ZERO && sys.next_activity() <= end {
+            sys.run_until(end);
+        } else {
+            skipped += 1;
+        }
+    }
+    skipped
 }
 
 #[cfg(test)]
@@ -660,6 +682,23 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.fabric.link_latency = Ps(1_000);
         assert!(Fleet::new(cfg, horizon).is_err(), "epoch under one cycle");
+    }
+
+    #[test]
+    fn rejects_a_schedule_longer_than_the_seq_namespace() {
+        // 10 Mfps over 2 s is 2 * 10^7 packets per NIC, past the 2^24
+        // sequence numbers a source owns. The refusal has to come
+        // before any schedule is generated (that alone would be
+        // hundreds of megabytes), let alone a NIC built.
+        let mut cfg = small_cfg();
+        cfg.workload.fps = 1e7;
+        let err = Fleet::new(cfg, Ps::from_ms(2_000)).err().expect("refused");
+        assert!(
+            err.0.contains("NIC 0") && err.0.contains("20000000"),
+            "{err}"
+        );
+        // The rate alone is legal: a short horizon takes it.
+        assert!(Fleet::new(cfg, Ps::from_us(10)).is_ok());
     }
 
     #[test]
