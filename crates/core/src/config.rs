@@ -207,7 +207,8 @@ pub enum ConfigError {
         available: usize,
     },
     /// [`NicConfigBuilder::faults_spec`] could not parse the fault
-    /// specification string.
+    /// specification string, or the fault plan holds a value
+    /// [`FaultPlan::validate`] rejects.
     FaultSpec(String),
     /// [`NicConfigBuilder::assists`] could not parse the assist
     /// specification string.
@@ -444,6 +445,9 @@ impl NicConfig {
             if let Some(fps) = fps.filter(|f| !(f.is_finite() && *f > 0.0)) {
                 return Err(ConfigError::BadOfferedFps { direction, fps });
             }
+        }
+        if let Some(plan) = &self.faults {
+            plan.validate().map_err(ConfigError::FaultSpec)?;
         }
         let t = self.topology;
         if t.dma_engines == 0 || t.dma_engines > MAX_DMA_ENGINES {
@@ -729,6 +733,46 @@ mod tests {
                 msg.contains(needle),
                 "{spec}: message {msg:?} does not name the bad item"
             );
+        }
+    }
+
+    /// A plan written as a struct literal never went through
+    /// `FaultPlan::parse`; `validate` is what stands between it and a
+    /// `draw_command` that never returns.
+    #[test]
+    fn validate_rejects_a_wedging_fault_plan_literal() {
+        for (plan, key) in [
+            (
+                FaultPlan {
+                    dma_error: 1.0,
+                    max_retries: u32::MAX,
+                    ..FaultPlan::default()
+                },
+                "retries",
+            ),
+            (
+                FaultPlan {
+                    hang_period_us: u64::MAX,
+                    ..FaultPlan::default()
+                },
+                "hang_us",
+            ),
+            (
+                FaultPlan {
+                    stall_alpha: f64::NAN,
+                    ..FaultPlan::default()
+                },
+                "stall_alpha",
+            ),
+        ] {
+            let cfg = NicConfig {
+                faults: Some(plan),
+                ..NicConfig::default()
+            };
+            match cfg.validate() {
+                Err(ConfigError::FaultSpec(msg)) => assert!(msg.starts_with(key), "{msg}"),
+                other => panic!("{key}: expected a FaultSpec error, got {other:?}"),
+            }
         }
     }
 

@@ -55,6 +55,10 @@ pub const SITE_NIC_PLAN_BASE: u64 = 1 << 36;
 /// shifts the corruption decisions of the same link.
 pub const SITE_FABRIC_FLAP_BASE: u64 = 1 << 37;
 
+/// Most retry attempts a plan may ask for before a failing DMA command
+/// aborts ([`FaultPlan::validate`]).
+pub const MAX_RETRIES: u32 = 64;
+
 /// splitmix64 — seeds the per-site streams from `seed ^ site`.
 pub fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
@@ -229,9 +233,9 @@ impl FaultPlan {
     /// | `trunc`       | per-frame link truncation probability      |
     /// | `dma`         | per-command transient DMA error probability|
     /// | `stall`       | per-command PCI stall probability          |
-    /// | `stall_ns`    | stall duration (default 200)               |
-    /// | `retries`     | DMA retry attempts before abort (default 4)|
-    /// | `backoff_ns`  | base retry backoff (default 100)           |
+    /// | `stall_ns`    | stall duration (default 200, at most 10^9) |
+    /// | `retries`     | DMA retry attempts before abort (default 4, at most 64) |
+    /// | `backoff_ns`  | base retry backoff (default 100, at most 10^9) |
     /// | `ecc`         | per-read-burst ECC event probability       |
     /// | `hang_us`     | hang injection period, 0 = off (default 0) |
     /// | `watchdog_us` | watchdog timeout (default 50)              |
@@ -242,13 +246,16 @@ impl FaultPlan {
     /// | `crash_us`    | whole-NIC crash period, 0 = off (default 0)|
     /// | `poison`      | per-DMA-write host poison probability      |
     /// | `fw`          | per-dispatch firmware fault probability    |
-    /// | `stall_alpha` | Pareto shape for stall durations, 0 = fixed|
+    /// | `stall_alpha` | Pareto shape for stall durations, 0 = fixed (finite, >= 0) |
+    ///
+    /// Every `_us` duration is at most 10^6 (one second).
     ///
     /// Example: `--faults seed=7,crc=1e-3,dma=1e-4,hang_us=500`.
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed entry.
+    /// Returns a description of the first malformed entry, or what
+    /// [`FaultPlan::validate`] rejects.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
         for item in spec.split(',').filter(|s| !s.trim().is_empty()) {
@@ -291,28 +298,65 @@ impl FaultPlan {
                 _ => return Err(format!("'{item}': unknown key '{key}'")),
             }
         }
-        for (name, p) in [
-            ("crc", plan.link_corrupt),
-            ("trunc", plan.link_truncate),
-            ("dma", plan.dma_error),
-            ("stall", plan.dma_stall),
-            ("ecc", plan.ecc),
-            ("fab_crc", plan.fabric_corrupt),
-            ("squeeze", plan.squeeze),
-            ("poison", plan.host_poison),
-            ("fw", plan.fw_fault),
+        plan.validate()?;
+        Ok(plan)
+    }
+
+    /// Check the plan's values, naming the first bad one by its spec
+    /// key. [`FaultPlan::parse`] ends here, and so must every other way
+    /// a plan gets in (the fields are `pub`): a probability outside
+    /// [0, 1] or NaN; more than [`MAX_RETRIES`] retries — the draw loops
+    /// once per retry, and the backoff shift stops growing at 16 anyway;
+    /// a duration over one second, which keeps every picosecond value,
+    /// its `<< 16` backoff and the sum of all retries' backoffs inside a
+    /// `u64` with room for the clock; a Pareto shape that is negative or
+    /// not finite.
+    ///
+    /// # Errors
+    ///
+    /// Returns `key=value: what it must be`.
+    pub fn validate(&self) -> Result<(), String> {
+        for (key, p) in [
+            ("crc", self.link_corrupt),
+            ("trunc", self.link_truncate),
+            ("dma", self.dma_error),
+            ("stall", self.dma_stall),
+            ("ecc", self.ecc),
+            ("fab_crc", self.fabric_corrupt),
+            ("squeeze", self.squeeze),
+            ("poison", self.host_poison),
+            ("fw", self.fw_fault),
         ] {
             if !(0.0..=1.0).contains(&p) {
-                return Err(format!("{name}={p}: probability must be in [0, 1]"));
+                return Err(format!("{key}={p}: probability must be in [0, 1]"));
             }
         }
-        if plan.stall_alpha < 0.0 {
+        if self.max_retries > MAX_RETRIES {
             return Err(format!(
-                "stall_alpha={}: shape must be >= 0",
-                plan.stall_alpha
+                "retries={}: at most {MAX_RETRIES} retries",
+                self.max_retries
             ));
         }
-        Ok(plan)
+        for (key, v, per_second) in [
+            ("stall_ns", self.stall_ns, 1_000_000_000),
+            ("backoff_ns", self.backoff_ns, 1_000_000_000),
+            ("hang_us", self.hang_period_us, 1_000_000),
+            ("watchdog_us", self.watchdog_us, 1_000_000),
+            ("flap_us", self.flap_period_us, 1_000_000),
+            ("flap_down_us", self.flap_down_us, 1_000_000),
+            ("crash_us", self.crash_period_us, 1_000_000),
+        ] {
+            if v > per_second {
+                return Err(format!("{key}={v}: at most one second ({per_second})"));
+            }
+        }
+        if !(self.stall_alpha >= 0.0 && self.stall_alpha.is_finite()) {
+            return Err(format!(
+                "stall_alpha={}: shape must be finite and >= 0",
+                self.stall_alpha
+            ));
+        }
+        Ok(())
     }
 
     /// The spec string that re-parses to this plan (results metadata).
@@ -1193,6 +1237,49 @@ mod tests {
         assert_eq!(p.flap_period_us, 200);
         assert_eq!(p.squeeze, 0.05);
         assert_eq!(p.crash_period_us, 400);
+    }
+
+    #[test]
+    fn parse_rejects_values_that_would_wedge_or_overflow() {
+        // `retries=4294967295` used to parse and then spin in
+        // `draw_command`; the durations used to overflow `Ps::from_us`
+        // (a panic in debug, a nonsense period in release); `nan`
+        // passed the `< 0.0` check.
+        for (spec, key) in [
+            ("dma=1,retries=4294967295", "retries"),
+            ("retries=65", "retries"),
+            ("hang_us=18446744073709551615", "hang_us"),
+            ("watchdog_us=18446744073709551615", "watchdog_us"),
+            ("flap_us=18446744073709551615", "flap_us"),
+            ("flap_down_us=18446744073709551615", "flap_down_us"),
+            ("crash_us=18446744073709551615", "crash_us"),
+            ("stall_ns=18446744073709551615", "stall_ns"),
+            ("backoff_ns=18446744073709551615", "backoff_ns"),
+            ("hang_us=1000001", "hang_us"),
+            ("stall_alpha=nan", "stall_alpha"),
+            ("stall_alpha=inf", "stall_alpha"),
+        ] {
+            let err = FaultPlan::parse(spec).expect_err(spec);
+            let value = spec.rsplit('=').next().unwrap();
+            assert!(
+                err.starts_with(&format!("{key}=")) && err.to_lowercase().contains(value),
+                "{spec}: {err}"
+            );
+        }
+        // The largest legal values run every site's arithmetic without
+        // overflow: all 65 attempts fail and every backoff is summed.
+        let plan = FaultPlan::parse(
+            "dma=1,stall=1,retries=64,stall_ns=1000000000,backoff_ns=1000000000,\
+             hang_us=1000000,watchdog_us=1000000,flap_us=1000000,flap_down_us=1000000,\
+             crash_us=1000000,stall_alpha=0.01",
+        )
+        .unwrap();
+        let mut d = DmaFaults::new(&plan, SITE_DMA_READ);
+        let o = d.draw_command();
+        assert!(o.abort && o.attempts == 65);
+        assert!(Ps::from_ms(10_000) + o.delay > o.delay, "room for the clock");
+        let _ = FabricFaults::new(&plan, 2);
+        assert!(plan.crash_onset(0).unwrap() >= Ps::from_ms(1_000));
     }
 
     #[test]

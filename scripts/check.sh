@@ -22,7 +22,10 @@ echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # frame timelines, and polling-vs-interrupt identity of the delivered
 # frame/descriptor record under a live fault plan. Non-default
 # topologies (2 DMA pairs, 2 MACs) ride in the same suite and must
-# agree across the dense and event kernels.
+# agree across the dense and event kernels. The suite's pinned-digest
+# test (model_is_cycle_exact_against_pinned_digests) rides this stanza
+# too: four short runs' RunStats must hash to the committed constants,
+# which catches a change that moves both kernels the same way.
 cargo test --release --quiet -p nicsim --test kernel_equivalence
 
 echo "==> topology smoke (non-default topologies end-to-end, ~3 s)"
@@ -70,6 +73,19 @@ echo "==> fault smoke (injection + recovery + zero-fault bit-identity)"
 NICSIM_QUICK=1 NICSIM_QUIET=1 NICSIM_RESULTS_DIR=target \
     ./target/release/fault_sweep >/dev/null
 rm -f target/fault_sweep.json
+# A --faults value that would wedge the retry loop or overflow a
+# duration is a usage error naming the key, in milliseconds, never a
+# hang: FaultPlan::validate bounds retries and every duration.
+for bad in dma=1,retries=4294967295 hang_us=18446744073709551615; do
+    key=${bad%=*}
+    key=${key##*,}
+    status=0
+    err=$(timeout 10 ./target/release/fault_sweep --faults "$bad" 2>&1 >/dev/null) || status=$?
+    if [ "$status" -ne 2 ] || ! printf '%s' "$err" | grep -q "bad fault spec: $key="; then
+        echo "FAIL: --faults $bad exited $status (want 2, naming $key): $err"
+        exit 1
+    fi
+done
 
 echo "==> trace smoke (Chrome trace_event + latency percentiles)"
 # The trace binary validates its own output: lifecycle violations
