@@ -16,16 +16,12 @@
 //! crossbar, frame-memory bursts over the shared bus).
 
 use crate::cmd::DmaCmd;
-use crate::port::{CmdRing, Polled, UNIT_TAG};
+use crate::port::{CmdRing, Polled};
 use nicsim_fault::{CmdOutcome, DmaFaults};
 use nicsim_host::HostMemory;
 use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId};
 use nicsim_obs::{DmaDir, Event, FaultKind, FaultUnit, Probe, RecoveryKind};
 use nicsim_sim::Ps;
-
-/// Tag of an engine's own scratchpad transactions: descriptor-word
-/// writes for the read engine, source-word reads for the write engine.
-const TAG_DATA: u32 = UNIT_TAG;
 
 /// Configuration of one DMA engine.
 #[derive(Debug, Clone, Copy)]
@@ -261,13 +257,10 @@ impl DmaRead {
                 let mut w = [0u8; 4];
                 let n = (cmd.len as usize - b).min(4);
                 w[..n].copy_from_slice(&data[b..b + n]);
-                self.ring.push(
-                    SpRequest {
-                        addr: cmd.w1 + k * 4,
-                        op: SpOp::Write(u32::from_le_bytes(w)),
-                    },
-                    TAG_DATA,
-                );
+                self.ring.push(SpRequest {
+                    addr: cmd.w1 + k * 4,
+                    op: SpOp::Write(u32::from_le_bytes(w)),
+                });
             }
             self.sp_exec = Some((idx, words));
         } else {
@@ -322,7 +315,8 @@ impl DmaRead {
                     self.start_command(cmd, idx, host, fm, now, probe);
                 }
             }
-            Some(Polled::Own { .. }) => {
+            // A descriptor-word write landed.
+            Some(Polled::Own(_)) => {
                 if let Some((idx, remaining)) = self.sp_exec {
                     if remaining == 1 {
                         self.sp_exec = None;
@@ -479,13 +473,10 @@ impl DmaWrite {
         } else if cmd.is_scratchpad() {
             let words = cmd.len.div_ceil(4);
             for k in 0..words {
-                self.ring.push(
-                    SpRequest {
-                        addr: cmd.w0 + k * 4,
-                        op: SpOp::Read,
-                    },
-                    TAG_DATA,
-                );
+                self.ring.push(SpRequest {
+                    addr: cmd.w0 + k * 4,
+                    op: SpOp::Read,
+                });
             }
             self.sp_src = Some((idx, cmd.w1, Vec::with_capacity(cmd.len as usize), cmd.len));
         } else {
@@ -545,7 +536,8 @@ impl DmaWrite {
                     self.start_command(cmd, idx, host, fm, now, probe);
                 }
             }
-            Some(Polled::Own { value, .. }) => {
+            // A source word arrived.
+            Some(Polled::Own(value)) => {
                 let (idx, dst, mut buf, len) =
                     self.sp_src.take().expect("source read without command");
                 buf.extend_from_slice(&value.to_le_bytes());
@@ -640,10 +632,18 @@ mod tests {
             }
         }
 
-        fn write_cmd(&mut self, ring: u32, idx: u32, cmd: DmaCmd) {
-            let base = ring + idx * 16;
+        /// Write command `idx` into `cfg()`'s ring (the doorbell is the
+        /// test's to ring).
+        fn post(&mut self, idx: u32, w0: u32, w1: u32, len: u32, flags: u32) {
+            let cmd = DmaCmd {
+                w0,
+                w1,
+                len,
+                flags,
+                tag: 0,
+            };
             for (k, w) in cmd.encode().iter().enumerate() {
-                self.sp.poke(base + k as u32 * 4, *w);
+                self.sp.poke(0x1000 + idx * 16 + k as u32 * 4, *w);
             }
         }
     }
@@ -664,17 +664,7 @@ mod tests {
         let mut rig = Rig::new();
         let mut eng = DmaRead::new(cfg());
         rig.host.write(0x500, &[1, 2, 3, 4, 5, 6, 7, 8]);
-        rig.write_cmd(
-            0x1000,
-            0,
-            DmaCmd {
-                w0: 0x500,
-                w1: 0x2000,
-                len: 8,
-                flags: FLAG_SP,
-                tag: 0,
-            },
-        );
+        rig.post(0, 0x500, 0x2000, 8, FLAG_SP);
         rig.sp.poke(0x100, 1); // doorbell
         rig.run_read(&mut eng, 100);
         assert_eq!(rig.sp.peek(0x2000), 0x0403_0201);
@@ -688,17 +678,7 @@ mod tests {
         let mut eng = DmaRead::new(cfg());
         let payload: Vec<u8> = (0..200u8).collect();
         rig.host.write(0x800, &payload);
-        rig.write_cmd(
-            0x1000,
-            0,
-            DmaCmd {
-                w0: 0x800,
-                w1: 0x4000,
-                len: 200,
-                flags: 0,
-                tag: 0,
-            },
-        );
+        rig.post(0, 0x800, 0x4000, 200, 0);
         rig.sp.poke(0x100, 1);
         rig.run_read(&mut eng, 200);
         assert_eq!(rig.fm.peek(0x4000, 200), &payload[..]);
@@ -711,31 +691,11 @@ mod tests {
         let wcfg = DmaConfig { port: 1, ..cfg() };
         let mut eng = DmaWrite::new(wcfg);
         // Command 0: immediate write of 0xabcd to host 0x900.
-        rig.write_cmd(
-            0x1000,
-            0,
-            DmaCmd {
-                w0: 0xabcd,
-                w1: 0x900,
-                len: 4,
-                flags: FLAG_IMM,
-                tag: 0,
-            },
-        );
+        rig.post(0, 0xabcd, 0x900, 4, FLAG_IMM);
         // Command 1: copy 8 bytes from scratchpad 0x3000 to host 0x910.
         rig.sp.poke(0x3000, 0x1111_2222);
         rig.sp.poke(0x3004, 0x3333_4444);
-        rig.write_cmd(
-            0x1000,
-            1,
-            DmaCmd {
-                w0: 0x3000,
-                w1: 0x910,
-                len: 8,
-                flags: FLAG_SP,
-                tag: 0,
-            },
-        );
+        rig.post(1, 0x3000, 0x910, 8, FLAG_SP);
         rig.sp.poke(0x100, 2);
         rig.run_write(&mut eng, 200);
         assert_eq!(rig.host.read_u32(0x900), 0xabcd);
@@ -752,17 +712,7 @@ mod tests {
         rig.fm
             .submit_write(StreamId::MacRx, 0x6000, &frame, 99, Ps::ZERO);
         rig.fm.advance(Ps::from_us(2));
-        rig.write_cmd(
-            0x1000,
-            0,
-            DmaCmd {
-                w0: 0x6000,
-                w1: 0xa000,
-                len: 1518,
-                flags: 0,
-                tag: 0,
-            },
-        );
+        rig.post(0, 0x6000, 0xa000, 1518, 0);
         rig.sp.poke(0x100, 1);
         rig.now = Ps::from_us(2);
         rig.run_write(&mut eng, 400);
@@ -787,17 +737,7 @@ mod tests {
             .submit_write(StreamId::DmaRead, 0x4000, &[0xff; 200], 99, Ps::ZERO);
         rig.fm.advance(Ps::from_us(1));
         rig.host.write(0x800, &(0..200u8).collect::<Vec<_>>());
-        rig.write_cmd(
-            0x1000,
-            0,
-            DmaCmd {
-                w0: 0x800,
-                w1: 0x4000,
-                len: 200,
-                flags: 0,
-                tag: 0,
-            },
-        );
+        rig.post(0, 0x800, 0x4000, 200, 0);
         rig.sp.poke(0x100, 1);
         rig.now = Ps::from_us(1);
         rig.run_read(&mut eng, 400);
@@ -826,17 +766,7 @@ mod tests {
         rig.fm
             .submit_write(StreamId::MacRx, 0x6000, &frame, 99, Ps::ZERO);
         rig.fm.advance(Ps::from_us(2));
-        rig.write_cmd(
-            0x1000,
-            0,
-            DmaCmd {
-                w0: 0x6000,
-                w1: 0xa000,
-                len: 600,
-                flags: 0,
-                tag: 0,
-            },
-        );
+        rig.post(0, 0x6000, 0xa000, 600, 0);
         rig.sp.poke(0x100, 1);
         rig.now = Ps::from_us(2);
         rig.run_write(&mut eng, 600);

@@ -86,12 +86,10 @@ impl SpPort {
     }
 }
 
-/// The lowest tag a unit may give its own transactions on a
-/// [`CmdRing`]'s port; the ring keeps the tags below it.
-pub const UNIT_TAG: u32 = 6;
 const TAG_ENTRY0: u32 = 1; // ..=4 for the four entry words
 const TAG_ENTRY3: u32 = 4;
 const TAG_DONE: u32 = 5;
+const TAG_OWN: u32 = 6;
 
 /// What [`CmdRing::poll`] hands the unit to act on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,13 +101,9 @@ pub enum Polled {
         /// Its four words.
         words: [u32; 4],
     },
-    /// One of the unit's own transactions (tag >= [`UNIT_TAG`]) completed.
-    Own {
-        /// The tag the unit pushed it with.
-        tag: u32,
-        /// The scratchpad's response.
-        value: u32,
-    },
+    /// One of the unit's own transactions ([`CmdRing::push`]) completed,
+    /// in push order, with this response.
+    Own(u32),
 }
 
 /// The command-ring front end of an assist, owning its [`SpPort`].
@@ -175,9 +169,8 @@ impl CmdRing {
     }
 
     /// Enqueue one of the unit's own transactions.
-    pub fn push(&mut self, req: SpRequest, tag: u32) {
-        debug_assert!(tag >= UNIT_TAG, "tag {tag} belongs to the ring");
-        self.sp.push(req, tag);
+    pub fn push(&mut self, req: SpRequest) {
+        self.sp.push(req, TAG_OWN);
     }
 
     /// Entry `idx` retired. Entries retire in any order; `done` moves
@@ -213,7 +206,7 @@ impl CmdRing {
                 self.done_inflight = false;
                 None
             }
-            _ => Some(Polled::Own { tag, value }),
+            _ => Some(Polled::Own(value)),
         }
     }
 

@@ -143,10 +143,9 @@ pub struct FleetMember {
     /// stopped, so receivers see a gap for the frames lost in flight,
     /// never a regression.
     pub first_seq: u32,
-    /// Reliable delivery with this base retransmit timeout (see
-    /// [`nicsim_host::Driver::set_reliable`]): unacked transmits are
-    /// retransmitted with exponential backoff, received frames are
-    /// deduplicated and acknowledged.
+    /// Reliable delivery with this base retransmit timeout: unacked
+    /// transmits are retransmitted with exponential backoff, received
+    /// frames are deduplicated and acknowledged.
     pub rto: Option<Ps>,
     /// The time the system's clock and measurement window start at:
     /// zero, or the moment a crashed NIC's replacement boots. Seeded
@@ -380,11 +379,7 @@ impl<P: Probe> SystemBuilder<P> {
 
         let boot_at = fleet.as_ref().map_or(Ps::ZERO, |m| m.boot_at);
         if let Some(m) = fleet {
-            driver.set_fleet(m.src, m.schedule);
-            driver.resume_fleet_seq(m.first_seq);
-            if let Some(rto) = m.rto {
-                driver.set_reliable(rto);
-            }
+            driver.set_fleet(m.src, m.schedule, m.first_seq, m.rto);
             mactxs[0].capture_egress();
             macrxs[0].generator.set_external();
             let rd = dmards.iter_mut().filter_map(DmaRead::faults_mut);

@@ -794,11 +794,6 @@ impl DmaFaults {
         };
     }
 
-    /// Clear the stuck observation (the unit made progress or drained).
-    pub fn clear_stuck(&mut self) {
-        self.stuck_since = None;
-    }
-
     /// Draw the fate of one DMA-write payload landing in host memory:
     /// `Some(offset)` poisons the byte at `offset` of the buffer. Draws
     /// only when host poisoning is enabled, so plans without it replay
@@ -1277,7 +1272,10 @@ mod tests {
         let mut d = DmaFaults::new(&plan, SITE_DMA_READ);
         let o = d.draw_command();
         assert!(o.abort && o.attempts == 65);
-        assert!(Ps::from_ms(10_000) + o.delay > o.delay, "room for the clock");
+        assert!(
+            Ps::from_ms(10_000) + o.delay > o.delay,
+            "room for the clock"
+        );
         let _ = FabricFaults::new(&plan, 2);
         assert!(plan.crash_onset(0).unwrap() >= Ps::from_ms(1_000));
     }

@@ -240,7 +240,7 @@ pub struct Driver {
     /// different sources interleave arbitrarily at the receiver, so
     /// ordering is only meaningful per source).
     rx_expected: HashMap<u16, u32>,
-    /// Reliable-delivery state, entered via [`Driver::set_reliable`].
+    /// Reliable-delivery state, entered via [`Driver::set_fleet`].
     reliable: Option<Reliable>,
 }
 
@@ -271,26 +271,37 @@ impl Driver {
     }
 
     /// Enter fleet mode: post the given addressed schedule instead of
-    /// the legacy stream (sequence numbers become `src << 24 + n`, the
-    /// destination NIC id is stamped into each frame's MAC bytes), and
-    /// track receive ordering per source NIC. Every NIC in a fleet
-    /// enters this mode, senders and silent receivers alike.
-    pub fn set_fleet(&mut self, src: u16, schedule: Vec<TxPacket>) {
+    /// the legacy stream (sequence numbers become `src << 24 + n`
+    /// starting at `n = first_seq`, the destination NIC id is stamped
+    /// into each frame's MAC bytes), and track receive ordering per
+    /// source NIC. Every NIC in a fleet enters this mode, senders and
+    /// silent receivers alike, on a fresh driver.
+    ///
+    /// A nonzero `first_seq` is a replacement driver after a NIC reset
+    /// continuing its predecessor's numbering: receivers see a sequence
+    /// gap, never a regression (the ring slot counter stays fresh — the
+    /// replacement NIC's rings are empty).
+    ///
+    /// `rto` turns on reliable delivery: unacked frames retransmit
+    /// after `rto << attempts` (backoff capped at six doublings), and
+    /// the receive path deduplicates per source.
+    pub fn set_fleet(
+        &mut self,
+        src: u16,
+        schedule: Vec<TxPacket>,
+        first_seq: u32,
+        rto: Option<Ps>,
+    ) {
         debug_assert!(schedule.windows(2).all(|p| p[0].at <= p[1].at));
+        debug_assert_eq!(self.tx_slot_next, 0, "fleet mode starts on a fresh driver");
+        debug_assert!(rto.is_none_or(|rto| rto > Ps::ZERO));
         self.fleet = Some(FleetTx {
             src,
             schedule,
             next: 0,
         });
-    }
-
-    /// Enter reliable-delivery mode (requires fleet mode): unacked
-    /// frames retransmit after `rto << attempts` (backoff capped at six
-    /// doublings), and the receive path deduplicates per source.
-    pub fn set_reliable(&mut self, rto: Ps) {
-        debug_assert!(self.fleet.is_some(), "reliable mode rides on fleet mode");
-        debug_assert!(rto > Ps::ZERO);
-        self.reliable = Some(Reliable {
+        self.tx_seq_next = first_seq;
+        self.reliable = rto.map(|rto| Reliable {
             rto,
             unacked: BTreeMap::new(),
             acks_out: Vec::new(),
@@ -328,15 +339,6 @@ impl Driver {
     /// resuming a replacement driver after a NIC reset.
     pub fn fleet_seq_next(&self) -> u32 {
         self.tx_seq_next
-    }
-
-    /// Resume the fleet sequence counter at `n` (replacement driver
-    /// after a NIC reset): receivers see a sequence gap, never a
-    /// regression. The ring slot counter stays fresh — the replacement
-    /// NIC's rings are empty.
-    pub fn resume_fleet_seq(&mut self, n: u32) {
-        debug_assert_eq!(self.tx_slot_next, 0, "resume only on a fresh driver");
-        self.tx_seq_next = n;
     }
 
     /// Transmit frames staged into the NIC rings and not yet completed
@@ -948,6 +950,8 @@ mod tests {
                     udp_payload: 1472,
                 },
             ],
+            0,
+            None,
         );
         assert!(d.time_sensitive());
         d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
@@ -977,7 +981,7 @@ mod tests {
     #[test]
     fn fleet_rx_tracks_ordering_per_source() {
         let (mut d, mut mem) = setup();
-        d.set_fleet(0, Vec::new());
+        d.set_fleet(0, Vec::new(), 0, None);
         d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         let l = d.layout();
         // Interleaved sources 1 and 2; source 2 has a one-frame gap.
@@ -1011,8 +1015,9 @@ mod tests {
                 dst: 1,
                 udp_payload: 256,
             }],
+            0,
+            Some(Ps::from_us(10)),
         );
-        d.set_reliable(Ps::from_us(10));
         d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_posted, 1);
         assert_eq!(d.unacked_frames(), 1);
@@ -1042,8 +1047,7 @@ mod tests {
     #[test]
     fn reliable_receiver_dedups_and_acks() {
         let (mut d, mut mem) = setup();
-        d.set_fleet(0, Vec::new());
-        d.set_reliable(Ps::from_us(10));
+        d.set_fleet(0, Vec::new(), 0, Some(Ps::from_us(10)));
         d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         let l = d.layout();
         // The same frame from source 1 returned twice (a retransmit
@@ -1082,8 +1086,9 @@ mod tests {
                 dst: 1,
                 udp_payload: 64,
             }],
+            7,
+            None,
         );
-        d.resume_fleet_seq(7);
         d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         assert_eq!(d.fleet_seq_next(), 8);
         let seq = mem.read_u32(d.layout().send_bd_ring + 12);
