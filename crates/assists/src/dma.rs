@@ -101,6 +101,7 @@ impl FaultGate {
     /// Whether the unit is wedged until the watchdog resets it. Pending
     /// work keeps the engine's `busy()` true meanwhile, so both kernels
     /// step densely and the watchdog counts identical cycles.
+    #[inline]
     fn hung(&mut self, now: Ps) -> bool {
         self.faults.as_mut().is_some_and(|f| f.hang_active(now))
     }
@@ -342,8 +343,9 @@ impl DmaRead {
     /// its injected delay, or anything [`CmdRing::busy`] reports. When
     /// false, the engine only reacts to external input (a doorbell
     /// write or an SDRAM completion).
+    #[inline]
     pub fn busy(&self, sp_mem: &Scratchpad) -> bool {
-        self.gate.deferred.is_some() || self.ring.busy(sp_mem, self.room())
+        self.gate.deferred.is_some() || self.ring.busy(sp_mem, || self.room())
     }
 }
 
@@ -562,8 +564,9 @@ impl DmaWrite {
     }
 
     /// Whether the next tick could do real work (see [`DmaRead::busy`]).
+    #[inline]
     pub fn busy(&self, sp_mem: &Scratchpad) -> bool {
-        self.gate.deferred.is_some() || self.ring.busy(sp_mem, self.room())
+        self.gate.deferred.is_some() || self.ring.busy(sp_mem, || self.room())
     }
 }
 

@@ -201,8 +201,9 @@ impl MacTx {
     /// Whether the next tick could do real work (see [`CmdRing::busy`]).
     /// Wire completions are time-driven and reported via [`NextEvent`]
     /// instead.
+    #[inline]
     pub fn busy(&self, sp_mem: &Scratchpad) -> bool {
-        self.ring.busy(sp_mem, self.room())
+        self.ring.busy(sp_mem, || self.room())
     }
 }
 

@@ -113,6 +113,10 @@ pub enum Polled {
 /// unit: the port is a FIFO, so the order transactions are pushed in
 /// within a tick (the unit's, then the four entry reads, then the done
 /// write-back) decides what the crossbar arbitrates on later cycles.
+///
+/// The per-tick methods are `#[inline]` because a unit's tick is generic
+/// over the probe and so compiled in the crate that drives it; without
+/// the attribute every step would be a call back into this crate.
 #[derive(Debug)]
 pub struct CmdRing {
     sp: SpPort,
@@ -175,6 +179,7 @@ impl CmdRing {
 
     /// Entry `idx` retired. Entries retire in any order; `done` moves
     /// only over the contiguous prefix.
+    #[inline]
     pub fn complete(&mut self, idx: u32) {
         let n = self.entries;
         self.retired[(idx % n) as usize] = true;
@@ -186,6 +191,7 @@ impl CmdRing {
 
     /// First step of a tick: advance the port one cycle and report a
     /// completed entry read or unit transaction.
+    #[inline]
     pub fn poll(&mut self, xbar: &mut Crossbar) -> Option<Polled> {
         let (tag, value) = self.sp.tick(xbar)?;
         match tag {
@@ -213,6 +219,7 @@ impl CmdRing {
     /// Whether the next entry's read would issue: none is in progress
     /// and the doorbell (a register, visible without a crossbar
     /// transaction) is ahead of what has been read.
+    #[inline]
     fn fetch_ready(&self, sp_mem: &Scratchpad) -> bool {
         !self.fetch_active && self.fetched != sp_mem.peek(self.prod_addr)
     }
@@ -220,6 +227,7 @@ impl CmdRing {
     /// Last step of a tick: read the next entry if the doorbell rang and
     /// the unit has `room` for it, then write the done counter back if
     /// it moved and no write-back is already in flight.
+    #[inline]
     pub fn issue(&mut self, sp_mem: &Scratchpad, room: bool) {
         if room && self.fetch_ready(sp_mem) {
             self.fetch_active = true;
@@ -253,10 +261,13 @@ impl CmdRing {
     /// or an entry read ready to issue. When false, the ring only reacts
     /// to a doorbell write or to the unit retiring an entry or finding
     /// room — which is what lets the event kernel skip the unit's tick.
-    pub fn busy(&self, sp_mem: &Scratchpad, room: bool) -> bool {
+    /// `room` is asked last: the kernel's wake lookahead calls this on
+    /// every unit every time it looks.
+    #[inline]
+    pub fn busy(&self, sp_mem: &Scratchpad, room: impl FnOnce() -> bool) -> bool {
         self.sp.backlog() > 0
             || self.done != self.done_written
-            || (room && self.fetch_ready(sp_mem))
+            || (self.fetch_ready(sp_mem) && room())
     }
 }
 
@@ -375,7 +386,7 @@ mod tests {
         }
         assert_eq!(seen, [0, 1, 2], "each value written, in order");
         assert_eq!(ring.sp_accesses(), 2);
-        assert!(!ring.busy(&sp, false));
+        assert!(!ring.busy(&sp, || false));
     }
 
     #[test]
@@ -429,7 +440,7 @@ mod tests {
                 ring.complete(held.remove(i).0);
             }
             let room = held.len() < 2 && t % 11 != 0;
-            let busy = ring.busy(&sp, room);
+            let busy = ring.busy(&sp, || room);
             let before = format!("{ring:?}");
             let waiting = ring.sp.backlog() > 0;
             if let Some(Polled::Entry { idx, .. }) = cycle(&mut sp, &mut xbar, &mut ring, room) {
