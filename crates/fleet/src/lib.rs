@@ -215,14 +215,6 @@ impl Fleet {
             ));
         }
         cfg.workload.check(cfg.nics).map_err(FleetError)?;
-        // Refuse a schedule that cannot fit its source's sequence
-        // namespace before generating it: `build_member` checks the
-        // exact length, but only after allocating every packet.
-        let expected = cfg.workload.fps * horizon.as_secs_f64();
-        if expected >= SEQ_NAMESPACE as f64 {
-            let i = (0..cfg.nics).find(|&i| cfg.workload.sends(i)).unwrap_or(0);
-            return Err(seq_namespace_error(i, expected as u64));
-        }
         let mut fabric = Fabric::new(cfg.nics, cfg.fabric);
         let epoch = cfg.fabric.link_latency;
         let period = nicsim_sim::Freq::from_mhz(cfg.nic.cpu_mhz).period();
@@ -234,9 +226,8 @@ impl Fleet {
                 2 * period.0
             )));
         }
-        // The fault plane. Each NIC gets its own derived plan (same
-        // rates, decorrelated per-site streams) so faults don't strike
-        // every NIC in lockstep; the fabric's sites run off the fleet
+        // The fault plane. Each NIC gets its own derived plan
+        // (`build_member`); the fabric's sites run off the fleet
         // plan's own seed. An all-zeros plan arms nothing anywhere —
         // the systems stay on their clean fast paths and the run is
         // bit-identical to one with no plan at all (apart from the
@@ -599,6 +590,12 @@ fn build_member(
     first_seq: u32,
     boot_at: Ps,
 ) -> Result<NicSystem<FrameTracker>, FleetError> {
+    // Bound the schedule by its expected length before allocating it,
+    // then by what was generated (Poisson and bursty lengths vary).
+    let expected = cfg.workload.fps * horizon.as_secs_f64();
+    if cfg.workload.sends(i) && expected >= SEQ_NAMESPACE as f64 {
+        return Err(seq_namespace_error(i, expected as u64));
+    }
     let mut schedule = cfg.workload.schedule(i, cfg.nics, horizon);
     if schedule.len() >= SEQ_NAMESPACE {
         return Err(seq_namespace_error(i, schedule.len() as u64));
@@ -687,9 +684,9 @@ mod tests {
     #[test]
     fn rejects_a_schedule_longer_than_the_seq_namespace() {
         // 10 Mfps over 2 s is 2 * 10^7 packets per NIC, past the 2^24
-        // sequence numbers a source owns. The refusal has to come
-        // before any schedule is generated (that alone would be
-        // hundreds of megabytes), let alone a NIC built.
+        // sequence numbers a source owns. The refusal comes before the
+        // first schedule is generated (that alone would be hundreds of
+        // megabytes), let alone a NIC built.
         let mut cfg = small_cfg();
         cfg.workload.fps = 1e7;
         let err = Fleet::new(cfg, Ps::from_ms(2_000)).err().expect("refused");
