@@ -244,6 +244,8 @@ impl DmaRead {
             probe.emit(Event::DmaStart {
                 dir: DmaDir::Read,
                 idx,
+                src: cmd.w0,
+                dst: cmd.w1,
                 bytes: cmd.len,
                 at: now,
             });
@@ -458,6 +460,8 @@ impl DmaWrite {
             probe.emit(Event::DmaStart {
                 dir: DmaDir::Write,
                 idx,
+                src: cmd.w0,
+                dst: cmd.w1,
                 bytes: cmd.len,
                 at: now,
             });

@@ -9,7 +9,8 @@
 //! event stream.
 
 use nicsim::{
-    DispatchMode, Event, EventLog, FaultPlan, FrameTracker, FwMode, NicConfig, NicSystem, Probe,
+    DispatchMode, DmaDir, Event, EventLog, FaultPlan, FrameTracker, FwMode, NicConfig, NicSystem,
+    Probe,
 };
 use nicsim_sim::Ps;
 
@@ -266,13 +267,12 @@ fn probed_event_kernel_frame_tracker_matches_dense() {
 }
 
 /// The frame-visible record of a receive path: the wire sequence
-/// numbers MAC RX accepted, and the ones the driver delivered to the
-/// host (a payload DMA write the fault plan aborted never delivers, so
-/// this also pins which payload command each abort draw landed on).
+/// numbers MAC RX accepted and the (src, dst, len) of every DMA write
+/// command the engine started.
 #[derive(Default)]
 struct RxRecord {
     accepted: Vec<u32>,
-    delivered: Vec<u32>,
+    dma_writes: Vec<(u32, u32, u32)>,
 }
 
 impl Probe for RxRecord {
@@ -283,7 +283,13 @@ impl Probe for RxRecord {
                 dropped: false,
                 ..
             } => self.accepted.push(seq),
-            Event::HostRxDeliver { seq, .. } => self.delivered.push(seq),
+            Event::DmaStart {
+                dir: DmaDir::Write,
+                src,
+                dst,
+                bytes,
+                ..
+            } => self.dma_writes.push((src, dst, bytes)),
             _ => {}
         }
     }
@@ -296,8 +302,9 @@ fn polling_and_interrupt_deliver_identical_frames() {
     // same descriptors in the same order. Cycle counts differ (that is
     // the point), so this compares the frame-visible record instead of
     // RunStats: the wire sequence numbers the MAC accepted and the
-    // ones that reached the host, under a fault plan that exercises
-    // CRC drops and DMA retries in both modes.
+    // (src, dst, len) of every DMA write the engine started (payload,
+    // descriptor and immediate alike), under a fault plan that
+    // exercises CRC drops and DMA retries in both modes.
     let plan = FaultPlan {
         seed: 7,
         link_corrupt: 0.01,
@@ -325,7 +332,7 @@ fn polling_and_interrupt_deliver_identical_frames() {
         let record = sys.unwrap_probe();
         runs.push((
             record.accepted,
-            record.delivered,
+            record.dma_writes,
             stats.errors.expect("fault plan configured"),
             stats.tx_frames,
             stats.rx_frames,
@@ -344,9 +351,9 @@ fn polling_and_interrupt_deliver_identical_frames() {
     let n = p.1.len().min(i.1.len());
     assert!(
         p.1.len().abs_diff(i.1.len()) <= 4,
-        "delivery counts diverged"
+        "payload DMA counts diverged"
     );
-    assert_eq!(p.1[..n], i.1[..n], "delivered sequences diverged");
+    assert_eq!(p.1[..n], i.1[..n], "payload DMA commands diverged");
     assert!(
         p.3.abs_diff(i.3) <= 4 && p.4.abs_diff(i.4) <= 4,
         "delivered frame counts diverged: polling ({}, {}), interrupt ({}, {})",

@@ -454,6 +454,8 @@ mod tests {
         t.emit(Event::DmaStart {
             dir: DmaDir::Read,
             idx: 5,
+            src: 0,
+            dst: 0,
             bytes: 1514,
             at: Ps(10),
         });

@@ -309,6 +309,12 @@ pub enum Event {
         dir: DmaDir,
         /// Descriptor ring index.
         idx: u32,
+        /// Command word 0: host source (read), NIC source or immediate
+        /// value (write).
+        src: u32,
+        /// Command word 1: NIC destination (read), host destination
+        /// (write).
+        dst: u32,
         /// Payload bytes.
         bytes: u32,
         /// Simulated time.

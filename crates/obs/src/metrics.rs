@@ -315,6 +315,8 @@ mod tests {
             m.emit(Event::DmaStart {
                 dir: DmaDir::Read,
                 idx,
+                src: 0,
+                dst: 0,
                 bytes: 64,
                 at: Ps::ZERO,
             })
