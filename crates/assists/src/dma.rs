@@ -347,7 +347,7 @@ impl DmaRead {
     /// write or an SDRAM completion).
     #[inline]
     pub fn busy(&self, sp_mem: &Scratchpad) -> bool {
-        self.gate.deferred.is_some() || self.ring.busy(sp_mem, || self.room())
+        self.gate.deferred.is_some() || self.ring.busy(sp_mem, self.room())
     }
 }
 
@@ -570,7 +570,7 @@ impl DmaWrite {
     /// Whether the next tick could do real work (see [`DmaRead::busy`]).
     #[inline]
     pub fn busy(&self, sp_mem: &Scratchpad) -> bool {
-        self.gate.deferred.is_some() || self.ring.busy(sp_mem, || self.room())
+        self.gate.deferred.is_some() || self.ring.busy(sp_mem, self.room())
     }
 }
 

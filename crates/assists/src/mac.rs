@@ -203,7 +203,7 @@ impl MacTx {
     /// instead.
     #[inline]
     pub fn busy(&self, sp_mem: &Scratchpad) -> bool {
-        self.ring.busy(sp_mem, || self.room())
+        self.ring.busy(sp_mem, self.room())
     }
 }
 

@@ -261,13 +261,11 @@ impl CmdRing {
     /// or an entry read ready to issue. When false, the ring only reacts
     /// to a doorbell write or to the unit retiring an entry or finding
     /// room — which is what lets the event kernel skip the unit's tick.
-    /// `room` is asked last: the kernel's wake lookahead calls this on
-    /// every unit every time it looks.
     #[inline]
-    pub fn busy(&self, sp_mem: &Scratchpad, room: impl FnOnce() -> bool) -> bool {
+    pub fn busy(&self, sp_mem: &Scratchpad, room: bool) -> bool {
         self.sp.backlog() > 0
             || self.done != self.done_written
-            || (self.fetch_ready(sp_mem) && room())
+            || (room && self.fetch_ready(sp_mem))
     }
 }
 
@@ -386,7 +384,7 @@ mod tests {
         }
         assert_eq!(seen, [0, 1, 2], "each value written, in order");
         assert_eq!(ring.sp_accesses(), 2);
-        assert!(!ring.busy(&sp, || false));
+        assert!(!ring.busy(&sp, false));
     }
 
     #[test]
@@ -440,7 +438,7 @@ mod tests {
                 ring.complete(held.remove(i).0);
             }
             let room = held.len() < 2 && t % 11 != 0;
-            let busy = ring.busy(&sp, || room);
+            let busy = ring.busy(&sp, room);
             let before = format!("{ring:?}");
             let waiting = ring.sp.backlog() > 0;
             if let Some(Polled::Entry { idx, .. }) = cycle(&mut sp, &mut xbar, &mut ring, room) {
