@@ -42,7 +42,7 @@
 //! schedule costs one wake computation per epoch, not a kernel entry.
 
 use nicsim::{ErrorStats, FleetMember, NicConfig, NicSystem, RunStats};
-use nicsim_net::workload::Workload;
+use nicsim_net::workload::{TxPacket, Workload};
 use nicsim_net::{Fabric, FabricConfig, FabricFaults, FabricStats, PortStats};
 use nicsim_obs::{FrameTracker, LatencySummary};
 use nicsim_sim::{EpochBarrier, Ps};
@@ -243,8 +243,26 @@ impl Fleet {
                     .unwrap_or(Ps::MAX)
             })
             .collect();
-        let systems = (0..cfg.nics)
-            .map(|i| build_member(&cfg, horizon, i, 0, Ps::ZERO))
+        // Sequence numbers carry the source NIC in their top byte,
+        // which leaves each source 24 bits. Bound every schedule by its
+        // expected length before allocating any, then by what was
+        // generated (Poisson and bursty lengths vary), before any NIC
+        // is built.
+        let expected = cfg.workload.fps * horizon.as_secs_f64();
+        if expected >= SEQ_NAMESPACE as f64 {
+            let first = (0..cfg.nics).find(|&i| cfg.workload.sends(i)).unwrap_or(0);
+            return Err(seq_namespace_error(first, expected as u64));
+        }
+        let schedules: Vec<_> = (0..cfg.nics)
+            .map(|i| cfg.workload.schedule(i, cfg.nics, horizon))
+            .collect();
+        if let Some(i) = schedules.iter().position(|s| s.len() >= SEQ_NAMESPACE) {
+            return Err(seq_namespace_error(i, schedules[i].len() as u64));
+        }
+        let systems = schedules
+            .into_iter()
+            .enumerate()
+            .map(|(i, schedule)| build_member(&cfg, i, schedule, 0, Ps::ZERO))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Fleet {
             systems,
@@ -556,7 +574,8 @@ impl Fleet {
         carry.nic_resets += 1;
         carry.nic_reset_lost_frames += dying + std::mem::take(&mut self.pending_lost[i]);
 
-        let mut sys = build_member(&self.cfg, self.horizon, i, posted, at)
+        let schedule = self.cfg.workload.schedule(i, self.cfg.nics, self.horizon);
+        let mut sys = build_member(&self.cfg, i, schedule, posted, at)
             .expect("replacement NIC build (config already validated)");
         sys.carry_errors(carry);
         let old = std::mem::replace(&mut self.systems[i], sys);
@@ -564,8 +583,8 @@ impl Fleet {
     }
 }
 
-/// Sequence numbers carry the source NIC in their top byte, which
-/// leaves each source 24 bits.
+/// Packets one source's 24 sequence bits can number (`Fleet::new`
+/// holds every schedule under it).
 const SEQ_NAMESPACE: usize = 1 << 24;
 
 fn seq_namespace_error(nic: usize, packets: u64) -> FleetError {
@@ -578,28 +597,18 @@ fn seq_namespace_error(nic: usize, packets: u64) -> FleetError {
 }
 
 /// Build NIC `i` of the fleet, booting at `boot_at` and resuming its
-/// share of the workload schedule (generated over `horizon`) at packet
-/// `first_seq` — `(0, Ps::ZERO)` for a fresh fleet, the predecessor's
-/// progress and the reset time for a crashed NIC's replacement. Each
-/// NIC gets its own derived fault plan (same rates, decorrelated
-/// per-site streams) so faults don't strike every NIC in lockstep.
+/// `schedule` (its whole share of the workload) at packet `first_seq`
+/// — `(0, Ps::ZERO)` for a fresh fleet, the predecessor's progress and
+/// the reset time for a crashed NIC's replacement. Each NIC gets its
+/// own derived fault plan (same rates, decorrelated per-site streams)
+/// so faults don't strike every NIC in lockstep.
 fn build_member(
     cfg: &FleetConfig,
-    horizon: Ps,
     i: usize,
+    mut schedule: Vec<TxPacket>,
     first_seq: u32,
     boot_at: Ps,
 ) -> Result<NicSystem<FrameTracker>, FleetError> {
-    // Bound the schedule by its expected length before allocating it,
-    // then by what was generated (Poisson and bursty lengths vary).
-    let expected = cfg.workload.fps * horizon.as_secs_f64();
-    if cfg.workload.sends(i) && expected >= SEQ_NAMESPACE as f64 {
-        return Err(seq_namespace_error(i, expected as u64));
-    }
-    let mut schedule = cfg.workload.schedule(i, cfg.nics, horizon);
-    if schedule.len() >= SEQ_NAMESPACE {
-        return Err(seq_namespace_error(i, schedule.len() as u64));
-    }
     schedule.drain(..schedule.len().min(first_seq as usize));
     let mut nic = cfg.nic;
     nic.faults = cfg.nic.faults.map(|p| p.derive_nic(i as u64));
