@@ -307,10 +307,11 @@ impl FaultPlan {
     /// a plan gets in (the fields are `pub`): a probability outside
     /// [0, 1] or NaN; more than [`MAX_RETRIES`] retries — the draw loops
     /// once per retry, and the backoff shift stops growing at 16 anyway;
-    /// a duration over one second, which keeps every picosecond value,
-    /// its `<< 16` backoff and the sum of all retries' backoffs inside a
-    /// `u64` with room for the clock; a Pareto shape that is negative or
-    /// not finite.
+    /// a stall or backoff over one second, which keeps its `<< 16`
+    /// backoff and the sum of all retries' backoffs inside a `u64` with
+    /// room for the clock; a period or timeout over 100 seconds, whose
+    /// picosecond value shifted by 16 still fits; a Pareto shape that is
+    /// negative or not finite.
     ///
     /// # Errors
     ///
@@ -337,17 +338,25 @@ impl FaultPlan {
                 self.max_retries
             ));
         }
-        for (key, v, per_second) in [
-            ("stall_ns", self.stall_ns, 1_000_000_000),
-            ("backoff_ns", self.backoff_ns, 1_000_000_000),
-            ("hang_us", self.hang_period_us, 1_000_000),
-            ("watchdog_us", self.watchdog_us, 1_000_000),
-            ("flap_us", self.flap_period_us, 1_000_000),
-            ("flap_down_us", self.flap_down_us, 1_000_000),
-            ("crash_us", self.crash_period_us, 1_000_000),
+        // One second for the two that enter the retry sum (65 backoffs
+        // of up to `<< 16` each); 100 seconds for the periods, whose
+        // picosecond value shifted by 16 still fits a `u64`.
+        for (key, v, limit, what) in [
+            ("stall_ns", self.stall_ns, 1_000_000_000, "one second"),
+            ("backoff_ns", self.backoff_ns, 1_000_000_000, "one second"),
+            ("hang_us", self.hang_period_us, 100_000_000, "100 seconds"),
+            ("watchdog_us", self.watchdog_us, 100_000_000, "100 seconds"),
+            ("flap_us", self.flap_period_us, 100_000_000, "100 seconds"),
+            (
+                "flap_down_us",
+                self.flap_down_us,
+                100_000_000,
+                "100 seconds",
+            ),
+            ("crash_us", self.crash_period_us, 100_000_000, "100 seconds"),
         ] {
-            if v > per_second {
-                return Err(format!("{key}={v}: at most one second ({per_second})"));
+            if v > limit {
+                return Err(format!("{key}={v}: at most {what} ({limit})"));
             }
         }
         if !(self.stall_alpha >= 0.0 && self.stall_alpha.is_finite()) {
@@ -1250,7 +1259,8 @@ mod tests {
             ("crash_us=18446744073709551615", "crash_us"),
             ("stall_ns=18446744073709551615", "stall_ns"),
             ("backoff_ns=18446744073709551615", "backoff_ns"),
-            ("hang_us=1000001", "hang_us"),
+            ("hang_us=100000001", "hang_us"),
+            ("stall_ns=1000000001", "stall_ns"),
             ("stall_alpha=nan", "stall_alpha"),
             ("stall_alpha=inf", "stall_alpha"),
         ] {
@@ -1265,8 +1275,8 @@ mod tests {
         // overflow: all 65 attempts fail and every backoff is summed.
         let plan = FaultPlan::parse(
             "dma=1,stall=1,retries=64,stall_ns=1000000000,backoff_ns=1000000000,\
-             hang_us=1000000,watchdog_us=1000000,flap_us=1000000,flap_down_us=1000000,\
-             crash_us=1000000,stall_alpha=0.01",
+             hang_us=100000000,watchdog_us=100000000,flap_us=100000000,\
+             flap_down_us=100000000,crash_us=100000000,stall_alpha=0.01",
         )
         .unwrap();
         let mut d = DmaFaults::new(&plan, SITE_DMA_READ);
@@ -1277,7 +1287,7 @@ mod tests {
             "room for the clock"
         );
         let _ = FabricFaults::new(&plan, 2);
-        assert!(plan.crash_onset(0).unwrap() >= Ps::from_ms(1_000));
+        assert!(plan.crash_onset(0).unwrap() >= Ps::from_ms(100_000));
     }
 
     #[test]
