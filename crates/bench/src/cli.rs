@@ -21,9 +21,10 @@
 //! Binaries route each configuration they construct through
 //! [`Args::configure`], so the overrides apply uniformly — sweeps that
 //! set their own core axis simply assign `cores` after `configure` and
-//! win.
+//! win — and an override the configuration cannot take (`--cores 2` on
+//! the single-core ideal firmware) is a usage error, not a panic.
 
-use nicsim::{DispatchMode, NicConfig};
+use nicsim::{ConfigError, DispatchMode, NicConfig};
 use nicsim_exp::{parse_flags, Experiment};
 
 /// Parsed shared command line: the experiment engine plus the
@@ -121,8 +122,23 @@ impl Args {
     }
 
     /// Apply the shared overrides to one configuration.
+    ///
+    /// Exits with status 2, printing the [`ConfigError`], when the
+    /// overridden configuration no longer validates.
     #[must_use]
-    pub fn configure(&self, mut cfg: NicConfig) -> NicConfig {
+    pub fn configure(&self, cfg: NicConfig) -> NicConfig {
+        self.try_configure(cfg).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2)
+        })
+    }
+
+    /// [`Args::configure`] returning the error instead of exiting.
+    ///
+    /// # Errors
+    ///
+    /// The [`ConfigError`] of the configuration with the overrides applied.
+    pub fn try_configure(&self, mut cfg: NicConfig) -> Result<NicConfig, ConfigError> {
         cfg.dispatch = self.dispatch;
         if let Some(c) = self.cores {
             cfg.cores = c;
@@ -133,7 +149,8 @@ impl Args {
         if let Some(m) = self.macs {
             cfg.topology.macs = m;
         }
-        cfg
+        cfg.validate()?;
+        Ok(cfg)
     }
 }
 
@@ -194,6 +211,19 @@ mod tests {
         assert_eq!(cfg.cores, 3);
         assert_eq!(cfg.topology.dma_engines, 2);
         assert_eq!(cfg.topology.macs, 2);
+        // Overrides are validated against the configuration they land on.
+        assert_eq!(
+            args.try_configure(NicConfig::ideal()),
+            Err(ConfigError::IdealMultiCore { cores: 3 })
+        );
+        let crowded = Args {
+            cores: Some(100),
+            ..args
+        };
+        assert_eq!(
+            crowded.try_configure(NicConfig::default()),
+            Err(ConfigError::TooManyPorts { ports: 108 })
+        );
         let args = Args {
             exp: Experiment::new("t"),
             dispatch: DispatchMode::Polling,

@@ -16,9 +16,10 @@
 //! the report header and the ILP trace conversion.
 
 use nicsim::{ChromeTrace, FrameTracker, Metrics, NicConfig};
-use nicsim_cpu::OpEvent;
+use nicsim_cpu::PendingOp;
 use nicsim_exp::{latency_to_json, Experiment, RunReport};
 use nicsim_ilp::TraceOp;
+use nicsim_mem::SpOp;
 use std::path::Path;
 
 pub mod cli;
@@ -77,18 +78,18 @@ pub fn traced_run(exp: &Experiment, label: &str, cfg: NicConfig, path: &Path) ->
     report
 }
 
-/// Convert the core model's coarse operation events into the ILP
-/// analyzer's trace alphabet.
-pub fn to_ilp_trace(events: &[OpEvent]) -> Vec<TraceOp> {
-    events
-        .iter()
-        .map(|e| match e {
-            OpEvent::Alu(n) => TraceOp::Alu(*n),
-            OpEvent::Load => TraceOp::Load,
-            OpEvent::Store => TraceOp::Store,
-            OpEvent::Rmw => TraceOp::Rmw,
-            OpEvent::Branch { mispredict } => TraceOp::Branch {
-                mispredict: *mispredict,
+/// Convert the operations a core charged into the ILP analyzer's trace
+/// alphabet (`wfi` counts as one ALU instruction).
+pub fn to_ilp_trace(ops: &[PendingOp]) -> Vec<TraceOp> {
+    ops.iter()
+        .map(|&op| match op {
+            PendingOp::Alu(n) => TraceOp::Alu(n),
+            PendingOp::Wfi => TraceOp::Alu(1),
+            PendingOp::Branch { mispredict } => TraceOp::Branch { mispredict },
+            PendingOp::Mem(req) => match req.op {
+                SpOp::Read => TraceOp::Load,
+                SpOp::Write(_) => TraceOp::Store,
+                _ => TraceOp::Rmw,
             },
         })
         .collect()
@@ -108,16 +109,24 @@ mod tests {
 
     #[test]
     fn ilp_trace_conversion_is_faithful() {
-        let events = [
-            OpEvent::Alu(3),
-            OpEvent::Load,
-            OpEvent::Store,
-            OpEvent::Rmw,
-            OpEvent::Branch { mispredict: true },
+        let mem = |op| PendingOp::Mem(nicsim_mem::SpRequest { addr: 0, op });
+        let ops = [
+            PendingOp::Alu(3),
+            mem(SpOp::Read),
+            mem(SpOp::Write(1)),
+            mem(SpOp::SetBit(2)),
+            PendingOp::Branch { mispredict: true },
+            PendingOp::Wfi,
         ];
-        let t = to_ilp_trace(&events);
-        assert_eq!(t.len(), 5);
-        assert_eq!(t[0], TraceOp::Alu(3));
-        assert_eq!(t[4], TraceOp::Branch { mispredict: true });
+        use TraceOp::{Alu, Branch, Load, Rmw, Store};
+        let want = [
+            Alu(3),
+            Load,
+            Store,
+            Rmw,
+            Branch { mispredict: true },
+            Alu(1),
+        ];
+        assert_eq!(to_ilp_trace(&ops), want);
     }
 }

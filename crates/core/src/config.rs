@@ -2,7 +2,7 @@
 
 use nicsim_fault::FaultPlan;
 use nicsim_firmware::{DispatchMode, FwMode, MemMap, MAX_DMA_ENGINES, MAX_MACS};
-use nicsim_mem::{FrameMemoryConfig, ICacheConfig};
+use nicsim_mem::{FrameMemoryConfig, ICacheConfig, MAX_XBAR_PORTS};
 
 /// How many of each frame-side unit the SoC instantiates.
 ///
@@ -206,6 +206,12 @@ pub enum ConfigError {
         /// Bytes the scratchpad has.
         available: usize,
     },
+    /// `cores` plus the topology's frame-side units need more crossbar
+    /// ports than the arbiter's request mask holds.
+    TooManyPorts {
+        /// The rejected port count.
+        ports: usize,
+    },
     /// [`NicConfigBuilder::faults_spec`] could not parse the fault
     /// specification string, or the fault plan holds a value
     /// [`FaultPlan::validate`] rejects.
@@ -250,6 +256,11 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "topology needs a {needed}-byte scratchpad map but only \
                  {available} bytes are configured"
+            ),
+            ConfigError::TooManyPorts { ports } => write!(
+                f,
+                "cores plus two ports per DMA engine and MAC must fit the \
+                 {MAX_XBAR_PORTS}-port crossbar (got {ports})"
             ),
             ConfigError::FaultSpec(msg) => write!(f, "bad fault spec: {msg}"),
             ConfigError::AssistSpec(msg) => write!(f, "bad assist spec: {msg}"),
@@ -457,6 +468,12 @@ impl NicConfig {
         }
         if t.macs == 0 || t.macs > MAX_MACS {
             return Err(ConfigError::BadMacs { macs: t.macs });
+        }
+        let assist_ports = t.xbar_ports(0);
+        if self.cores > MAX_XBAR_PORTS - assist_ports {
+            return Err(ConfigError::TooManyPorts {
+                ports: self.cores.saturating_add(assist_ports),
+            });
         }
         let map = MemMap::for_topology(t.dma_engines, t.macs);
         if map.end as usize > self.scratchpad_bytes {

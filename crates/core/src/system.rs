@@ -18,7 +18,7 @@ use crate::stats::RunStats;
 use nicsim_assists::{
     dma_tag_engine, DmaConfig, DmaRead, DmaWrite, MacRx, MacRxConfig, MacTx, MacTxConfig,
 };
-use nicsim_cpu::{CodeLayout, Core, CoreCtx, CoreProfile, OpEvent};
+use nicsim_cpu::{CodeLayout, Core, CoreCtx, CoreProfile, PendingOp};
 use nicsim_fault::{
     DmaFaults, EccFaults, ErrorStats, FwFaults, LinkFaults, SITE_DMA_READ, SITE_DMA_WRITE,
 };
@@ -1083,7 +1083,7 @@ impl<P: Probe> NicSystem<P> {
     }
 
     /// Take core 0's operation trace (requires `capture_ilp`).
-    pub fn take_ilp_trace(&mut self) -> Option<Vec<OpEvent>> {
+    pub fn take_ilp_trace(&mut self) -> Option<Vec<PendingOp>> {
         self.cores[0].slot().borrow_mut().trace.take()
     }
 }
@@ -1156,6 +1156,36 @@ mod tests {
             }
         }
         assert!(accepted > 0, "the grid must include buildable points");
+        // The crossbar's 64-port limit from both sides, on the smallest
+        // and the largest topology.
+        for (cores, dma_engines, fits) in [
+            (60, 1, true),
+            (61, 1, false),
+            (54, 4, true),
+            (55, 4, false),
+            (usize::MAX, 1, false),
+        ] {
+            let cfg = NicConfig {
+                cores,
+                scratchpad_bytes: 524_288,
+                topology: Topology {
+                    dma_engines,
+                    macs: 1,
+                },
+                ..NicConfig::default()
+            };
+            assert_eq!(
+                cfg.validate().is_ok(),
+                fits,
+                "{cores} cores: {:?}",
+                cfg.validate()
+            );
+            assert_eq!(
+                NicSystem::build(cfg).finish().is_ok(),
+                fits,
+                "{cores} cores"
+            );
+        }
     }
 
     /// End-to-end smoke test: a fast small system moves real frames both

@@ -11,8 +11,9 @@
 //! Locking" rows).
 
 use crate::func::FwFunc;
-use crate::slot::{OpEvent, PendingOp, SharedSlot};
+use crate::slot::{CoreSlot, PendingOp, SharedSlot, RUN_AHEAD};
 use nicsim_mem::{SpOp, SpRequest};
+use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
@@ -24,24 +25,35 @@ pub struct CoreCtx {
     core_id: usize,
 }
 
-/// Future for one machine operation: deposits the op on first poll,
-/// resolves with the engine's response on the next poll.
-pub struct Op {
-    slot: SharedSlot,
+/// Future for one machine operation: queues the op under the current
+/// profiling tag (suspending first while the queue is full), then
+/// completes at once unless the firmware waits for a result
+/// ([`PendingOp::has_result`]), which a later poll resolves it with.
+pub struct Op<'a> {
+    slot: &'a RefCell<CoreSlot>,
     op: Option<PendingOp>,
 }
 
-impl Future for Op {
+impl Future for Op<'_> {
     type Output = u32;
 
+    #[inline]
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<u32> {
-        if let Some(op) = self.op.take() {
-            let mut slot = self.slot.borrow_mut();
-            debug_assert!(slot.pending.is_none(), "engine polled with op pending");
-            slot.pending = Some(op);
-            return Poll::Pending;
+        let slot: &RefCell<CoreSlot> = self.slot;
+        let mut slot = slot.borrow_mut();
+        if let Some(op) = self.op {
+            if slot.queue.len() == RUN_AHEAD {
+                return Poll::Pending;
+            }
+            let func = slot.func;
+            slot.queue.push_back((op, func));
+            self.op = None;
+            return if op.has_result() {
+                Poll::Pending
+            } else {
+                Poll::Ready(0)
+            };
         }
-        let mut slot = self.slot.borrow_mut();
         match slot.response.take() {
             Some(v) => Poll::Ready(v),
             // The engine only polls when the response is ready, but a
@@ -62,17 +74,31 @@ impl CoreCtx {
         self.core_id
     }
 
-    fn issue(&self, op: PendingOp) -> Op {
+    #[inline]
+    fn issue(&self, op: PendingOp) -> Op<'_> {
         Op {
-            slot: self.slot.clone(),
+            slot: &self.slot,
             op: Some(op),
         }
     }
 
-    fn trace(&self, ev: OpEvent) {
-        if let Some(t) = self.slot.borrow_mut().trace.as_mut() {
-            t.push(ev);
-        }
+    #[inline]
+    fn mem(&self, addr: u32, op: SpOp) -> Op<'_> {
+        self.issue(PendingOp::Mem(SpRequest { addr, op }))
+    }
+
+    /// Suspend until the engine has charged every operation issued so
+    /// far. Firmware calls this before touching host state that anyone
+    /// else reads, so the touch lands on the cycle the engine gets there.
+    pub async fn sync(&self) {
+        std::future::poll_fn(|_| {
+            if self.slot.borrow().queue.is_empty() {
+                Poll::Ready(())
+            } else {
+                Poll::Pending
+            }
+        })
+        .await
     }
 
     /// Switch the profiling tag; subsequent work is attributed to `f`.
@@ -91,62 +117,42 @@ impl CoreCtx {
         if n == 0 {
             return;
         }
-        self.trace(OpEvent::Alu(n));
         self.issue(PendingOp::Alu(n)).await;
     }
 
     /// Execute a correctly-predicted branch (1 cycle).
     pub async fn branch(&self) {
-        self.trace(OpEvent::Branch { mispredict: false });
         self.issue(PendingOp::Branch { mispredict: false }).await;
     }
 
     /// Execute a statically mispredicted branch (1 cycle + 1 annulled
     /// issue slot).
     pub async fn branch_miss(&self) {
-        self.trace(OpEvent::Branch { mispredict: true });
         self.issue(PendingOp::Branch { mispredict: true }).await;
     }
 
     /// Wait for interrupt: issue one instruction, then park the core
     /// until its wake line is raised by a doorbell (interrupt dispatch
-    /// mode only — polling firmware never calls this). Traced as a
-    /// single ALU instruction for the ILP expansion.
+    /// mode only — polling firmware never calls this).
     pub async fn wfi(&self) {
-        self.trace(OpEvent::Alu(1));
         self.issue(PendingOp::Wfi).await;
     }
 
     /// Load a 32-bit word from scratchpad byte address `addr`.
     pub async fn load(&self, addr: u32) -> u32 {
-        self.trace(OpEvent::Load);
-        self.issue(PendingOp::Mem(SpRequest {
-            addr,
-            op: SpOp::Read,
-        }))
-        .await
+        self.mem(addr, SpOp::Read).await
     }
 
     /// Store `val` to scratchpad byte address `addr` (buffered; does not
     /// stall unless the store buffer is busy).
     pub async fn store(&self, addr: u32, val: u32) {
-        self.trace(OpEvent::Store);
-        self.issue(PendingOp::Mem(SpRequest {
-            addr,
-            op: SpOp::Write(val),
-        }))
-        .await;
+        self.mem(addr, SpOp::Write(val)).await;
     }
 
     /// Atomic test-and-set on `addr`; returns the old value (0 means the
     /// caller acquired the location).
     pub async fn test_and_set(&self, addr: u32) -> u32 {
-        self.trace(OpEvent::Rmw);
-        self.issue(PendingOp::Mem(SpRequest {
-            addr,
-            op: SpOp::TestAndSet,
-        }))
-        .await
+        self.mem(addr, SpOp::TestAndSet).await
     }
 
     /// The paper's `set` instruction: atomically set bit `bit_index` of
@@ -154,12 +160,7 @@ impl CoreCtx {
     /// single scratchpad transaction.
     pub async fn set_bit(&self, base: u32, bit_index: u32) {
         let addr = base + (bit_index / 32) * 4;
-        self.trace(OpEvent::Rmw);
-        self.issue(PendingOp::Mem(SpRequest {
-            addr,
-            op: SpOp::SetBit((bit_index % 32) as u8),
-        }))
-        .await;
+        self.mem(addr, SpOp::SetBit((bit_index % 32) as u8)).await;
     }
 
     /// The paper's `update` instruction: examine the aligned 32-bit word
@@ -169,14 +170,8 @@ impl CoreCtx {
     /// examined per invocation, as in the paper.
     pub async fn update(&self, base: u32, bit_index: u32) -> u32 {
         let addr = base + (bit_index / 32) * 4;
-        self.trace(OpEvent::Rmw);
-        self.issue(PendingOp::Mem(SpRequest {
-            addr,
-            op: SpOp::Update {
-                start_bit: (bit_index % 32) as u8,
-            },
-        }))
-        .await
+        let start_bit = (bit_index % 32) as u8;
+        self.mem(addr, SpOp::Update { start_bit }).await
     }
 
     /// Acquire the spinlock at `addr`, charging acquire and spin work to

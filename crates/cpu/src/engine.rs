@@ -3,8 +3,9 @@
 //! `Core::tick` is called once per CPU-clock cycle (after the crossbar has
 //! arbitrated). It advances the core's pipeline state machine, charging
 //! every cycle to exactly one [`StallBucket`] of the current firmware
-//! function, and polls the firmware future whenever the core is ready to
-//! issue the next operation. See the crate docs for the timing rules.
+//! function. When the core is ready to issue, it takes the oldest
+//! operation the firmware has queued and polls the firmware future only
+//! when none is. See the crate docs for the timing rules.
 
 use crate::func::{CoreProfile, FwFunc, StallBucket};
 use crate::layout::CodeLayout;
@@ -14,7 +15,7 @@ use nicsim_obs::{Event, NullProbe, Probe};
 use nicsim_sim::Ps;
 use std::future::Future;
 use std::pin::Pin;
-use std::task::{Context, Poll, Waker};
+use std::task::{Context, Waker};
 
 /// Cycles from a doorbell raising the wake line of a parked core to the
 /// firmware's first dispatch instruction issuing — the paper's 2-cycle
@@ -24,7 +25,7 @@ const WAKE_DISPATCH_CYCLES: u32 = 2;
 /// What to do after the currently-charging cycles elapse.
 #[derive(Debug, Clone, Copy)]
 enum Then {
-    /// Poll the firmware for its next operation.
+    /// Take the firmware's next operation.
     Poll,
     /// Submit this memory transaction to the crossbar.
     Mem(SpRequest),
@@ -34,7 +35,7 @@ enum Then {
 
 #[derive(Debug, Clone, Copy)]
 enum State {
-    /// Ready to poll the firmware future.
+    /// Ready to issue the firmware's next operation.
     Poll,
     /// Charging cycles: I-miss stall, then execution, then annulled slots.
     Busy {
@@ -44,7 +45,7 @@ enum State {
         then: Then,
     },
     /// Port blocked by the in-flight buffered store.
-    WaitStoreDrain { req: SpRequest, is_load: bool },
+    WaitStoreDrain { req: SpRequest },
     /// A load/RMW is in the crossbar; waiting for data.
     WaitMem { waited: u32 },
     /// Parked by `wfi`; wakes when the wake line is raised.
@@ -68,8 +69,12 @@ pub struct CoreEngineStats {
 pub struct Core {
     id: usize,
     slot: SharedSlot,
+    /// The firmware future; `None` once it has completed.
     fut: Option<Pin<Box<dyn Future<Output = ()>>>>,
     state: State,
+    /// Profiling tag of the operation being charged: the one current
+    /// when it was issued, which the slot's tag may have moved past.
+    func: FwFunc,
     store_inflight: bool,
     /// Level-triggered wake line, consumed when a parked core resumes.
     wake_pending: bool,
@@ -95,6 +100,7 @@ impl Core {
             slot: new_slot(),
             fut: None,
             state: State::Poll,
+            func: FwFunc::Idle,
             store_inflight: false,
             wake_pending: false,
             icache: ICache::new(icache_cfg),
@@ -124,7 +130,9 @@ impl Core {
         self.fut = Some(Box::pin(fut));
         self.state = State::Poll;
         self.wake_pending = false;
-        self.slot.borrow_mut().halted = false;
+        let mut slot = self.slot.borrow_mut();
+        slot.queue.clear();
+        slot.response = None;
     }
 
     /// Raise the core's wake line. A parked core resumes on its next
@@ -166,9 +174,44 @@ impl Core {
         self.icache.reset_stats();
     }
 
+    #[inline]
     fn charge(&mut self, bucket: StallBucket) {
-        let f = self.slot.borrow().func;
-        self.profile.func_mut(f).cycles[bucket.index()] += 1;
+        self.profile.func_mut(self.func).cycles[bucket.index()] += 1;
+    }
+
+    /// The next operation to charge and the tag it was issued under:
+    /// the oldest queued one, polling the firmware only when nothing is
+    /// queued. `None` once the firmware has completed and everything it
+    /// issued has been charged.
+    #[inline]
+    fn next_op(&mut self) -> Option<(PendingOp, FwFunc)> {
+        if let Some(next) = self.slot.borrow_mut().pop() {
+            return Some(next);
+        }
+        let fut = self.fut.as_mut()?;
+        let mut cx = Context::from_waker(Waker::noop());
+        if fut.as_mut().poll(&mut cx).is_ready() {
+            self.fut = None;
+        }
+        let next = self.slot.borrow_mut().pop();
+        assert!(
+            next.is_some() || self.fut.is_none(),
+            "firmware future suspended without issuing an op"
+        );
+        next
+    }
+
+    /// Put `req` on the (free) crossbar port. A store is buffered, so
+    /// the core moves on; anything else waits for its data.
+    #[inline]
+    fn submit(&mut self, xbar: &mut Crossbar, req: SpRequest) {
+        xbar.submit(self.id, req);
+        if matches!(req.op, SpOp::Write(_)) {
+            self.store_inflight = true;
+            self.state = State::Poll;
+        } else {
+            self.state = State::WaitMem { waited: 0 };
+        }
     }
 
     /// Walk the fetch pointer over `n` instructions of the current
@@ -182,7 +225,7 @@ impl Core {
         at: Ps,
         probe: &mut P,
     ) -> u32 {
-        let func = self.slot.borrow().func;
+        let func = self.func;
         let (base, len_instr) = self.layout.region(func);
         let region_bytes = len_instr as u64 * 4;
         if func != self.fetch_func {
@@ -198,11 +241,12 @@ impl Core {
                 });
             }
         }
-        let line_bytes = self.icache.config().line_bytes as u64;
+        let cfg = self.icache.config();
+        let line_bytes = cfg.line_bytes as u64;
         let mut stall = 0u32;
         while n > 0 {
             let addr = base + self.vpc_off;
-            let line = addr / line_bytes;
+            let (line, _) = cfg.line_of(addr);
             if self.last_line != Some(line) {
                 self.last_line = Some(line);
                 let hit = self.icache.access(addr);
@@ -219,10 +263,15 @@ impl Core {
                     stall += (done - now) as u32;
                 }
             }
-            let line_off = self.vpc_off % line_bytes;
+            let (_, line_off) = cfg.line_of(self.vpc_off);
             let in_line = ((line_bytes - line_off) / 4) as u32;
             let take = n.min(in_line.max(1));
-            self.vpc_off = (self.vpc_off + take as u64 * 4) % region_bytes;
+            // Wrap at the region's end by subtraction: one step unless a
+            // line is longer than the whole region.
+            self.vpc_off += take as u64 * 4;
+            while self.vpc_off >= region_bytes {
+                self.vpc_off -= region_bytes;
+            }
             n -= take;
         }
         stall
@@ -262,41 +311,22 @@ impl Core {
                     return;
                 }
                 State::Poll => {
-                    let waker = Waker::noop();
-                    let mut cx = Context::from_waker(waker);
-                    let fut = self.fut.as_mut().expect("firmware installed");
-                    match fut.as_mut().poll(&mut cx) {
-                        Poll::Ready(()) => {
-                            self.state = State::Halted;
-                            self.slot.borrow_mut().halted = true;
-                            continue;
-                        }
-                        Poll::Pending => {}
-                    }
-                    let op = self
-                        .slot
-                        .borrow_mut()
-                        .pending
-                        .take()
-                        .expect("firmware future suspended without issuing an op");
-                    let (n_instr, exec, annul, then, is_mem) = match op {
-                        PendingOp::Alu(n) => (n, n, 0, Then::Poll, false),
-                        PendingOp::Branch { mispredict } => {
-                            (1, 1, u32::from(mispredict), Then::Poll, false)
-                        }
-                        PendingOp::Mem(req) => (1, 1, 0, Then::Mem(req), true),
-                        PendingOp::Wfi => (1, 1, 0, Then::Park, false),
+                    let Some((op, func)) = self.next_op() else {
+                        self.state = State::Halted;
+                        continue;
                     };
-                    debug_assert!(n_instr > 0, "alu(0) is filtered in CoreCtx");
-                    let imiss = self.touch_code(n_instr, imem, now, probe);
-                    {
-                        let f = self.slot.borrow().func;
-                        let p = self.profile.func_mut(f);
-                        p.instructions += n_instr as u64;
-                        if is_mem {
-                            p.mem_accesses += 1;
-                        }
-                    }
+                    self.func = func;
+                    let (exec, annul, then) = match op {
+                        PendingOp::Alu(n) => (n, 0, Then::Poll),
+                        PendingOp::Branch { mispredict } => (1, u32::from(mispredict), Then::Poll),
+                        PendingOp::Mem(req) => (1, 0, Then::Mem(req)),
+                        PendingOp::Wfi => (1, 0, Then::Park),
+                    };
+                    debug_assert!(exec > 0, "alu(0) is filtered in CoreCtx");
+                    let imiss = self.touch_code(exec, imem, now, probe);
+                    let p = self.profile.func_mut(func);
+                    p.instructions += exec as u64;
+                    p.mem_accesses += u64::from(matches!(then, Then::Mem(_)));
                     self.state = State::Busy {
                         imiss,
                         exec,
@@ -335,64 +365,32 @@ impl Core {
                     // Last cycle: perform the follow-up action at the tail
                     // of this cycle.
                     match then {
-                        Then::Poll => {
-                            // ALU/branch ops complete with a dummy value.
-                            self.slot.borrow_mut().response = Some(0);
-                            self.state = State::Poll;
+                        Then::Poll => self.state = State::Poll,
+                        Then::Mem(req) if self.store_inflight => {
+                            self.state = State::WaitStoreDrain { req }
                         }
-                        Then::Mem(req) => {
-                            let is_store = matches!(req.op, SpOp::Write(_));
-                            if self.store_inflight {
-                                self.state = State::WaitStoreDrain {
-                                    req,
-                                    is_load: !is_store,
-                                };
-                            } else if is_store {
-                                xbar.submit(self.id, req);
-                                self.store_inflight = true;
-                                // Store response value is the written word.
-                                if let SpOp::Write(v) = req.op {
-                                    self.slot.borrow_mut().response = Some(v);
-                                }
-                                self.state = State::Poll;
-                            } else {
-                                xbar.submit(self.id, req);
-                                self.state = State::WaitMem { waited: 0 };
-                            }
-                        }
-                        Then::Park => {
-                            // The response is deposited on resume, when
-                            // the wake dispatch completes.
-                            self.state = State::Parked;
-                        }
+                        Then::Mem(req) => self.submit(xbar, req),
+                        // The `wfi` returns on resume.
+                        Then::Park => self.state = State::Parked,
                     }
                     return;
                 }
-                State::WaitStoreDrain { req, is_load } => {
+                State::WaitStoreDrain { req } => {
+                    self.charge(StallBucket::Conflict);
                     if !self.store_inflight {
                         // Port freed this cycle; the submit rides the tail
                         // of this (conflict) cycle.
-                        self.charge(StallBucket::Conflict);
-                        xbar.submit(self.id, req);
-                        if is_load {
-                            self.state = State::WaitMem { waited: 0 };
-                        } else {
-                            self.store_inflight = true;
-                            if let SpOp::Write(v) = req.op {
-                                self.slot.borrow_mut().response = Some(v);
-                            }
-                            self.state = State::Poll;
-                        }
-                    } else {
-                        self.charge(StallBucket::Conflict);
+                        self.submit(xbar, req);
                     }
                     return;
                 }
                 State::Parked => {
                     if self.wake_pending {
                         // Doorbell: resume through the fixed wake
-                        // dispatch, whose first cycle charges now.
+                        // dispatch, whose first cycle charges now; the
+                        // firmware's `wfi` returns when it has elapsed.
                         self.wake_pending = false;
+                        self.slot.borrow_mut().response = Some(0);
                         self.state = State::Busy {
                             imiss: 0,
                             exec: WAKE_DISPATCH_CYCLES,
@@ -482,8 +480,7 @@ impl Core {
                     (*imiss as u64 + *exec as u64 + *annul as u64) > n,
                     "skip must not consume the final Busy cycle"
                 );
-                let func = self.slot.borrow().func;
-                let p = self.profile.func_mut(func);
+                let p = self.profile.func_mut(self.func);
                 let mut left = n;
                 let take = (*imiss as u64).min(left);
                 p.cycles[StallBucket::IMiss.index()] += take;
@@ -510,8 +507,7 @@ impl Core {
                     !self.wake_pending,
                     "skipped a parked core with its wake line raised"
                 );
-                let func = self.slot.borrow().func;
-                self.profile.func_mut(func).cycles[StallBucket::Exec.index()] += n;
+                self.profile.func_mut(self.func).cycles[StallBucket::Exec.index()] += n;
                 self.stats.parked_ticks += n;
             }
             _ => unreachable!("skipped a core in a single-cycle state"),
@@ -857,6 +853,135 @@ mod attribution_tests {
     }
 
     #[test]
+    fn queued_ops_are_charged_to_the_tag_they_were_issued_under() {
+        let (mut core, mut xbar, mut sp, mut imem) = rig();
+        let ctx = CoreCtx::new(core.slot(), 0);
+        core.install(async move {
+            ctx.set_func(FwFunc::SendFrame);
+            ctx.alu(3).await;
+            ctx.set_func(FwFunc::RecvFrame);
+            ctx.alu(4).await;
+            ctx.store(8, 1).await;
+            ctx.set_func(FwFunc::Idle);
+            ctx.branch_miss().await;
+        });
+        let mut log = nicsim_obs::EventLog::new();
+        xbar.tick(&mut sp);
+        core.tick_probed(&mut xbar, &mut imem, Ps::ZERO, &mut log);
+        // One poll ran the firmware to its end: its tag has moved on to
+        // the last one while the first op is still being charged.
+        assert_eq!(core.slot().borrow().func, FwFunc::Idle);
+        assert_eq!(core.slot().borrow().queue.len(), 3);
+        assert_eq!(core.profile().func(FwFunc::SendFrame).total_cycles(), 1);
+        for _ in 0..200 {
+            xbar.tick(&mut sp);
+            core.tick_probed(&mut xbar, &mut imem, Ps::ZERO, &mut log);
+        }
+        assert!(core.halted());
+        let exec = StallBucket::Exec.index();
+        let p = core.profile();
+        assert_eq!(p.func(FwFunc::SendFrame).instructions, 3);
+        assert_eq!(p.func(FwFunc::SendFrame).cycles[exec], 3);
+        assert_eq!(p.func(FwFunc::RecvFrame).instructions, 5);
+        assert_eq!(p.func(FwFunc::RecvFrame).mem_accesses, 1);
+        assert_eq!(p.func(FwFunc::RecvFrame).cycles[exec], 5);
+        assert_eq!(p.func(FwFunc::Idle).instructions, 1);
+        assert_eq!(p.func(FwFunc::Idle).cycles[exec], 1);
+        assert_eq!(
+            p.func(FwFunc::Idle).cycles[StallBucket::Pipeline.index()],
+            1
+        );
+        // Handler entries follow the charged ops, not the firmware.
+        let entered: Vec<&str> = log
+            .events()
+            .iter()
+            .filter_map(|e| match e {
+                Event::HandlerEnter { func, .. } => Some(*func),
+                _ => None,
+            })
+            .collect();
+        let want = [FwFunc::SendFrame, FwFunc::RecvFrame, FwFunc::Idle].map(FwFunc::label);
+        assert_eq!(entered, want);
+    }
+
+    #[test]
+    fn a_long_value_free_run_returns_to_the_engine() {
+        // Nothing here ever waits for a result: only the queue bound
+        // hands control back, so without it the first tick never ends.
+        let (mut core, mut xbar, mut sp, mut imem) = rig();
+        let ctx = CoreCtx::new(core.slot(), 0);
+        core.install(async move {
+            ctx.set_func(FwFunc::SendFrame);
+            loop {
+                ctx.alu(1).await;
+            }
+        });
+        for _ in 0..100 {
+            xbar.tick(&mut sp);
+            core.tick(&mut xbar, &mut imem);
+            assert!(core.slot().borrow().queue.len() <= crate::slot::RUN_AHEAD);
+        }
+        assert!(!core.halted());
+        let p = core.profile();
+        let exec = p.bucket_cycles(StallBucket::Exec);
+        assert_eq!(exec + p.bucket_cycles(StallBucket::IMiss), 100);
+        // One instruction per execution cycle; the last may sit in a miss.
+        assert!(p.total(|f| f.instructions) - exec <= 1);
+    }
+
+    #[test]
+    fn completion_with_ops_queued_halts_when_the_last_is_charged() {
+        // The future returns on its first poll with three ops queued;
+        // the core halts where the one-op-per-poll engine did (tick
+        // counts pinned from it): after 4 cold-miss and 6 execution
+        // cycles, on tick 11, which is also the first halted tick.
+        let (mut core, mut xbar, mut sp, mut imem) = rig();
+        let ctx = CoreCtx::new(core.slot(), 0);
+        core.install(async move {
+            ctx.set_func(FwFunc::SendFrame);
+            ctx.alu(3).await;
+            ctx.store(8, 7).await;
+            ctx.alu(2).await;
+        });
+        let mut halted_at = None;
+        for t in 1..=20 {
+            xbar.tick(&mut sp);
+            core.tick(&mut xbar, &mut imem);
+            if core.halted() && halted_at.is_none() {
+                halted_at = Some(t);
+            }
+        }
+        assert_eq!(halted_at, Some(11));
+        let st = core.engine_stats();
+        assert_eq!((st.ticks, st.halted_ticks), (20, 10));
+        assert_eq!(core.profile().total(|f| f.instructions), 6);
+        assert_eq!(sp.peek(8), 7);
+    }
+
+    #[test]
+    fn sync_resumes_on_the_tick_the_queue_drains() {
+        let (mut core, mut xbar, mut sp, mut imem) = rig();
+        let ctx = CoreCtx::new(core.slot(), 0);
+        let passed = std::rc::Rc::new(std::cell::Cell::new(false));
+        let flag = passed.clone();
+        core.install(async move {
+            ctx.alu(3).await;
+            ctx.sync().await;
+            flag.set(true);
+            ctx.alu(1).await;
+        });
+        // The firmware gets past `sync` on exactly the tick the engine
+        // issues the instruction after it — not on the first poll.
+        for _ in 0..20 {
+            xbar.tick(&mut sp);
+            core.tick(&mut xbar, &mut imem);
+            let issued = core.profile().total(|f| f.instructions);
+            assert_eq!(passed.get(), issued == 4, "{issued} issued");
+        }
+        assert!(core.halted());
+    }
+
+    #[test]
     fn skip_cycles_matches_ticking_through_a_busy_span() {
         // Two identical cores run the same firmware; one is fast-forwarded
         // through the interior of a Busy span, the other ticks densely.
@@ -928,7 +1053,11 @@ mod attribution_tests {
             ctx.wfi().await;
             ctx.alu(3).await;
         });
-        // Tick until the core parks.
+        // Tick until the core parks. The `wfi` is issued behind the
+        // still-uncharged `alu(2)`, on the first poll.
+        xbar.tick(&mut sp);
+        core.tick(&mut xbar, &mut imem);
+        assert_eq!(core.slot().borrow().queue.len(), 1, "wfi queued");
         for _ in 0..20 {
             if core.parked() {
                 break;

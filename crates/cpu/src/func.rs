@@ -47,12 +47,11 @@ impl FwFunc {
         FwFunc::Idle,
     ];
 
-    /// Dense index.
+    /// Dense index: the position in [`FwFunc::ALL`], which lists the
+    /// tags in declaration order.
+    #[inline]
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&f| f == self)
-            .expect("tag in ALL")
+        self as usize
     }
 
     /// The lock bucket charged while acquiring/releasing locks inside
@@ -112,12 +111,11 @@ impl StallBucket {
         StallBucket::Pipeline,
     ];
 
-    /// Dense index.
+    /// Dense index: the position in [`StallBucket::ALL`], which lists
+    /// the buckets in declaration order.
+    #[inline]
     pub fn index(self) -> usize {
-        Self::ALL
-            .iter()
-            .position(|&b| b == self)
-            .expect("bucket in ALL")
+        self as usize
     }
 
     /// Row label as printed in Table 3.
@@ -168,6 +166,7 @@ impl CoreProfile {
     }
 
     /// Mutable profile of one function.
+    #[inline]
     pub fn func_mut(&mut self, f: FwFunc) -> &mut FuncProfile {
         &mut self.per_func[f.index()]
     }

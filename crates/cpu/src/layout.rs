@@ -48,6 +48,7 @@ impl CodeLayout {
     }
 
     /// The `(base_byte_address, length_in_instructions)` of a function.
+    #[inline]
     pub fn region(&self, f: FwFunc) -> (u64, u32) {
         self.regions[f.index()]
     }

@@ -18,10 +18,12 @@
 //!   stall the core while the line fills from the shared 128-bit
 //!   instruction-memory interface.
 //!
-//! Firmware is ordinary Rust `async` code written against [`CoreCtx`]: the
-//! core engine polls the firmware future only when the operation it issued
-//! has been charged (and, for loads, when the data actually returned from
-//! the simulated scratchpad), which makes execution *execution-driven* —
+//! Firmware is ordinary Rust `async` code written against [`CoreCtx`]. The
+//! future runs ahead through operations whose result it does not read
+//! (ALU work, branches, stores: queued, a bounded number at a time) and
+//! suspends at every load, RMW or `wfi`; the engine polls it again only
+//! when everything queued has been charged and the data has returned from
+//! the simulated scratchpad. That makes execution *execution-driven* —
 //! lock contention and ordering races unfold at their real cycle times.
 //! Per-function cycle/instruction/access profiles (the raw material of
 //! Tables 1, 3, 5 and 6) are collected in [`CoreProfile`].
@@ -38,4 +40,4 @@ pub use ctx::CoreCtx;
 pub use engine::Core;
 pub use func::{CoreProfile, FuncProfile, FwFunc, StallBucket};
 pub use layout::CodeLayout;
-pub use slot::{CoreSlot, OpEvent, PendingOp, SharedSlot};
+pub use slot::{CoreSlot, PendingOp, SharedSlot};

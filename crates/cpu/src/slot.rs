@@ -1,15 +1,23 @@
 //! The communication slot between a firmware future and its core engine.
 //!
 //! Firmware runs as a Rust future; the core timing engine polls it. They
-//! exchange exactly one operation at a time through [`CoreSlot`]: the
-//! future deposits a [`PendingOp`] and suspends; the engine charges the
-//! operation's cycles (issuing real scratchpad transactions for memory
-//! ops), deposits the response, and polls again.
+//! exchange operations through [`CoreSlot`]: the future queues each
+//! [`PendingOp`] under the profiling tag current at that moment and
+//! suspends only when it needs the operation's result (or the queue is
+//! full); the engine charges the queued operations oldest first (issuing
+//! real scratchpad transactions for memory ops), deposits the response of
+//! a result-bearing one, and polls again once the queue is empty.
 
 use crate::func::FwFunc;
-use nicsim_mem::SpRequest;
+use nicsim_mem::{SpOp, SpRequest};
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
+
+/// How many issued-but-uncharged operations a slot holds: enough for the
+/// firmware's runs of ALU, branch and store work between loads, finite
+/// so that `loop { alu(1) }` returns to the engine.
+pub const RUN_AHEAD: usize = 8;
 
 /// An operation requested by firmware, to be charged by the core engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,39 +36,46 @@ pub enum PendingOp {
     Wfi,
 }
 
-/// A coarse record of one executed operation, for the ILP trace expansion
-/// (Table 2). Kept deliberately small; the `nicsim-ilp` crate expands
-/// these into register-level instructions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpEvent {
-    /// `n` ALU instructions.
-    Alu(u32),
-    /// A load.
-    Load,
-    /// A store.
-    Store,
-    /// An atomic read-modify-write.
-    Rmw,
-    /// A branch (taken flag records misprediction in the static scheme).
-    Branch {
-        /// Whether the static predictor got it wrong.
-        mispredict: bool,
-    },
+impl PendingOp {
+    /// Whether the firmware waits for this operation's result: loads and
+    /// atomic RMWs return data, `wfi` returns when the core is woken.
+    pub fn has_result(self) -> bool {
+        match self {
+            PendingOp::Alu(_) | PendingOp::Branch { .. } => false,
+            PendingOp::Mem(req) => !matches!(req.op, SpOp::Write(_)),
+            PendingOp::Wfi => true,
+        }
+    }
 }
 
 /// Shared state between one firmware future and its core engine.
 #[derive(Debug, Default)]
 pub struct CoreSlot {
-    /// Operation awaiting charging (set by the future, taken by the engine).
-    pub pending: Option<PendingOp>,
-    /// Response to the last operation (set by engine, taken by future).
+    /// Operations issued by the future and not yet charged by the
+    /// engine, oldest first, each with the profiling tag current when it
+    /// was issued. Never longer than [`RUN_AHEAD`].
+    pub queue: VecDeque<(PendingOp, FwFunc)>,
+    /// Result of the last result-bearing operation (set by the engine,
+    /// taken by the future).
     pub response: Option<u32>,
-    /// Current profiling tag.
+    /// Current profiling tag: what the firmware will issue under next.
     pub func: FwFunc,
-    /// Optional coarse operation trace for ILP analysis.
-    pub trace: Option<Vec<OpEvent>>,
-    /// Set by the engine when the firmware future completed.
-    pub halted: bool,
+    /// Optional operation trace for the ILP analysis (Table 2), in the
+    /// order the engine charges operations.
+    pub trace: Option<Vec<PendingOp>>,
+}
+
+impl CoreSlot {
+    /// Take the oldest issued operation for charging. The ILP trace is
+    /// recorded here, not at issue, so it never leads the engine.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(PendingOp, FwFunc)> {
+        let next = self.queue.pop_front()?;
+        if let Some(t) = &mut self.trace {
+            t.push(next.0);
+        }
+        Some(next)
+    }
 }
 
 /// Reference-counted handle to a [`CoreSlot`]. The simulator is
@@ -79,9 +94,10 @@ mod tests {
     #[test]
     fn slot_roundtrip() {
         let slot = new_slot();
-        slot.borrow_mut().pending = Some(PendingOp::Alu(3));
-        let taken = slot.borrow_mut().pending.take();
-        assert_eq!(taken, Some(PendingOp::Alu(3)));
+        let op = (PendingOp::Alu(3), FwFunc::SendFrame);
+        slot.borrow_mut().queue.push_back(op);
+        assert_eq!(slot.borrow_mut().pop(), Some(op));
+        assert_eq!(slot.borrow_mut().pop(), None);
         slot.borrow_mut().response = Some(7);
         assert_eq!(slot.borrow_mut().response.take(), Some(7));
     }
@@ -90,18 +106,29 @@ mod tests {
     fn default_tag_is_idle() {
         let slot = new_slot();
         assert_eq!(slot.borrow().func, FwFunc::Idle);
-        assert!(!slot.borrow().halted);
     }
 
     #[test]
-    fn trace_collects_events() {
+    fn trace_collects_popped_operations() {
         let slot = new_slot();
         slot.borrow_mut().trace = Some(Vec::new());
-        slot.borrow_mut()
-            .trace
-            .as_mut()
-            .unwrap()
-            .push(OpEvent::Load);
-        assert_eq!(slot.borrow().trace.as_ref().unwrap().len(), 1);
+        let load = PendingOp::Mem(SpRequest {
+            addr: 0,
+            op: SpOp::Read,
+        });
+        for op in [load, PendingOp::Wfi] {
+            slot.borrow_mut().queue.push_back((op, FwFunc::Idle));
+            assert!(op.has_result());
+        }
+        assert_eq!(
+            slot.borrow().trace.as_ref().unwrap().len(),
+            0,
+            "issued only"
+        );
+        while slot.borrow_mut().pop().is_some() {}
+        assert_eq!(
+            slot.borrow_mut().trace.take(),
+            Some(vec![load, PendingOp::Wfi])
+        );
     }
 }

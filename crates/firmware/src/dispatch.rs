@@ -43,140 +43,52 @@ impl Fw {
         let m = &self.m;
         // Polling a quiet source is idle time; the dispatch cost proper
         // (claim, event construction, ordering) is charged inside the
-        // handlers.
+        // handlers. Sources past the fixed ten are the extra engines'
+        // completion counters, two per engine: even offsets are the
+        // read side, odd the write side.
         ctx.set_func(FwFunc::Idle);
-        match src {
-            0 => {
-                if peek_work(ctx, m.sb_mailbox_prod, m.sb_fetched).await {
-                    if self.fw_fault_fires() {
-                        return self.fw_fault_abort().await;
-                    }
-                    self.fetch_send_bds(host).await
-                } else {
-                    false
-                }
-            }
-            1 => {
-                if peek_work(ctx, m.dmard_done, m.dmard_claim).await {
-                    if self.fw_fault_fires() {
-                        return self.fw_fault_abort().await;
-                    }
-                    self.process_dmard_completions(0).await
-                } else {
-                    false
-                }
-            }
-            2 => {
-                if peek_work(ctx, m.sbd_parsed, m.sbd_cons).await {
-                    if self.fw_fault_fires() {
-                        return self.fw_fault_abort().await;
-                    }
-                    self.send_frames().await
-                } else {
-                    false
-                }
-            }
-            3 => {
-                if peek_work(ctx, m.mactx_done, m.send_txdone_claim).await {
-                    if self.fw_fault_fires() {
-                        return self.fw_fault_abort().await;
-                    }
-                    self.process_mactx_done(host).await
-                } else {
-                    false
-                }
-            }
-            4 => {
-                if peek_work(ctx, m.rb_mailbox_prod, m.rb_fetched).await {
-                    if self.fw_fault_fires() {
-                        return self.fw_fault_abort().await;
-                    }
-                    self.fetch_recv_bds(host).await
-                } else {
-                    false
-                }
-            }
-            5 => {
-                if peek_work(ctx, m.macrx_prod, m.recv_claim).await {
-                    if self.fw_fault_fires() {
-                        return self.fw_fault_abort().await;
-                    }
-                    self.recv_frames().await
-                } else {
-                    false
-                }
-            }
-            6 => {
-                if peek_work(ctx, m.dmawr_done, m.dmawr_claim).await {
-                    if self.fw_fault_fires() {
-                        return self.fw_fault_abort().await;
-                    }
-                    self.process_dmawr_completions(0, host).await
-                } else {
-                    false
-                }
-            }
-            7 => {
-                if peek_bit_pending(ctx, m.send_ready_bits, m.send_ready_commit).await {
-                    if self.fw_fault_fires() {
-                        return self.fw_fault_abort().await;
-                    }
-                    self.commit_send_ready().await;
-                    true
-                } else {
-                    false
-                }
-            }
-            8 => {
-                if peek_bit_pending(ctx, m.send_txdone_bits, m.send_txdone_commit).await {
-                    if self.fw_fault_fires() {
-                        return self.fw_fault_abort().await;
-                    }
-                    self.commit_txdone(host).await;
-                    true
-                } else {
-                    false
-                }
-            }
-            9 => {
-                if peek_bit_pending(ctx, m.recv_done_bits, m.recv_commit).await {
-                    if self.fw_fault_fires() {
-                        return self.fw_fault_abort().await;
-                    }
-                    self.commit_recv(host).await;
-                    true
-                } else {
-                    false
-                }
-            }
-            _ => {
-                // Extra-engine completion sources, two per engine:
-                // even offsets are the read side, odd the write side.
-                let eng = 1 + (src - N_SOURCES) / 2;
-                debug_assert!(eng < self.m.n_dma as usize, "source index out of range");
-                if (src - N_SOURCES).is_multiple_of(2) {
-                    let d = *m.dmard(eng);
-                    if peek_work(ctx, d.done, d.claim).await {
-                        if self.fw_fault_fires() {
-                            return self.fw_fault_abort().await;
-                        }
-                        self.process_dmard_completions(eng).await
-                    } else {
-                        false
-                    }
-                } else {
-                    let d = *m.dmawr(eng);
-                    if peek_work(ctx, d.done, d.claim).await {
-                        if self.fw_fault_fires() {
-                            return self.fw_fault_abort().await;
-                        }
-                        self.process_dmawr_completions(eng, host).await
-                    } else {
-                        false
-                    }
-                }
-            }
+        let extra = src.checked_sub(N_SOURCES);
+        let eng = 1 + extra.unwrap_or(0) / 2;
+        debug_assert!(
+            extra.is_none() || eng < m.n_dma as usize,
+            "source out of range"
+        );
+        let extra_read = extra.is_some_and(|k| k.is_multiple_of(2));
+        let has_work = match src {
+            0 => peek_work(ctx, m.sb_mailbox_prod, m.sb_fetched).await,
+            1 => peek_work(ctx, m.dmard_done, m.dmard_claim).await,
+            2 => peek_work(ctx, m.sbd_parsed, m.sbd_cons).await,
+            3 => peek_work(ctx, m.mactx_done, m.send_txdone_claim).await,
+            4 => peek_work(ctx, m.rb_mailbox_prod, m.rb_fetched).await,
+            5 => peek_work(ctx, m.macrx_prod, m.recv_claim).await,
+            6 => peek_work(ctx, m.dmawr_done, m.dmawr_claim).await,
+            7 => peek_bit_pending(ctx, m.send_ready_bits, m.send_ready_commit).await,
+            8 => peek_bit_pending(ctx, m.send_txdone_bits, m.send_txdone_commit).await,
+            9 => peek_bit_pending(ctx, m.recv_done_bits, m.recv_commit).await,
+            _ if extra_read => peek_work(ctx, m.dmard(eng).done, m.dmard(eng).claim).await,
+            _ => peek_work(ctx, m.dmawr(eng).done, m.dmawr(eng).claim).await,
+        };
+        if !has_work {
+            return false;
         }
+        if self.fw_fault_fires().await {
+            return self.fw_fault_abort().await;
+        }
+        match src {
+            0 => return self.fetch_send_bds(host).await,
+            1 => return self.process_dmard_completions(0).await,
+            2 => return self.send_frames().await,
+            3 => return self.process_mactx_done(host).await,
+            4 => return self.fetch_recv_bds(host).await,
+            5 => return self.recv_frames().await,
+            6 => return self.process_dmawr_completions(0, host).await,
+            7 => self.commit_send_ready().await,
+            8 => self.commit_txdone(host).await,
+            9 => self.commit_recv(host).await,
+            _ if extra_read => return self.process_dmard_completions(eng).await,
+            _ => return self.process_dmawr_completions(eng, host).await,
+        }
+        true
     }
 }
 

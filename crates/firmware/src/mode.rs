@@ -263,11 +263,15 @@ pub struct Fw {
 
 impl Fw {
     /// Draw the per-core instruction-fault site, if armed. Draw-free
-    /// when unarmed or when the fire probability is zero.
-    pub fn fw_fault_fires(&self) -> bool {
-        self.fw_faults
-            .as_ref()
-            .is_some_and(|f| f.borrow_mut().fires())
+    /// when unarmed or when the fire probability is zero. The site's
+    /// `injected` counter is read by the system's `collect()`, so the
+    /// draw waits for the engine to catch up with the firmware.
+    pub async fn fw_fault_fires(&self) -> bool {
+        let Some(site) = &self.fw_faults else {
+            return false;
+        };
+        self.ctx.sync().await;
+        site.borrow_mut().fires()
     }
 }
 

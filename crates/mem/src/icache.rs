@@ -7,6 +7,8 @@
 //! 97% of the time" (Table 4) because the firmware's code footprint is
 //! small — a property this model reproduces.
 
+use crate::div_rem;
+
 /// Geometry of one per-core instruction cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ICacheConfig {
@@ -43,19 +45,26 @@ impl ICacheConfig {
         );
         sets
     }
+
+    /// The line byte address `addr` falls in and its offset within it.
+    #[inline]
+    pub fn line_of(&self, addr: u64) -> (u64, u64) {
+        div_rem(addr, self.line_bytes as u64)
+    }
 }
 
-#[derive(Debug, Clone)]
-struct Set {
-    /// Tag per way, most-recently-used last.
-    ways: Vec<u64>,
-}
+/// A way that holds no line yet. No real tag reaches it: fetch addresses
+/// stay inside the 128 KB instruction memory.
+const EMPTY: u64 = u64::MAX;
 
 /// One core's instruction cache (set-associative, true-LRU).
 #[derive(Debug, Clone)]
 pub struct ICache {
     cfg: ICacheConfig,
-    sets: Vec<Set>,
+    sets: u64,
+    /// `ways` consecutive tags per set, least-recently-used first (so
+    /// empty ways lead and fill before anything is evicted).
+    tags: Vec<u64>,
     hits: u64,
     misses: u64,
 }
@@ -66,13 +75,15 @@ impl ICache {
         let sets = cfg.sets();
         ICache {
             cfg,
-            sets: vec![Set { ways: Vec::new() }; sets],
+            sets: sets as u64,
+            tags: vec![EMPTY; sets * cfg.ways],
             hits: 0,
             misses: 0,
         }
     }
 
     /// The cache geometry.
+    #[inline]
     pub fn config(&self) -> ICacheConfig {
         self.cfg
     }
@@ -80,24 +91,20 @@ impl ICache {
     /// Look up the line containing byte address `addr`; returns `true` on
     /// hit. On miss the line is filled (victim = LRU way).
     pub fn access(&mut self, addr: u64) -> bool {
-        let line = addr / self.cfg.line_bytes as u64;
-        let set_idx = (line % self.sets.len() as u64) as usize;
-        let tag = line / self.sets.len() as u64;
-        let set = &mut self.sets[set_idx];
-        if let Some(pos) = set.ways.iter().position(|&t| t == tag) {
-            // Move to MRU position.
-            let t = set.ways.remove(pos);
-            set.ways.push(t);
-            self.hits += 1;
-            true
-        } else {
-            if set.ways.len() == self.cfg.ways {
-                set.ways.remove(0); // evict LRU
-            }
-            set.ways.push(tag);
-            self.misses += 1;
-            false
+        let (line, _) = self.cfg.line_of(addr);
+        let (tag, set_idx) = div_rem(line, self.sets);
+        let first = set_idx as usize * self.cfg.ways;
+        let set = &mut self.tags[first..first + self.cfg.ways];
+        let hit = set.iter().position(|&t| t == tag);
+        // Hit: move the way to the MRU end. Miss: the LRU way falls off
+        // the front and the new line takes the MRU end.
+        for way in hit.unwrap_or(0)..set.len() - 1 {
+            set[way] = set[way + 1];
         }
+        set[set.len() - 1] = tag;
+        self.hits += u64::from(hit.is_some());
+        self.misses += u64::from(hit.is_none());
+        hit.is_some()
     }
 
     /// Hits since construction or [`ICache::reset_stats`].
@@ -219,6 +226,49 @@ mod tests {
         assert!(!c.access(256)); // evicts 128 (LRU)
         assert!(c.access(0));
         assert!(!c.access(128)); // was evicted
+    }
+
+    #[test]
+    fn flat_lru_matches_a_vec_of_vec_reference() {
+        // The reference keeps one `Vec` of tags per set, MRU last, and
+        // divides; the last geometry (3 ways, 24-byte lines, 5 sets) is
+        // not a power of two anywhere and takes the division fallback.
+        for (bytes, ways, line_bytes) in [(8192, 2, 32), (128, 2, 32), (256, 4, 16), (360, 3, 24)] {
+            let cfg = ICacheConfig {
+                bytes,
+                ways,
+                line_bytes,
+            };
+            let mut cache = ICache::new(cfg);
+            let mut sets = vec![Vec::<u64>::new(); cfg.sets()];
+            let mut rng = nicsim_fault::XorShift64::for_site(16, bytes as u64);
+            for _ in 0..20_000 {
+                // Mostly a hot region a few times the cache, sometimes far.
+                let addr = match rng.below(8) {
+                    0 => rng.below(128 * 1024),
+                    _ => rng.below(4 * bytes as u64),
+                };
+                let line = addr / line_bytes as u64;
+                let set = &mut sets[(line % cfg.sets() as u64) as usize];
+                let tag = line / cfg.sets() as u64;
+                let want = match set.iter().position(|&t| t == tag) {
+                    Some(pos) => {
+                        set.remove(pos);
+                        true
+                    }
+                    None => {
+                        if set.len() == ways {
+                            set.remove(0);
+                        }
+                        false
+                    }
+                };
+                set.push(tag);
+                assert_eq!(cache.access(addr), want, "{cfg:?} addr {addr:#x}");
+                assert_eq!(cfg.line_of(addr), (line, addr % line_bytes as u64));
+            }
+            assert!(cache.hits() > 0 && cache.misses() > 0);
+        }
     }
 
     #[test]

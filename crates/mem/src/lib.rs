@@ -29,4 +29,15 @@ pub use icache::{ICache, ICacheConfig, InstrMemory};
 pub use scratchpad::{Scratchpad, SpOp, SpRequest};
 pub use sdram::{FrameMemory, FrameMemoryConfig, SdramCompletion, StreamId};
 pub use trace::{AccessKind, AccessTrace, TraceRecord};
-pub use xbar::{Crossbar, PortStats, RequesterId};
+pub use xbar::{Crossbar, PortStats, RequesterId, MAX_XBAR_PORTS};
+
+/// `(x / d, x % d)`: a shift and a mask for the usual power-of-two `d`
+/// (bank counts, line sizes, set counts), a division for any other.
+#[inline]
+pub(crate) fn div_rem(x: u64, d: u64) -> (u64, u64) {
+    if d.is_power_of_two() {
+        (x >> d.trailing_zeros(), x & (d - 1))
+    } else {
+        (x / d, x % d)
+    }
+}

@@ -68,6 +68,14 @@ struct Watch {
     signal: bool,
 }
 
+/// The bank byte address `addr` maps to among `banks` word-interleaved
+/// banks: the one mapping the scratchpad and the crossbar in front of it
+/// share.
+#[inline]
+pub(crate) fn bank_of(addr: u32, banks: usize) -> usize {
+    crate::div_rem(addr as u64 / 4, banks as u64).1 as usize
+}
+
 /// The scratchpad memory array with bank geometry.
 ///
 /// Words are interleaved across banks at word granularity, so consecutive
@@ -156,8 +164,9 @@ impl Scratchpad {
     }
 
     /// The bank a byte address maps to (word-interleaved).
+    #[inline]
     pub fn bank_of(&self, addr: u32) -> usize {
-        (addr as usize / 4) % self.banks
+        bank_of(addr, self.banks)
     }
 
     fn word_index(&self, addr: u32) -> usize {

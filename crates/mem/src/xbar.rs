@@ -18,7 +18,7 @@
 //! for a grant is a *bank-conflict* stall — the two stall buckets reported
 //! in Table 3.
 
-use crate::scratchpad::{Scratchpad, SpRequest};
+use crate::scratchpad::{bank_of, Scratchpad, SpOp, SpRequest};
 use nicsim_obs::{Event, NullProbe, Probe};
 use nicsim_sim::{Ps, RoundRobin};
 
@@ -36,48 +36,22 @@ pub struct PortStats {
     pub conflict_cycles: u64,
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Pending {
-    req: SpRequest,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Response {
-    value: u32,
-    ready_at: u64,
-}
-
 /// All state owned by one requester port.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 struct Port {
-    pending: Option<Pending>,
-    response: Option<Response>,
+    /// The request awaiting a grant and the bank its address maps to,
+    /// recorded at submit (meaningful while the port is `requesting`).
+    req: SpRequest,
+    bank: usize,
+    /// Response of the granted transaction (meaningful while the port
+    /// is `fresh` or `ready`).
+    value: u32,
     stats: PortStats,
 }
 
-impl Port {
-    fn submit(&mut self, id: RequesterId, req: SpRequest) {
-        assert!(
-            self.pending.is_none() && self.response.is_none(),
-            "port {id} already has an outstanding transaction"
-        );
-        self.pending = Some(Pending { req });
-    }
-
-    fn take_response(&mut self, cycle: u64) -> Option<u32> {
-        match self.response {
-            Some(r) if r.ready_at <= cycle => {
-                self.response = None;
-                Some(r.value)
-            }
-            _ => None,
-        }
-    }
-
-    fn idle(&self) -> bool {
-        self.pending.is_none() && self.response.is_none()
-    }
-}
+/// The most requester ports a crossbar can have: arbitration keeps one
+/// request bit per port in a `u64`.
+pub const MAX_XBAR_PORTS: usize = 64;
 
 /// The crossbar and its per-bank arbiters.
 ///
@@ -85,27 +59,53 @@ impl Port {
 /// through the crossbar; the firmware never touches frame data, so that
 /// path is not exercised and is omitted here (the assists access the frame
 /// memory through their own bus — see [`crate::sdram`]).
+#[derive(Debug)]
 pub struct Crossbar {
     ports: Vec<Port>,
     arbiters: Vec<RoundRobin>,
-    cycle: u64,
+    /// Per bank: bit `p` is set while port `p` has an ungranted request
+    /// for that bank.
+    requests: Vec<u64>,
+    /// Union of `requests`: the ports with an ungranted request.
+    requesting: u64,
+    /// Ports granted on the latest tick: the response becomes consumable
+    /// on the next cycle.
+    fresh: u64,
+    /// Ports holding a consumable response.
+    ready: u64,
     bank_busy_cycles: Vec<u64>,
 }
 
 impl Crossbar {
-    /// Create a crossbar with `ports` requesters over the banks of `sp`.
+    /// Create a crossbar with `ports` requesters over `banks` banks — the
+    /// bank count of the [`Scratchpad`] it will arbitrate for.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ports` exceeds [`MAX_XBAR_PORTS`].
     pub fn new(ports: usize, banks: usize) -> Crossbar {
+        assert!(
+            ports <= MAX_XBAR_PORTS,
+            "crossbar has {ports} ports; the arbiter holds at most {MAX_XBAR_PORTS}"
+        );
+        let idle = Port {
+            req: SpRequest {
+                addr: 0,
+                op: SpOp::Read,
+            },
+            bank: 0,
+            value: 0,
+            stats: PortStats::default(),
+        };
         Crossbar {
-            ports: vec![Port::default(); ports],
+            ports: vec![idle; ports],
             arbiters: vec![RoundRobin::new(ports); banks],
-            cycle: 0,
+            requests: vec![0; banks],
+            requesting: 0,
+            fresh: 0,
+            ready: 0,
             bank_busy_cycles: vec![0; banks],
         }
-    }
-
-    /// Number of requester ports.
-    pub fn ports(&self) -> usize {
-        self.ports.len()
     }
 
     /// Submit a request on `port`.
@@ -115,16 +115,17 @@ impl Crossbar {
     /// Panics if the port already has an outstanding request or an
     /// unconsumed response — requesters are single-outstanding by
     /// construction.
+    #[inline]
     pub fn submit(&mut self, port: RequesterId, req: SpRequest) {
-        self.ports[port].submit(port, req);
-    }
-
-    /// Whether any port has an outstanding transaction (pending request
-    /// or unconsumed response). When false, a [`Crossbar::tick`] is a
-    /// pure no-op apart from the cycle counter, so the event-driven
-    /// kernel may [`Crossbar::skip_cycles`] instead.
-    pub fn has_pending(&self) -> bool {
-        self.ports.iter().any(|p| !p.idle())
+        assert!(
+            self.port_idle(port),
+            "port {port} already has an outstanding transaction"
+        );
+        let bank = bank_of(req.addr, self.requests.len());
+        let p = &mut self.ports[port];
+        (p.req, p.bank) = (req, bank);
+        self.requests[bank] |= 1 << port;
+        self.requesting |= 1 << port;
     }
 
     /// Whether the next [`Crossbar::tick`] would do real work, i.e. some
@@ -132,35 +133,43 @@ impl Crossbar {
     /// a pure cycle increment: unconsumed responses are untouched, the
     /// round-robin pointers only move on grants, and no conflict cycles
     /// accrue — so the kernel may [`Crossbar::skip_cycles`] instead.
+    #[inline]
     pub fn needs_tick(&self) -> bool {
-        self.ports.iter().any(|p| p.pending.is_some())
+        self.requesting != 0
     }
 
-    /// Advance the cycle counter by `n` without arbitrating — exactly
-    /// equivalent to `n` calls to [`Crossbar::tick`] while no request is
-    /// pending (no grants, no conflict accrual, and the round-robin
-    /// pointers only move on grants). Outstanding *responses* are fine:
-    /// they become consumable once `ready_at <= cycle` and ticks never
-    /// touch them.
+    /// Let `n` cycles pass without arbitrating — exactly equivalent to
+    /// `n` calls to [`Crossbar::tick`] while no request is pending (no
+    /// grants, no conflict accrual, and the round-robin pointers only
+    /// move on grants). Outstanding *responses* are fine: the latest
+    /// tick's become consumable, and ticks never touch them otherwise.
     ///
     /// # Panics
     ///
     /// Debug-asserts that no request is pending.
     pub fn skip_cycles(&mut self, n: u64) {
         debug_assert!(!self.needs_tick(), "cannot skip with requests pending");
-        self.cycle += n;
+        if n > 0 {
+            self.ready |= std::mem::take(&mut self.fresh);
+        }
     }
 
     /// Whether `port` has neither a pending request nor an unconsumed
     /// response (i.e. it may submit).
+    #[inline]
     pub fn port_idle(&self, port: RequesterId) -> bool {
-        self.ports[port].idle()
+        debug_assert!(port < self.ports.len());
+        (self.requesting | self.fresh | self.ready) >> port & 1 == 0
     }
 
     /// Take the response for `port` if it is consumable this cycle.
+    #[inline]
     pub fn take_response(&mut self, port: RequesterId) -> Option<u32> {
-        let cycle = self.cycle;
-        self.ports[port].take_response(cycle)
+        if self.ready >> port & 1 == 0 {
+            return None;
+        }
+        self.ready &= !(1 << port);
+        Some(self.ports[port].value)
     }
 
     /// Statistics for `port`.
@@ -171,12 +180,6 @@ impl Crossbar {
     /// Cycles each bank spent servicing a transaction.
     pub fn bank_busy_cycles(&self) -> &[u64] {
         &self.bank_busy_cycles
-    }
-
-    /// Total words moved through the crossbar (grants), for Table 4's
-    /// scratchpad-bandwidth row: bytes = grants * 4.
-    pub fn total_grants(&self) -> u64 {
-        self.ports.iter().map(|p| p.stats.grants).sum()
     }
 
     /// Reset all counters (used to discard warm-up before measurement).
@@ -202,69 +205,56 @@ impl Crossbar {
     /// [`Event::SpConflict`] for every request that lost arbitration this
     /// cycle, stamped with `now`.
     pub fn tick_probed<P: Probe>(&mut self, sp: &mut Scratchpad, now: Ps, probe: &mut P) {
-        self.cycle += 1;
-        for bank in 0..self.arbiters.len() {
-            let winner = {
-                let ports = &self.ports;
-                self.arbiters[bank].grant(|p| {
-                    ports[p]
-                        .pending
-                        .as_ref()
-                        .is_some_and(|q| sp.bank_of(q.req.addr) == bank)
-                })
+        debug_assert_eq!(
+            sp.banks(),
+            self.requests.len(),
+            "crossbar and scratchpad disagree on the bank count"
+        );
+        self.ready |= std::mem::take(&mut self.fresh);
+        for bank in 0..self.requests.len() {
+            let Some(p) = self.arbiters[bank].grant_mask(self.requests[bank]) else {
+                continue;
             };
-            if let Some(p) = winner {
-                let q = self.ports[p].pending.take().expect("winner has request");
-                let value = sp.execute(q.req);
-                if P::ENABLED {
-                    probe.emit(Event::SpGrant {
-                        port: p,
-                        bank,
-                        addr: q.req.addr,
-                        write: q.req.op.is_write(),
-                        at: now,
-                    });
-                }
-                self.ports[p].response = Some(Response {
-                    value,
-                    ready_at: self.cycle + 1,
+            self.requests[bank] &= !(1 << p);
+            self.requesting &= !(1 << p);
+            self.fresh |= 1 << p;
+            let port = &mut self.ports[p];
+            port.value = sp.execute(port.req);
+            if P::ENABLED {
+                probe.emit(Event::SpGrant {
+                    port: p,
+                    bank,
+                    addr: port.req.addr,
+                    write: port.req.op.is_write(),
+                    at: now,
                 });
-                self.ports[p].stats.grants += 1;
-                self.bank_busy_cycles[bank] += 1;
             }
+            port.stats.grants += 1;
+            self.bank_busy_cycles[bank] += 1;
         }
         // Every request still pending after this arbitration round lost a
         // cycle to a bank conflict (uncontended requests are granted on
         // their first round).
-        for p in 0..self.ports.len() {
-            if let Some(q) = self.ports[p].pending {
-                self.ports[p].stats.conflict_cycles += 1;
-                if P::ENABLED {
-                    probe.emit(Event::SpConflict {
-                        port: p,
-                        bank: sp.bank_of(q.req.addr),
-                        at: now,
-                    });
-                }
+        let mut losers = self.requesting;
+        while losers != 0 {
+            let p = losers.trailing_zeros() as usize;
+            losers &= losers - 1;
+            let port = &mut self.ports[p];
+            port.stats.conflict_cycles += 1;
+            if P::ENABLED {
+                probe.emit(Event::SpConflict {
+                    port: p,
+                    bank: port.bank,
+                    at: now,
+                });
             }
         }
-    }
-}
-
-impl std::fmt::Debug for Crossbar {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Crossbar")
-            .field("ports", &self.ports.len())
-            .field("banks", &self.arbiters.len())
-            .field("cycle", &self.cycle)
-            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scratchpad::SpOp;
 
     fn setup(ports: usize, banks: usize) -> (Crossbar, Scratchpad) {
         (Crossbar::new(ports, banks), Scratchpad::new(4096, banks))
@@ -420,26 +410,6 @@ mod tests {
     }
 
     #[test]
-    fn has_pending_tracks_transaction_lifetime() {
-        let (mut xb, mut sp) = setup(2, 4);
-        assert!(!xb.has_pending());
-        xb.submit(
-            0,
-            SpRequest {
-                addr: 8,
-                op: SpOp::Read,
-            },
-        );
-        assert!(xb.has_pending(), "pending request");
-        xb.tick(&mut sp);
-        assert!(xb.has_pending(), "response not yet consumable");
-        xb.tick(&mut sp);
-        assert!(xb.has_pending(), "response consumable but unconsumed");
-        assert!(xb.take_response(0).is_some());
-        assert!(!xb.has_pending(), "fully drained");
-    }
-
-    #[test]
     fn needs_tick_tracks_requests_not_responses() {
         let (mut xb, mut sp) = setup(2, 4);
         assert!(!xb.needs_tick());
@@ -456,7 +426,7 @@ mod tests {
             !xb.needs_tick(),
             "granted: only a response remains, ticks are no-ops"
         );
-        assert!(xb.has_pending(), "but the port is still busy");
+        assert!(!xb.port_idle(0), "but the port is still busy");
         // Skipping while the response waits must leave it consumable.
         xb.skip_cycles(3);
         assert_eq!(xb.take_response(0), Some(0));
@@ -512,6 +482,129 @@ mod tests {
         xb.tick(&mut sp);
         assert_eq!(xb.take_response(0), Some(42));
         assert!(xb.port_idle(0));
+    }
+
+    /// The arbitration the bitmask replaced, kept as the reference: per
+    /// bank, [`RoundRobin::grant`] scanning every port's pending request.
+    struct ScanXbar {
+        pending: Vec<Option<SpRequest>>,
+        response: Vec<Option<(u32, u64)>>,
+        stats: Vec<PortStats>,
+        arbiters: Vec<RoundRobin>,
+        cycle: u64,
+        bank_busy: Vec<u64>,
+    }
+
+    impl ScanXbar {
+        fn new(ports: usize, banks: usize) -> ScanXbar {
+            ScanXbar {
+                pending: vec![None; ports],
+                response: vec![None; ports],
+                stats: vec![PortStats::default(); ports],
+                arbiters: vec![RoundRobin::new(ports); banks],
+                cycle: 0,
+                bank_busy: vec![0; banks],
+            }
+        }
+
+        /// One cycle; returns the `(port, bank)` grants in order.
+        fn tick(&mut self, sp: &mut Scratchpad) -> Vec<(usize, usize)> {
+            self.cycle += 1;
+            let mut grants = Vec::new();
+            for bank in 0..self.arbiters.len() {
+                let pending = &self.pending;
+                let winner = self.arbiters[bank]
+                    .grant(|p| pending[p].is_some_and(|q| sp.bank_of(q.addr) == bank));
+                if let Some(p) = winner {
+                    let req = self.pending[p].take().unwrap();
+                    self.response[p] = Some((sp.execute(req), self.cycle + 1));
+                    self.stats[p].grants += 1;
+                    self.bank_busy[bank] += 1;
+                    grants.push((p, bank));
+                }
+            }
+            for p in 0..self.pending.len() {
+                self.stats[p].conflict_cycles += u64::from(self.pending[p].is_some());
+            }
+            grants
+        }
+
+        fn take_response(&mut self, p: usize) -> Option<u32> {
+            let (value, _) = self.response[p].filter(|&(_, at)| at <= self.cycle)?;
+            self.response[p] = None;
+            Some(value)
+        }
+    }
+
+    #[test]
+    fn bitmask_arbitration_matches_the_port_scan() {
+        use nicsim_fault::XorShift64;
+        for (ports, banks) in [(1, 1), (3, 3), (10, 4), (64, 4), (64, 3), (10, 1)] {
+            let mut rng = XorShift64::for_site(16, (ports * 8 + banks) as u64);
+            let (mut xb, mut sp) = setup(ports, banks);
+            let (mut reference, mut ref_sp) = (ScanXbar::new(ports, banks), sp.clone());
+            for _ in 0..2_000 {
+                for p in 0..ports {
+                    let idle = reference.pending[p].is_none() && reference.response[p].is_none();
+                    assert_eq!(xb.port_idle(p), idle);
+                    if idle && rng.below(3) != 0 {
+                        // A few hot words, so banks are fought over.
+                        let req = SpRequest {
+                            addr: rng.below(12) as u32 * 4,
+                            op: match rng.below(4) {
+                                0 => SpOp::Read,
+                                1 => SpOp::Write(rng.next_u64() as u32),
+                                2 => SpOp::SetBit(rng.below(32) as u8),
+                                _ => SpOp::TestAndSet,
+                            },
+                        };
+                        xb.submit(p, req);
+                        reference.pending[p] = Some(req);
+                    }
+                }
+                assert_eq!(
+                    xb.needs_tick(),
+                    reference.pending.iter().any(Option::is_some)
+                );
+                let mut log = nicsim_obs::EventLog::new();
+                xb.tick_probed(&mut sp, Ps::ZERO, &mut log);
+                let grants: Vec<(usize, usize)> = log
+                    .events()
+                    .iter()
+                    .filter_map(|e| match *e {
+                        Event::SpGrant { port, bank, .. } => Some((port, bank)),
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(grants, reference.tick(&mut ref_sp), "{ports}x{banks}");
+                for p in 0..ports {
+                    if rng.below(2) == 0 {
+                        assert_eq!(xb.take_response(p), reference.take_response(p));
+                    }
+                }
+            }
+            for p in 0..ports {
+                let (got, want) = (xb.port_stats(p), reference.stats[p]);
+                assert_eq!(got.grants, want.grants, "{ports}x{banks} port {p}");
+                assert_eq!(got.conflict_cycles, want.conflict_cycles);
+            }
+            assert_eq!(xb.bank_busy_cycles(), &reference.bank_busy[..]);
+            assert!((0..48).step_by(4).all(|a| sp.peek(a) == ref_sp.peek(a)));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 64")]
+    fn more_ports_than_request_bits_is_refused() {
+        let _ = Crossbar::new(65, 4);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "disagree on the bank count")]
+    fn bank_count_mismatch_is_caught() {
+        let (mut xb, _) = setup(2, 2);
+        xb.tick(&mut Scratchpad::new(4096, 4));
     }
 
     #[test]

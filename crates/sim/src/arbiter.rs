@@ -40,16 +40,6 @@ impl RoundRobin {
         RoundRobin { n, last: n - 1 }
     }
 
-    /// Number of requesters.
-    pub fn len(&self) -> usize {
-        self.n
-    }
-
-    /// Always false; arbiters are non-empty by construction.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
     /// Grant to the first requester (in rotating order after the previous
     /// winner) for which `requesting(i)` is true. Returns the winner, or
     /// `None` when nobody is requesting. The priority pointer only advances
@@ -63,6 +53,23 @@ impl RoundRobin {
             }
         }
         None
+    }
+
+    /// [`RoundRobin::grant`] over a request bitmask (bit `i` set means
+    /// requester `i` is requesting): the first set bit after the previous
+    /// winner, wrapping. Same winner and same pointer movement as
+    /// `grant(|i| mask >> i & 1 != 0)`, in two bit operations instead of
+    /// a scan. Arbiters over more than 64 requesters cannot use it.
+    #[inline]
+    pub fn grant_mask(&mut self, mask: u64) -> Option<usize> {
+        debug_assert!(self.n <= 64 && (self.n == 64 || mask >> self.n == 0));
+        if mask == 0 {
+            return None;
+        }
+        let above = mask & ((u64::MAX << self.last) << 1);
+        let pick = if above != 0 { above } else { mask };
+        self.last = pick.trailing_zeros() as usize;
+        Some(self.last)
     }
 }
 
@@ -100,7 +107,27 @@ mod tests {
         let mut rr = RoundRobin::new(1);
         assert_eq!(rr.grant(|_| true), Some(0));
         assert_eq!(rr.grant(|_| true), Some(0));
-        assert_eq!(rr.len(), 1);
+    }
+
+    #[test]
+    fn grant_mask_matches_grant_on_every_mask() {
+        // Every (pointer position, mask) pair of a 5-requester arbiter.
+        for last in 0..5 {
+            for mask in 0..32u64 {
+                let (mut scan, mut bits) = (RoundRobin::new(5), RoundRobin::new(5));
+                assert_eq!(scan.grant(|i| i == last), Some(last));
+                assert_eq!(bits.grant_mask(1 << last), Some(last));
+                let want = scan.grant(|i| mask >> i & 1 != 0);
+                assert_eq!(bits.grant_mask(mask), want, "last {last} mask {mask:#b}");
+                // The pointer moved alike: the next full round agrees.
+                assert_eq!(bits.grant_mask(31), scan.grant(|_| true));
+            }
+        }
+        // The 64-requester edge: the pointer at bit 63 wraps to bit 0.
+        let mut rr = RoundRobin::new(64);
+        assert_eq!(rr.grant_mask(1 << 63 | 1), Some(0));
+        assert_eq!(rr.grant_mask(1 << 63 | 1), Some(63));
+        assert_eq!(rr.grant_mask(1 << 63 | 1), Some(0));
     }
 
     #[test]

@@ -86,6 +86,16 @@ for bad in dma=1,retries=4294967295 hang_us=18446744073709551615; do
         exit 1
     fi
 done
+# A --cores override the configuration cannot take is a usage error
+# naming the field, never a panic: Args::configure re-validates.
+for bad in "table1 2" "table3 100"; do
+    status=0
+    err=$(timeout 10 ./target/release/${bad% *} --cores "${bad#* }" 2>&1 >/dev/null) || status=$?
+    if [ "$status" -ne 2 ] || ! printf '%s' "$err" | grep -q "cores"; then
+        echo "FAIL: ${bad% *} --cores ${bad#* } exited $status (want 2, naming cores): $err"
+        exit 1
+    fi
+done
 
 echo "==> trace smoke (Chrome trace_event + latency percentiles)"
 # The trace binary validates its own output: lifecycle violations
