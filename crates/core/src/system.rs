@@ -366,14 +366,15 @@ impl<P: Probe> SystemBuilder<P> {
                 core.slot().borrow_mut().trace = Some(Vec::new());
             }
             let fw = Fw {
-                ctx: ctx.clone(),
+                ctx,
                 m: map,
+                host: host_regs,
                 mode: cfg.mode,
                 dispatch: cfg.dispatch,
                 fault_aware: faults_armed,
                 fw_faults: fw_faults.get(id).cloned(),
             };
-            core.install(dispatch_loop(ctx, fw, host_regs));
+            core.install(dispatch_loop(fw));
             cores.push(core);
         }
 

@@ -12,7 +12,7 @@ use nicsim::{
     DispatchMode, DmaDir, Event, EventLog, FaultPlan, FrameTracker, FwMode, NicConfig, NicSystem,
     Probe,
 };
-use nicsim_sim::Ps;
+use nicsim_sim::{Ps, XorShift64};
 
 const WARMUP: Ps = Ps(100_000_000); // 100 us
 const WINDOW: Ps = Ps(150_000_000); // 150 us
@@ -407,38 +407,23 @@ fn non_default_topology_in_interrupt_dispatch() {
     assert_identical(cfg, WARMUP, WINDOW, "2 engines, interrupt");
 }
 
-/// xorshift64* — deterministic, dependency-free.
-struct XorShift(u64);
-
-impl XorShift {
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
-    }
-
-    fn pick<T: Copy>(&mut self, options: &[T]) -> T {
-        options[(self.next() % options.len() as u64) as usize]
-    }
-}
-
 #[test]
 fn kernels_match_on_random_configurations() {
-    let mut rng = XorShift(0x9e37_79b9_7f4a_7c15);
+    fn pick<T: Copy>(rng: &mut XorShift64, options: &[T]) -> T {
+        options[rng.below(options.len() as u64) as usize]
+    }
+    let rng = &mut XorShift64::for_site(0x9e37_79b9_7f4a_7c15, 0);
     for trial in 0..6 {
         let cfg = NicConfig::builder()
-            .cores(rng.pick(&[1usize, 2, 3, 4, 6]))
-            .cpu_mhz(rng.pick(&[150u64, 200, 300, 500]))
-            .mode(rng.pick(&[FwMode::SoftwareOnly, FwMode::RmwEnhanced]))
-            .udp_payload(rng.pick(&[32usize, 256, 800, 1472]))
-            .driver_interval(rng.pick(&[500u64, 1000, 2000]))
+            .cores(pick(rng, &[1usize, 2, 3, 4, 6]))
+            .cpu_mhz(pick(rng, &[150u64, 200, 300, 500]))
+            .mode(pick(rng, &[FwMode::SoftwareOnly, FwMode::RmwEnhanced]))
+            .udp_payload(pick(rng, &[32usize, 256, 800, 1472]))
+            .driver_interval(pick(rng, &[500u64, 1000, 2000]))
             .build()
             .unwrap();
-        let warmup = Ps::from_us(rng.pick(&[50u64, 80, 120]));
-        let window = Ps::from_us(rng.pick(&[80u64, 100, 150]));
+        let warmup = Ps::from_us(pick(rng, &[50u64, 80, 120]));
+        let window = Ps::from_us(pick(rng, &[80u64, 100, 150]));
         assert_identical(cfg, warmup, window, &format!("trial {trial}: {cfg:?}"));
     }
 }

@@ -322,7 +322,7 @@ impl Core {
                         PendingOp::Mem(req) => (1, 0, Then::Mem(req)),
                         PendingOp::Wfi => (1, 0, Then::Park),
                     };
-                    debug_assert!(exec > 0, "alu(0) is filtered in CoreCtx");
+                    debug_assert!(exec > 0, "alu(0) completes in `Op` without being queued");
                     let imiss = self.touch_code(exec, imem, now, probe);
                     let p = self.profile.func_mut(func);
                     p.instructions += exec as u64;
@@ -677,59 +677,6 @@ mod tests {
     }
 
     #[test]
-    fn lock_charges_lock_bucket() {
-        let mut rig = Rig::new();
-        let ctx = rig.ctx();
-        rig.core.install(async move {
-            ctx.set_func(FwFunc::RecvFrame);
-            ctx.lock(128).await;
-            ctx.alu(2).await; // critical section -> RecvFrame
-            ctx.unlock(128).await;
-        });
-        rig.run(200);
-        let p = rig.core.profile();
-        assert!(p.func(FwFunc::RecvLock).instructions >= 3);
-        assert_eq!(p.func(FwFunc::RecvFrame).instructions, 2);
-        assert_eq!(rig.sp.peek(128), 0, "lock released");
-    }
-
-    #[test]
-    fn contended_lock_spins_until_released() {
-        // Two cores on one crossbar contend for a lock.
-        let mut xbar = Crossbar::new(2, 4);
-        let mut sp = Scratchpad::new(4096, 4);
-        let mut imem = InstrMemory::new();
-        let mut c0 = Core::new(0, ICacheConfig::default(), CodeLayout::new());
-        let mut c1 = Core::new(1, ICacheConfig::default(), CodeLayout::new());
-        let ctx0 = CoreCtx::new(c0.slot(), 0);
-        let ctx1 = CoreCtx::new(c1.slot(), 1);
-        // Both increment a shared counter 50 times under the lock.
-        const LOCK: u32 = 0;
-        const COUNTER: u32 = 4;
-        let body = |ctx: CoreCtx| async move {
-            ctx.set_func(FwFunc::SendFrame);
-            for _ in 0..50 {
-                ctx.lock(LOCK).await;
-                let v = ctx.load(COUNTER).await;
-                ctx.store(COUNTER, v + 1).await;
-                ctx.unlock(LOCK).await;
-            }
-        };
-        c0.install(body(ctx0));
-        c1.install(body(ctx1));
-        for _ in 0..100_000 {
-            if c0.halted() && c1.halted() {
-                break;
-            }
-            xbar.tick(&mut sp);
-            c0.tick(&mut xbar, &mut imem);
-            c1.tick(&mut xbar, &mut imem);
-        }
-        assert!(c0.halted() && c1.halted(), "deadlock or livelock");
-        assert_eq!(sp.peek(COUNTER), 100, "lost update under lock");
-    }
-
-    #[test]
     fn ipc_is_at_most_one() {
         let mut rig = Rig::new();
         let ctx = rig.ctx();
@@ -956,6 +903,64 @@ mod attribution_tests {
         assert_eq!((st.ticks, st.halted_ticks), (20, 10));
         assert_eq!(core.profile().total(|f| f.instructions), 6);
         assert_eq!(sp.peek(8), 7);
+    }
+
+    /// Run `fw` to completion on a fresh core, waking it whenever it
+    /// parks; returns how many times the engine polled the future.
+    fn polls_to_run<F: Future<Output = ()> + 'static>(fw: impl FnOnce(CoreCtx) -> F) -> u32 {
+        let (mut core, mut xbar, mut sp, mut imem) = rig();
+        let polls = std::rc::Rc::new(std::cell::Cell::new(0));
+        let counter = polls.clone();
+        let mut fw = Box::pin(fw(CoreCtx::new(core.slot(), 0)));
+        core.install(std::future::poll_fn(move |cx| {
+            counter.set(counter.get() + 1);
+            fw.as_mut().poll(cx)
+        }));
+        while !core.halted() {
+            if core.parked() {
+                core.raise_wake();
+            }
+            xbar.tick(&mut sp);
+            core.tick(&mut xbar, &mut imem);
+            assert!(core.engine_stats().ticks < 10_000, "did not halt");
+        }
+        polls.get()
+    }
+
+    #[test]
+    fn the_firmware_is_polled_once_per_result_it_waits_for() {
+        // The run-ahead contract: only an op whose result the firmware
+        // reads, or a full queue, hands control back to the engine. A
+        // spurious suspension would move no simulated result, only host
+        // time, so the polls are counted: the first one plus one per
+        // resumption.
+        let polls = polls_to_run(|ctx| async move {
+            ctx.alu(3).await;
+            ctx.load(0).await;
+            ctx.store(4, 1).await;
+            ctx.branch().await;
+            ctx.load(4).await;
+            ctx.alu(0).await;
+            ctx.update(64, 0).await;
+        });
+        assert_eq!(polls, 1 + 3, "two loads and an update");
+
+        // A value-free run longer than the queue: one more poll each
+        // time the queue fills (at the 9th and the 17th `alu`).
+        let polls = polls_to_run(|ctx| async move {
+            for _ in 0..2 * crate::slot::RUN_AHEAD + 4 {
+                ctx.alu(1).await;
+            }
+            ctx.load(0).await;
+        });
+        assert_eq!(polls, 1 + 1 + 2, "one load, two full queues");
+
+        let polls = polls_to_run(|ctx| async move {
+            ctx.alu(2).await;
+            ctx.wfi().await;
+            ctx.alu(3).await;
+        });
+        assert_eq!(polls, 1 + 1, "the wfi returns when the core is woken");
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! structure, ordering and committing frames — is charged inside the
 //! handlers to the direction's "Dispatch and Ordering" bucket.
 
-use crate::handlers::HostRegs;
 use crate::mode::{peek_bit_pending, peek_work, DispatchMode, Fw};
-use nicsim_cpu::{CoreCtx, FwFunc};
+use nicsim_cpu::FwFunc;
 
 /// The work sources the dispatch loop polls for the default topology:
 /// the seven hardware progress pointers plus the three pending-commit
@@ -21,81 +20,92 @@ use nicsim_cpu::{CoreCtx, FwFunc};
 const N_SOURCES: usize = 10;
 
 impl Fw {
-    /// How many sources this topology's dispatch loop scans.
-    pub fn n_sources(&self) -> usize {
-        N_SOURCES + 2 * (self.m.n_dma as usize - 1)
-    }
-
-    /// An instruction fault fired as the handler was about to run: abort
-    /// before any handler state changes (the claimed work simply stays
-    /// pending and the next scan retries it) and charge the core-restart
-    /// penalty — pipeline flush, fault vector, state re-load. Counts as
-    /// work done so an interrupt-mode core re-scans instead of parking.
-    async fn fw_fault_abort(&self) -> bool {
-        let ctx = &self.ctx;
-        ctx.branch_miss().await; // vectored into the fault handler
-        ctx.alu(64).await; // save/restore + restart sequence
+    /// Draw the per-core instruction-fault site, if armed (draw-free
+    /// when unarmed), and report whether it fired. A fault aborts before
+    /// any handler state changes — the claimed work simply stays pending
+    /// and the next scan retries it — and charges the core-restart
+    /// penalty: pipeline flush, fault vector, state re-load. The site's
+    /// `injected` counter is read by the system's `collect()`, so the
+    /// draw waits for the engine to catch up with the firmware.
+    async fn fw_fault(&self) -> bool {
+        let Some(site) = &self.fw_faults else {
+            return false;
+        };
+        self.ctx.sync().await;
+        if !site.borrow_mut().fires() {
+            return false;
+        }
+        self.ctx.branch_miss().await; // vectored into the fault handler
+        self.ctx.alu(64).await; // save/restore + restart sequence
         true
     }
 
-    async fn run_source(&self, src: usize, host: &HostRegs) -> bool {
+    async fn run_source(&self, src: usize) -> bool {
         let ctx = &self.ctx;
         let m = &self.m;
         // Polling a quiet source is idle time; the dispatch cost proper
         // (claim, event construction, ordering) is charged inside the
-        // handlers. Sources past the fixed ten are the extra engines'
-        // completion counters, two per engine: even offsets are the
-        // read side, odd the write side.
+        // handlers.
         ctx.set_func(FwFunc::Idle);
-        let extra = src.checked_sub(N_SOURCES);
-        let eng = 1 + extra.unwrap_or(0) / 2;
-        debug_assert!(
-            extra.is_none() || eng < m.n_dma as usize,
-            "source out of range"
-        );
-        let extra_read = extra.is_some_and(|k| k.is_multiple_of(2));
-        let has_work = match src {
-            0 => peek_work(ctx, m.sb_mailbox_prod, m.sb_fetched).await,
-            1 => peek_work(ctx, m.dmard_done, m.dmard_claim).await,
-            2 => peek_work(ctx, m.sbd_parsed, m.sbd_cons).await,
-            3 => peek_work(ctx, m.mactx_done, m.send_txdone_claim).await,
-            4 => peek_work(ctx, m.rb_mailbox_prod, m.rb_fetched).await,
-            5 => peek_work(ctx, m.macrx_prod, m.recv_claim).await,
-            6 => peek_work(ctx, m.dmawr_done, m.dmawr_claim).await,
-            7 => peek_bit_pending(ctx, m.send_ready_bits, m.send_ready_commit).await,
-            8 => peek_bit_pending(ctx, m.send_txdone_bits, m.send_txdone_commit).await,
-            9 => peek_bit_pending(ctx, m.recv_done_bits, m.recv_commit).await,
-            _ if extra_read => peek_work(ctx, m.dmard(eng).done, m.dmard(eng).claim).await,
-            _ => peek_work(ctx, m.dmawr(eng).done, m.dmawr(eng).claim).await,
-        };
-        if !has_work {
-            return false;
+        // One source: the peek that says it has work, one draw of the
+        // instruction-fault site, then the handler that consumes it. An
+        // aborted handler counts as work done, so an interrupt-mode core
+        // re-scans instead of parking.
+        macro_rules! source {
+            ($peek:expr => $handler:expr) => {{
+                if !$peek.await {
+                    return false;
+                }
+                if self.fw_fault().await {
+                    return true;
+                }
+                $handler.await
+            }};
         }
-        if self.fw_fault_fires().await {
-            return self.fw_fault_abort().await;
-        }
+        let work = |avail, claim| peek_work(ctx, avail, claim);
+        let bit = |bits, commit| peek_bit_pending(ctx, bits, commit);
         match src {
-            0 => return self.fetch_send_bds(host).await,
-            1 => return self.process_dmard_completions(0).await,
-            2 => return self.send_frames().await,
-            3 => return self.process_mactx_done(host).await,
-            4 => return self.fetch_recv_bds(host).await,
-            5 => return self.recv_frames().await,
-            6 => return self.process_dmawr_completions(0, host).await,
-            7 => self.commit_send_ready().await,
-            8 => self.commit_txdone(host).await,
-            9 => self.commit_recv(host).await,
-            _ if extra_read => return self.process_dmard_completions(eng).await,
-            _ => return self.process_dmawr_completions(eng, host).await,
+            0 => source!(work(m.sb_mailbox_prod, m.sb_fetched) => self.fetch_send_bds()),
+            1 => source!(work(m.dmard_done, m.dmard_claim) => self.process_dmard_completions(0)),
+            2 => source!(work(m.sbd_parsed, m.sbd_cons) => self.send_frames()),
+            3 => source!(work(m.mactx_done, m.send_txdone_claim) => self.process_mactx_done()),
+            4 => source!(work(m.rb_mailbox_prod, m.rb_fetched) => self.fetch_recv_bds()),
+            5 => source!(work(m.macrx_prod, m.recv_claim) => self.recv_frames()),
+            6 => source!(work(m.dmawr_done, m.dmawr_claim) => self.process_dmawr_completions(0)),
+            7 => {
+                source!(bit(m.send_ready_bits, m.send_ready_commit) => self.commit_send_ready());
+                true
+            }
+            8 => {
+                source!(bit(m.send_txdone_bits, m.send_txdone_commit) => self.commit_txdone());
+                true
+            }
+            9 => {
+                source!(bit(m.recv_done_bits, m.recv_commit) => self.commit_recv());
+                true
+            }
+            _ => {
+                // Past the fixed ten: the extra engines' completion
+                // counters, two per engine, the read side first.
+                let k = src - N_SOURCES;
+                let eng = 1 + k / 2;
+                if k.is_multiple_of(2) {
+                    let d = m.dmard(eng);
+                    source!(work(d.done, d.claim) => self.process_dmard_completions(eng))
+                } else {
+                    let d = m.dmawr(eng);
+                    source!(work(d.done, d.claim) => self.process_dmawr_completions(eng))
+                }
+            }
         }
-        true
     }
 }
 
-/// The firmware entry point: run the dispatch loop on `ctx` until the
-/// system sets the stop flag.
-pub async fn dispatch_loop(ctx: CoreCtx, fw: Fw, host: HostRegs) {
-    let n_sources = fw.n_sources();
+/// The firmware entry point: run the dispatch loop on `fw`'s core until
+/// the system sets the stop flag.
+pub async fn dispatch_loop(fw: Fw) {
+    let ctx = &fw.ctx;
+    let n_sources = N_SOURCES + 2 * (fw.m.n_dma as usize - 1);
     let mut rot = ctx.core_id() % n_sources;
     loop {
         ctx.set_func(FwFunc::Idle);
@@ -109,7 +119,7 @@ pub async fn dispatch_loop(ctx: CoreCtx, fw: Fw, host: HostRegs) {
         let mut did_work = false;
         for s in 0..n_sources {
             let src = (rot + s) % n_sources;
-            if fw.run_source(src, &host).await {
+            if fw.run_source(src).await {
                 did_work = true;
             }
         }

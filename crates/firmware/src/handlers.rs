@@ -21,10 +21,10 @@
 //! around each memory access.
 
 use crate::map::{
-    info, BD_CACHE, DMA_RING, MACRX_RING, MACTX_RING, RECV_BD_BATCH, RXBUF_BYTES, SEND_BD_BATCH,
-    SLOTS, STAGING, TXBUF_BASE, TX_SLOT_BYTES,
+    info, DmaIf, BD_CACHE, DMA_RING, MACRX_RING, MACTX_RING, RECV_BD_BATCH, RXBUF_BYTES,
+    SEND_BD_BATCH, SLOTS, STAGING, TXBUF_BASE, TX_SLOT_BYTES,
 };
-use crate::mode::{claim_range, commit_scan, mark_bit, sync_lock, sync_unlock, Fw};
+use crate::mode::{claim_range, commit_scan, lock, mark_bit, try_lock, unlock, Fw};
 use nicsim_assists::cmd::{FLAG_IMM, FLAG_SP};
 use nicsim_cpu::FwFunc;
 
@@ -103,43 +103,35 @@ impl Fw {
     /// word) may only be reused once its completion has been consumed.
     /// The spin cannot deadlock, because completions are eventually
     /// claimed by whichever core polls the source.
-    async fn dma_push(
-        &self,
-        ring: u32,
-        info_ring: u32,
-        prod_addr: u32,
-        claim_addr: u32,
-        lock: u32,
-        cmds: &[Cmd],
-    ) {
+    async fn dma_push(&self, d: &DmaIf, cmds: &[Cmd]) {
         let ctx = &self.ctx;
         // Field packing and address generation happen before the lock is
         // taken, keeping the critical section to the ring stores only.
         ctx.alu(3 * cmds.len() as u32 + 2).await;
-        sync_lock(ctx, self.mode, lock).await;
+        lock(ctx, self.mode, d.lock).await;
         loop {
-            let prod = ctx.load(prod_addr).await;
-            let claimed = ctx.load(claim_addr).await;
+            let prod = ctx.load(d.prod).await;
+            let claimed = ctx.load(d.claim).await;
             ctx.alu(2).await;
             if prod.wrapping_sub(claimed) + cmds.len() as u32 <= DMA_RING {
                 ctx.branch().await;
                 let mut p = prod;
                 for (w, inf) in cmds {
-                    let base = ring + (p % DMA_RING) * 16;
+                    let base = d.ring + (p % DMA_RING) * 16;
                     for (k, word) in w.iter().enumerate() {
                         ctx.store(base + k as u32 * 4, *word).await;
                     }
-                    ctx.store(info_ring + (p % DMA_RING) * 4, *inf).await;
+                    ctx.store(d.info + (p % DMA_RING) * 4, *inf).await;
                     p = p.wrapping_add(1);
                 }
-                ctx.store(prod_addr, p).await; // doorbell
+                ctx.store(d.prod, p).await; // doorbell
                 break;
             }
             // Ring full: retry until the engine drains.
             ctx.branch_miss().await;
             ctx.alu(2).await;
         }
-        sync_unlock(ctx, self.mode, lock).await;
+        unlock(ctx, self.mode, d.lock).await;
     }
 
     /// Pick the DMA engine for work unit `x` (a fetch counter or frame
@@ -151,29 +143,17 @@ impl Fw {
         (x % self.m.n_dma) as usize
     }
 
-    async fn dmard_push(&self, eng: usize, cmds: &[Cmd]) {
-        let d = *self.m.dmard(eng);
-        self.dma_push(d.ring, d.info, d.prod, d.claim, d.lock, cmds)
-            .await;
-    }
-
-    async fn dmawr_push(&self, eng: usize, cmds: &[Cmd]) {
-        let d = *self.m.dmawr(eng);
-        self.dma_push(d.ring, d.info, d.prod, d.claim, d.lock, cmds)
-            .await;
-    }
-
     // ------------------------------------------------------------------
     // Send path
     // ------------------------------------------------------------------
 
     /// Fetch Send BD, issue side: DMA up to 32 new send BDs from the host
     /// ring into the raw cache (Fig. 1 step 3).
-    pub async fn fetch_send_bds(&self, host: &HostRegs) -> bool {
+    pub async fn fetch_send_bds(&self) -> bool {
         let ctx = &self.ctx;
         ctx.set_func(FwFunc::FetchSendBd);
         let m = &self.m;
-        sync_lock(ctx, self.mode, m.lock_sb_fetch).await;
+        lock(ctx, self.mode, m.lock_sb_fetch).await;
         let prod = ctx.load(m.sb_mailbox_prod).await;
         let fetched = ctx.load(m.sb_fetched).await;
         let cons = ctx.load(m.sbd_cons).await;
@@ -186,20 +166,20 @@ impl Fw {
         let batch = avail.min(SEND_BD_BATCH).min(cache_free).min(ring_space);
         if batch == 0 {
             ctx.branch_miss().await;
-            sync_unlock(ctx, self.mode, m.lock_sb_fetch).await;
+            unlock(ctx, self.mode, m.lock_sb_fetch).await;
             return false;
         }
         ctx.branch().await;
         ctx.alu(6).await; // host/destination address generation
         let idx = fetched % BD_CACHE;
         let cmd = [
-            host.send_bd_ring + idx * 16,
+            self.host.send_bd_ring + idx * 16,
             m.sbd_raw + idx * 16,
             (batch * 16) | FLAG_SP,
             0,
         ];
-        self.dmard_push(
-            self.stripe(fetched),
+        self.dma_push(
+            m.dmard(self.stripe(fetched)),
             &[(
                 cmd,
                 info::pack(info::SEND_BD_BATCH, info::pack_batch(fetched, batch)),
@@ -208,7 +188,7 @@ impl Fw {
         .await;
         ctx.set_func(FwFunc::FetchSendBd);
         ctx.store(m.sb_fetched, fetched.wrapping_add(batch)).await;
-        sync_unlock(ctx, self.mode, m.lock_sb_fetch).await;
+        unlock(ctx, self.mode, m.lock_sb_fetch).await;
         true
     }
 
@@ -220,14 +200,14 @@ impl Fw {
         let ctx = &self.ctx;
         ctx.set_func(FwFunc::FetchSendBd);
         let m = &self.m;
-        sync_lock(ctx, self.mode, m.lock_sbd_parse).await;
+        lock(ctx, self.mode, m.lock_sbd_parse).await;
         let mut parsed = ctx.load(m.sbd_parsed).await;
         while parsed & 0x3ffff != start18 {
             // An earlier batch has not been parsed yet: yield the lock.
-            sync_unlock(ctx, self.mode, m.lock_sbd_parse).await;
+            unlock(ctx, self.mode, m.lock_sbd_parse).await;
             ctx.alu(3).await;
             ctx.branch_miss().await;
-            sync_lock(ctx, self.mode, m.lock_sbd_parse).await;
+            lock(ctx, self.mode, m.lock_sbd_parse).await;
             parsed = ctx.load(m.sbd_parsed).await;
         }
         ctx.alu(2).await;
@@ -245,12 +225,11 @@ impl Fw {
                 .await;
             ctx.store(m.sbd_pool + i * 16 + 8, seq).await;
             ctx.store(m.sbd_pool + i * 16 + 12, 0).await; // checksum info
-            let chain = ctx.load(m.sbd_raw + i * 16 + 4).await; // chain/len recheck
-            let _ = chain;
+            ctx.load(m.sbd_raw + i * 16 + 4).await; // chain/len recheck
             ctx.store(m.sbd_raw + i * 16 + 8, 0).await; // consume-mark the raw BD
         }
         ctx.store(m.sbd_parsed, parsed.wrapping_add(count)).await;
-        sync_unlock(ctx, self.mode, m.lock_sbd_parse).await;
+        unlock(ctx, self.mode, m.lock_sbd_parse).await;
     }
 
     /// Send Frame, start side: claim parsed BD pairs, allocate frame
@@ -260,7 +239,7 @@ impl Fw {
         let ctx = &self.ctx;
         ctx.set_func(FwFunc::SendFrame);
         let m = &self.m;
-        sync_lock(ctx, self.mode, m.lock_sbd).await;
+        lock(ctx, self.mode, m.lock_sbd).await;
         let parsed = ctx.load(m.sbd_parsed).await;
         let cons = ctx.load(m.sbd_cons).await;
         let txdone = ctx.load(m.send_txdone_commit).await;
@@ -271,12 +250,12 @@ impl Fw {
         let batch = pairs.min(free_slots).min(FRAME_BATCH);
         if batch == 0 {
             ctx.branch_miss().await;
-            sync_unlock(ctx, self.mode, m.lock_sbd).await;
+            unlock(ctx, self.mode, m.lock_sbd).await;
             return false;
         }
         ctx.branch().await;
         ctx.store(m.sbd_cons, cons.wrapping_add(batch * 2)).await;
-        sync_unlock(ctx, self.mode, m.lock_sbd).await;
+        unlock(ctx, self.mode, m.lock_sbd).await;
         for f in 0..batch {
             let seq = seq0.wrapping_add(f);
             let sidx = seq % SLOTS;
@@ -309,20 +288,17 @@ impl Fw {
                                            // values coincide there).
             ctx.store(slot + 24, hseq).await;
             ctx.store(slot + 28, 1).await; // state: fragments in flight
-            let prev_state = ctx
-                .load(m.send_slots + ((seq.wrapping_sub(1)) % SLOTS) * 32 + 28)
-                .await;
-            let _ = prev_state; // neighbour-slot sanity check, as Tigon does
-            let fence = ctx.load(m.send_txdone_commit).await; // slot-reuse fence
-            let _ = fence;
+            let prev_slot = m.send_slot(seq.wrapping_sub(1));
+            ctx.load(prev_slot + 28).await; // neighbour-slot sanity check, as Tigon does
+            ctx.load(m.send_txdone_commit).await; // slot-reuse fence
             ctx.branch_miss().await; // reuse-fence branch
             let st = ctx.load(m.stat(0)).await; // tx frames started
             ctx.store(m.stat(0), st.wrapping_add(1)).await;
             // Header and payload ride the same engine: the frame is
             // ready only when its *last* fragment completes, and the
             // in-engine FIFO guarantees that order.
-            self.dmard_push(
-                self.stripe(seq),
+            self.dma_push(
+                m.dmard(self.stripe(seq)),
                 &[
                     ([haddr, sdram, hlen, 0], info::pack(info::NOP, 0)),
                     (
@@ -365,7 +341,7 @@ impl Fw {
         let ctx = &self.ctx;
         ctx.set_func(self.send_dispatch_tag());
         let m = &self.m;
-        if self.mode.locking() && !ctx.try_lock(m.lock_send_ready_commit).await {
+        if !try_lock(ctx, self.mode, m.lock_send_ready_commit).await {
             // Another core is committing; it (or the dispatch loop's
             // pending check) will pick up our frames.
             return;
@@ -375,7 +351,6 @@ impl Fw {
         let done = ctx.load(m.mactx_done).await; // ring-space verification
         ctx.alu(4).await;
         debug_assert!(prod.wrapping_sub(done) <= MACTX_RING);
-        let _ = done;
         ctx.branch_miss().await; // space-branch resolves late
         let mut commit = commit0;
         loop {
@@ -413,13 +388,13 @@ impl Fw {
             ctx.store(m.send_ready_commit, commit).await;
         }
         ctx.alu(1).await;
-        sync_unlock(ctx, self.mode, m.lock_send_ready_commit).await;
+        unlock(ctx, self.mode, m.lock_send_ready_commit).await;
     }
 
     /// Send Frame, completion side: claim MAC TX completions, mark each
     /// frame done, and commit the in-order prefix back to the host
     /// (Fig. 1 step 6).
-    pub async fn process_mactx_done(&self, host: &HostRegs) -> bool {
+    pub async fn process_mactx_done(&self) -> bool {
         let ctx = &self.ctx;
         ctx.set_func(self.send_dispatch_tag());
         let m = &self.m;
@@ -460,18 +435,18 @@ impl Fw {
             )
             .await;
         }
-        self.commit_txdone(host).await;
+        self.commit_txdone().await;
         true
     }
 
     /// Send ordering: advance the txdone commit pointer and notify the
     /// host of the new send consumer index ("committing a frame only
     /// requires a pointer update").
-    pub async fn commit_txdone(&self, host: &HostRegs) {
+    pub async fn commit_txdone(&self) {
         let ctx = &self.ctx;
         ctx.set_func(self.send_dispatch_tag());
         let m = &self.m;
-        if self.mode.locking() && !ctx.try_lock(m.lock_send_txdone_commit).await {
+        if !try_lock(ctx, self.mode, m.lock_send_txdone_commit).await {
             return;
         }
         let commit0 = ctx.load(m.send_txdone_commit).await;
@@ -494,12 +469,12 @@ impl Fw {
             // Pinned to engine 0: the status word is a monotonic counter
             // overwrite, and cross-engine reordering could publish a
             // stale (smaller) value last.
-            self.dmawr_push(
-                0,
+            self.dma_push(
+                m.dmawr(0),
                 &[(
                     [
                         commit.wrapping_mul(2),
-                        host.status_send_cons,
+                        self.host.status_send_cons,
                         4 | FLAG_IMM,
                         0,
                     ],
@@ -510,7 +485,7 @@ impl Fw {
             ctx.set_func(self.send_dispatch_tag());
         }
         ctx.alu(1).await;
-        sync_unlock(ctx, self.mode, m.lock_send_txdone_commit).await;
+        unlock(ctx, self.mode, m.lock_send_txdone_commit).await;
     }
 
     // ------------------------------------------------------------------
@@ -518,11 +493,11 @@ impl Fw {
     // ------------------------------------------------------------------
 
     /// Fetch Receive BD, issue side: DMA up to 16 receive BDs.
-    pub async fn fetch_recv_bds(&self, host: &HostRegs) -> bool {
+    pub async fn fetch_recv_bds(&self) -> bool {
         let ctx = &self.ctx;
         ctx.set_func(FwFunc::FetchRecvBd);
         let m = &self.m;
-        sync_lock(ctx, self.mode, m.lock_rb_fetch).await;
+        lock(ctx, self.mode, m.lock_rb_fetch).await;
         let prod = ctx.load(m.rb_mailbox_prod).await;
         let fetched = ctx.load(m.rb_fetched).await;
         let cons = ctx.load(m.rbd_cons).await;
@@ -533,20 +508,20 @@ impl Fw {
         let batch = avail.min(RECV_BD_BATCH).min(cache_free).min(ring_space);
         if batch == 0 {
             ctx.branch_miss().await;
-            sync_unlock(ctx, self.mode, m.lock_rb_fetch).await;
+            unlock(ctx, self.mode, m.lock_rb_fetch).await;
             return false;
         }
         ctx.branch().await;
         ctx.alu(6).await;
         let idx = fetched % BD_CACHE;
         let cmd = [
-            host.rx_bd_ring + idx * 16,
+            self.host.rx_bd_ring + idx * 16,
             m.rbd_raw + idx * 16,
             (batch * 16) | FLAG_SP,
             0,
         ];
-        self.dmard_push(
-            self.stripe(fetched),
+        self.dma_push(
+            m.dmard(self.stripe(fetched)),
             &[(
                 cmd,
                 info::pack(info::RX_BD_BATCH, info::pack_batch(fetched, batch)),
@@ -555,7 +530,7 @@ impl Fw {
         .await;
         ctx.set_func(FwFunc::FetchRecvBd);
         ctx.store(m.rb_fetched, fetched.wrapping_add(batch)).await;
-        sync_unlock(ctx, self.mode, m.lock_rb_fetch).await;
+        unlock(ctx, self.mode, m.lock_rb_fetch).await;
         true
     }
 
@@ -565,13 +540,13 @@ impl Fw {
         let ctx = &self.ctx;
         ctx.set_func(FwFunc::FetchRecvBd);
         let m = &self.m;
-        sync_lock(ctx, self.mode, m.lock_rbd_parse).await;
+        lock(ctx, self.mode, m.lock_rbd_parse).await;
         let mut parsed = ctx.load(m.rbd_parsed).await;
         while parsed & 0x3ffff != start18 {
-            sync_unlock(ctx, self.mode, m.lock_rbd_parse).await;
+            unlock(ctx, self.mode, m.lock_rbd_parse).await;
             ctx.alu(3).await;
             ctx.branch_miss().await;
-            sync_lock(ctx, self.mode, m.lock_rbd_parse).await;
+            lock(ctx, self.mode, m.lock_rbd_parse).await;
             parsed = ctx.load(m.rbd_parsed).await;
         }
         ctx.alu(2).await;
@@ -588,7 +563,7 @@ impl Fw {
             ctx.store(m.rbd_raw + i * 16 + 8, 0).await; // consume-mark
         }
         ctx.store(m.rbd_parsed, parsed.wrapping_add(count)).await;
-        sync_unlock(ctx, self.mode, m.lock_rbd_parse).await;
+        unlock(ctx, self.mode, m.lock_rbd_parse).await;
     }
 
     /// Receive Frame, start side: claim arrived frames, pair each with a
@@ -598,7 +573,7 @@ impl Fw {
         let ctx = &self.ctx;
         ctx.set_func(FwFunc::RecvFrame);
         let m = &self.m;
-        sync_lock(ctx, self.mode, m.lock_rxclaim).await;
+        lock(ctx, self.mode, m.lock_rxclaim).await;
         let prod = ctx.load(m.macrx_prod).await;
         let claim = ctx.load(m.recv_claim).await;
         let rparsed = ctx.load(m.rbd_parsed).await;
@@ -611,13 +586,13 @@ impl Fw {
         let batch = avail.min(bufs).min(free_slots).min(FRAME_BATCH);
         if batch == 0 {
             ctx.branch_miss().await;
-            sync_unlock(ctx, self.mode, m.lock_rxclaim).await;
+            unlock(ctx, self.mode, m.lock_rxclaim).await;
             return false;
         }
         ctx.branch().await;
         ctx.store(m.recv_claim, claim.wrapping_add(batch)).await;
         ctx.store(m.rbd_cons, rcons.wrapping_add(batch)).await;
-        sync_unlock(ctx, self.mode, m.lock_rxclaim).await;
+        unlock(ctx, self.mode, m.lock_rxclaim).await;
         for f in 0..batch {
             let seq = claim.wrapping_add(f);
             let sidx = seq % SLOTS;
@@ -662,11 +637,9 @@ impl Fw {
                 ctx.set_func(FwFunc::RecvFrame);
                 continue;
             }
-            let _ = status;
             let st = ctx.load(m.stat(2)).await; // rx frames started
             ctx.store(m.stat(2), st.wrapping_add(1)).await;
-            let fence = ctx.load(m.recv_commit).await; // slot-reuse fence
-            let _ = fence;
+            ctx.load(m.recv_commit).await; // slot-reuse fence
             ctx.branch_miss().await; // reuse-fence branch
             let slot = m.recv_slot(seq);
             ctx.store(slot, addr).await;
@@ -678,8 +651,8 @@ impl Fw {
             ctx.store(slot + 28, 1).await; // state: DMA in flight
             let bytes = ctx.load(m.stat(5)).await; // rx byte counter
             ctx.store(m.stat(5), bytes.wrapping_add(len)).await;
-            self.dmawr_push(
-                self.stripe(seq),
+            self.dma_push(
+                m.dmawr(self.stripe(seq)),
                 &[([addr, hbuf, len, 0], info::pack(info::RECV_PAYLOAD, sidx))],
             )
             .await;
@@ -691,7 +664,7 @@ impl Fw {
     /// Receive completion side: claim engine `eng`'s DMA-write
     /// completions, mark frames whose payload reached the host, and
     /// commit the in-order prefix.
-    pub async fn process_dmawr_completions(&self, eng: usize, host: &HostRegs) -> bool {
+    pub async fn process_dmawr_completions(&self, eng: usize) -> bool {
         let ctx = &self.ctx;
         ctx.set_func(self.recv_dispatch_tag());
         let m = &self.m;
@@ -716,9 +689,8 @@ impl Fw {
             let inf = ctx.load(d.info + (idx % DMA_RING) * 4).await;
             if self.mode.locking() {
                 ctx.set_func(FwFunc::RecvFrame);
-                let ev = ctx.load(m.event_area(ctx.core_id()) + 8).await; // event range
-                let evs = ctx.load(m.event_area(ctx.core_id()) + 4).await; // range start
-                let _ = (ev, evs);
+                ctx.load(m.event_area(ctx.core_id()) + 8).await; // event range
+                ctx.load(m.event_area(ctx.core_id()) + 4).await; // range start
                 ctx.alu(17).await; // event bookkeeping, retry checks
                 ctx.branch_miss().await; // retry-path decision
             } else {
@@ -749,7 +721,7 @@ impl Fw {
             }
         }
         if any {
-            self.commit_recv(host).await;
+            self.commit_recv().await;
         }
         true
     }
@@ -758,11 +730,11 @@ impl Fw {
     /// consecutive completed frames, stage their return descriptors, DMA
     /// them to the host return ring in order, retire receive-buffer
     /// space, and update the return producer (Fig. 2 steps 3–4).
-    pub async fn commit_recv(&self, host: &HostRegs) {
+    pub async fn commit_recv(&self) {
         let ctx = &self.ctx;
         ctx.set_func(self.recv_dispatch_tag());
         let m = &self.m;
-        if self.mode.locking() && !ctx.try_lock(m.lock_recv_commit).await {
+        if !try_lock(ctx, self.mode, m.lock_recv_commit).await {
             return;
         }
         let commit0 = ctx.load(m.recv_commit).await;
@@ -833,12 +805,12 @@ impl Fw {
                 // update below: the driver reads descriptors up to the
                 // producer, so descriptor data must land strictly before
                 // the producer does — a single engine's FIFO gives that.
-                self.dmawr_push(
-                    0,
+                self.dma_push(
+                    m.dmawr(0),
                     &[(
                         [
                             m.staging + i * 16,
-                            host.return_ring + i * 16,
+                            self.host.return_ring + i * 16,
                             (cnt * 16) | FLAG_SP,
                             0,
                         ],
@@ -856,10 +828,10 @@ impl Fw {
             ctx.store(m.recv_commit, commit).await;
             ctx.store(m.rxbuf_tail, tail).await;
             ctx.alu(2).await;
-            self.dmawr_push(
-                0,
+            self.dma_push(
+                m.dmawr(0),
                 &[(
-                    [commit, host.status_ret_prod, 4 | FLAG_IMM, 0],
+                    [commit, self.host.status_ret_prod, 4 | FLAG_IMM, 0],
                     info::pack(info::NOP, 0),
                 )],
             )
@@ -867,7 +839,7 @@ impl Fw {
             ctx.set_func(self.recv_dispatch_tag());
         }
         ctx.alu(1).await;
-        sync_unlock(ctx, self.mode, m.lock_recv_commit).await;
+        unlock(ctx, self.mode, m.lock_recv_commit).await;
     }
 
     // ------------------------------------------------------------------
@@ -904,9 +876,8 @@ impl Fw {
                 // ordering (Table 5 charges only claims/scans/pointers
                 // to "Dispatch and Ordering").
                 ctx.set_func(FwFunc::SendFrame);
-                let ev = ctx.load(m.event_area(ctx.core_id()) + 8).await; // event range
-                let evs = ctx.load(m.event_area(ctx.core_id()) + 4).await; // range start
-                let _ = (ev, evs);
+                ctx.load(m.event_area(ctx.core_id()) + 8).await; // event range
+                ctx.load(m.event_area(ctx.core_id()) + 4).await; // range start
                 ctx.alu(17).await; // event bookkeeping, retry checks
                 ctx.branch_miss().await; // retry-path decision
             } else {
@@ -925,7 +896,9 @@ impl Fw {
                     let (start, count) = info::unpack_batch(arg);
                     self.parse_recv_bds(start, count).await;
                 }
-                _ => ctx.alu(1).await,
+                _ => {
+                    ctx.alu(1).await;
+                }
             }
         }
         true

@@ -6,6 +6,7 @@
 //! with all parallelization overhead removed provides the Table 1
 //! baseline.
 
+use crate::handlers::HostRegs;
 use crate::map::MemMap;
 use nicsim_cpu::CoreCtx;
 
@@ -47,18 +48,50 @@ pub enum DispatchMode {
     Interrupt,
 }
 
-/// Acquire `lock` unless the mode elides synchronization.
-pub async fn sync_lock(ctx: &CoreCtx, mode: FwMode, lock: u32) {
-    if mode.locking() {
-        ctx.lock(lock).await;
+/// Acquire the spinlock at `addr` unless the mode elides
+/// synchronization, charging acquire and spin work to the current
+/// function's lock bucket (Table 5's "Send Locking"/"Receive Locking"
+/// rows). The sequence per attempt is address setup + test-and-set +
+/// branch on the result.
+pub async fn lock(ctx: &CoreCtx, mode: FwMode, addr: u32) {
+    if !mode.locking() {
+        return;
     }
+    let prev = ctx.set_func(ctx.func().lock_bucket());
+    ctx.alu(1).await; // lock address setup
+    while ctx.test_and_set(addr).await != 0 {
+        // Spin: branch back and retry.
+        ctx.branch_miss().await;
+        ctx.alu(1).await;
+    }
+    ctx.branch().await; // fall through: acquired
+    ctx.set_func(prev);
 }
 
-/// Release `lock` unless the mode elides synchronization.
-pub async fn sync_unlock(ctx: &CoreCtx, mode: FwMode, lock: u32) {
-    if mode.locking() {
-        ctx.unlock(lock).await;
+/// Release the spinlock at `addr` (a single store) unless the mode
+/// elides synchronization.
+pub async fn unlock(ctx: &CoreCtx, mode: FwMode, addr: u32) {
+    if !mode.locking() {
+        return;
     }
+    let prev = ctx.set_func(ctx.func().lock_bucket());
+    ctx.store(addr, 0).await;
+    ctx.set_func(prev);
+}
+
+/// Try to acquire the spinlock at `addr` once; returns whether the
+/// caller now holds it, which a mode that elides synchronization always
+/// does.
+pub async fn try_lock(ctx: &CoreCtx, mode: FwMode, addr: u32) -> bool {
+    if !mode.locking() {
+        return true;
+    }
+    let prev = ctx.set_func(ctx.func().lock_bucket());
+    ctx.alu(1).await;
+    let old = ctx.test_and_set(addr).await;
+    ctx.branch().await;
+    ctx.set_func(prev);
+    old == 0
 }
 
 /// Mark status bit `idx` in the array at `bits`, charging the work to
@@ -79,12 +112,14 @@ pub async fn mark_bit(
 ) {
     let prev = ctx.set_func(tag);
     match mode {
-        FwMode::RmwEnhanced => ctx.set_bit(bits, idx % crate::map::SLOTS).await,
+        FwMode::RmwEnhanced => {
+            ctx.set_bit(bits, idx % crate::map::SLOTS).await;
+        }
         FwMode::SoftwareOnly | FwMode::Ideal => {
             let i = idx % crate::map::SLOTS;
             let addr = bits + (i / 32) * 4;
             if mode == FwMode::SoftwareOnly {
-                ctx.lock(guard).await;
+                lock(ctx, mode, guard).await;
             }
             ctx.alu(3).await; // word index + mask generation
             let w = ctx.load(addr).await;
@@ -108,10 +143,9 @@ pub async fn mark_bit(
                 }
                 ctx.alu(4).await; // pointer arithmetic
                 ctx.branch_miss().await; // run-terminated exit
-                let p = ctx.load(guard.wrapping_add(0)).await; // re-check commit ptr
-                let _ = p;
+                ctx.load(guard).await; // re-check commit ptr
                 ctx.alu(3).await;
-                ctx.unlock(guard).await;
+                unlock(ctx, mode, guard).await;
             }
         }
     }
@@ -162,9 +196,9 @@ pub async fn commit_scan(ctx: &CoreCtx, mode: FwMode, bits: u32, idx: u32) -> u3
 }
 
 /// Claim up to `batch` work units from the gap between a progress counter
-/// at `avail_addr` and a claim counter at `claim_addr`, under `lock`,
-/// then build the event data structure describing the claimed bundle in
-/// the core's event scratch at `ev_addr`.
+/// at `avail_addr` and a claim counter at `claim_addr`, under the lock at
+/// `lock_addr`, then build the event data structure describing the
+/// claimed bundle in the core's event scratch at `ev_addr`.
 ///
 /// This is the event-structure construction of Figure 5: the claimed
 /// range `[start, start+n)` is the bundle of work units the handler
@@ -173,25 +207,25 @@ pub async fn commit_scan(ctx: &CoreCtx, mode: FwMode, bits: u32, idx: u32) -> u3
 pub async fn claim_range(
     ctx: &CoreCtx,
     mode: FwMode,
-    lock: u32,
+    lock_addr: u32,
     avail_addr: u32,
     claim_addr: u32,
     batch: u32,
     ev_addr: u32,
 ) -> (u32, u32) {
-    sync_lock(ctx, mode, lock).await;
+    lock(ctx, mode, lock_addr).await;
     let avail = ctx.load(avail_addr).await;
     let claim = ctx.load(claim_addr).await;
     ctx.alu(2).await;
     let n = avail.wrapping_sub(claim).min(batch);
     if n == 0 {
         ctx.branch_miss().await;
-        sync_unlock(ctx, mode, lock).await;
+        unlock(ctx, mode, lock_addr).await;
         return (claim, 0);
     }
     ctx.branch().await;
     ctx.store(claim_addr, claim.wrapping_add(n)).await;
-    sync_unlock(ctx, mode, lock).await;
+    unlock(ctx, mode, lock_addr).await;
     if mode.locking() {
         // Build the event structure for the claimed bundle — pure
         // parallelization machinery, absent from the idealized firmware.
@@ -236,14 +270,16 @@ pub async fn peek_work(ctx: &CoreCtx, avail_addr: u32, claim_addr: u32) -> bool 
     has
 }
 
-/// Context shared by all handlers: the core handle, the memory map, and
-/// the mode.
-#[derive(Clone)]
+/// Everything one core's firmware runs against: the core handle, the
+/// memory map, the host's addresses, and the mode.
+#[derive(Debug)]
 pub struct Fw {
     /// The core this instance runs on.
     pub ctx: CoreCtx,
     /// Scratchpad memory map.
     pub m: MemMap,
+    /// Host-memory addresses the driver programmed.
+    pub host: HostRegs,
     /// Synchronization mode.
     pub mode: FwMode,
     /// How the dispatch loop waits for work.
@@ -259,24 +295,4 @@ pub struct Fw {
     /// the core pays an abort+restart penalty. `None` keeps the dispatch
     /// loop's instruction stream identical to a fault-free build.
     pub fw_faults: Option<std::rc::Rc<std::cell::RefCell<nicsim_fault::FwFaults>>>,
-}
-
-impl Fw {
-    /// Draw the per-core instruction-fault site, if armed. Draw-free
-    /// when unarmed or when the fire probability is zero. The site's
-    /// `injected` counter is read by the system's `collect()`, so the
-    /// draw waits for the engine to catch up with the firmware.
-    pub async fn fw_fault_fires(&self) -> bool {
-        let Some(site) = &self.fw_faults else {
-            return false;
-        };
-        self.ctx.sync().await;
-        site.borrow_mut().fires()
-    }
-}
-
-impl std::fmt::Debug for Fw {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Fw").field("mode", &self.mode).finish()
-    }
 }

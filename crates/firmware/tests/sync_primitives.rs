@@ -1,9 +1,9 @@
 //! Tests of the firmware's synchronization primitives running on real
-//! simulated cores: `mark_bit` / `commit_scan` across the three modes,
-//! `claim_range` under multi-core contention.
+//! simulated cores: the spinlock, `mark_bit` / `commit_scan` across the
+//! three modes, `claim_range` under multi-core contention.
 
 use nicsim_cpu::{CodeLayout, Core, CoreCtx, FwFunc};
-use nicsim_firmware::mode::{claim_range, commit_scan, mark_bit, FwMode};
+use nicsim_firmware::mode::{claim_range, commit_scan, lock, mark_bit, try_lock, unlock, FwMode};
 use nicsim_mem::{Crossbar, ICacheConfig, InstrMemory, Scratchpad};
 
 struct Rig {
@@ -49,6 +49,52 @@ const GUARD: u32 = 0x204;
 
 fn mode_of(i: usize) -> FwMode {
     [FwMode::Ideal, FwMode::SoftwareOnly, FwMode::RmwEnhanced][i]
+}
+
+#[test]
+fn lock_charges_the_lock_bucket_unless_the_mode_elides_it() {
+    for mi in 0..3 {
+        let mode = mode_of(mi);
+        let mut rig = Rig::new(1);
+        let ctx = rig.ctx(0);
+        rig.cores[0].install(async move {
+            ctx.set_func(FwFunc::RecvFrame);
+            lock(&ctx, mode, GUARD).await;
+            ctx.alu(2).await; // critical section -> RecvFrame
+            let again = try_lock(&ctx, mode, GUARD).await;
+            ctx.store(COMMIT, again as u32).await;
+            unlock(&ctx, mode, GUARD).await;
+        });
+        rig.run(200);
+        let p = rig.cores[0].profile();
+        // Acquire (3) + the failed second attempt (3) + release (1).
+        let want = if mode.locking() { 7 } else { 0 };
+        assert_eq!(p.func(FwFunc::RecvLock).instructions, want, "{mode:?}");
+        assert_eq!(p.func(FwFunc::RecvFrame).instructions, 3, "{mode:?}");
+        assert_eq!(rig.sp.peek(COMMIT), !mode.locking() as u32, "{mode:?}");
+        assert_eq!(rig.sp.peek(GUARD), 0, "{mode:?}: lock released");
+    }
+}
+
+#[test]
+fn contended_lock_spins_until_released() {
+    // Two cores increment a shared counter 50 times each under the lock.
+    const COUNTER: u32 = 0x208;
+    let mut rig = Rig::new(2);
+    for i in 0..2 {
+        let ctx = rig.ctx(i);
+        rig.cores[i].install(async move {
+            ctx.set_func(FwFunc::SendFrame);
+            for _ in 0..50 {
+                lock(&ctx, FwMode::SoftwareOnly, GUARD).await;
+                let v = ctx.load(COUNTER).await;
+                ctx.store(COUNTER, v + 1).await;
+                unlock(&ctx, FwMode::SoftwareOnly, GUARD).await;
+            }
+        });
+    }
+    rig.run(100_000);
+    assert_eq!(rig.sp.peek(COUNTER), 100, "lost update under lock");
 }
 
 #[test]

@@ -330,11 +330,6 @@ impl Driver {
             .unwrap_or_default()
     }
 
-    /// Unacked frames currently tracked by the reliable sender.
-    pub fn unacked_frames(&self) -> usize {
-        self.reliable.as_ref().map_or(0, |r| r.unacked.len())
-    }
-
     /// Fleet-schedule frames posted so far (the sequence counter), for
     /// resuming a replacement driver after a NIC reset.
     pub fn fleet_seq_next(&self) -> u32 {
@@ -362,11 +357,6 @@ impl Driver {
                 .reliable
                 .as_ref()
                 .is_some_and(|r| !r.unacked.is_empty() || !r.acks_in.is_empty())
-    }
-
-    /// Fleet-schedule packets not yet posted.
-    pub fn fleet_pending(&self) -> usize {
-        self.fleet.as_ref().map_or(0, |f| f.schedule.len() - f.next)
     }
 
     /// The host-memory layout in use.
@@ -957,7 +947,7 @@ mod tests {
         d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         // Only the first packet is due.
         assert_eq!(d.stats().tx_posted, 1);
-        assert_eq!(d.fleet_pending(), 1);
+        assert!(d.time_sensitive(), "the second packet is still scheduled");
         let l = d.layout();
         let seq = mem.read_u32(l.send_bd_ring + 12);
         assert_eq!(seq, 3 << 24);
@@ -975,7 +965,6 @@ mod tests {
         d.tick_probed(Ps::from_us(5), &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_posted, 2);
         assert!(!d.time_sensitive());
-        assert_eq!(d.fleet_pending(), 0);
     }
 
     #[test]
@@ -1020,7 +1009,6 @@ mod tests {
         );
         d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_posted, 1);
-        assert_eq!(d.unacked_frames(), 1);
         assert!(d.time_sensitive(), "unacked frames keep the driver hot");
         // Before the timeout: no retransmit.
         d.tick_probed(Ps::from_us(9), &mut mem, &mut NullProbe);
@@ -1038,7 +1026,6 @@ mod tests {
         // retransmission.
         d.deliver_ack(Ps::from_us(31), 0);
         d.tick_probed(Ps::from_us(32), &mut mem, &mut NullProbe);
-        assert_eq!(d.unacked_frames(), 0);
         assert!(!d.time_sensitive());
         d.tick_probed(Ps::from_us(200), &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_retransmits, 2, "acked frames stay quiet");

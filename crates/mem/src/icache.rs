@@ -241,7 +241,7 @@ mod tests {
             };
             let mut cache = ICache::new(cfg);
             let mut sets = vec![Vec::<u64>::new(); cfg.sets()];
-            let mut rng = nicsim_fault::XorShift64::for_site(16, bytes as u64);
+            let mut rng = nicsim_sim::XorShift64::for_site(16, bytes as u64);
             for _ in 0..20_000 {
                 // Mostly a hot region a few times the cache, sometimes far.
                 let addr = match rng.below(8) {

@@ -538,7 +538,7 @@ mod tests {
 
     #[test]
     fn bitmask_arbitration_matches_the_port_scan() {
-        use nicsim_fault::XorShift64;
+        use nicsim_sim::XorShift64;
         for (ports, banks) in [(1, 1), (3, 3), (10, 4), (64, 4), (64, 3), (10, 1)] {
             let mut rng = XorShift64::for_site(16, (ports * 8 + banks) as u64);
             let (mut xb, mut sp) = setup(ports, banks);

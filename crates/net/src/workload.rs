@@ -15,8 +15,7 @@
 
 use crate::frame::{MAX_UDP_PAYLOAD, MIN_FRAME};
 use crate::link::line_rate_fps;
-use nicsim_fault::XorShift64;
-use nicsim_sim::Ps;
+use nicsim_sim::{Ps, XorShift64};
 
 /// Who each NIC sends to.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -3,7 +3,7 @@
 //! This crate plays the role that the Liberty Simulation Environment (LSE)
 //! plays for Spinach in the paper: it provides the time base, clock-domain
 //! bookkeeping, a deterministic event heap, round-robin arbitration, and
-//! bandwidth/stat counters that every other subsystem builds on.
+//! the seeded random streams that every other subsystem builds on.
 //!
 //! Everything is single-threaded and deterministic: ties on the event heap
 //! are broken by insertion sequence number, and all arbiters are
@@ -24,13 +24,13 @@
 pub mod arbiter;
 pub mod domain;
 pub mod events;
+pub mod rng;
 pub mod sched;
-pub mod stats;
 pub mod time;
 
 pub use arbiter::RoundRobin;
 pub use domain::EpochBarrier;
 pub use events::{DrainBefore, EventHeap};
+pub use rng::XorShift64;
 pub use sched::{NextEvent, WakeTracker};
-pub use stats::{BandwidthMeter, Counter};
 pub use time::{Freq, Ps};

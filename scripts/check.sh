@@ -141,4 +141,7 @@ else
     echo "    rustfmt not installed; skipping"
 fi
 
+echo "==> Rust line counts (the number acceptance criteria and CHANGES.md quote)"
+scripts/loc.sh
+
 echo "all checks passed"

@@ -1,9 +1,9 @@
 //! Randomized property tests on the core data structures and invariants.
 //!
 //! These were originally written against `proptest`; the container this
-//! repo builds in has no access to crates.io, so they now run on a small
-//! hand-rolled deterministic PRNG. Each property draws a fixed number of
-//! cases from a seeded xorshift generator, so failures are reproducible
+//! repo builds in has no access to crates.io, so they now run on the
+//! workspace's deterministic PRNG. Each property draws a fixed number of
+//! cases from a seeded `XorShift64` stream, so failures are reproducible
 //! by construction, and the shrunk counterexamples proptest found in the
 //! past are kept as explicit regression cases.
 
@@ -13,40 +13,30 @@ use nicsim_ilp::{
 };
 use nicsim_mem::{Scratchpad, SpOp, SpRequest};
 use nicsim_net::frame::{build_udp_frame, validate_frame};
-use nicsim_sim::{EventHeap, Freq, Ps, RoundRobin};
+use nicsim_sim::{EventHeap, Freq, Ps, RoundRobin, XorShift64};
 
 /// Cases drawn per property.
 const CASES: u64 = 200;
 
-/// xorshift64* — deterministic, dependency-free, good enough for test
-/// case generation.
-struct Rng(u64);
+/// Test-case draws from the workspace's PRNG.
+struct Rng(XorShift64);
 
 impl Rng {
     fn new(seed: u64) -> Rng {
-        Rng(seed.max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        self.0 = x;
-        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+        Rng(XorShift64::for_site(seed, 0))
     }
 
     fn u32(&mut self) -> u32 {
-        (self.next() >> 32) as u32
+        (self.0.next_u64() >> 32) as u32
     }
 
     /// Uniform draw from `lo..hi`.
     fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        lo + self.next() % (hi - lo)
+        lo + self.0.below(hi - lo)
     }
 
     fn bool(&mut self) -> bool {
-        self.next() & 1 == 1
+        self.0.next_u64() & 1 == 1
     }
 }
 
