@@ -19,7 +19,7 @@ use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId};
 use nicsim_net::frame::fcs_valid;
 use nicsim_net::link::{wire_time, RxGenerator, TxMonitor};
 use nicsim_obs::{Event, FaultKind, FaultUnit, Probe, RecoveryKind};
-use nicsim_sim::{NextEvent, Ps};
+use nicsim_sim::Ps;
 use std::collections::VecDeque;
 
 const TAG_DESC: u32 = 6;
@@ -38,15 +38,11 @@ pub struct MacTxConfig {
     pub prod_addr: u32,
     /// Done counter the MAC writes back.
     pub done_addr: u32,
-    /// MAC id within the topology, used as the frame-memory burst tag
-    /// so completions on the shared TX stream route back to this MAC.
-    pub mac: u32,
 }
 
 /// The transmit MAC.
 #[derive(Debug)]
 pub struct MacTx {
-    cfg: MacTxConfig,
     ring: CmdRing,
     /// Link monitor validating and accounting every transmitted frame.
     pub monitor: TxMonitor,
@@ -72,7 +68,6 @@ impl MacTx {
     /// Create the transmit MAC.
     pub fn new(cfg: MacTxConfig) -> MacTx {
         MacTx {
-            cfg,
             ring: CmdRing::new(
                 cfg.port,
                 cfg.ring,
@@ -170,7 +165,7 @@ impl MacTx {
         // the flags. The MAC pushes no transactions of its own.
         if let Some(Polled::Entry { words, .. }) = self.ring.poll(xbar) {
             let [addr, len, _, seq] = words;
-            fm.submit_read(StreamId::MacTx, addr, len, self.cfg.mac as u64, now);
+            fm.submit_read(StreamId::MacTx, addr, len, 0, now);
             self.reads_outstanding += 1;
             if P::ENABLED {
                 probe.emit(Event::MacTxFetch { seq, at: now });
@@ -199,18 +194,16 @@ impl MacTx {
     }
 
     /// Whether the next tick could do real work (see [`CmdRing::busy`]).
-    /// Wire completions are time-driven and reported via [`NextEvent`]
-    /// instead.
+    /// Wire completions are time-driven and reported via
+    /// [`MacTx::next_event`] instead.
     #[inline]
     pub fn busy(&self, sp_mem: &Scratchpad) -> bool {
         self.ring.busy(sp_mem, self.room())
     }
-}
 
-impl NextEvent for MacTx {
     /// The next wire completion: `tick` pops `tx_done` entries whose
     /// time has come, so the clock must not jump past the head.
-    fn next_event(&self) -> Ps {
+    pub fn next_event(&self) -> Ps {
         self.tx_done.front().map_or(Ps::MAX, |(t, _)| *t)
     }
 }
@@ -241,9 +234,6 @@ pub struct MacRxConfig {
     pub buf_bytes: u32,
     /// Firmware-advanced free pointer (bytes retired, monotonic).
     pub tail_addr: u32,
-    /// MAC id within the topology, used as the frame-memory burst tag
-    /// so completions on the shared RX stream route back to this MAC.
-    pub mac: u32,
 }
 
 /// The receive MAC.
@@ -502,7 +492,7 @@ impl MacRx {
                 });
                 self.obs_pending_seq.push_back(seq);
             }
-            fm.submit_write(StreamId::MacRx, addr, &frame, self.cfg.mac as u64, now);
+            fm.submit_write(StreamId::MacRx, addr, &frame, 0, now);
             self.head = new_head;
             self.writes_outstanding += 1;
             self.pending_desc.push_back(PendingDesc {
@@ -517,20 +507,18 @@ impl MacRx {
 
     /// Whether the next tick could do real work besides
     /// accepting an arrival (arrivals are time-driven, see
-    /// [`NextEvent`]): descriptor or producer writes pending on the
-    /// scratchpad port.
+    /// [`MacRx::next_event`]): descriptor or producer writes pending on
+    /// the scratchpad port.
     pub fn busy(&self) -> bool {
         self.sp.backlog() > 0
     }
-}
 
-impl NextEvent for MacRx {
     /// The next frame arrival — but only while the MAC has buffer
     /// capacity to accept it. At two writes outstanding the accept loop
     /// cannot run regardless of arrivals (overdue frames wait, without
     /// being dropped, exactly as in the dense kernel); the wake then
     /// comes from the SDRAM completion that frees a buffer.
-    fn next_event(&self) -> Ps {
+    pub fn next_event(&self) -> Ps {
         if self.writes_outstanding < 2 {
             self.generator.next_arrival()
         } else {
@@ -561,7 +549,6 @@ mod tests {
             entries: 16,
             prod_addr: 0x100,
             done_addr: 0x104,
-            mac: 0,
         };
         let mut mac = MacTx::new(cfg);
         // Stage two frames in SDRAM and two ring entries.
@@ -606,7 +593,6 @@ mod tests {
             buf_base: 0x10_0000,
             buf_bytes: 0x10_0000,
             tail_addr: 0x208,
-            mac: 0,
         };
         let mut mac = MacRx::new(cfg, RxGenerator::new(1472));
         let mut now = Ps::ZERO;
@@ -649,7 +635,6 @@ mod tests {
             buf_base: 0x10_0000,
             buf_bytes: 0x10_0000,
             tail_addr: 0x208,
-            mac: 0,
         };
         let mut mac = MacRx::new(cfg, RxGenerator::new(1472));
         let mut now = Ps::ZERO;
@@ -681,7 +666,6 @@ mod tests {
             buf_base: 0x10_0000,
             buf_bytes: 0x10_0000,
             tail_addr: 0x208,
-            mac: 0,
         };
         let plan = FaultPlan {
             link_corrupt: 1.0,

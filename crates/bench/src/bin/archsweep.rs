@@ -1,8 +1,8 @@
 //! Architecture sweep over `NicConfig::topology`: how full-duplex UDP
-//! throughput responds to the frame-side topology — DMA engine pairs
-//! and MACs — alongside the core count. The paper's board is fixed at
-//! one DMA pair and one MAC; this sweep is the what-if a configurable
-//! topology exists to ask.
+//! throughput responds to the frame-side topology — DMA engine pairs —
+//! alongside the core count. The paper's board is fixed at one DMA
+//! pair; this sweep is the what-if a configurable topology exists to
+//! ask.
 //!
 //! Each topology point recomposes the SoC (crossbar ports, scratchpad
 //! memory map, dispatch sources) through the same builder path the
@@ -15,14 +15,14 @@
 
 use nicsim::NicConfig;
 use nicsim_bench::{header, Args};
-use nicsim_exp::{RunSpec, Sweep};
+use nicsim_exp::Sweep;
 
 fn main() {
     let args = Args::parse("archsweep");
     let exp = &args.exp;
     header(
         "Architecture sweep: cores x DMA engines (NicConfig::topology)",
-        "the paper's board is 1 DMA pair + 1 MAC; extra frame-side units probe the next bottleneck",
+        "the paper's board is 1 DMA pair + 1 MAC; extra DMA pairs probe the next bottleneck",
     );
     let cores = [2usize, 4, 6];
     let engines = [1usize, 2];
@@ -32,19 +32,7 @@ fn main() {
         .axis("dma_engines", engines, |cfg, v| {
             cfg.topology.dma_engines = v;
         });
-    let mut specs = sweep.runs().expect("valid sweep");
-    // A dual-MAC point rides along in the same pool: the widest
-    // frame-side the default 256 KB scratchpad map accommodates.
-    specs.push(RunSpec::single(
-        "cores=6,dma_engines=2,macs=2",
-        base.to_builder()
-            .cores(6)
-            .dma_engines(2)
-            .macs(2)
-            .build()
-            .expect("valid dual-MAC topology"),
-    ));
-    let report = exp.run_specs(specs);
+    let report = exp.sweep(&sweep);
 
     println!("full-duplex UDP throughput (Gb/s); Ethernet limit = 19.15");
     print!("{:>6}", "cores");
@@ -64,11 +52,5 @@ fn main() {
         }
         println!();
     }
-    let wide = report.runs.last().expect("dual-MAC run");
-    println!(
-        "6 cores, 2 DMA pairs, 2 MACs: {:.2} Gb/s ({} crossbar ports)",
-        wide.stats.total_udp_gbps(),
-        wide.config.topology.xbar_ports(wide.config.cores)
-    );
     exp.write(&report).expect("write results");
 }

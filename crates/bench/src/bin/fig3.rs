@@ -17,7 +17,7 @@ use nicsim_mem::{AccessKind, AccessTrace};
 /// descriptor rings, BD caches and pools, frame slots, status bits, and
 /// return-descriptor staging.
 fn is_frame_metadata(m: &nicsim_firmware::MemMap, addr: u32) -> bool {
-    addr >= m.dmard_ring && addr < m.stats
+    addr >= m.dmard(0).ring && addr < m.stats
 }
 
 fn main() {

@@ -10,9 +10,8 @@
 //!   ablation axis ([`DispatchMode`]);
 //! * `--cores N` — override the core count of every configuration the
 //!   binary builds;
-//! * `--dma-engines N` / `--macs N` — frame-side topology overrides
-//!   (the `archsweep` axes): DMA engine pairs and MACs per
-//!   configuration;
+//! * `--dma-engines N` — the frame-side topology override (the
+//!   `archsweep` axis): DMA engine pairs per configuration;
 //! * `--nics N` / `--shards N` / `--workload SPEC` — fleet-level
 //!   overrides for binaries that run multi-NIC fleets (fleet size,
 //!   worker-thread shards, and a `nicsim_net::Workload` spec string
@@ -40,8 +39,6 @@ pub struct Args {
     pub cores: Option<usize>,
     /// `--dma-engines`: DMA engine pair count override, if given.
     pub dma_engines: Option<usize>,
-    /// `--macs`: MAC count override, if given.
-    pub macs: Option<usize>,
     /// `--nics`: fleet size override, if given (fleet binaries only).
     pub nics: Option<usize>,
     /// `--shards`: fleet worker-thread override, if given (fleet
@@ -78,7 +75,6 @@ impl Args {
             dispatch: DispatchMode::Polling,
             cores: None,
             dma_engines: None,
-            macs: None,
             nics: None,
             shards: None,
             workload: None,
@@ -101,7 +97,6 @@ impl Args {
                 }
                 "--cores" => args.cores = Some(count()?),
                 "--dma-engines" => args.dma_engines = Some(count()?),
-                "--macs" => args.macs = Some(count()?),
                 "--nics" => args.nics = Some(count()?),
                 "--shards" => args.shards = Some(count()?),
                 "--workload" => {
@@ -145,9 +140,6 @@ impl Args {
         }
         if let Some(d) = self.dma_engines {
             cfg.topology.dma_engines = d;
-        }
-        if let Some(m) = self.macs {
-            cfg.topology.macs = m;
         }
         cfg.validate()?;
         Ok(cfg)
@@ -201,7 +193,6 @@ mod tests {
             dispatch: DispatchMode::Interrupt,
             cores: Some(3),
             dma_engines: Some(2),
-            macs: Some(2),
             nics: None,
             shards: None,
             workload: None,
@@ -210,7 +201,6 @@ mod tests {
         assert_eq!(cfg.dispatch, DispatchMode::Interrupt);
         assert_eq!(cfg.cores, 3);
         assert_eq!(cfg.topology.dma_engines, 2);
-        assert_eq!(cfg.topology.macs, 2);
         // Overrides are validated against the configuration they land on.
         assert_eq!(
             args.try_configure(NicConfig::ideal()),
@@ -222,14 +212,13 @@ mod tests {
         };
         assert_eq!(
             crowded.try_configure(NicConfig::default()),
-            Err(ConfigError::TooManyPorts { ports: 108 })
+            Err(ConfigError::TooManyPorts { ports: 106 })
         );
         let args = Args {
             exp: Experiment::new("t"),
             dispatch: DispatchMode::Polling,
             cores: None,
             dma_engines: None,
-            macs: None,
             nics: None,
             shards: None,
             workload: None,

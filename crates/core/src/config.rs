@@ -1,37 +1,33 @@
 //! Full-system configuration.
 
 use nicsim_fault::FaultPlan;
-use nicsim_firmware::{DispatchMode, FwMode, MemMap, MAX_DMA_ENGINES, MAX_MACS};
+use nicsim_firmware::{DispatchMode, FwMode, MemMap, MAX_DMA_ENGINES};
 use nicsim_mem::{FrameMemoryConfig, ICacheConfig, MAX_XBAR_PORTS};
 
-/// How many of each frame-side unit the SoC instantiates.
+/// How many DMA engine pairs the SoC instantiates beside its one MAC.
 ///
-/// The default (one DMA engine pair, one MAC) is the paper's board; extra
-/// units are the architecture-exploration axis (`archsweep`). Each DMA
-/// "engine" is a read/write pair with its own command rings, scratchpad
-/// ports, and crossbar attachments; extra MACs are attached structurally
-/// (ports, clocking, completion routing) but the firmware drives MAC 0.
+/// The default (one pair) is the paper's board; extra engines are the
+/// architecture-exploration axis (`archsweep`). Each DMA "engine" is a
+/// read/write pair with its own command rings, scratchpad ports, and
+/// crossbar attachments.
 ///
 /// Crossbar ports (the paper's "P+4 × S+1" switch, generalized): cores
 /// take `0..cores`, then every DMA read engine, every DMA write engine,
-/// every MAC TX, every MAC RX — `cores + 2·dma_engines + 2·macs` in
-/// all, 6/7/8/9 of 10 on the paper's board. The methods below are the
-/// one definition of that layout.
+/// MAC TX, MAC RX — `cores + 2·dma_engines + 2` in all, 6/7/8/9 of 10
+/// on the paper's board. The methods below are the one definition of
+/// that layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
     /// DMA engine pairs (read + write), 1..=4. Firmware stripes BD
     /// fetches and frame transfers across engines round-robin.
     pub dma_engines: usize,
-    /// Ethernet MACs, 1..=2. MAC 0 carries traffic; extras are
-    /// structural (attached and clocked, but quiescent).
-    pub macs: usize,
 }
 
 impl Topology {
     /// Total crossbar requester ports: the cores plus one per
     /// frame-side scratchpad client.
     pub fn xbar_ports(self, cores: usize) -> usize {
-        cores + 2 * self.dma_engines + 2 * self.macs
+        cores + 2 * self.dma_engines + 2
     }
 
     /// Crossbar port of DMA-read engine `k`.
@@ -44,23 +40,20 @@ impl Topology {
         cores + self.dma_engines + k
     }
 
-    /// Crossbar port of MAC TX `j`.
-    pub fn mactx_port(self, cores: usize, j: usize) -> usize {
-        cores + 2 * self.dma_engines + j
+    /// Crossbar port of MAC TX.
+    pub fn mactx_port(self, cores: usize) -> usize {
+        cores + 2 * self.dma_engines
     }
 
-    /// Crossbar port of MAC RX `j`.
-    pub fn macrx_port(self, cores: usize, j: usize) -> usize {
-        cores + 2 * self.dma_engines + self.macs + j
+    /// Crossbar port of MAC RX.
+    pub fn macrx_port(self, cores: usize) -> usize {
+        cores + 2 * self.dma_engines + 1
     }
 }
 
 impl Default for Topology {
     fn default() -> Self {
-        Topology {
-            dma_engines: 1,
-            macs: 1,
-        }
+        Topology { dma_engines: 1 }
     }
 }
 
@@ -112,8 +105,8 @@ pub struct NicConfig {
     /// system watchdog, and the firmware/driver recovery paths; runs are
     /// reproducible from `(plan.seed, plan)`.
     pub faults: Option<FaultPlan>,
-    /// Frame-side unit counts (DMA engine pairs, MACs). The default is
-    /// the paper's board: one of each.
+    /// Frame-side unit counts (DMA engine pairs). The default is the
+    /// paper's board: one pair.
     pub topology: Topology,
 }
 
@@ -192,13 +185,8 @@ pub enum ConfigError {
         /// The rejected engine count.
         engines: usize,
     },
-    /// `topology.macs` outside `1..=MAX_MACS`.
-    BadMacs {
-        /// The rejected MAC count.
-        macs: usize,
-    },
     /// The scratchpad memory map for this topology (command rings and
-    /// registers for every DMA engine and MAC) does not fit in
+    /// registers for every DMA engine) does not fit in
     /// `scratchpad_bytes`.
     TopologyTooLarge {
         /// Bytes the memory map needs.
@@ -216,9 +204,6 @@ pub enum ConfigError {
     /// specification string, or the fault plan holds a value
     /// [`FaultPlan::validate`] rejects.
     FaultSpec(String),
-    /// [`NicConfigBuilder::assists`] could not parse the assist
-    /// specification string.
-    AssistSpec(String),
 }
 
 impl std::fmt::Display for ConfigError {
@@ -249,9 +234,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "dma_engines must be in 1..={MAX_DMA_ENGINES} (got {engines})"
             ),
-            ConfigError::BadMacs { macs } => {
-                write!(f, "macs must be in 1..={MAX_MACS} (got {macs})")
-            }
             ConfigError::TopologyTooLarge { needed, available } => write!(
                 f,
                 "topology needs a {needed}-byte scratchpad map but only \
@@ -263,7 +245,6 @@ impl std::fmt::Display for ConfigError {
                  {MAX_XBAR_PORTS}-port crossbar (got {ports})"
             ),
             ConfigError::FaultSpec(msg) => write!(f, "bad fault spec: {msg}"),
-            ConfigError::AssistSpec(msg) => write!(f, "bad assist spec: {msg}"),
         }
     }
 }
@@ -336,7 +317,7 @@ impl NicConfigBuilder {
         capture_ilp: bool,
         /// Deterministic fault-injection plan (`None` = clean run).
         faults: Option<FaultPlan>,
-        /// Frame-side unit counts (DMA engine pairs, MACs).
+        /// Frame-side unit counts (DMA engine pairs).
         topology: Topology,
     }
 
@@ -345,42 +326,6 @@ impl NicConfigBuilder {
     pub fn dma_engines(mut self, dma_engines: usize) -> Self {
         self.cfg.topology.dma_engines = dma_engines;
         self
-    }
-
-    /// Number of Ethernet MACs (1..=2).
-    #[must_use]
-    pub fn macs(mut self, macs: usize) -> Self {
-        self.cfg.topology.macs = macs;
-        self
-    }
-
-    /// Set the frame-side unit counts from a compact spec string,
-    /// e.g. `"dma=2,mac=1"`. Recognized keys: `dma` (engine pairs) and
-    /// `mac` (MAC count); omitted keys keep their current value.
-    ///
-    /// # Errors
-    ///
-    /// [`ConfigError::AssistSpec`] on an unknown key or unparsable value.
-    pub fn assists(mut self, spec: &str) -> Result<Self, ConfigError> {
-        for item in spec.split(',').filter(|s| !s.trim().is_empty()) {
-            let (key, value) = item
-                .split_once('=')
-                .ok_or_else(|| ConfigError::AssistSpec(format!("'{item}': expected key=value")))?;
-            let (key, value) = (key.trim(), value.trim());
-            let n: usize = value.parse().map_err(|_| {
-                ConfigError::AssistSpec(format!("'{key}': expected a count, got '{value}'"))
-            })?;
-            match key {
-                "dma" => self.cfg.topology.dma_engines = n,
-                "mac" => self.cfg.topology.macs = n,
-                _ => {
-                    return Err(ConfigError::AssistSpec(format!(
-                        "unknown assist '{key}' (expected dma or mac)"
-                    )))
-                }
-            }
-        }
-        Ok(self)
     }
 
     /// Parse a [`FaultPlan`] spec string (the `--faults` grammar, e.g.
@@ -466,16 +411,13 @@ impl NicConfig {
                 engines: t.dma_engines,
             });
         }
-        if t.macs == 0 || t.macs > MAX_MACS {
-            return Err(ConfigError::BadMacs { macs: t.macs });
-        }
         let assist_ports = t.xbar_ports(0);
         if self.cores > MAX_XBAR_PORTS - assist_ports {
             return Err(ConfigError::TooManyPorts {
                 ports: self.cores.saturating_add(assist_ports),
             });
         }
-        let map = MemMap::for_topology(t.dma_engines, t.macs);
+        let map = MemMap::for_topology(t.dma_engines);
         if map.end as usize > self.scratchpad_bytes {
             return Err(ConfigError::TopologyTooLarge {
                 needed: map.end as usize,
@@ -572,14 +514,8 @@ mod tests {
 
     #[test]
     fn topology_builder_and_validation() {
-        let cfg = NicConfig::builder().dma_engines(2).macs(2).build().unwrap();
-        assert_eq!(
-            cfg.topology,
-            Topology {
-                dma_engines: 2,
-                macs: 2
-            }
-        );
+        let cfg = NicConfig::builder().dma_engines(2).build().unwrap();
+        assert_eq!(cfg.topology, Topology { dma_engines: 2 });
         assert_eq!(
             NicConfig::builder().dma_engines(0).build(),
             Err(ConfigError::BadDmaEngines { engines: 0 })
@@ -592,20 +528,14 @@ mod tests {
                 engines: MAX_DMA_ENGINES + 1
             })
         );
-        assert_eq!(
-            NicConfig::builder().macs(MAX_MACS + 1).build(),
-            Err(ConfigError::BadMacs { macs: MAX_MACS + 1 })
-        );
         // A wide topology's memory map must fit the scratchpad.
         let err = NicConfig::builder()
             .dma_engines(MAX_DMA_ENGINES)
-            .macs(MAX_MACS)
             .build()
             .unwrap_err();
         assert!(matches!(err, ConfigError::TopologyTooLarge { .. }));
         NicConfig::builder()
             .dma_engines(MAX_DMA_ENGINES)
-            .macs(MAX_MACS)
             .scratchpad_bytes(512 * 1024)
             .build()
             .unwrap();
@@ -617,8 +547,8 @@ mod tests {
         assert_eq!(t.xbar_ports(cores), 10);
         assert_eq!(t.dmard_port(cores, 0), 6);
         assert_eq!(t.dmawr_port(cores, 0), 7);
-        assert_eq!(t.mactx_port(cores, 0), 8);
-        assert_eq!(t.macrx_port(cores, 0), 9);
+        assert_eq!(t.mactx_port(cores), 8);
+        assert_eq!(t.macrx_port(cores), 9);
     }
 
     /// Every buildable board: the assigned ports are unique and cover
@@ -628,17 +558,14 @@ mod tests {
     fn non_default_topologies_check_out() {
         for cores in 1..=8 {
             for dma_engines in 1..=MAX_DMA_ENGINES {
-                for macs in 1..=MAX_MACS {
-                    let t = Topology { dma_engines, macs };
-                    let ports: Vec<usize> = (0..cores)
-                        .chain((0..dma_engines).map(|k| t.dmard_port(cores, k)))
-                        .chain((0..dma_engines).map(|k| t.dmawr_port(cores, k)))
-                        .chain((0..macs).map(|j| t.mactx_port(cores, j)))
-                        .chain((0..macs).map(|j| t.macrx_port(cores, j)))
-                        .collect();
-                    let all: Vec<usize> = (0..t.xbar_ports(cores)).collect();
-                    assert_eq!(ports, all, "{cores} cores, {t:?}");
-                }
+                let t = Topology { dma_engines };
+                let ports: Vec<usize> = (0..cores)
+                    .chain((0..dma_engines).map(|k| t.dmard_port(cores, k)))
+                    .chain((0..dma_engines).map(|k| t.dmawr_port(cores, k)))
+                    .chain([t.mactx_port(cores), t.macrx_port(cores)])
+                    .collect();
+                let all: Vec<usize> = (0..t.xbar_ports(cores)).collect();
+                assert_eq!(ports, all, "{cores} cores, {t:?}");
             }
         }
     }
@@ -664,47 +591,6 @@ mod tests {
                 assert!(err.to_string().starts_with(&named), "{err}");
             }
         }
-    }
-
-    #[test]
-    fn assists_spec_parses_and_rejects() {
-        let cfg = NicConfig::builder()
-            .assists("dma=2, mac=2")
-            .unwrap()
-            .build()
-            .unwrap();
-        assert_eq!(
-            cfg.topology,
-            Topology {
-                dma_engines: 2,
-                macs: 2
-            }
-        );
-        // Omitted keys keep their values.
-        let cfg = NicConfig::builder()
-            .assists("dma=3")
-            .unwrap()
-            .build()
-            .unwrap();
-        assert_eq!(
-            cfg.topology,
-            Topology {
-                dma_engines: 3,
-                macs: 1
-            }
-        );
-        assert!(matches!(
-            NicConfig::builder().assists("dma=two"),
-            Err(ConfigError::AssistSpec(_))
-        ));
-        assert!(matches!(
-            NicConfig::builder().assists("phy=1"),
-            Err(ConfigError::AssistSpec(_))
-        ));
-        assert!(matches!(
-            NicConfig::builder().assists("dma"),
-            Err(ConfigError::AssistSpec(_))
-        ));
     }
 
     #[test]

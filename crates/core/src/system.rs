@@ -3,12 +3,12 @@
 //! `NicSystem` owns every component of Figure 6 — the cores, the
 //! crossbar and scratchpad banks, the instruction memory, the frame
 //! memory, the assists — plus the host (driver + main memory) and
-//! the network model. [`SystemBuilder::finish`] assembles whatever the
-//! configuration's [`Topology`](crate::config::Topology) asks for — any
-//! number of DMA engine pairs and MACs, each with its own crossbar port
-//! and command rings — into four typed `Vec`s that *are* the
-//! composition; `step_inner` names each kind because their tick
-//! signatures differ. The main loop advances the CPU clock domain cycle
+//! the network model. [`SystemBuilder::finish`] assembles the paper's
+//! four assists — as many DMA read/write engine pairs as the
+//! configuration's [`Topology`](crate::config::Topology) asks for, each
+//! with its own crossbar port and command rings, and the one MAC TX and
+//! MAC RX; `step_inner` names each kind because their tick signatures
+//! differ. The main loop advances the CPU clock domain cycle
 //! by cycle; the frame-side components keep picosecond-resolution state
 //! internally and are polled at each CPU tick, and the host's mailbox
 //! writes land between cycles as memory-mapped register writes.
@@ -31,7 +31,7 @@ use nicsim_mem::{Crossbar, FrameMemory, InstrMemory, Scratchpad, StreamId};
 use nicsim_net::link::RxGenerator;
 use nicsim_net::workload::TxPacket;
 use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe, RecoveryKind};
-use nicsim_sim::{Freq, NextEvent, Ps, WakeTracker};
+use nicsim_sim::{Freq, Ps, WakeTracker};
 
 /// The assembled NIC + host + network simulation.
 ///
@@ -59,10 +59,8 @@ pub struct NicSystem<P: Probe = NullProbe> {
     pub(crate) dmards: Vec<DmaRead>,
     /// DMA write engines, indexed by engine id.
     pub(crate) dmawrs: Vec<DmaWrite>,
-    /// Transmit MACs, indexed by MAC id (MAC 0 carries traffic).
-    pub(crate) mactxs: Vec<MacTx>,
-    /// Receive MACs, indexed by MAC id.
-    pub(crate) macrxs: Vec<MacRx>,
+    pub(crate) mactx: MacTx,
+    pub(crate) macrx: MacRx,
     pub(crate) host_mem: HostMemory,
     pub(crate) driver: Driver,
     /// Cycles until the next driver poll (replaces a per-cycle
@@ -181,10 +179,10 @@ impl<P: Probe> SystemBuilder<P> {
     }
 
     /// Build the system as a fleet member: the driver transmits
-    /// `member.schedule`, MAC 0 records every wire-completed egress
+    /// `member.schedule`, MAC TX records every wire-completed egress
     /// frame for the fabric to collect via [`NicSystem::take_egress`],
-    /// and MAC 0's receive generator stops synthesizing and serves only
-    /// frames injected with [`NicSystem::inject_rx`].
+    /// and MAC RX's generator stops synthesizing and serves only frames
+    /// injected with [`NicSystem::inject_rx`].
     ///
     /// Build fleet members with `send_enabled` and `recv_enabled` both
     /// set (the defaults): the schedule replaces the legacy transmit
@@ -206,7 +204,7 @@ impl<P: Probe> SystemBuilder<P> {
         cfg.validate()?;
         let t = cfg.topology;
         let faults_armed = cfg.faults.as_ref().is_some_and(|p| !p.is_noop());
-        let map = MemMap::for_topology(t.dma_engines, t.macs);
+        let map = MemMap::for_topology(t.dma_engines);
         let mut sp = Scratchpad::new(cfg.scratchpad_bytes, cfg.banks);
         if cfg.dispatch == DispatchMode::Interrupt {
             // Doorbell words: every scratchpad location whose write can
@@ -217,14 +215,10 @@ impl<P: Probe> SystemBuilder<P> {
             // stop flag covers shutdown. Claim counters, commit
             // pointers, and locks are deliberately unwatched: writes to
             // them only ever *consume* work, and the watched write that
-            // produced the work already woke every core. Extra MACs are
-            // quiescent and never polled, so their pointers go
-            // unwatched too.
+            // produced the work already woke every core.
             for addr in [
                 map.sb_mailbox_prod,
                 map.rb_mailbox_prod,
-                map.dmard_done,
-                map.dmawr_done,
                 map.mactx_done,
                 map.macrx_prod,
                 map.sbd_parsed,
@@ -232,7 +226,7 @@ impl<P: Probe> SystemBuilder<P> {
             ] {
                 sp.watch_range(addr, 4);
             }
-            for k in 1..t.dma_engines {
+            for k in 0..t.dma_engines {
                 sp.watch_range(map.dmard(k).done, 4);
                 sp.watch_range(map.dmawr(k).done, 4);
             }
@@ -293,49 +287,37 @@ impl<P: Probe> SystemBuilder<P> {
                 engine: k as u32,
             }));
         }
-        let mut mactxs = Vec::with_capacity(t.macs);
-        let mut macrxs = Vec::with_capacity(t.macs);
-        for j in 0..t.macs {
-            let mi = map.mac(j);
-            mactxs.push(MacTx::new(MacTxConfig {
-                port: t.mactx_port(cfg.cores, j),
-                ring: mi.tx_ring,
-                entries: MACTX_RING,
-                prod_addr: mi.tx_prod,
-                done_addr: mi.tx_done,
-                mac: j as u32,
-            }));
-            // Only MAC 0 carries traffic: extras get a disabled
-            // generator (attached and clocked, but the wire never
-            // delivers to them).
-            let mut generator = match cfg.offered_rx_fps {
-                Some(fps) => RxGenerator::with_fps(cfg.udp_payload, fps),
-                None => RxGenerator::new(cfg.udp_payload),
-            };
-            if !cfg.recv_enabled || j != 0 {
-                generator.disable();
-            }
-            if let Some(plan) = cfg.faults.as_ref().filter(|p| !p.is_noop()) {
-                if j == 0 {
-                    generator.set_faults(LinkFaults::new(plan));
-                }
-            }
-            macrxs.push(MacRx::new(
-                MacRxConfig {
-                    port: t.macrx_port(cfg.cores, j),
-                    ring: mi.rx_ring,
-                    entries: MACRX_RING,
-                    prod_addr: mi.rx_prod,
-                    claim_addr: map.recv_claim,
-                    claim_slack: 64,
-                    buf_base: RXBUF_BASE,
-                    buf_bytes: RXBUF_BYTES,
-                    tail_addr: map.rxbuf_tail,
-                    mac: j as u32,
-                },
-                generator,
-            ));
+        let mut mactx = MacTx::new(MacTxConfig {
+            port: t.mactx_port(cfg.cores),
+            ring: map.mactx_ring,
+            entries: MACTX_RING,
+            prod_addr: map.mactx_prod,
+            done_addr: map.mactx_done,
+        });
+        let mut generator = match cfg.offered_rx_fps {
+            Some(fps) => RxGenerator::with_fps(cfg.udp_payload, fps),
+            None => RxGenerator::new(cfg.udp_payload),
+        };
+        if !cfg.recv_enabled {
+            generator.disable();
         }
+        if let Some(plan) = cfg.faults.as_ref().filter(|_| faults_armed) {
+            generator.set_faults(LinkFaults::new(plan));
+        }
+        let mut macrx = MacRx::new(
+            MacRxConfig {
+                port: t.macrx_port(cfg.cores),
+                ring: map.macrx_ring,
+                entries: MACRX_RING,
+                prod_addr: map.macrx_prod,
+                claim_addr: map.recv_claim,
+                claim_slack: 64,
+                buf_base: RXBUF_BASE,
+                buf_bytes: RXBUF_BYTES,
+                tail_addr: map.rxbuf_tail,
+            },
+            generator,
+        );
         let mut fw_faults = Vec::new();
         if let Some(plan) = cfg.faults.as_ref().filter(|_| faults_armed) {
             // Arm every injection site and its recovery mechanism. The
@@ -344,7 +326,7 @@ impl<P: Probe> SystemBuilder<P> {
             // computation. Each extra engine is its own fault site
             // (offset so engine 0 keeps the legacy site ids and default
             // runs replay unchanged).
-            macrxs[0].set_crc_check(true);
+            macrx.set_crc_check(true);
             for (k, d) in dmards.iter_mut().enumerate() {
                 d.set_faults(DmaFaults::new(plan, SITE_DMA_READ + 8 * k as u64));
             }
@@ -381,8 +363,8 @@ impl<P: Probe> SystemBuilder<P> {
         let boot_at = fleet.as_ref().map_or(Ps::ZERO, |m| m.boot_at);
         if let Some(m) = fleet {
             driver.set_fleet(m.src, m.schedule, m.first_seq, m.rto);
-            mactxs[0].capture_egress();
-            macrxs[0].generator.set_external();
+            mactx.capture_egress();
+            macrx.generator.set_external();
             let rd = dmards.iter_mut().filter_map(DmaRead::faults_mut);
             let wr = dmawrs.iter_mut().filter_map(DmaWrite::faults_mut);
             for f in rd.chain(wr) {
@@ -403,8 +385,8 @@ impl<P: Probe> SystemBuilder<P> {
             cores,
             dmards,
             dmawrs,
-            mactxs,
-            macrxs,
+            mactx,
+            macrx,
             host_mem,
             driver,
             driver_countdown: if cfg.driver_interval == 0 {
@@ -464,11 +446,11 @@ impl<P: Probe> NicSystem<P> {
         &self.sp
     }
 
-    /// Drain the frames MAC 0 completed on the wire since the last
+    /// Drain the frames MAC TX completed on the wire since the last
     /// drain, as `(wire-done time, frame bytes)` in completion order.
     /// Fleet members only (see [`SystemBuilder::fleet_member`]).
     pub fn take_egress(&mut self) -> Vec<(Ps, Vec<u8>)> {
-        self.mactxs[0].take_egress()
+        self.mactx.take_egress()
     }
 
     /// Deliver an acknowledgment for fleet sequence `seq`, applied at
@@ -487,12 +469,12 @@ impl<P: Probe> NicSystem<P> {
     /// What a crash at this instant costs and where a replacement
     /// resumes: `(frames that die with the NIC, next fleet sequence
     /// number)`. The frames are the transmits posted to the NIC but not
-    /// yet completed plus the injected arrivals still queued on MAC 0;
+    /// yet completed plus the injected arrivals still queued on MAC RX;
     /// the sequence number is the replacement's
     /// [`FleetMember::first_seq`].
     pub fn crash_state(&self) -> (u64, u32) {
-        let dying = self.driver.tx_in_flight() as u64
-            + self.macrxs[0].generator.pending_injections() as u64;
+        let dying =
+            self.driver.tx_in_flight() as u64 + self.macrx.generator.pending_injections() as u64;
         (dying, self.driver.fleet_seq_next())
     }
 
@@ -507,12 +489,12 @@ impl<P: Probe> NicSystem<P> {
         }
     }
 
-    /// Schedule a frame to arrive on MAC 0's wire at absolute time
+    /// Schedule a frame to arrive on the wire at absolute time
     /// `at`. Fleet members only; arrivals must be injected in
     /// non-decreasing time order and strictly after the current time.
     pub fn inject_rx(&mut self, at: Ps, frame: Vec<u8>) {
         debug_assert!(at > self.now, "injected arrival is already due");
-        self.macrxs[0].generator.inject(at, frame);
+        self.macrx.generator.inject(at, frame);
     }
 
     /// Absolute time of the earliest cycle on which this system may
@@ -583,15 +565,13 @@ impl<P: Probe> NicSystem<P> {
                 self.driver_idle = false;
             }
         }
-        for m in &mut self.mactxs {
-            if !gate || m.busy(&self.sp) || m.next_event() <= now {
-                m.tick_probed(now, &mut self.xbar, &self.sp, &mut self.fm, &mut self.probe);
-            }
+        if !gate || self.mactx.busy(&self.sp) || self.mactx.next_event() <= now {
+            self.mactx
+                .tick_probed(now, &mut self.xbar, &self.sp, &mut self.fm, &mut self.probe);
         }
-        for m in &mut self.macrxs {
-            if !gate || m.busy() || m.next_event() <= now {
-                m.tick_probed(now, &mut self.xbar, &self.sp, &mut self.fm, &mut self.probe);
-            }
+        if !gate || self.macrx.busy() || self.macrx.next_event() <= now {
+            self.macrx
+                .tick_probed(now, &mut self.xbar, &self.sp, &mut self.fm, &mut self.probe);
         }
 
         // Fault supervision: the per-assist watchdog and the abort-count
@@ -603,8 +583,8 @@ impl<P: Probe> NicSystem<P> {
         }
 
         // Frame-memory completions route back to their streams — and,
-        // within a stream, to the owning unit: DMA tags carry the
-        // engine id in their high word, MAC tags are the MAC id. The
+        // within a DMA stream, to the owning engine, whose id the tag
+        // carries in its high word; each MAC stream has one owner. The
         // controller changes state only at `next_event` (a burst start
         // or completion falling due).
         if !gate || self.fm.next_event() <= now {
@@ -631,15 +611,10 @@ impl<P: Probe> NicSystem<P> {
                             Some(d) => d,
                             None => self.on_short_read(c.at),
                         };
-                        self.mactxs[c.tag as usize].on_sdram_complete_probed(
-                            c.at,
-                            data,
-                            &mut self.probe,
-                        )
+                        self.mactx
+                            .on_sdram_complete_probed(c.at, data, &mut self.probe)
                     }
-                    StreamId::MacRx => {
-                        self.macrxs[c.tag as usize].on_sdram_complete_probed(c.at, &mut self.probe)
-                    }
+                    StreamId::MacRx => self.macrx.on_sdram_complete_probed(c.at, &mut self.probe),
                 }
             }
         }
@@ -789,8 +764,9 @@ impl<P: Probe> NicSystem<P> {
     /// real", `n > 1` means cycles `1..n` are provably no-ops.
     ///
     /// Every bound here is a lower bound on the component's next state
-    /// change (the [`NextEvent`] contract), so skipping `n - 1` cycles
-    /// and simulating the `n`-th is bit-identical to ticking densely.
+    /// change (the `nicsim_sim::sched` contract), so skipping `n - 1`
+    /// cycles and simulating the `n`-th is bit-identical to ticking
+    /// densely.
     pub(crate) fn wake_cycles(&self) -> u64 {
         // An ungranted request keeps the crossbar arbitration hot:
         // simulate every cycle. Granted-but-unconsumed *responses* don't:
@@ -825,24 +801,20 @@ impl<P: Probe> NicSystem<P> {
         // Time-driven events: frame-memory burst starts/completions,
         // wire completions, frame arrivals.
         w.at_time(self.fm.next_event());
-        for m in &self.mactxs {
-            w.at_time(m.next_event());
-        }
-        for m in &self.macrxs {
-            w.at_time(m.next_event());
-        }
+        w.at_time(self.mactx.next_event());
+        w.at_time(self.macrx.next_event());
         w.wake_in()
     }
 
     /// Whether any frame-side unit could issue work on its next tick —
     /// the fold of every unit's `busy` predicate, over however many
-    /// units the topology holds.
+    /// DMA engines the topology holds.
     #[inline]
     pub(crate) fn frame_side_busy(&self) -> bool {
         self.dmards.iter().any(|d| d.busy(&self.sp))
             || self.dmawrs.iter().any(|d| d.busy(&self.sp))
-            || self.mactxs.iter().any(|m| m.busy(&self.sp))
-            || self.macrxs.iter().any(|m| m.busy())
+            || self.mactx.busy(&self.sp)
+            || self.macrx.busy()
     }
 
     /// Jump the clock over `n` provably-idle cycles, keeping every
@@ -932,13 +904,9 @@ impl<P: Probe> NicSystem<P> {
         for d in &mut self.dmawrs {
             d.reset_stats();
         }
-        for m in &mut self.mactxs {
-            m.monitor.reset(now);
-            m.reset_stats();
-        }
-        for m in &mut self.macrxs {
-            m.reset_stats();
-        }
+        self.mactx.monitor.reset(now);
+        self.mactx.reset_stats();
+        self.macrx.reset_stats();
         self.driver.reset_window(now);
     }
 
@@ -977,16 +945,12 @@ impl<P: Probe> NicSystem<P> {
             .sum();
         let assist_sp: u64 = self.dmards.iter().map(|d| d.sp_accesses()).sum::<u64>()
             + self.dmawrs.iter().map(|d| d.sp_accesses()).sum::<u64>()
-            + self.mactxs.iter().map(|m| m.sp_accesses()).sum::<u64>()
-            + self.macrxs.iter().map(|m| m.sp_accesses()).sum::<u64>();
+            + self.mactx.sp_accesses()
+            + self.macrx.sp_accesses();
         let d = self.driver.stats();
         let window_cycles = core_ticks.max(1) as f64;
         let errors = self.cfg.faults.map(|_| {
-            let (link_corrupt_injected, link_truncate_injected) =
-                self.macrxs.iter().fold((0, 0), |(c, t), m| {
-                    let (mc, mt) = m.generator.injected();
-                    (c + mc, t + mt)
-                });
+            let (link_corrupt_injected, link_truncate_injected) = self.macrx.generator.injected();
             let sum = |pick: fn(&DmaFaults) -> u64| -> u64 {
                 self.dmards
                     .iter()
@@ -998,7 +962,7 @@ impl<P: Probe> NicSystem<P> {
             let mut e = ErrorStats {
                 link_corrupt_injected,
                 link_truncate_injected,
-                crc_dropped: self.macrxs.iter().map(|m| m.crc_dropped()).sum(),
+                crc_dropped: self.macrx.crc_dropped(),
                 dma_transient_errors: sum(|f| f.transient_errors),
                 dma_retries_ok: sum(|f| f.retries_ok),
                 dma_aborts: sum(|f| f.aborts),
@@ -1030,20 +994,12 @@ impl<P: Probe> NicSystem<P> {
             window,
             cores: self.cfg.cores,
             cpu_mhz: self.cfg.cpu_mhz,
-            tx_frames: self.mactxs.iter().map(|m| m.monitor.frames()).sum(),
+            tx_frames: self.mactx.monitor.frames(),
             rx_frames: d.rx_frames,
-            tx_udp_gbps: self
-                .mactxs
-                .iter()
-                .map(|m| m.monitor.udp_gbps(self.now))
-                .sum(),
+            tx_udp_gbps: self.mactx.monitor.udp_gbps(self.now),
             rx_udp_gbps: self.driver.rx_udp_gbps(self.now),
-            rx_mac_drops: self.macrxs.iter().map(|m| m.drops()).sum(),
-            tx_errors: self
-                .mactxs
-                .iter()
-                .map(|m| m.monitor.errors().len() as u64 + m.monitor.out_of_order())
-                .sum(),
+            rx_mac_drops: self.macrx.drops(),
+            tx_errors: self.mactx.monitor.errors().len() as u64 + self.mactx.monitor.out_of_order(),
             rx_corrupt: d.rx_corrupt,
             rx_out_of_order: d.rx_out_of_order,
             profile,
@@ -1143,10 +1099,7 @@ mod tests {
                             scratchpad_bytes,
                             offered_tx_fps: fps[tx],
                             offered_rx_fps: fps[rx],
-                            topology: Topology {
-                                dma_engines,
-                                macs: 1,
-                            },
+                            topology: Topology { dma_engines },
                             ..NicConfig::default()
                         };
                         let built = NicSystem::build(cfg).finish();
@@ -1169,10 +1122,7 @@ mod tests {
             let cfg = NicConfig {
                 cores,
                 scratchpad_bytes: 524_288,
-                topology: Topology {
-                    dma_engines,
-                    macs: 1,
-                },
+                topology: Topology { dma_engines },
                 ..NicConfig::default()
             };
             assert_eq!(

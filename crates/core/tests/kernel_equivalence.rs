@@ -375,21 +375,17 @@ fn polling_and_interrupt_deliver_identical_frames() {
 
 #[test]
 fn kernels_match_on_non_default_topologies() {
-    // Non-default definitions (extra DMA engines, extra MACs) must hold
-    // the same equivalence contract as the default: the event kernel
+    // A non-default definition (extra DMA engines) must hold the same
+    // equivalence contract as the default: the event kernel
     // bit-identical to the dense reference, with real traffic flowing
     // through the striped engines.
-    for (dma, macs) in [(2usize, 1usize), (2, 2)] {
-        let cfg = NicConfig::builder()
-            .cores(2)
-            .cpu_mhz(300)
-            .dma_engines(dma)
-            .macs(macs)
-            .build()
-            .unwrap();
-        let label = format!("{dma} engines, {macs} macs");
-        assert_identical(cfg, WARMUP, WINDOW, &label);
-    }
+    let cfg = NicConfig::builder()
+        .cores(2)
+        .cpu_mhz(300)
+        .dma_engines(2)
+        .build()
+        .unwrap();
+    assert_identical(cfg, WARMUP, WINDOW, "2 engines");
 }
 
 #[test]

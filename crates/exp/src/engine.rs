@@ -151,13 +151,6 @@ impl Experiment {
         self.faults
     }
 
-    /// Set the fault plan programmatically (the `--faults` equivalent).
-    #[must_use]
-    pub fn with_faults(mut self, plan: Option<FaultPlan>) -> Experiment {
-        self.faults = plan;
-        self
-    }
-
     /// Override the worker-thread count (clamped to at least 1).
     #[must_use]
     pub fn jobs(mut self, jobs: usize) -> Experiment {
@@ -198,23 +191,13 @@ impl Experiment {
         self.jobs
     }
 
-    /// The configured warm-up window (simulated time).
-    pub fn warmup(&self) -> Ps {
-        self.warmup
-    }
-
-    /// The configured measurement window (simulated time).
-    pub fn window(&self) -> Ps {
-        self.window
-    }
-
     /// Run one configuration with the standard methodology (warm up,
     /// measure, validate every frame) and return its report.
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid ([`Experiment::try_run`]
-    /// returns the error instead) or if end-to-end validation fails.
+    /// Panics if the configuration is invalid (check it first with
+    /// [`NicConfig::validate`]) or if end-to-end validation fails.
     pub fn run(&self, cfg: NicConfig) -> RunReport {
         self.run_spec(&RunSpec::single("run", cfg))
     }
@@ -226,16 +209,6 @@ impl Experiment {
     /// Same contract as [`Experiment::run`].
     pub fn run_labeled(&self, label: &str, cfg: NicConfig) -> RunReport {
         self.run_spec(&RunSpec::single(label, cfg))
-    }
-
-    /// Fallible [`Experiment::run`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ConfigError`] when the configuration is invalid.
-    pub fn try_run(&self, cfg: NicConfig) -> Result<RunReport, ConfigError> {
-        cfg.validate()?;
-        Ok(self.run(cfg))
     }
 
     /// Run one configuration and also return the simulated system for

@@ -176,9 +176,7 @@ pub fn config_to_json(cfg: &NicConfig) -> Json {
         .with("driver_interval", cfg.driver_interval)
         .with(
             "topology",
-            Json::obj()
-                .with("dma_engines", cfg.topology.dma_engines)
-                .with("macs", cfg.topology.macs),
+            Json::obj().with("dma_engines", cfg.topology.dma_engines),
         );
     if let Some(plan) = &cfg.faults {
         doc.set("faults", plan.spec().as_str());
@@ -198,11 +196,19 @@ pub fn config_to_json(cfg: &NicConfig) -> Json {
 /// validated; any missing key, malformed value, or invalid combination
 /// is reported as an error string.
 pub fn config_from_json(doc: &Json) -> Result<NicConfig, String> {
-    fn int(doc: &Json, key: &str) -> Result<u64, String> {
-        doc.get(key)
+    fn int<T: TryFrom<u64>>(doc: &Json, key: &str) -> Result<T, String> {
+        let v = doc
+            .get(key)
             .and_then(Json::as_f64)
-            .map(|v| v as u64)
-            .ok_or_else(|| format!("missing numeric config key `{key}`"))
+            .ok_or_else(|| format!("missing numeric config key `{key}`"))?;
+        // Integers up to 2^53 are exact in the parser's f64; anything
+        // else, or a value the field's type cannot hold, would be
+        // silently coerced by a cast.
+        let whole = (0.0..=9_007_199_254_740_992.0).contains(&v) && v.fract() == 0.0;
+        whole
+            .then(|| T::try_from(v as u64).ok())
+            .flatten()
+            .ok_or_else(|| format!("config key `{key}` must be an integer in range (got {v})"))
     }
     fn flag(doc: &Json, key: &str) -> Result<bool, String> {
         match doc.get(key) {
@@ -227,35 +233,37 @@ pub fn config_from_json(doc: &Json) -> Result<NicConfig, String> {
         other => return Err(format!("unknown firmware mode {other:?}")),
     };
     let mut b = NicConfig::builder()
-        .cores(int(doc, "cores")? as usize)
+        .cores(int(doc, "cores")?)
         .cpu_mhz(int(doc, "cpu_mhz")?)
-        .banks(int(doc, "banks")? as usize)
-        .scratchpad_bytes(int(doc, "scratchpad_bytes")? as usize)
+        .banks(int(doc, "banks")?)
+        .scratchpad_bytes(int(doc, "scratchpad_bytes")?)
         .icache(nicsim_mem::ICacheConfig {
-            bytes: int(icache, "bytes")? as usize,
-            ways: int(icache, "ways")? as usize,
-            line_bytes: int(icache, "line_bytes")? as usize,
+            bytes: int(icache, "bytes")?,
+            ways: int(icache, "ways")?,
+            line_bytes: int(icache, "line_bytes")?,
         })
         .frame_memory(nicsim_mem::FrameMemoryConfig {
             freq: nicsim_sim::Freq::from_mhz(int(fm, "mhz")?),
             bytes_per_cycle: int(fm, "bytes_per_cycle")?,
-            banks: int(fm, "banks")? as u32,
-            row_bytes: int(fm, "row_bytes")? as u32,
+            banks: int(fm, "banks")?,
+            row_bytes: int(fm, "row_bytes")?,
             row_miss_cycles: int(fm, "row_miss_cycles")?,
             access_latency_cycles: int(fm, "access_latency_cycles")?,
-            capacity: int(fm, "capacity")? as u32,
+            capacity: int(fm, "capacity")?,
         })
         .mode(mode)
-        .udp_payload(int(doc, "udp_payload")? as usize)
+        .udp_payload(int(doc, "udp_payload")?)
         .send_enabled(flag(doc, "send_enabled")?)
         .recv_enabled(flag(doc, "recv_enabled")?)
         .offered_tx_fps(rate(doc, "offered_tx_fps"))
         .offered_rx_fps(rate(doc, "offered_rx_fps"))
         .driver_interval(int(doc, "driver_interval")?);
     if let Some(t) = doc.get("topology") {
-        b = b
-            .dma_engines(int(t, "dma_engines")? as usize)
-            .macs(int(t, "macs")? as usize);
+        b = b.dma_engines(int(t, "dma_engines")?);
+        // Files written while the MAC count was an axis carry `"macs": 1`.
+        if t.get("macs").is_some() && int::<u64>(t, "macs")? != 1 {
+            return Err("config key `macs`: the NIC has one MAC, only 1 loads".into());
+        }
     }
     if let Some(spec) = doc.get("faults").and_then(Json::as_str) {
         b = b.faults_spec(spec).map_err(|e| e.to_string())?;
@@ -370,7 +378,6 @@ mod tests {
             .capture_ilp(false)
             .faults(Some(FaultPlan::with_rate(7, 1e-4)))
             .dma_engines(2)
-            .macs(2)
             .build()
             .unwrap();
         let doc = config_to_json(&cfg);
@@ -384,6 +391,39 @@ mod tests {
         // A mangled document fails loudly instead of defaulting.
         let broken = Json::obj().with("mode", "no-such-mode");
         assert!(config_from_json(&broken).is_err());
+    }
+
+    /// Numbers a cast would coerce (negative, fractional, infinite, past
+    /// 2^53, past the field's own type), and the deleted MAC-count axis:
+    /// each is an error naming the key, never a different configuration.
+    #[test]
+    fn config_from_json_rejects_coercible_numbers_and_extra_macs() {
+        let text = config_to_json(&NicConfig::default()).compact();
+        let load = |from: &str, to: &str| {
+            assert!(text.contains(from), "{from} not in {text}");
+            config_from_json(&Json::parse(&text.replace(from, to)).unwrap())
+        };
+        for (from, to, key) in [
+            (
+                "\"driver_interval\":16",
+                "\"driver_interval\":-1",
+                "driver_interval",
+            ),
+            ("\"cores\":6", "\"cores\":2.9", "cores"),
+            ("\"cores\":6", "\"cores\":1e999", "cores"),
+            ("\"cpu_mhz\":166", "\"cpu_mhz\":9007199254740994", "cpu_mhz"),
+            (
+                "\"row_bytes\":2048",
+                "\"row_bytes\":4294969344",
+                "row_bytes",
+            ),
+            ("\"dma_engines\":1", "\"dma_engines\":1,\"macs\":2", "macs"),
+        ] {
+            let err = load(from, to).expect_err(to);
+            assert!(err.contains(&format!("`{key}`")), "{to}: {err}");
+        }
+        let old_file = load("\"dma_engines\":1", "\"dma_engines\":1,\"macs\":1");
+        assert_eq!(old_file, Ok(NicConfig::default()));
     }
 
     #[test]

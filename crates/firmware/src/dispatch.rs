@@ -64,14 +64,15 @@ impl Fw {
         }
         let work = |avail, claim| peek_work(ctx, avail, claim);
         let bit = |bits, commit| peek_bit_pending(ctx, bits, commit);
+        let (rd0, wr0) = (m.dmard(0), m.dmawr(0));
         match src {
             0 => source!(work(m.sb_mailbox_prod, m.sb_fetched) => self.fetch_send_bds()),
-            1 => source!(work(m.dmard_done, m.dmard_claim) => self.process_dmard_completions(0)),
+            1 => source!(work(rd0.done, rd0.claim) => self.process_dmard_completions(0)),
             2 => source!(work(m.sbd_parsed, m.sbd_cons) => self.send_frames()),
             3 => source!(work(m.mactx_done, m.send_txdone_claim) => self.process_mactx_done()),
             4 => source!(work(m.rb_mailbox_prod, m.rb_fetched) => self.fetch_recv_bds()),
             5 => source!(work(m.macrx_prod, m.recv_claim) => self.recv_frames()),
-            6 => source!(work(m.dmawr_done, m.dmawr_claim) => self.process_dmawr_completions(0)),
+            6 => source!(work(wr0.done, wr0.claim) => self.process_dmawr_completions(0)),
             7 => {
                 source!(bit(m.send_ready_bits, m.send_ready_commit) => self.commit_send_ready());
                 true

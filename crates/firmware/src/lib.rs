@@ -38,5 +38,5 @@ pub mod map;
 pub mod mode;
 
 pub use dispatch::dispatch_loop;
-pub use map::{DmaIf, MacIf, MemMap, MAX_DMA_ENGINES, MAX_MACS};
+pub use map::{DmaIf, MemMap, MAX_DMA_ENGINES};
 pub use mode::{DispatchMode, FwMode};

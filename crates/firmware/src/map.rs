@@ -11,8 +11,6 @@
 pub const SLOTS: u32 = 256;
 /// Most DMA engine pairs a topology may instantiate.
 pub const MAX_DMA_ENGINES: usize = 4;
-/// Most MACs a topology may instantiate.
-pub const MAX_MACS: usize = 2;
 /// Entries in each DMA command ring. Sized above the structural bound
 /// on outstanding commands (frame slots x fragments + BD batches) so the
 /// producers' full-ring spin is a backstop, never the steady state.
@@ -77,10 +75,9 @@ pub mod info {
 }
 
 /// Register and ring addresses of one DMA command interface (one
-/// direction of one engine). Engine 0's interface aliases the legacy
-/// scalar `MemMap` fields; extra engines get fresh allocations past the
-/// default map's end, so the default topology's map is byte-identical
-/// to the single-engine layout.
+/// direction of one engine). Engine 0's words sit interleaved with the
+/// other locks, counters and rings; extra engines are allocated past
+/// `event_scratch`, so adding an engine moves no existing word.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DmaIf {
     /// Producer lock (guards ring claim + doorbell).
@@ -99,22 +96,6 @@ pub struct DmaIf {
     pub info: u32,
 }
 
-/// Register and ring addresses of one MAC (TX + RX side). MAC 0
-/// aliases the legacy scalar fields.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MacIf {
-    /// MAC TX ring (`MACTX_RING` x 4 words).
-    pub tx_ring: u32,
-    /// MAC TX ring producer.
-    pub tx_prod: u32,
-    /// MAC TX done counter (hardware-written).
-    pub tx_done: u32,
-    /// MAC RX descriptor ring (`MACRX_RING` x 4 words).
-    pub rx_ring: u32,
-    /// MAC RX descriptor producer (hardware-written).
-    pub rx_prod: u32,
-}
-
 /// All scratchpad addresses (bytes, word-aligned). Built by a linear
 /// allocator so regions can never overlap.
 #[derive(Debug, Clone, Copy)]
@@ -124,10 +105,6 @@ pub struct MemMap {
     pub lock_sb_fetch: u32,
     /// Guards the receive-mailbox fetch state.
     pub lock_rb_fetch: u32,
-    /// Guards the DMA-read command ring producer.
-    pub lock_dmard: u32,
-    /// Guards the DMA-write command ring producer.
-    pub lock_dmawr: u32,
     /// Guards send-BD consumption and send-slot allocation.
     pub lock_sbd: u32,
     /// Guards send-BD parsing (raw cache -> parsed pool).
@@ -136,10 +113,6 @@ pub struct MemMap {
     pub lock_rbd_parse: u32,
     /// Guards the receive claim (arrived frames -> slots).
     pub lock_rxclaim: u32,
-    /// Guards the DMA-read completion claim.
-    pub lock_dmard_claim: u32,
-    /// Guards the DMA-write completion claim.
-    pub lock_dmawr_claim: u32,
     /// Guards the MAC-TX completion claim.
     pub lock_mactx_claim: u32,
     /// Send ready-commit lock (also protects `send_ready_bits` in
@@ -178,24 +151,12 @@ pub struct MemMap {
     pub recv_claim: u32,
     /// Received frames returned to the host (in order).
     pub recv_commit: u32,
-    /// DMA-read completions claimed.
-    pub dmard_claim: u32,
-    /// DMA-write completions claimed.
-    pub dmawr_claim: u32,
     /// Set by the system to stop the dispatch loops.
     pub stop_flag: u32,
     /// Receive-buffer bytes retired (MAC RX reads this as the free tail).
     pub rxbuf_tail: u32,
 
     // ---- hardware ring pointers ----
-    /// DMA-read command producer (doorbell).
-    pub dmard_prod: u32,
-    /// DMA-read done counter (hardware-written).
-    pub dmard_done: u32,
-    /// DMA-write command producer.
-    pub dmawr_prod: u32,
-    /// DMA-write done counter.
-    pub dmawr_done: u32,
     /// MAC TX ring producer.
     pub mactx_prod: u32,
     /// MAC TX done counter.
@@ -204,14 +165,6 @@ pub struct MemMap {
     pub macrx_prod: u32,
 
     // ---- regions ----
-    /// DMA-read command ring (`DMA_RING` x 4 words).
-    pub dmard_ring: u32,
-    /// Firmware info words parallel to the DMA-read ring.
-    pub dmard_info: u32,
-    /// DMA-write command ring.
-    pub dmawr_ring: u32,
-    /// Firmware info words parallel to the DMA-write ring.
-    pub dmawr_info: u32,
     /// MAC TX ring (`MACTX_RING` x 4 words: addr, len, flags, seq).
     pub mactx_ring: u32,
     /// MAC RX descriptor ring (`MACRX_RING` x 4 words: addr, len,
@@ -247,41 +200,38 @@ pub struct MemMap {
     // ---- topology (`NicConfig::topology`) ----
     /// Instantiated DMA engine pairs (1..=`MAX_DMA_ENGINES`).
     pub n_dma: u32,
-    /// Instantiated MACs (1..=`MAX_MACS`).
-    pub n_macs: u32,
-    /// Per-engine DMA-read interfaces (`0..n_dma` populated; entry 0
-    /// aliases the legacy scalar fields).
+    /// Per-engine DMA-read interfaces (`0..n_dma` populated).
     pub dmard_if: [DmaIf; MAX_DMA_ENGINES],
     /// Per-engine DMA-write interfaces.
     pub dmawr_if: [DmaIf; MAX_DMA_ENGINES],
-    /// Per-MAC interfaces (`0..n_macs` populated; entry 0 aliases the
-    /// legacy scalar fields).
-    pub mac_if: [MacIf; MAX_MACS],
 
     /// Total bytes used.
     pub end: u32,
 }
 
 impl MemMap {
-    /// Build the default (one DMA engine pair, one MAC) map.
+    /// Build the default (one DMA engine pair) map.
     pub fn new() -> MemMap {
-        MemMap::for_topology(1, 1)
+        MemMap::for_topology(1)
     }
 
-    /// Build the map for a topology with `dma_engines` DMA engine pairs
-    /// and `macs` MACs, with a linear allocator starting at address 0.
+    /// Build the map for a topology with `dma_engines` DMA engine
+    /// pairs, with a linear allocator starting at address 0.
     ///
-    /// Unit 0 of each kind occupies the legacy layout; extra units are
-    /// appended after it, so `for_topology(1, 1)` is byte-identical to
-    /// the single-engine, single-MAC map.
+    /// The allocation order below is load-bearing: a word's bank decides
+    /// crossbar arbitration, so engine 0's words stay interleaved where
+    /// they are and extra engines are appended after `event_scratch`
+    /// (`layout_is_pinned` holds every address).
     ///
     /// # Panics
     ///
-    /// If `dma_engines` or `macs` is zero or above its `MAX_*` bound
-    /// (validated earlier by `NicConfig::validate`).
-    pub fn for_topology(dma_engines: usize, macs: usize) -> MemMap {
+    /// If `dma_engines` is zero or above `MAX_DMA_ENGINES` (validated
+    /// earlier by `NicConfig::validate`).
+    pub fn for_topology(dma_engines: usize) -> MemMap {
         assert!((1..=MAX_DMA_ENGINES).contains(&dma_engines));
-        assert!((1..=MAX_MACS).contains(&macs));
+        let mut dmard_if = [DmaIf::default(); MAX_DMA_ENGINES];
+        let mut dmawr_if = [DmaIf::default(); MAX_DMA_ENGINES];
+        let (rd0, wr0) = (&mut dmard_if[0], &mut dmawr_if[0]);
         let mut cur = 0u32;
         let mut word = || {
             let a = cur;
@@ -290,14 +240,14 @@ impl MemMap {
         };
         let lock_sb_fetch = word();
         let lock_rb_fetch = word();
-        let lock_dmard = word();
-        let lock_dmawr = word();
+        rd0.lock = word();
+        wr0.lock = word();
         let lock_sbd = word();
         let lock_sbd_parse = word();
         let lock_rbd_parse = word();
         let lock_rxclaim = word();
-        let lock_dmard_claim = word();
-        let lock_dmawr_claim = word();
+        rd0.lock_claim = word();
+        wr0.lock_claim = word();
         let lock_mactx_claim = word();
         let lock_send_ready_commit = word();
         let lock_send_txdone_commit = word();
@@ -315,14 +265,14 @@ impl MemMap {
         let rbd_cons = word();
         let recv_claim = word();
         let recv_commit = word();
-        let dmard_claim = word();
-        let dmawr_claim = word();
+        rd0.claim = word();
+        wr0.claim = word();
         let stop_flag = word();
         let rxbuf_tail = word();
-        let dmard_prod = word();
-        let dmard_done = word();
-        let dmawr_prod = word();
-        let dmawr_done = word();
+        rd0.prod = word();
+        rd0.done = word();
+        wr0.prod = word();
+        wr0.done = word();
         let mactx_prod = word();
         let mactx_done = word();
         let macrx_prod = word();
@@ -331,10 +281,10 @@ impl MemMap {
             cur += bytes;
             a
         };
-        let dmard_ring = region(DMA_RING * 16);
-        let dmard_info = region(DMA_RING * 4);
-        let dmawr_ring = region(DMA_RING * 16);
-        let dmawr_info = region(DMA_RING * 4);
+        rd0.ring = region(DMA_RING * 16);
+        rd0.info = region(DMA_RING * 4);
+        wr0.ring = region(DMA_RING * 16);
+        wr0.info = region(DMA_RING * 4);
         let mactx_ring = region(MACTX_RING * 16);
         let macrx_ring = region(MACRX_RING * 16);
         let sbd_raw = region(BD_CACHE * 16);
@@ -349,30 +299,6 @@ impl MemMap {
         let staging = region(STAGING * 16);
         let stats = region(16 * 4);
         let event_scratch = region(16 * 32);
-
-        // Per-unit interface tables. Unit 0 aliases the legacy scalar
-        // fields above; extra units allocate past the default map's end
-        // so the default layout never moves.
-        let mut dmard_if = [DmaIf::default(); MAX_DMA_ENGINES];
-        let mut dmawr_if = [DmaIf::default(); MAX_DMA_ENGINES];
-        dmard_if[0] = DmaIf {
-            lock: lock_dmard,
-            lock_claim: lock_dmard_claim,
-            prod: dmard_prod,
-            done: dmard_done,
-            claim: dmard_claim,
-            ring: dmard_ring,
-            info: dmard_info,
-        };
-        dmawr_if[0] = DmaIf {
-            lock: lock_dmawr,
-            lock_claim: lock_dmawr_claim,
-            prod: dmawr_prod,
-            done: dmawr_done,
-            claim: dmawr_claim,
-            ring: dmawr_ring,
-            info: dmawr_info,
-        };
         for k in 1..dma_engines {
             for table in [&mut dmard_if, &mut dmawr_if] {
                 table[k] = DmaIf {
@@ -386,34 +312,13 @@ impl MemMap {
                 };
             }
         }
-        let mut mac_if = [MacIf::default(); MAX_MACS];
-        mac_if[0] = MacIf {
-            tx_ring: mactx_ring,
-            tx_prod: mactx_prod,
-            tx_done: mactx_done,
-            rx_ring: macrx_ring,
-            rx_prod: macrx_prod,
-        };
-        for m in mac_if.iter_mut().take(macs).skip(1) {
-            *m = MacIf {
-                tx_prod: region(4),
-                tx_done: region(4),
-                rx_prod: region(4),
-                tx_ring: region(MACTX_RING * 16),
-                rx_ring: region(MACRX_RING * 16),
-            };
-        }
         MemMap {
             lock_sb_fetch,
             lock_rb_fetch,
-            lock_dmard,
-            lock_dmawr,
             lock_sbd,
             lock_sbd_parse,
             lock_rbd_parse,
             lock_rxclaim,
-            lock_dmard_claim,
-            lock_dmawr_claim,
             lock_mactx_claim,
             lock_send_ready_commit,
             lock_send_txdone_commit,
@@ -431,21 +336,11 @@ impl MemMap {
             rbd_cons,
             recv_claim,
             recv_commit,
-            dmard_claim,
-            dmawr_claim,
             stop_flag,
             rxbuf_tail,
-            dmard_prod,
-            dmard_done,
-            dmawr_prod,
-            dmawr_done,
             mactx_prod,
             mactx_done,
             macrx_prod,
-            dmard_ring,
-            dmard_info,
-            dmawr_ring,
-            dmawr_info,
             mactx_ring,
             macrx_ring,
             sbd_raw,
@@ -461,10 +356,8 @@ impl MemMap {
             stats,
             event_scratch,
             n_dma: dma_engines as u32,
-            n_macs: macs as u32,
             dmard_if,
             dmawr_if,
-            mac_if,
             end: cur,
         }
     }
@@ -479,12 +372,6 @@ impl MemMap {
     pub fn dmawr(&self, k: usize) -> &DmaIf {
         debug_assert!(k < self.n_dma as usize);
         &self.dmawr_if[k]
-    }
-
-    /// Interface of MAC `j`.
-    pub fn mac(&self, j: usize) -> &MacIf {
-        debug_assert!(j < self.n_macs as usize);
-        &self.mac_if[j]
     }
 
     /// Statistics word offsets within the stats block.
@@ -534,7 +421,7 @@ mod tests {
     #[test]
     fn regions_are_orderly() {
         let m = MemMap::new();
-        assert!(m.dmard_ring < m.dmard_info);
+        assert!(m.dmard(0).ring < m.dmard(0).info);
         assert!(m.event_scratch + 512 == m.end);
         assert_eq!(m.send_slot(0), m.send_slots);
         assert_eq!(m.send_slot(SLOTS), m.send_slots, "slots wrap");
@@ -542,45 +429,105 @@ mod tests {
     }
 
     #[test]
-    fn unit_zero_interfaces_alias_legacy_fields() {
-        let m = MemMap::new();
-        assert_eq!(m.dmard(0).ring, m.dmard_ring);
-        assert_eq!(m.dmard(0).prod, m.dmard_prod);
-        assert_eq!(m.dmard(0).done, m.dmard_done);
-        assert_eq!(m.dmard(0).claim, m.dmard_claim);
-        assert_eq!(m.dmawr(0).lock, m.lock_dmawr);
-        assert_eq!(m.dmawr(0).lock_claim, m.lock_dmawr_claim);
-        assert_eq!(m.mac(0).tx_ring, m.mactx_ring);
-        assert_eq!(m.mac(0).tx_done, m.mactx_done);
-        assert_eq!(m.mac(0).rx_prod, m.macrx_prod);
-    }
-
-    #[test]
     fn extra_units_append_after_the_default_map() {
         let base = MemMap::new();
-        let big = MemMap::for_topology(2, 2);
-        // The legacy layout never moves.
+        let big = MemMap::for_topology(2);
+        // The default layout never moves.
         assert_eq!(big.event_scratch, base.event_scratch);
-        assert_eq!(big.dmard_ring, base.dmard_ring);
         assert_eq!(big.dmard(0).ring, base.dmard(0).ring);
         // Extra units live past the default end, word-aligned.
         assert!(big.end > base.end);
-        for addr in [
-            big.dmard(1).lock,
-            big.dmard(1).ring,
-            big.dmawr(1).info,
-            big.mac(1).tx_ring,
-            big.mac(1).rx_prod,
-        ] {
+        for addr in [big.dmard(1).lock, big.dmard(1).ring, big.dmawr(1).info] {
             assert!(addr >= base.end);
             assert_eq!(addr % 4, 0);
         }
-        // The sweep range (2 engines, 2 MACs) fits the paper's 256 KB
+        // The sweep range (2 engines) fits the paper's 256 KB
         // scratchpad; the max topology needs a bigger one, which
         // `NicConfig::validate` enforces against `scratchpad_bytes`.
         assert!(big.end <= 256 * 1024, "got {}", big.end);
-        let max = MemMap::for_topology(MAX_DMA_ENGINES, MAX_MACS);
+        let max = MemMap::for_topology(MAX_DMA_ENGINES);
         assert!(max.end > big.end);
+    }
+
+    /// One FNV-1a value over every address the map hands out, in
+    /// declaration order: bank mapping decides crossbar arbitration, so
+    /// a word that moves changes simulated timing. A constant changes
+    /// only with a deliberate re-layout, which moves the pinned
+    /// `RunStats` digests in `kernel_equivalence` with it.
+    #[test]
+    fn layout_is_pinned() {
+        for (dma_engines, want) in [
+            (1, 0x9b59_f8f3_814d_2370u64),
+            (2, 0x650f_253c_5525_b8b8),
+            (4, 0x5e93_402d_f1d2_19e5),
+        ] {
+            let m = MemMap::for_topology(dma_engines);
+            let mut words = vec![
+                m.lock_sb_fetch,
+                m.lock_rb_fetch,
+                m.lock_sbd,
+                m.lock_sbd_parse,
+                m.lock_rbd_parse,
+                m.lock_rxclaim,
+                m.lock_mactx_claim,
+                m.lock_send_ready_commit,
+                m.lock_send_txdone_commit,
+                m.lock_recv_commit,
+                m.sb_mailbox_prod,
+                m.sb_fetched,
+                m.sbd_parsed,
+                m.sbd_cons,
+                m.send_ready_commit,
+                m.send_txdone_claim,
+                m.send_txdone_commit,
+                m.rb_mailbox_prod,
+                m.rb_fetched,
+                m.rbd_parsed,
+                m.rbd_cons,
+                m.recv_claim,
+                m.recv_commit,
+                m.stop_flag,
+                m.rxbuf_tail,
+                m.mactx_prod,
+                m.mactx_done,
+                m.macrx_prod,
+                m.mactx_ring,
+                m.macrx_ring,
+                m.sbd_raw,
+                m.rbd_raw,
+                m.sbd_pool,
+                m.rbd_pool,
+                m.send_slots,
+                m.recv_slots,
+                m.send_ready_bits,
+                m.send_txdone_bits,
+                m.recv_done_bits,
+                m.staging,
+                m.stats,
+                m.event_scratch,
+            ];
+            for k in 0..dma_engines {
+                for i in [m.dmard(k), m.dmawr(k)] {
+                    words.extend([
+                        i.lock,
+                        i.lock_claim,
+                        i.prod,
+                        i.done,
+                        i.claim,
+                        i.ring,
+                        i.info,
+                    ]);
+                }
+            }
+            words.push(m.end);
+            let got = words
+                .iter()
+                .flat_map(|w| w.to_le_bytes())
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                });
+            assert_eq!(got, want, "{dma_engines} engines: {got:#018x}");
+        }
     }
 
     #[test]

@@ -59,7 +59,7 @@ pub struct FleetConfig {
     pub shards: usize,
     /// Per-NIC configuration (all NICs identical; `send_enabled` and
     /// `recv_enabled` must both be set so the driver posts the fleet
-    /// schedule and MAC 0 accepts injected arrivals).
+    /// schedule and MAC RX accepts injected arrivals).
     pub nic: NicConfig,
     /// The switch model between the NICs.
     pub fabric: FabricConfig,

@@ -16,52 +16,10 @@
 //! recovered, so it is counted in the totals."
 
 use nicsim_fault::EccFaults;
-use nicsim_obs::{Event, FaultKind, FaultUnit, FmStream, NullProbe, Probe};
-use nicsim_sim::{EventHeap, Freq, NextEvent, Ps, RoundRobin};
+pub use nicsim_obs::FmStream as StreamId;
+use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe};
+use nicsim_sim::{EventHeap, Freq, Ps, RoundRobin};
 use std::collections::VecDeque;
-
-/// The four frame-data streams (one per hardware assist).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StreamId {
-    /// DMA read assist: host memory -> frame memory (transmit path).
-    DmaRead,
-    /// DMA write assist: frame memory -> host memory (receive path).
-    DmaWrite,
-    /// MAC transmit: frame memory -> wire.
-    MacTx,
-    /// MAC receive: wire -> frame memory.
-    MacRx,
-}
-
-impl StreamId {
-    /// Dense index for arbitration.
-    pub fn index(self) -> usize {
-        match self {
-            StreamId::DmaRead => 0,
-            StreamId::DmaWrite => 1,
-            StreamId::MacTx => 2,
-            StreamId::MacRx => 3,
-        }
-    }
-
-    /// All streams in arbitration order.
-    pub const ALL: [StreamId; 4] = [
-        StreamId::DmaRead,
-        StreamId::DmaWrite,
-        StreamId::MacTx,
-        StreamId::MacRx,
-    ];
-
-    /// The observability-layer mirror of this stream.
-    pub fn obs(self) -> FmStream {
-        match self {
-            StreamId::DmaRead => FmStream::DmaRead,
-            StreamId::DmaWrite => FmStream::DmaWrite,
-            StreamId::MacTx => FmStream::MacTx,
-            StreamId::MacRx => FmStream::MacRx,
-        }
-    }
-}
 
 /// Frame-memory configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -321,7 +279,7 @@ impl FrameMemory {
             self.latency_max = self.latency_max.max(lat);
             if P::ENABLED {
                 probe.emit(Event::FmBurst {
-                    stream: StreamId::ALL[s].obs(),
+                    stream: StreamId::ALL[s],
                     write: burst.write,
                     bytes: burst.len,
                     start: t,
@@ -395,16 +353,14 @@ impl FrameMemory {
         self.latency_sum_ps = 0;
         self.latency_max = Ps::ZERO;
     }
-}
 
-impl NextEvent for FrameMemory {
     /// Lower bound on the controller's next state change: the earliest
     /// pending completion, or the start time of the next queued burst
     /// (`max(bus free, submission)`), whichever comes first. Starting a
     /// burst is a state change because it sets `busy_until` and
     /// schedules the completion — [`FrameMemory::advance`] must run at
     /// that instant to keep arbitration decisions time-coherent.
-    fn next_event(&self) -> Ps {
+    pub fn next_event(&self) -> Ps {
         let mut t = self.completions.peek_time().unwrap_or(Ps::MAX);
         let earliest = self
             .queues

@@ -17,9 +17,10 @@
 
 use nicsim_sim::Ps;
 
-/// The four frame-data streams over the shared frame bus, mirroring
-/// `nicsim_mem::StreamId` (this crate sits below `nicsim-mem` in the
-/// dependency order, so it defines its own copy of the vocabulary).
+/// The four frame-data streams over the shared frame bus, one per
+/// hardware assist. This is the only definition: `nicsim_mem::StreamId`
+/// re-exports it (this crate sits below `nicsim-mem` in the dependency
+/// order).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FmStream {
     /// DMA read assist: host memory -> frame memory (transmit path).
@@ -33,7 +34,7 @@ pub enum FmStream {
 }
 
 impl FmStream {
-    /// Dense index, matching `StreamId::index`.
+    /// Dense index: the frame-memory controller's arbitration order.
     pub fn index(self) -> usize {
         match self {
             FmStream::DmaRead => 0,

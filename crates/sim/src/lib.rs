@@ -32,5 +32,5 @@ pub use arbiter::RoundRobin;
 pub use domain::EpochBarrier;
 pub use events::{DrainBefore, EventHeap};
 pub use rng::XorShift64;
-pub use sched::{NextEvent, WakeTracker};
+pub use sched::WakeTracker;
 pub use time::{Freq, Ps};

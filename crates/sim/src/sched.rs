@@ -6,31 +6,20 @@
 //! assist waiting for a frame-memory burst, the SDRAM controller waiting
 //! for a completion, the host driver between polling intervals. Each
 //! such component reports the earliest instant at which it can next
-//! change architectural state — either as a [`NextEvent`] timestamp or
-//! as a cycle count — and a [`WakeTracker`] folds them into the number
-//! of cycles the clock may jump without simulating anything.
+//! change architectural state — either as a timestamp (a `next_event`
+//! method on the frame memory and the two MACs) or as a cycle count —
+//! and a [`WakeTracker`] folds them into the number of cycles the clock
+//! may jump without simulating anything.
 //!
 //! The contract that keeps results bit-identical: a component's reported
 //! wakeup must be a *lower bound* on its next state change. Reporting
 //! too early only costs a no-op cycle; reporting too late would skip
 //! real work and is a correctness bug (guarded by the dense-vs-event
-//! equivalence tests in `nicsim`).
+//! equivalence tests in `nicsim`). A `next_event` returns [`Ps::MAX`]
+//! for "never" (nothing pending) and any time at or before the current
+//! instant for "I have work right now".
 
 use crate::time::Ps;
-
-/// A component that can report the time of its next self-initiated
-/// state change.
-///
-/// Return [`Ps::MAX`] for "never" (nothing pending), and any time at or
-/// before the current instant for "I have work right now". The value
-/// must never be later than the component's actual next state change,
-/// but may be earlier (a conservative bound costs only an extra polled
-/// cycle).
-pub trait NextEvent {
-    /// Earliest time at which this component can change state on its
-    /// own (without new input arriving).
-    fn next_event(&self) -> Ps;
-}
 
 /// Folds component wakeups into "how many whole CPU cycles may the
 /// clock jump".
@@ -145,25 +134,5 @@ mod tests {
         let mut w = WakeTracker::new(Ps::ZERO, Ps(5_000));
         w.at_most(0);
         assert_eq!(w.wake_in(), 1);
-    }
-
-    #[test]
-    fn next_event_trait_is_object_safe() {
-        struct Fixed(Ps);
-        impl NextEvent for Fixed {
-            fn next_event(&self) -> Ps {
-                self.0
-            }
-        }
-        let parts: Vec<Box<dyn NextEvent>> = vec![
-            Box::new(Fixed(Ps(9_000))),
-            Box::new(Fixed(Ps::MAX)),
-            Box::new(Fixed(Ps(4_000))),
-        ];
-        let mut w = WakeTracker::new(Ps::ZERO, Ps(1_000));
-        for p in &parts {
-            w.at_time(p.next_event());
-        }
-        assert_eq!(w.wake_in(), 4);
     }
 }

@@ -21,8 +21,8 @@ echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # RunStats in both dispatch modes, of the probed event stream and
 # frame timelines, and polling-vs-interrupt identity of the delivered
 # frame/descriptor record under a live fault plan. Non-default
-# topologies (2 DMA pairs, 2 MACs) ride in the same suite and must
-# agree across the dense and event kernels. The suite's pinned-digest
+# topologies (2 DMA pairs) ride in the same suite and must agree
+# across the dense and event kernels. The suite's pinned-digest
 # test (model_is_cycle_exact_against_pinned_digests) rides this stanza
 # too: four short runs' RunStats must hash to the committed constants,
 # which catches a change that moves both kernels the same way.

@@ -135,14 +135,14 @@ fn stop_drains_to_a_consistent_state() {
     for lock in [
         m.lock_sb_fetch,
         m.lock_rb_fetch,
-        m.lock_dmard,
-        m.lock_dmawr,
+        m.dmard(0).lock,
+        m.dmawr(0).lock,
         m.lock_sbd,
         m.lock_sbd_parse,
         m.lock_rbd_parse,
         m.lock_rxclaim,
-        m.lock_dmard_claim,
-        m.lock_dmawr_claim,
+        m.dmard(0).lock_claim,
+        m.dmawr(0).lock_claim,
         m.lock_mactx_claim,
         m.lock_send_ready_commit,
         m.lock_send_txdone_commit,

@@ -184,10 +184,10 @@ fn memory_map_counters_are_bank_spread() {
     let sp = Scratchpad::new(256 * 1024, 4);
     let hot = [
         m.sb_mailbox_prod,
-        m.dmard_done,
+        m.dmard(0).done,
         m.mactx_done,
         m.macrx_prod,
-        m.dmawr_done,
+        m.dmawr(0).done,
         m.rb_mailbox_prod,
     ];
     let banks: std::collections::HashSet<usize> = hot.iter().map(|&a| sp.bank_of(a)).collect();
