@@ -39,11 +39,6 @@ impl SpPort {
         }
     }
 
-    /// The crossbar requester index.
-    pub fn port(&self) -> usize {
-        self.port
-    }
-
     /// Enqueue a transaction with an assist-defined tag.
     pub fn push(&mut self, req: SpRequest, tag: u32) {
         self.queue.push_back((req, tag));

@@ -22,7 +22,7 @@ fn main() {
             .build()
             .unwrap(),
     );
-    let run = exp.run_labeled("ideal@300", cfg);
+    let run = exp.run("ideal@300", cfg);
     let s = &run.stats;
     println!(
         "{:<22} {:>14} {:>14}",

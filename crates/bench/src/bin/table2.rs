@@ -3,7 +3,7 @@
 //! instruction trace of the idealized firmware. Writes
 //! `results/table2.json` with the IPC matrix under `"extra"`.
 
-use nicsim::NicConfig;
+use nicsim::{NicConfig, NullProbe};
 use nicsim_bench::{header, to_ilp_trace, Args};
 use nicsim_exp::Json;
 use nicsim_ilp::{analyze, expand, BranchModel, IssueOrder, PipelineModel, ProcessorConfig};
@@ -23,7 +23,7 @@ fn main() {
             .build()
             .unwrap(),
     );
-    let (run, mut sys) = exp.run_with_system("ideal@300+ilp", cfg);
+    let (run, mut sys) = exp.run_with_probe("ideal@300+ilp", cfg, NullProbe);
     let mut events = sys.take_ilp_trace().expect("ILP capture enabled");
     // The IPC limits converge within a few hundred thousand
     // instructions; truncate so the offline analysis stays quick.

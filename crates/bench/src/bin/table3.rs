@@ -14,7 +14,7 @@ fn main() {
         "Table 3: per-core IPC breakdown, 6 cores at 200 MHz",
         "paper: execution 0.72, I-miss 0.01, load 0.12, conflicts 0.05, pipeline 0.10",
     );
-    let run = exp.run_labeled(
+    let run = exp.run(
         "software@200",
         args.configure(NicConfig::software_only_200()),
     );

@@ -14,7 +14,7 @@ fn main() {
         "paper: scratchpad 4.8 required / 9.4 consumed; frame 39.5 required / 39.7 consumed",
     );
     let cfg = args.configure(NicConfig::software_only_200());
-    let run = exp.run_labeled("software@200", cfg);
+    let run = exp.run("software@200", cfg);
     let s = &run.stats;
     println!(
         "line rate achieved: {:.2} Gb/s of 19.15",

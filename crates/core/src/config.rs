@@ -3,6 +3,7 @@
 use nicsim_fault::FaultPlan;
 use nicsim_firmware::{DispatchMode, FwMode, MemMap, MAX_DMA_ENGINES};
 use nicsim_mem::{FrameMemoryConfig, ICacheConfig, MAX_XBAR_PORTS};
+use nicsim_net::{fabric::frame_len_for_payload, link::line_rate_fps};
 
 /// How many DMA engine pairs the SoC instantiates beside its one MAC.
 ///
@@ -173,7 +174,9 @@ pub enum ConfigError {
         bytes: usize,
     },
     /// `offered_tx_fps` or `offered_rx_fps` was NaN, infinite, zero or
-    /// negative — a frame rate has to be a finite positive number.
+    /// negative — a frame rate has to be a finite positive number — or
+    /// `offered_rx_fps` asked the wire for more frames of the configured
+    /// payload than 10 Gb/s carries.
     BadOfferedFps {
         /// Which direction's rate was rejected (`"tx"` or `"rx"`).
         direction: &'static str,
@@ -228,7 +231,8 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::BadOfferedFps { direction, fps } => write!(
                 f,
-                "offered_{direction}_fps must be finite and positive (got {fps})"
+                "offered_{direction}_fps must be finite and positive, and rx \
+                 at most the line rate (got {fps})"
             ),
             ConfigError::BadDmaEngines { engines } => write!(
                 f,
@@ -397,8 +401,14 @@ impl NicConfig {
                 bytes: self.scratchpad_bytes,
             });
         }
-        for (direction, fps) in [("tx", self.offered_tx_fps), ("rx", self.offered_rx_fps)] {
-            if let Some(fps) = fps.filter(|f| !(f.is_finite() && *f > 0.0)) {
+        // The wire bounds receive only: a faster send offer just keeps
+        // the send window full.
+        let rx_max = line_rate_fps(frame_len_for_payload(self.udp_payload)).ceil();
+        for (direction, fps, max) in [
+            ("tx", self.offered_tx_fps, f64::MAX),
+            ("rx", self.offered_rx_fps, rx_max),
+        ] {
+            if let Some(fps) = fps.filter(|f| !(*f > 0.0 && *f <= max)) {
                 return Err(ConfigError::BadOfferedFps { direction, fps });
             }
         }
@@ -591,6 +601,17 @@ mod tests {
                 assert!(err.to_string().starts_with(&named), "{err}");
             }
         }
+        // Receive faster than the wire: impossible goodput, and a zero
+        // period (1e13) used to wedge MAC RX's accept loop.
+        for (payload, fps) in [(1472, 1e6), (1472, 2e6), (1472, 1e13), (18, 2e7)] {
+            let built = b().udp_payload(payload).offered_rx_fps(Some(fps)).build();
+            let direction = "rx";
+            assert_eq!(built, Err(ConfigError::BadOfferedFps { direction, fps }));
+            let err = built.unwrap_err().to_string();
+            assert!(err.starts_with("offered_rx_fps"), "{err}");
+        }
+        b().offered_rx_fps(Some(812_744.0)).build().unwrap();
+        b().offered_tx_fps(Some(1e13)).build().unwrap();
     }
 
     #[test]

@@ -79,7 +79,6 @@ pub struct NicSystem<P: Probe = NullProbe> {
     /// Cycles simulated for real by the event-driven kernel.
     pub(crate) stepped_cycles: u64,
     pub(crate) window_start: Ps,
-    pub(crate) stopped: bool,
     /// Host-memory address the system publishes the cumulative DMA-read
     /// abort count to (`status + 8`); the driver turns the delta into
     /// transmit retries.
@@ -398,7 +397,6 @@ impl<P: Probe> SystemBuilder<P> {
             skipped_cycles: 0,
             stepped_cycles: 0,
             window_start: boot_at,
-            stopped: false,
             status_aborts_addr: layout.status + 8,
             aborts_published: 0,
             fm_short_reads: 0,
@@ -413,11 +411,6 @@ impl<P: Probe> NicSystem<P> {
     /// The attached probe.
     pub fn probe(&self) -> &P {
         &self.probe
-    }
-
-    /// The attached probe, mutably (e.g. to drain a sink mid-run).
-    pub fn probe_mut(&mut self) -> &mut P {
-        &mut self.probe
     }
 
     /// Consume the system and return the probe with everything it
@@ -1026,7 +1019,6 @@ impl<P: Probe> NicSystem<P> {
     /// Panics if the cores fail to halt within `timeout`.
     pub fn stop(&mut self, timeout: Ps) {
         self.sp.poke(self.map.stop_flag, 1);
-        self.stopped = true;
         let deadline = self.now + timeout;
         while self.cores.iter().any(|c| !c.halted()) {
             assert!(self.now < deadline, "firmware failed to halt");

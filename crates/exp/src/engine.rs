@@ -12,7 +12,7 @@
 use crate::json::Json;
 use crate::report::{RunReport, SweepReport};
 use crate::sweep::{RunSpec, Sweep};
-use nicsim::{ConfigError, FaultPlan, NicConfig, NicSystem, Probe, RunStats};
+use nicsim::{ConfigError, FaultPlan, NicConfig, NicSystem, NullProbe, Probe};
 use nicsim_sim::Ps;
 use std::io;
 use std::path::PathBuf;
@@ -73,29 +73,9 @@ impl Experiment {
         }
     }
 
-    /// [`Experiment::new`] plus command-line overrides: `--jobs <n>`
-    /// (or `--jobs=<n>`), `--quiet`, `--trace <path>` (or
-    /// `--trace=<path>`: ask the binary to emit a Chrome `trace_event`
-    /// JSON file there — binaries opt in via
-    /// [`Experiment::trace_path`]), and `--faults <spec>` (or
-    /// `--faults=<spec>`: a [`FaultPlan::parse`] spec such as
-    /// `seed=7,rate=1e-4` — binaries opt in by applying
-    /// [`Experiment::faults`] to their configurations). Any other
-    /// argument, or a malformed value, prints a usage line and exits
-    /// with status 2: a flag that silently did nothing would label the
-    /// results file as if it had applied.
-    pub fn from_args(name: &str) -> Experiment {
-        let mut exp = Experiment::new(name);
-        let argv: Vec<String> = std::env::args().skip(1).collect();
-        parse_flags(&argv, |flag, value| exp.accept_flag(flag, value)).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            std::process::exit(2)
-        });
-        exp
-    }
-
     /// Apply one command-line flag if it is one of the engine's
-    /// (`Ok(false)`: not ours), pulling its value from `value`.
+    /// (`--jobs <n>`, `--quiet`, `--trace <path>`, `--faults <spec>`;
+    /// `Ok(false)`: not ours), pulling its value from `value`.
     /// Binaries with flags of their own call this from their
     /// [`parse_flags`] callback for whatever they do not recognise, so
     /// the command line is walked once.
@@ -198,34 +178,15 @@ impl Experiment {
     ///
     /// Panics if the configuration is invalid (check it first with
     /// [`NicConfig::validate`]) or if end-to-end validation fails.
-    pub fn run(&self, cfg: NicConfig) -> RunReport {
-        self.run_spec(&RunSpec::single("run", cfg))
+    pub fn run(&self, label: &str, cfg: NicConfig) -> RunReport {
+        self.run_with_probe(label, cfg, NullProbe).0
     }
 
-    /// [`Experiment::run`] with a run label.
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Experiment::run`].
-    pub fn run_labeled(&self, label: &str, cfg: NicConfig) -> RunReport {
-        self.run_spec(&RunSpec::single(label, cfg))
-    }
-
-    /// Run one configuration and also return the simulated system for
-    /// post-run inspection (trace extraction for the coherence and ILP
-    /// studies).
-    ///
-    /// # Panics
-    ///
-    /// Same contract as [`Experiment::run`].
-    pub fn run_with_system(&self, label: &str, cfg: NicConfig) -> (RunReport, NicSystem) {
-        self.run_with_probe(label, cfg, nicsim::NullProbe)
-    }
-
-    /// Run one configuration with an observability probe attached —
-    /// every frame-lifecycle event of warmup and window goes to
-    /// `probe` — and return the report plus the probed system (extract
-    /// the probe with [`NicSystem::unwrap_probe`] or inspect it via
+    /// [`Experiment::run`] with an observability probe attached — every
+    /// frame-lifecycle event of warmup and window goes to `probe` —
+    /// returning the simulated system beside the report, for post-run
+    /// inspection (trace extraction for the coherence and ILP studies)
+    /// and to hand the probe back ([`NicSystem::unwrap_probe`],
     /// [`NicSystem::probe`]).
     ///
     /// # Panics
@@ -237,25 +198,9 @@ impl Experiment {
         cfg: NicConfig,
         probe: P,
     ) -> (RunReport, NicSystem<P>) {
-        let start = Instant::now();
-        let mut sys = match NicSystem::build(cfg).probe(probe).finish() {
-            Ok(sys) => sys,
-            Err(e) => panic!("run '{label}': invalid NicConfig: {e}"),
-        };
-        let stats = sys.run_measured(self.warmup, self.window);
-        if cfg.faults.is_none() {
-            stats.assert_clean();
-        }
-        let report = RunReport {
-            label: label.to_string(),
-            axes: Vec::new(),
-            config: cfg,
-            stats,
-            latency: None,
-            wall: start.elapsed(),
-        };
-        self.progress(1, 1, &report);
-        (report, sys)
+        let out = self.measure(&RunSpec::single(label, cfg), probe);
+        self.progress(1, 1, &out.0);
+        out
     }
 
     /// Expand and run a declared sweep across the worker pool, in
@@ -290,54 +235,36 @@ impl Experiment {
     ///
     /// Panics if any configuration is invalid or fails validation.
     pub fn run_specs(&self, specs: Vec<RunSpec>) -> SweepReport {
-        let total = specs.len();
-        let jobs = self.jobs.min(total).max(1);
-        let runs: Vec<RunReport> = if jobs == 1 {
-            // Serial fast path: no threads, same run order.
-            specs
-                .iter()
-                .enumerate()
-                .map(|(i, spec)| {
-                    let r = self.run_spec_silent(spec);
-                    self.progress(i + 1, total, &r);
-                    r
-                })
-                .collect()
-        } else {
-            self.run_parallel(&specs, jobs)
-        };
-        self.report(runs)
-    }
-
-    /// Work-stealing parallel execution: `jobs` scoped workers pull the
-    /// next un-started spec from a shared counter until none remain.
-    fn run_parallel(&self, specs: &[RunSpec], jobs: usize) -> Vec<RunReport> {
+        // Work-stealing: scoped workers pull the next un-started spec
+        // from a shared counter until none remain. One worker runs the
+        // specs in declaration order.
         let total = specs.len();
         let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<RunReport>>> = (0..total).map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
-            for _ in 0..jobs {
+            for _ in 0..self.jobs.min(total) {
                 scope.spawn(|| loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= total {
                         break;
                     }
-                    let report = self.run_spec_silent(&specs[i]);
+                    let (report, _) = self.measure(&specs[i], NullProbe);
                     let finished = done.fetch_add(1, Ordering::Relaxed) + 1;
                     self.progress(finished, total, &report);
                     *slots[i].lock().expect("result slot") = Some(report);
                 });
             }
         });
-        slots
+        let runs = slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
                     .expect("result slot")
                     .expect("every spec ran to completion")
             })
-            .collect()
+            .collect();
+        self.report(runs)
     }
 
     /// Wrap finished runs into a [`SweepReport`] carrying this
@@ -384,32 +311,33 @@ impl Experiment {
         Ok(report)
     }
 
-    fn run_spec(&self, spec: &RunSpec) -> RunReport {
-        let report = self.run_spec_silent(spec);
-        self.progress(1, 1, &report);
-        report
-    }
-
-    /// Execute one spec without progress output (workers report on
-    /// completion themselves so counters stay monotone).
-    fn run_spec_silent(&self, spec: &RunSpec) -> RunReport {
+    /// Build, warm up, measure and check one spec. No progress line:
+    /// callers report on completion so sweep counters stay monotone.
+    fn measure<P: Probe>(&self, spec: &RunSpec, probe: P) -> (RunReport, NicSystem<P>) {
         let start = Instant::now();
-        let mut sys = match NicSystem::build(spec.cfg).finish() {
+        let label = &spec.label;
+        let mut sys = match NicSystem::build(spec.cfg).probe(probe).finish() {
             Ok(sys) => sys,
-            Err(e) => panic!("run '{}': invalid NicConfig: {e}", spec.label),
+            Err(e) => panic!("run '{label}': invalid NicConfig: {e}"),
         };
         let stats = sys.run_measured(self.warmup, self.window);
-        if spec.cfg.faults.is_none() {
-            assert_run_clean(&spec.label, &stats);
-        }
-        RunReport {
-            label: spec.label.clone(),
+        assert!(
+            spec.cfg.faults.is_some()
+                || (stats.tx_errors == 0 && stats.rx_corrupt == 0 && stats.rx_out_of_order == 0),
+            "run '{label}' failed end-to-end validation: {} tx errors, {} corrupt, {} out of order",
+            stats.tx_errors,
+            stats.rx_corrupt,
+            stats.rx_out_of_order
+        );
+        let report = RunReport {
+            label: label.clone(),
             axes: spec.axes.clone(),
             config: spec.cfg,
             stats,
             latency: None,
             wall: start.elapsed(),
-        }
+        };
+        (report, sys)
     }
 
     fn progress(&self, finished: usize, total: usize, report: &RunReport) {
@@ -423,16 +351,6 @@ impl Experiment {
             );
         }
     }
-}
-
-fn assert_run_clean(label: &str, stats: &RunStats) {
-    assert!(
-        stats.tx_errors == 0 && stats.rx_corrupt == 0 && stats.rx_out_of_order == 0,
-        "run '{label}' failed end-to-end validation: {} tx errors, {} corrupt, {} out of order",
-        stats.tx_errors,
-        stats.rx_corrupt,
-        stats.rx_out_of_order
-    );
 }
 
 fn ps_to_ms(ps: Ps) -> u64 {

@@ -22,7 +22,7 @@
 //! use nicsim::{FwMode, NicConfig};
 //! use nicsim_exp::{Experiment, Sweep};
 //!
-//! let exp = Experiment::from_args("freq_scan"); // honors --jobs N
+//! let exp = Experiment::new("freq_scan"); // honors NICSIM_JOBS
 //! let sweep = Sweep::new(NicConfig::default())
 //!     .axis("cpu_mhz", [100u64, 166, 200], |cfg, v| cfg.cpu_mhz = v);
 //! let report = exp.sweep(&sweep);

@@ -97,25 +97,6 @@ impl Sweep {
         self.push_axis(name, points)
     }
 
-    /// Add an axis of arbitrarily-labeled configuration edits — for
-    /// dimensions with no single scalar value, such as firmware
-    /// variants or whole preset configurations.
-    #[must_use]
-    pub fn axis_labeled<F>(
-        self,
-        name: &str,
-        points: impl IntoIterator<Item = (&'static str, F)>,
-    ) -> Sweep
-    where
-        F: Fn(&mut NicConfig) + Send + Sync + 'static,
-    {
-        let points = points
-            .into_iter()
-            .map(|(label, f)| (label.to_string(), Arc::new(f) as Apply))
-            .collect();
-        self.push_axis(name, points)
-    }
-
     /// Add an axis that replaces the whole configuration per point —
     /// for comparisons between presets (e.g. ideal vs software-only vs
     /// RMW). Usually the only axis, or the first one.
@@ -144,15 +125,10 @@ impl Sweep {
         self
     }
 
-    /// Number of runs in the cartesian product.
-    pub fn len(&self) -> usize {
+    /// Number of runs in the cartesian product (an axis-free sweep is
+    /// one run of the base configuration).
+    fn len(&self) -> usize {
         self.axes.iter().map(|a| a.points.len()).product()
-    }
-
-    /// Whether the sweep expands to no runs (never true: an axis-free
-    /// sweep is one run of the base configuration).
-    pub fn is_empty(&self) -> bool {
-        false
     }
 
     /// Expand the cartesian product into labeled, validated run specs.

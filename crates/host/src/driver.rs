@@ -195,10 +195,25 @@ struct Unacked {
     attempts: u32,
 }
 
-/// Fleet-mode transmit state: a pre-computed schedule of addressed
-/// packets replaces the legacy saturating stream.
+/// What the driver sends and how it orders what it receives. One per
+/// driver, set once: the variants' size difference costs nothing.
 #[derive(Debug)]
-struct FleetTx {
+#[allow(clippy::large_enum_variant)]
+enum Mode {
+    /// One link, one peer: consecutive sequence numbers out (saturating
+    /// or paced), one expected sequence in.
+    Stream {
+        /// Expected next receive sequence, once a frame has arrived.
+        rx_next: Option<u32>,
+    },
+    /// A fleet member, entered via [`Driver::set_fleet`].
+    Fleet(Fleet),
+}
+
+/// Fleet-mode state: a pre-computed schedule of addressed packets
+/// replaces the stream, and receive ordering is per source NIC.
+#[derive(Debug)]
+struct Fleet {
     /// This host's NIC id; sequence numbers are namespaced `src << 24`
     /// so they are globally unique across the fleet.
     src: u16,
@@ -206,6 +221,12 @@ struct FleetTx {
     schedule: Vec<TxPacket>,
     /// Next un-posted schedule index.
     next: usize,
+    /// Expected next sequence per source NIC (frames from different
+    /// sources interleave arbitrarily at the receiver, so ordering is
+    /// only meaningful per source). Unused under `reliable`.
+    rx_next: HashMap<u16, u32>,
+    /// Reliable-delivery state, when `set_fleet` was given an `rto`.
+    reliable: Option<Reliable>,
 }
 
 /// The device driver.
@@ -223,7 +244,6 @@ pub struct Driver {
     rx_frames_returned: u32,
     rx_free_bufs: VecDeque<u32>,
     ret_cons: u32,
-    rx_expected_seq: Option<u32>,
     /// Debug: posting state per buffer (true = outstanding at the NIC).
     dbg_outstanding: Vec<bool>,
     /// Debug: count of returns for buffers that were not outstanding.
@@ -233,15 +253,7 @@ pub struct Driver {
     mailbox: Vec<MailboxWrite>,
     stats: DriverStats,
     window_start: Ps,
-    /// Fleet mode, entered via [`Driver::set_fleet`]; `None` preserves
-    /// the legacy single-link behavior bit-for-bit.
-    fleet: Option<FleetTx>,
-    /// Fleet mode: expected next sequence per source NIC (frames from
-    /// different sources interleave arbitrarily at the receiver, so
-    /// ordering is only meaningful per source).
-    rx_expected: HashMap<u16, u32>,
-    /// Reliable-delivery state, entered via [`Driver::set_fleet`].
-    reliable: Option<Reliable>,
+    mode: Mode,
 }
 
 impl Driver {
@@ -257,16 +269,13 @@ impl Driver {
             rx_frames_returned: 0,
             rx_free_bufs: (0..RX_BUF_COUNT).collect(),
             ret_cons: 0,
-            rx_expected_seq: None,
             dbg_outstanding: vec![false; RX_BUF_COUNT as usize],
             dbg_bad_returns: 0,
             aborts_seen: 0,
             mailbox: Vec::new(),
             stats: DriverStats::default(),
             window_start: Ps::ZERO,
-            fleet: None,
-            rx_expected: HashMap::new(),
-            reliable: None,
+            mode: Mode::Stream { rx_next: None },
         }
     }
 
@@ -295,26 +304,35 @@ impl Driver {
         debug_assert!(schedule.windows(2).all(|p| p[0].at <= p[1].at));
         debug_assert_eq!(self.tx_slot_next, 0, "fleet mode starts on a fresh driver");
         debug_assert!(rto.is_none_or(|rto| rto > Ps::ZERO));
-        self.fleet = Some(FleetTx {
+        self.tx_seq_next = first_seq;
+        self.mode = Mode::Fleet(Fleet {
             src,
             schedule,
             next: 0,
+            rx_next: HashMap::new(),
+            reliable: rto.map(|rto| Reliable {
+                rto,
+                unacked: BTreeMap::new(),
+                acks_out: Vec::new(),
+                acks_in: Vec::new(),
+                seen: HashMap::new(),
+            }),
         });
-        self.tx_seq_next = first_seq;
-        self.reliable = rto.map(|rto| Reliable {
-            rto,
-            unacked: BTreeMap::new(),
-            acks_out: Vec::new(),
-            acks_in: Vec::new(),
-            seen: HashMap::new(),
-        });
+    }
+
+    /// The reliable-delivery state, in the one mode that can have it.
+    fn reliable_mut(&mut self) -> Option<&mut Reliable> {
+        match &mut self.mode {
+            Mode::Fleet(f) => f.reliable.as_mut(),
+            Mode::Stream { .. } => None,
+        }
     }
 
     /// Deliver one acknowledgement to this (sending) driver: the frame
     /// it posted as `seq` was delivered, and the ack arrives at `at`.
     /// Applied at the first poll at or after `at`.
     pub fn deliver_ack(&mut self, at: Ps, seq: u32) {
-        if let Some(r) = self.reliable.as_mut() {
+        if let Some(r) = self.reliable_mut() {
             r.acks_in.push((at, seq));
         }
     }
@@ -324,8 +342,7 @@ impl Driver {
     /// engine routes each to its source driver one fabric round-trip
     /// after `delivered_at`.
     pub fn take_acks(&mut self) -> Vec<(u16, u32, Ps)> {
-        self.reliable
-            .as_mut()
+        self.reliable_mut()
             .map(|r| std::mem::take(&mut r.acks_out))
             .unwrap_or_default()
     }
@@ -348,15 +365,14 @@ impl Driver {
     /// and retransmit deadlines). The event kernel must not elide polls
     /// while this holds.
     pub fn time_sensitive(&self) -> bool {
+        let reliable_busy = |r: &Reliable| !r.unacked.is_empty() || !r.acks_in.is_empty();
         self.cfg.offered_fps.is_some()
-            || self
-                .fleet
-                .as_ref()
-                .is_some_and(|f| f.next < f.schedule.len())
-            || self
-                .reliable
-                .as_ref()
-                .is_some_and(|r| !r.unacked.is_empty() || !r.acks_in.is_empty())
+            || match &self.mode {
+                Mode::Stream { .. } => false,
+                Mode::Fleet(f) => {
+                    f.next < f.schedule.len() || f.reliable.as_ref().is_some_and(reliable_busy)
+                }
+            }
     }
 
     /// The host-memory layout in use.
@@ -436,71 +452,80 @@ impl Driver {
         if budget == 0 {
             return completed_changed;
         }
-        if self.fleet.is_some() {
-            let mut posted = false;
-            // Reliable mode first applies due acks, then spends budget
-            // on overdue retransmits before new schedule entries —
-            // recovery traffic ahead of fresh offered load.
-            if self.reliable.is_some() {
-                self.apply_due_acks(now);
-                posted |= self.retransmit_due(now, mem, &mut budget, probe);
-            }
-            while budget > 0 {
-                let fleet = self.fleet.as_ref().expect("fleet mode");
-                let (src, pkt) = match fleet.schedule.get(fleet.next) {
-                    Some(p) if p.at <= now => (fleet.src, *p),
-                    _ => break,
-                };
-                // Namespaced sequence: globally unique across the
-                // fleet, recoverable to the source via `seq >> 24`.
-                debug_assert!(self.tx_seq_next < 1 << 24, "fleet seq namespace overflow");
-                let seq = ((src as u32) << 24) | self.tx_seq_next;
-                let mut frame = build_udp_frame(seq, pkt.udp_payload);
-                set_endpoints(&mut frame, src, pkt.dst);
-                self.write_frame(now, mem, &frame, seq, probe);
-                self.tx_seq_next += 1;
-                if let Some(r) = self.reliable.as_mut() {
-                    r.unacked.insert(
-                        seq,
-                        Unacked {
-                            dst: pkt.dst,
-                            udp_payload: pkt.udp_payload,
-                            last_sent: now,
-                            attempts: 0,
-                        },
-                    );
+        // Reliable mode first applies due acks, then spends budget on
+        // overdue retransmits before new frames — recovery traffic
+        // ahead of fresh offered load.
+        let mut posted = self.retransmit_due(now, mem, &mut budget, probe);
+        while budget > 0 {
+            // The next frame due: the stream always has one, a fleet
+            // when its schedule's next packet's time has come.
+            let (seq, frame) = match &mut self.mode {
+                Mode::Stream { .. } => {
+                    let seq = self.tx_seq_next;
+                    (seq, build_udp_frame(seq, self.cfg.udp_payload))
                 }
-                self.fleet.as_mut().expect("fleet mode").next += 1;
-                budget -= 1;
-                posted = true;
-            }
-            if posted {
-                self.mailbox.push(MailboxWrite {
-                    reg: Mailbox::SendBdProd,
-                    value: self.tx_bd_prod,
-                });
-            }
-            return completed_changed || posted;
-        }
-        for _ in 0..budget {
-            let seq = self.tx_seq_next;
-            let frame = build_udp_frame(seq, self.cfg.udp_payload);
+                Mode::Fleet(f) => {
+                    let Some(pkt) = f.schedule.get(f.next).filter(|p| p.at <= now) else {
+                        break;
+                    };
+                    f.next += 1;
+                    // Namespaced sequence: globally unique across the
+                    // fleet, recoverable to the source via `seq >> 24`.
+                    debug_assert!(self.tx_seq_next < 1 << 24, "fleet seq namespace overflow");
+                    let seq = ((f.src as u32) << 24) | self.tx_seq_next;
+                    let mut frame = build_udp_frame(seq, pkt.udp_payload);
+                    set_endpoints(&mut frame, f.src, pkt.dst);
+                    if let Some(r) = &mut f.reliable {
+                        r.unacked.insert(
+                            seq,
+                            Unacked {
+                                dst: pkt.dst,
+                                udp_payload: pkt.udp_payload,
+                                last_sent: now,
+                                attempts: 0,
+                            },
+                        );
+                    }
+                    (seq, frame)
+                }
+            };
             self.write_frame(now, mem, &frame, seq, probe);
             self.tx_seq_next += 1;
+            budget -= 1;
+            posted = true;
         }
-        self.mailbox.push(MailboxWrite {
-            reg: Mailbox::SendBdProd,
-            value: self.tx_bd_prod,
-        });
-        true
+        if posted {
+            self.mailbox.push(MailboxWrite {
+                reg: Mailbox::SendBdProd,
+                value: self.tx_bd_prod,
+            });
+        }
+        completed_changed || posted
     }
 
-    /// Apply acknowledgements that have arrived by `now`: each removes
-    /// its frame from the unacked map. Arrival order across senders is
-    /// irrelevant — removal from a set commutes — so the fleet engine
-    /// may append acks in any deterministic order.
-    fn apply_due_acks(&mut self, now: Ps) {
-        let r = self.reliable.as_mut().expect("reliable mode");
+    /// Reliable mode only (a no-op otherwise). Apply acknowledgements
+    /// that have arrived by `now`: each removes its frame from the
+    /// unacked map. Arrival order across senders is irrelevant — removal
+    /// from a set commutes — so the fleet engine may append acks in any
+    /// deterministic order.
+    ///
+    /// Then retransmit frames whose timeout expired, oldest sequence
+    /// first, within `budget`. Attempt `n` waits `rto << min(n, 6)`
+    /// after its last transmission — exponential backoff with a bounded
+    /// exponent so a long-unreachable peer cannot overflow the shift.
+    fn retransmit_due<P: Probe>(
+        &mut self,
+        now: Ps,
+        mem: &mut HostMemory,
+        budget: &mut u32,
+        probe: &mut P,
+    ) -> bool {
+        let Mode::Fleet(f) = &mut self.mode else {
+            return false;
+        };
+        let (src, Some(r)) = (f.src, &mut f.reliable) else {
+            return false;
+        };
         let mut i = 0;
         while i < r.acks_in.len() {
             if r.acks_in[i].0 <= now {
@@ -510,37 +535,19 @@ impl Driver {
                 i += 1;
             }
         }
-    }
-
-    /// Retransmit frames whose timeout expired, oldest sequence first,
-    /// within `budget`. Attempt `n` waits `rto << min(n, 6)` after its
-    /// last transmission — exponential backoff with a bounded exponent
-    /// so a long-unreachable peer cannot overflow the shift.
-    fn retransmit_due<P: Probe>(
-        &mut self,
-        now: Ps,
-        mem: &mut HostMemory,
-        budget: &mut u32,
-        probe: &mut P,
-    ) -> bool {
-        let src = self.fleet.as_ref().expect("fleet mode").src;
-        let r = self.reliable.as_mut().expect("reliable mode");
-        let mut due: Vec<u32> = Vec::new();
-        for (seq, u) in r.unacked.iter() {
+        let mut due = Vec::new();
+        for (seq, u) in r.unacked.iter_mut() {
             if due.len() as u32 >= *budget {
                 break;
             }
             if now >= u.last_sent + Ps(r.rto.0 << u.attempts.min(6)) {
-                due.push(*seq);
+                u.last_sent = now;
+                u.attempts += 1;
+                due.push((*seq, u.dst, u.udp_payload));
             }
         }
         let sent = !due.is_empty();
-        for seq in due {
-            let r = self.reliable.as_mut().expect("reliable mode");
-            let u = r.unacked.get_mut(&seq).expect("due seq tracked");
-            u.last_sent = now;
-            u.attempts += 1;
-            let (dst, payload) = (u.dst, u.udp_payload);
+        for (seq, dst, payload) in due {
             let mut frame = build_udp_frame(seq, payload);
             set_endpoints(&mut frame, src, dst);
             self.write_frame(now, mem, &frame, seq, probe);
@@ -649,15 +656,35 @@ impl Driver {
             }
             let frame = mem.read(addr, len).to_vec();
             match validate_frame(&frame) {
-                Ok(info) if self.reliable.is_some() => {
-                    // Reliable mode: deduplicate per source and ack
-                    // every delivery, duplicates included (the re-ack
-                    // covers a lost ack). Gap/regression accounting is
-                    // meaningless under retransmission and stays off.
+                Ok(info) => {
+                    // Ordering is per sender: the one peer of a stream,
+                    // or in a fleet the source NIC recovered from the
+                    // sequence namespace (sources interleave freely).
+                    // `expected` is what that sender was due to send.
                     let src_nic = (info.seq >> 24) as u16;
-                    let r = self.reliable.as_mut().expect("reliable mode");
-                    let first = r.seen.entry(src_nic).or_default().insert(info.seq);
-                    r.acks_out.push((src_nic, info.seq, now));
+                    let next = info.seq.wrapping_add(1);
+                    let (first, expected) = match &mut self.mode {
+                        // Reliable mode: deduplicate per source and ack
+                        // every delivery, duplicates included (the
+                        // re-ack covers a lost ack). Gap/regression
+                        // accounting is meaningless under
+                        // retransmission and stays off.
+                        Mode::Fleet(Fleet {
+                            reliable: Some(r), ..
+                        }) => {
+                            r.acks_out.push((src_nic, info.seq, now));
+                            (r.seen.entry(src_nic).or_default().insert(info.seq), None)
+                        }
+                        Mode::Fleet(f) => (true, f.rx_next.insert(src_nic, next)),
+                        Mode::Stream { rx_next } => (true, rx_next.replace(next)),
+                    };
+                    if let Some(e) = expected {
+                        if info.seq > e {
+                            self.stats.rx_dropped += (info.seq - e) as u64;
+                        } else if info.seq < e {
+                            self.stats.rx_out_of_order += 1;
+                        }
+                    }
                     if first {
                         self.stats.rx_frames += 1;
                         self.stats.rx_udp_payload_bytes += info.udp_payload as u64;
@@ -670,38 +697,6 @@ impl Driver {
                         }
                     } else {
                         self.stats.rx_duplicates += 1;
-                    }
-                }
-                Ok(info) => {
-                    // In fleet mode ordering is tracked per source NIC
-                    // (recovered from the sequence namespace); frames
-                    // from different sources interleave freely.
-                    let expected = if self.fleet.is_some() {
-                        self.rx_expected.get(&((info.seq >> 24) as u16)).copied()
-                    } else {
-                        self.rx_expected_seq
-                    };
-                    if let Some(e) = expected {
-                        if info.seq > e {
-                            self.stats.rx_dropped += (info.seq - e) as u64;
-                        } else if info.seq < e {
-                            self.stats.rx_out_of_order += 1;
-                        }
-                    }
-                    if self.fleet.is_some() {
-                        self.rx_expected
-                            .insert((info.seq >> 24) as u16, info.seq.wrapping_add(1));
-                    } else {
-                        self.rx_expected_seq = Some(info.seq.wrapping_add(1));
-                    }
-                    self.stats.rx_frames += 1;
-                    self.stats.rx_udp_payload_bytes += info.udp_payload as u64;
-                    if P::ENABLED {
-                        probe.emit(Event::HostRxDeliver {
-                            seq: info.seq,
-                            udp_payload: info.udp_payload as u32,
-                            at: now,
-                        });
                     }
                 }
                 Err(_) => self.stats.rx_corrupt += 1,

@@ -14,11 +14,17 @@
 //! padding counts as consumed bandwidth, exactly as Table 4 does:
 //! "the unused bytes ... [are] lost SDRAM bandwidth that cannot be
 //! recovered, so it is counted in the totals."
+//!
+//! One bus moves one burst at a time, so bursts complete in the order
+//! they were granted: each starts at `max(busy_until, submission)` and
+//! sets `busy_until` to its own completion time, ECC correction latency
+//! included. The pending completions are therefore a FIFO, sorted by
+//! construction.
 
 use nicsim_fault::EccFaults;
 pub use nicsim_obs::FmStream as StreamId;
 use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe};
-use nicsim_sim::{EventHeap, Freq, Ps, RoundRobin};
+use nicsim_sim::{Freq, Ps, RoundRobin};
 use std::collections::VecDeque;
 
 /// Frame-memory configuration.
@@ -88,7 +94,9 @@ pub struct FrameMemory {
     arbiter: RoundRobin,
     busy_until: Ps,
     open_row: Vec<Option<u32>>,
-    completions: EventHeap<SdramCompletion>,
+    /// Serviced bursts not yet handed out, in grant order — which is
+    /// completion order, because `busy_until` only moves forward.
+    completions: VecDeque<SdramCompletion>,
     /// Optional ECC fault injection: single-bit errors on read bursts,
     /// corrected in place for a fixed extra latency. `None` keeps the
     /// controller bit-identical to a fault-free build (no RNG draws).
@@ -113,7 +121,7 @@ impl FrameMemory {
             arbiter: RoundRobin::new(4),
             busy_until: Ps::ZERO,
             open_row: vec![None; cfg.banks as usize],
-            completions: EventHeap::new(),
+            completions: VecDeque::new(),
             ecc: None,
             padded_bytes: 0,
             wasted_bytes: 0,
@@ -192,10 +200,12 @@ impl FrameMemory {
         });
     }
 
-    /// Whether `stream` has room for another burst (assists buffer two
-    /// maximum-sized frames, so they pace themselves to two outstanding).
-    pub fn queue_len(&self, stream: StreamId) -> usize {
-        self.queues[stream.index()].len()
+    /// Submission time of the oldest burst still queued on any stream.
+    fn earliest_submission(&self) -> Option<Ps> {
+        self.queues
+            .iter()
+            .filter_map(|q| q.front().map(|b| b.submitted))
+            .min()
     }
 
     fn service_time(&mut self, b: &Burst) -> Ps {
@@ -235,12 +245,9 @@ impl FrameMemory {
                 break;
             }
             // Decision time: when the bus is free AND a request is queued.
-            let earliest = self
-                .queues
-                .iter()
-                .filter_map(|q| q.front().map(|b| b.submitted))
-                .min();
-            let Some(earliest) = earliest else { break };
+            let Some(earliest) = self.earliest_submission() else {
+                break;
+            };
             let t = free_at.max(earliest);
             if t > now {
                 break;
@@ -293,17 +300,19 @@ impl FrameMemory {
                 let a = burst.addr as usize;
                 Some(self.data[a..a + burst.len as usize].to_vec())
             };
-            self.completions.push(
-                done,
-                SdramCompletion {
-                    stream: StreamId::ALL[s],
-                    tag: burst.tag,
-                    at: done,
-                    data,
-                },
+            debug_assert!(
+                self.completions.back().is_none_or(|c| c.at <= done),
+                "the bus completes bursts in grant order"
             );
+            self.completions.push_back(SdramCompletion {
+                stream: StreamId::ALL[s],
+                tag: burst.tag,
+                at: done,
+                data,
+            });
         }
-        self.completions.drain_before(now).map(|(_, c)| c).collect()
+        let ready = self.completions.partition_point(|c| c.at <= now);
+        self.completions.drain(..ready).collect()
     }
 
     /// Bytes moved over the bus including alignment padding (Table 4's
@@ -320,11 +329,6 @@ impl FrameMemory {
     /// Row activations performed.
     pub fn row_activations(&self) -> u64 {
         self.row_activations
-    }
-
-    /// Number of bursts serviced.
-    pub fn bursts(&self) -> u64 {
-        self.bursts
     }
 
     /// Mean burst latency (submit to completion).
@@ -361,16 +365,11 @@ impl FrameMemory {
     /// schedules the completion — [`FrameMemory::advance`] must run at
     /// that instant to keep arbitration decisions time-coherent.
     pub fn next_event(&self) -> Ps {
-        let mut t = self.completions.peek_time().unwrap_or(Ps::MAX);
-        let earliest = self
-            .queues
-            .iter()
-            .filter_map(|q| q.front().map(|b| b.submitted))
-            .min();
-        if let Some(e) = earliest {
-            t = t.min(self.busy_until.max(e));
+        let done = self.completions.front().map_or(Ps::MAX, |c| c.at);
+        match self.earliest_submission() {
+            Some(e) => done.min(self.busy_until.max(e)),
+            None => done,
         }
-        t
     }
 }
 

@@ -179,14 +179,6 @@ impl Fabric {
         self.faults = Some(faults);
     }
 
-    /// The minimum source-to-destination path latency: two hops plus
-    /// the serialization of a minimum-size frame. Any epoch no longer
-    /// than this is conservative — frames sent within an epoch cannot
-    /// arrive before it ends.
-    pub fn min_path_latency(&self) -> Ps {
-        Ps(self.cfg.link_latency.0 * 2)
-    }
-
     /// Wire occupancy of `frame_len` bytes on a fabric port (preamble +
     /// frame + interframe gap, like the NIC link model).
     fn serialization(&self, frame_len: u64) -> Ps {

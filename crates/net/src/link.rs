@@ -76,10 +76,11 @@ impl RxGenerator {
         }
     }
 
-    /// Generate at a fixed rate instead of line rate.
+    /// Generate at a fixed rate instead of line rate. A rate above line
+    /// rate is paced at line rate: frames cannot overlap on the wire.
     pub fn with_fps(udp_payload: usize, fps: f64) -> RxGenerator {
         let mut g = RxGenerator::new(udp_payload);
-        g.period = Ps((1e12 / fps) as u64);
+        g.period = g.period.max(Ps((1e12 / fps) as u64));
         g
     }
 
@@ -113,11 +114,6 @@ impl RxGenerator {
     /// Frames queued but not yet delivered (external-feed mode).
     pub fn pending_injections(&self) -> usize {
         self.injections.len()
-    }
-
-    /// Sequence number of the next frame to be generated.
-    pub fn next_seq(&self) -> u32 {
-        self.seq
     }
 
     /// Arrival time of the next frame ([`Ps::MAX`] when disabled) — the
@@ -201,7 +197,6 @@ impl RxGenerator {
 pub struct TxMonitor {
     frames: u64,
     udp_payload_bytes: u64,
-    wire_bytes: u64,
     next_seq: Option<u32>,
     errors: Vec<FrameError>,
     out_of_order: u64,
@@ -226,7 +221,6 @@ impl TxMonitor {
                 self.next_seq = Some(info.seq.wrapping_add(1));
                 self.frames += 1;
                 self.udp_payload_bytes += info.udp_payload as u64;
-                self.wire_bytes += bytes.len() as u64 + ETH_OVERHEAD_BYTES;
             }
             Err(e) => self.errors.push(e),
         }
@@ -260,7 +254,6 @@ impl TxMonitor {
     pub fn reset(&mut self, now: Ps) {
         self.frames = 0;
         self.udp_payload_bytes = 0;
-        self.wire_bytes = 0;
         self.out_of_order = 0;
         self.errors.clear();
         self.window_start = now;
@@ -309,6 +302,19 @@ mod tests {
         }
         // 100us at 812744 fps = 81.27 frames.
         assert!((80..=83).contains(&n), "generated {n}");
+    }
+
+    #[test]
+    fn generator_never_paces_faster_than_the_wire() {
+        let mut g = RxGenerator::with_fps(1472, 1e13);
+        let now = Ps::from_us(10);
+        let times: Vec<Ps> = std::iter::from_fn(|| g.poll(now))
+            .map(|(at, _)| at)
+            .collect();
+        assert_eq!(times.len(), 9, "10 us holds nine 1230.4 ns frames");
+        for w in times.windows(2) {
+            assert_eq!(w[1] - w[0], wire_time(1518));
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ fn main() {
     // Warm the pipeline up, then measure a steady-state window. The
     // engine validates every frame byte-for-byte and in order.
     let exp = Experiment::new("quickstart").quiet();
-    let run = exp.run(cfg);
+    let run = exp.run("rmw@166", cfg);
     let stats = &run.stats;
 
     println!(

@@ -15,7 +15,7 @@ use nicsim_cpu::FwFunc;
 use nicsim_repro::{Experiment, NicConfig, RunReport};
 
 fn run(exp: &Experiment, label: &str, cfg: NicConfig) -> RunReport {
-    let run = exp.run_labeled(label, cfg);
+    let run = exp.run(label, cfg);
     println!(
         "{label}: {:.2} Gb/s duplex at {} MHz x {} cores",
         run.stats.total_udp_gbps(),

@@ -116,12 +116,11 @@ cargo run --release --quiet --manifest-path perf/Cargo.toml -- run --smoke
 
 echo "==> results orphan check (every results/*.json still has a producer)"
 # A results file names its experiment; some binary or example must
-# still pass that name to Args::parse / Experiment::from_args, or the
-# file has outlived the code that can regenerate it.
+# still pass that name to Args::parse, or the file has outlived the
+# code that can regenerate it.
 for f in results/*.json; do
     name=$(sed -n 's/^ *"experiment": "\(.*\)",$/\1/p' "$f" | head -n 1)
-    if ! grep -rqF -e "Args::parse(\"$name\")" -e "Experiment::from_args(\"$name\")" \
-        crates/bench/src/bin examples; then
+    if ! grep -rqF "Args::parse(\"$name\")" crates/bench/src/bin examples; then
         echo "FAIL: $f names experiment '$name', which no binary or example produces"
         exit 1
     fi

@@ -9,7 +9,7 @@
 //! ```no_run
 //! use nicsim_repro::{Experiment, NicConfig};
 //!
-//! let report = Experiment::new("quickstart").run(NicConfig::rmw_166());
+//! let report = Experiment::new("quickstart").run("rmw@166", NicConfig::rmw_166());
 //! println!("{:.2} Gb/s duplex", report.stats.total_udp_gbps());
 //! ```
 //!

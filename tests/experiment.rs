@@ -55,7 +55,7 @@ fn run_and_results_file_round_trip() {
         .out_dir(&out_dir);
 
     let cfg = NicConfig::builder().cores(2).cpu_mhz(125).build().unwrap();
-    let run = exp.run(cfg);
+    let run = exp.run("run", cfg);
     assert_eq!(run.label, "run");
     assert!(run.stats.tx_frames > 0, "warmed-up run must move frames");
 
