@@ -133,7 +133,7 @@ impl FaultGate {
                 });
             }
         }
-        if o == CmdOutcome::CLEAN {
+        if o == CmdOutcome::default() {
             return true;
         }
         self.deferred = Some(Deferred {
@@ -754,8 +754,8 @@ mod tests {
             "destination poisoned"
         );
         let f = eng.faults().unwrap();
-        assert_eq!(f.aborts, 1);
-        assert_eq!(f.transient_errors, 1);
+        assert_eq!(f.stats.dma_aborts, 1);
+        assert_eq!(f.stats.dma_transient_errors, 1);
     }
 
     #[test]
@@ -779,7 +779,7 @@ mod tests {
         rig.run_write(&mut eng, 600);
         assert_eq!(rig.host.read(0xa000, 600), &frame[..], "stalled, not lost");
         assert_eq!(rig.sp.peek(0x104), 1);
-        assert_eq!(eng.faults().unwrap().stalls, 1);
-        assert_eq!(eng.faults().unwrap().aborts, 0);
+        assert_eq!(eng.faults().unwrap().stats.pci_stalls, 1);
+        assert_eq!(eng.faults().unwrap().stats.dma_aborts, 0);
     }
 }

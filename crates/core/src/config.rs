@@ -1,6 +1,7 @@
 //! Full-system configuration.
 
 use nicsim_fault::FaultPlan;
+use nicsim_firmware::map::{RXBUF_BASE, RXBUF_BYTES};
 use nicsim_firmware::{DispatchMode, FwMode, MemMap, MAX_DMA_ENGINES};
 use nicsim_mem::{FrameMemoryConfig, ICacheConfig, MAX_XBAR_PORTS};
 use nicsim_net::{fabric::frame_len_for_payload, link::line_rate_fps};
@@ -135,9 +136,15 @@ impl Default for NicConfig {
     }
 }
 
-/// Highest `cpu_mhz` the picosecond time base resolves
-/// ([`nicsim_sim::Freq`]'s 1 THz limit).
-const MAX_CPU_MHZ: u64 = 1_000_000;
+/// Highest clock the picosecond time base resolves, in MHz
+/// ([`nicsim_sim::Freq`]'s 1 THz limit): the bound on `cpu_mhz`.
+pub const MAX_CPU_MHZ: u64 = 1_000_000;
+/// Largest I-cache `validate` accepts: the 128 KB instruction memory it
+/// caches.
+const MAX_ICACHE_BYTES: usize = 128 * 1024;
+/// Largest frame memory `validate` accepts (the paper's is 8 MB);
+/// `finish()` allocates it.
+const MAX_FRAME_MEMORY_BYTES: u32 = 256 * 1024 * 1024;
 
 /// Why a [`NicConfig`] was rejected by validation.
 ///
@@ -203,6 +210,21 @@ pub enum ConfigError {
         /// The rejected port count.
         ports: usize,
     },
+    /// `icache` does not divide into a whole, nonzero number of sets
+    /// (`bytes` a multiple of `ways * line_bytes`, both nonzero), or is
+    /// larger than the instruction memory it caches.
+    BadICache {
+        /// The rejected geometry.
+        icache: ICacheConfig,
+    },
+    /// `frame_memory` has a zero `bytes_per_cycle`, `banks` or
+    /// `row_bytes`, a `row_bytes * banks` beyond `u32`, or a `capacity`
+    /// that does not hold the firmware's transmit and receive regions
+    /// or exceeds 256 MB.
+    BadFrameMemory {
+        /// The rejected parameters.
+        frame_memory: FrameMemoryConfig,
+    },
     /// [`NicConfigBuilder::faults_spec`] could not parse the fault
     /// specification string, or the fault plan holds a value
     /// [`FaultPlan::validate`] rejects.
@@ -247,6 +269,18 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "cores plus two ports per DMA engine and MAC must fit the \
                  {MAX_XBAR_PORTS}-port crossbar (got {ports})"
+            ),
+            ConfigError::BadICache { icache } => write!(
+                f,
+                "icache bytes must be in 1..={MAX_ICACHE_BYTES} and a multiple \
+                 of ways * line_bytes, both nonzero (got {icache:?})"
+            ),
+            ConfigError::BadFrameMemory { frame_memory } => write!(
+                f,
+                "frame_memory needs nonzero bytes_per_cycle, banks and row_bytes, \
+                 row_bytes * banks within u32 and a capacity in {}..=\
+                 {MAX_FRAME_MEMORY_BYTES} (got {frame_memory:?})",
+                RXBUF_BASE + RXBUF_BYTES
             ),
             ConfigError::FaultSpec(msg) => write!(f, "bad fault spec: {msg}"),
         }
@@ -400,6 +434,22 @@ impl NicConfig {
             return Err(ConfigError::UnalignedScratchpad {
                 bytes: self.scratchpad_bytes,
             });
+        }
+        // What `ICacheConfig::sets` and `ICache::new` assume.
+        let c = self.icache;
+        let set_bytes = c.ways.checked_mul(c.line_bytes).filter(|&b| b > 0);
+        let whole_sets = set_bytes.is_some_and(|b| c.bytes.is_multiple_of(b));
+        if !(1..=MAX_ICACHE_BYTES).contains(&c.bytes) || !whole_sets {
+            return Err(ConfigError::BadICache { icache: c });
+        }
+        // What `FrameMemory`'s bank arithmetic, its allocation and the
+        // firmware's buffer regions assume.
+        let m = self.frame_memory;
+        if m.bytes_per_cycle == 0
+            || m.row_bytes.checked_mul(m.banks).is_none_or(|b| b == 0)
+            || !(RXBUF_BASE + RXBUF_BYTES..=MAX_FRAME_MEMORY_BYTES).contains(&m.capacity)
+        {
+            return Err(ConfigError::BadFrameMemory { frame_memory: m });
         }
         // The wire bounds receive only: a faster send offer just keeps
         // the send window full.

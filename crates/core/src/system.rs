@@ -102,7 +102,7 @@ pub struct NicSystem<P: Probe = NullProbe> {
     /// system's error table — plus the reset itself and the frames it
     /// lost — into its replacement, so per-NIC error accounting survives
     /// the reset. Merged into [`NicSystem::collect`]'s error table.
-    pub(crate) carried_errors: Option<ErrorStats>,
+    pub(crate) carried_errors: ErrorStats,
 }
 
 /// Staged constructor for [`NicSystem`], the one assembly path for
@@ -300,9 +300,6 @@ impl<P: Probe> SystemBuilder<P> {
         if !cfg.recv_enabled {
             generator.disable();
         }
-        if let Some(plan) = cfg.faults.as_ref().filter(|_| faults_armed) {
-            generator.set_faults(LinkFaults::new(plan));
-        }
         let mut macrx = MacRx::new(
             MacRxConfig {
                 port: t.macrx_port(cfg.cores),
@@ -326,6 +323,7 @@ impl<P: Probe> SystemBuilder<P> {
             // (offset so engine 0 keeps the legacy site ids and default
             // runs replay unchanged).
             macrx.set_crc_check(true);
+            macrx.generator.set_faults(LinkFaults::new(plan));
             for (k, d) in dmards.iter_mut().enumerate() {
                 d.set_faults(DmaFaults::new(plan, SITE_DMA_READ + 8 * k as u64));
             }
@@ -402,7 +400,7 @@ impl<P: Probe> SystemBuilder<P> {
             fm_short_reads: 0,
             faults_armed,
             fw_faults,
-            carried_errors: None,
+            carried_errors: ErrorStats::default(),
         })
     }
 }
@@ -476,10 +474,7 @@ impl<P: Probe> NicSystem<P> {
     /// the reset. The fleet engine adds the reset itself and the frames
     /// it lost to `prev` before calling.
     pub fn carry_errors(&mut self, prev: ErrorStats) {
-        match &mut self.carried_errors {
-            Some(c) => c.merge(&prev),
-            None => self.carried_errors = Some(prev),
-        }
+        self.carried_errors.merge(&prev);
     }
 
     /// Schedule a frame to arrive on the wire at absolute time
@@ -708,9 +703,9 @@ impl<P: Probe> NicSystem<P> {
             .dmards
             .iter()
             .filter_map(|d| d.faults())
-            .map(|f| f.aborts as u32)
+            .map(|f| f.stats.dma_aborts as u32)
             .sum();
-        if self.dmards.iter().any(|d| d.faults().is_some()) && aborts != self.aborts_published {
+        if aborts != self.aborts_published {
             self.aborts_published = aborts;
             self.host_mem.write_u32(self.status_aborts_addr, aborts);
             self.driver_idle = false;
@@ -942,44 +937,29 @@ impl<P: Probe> NicSystem<P> {
             + self.macrx.sp_accesses();
         let d = self.driver.stats();
         let window_cycles = core_ticks.max(1) as f64;
+        // Every site counts into its own error table; the six rows
+        // named here are the ones that live outside a site.
         let errors = self.cfg.faults.map(|_| {
-            let (link_corrupt_injected, link_truncate_injected) = self.macrx.generator.injected();
-            let sum = |pick: fn(&DmaFaults) -> u64| -> u64 {
-                self.dmards
-                    .iter()
-                    .filter_map(|d| d.faults())
-                    .chain(self.dmawrs.iter().filter_map(|d| d.faults()))
-                    .map(pick)
-                    .sum()
-            };
             let mut e = ErrorStats {
-                link_corrupt_injected,
-                link_truncate_injected,
                 crc_dropped: self.macrx.crc_dropped(),
-                dma_transient_errors: sum(|f| f.transient_errors),
-                dma_retries_ok: sum(|f| f.retries_ok),
-                dma_aborts: sum(|f| f.aborts),
-                pci_stalls: sum(|f| f.stalls),
-                ecc_corrections: self.fm.ecc_corrections(),
-                assist_hangs: sum(|f| f.hangs),
-                watchdog_resets: sum(|f| f.watchdog_resets),
                 rx_error_returns: d.rx_error_returns,
                 tx_retries: d.tx_retries,
                 fm_short_reads: self.fm_short_reads,
-                host_poison_injected: self
-                    .dmawrs
-                    .iter()
-                    .filter_map(|w| w.faults())
-                    .map(|f| f.poisons)
-                    .sum(),
-                fw_instr_faults: self.fw_faults.iter().map(|f| f.borrow().injected).sum(),
-                nic_resets: 0,
-                nic_reset_lost_frames: 0,
                 tx_retransmits: d.tx_retransmits,
                 rx_duplicates: d.rx_duplicates,
+                ..ErrorStats::default()
             };
-            if let Some(carried) = &self.carried_errors {
-                e.merge(carried);
+            let rd = self.dmards.iter().filter_map(|d| d.faults());
+            let wr = self.dmawrs.iter().filter_map(|d| d.faults());
+            let sites = rd
+                .chain(wr)
+                .map(|f| f.stats)
+                .chain(self.macrx.generator.fault_stats())
+                .chain(self.fm.fault_stats())
+                .chain(self.fw_faults.iter().map(|f| f.borrow().stats))
+                .chain([self.carried_errors]);
+            for site in sites {
+                e.merge(&site);
             }
             e
         });
@@ -1128,6 +1108,64 @@ mod tests {
                 fits,
                 "{cores} cores"
             );
+        }
+    }
+
+    /// The gate looks at the cache and the frame memory too: each of
+    /// these ran into an assert in `nicsim-mem` (at assembly or at the
+    /// first burst) or asked `finish()` for a 4 GiB `Vec`.
+    #[test]
+    fn validate_gates_cache_and_frame_memory_geometry() {
+        use nicsim_mem::{FrameMemoryConfig, ICacheConfig};
+        let d = NicConfig::default();
+        let icache = |(bytes, ways, line_bytes)| NicConfig {
+            icache: ICacheConfig {
+                bytes,
+                ways,
+                line_bytes,
+            },
+            ..d
+        };
+        let icaches = [
+            (0, 2, 32),
+            (8192, 0, 32),
+            (8192, 2, 0),
+            (8192, 2, 3),
+            (8192, 2, 24),
+            (8192, usize::MAX, 32),
+            (1 << 40, 2, 32),
+        ];
+        let frame_memories: [fn(&mut FrameMemoryConfig); 6] = [
+            |m| m.bytes_per_cycle = 0,
+            |m| m.banks = 0,
+            |m| m.row_bytes = 0,
+            |m| m.row_bytes = 1 << 31,
+            |m| m.capacity = 1024,
+            |m| m.capacity = u32::MAX,
+        ];
+        let bad = icaches
+            .into_iter()
+            .map(icache)
+            .chain(frame_memories.map(|set| {
+                let mut cfg = d;
+                set(&mut cfg.frame_memory);
+                cfg
+            }));
+        for cfg in bad {
+            let err = cfg.validate().expect_err("validate must reject");
+            let named = matches!(
+                err,
+                ConfigError::BadICache { .. } | ConfigError::BadFrameMemory { .. }
+            );
+            assert!(named, "{err}");
+            assert_eq!(NicSystem::build(cfg).finish().err(), Some(err));
+        }
+        // The defaults and both ablation sweeps' points still build and run.
+        let kb = [1usize, 2, 4, 8, 16].map(|kb| icache((kb * 1024, 2, 32)));
+        let banks = [1usize, 2, 4, 8].map(|banks| NicConfig { banks, ..d });
+        for cfg in kb.into_iter().chain(banks) {
+            let mut sys = NicSystem::build(cfg).finish().expect("sweep point builds");
+            sys.run_measured(Ps::from_us(5), Ps::from_us(5));
         }
     }
 

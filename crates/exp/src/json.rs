@@ -278,15 +278,22 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// Deepest array/object nesting [`parse`] follows (`nicsim-exp/v1`
+/// documents nest seven deep); the parser recurses once per level, so
+/// unbounded input depth would be unbounded stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parse a JSON document.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] on malformed input or trailing garbage.
+/// Returns a [`ParseError`] on malformed input, trailing garbage, or
+/// nesting deeper than 128 levels.
 pub fn parse(input: &str) -> Result<Json, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -300,6 +307,8 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -344,8 +353,19 @@ impl Parser<'_> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if self.depth == MAX_DEPTH => {
+                Err(self.err(&format!("nested deeper than {MAX_DEPTH} levels")))
+            }
+            Some(open @ (b'[' | b'{')) => {
+                self.depth += 1;
+                let v = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -524,6 +544,22 @@ mod tests {
                 panic!("not a number");
             };
             assert_eq!(v.to_bits(), back.to_bits());
+        }
+    }
+
+    /// Depth is bounded: 100,000 open brackets used to overflow the
+    /// stack and abort the process; now the error names the byte.
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        for open in ["[", "{\"a\":"] {
+            let err = parse(&open.repeat(100_000)).unwrap_err();
+            assert_eq!(err.at, MAX_DEPTH * open.len(), "{err}");
+            assert!(err.msg.contains("128"), "{err}");
+            let close = if open == "[" { "]" } else { "}" };
+            let ok = format!("{}1{}", open.repeat(100), close.repeat(100));
+            assert!(parse(&ok).is_ok(), "100 levels of {open}");
+            let edge = format!("{}1{}", open.repeat(129), close.repeat(129));
+            assert!(parse(&edge).is_err(), "129 levels of {open}");
         }
     }
 

@@ -7,8 +7,9 @@
 //! built from bit-identical `RunStats` produce byte-identical JSON.
 
 use crate::json::Json;
-use nicsim::{FwMode, NicConfig, RunStats, StatValue};
+use nicsim::{FwMode, NicConfig, RunStats, StatValue, MAX_CPU_MHZ};
 use nicsim_cpu::FwFunc;
+use nicsim_sim::Freq;
 use std::time::Duration;
 
 /// Version tag written into every results file.
@@ -226,6 +227,13 @@ pub fn config_from_json(doc: &Json) -> Result<NicConfig, String> {
     let fm = doc
         .get("frame_memory")
         .ok_or("missing `frame_memory` object")?;
+    // `Freq` asserts the range `validate()` holds `cpu_mhz` to.
+    let fm_mhz: u64 = int(fm, "mhz")?;
+    if !(1..=MAX_CPU_MHZ).contains(&fm_mhz) {
+        return Err(format!(
+            "config key `mhz` must be in 1..={MAX_CPU_MHZ} (got {fm_mhz})"
+        ));
+    }
     let mode = match doc.get("mode").and_then(Json::as_str) {
         Some("ideal") => FwMode::Ideal,
         Some("software-only") => FwMode::SoftwareOnly,
@@ -243,7 +251,7 @@ pub fn config_from_json(doc: &Json) -> Result<NicConfig, String> {
             line_bytes: int(icache, "line_bytes")?,
         })
         .frame_memory(nicsim_mem::FrameMemoryConfig {
-            freq: nicsim_sim::Freq::from_mhz(int(fm, "mhz")?),
+            freq: Freq::from_mhz(fm_mhz),
             bytes_per_cycle: int(fm, "bytes_per_cycle")?,
             banks: int(fm, "banks")?,
             row_bytes: int(fm, "row_bytes")?,
@@ -424,6 +432,25 @@ mod tests {
         }
         let old_file = load("\"dma_engines\":1", "\"dma_engines\":1,\"macs\":1");
         assert_eq!(old_file, Ok(NicConfig::default()));
+    }
+
+    /// Values that used to reach an assert: a frame-memory clock
+    /// `Freq::from_hz` panics on (before `validate()` ever ran), and a
+    /// cache geometry `ICacheConfig::sets` panics on, which loaded `Ok`.
+    #[test]
+    fn config_from_json_rejects_what_used_to_panic() {
+        let text = config_to_json(&NicConfig::default()).compact();
+        for (from, to, needle) in [
+            ("\"mhz\":500", "\"mhz\":0", "`mhz`"),
+            ("\"mhz\":500", "\"mhz\":2000000", "`mhz`"),
+            ("\"ways\":2", "\"ways\":0", "icache"),
+            ("\"capacity\":8388608", "\"capacity\":1024", "frame_memory"),
+        ] {
+            assert!(text.contains(from), "{from} not in {text}");
+            let err =
+                config_from_json(&Json::parse(&text.replace(from, to)).unwrap()).expect_err(to);
+            assert!(err.contains(needle), "{to}: {err}");
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@ impl Fw {
     /// any handler state changes — the claimed work simply stays pending
     /// and the next scan retries it — and charges the core-restart
     /// penalty: pipeline flush, fault vector, state re-load. The site's
-    /// `injected` counter is read by the system's `collect()`, so the
+    /// error table is read by the system's `collect()`, so the
     /// draw waits for the engine to catch up with the firmware.
     async fn fw_fault(&self) -> bool {
         let Some(site) = &self.fw_faults else {

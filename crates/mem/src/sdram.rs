@@ -21,7 +21,7 @@
 //! included. The pending completions are therefore a FIFO, sorted by
 //! construction.
 
-use nicsim_fault::EccFaults;
+use nicsim_fault::{EccFaults, ErrorStats};
 pub use nicsim_obs::FmStream as StreamId;
 use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe};
 use nicsim_sim::{Freq, Ps, RoundRobin};
@@ -144,9 +144,9 @@ impl FrameMemory {
         self.ecc = Some(ecc);
     }
 
-    /// Single-bit ECC corrections performed so far.
-    pub fn ecc_corrections(&self) -> u64 {
-        self.ecc.as_ref().map_or(0, |e| e.corrections)
+    /// The ECC site's error table, when injection is enabled.
+    pub fn fault_stats(&self) -> Option<ErrorStats> {
+        self.ecc.as_ref().map(|e| e.stats)
     }
 
     /// Zero `len` bytes at `addr` directly (no burst, no timing): abort
@@ -512,7 +512,7 @@ mod tests {
         m.submit_read(StreamId::MacTx, 0, 256, 0, Ps::ZERO);
         let done = m.advance(Ps::from_us(1));
         assert_eq!(done[0].at, clean_at + Ps(8_000), "fixed correction cost");
-        assert_eq!(m.ecc_corrections(), 1);
+        assert_eq!(m.fault_stats().unwrap().ecc_corrections, 1);
         // Data is corrected, not corrupted.
         assert_eq!(done[0].data.as_deref(), Some(&[0u8; 256][..]));
     }
@@ -529,6 +529,6 @@ mod tests {
         m.set_faults(EccFaults::new(&FaultPlan::default()));
         m.submit_read(StreamId::DmaWrite, 0, 1518, 0, Ps::ZERO);
         assert_eq!(m.advance(Ps::from_us(1))[0].at, clean_at);
-        assert_eq!(m.ecc_corrections(), 0);
+        assert_eq!(m.fault_stats().unwrap().ecc_corrections, 0);
     }
 }

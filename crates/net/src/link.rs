@@ -7,7 +7,7 @@
 //! frames per second per direction.
 
 use crate::frame::{build_udp_frame, validate_frame, write_fcs, FrameError};
-use nicsim_fault::{LinkFault, LinkFaults};
+use nicsim_fault::{ErrorStats, LinkFault, LinkFaults};
 use nicsim_sim::Ps;
 use std::collections::VecDeque;
 
@@ -34,6 +34,18 @@ pub fn max_udp_throughput_gbps(udp_payload: usize) -> f64 {
     line_rate_fps(frame) * (udp_payload as f64) * 8.0 / 1e9
 }
 
+/// Where an [`RxGenerator`]'s frames come from.
+#[derive(Debug)]
+enum Source {
+    /// Synthesized at the configured rate.
+    Synth,
+    /// Nothing arrives (receive-idle experiments).
+    Off,
+    /// The queue filled by [`RxGenerator::inject`] (fleet fabric
+    /// deliveries), arrival times non-decreasing.
+    External(VecDeque<(Ps, Vec<u8>)>),
+}
+
 /// Generates the inbound frame stream at up to line rate.
 ///
 /// Frames are produced with consecutive sequence numbers; the driver
@@ -44,7 +56,7 @@ pub struct RxGenerator {
     next_at: Ps,
     seq: u32,
     period: Ps,
-    enabled: bool,
+    source: Source,
     /// Link-level fault injection (None = clean link: frames leave with
     /// the zeroed FCS placeholder, exactly as before the fault plane
     /// existed).
@@ -52,11 +64,6 @@ pub struct RxGenerator {
     /// What happened to the most recently polled frame, for the MAC RX
     /// side to label its probe events.
     last_injection: Option<LinkFault>,
-    /// External-feed mode: instead of synthesizing frames, serve the
-    /// queue filled by [`RxGenerator::inject`] (fleet fabric
-    /// deliveries). Arrival times are required to be non-decreasing.
-    external: bool,
-    injections: VecDeque<(Ps, Vec<u8>)>,
 }
 
 impl RxGenerator {
@@ -68,11 +75,9 @@ impl RxGenerator {
             next_at: Ps::ZERO,
             seq: 0,
             period: wire_time(frame_len),
-            enabled: true,
+            source: Source::Synth,
             faults: None,
             last_injection: None,
-            external: false,
-            injections: VecDeque::new(),
         }
     }
 
@@ -86,7 +91,7 @@ impl RxGenerator {
 
     /// Disable the generator (receive-idle experiments).
     pub fn disable(&mut self) {
-        self.enabled = false;
+        self.source = Source::Off;
     }
 
     /// Switch to external-feed mode: synthetic generation stops and the
@@ -95,38 +100,41 @@ impl RxGenerator {
     /// fleet fabric uses this to drive a NIC's receive path with frames
     /// transmitted by other NICs.
     pub fn set_external(&mut self) {
-        self.enabled = false;
-        self.external = true;
+        self.source = Source::External(VecDeque::new());
     }
 
     /// Queue a frame for delivery at `at` (external-feed mode).
     /// Arrival times must be non-decreasing — the fabric's per-port
     /// serialization guarantees this for each destination.
     pub fn inject(&mut self, at: Ps, frame: Vec<u8>) {
-        debug_assert!(self.external, "inject on a synthesizing generator");
-        debug_assert!(
-            self.injections.back().is_none_or(|(last, _)| *last <= at),
-            "injections must arrive in non-decreasing time order"
-        );
-        self.injections.push_back((at, frame));
+        match &mut self.source {
+            Source::External(queue) => {
+                debug_assert!(
+                    queue.back().is_none_or(|(last, _)| *last <= at),
+                    "injections must arrive in non-decreasing time order"
+                );
+                queue.push_back((at, frame));
+            }
+            _ => debug_assert!(false, "inject on a synthesizing generator"),
+        }
     }
 
     /// Frames queued but not yet delivered (external-feed mode).
     pub fn pending_injections(&self) -> usize {
-        self.injections.len()
+        match &self.source {
+            Source::External(queue) => queue.len(),
+            _ => 0,
+        }
     }
 
     /// Arrival time of the next frame ([`Ps::MAX`] when disabled) — the
     /// event-driven kernel's bound on how far it may skip while the
     /// receive path is otherwise idle.
     pub fn next_arrival(&self) -> Ps {
-        if self.external {
-            return self.injections.front().map_or(Ps::MAX, |(at, _)| *at);
-        }
-        if self.enabled {
-            self.next_at
-        } else {
-            Ps::MAX
+        match &self.source {
+            Source::Synth => self.next_at,
+            Source::Off => Ps::MAX,
+            Source::External(queue) => queue.front().map_or(Ps::MAX, |(at, _)| *at),
         }
     }
 
@@ -143,23 +151,19 @@ impl RxGenerator {
         self.last_injection.take()
     }
 
-    /// `(corrupted, truncated)` frame counts injected so far.
-    pub fn injected(&self) -> (u64, u64) {
-        self.faults
-            .as_ref()
-            .map_or((0, 0), |f| (f.injected_corrupt, f.injected_truncate))
+    /// The link site's error table, when injection is attached.
+    pub fn fault_stats(&self) -> Option<ErrorStats> {
+        self.faults.as_ref().map(|f| f.stats)
     }
 
     /// Produce the next frame if its arrival time has come.
     pub fn poll(&mut self, now: Ps) -> Option<(Ps, Vec<u8>)> {
-        if self.external {
-            if self.injections.front().is_some_and(|(at, _)| *at <= now) {
-                return self.injections.pop_front();
+        match &mut self.source {
+            Source::Synth if now >= self.next_at => {}
+            Source::External(queue) if queue.front().is_some_and(|(at, _)| *at <= now) => {
+                return queue.pop_front();
             }
-            return None;
-        }
-        if !self.enabled || now < self.next_at {
-            return None;
+            _ => return None,
         }
         let at = self.next_at;
         let mut f = build_udp_frame(self.seq, self.udp_payload);
@@ -413,8 +417,7 @@ mod tests {
                 }
             }
         }
-        let (c, t) = g.injected();
-        assert_eq!(c + t, bad as u64);
+        assert_eq!(g.fault_stats().unwrap().injected(), bad as u64);
         assert!(clean > 0 && bad > 0, "clean={clean} bad={bad}");
     }
 

@@ -275,14 +275,10 @@ impl ChromeTrace {
 fn unit_track(unit: crate::FaultUnit) -> Track {
     match unit {
         crate::FaultUnit::Link | crate::FaultUnit::MacRx => Track::MacRx,
-        crate::FaultUnit::MacTx => Track::MacTx,
         crate::FaultUnit::DmaRead => Track::DmaRead,
         crate::FaultUnit::DmaWrite => Track::DmaWrite,
         crate::FaultUnit::FrameMemory => Track::FrameBus,
-        crate::FaultUnit::Driver | crate::FaultUnit::System => Track::Driver,
-        // Fleet-level units have no dedicated track; fold them onto the
-        // driver track (where reset/retransmit consequences surface).
-        crate::FaultUnit::Fabric | crate::FaultUnit::Core => Track::Driver,
+        crate::FaultUnit::Driver => Track::Driver,
     }
 }
 
@@ -496,7 +492,7 @@ mod tests {
         });
         t.emit(Event::Recovery {
             kind: crate::RecoveryKind::WatchdogReset,
-            unit: crate::FaultUnit::System,
+            unit: crate::FaultUnit::DmaRead,
             info: 0,
             at: Ps(200),
         });

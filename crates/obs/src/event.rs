@@ -72,16 +72,6 @@ pub enum DmaDir {
     Write,
 }
 
-impl DmaDir {
-    /// Stable display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            DmaDir::Read => "dma_read",
-            DmaDir::Write => "dma_write",
-        }
-    }
-}
-
 /// The unit a fault or recovery event refers to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultUnit {
@@ -89,8 +79,6 @@ pub enum FaultUnit {
     Link,
     /// The MAC receive assist.
     MacRx,
-    /// The MAC transmit assist.
-    MacTx,
     /// The DMA read engine (host -> NIC).
     DmaRead,
     /// The DMA write engine (NIC -> host).
@@ -99,30 +87,6 @@ pub enum FaultUnit {
     FrameMemory,
     /// The host device driver.
     Driver,
-    /// System-level machinery (the watchdog).
-    System,
-    /// The inter-NIC fabric (fleet runs).
-    Fabric,
-    /// A firmware core (instruction faults).
-    Core,
-}
-
-impl FaultUnit {
-    /// Stable display label.
-    pub fn label(self) -> &'static str {
-        match self {
-            FaultUnit::Link => "link",
-            FaultUnit::MacRx => "mac_rx",
-            FaultUnit::MacTx => "mac_tx",
-            FaultUnit::DmaRead => "dma_read",
-            FaultUnit::DmaWrite => "dma_write",
-            FaultUnit::FrameMemory => "frame_memory",
-            FaultUnit::Driver => "driver",
-            FaultUnit::System => "system",
-            FaultUnit::Fabric => "fabric",
-            FaultUnit::Core => "core",
-        }
-    }
 }
 
 /// A fault the injection plane introduced.
@@ -142,18 +106,8 @@ pub enum FaultKind {
     AssistHang,
     /// A frame-bus read completion arrived without data (short read).
     ShortRead,
-    /// A bit flipped in a frame crossing a fabric link (fleet runs).
-    FabricCorrupt,
-    /// A fabric link flapped down; frames offered meanwhile are lost.
-    LinkFlap,
-    /// A transient port-buffer squeeze dropped an admission.
-    PortSqueeze,
     /// A DMA write poisoned a payload byte as it landed in host memory.
     HostPoison,
-    /// A firmware instruction fault aborted a handler before it ran.
-    FwInstrFault,
-    /// A whole NIC crashed (wedged until the fleet watchdog resets it).
-    NicCrash,
 }
 
 impl FaultKind {
@@ -167,12 +121,7 @@ impl FaultKind {
             FaultKind::EccSingleBit => "fault:ecc",
             FaultKind::AssistHang => "fault:hang",
             FaultKind::ShortRead => "fault:short_read",
-            FaultKind::FabricCorrupt => "fault:fabric_corrupt",
-            FaultKind::LinkFlap => "fault:link_flap",
-            FaultKind::PortSqueeze => "fault:port_squeeze",
             FaultKind::HostPoison => "fault:host_poison",
-            FaultKind::FwInstrFault => "fault:fw_instr",
-            FaultKind::NicCrash => "fault:nic_crash",
         }
     }
 }
@@ -199,9 +148,6 @@ pub enum RecoveryKind {
     /// The reliable-mode driver retransmitted an unacked frame after a
     /// timeout with exponential backoff.
     Retransmit,
-    /// The fleet watchdog reset a crashed NIC (firmware re-init, rings
-    /// re-posted, in-flight frames accounted as lost).
-    NicReset,
 }
 
 impl RecoveryKind {
@@ -215,7 +161,6 @@ impl RecoveryKind {
             RecoveryKind::RxErrorReturn => "recovery:rx_error_return",
             RecoveryKind::TxRetry => "recovery:tx_retry",
             RecoveryKind::Retransmit => "recovery:retransmit",
-            RecoveryKind::NicReset => "recovery:nic_reset",
         }
     }
 }

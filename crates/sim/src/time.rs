@@ -23,41 +23,49 @@ impl Ps {
     pub const MAX: Ps = Ps(u64::MAX);
 
     /// Construct from nanoseconds.
+    #[inline]
     pub fn from_ns(ns: u64) -> Ps {
         Ps(ns * 1_000)
     }
 
     /// Construct from microseconds.
+    #[inline]
     pub fn from_us(us: u64) -> Ps {
         Ps(us * 1_000_000)
     }
 
     /// Construct from milliseconds.
+    #[inline]
     pub fn from_ms(ms: u64) -> Ps {
         Ps(ms * 1_000_000_000)
     }
 
     /// This time expressed in (truncated) nanoseconds.
+    #[inline]
     pub fn as_ns(self) -> u64 {
         self.0 / 1_000
     }
 
     /// This time expressed in fractional seconds.
+    #[inline]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 * 1e-12
     }
 
     /// Saturating subtraction: `self - rhs`, or zero if `rhs` is later.
+    #[inline]
     pub fn saturating_sub(self, rhs: Ps) -> Ps {
         Ps(self.0.saturating_sub(rhs.0))
     }
 
     /// The later of two times.
+    #[inline]
     pub fn max(self, rhs: Ps) -> Ps {
         Ps(self.0.max(rhs.0))
     }
 
     /// The earlier of two times.
+    #[inline]
     pub fn min(self, rhs: Ps) -> Ps {
         Ps(self.0.min(rhs.0))
     }
@@ -65,12 +73,14 @@ impl Ps {
 
 impl Add for Ps {
     type Output = Ps;
+    #[inline]
     fn add(self, rhs: Ps) -> Ps {
         Ps(self.0 + rhs.0)
     }
 }
 
 impl AddAssign for Ps {
+    #[inline]
     fn add_assign(&mut self, rhs: Ps) {
         self.0 += rhs.0;
     }
@@ -78,6 +88,7 @@ impl AddAssign for Ps {
 
 impl Sub for Ps {
     type Output = Ps;
+    #[inline]
     fn sub(self, rhs: Ps) -> Ps {
         Ps(self.0 - rhs.0)
     }
@@ -117,31 +128,37 @@ impl Freq {
     }
 
     /// Construct from megahertz.
+    #[inline]
     pub fn from_mhz(mhz: u64) -> Freq {
         Freq::from_hz(mhz * 1_000_000)
     }
 
     /// The frequency in hertz.
+    #[inline]
     pub fn hz(self) -> u64 {
         self.hz
     }
 
     /// The frequency in (fractional) megahertz.
+    #[inline]
     pub fn as_mhz(self) -> f64 {
         self.hz as f64 / 1e6
     }
 
     /// The clock period, rounded to the nearest picosecond.
+    #[inline]
     pub fn period(self) -> Ps {
         Ps((1_000_000_000_000u64 + self.hz / 2) / self.hz)
     }
 
     /// The duration of `n` cycles.
+    #[inline]
     pub fn cycles(self, n: u64) -> Ps {
         Ps(self.period().0 * n)
     }
 
     /// How many full cycles fit in `span`.
+    #[inline]
     pub fn cycles_in(self, span: Ps) -> u64 {
         span.0 / self.period().0
     }

@@ -76,7 +76,9 @@ rm -f target/fault_sweep.json
 # A --faults value that would wedge the retry loop or overflow a
 # duration is a usage error naming the key, in milliseconds, never a
 # hang: FaultPlan::validate bounds retries and every duration.
-for bad in dma=1,retries=4294967295 hang_us=18446744073709551615; do
+# One out-of-bounds value per kind of key rides along (a probability,
+# the Pareto shape; the two above are the retry count and a period).
+for bad in dma=1,retries=4294967295 hang_us=18446744073709551615 crc=2 stall_alpha=-1; do
     key=${bad%=*}
     key=${key##*,}
     status=0
@@ -113,6 +115,18 @@ echo "==> benchmark package (perf/: unit tests + smoke run against these crates)
 # perf/results/.
 cargo test --quiet --manifest-path perf/Cargo.toml
 cargo run --release --quiet --manifest-path perf/Cargo.toml -- run --smoke
+# perf reads result files with the crates' JSON parser, whose recursion
+# is bounded: 100,000 nested arrays are a parse error naming the file
+# (exit 2), not a stack overflow that kills the process on a signal.
+head -c 100000 /dev/zero | tr '\0' '[' >target/deep.json
+status=0
+err=$(cargo run --release --quiet --manifest-path perf/Cargo.toml -- \
+    compare target/deep.json target/deep.json 2>&1 >/dev/null) || status=$?
+rm -f target/deep.json
+if [ "$status" -ne 2 ] || ! printf '%s' "$err" | grep -q "target/deep.json: JSON parse error"; then
+    echo "FAIL: perf compare on a 100,000-deep document exited $status (want 2, a parse error naming the file): $err"
+    exit 1
+fi
 
 echo "==> results orphan check (every results/*.json still has a producer)"
 # A results file names its experiment; some binary or example must

@@ -118,3 +118,28 @@ fn invalid_sweep_point_fails_before_running() {
     let exp = Experiment::new("facade-invalid").quiet();
     assert!(exp.try_sweep(&sweep).is_err());
 }
+
+/// Every run of every committed results file still rebuilds through
+/// `config_from_json` — what the file's `config` object is for.
+#[test]
+fn committed_results_reload() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
+    let mut runs = 0;
+    for entry in std::fs::read_dir(dir).expect("results/ exists") {
+        let path = entry.unwrap().path();
+        if path.extension().is_none_or(|e| e != "json") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(doc.get("schema").and_then(Json::as_str), Some(SCHEMA));
+        for run in doc.get("runs").and_then(Json::as_arr).expect("runs array") {
+            let config = run.get("config").expect("run has a config");
+            if let Err(e) = nicsim_repro::exp::config_from_json(config) {
+                panic!("{}: {e}", path.display());
+            }
+            runs += 1;
+        }
+    }
+    assert!(runs >= 84, "only {runs} runs under results/");
+}
