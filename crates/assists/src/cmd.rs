@@ -9,6 +9,21 @@
 /// (`sdram_addr`, `len`, status, checksum info) are all four words.
 pub const RING_ENTRY_WORDS: u32 = 4;
 
+/// The scratchpad registers of one command ring: what the memory map
+/// hands out for a DMA direction or the MAC TX, and what the unit
+/// behind that ring is built from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RingRegs {
+    /// Byte address of the ring (`entries` x [`RING_ENTRY_WORDS`] words).
+    pub ring: u32,
+    /// Entries in the ring.
+    pub entries: u32,
+    /// Producer count, firmware-written (the doorbell).
+    pub prod: u32,
+    /// Done count, written back by the unit.
+    pub done: u32,
+}
+
 /// Flag in the DMA command `len` word: the NIC-side address is in the
 /// scratchpad (otherwise it is in the frame memory).
 pub const FLAG_SP: u32 = 1 << 31;

@@ -15,47 +15,17 @@
 //! timed cost is on the NIC side (scratchpad transactions through the
 //! crossbar, frame-memory bursts over the shared bus).
 
-use crate::cmd::DmaCmd;
+use crate::cmd::{DmaCmd, RingRegs};
 use crate::port::{CmdRing, Polled};
-use nicsim_fault::{CmdOutcome, DmaFaults};
+use nicsim_fault::{CmdOutcome, DmaFaults, FaultPlan, SITE_DMA_READ, SITE_DMA_WRITE};
 use nicsim_host::HostMemory;
 use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId};
 use nicsim_obs::{DmaDir, Event, FaultKind, FaultUnit, Probe, RecoveryKind};
 use nicsim_sim::Ps;
 
-/// Configuration of one DMA engine.
-#[derive(Debug, Clone, Copy)]
-pub struct DmaConfig {
-    /// Crossbar port of this engine.
-    pub port: usize,
-    /// Scratchpad byte address of the command ring.
-    pub cmd_ring: u32,
-    /// Number of commands in the ring.
-    pub cmd_entries: u32,
-    /// Scratchpad word holding the firmware's producer count (doorbell).
-    pub prod_addr: u32,
-    /// Scratchpad word the engine writes its done count to.
-    pub done_addr: u32,
-    /// Engine id within the topology. Encoded into the high 32 bits of
-    /// frame-memory burst tags so completions on the shared per-stream
-    /// queue route back to the issuing engine; engine 0's tags are the
-    /// bare ring index, bit-identical to the single-engine layout.
-    pub engine: u32,
-}
-
-impl DmaConfig {
-    fn ring(&self) -> CmdRing {
-        CmdRing::new(
-            self.port,
-            self.cmd_ring,
-            self.cmd_entries,
-            self.prod_addr,
-            self.done_addr,
-        )
-    }
-}
-
-/// Pack a frame-memory burst tag from an engine id and ring index.
+/// Pack a frame-memory burst tag from an engine id and ring index, so
+/// completions on the shared per-stream queue route back to the issuing
+/// engine; engine 0's tags are the bare ring index.
 pub fn dma_tag(engine: u32, idx: u32) -> u64 {
     ((engine as u64) << 32) | idx as u64
 }
@@ -78,32 +48,74 @@ struct Deferred {
     abort: bool,
 }
 
-/// The fault plan's hold on one engine: the hang check at the top of
-/// its tick, the stall/retry/abort draw between fetching a payload
-/// command and starting it, and the slot a held command waits in.
-/// Without a plan every method is one `None` check.
+/// The fault plan's hold on one engine: the hang check and watchdog at
+/// the top of its tick, the stall/retry/abort draw between fetching a
+/// payload command and starting it, and the slot a held command waits
+/// in. Without a plan every method is one `None` check.
 #[derive(Debug)]
 struct FaultGate {
     unit: FaultUnit,
+    /// Engine id within the topology: the tag of the engine's
+    /// frame-memory bursts, the rung of its fault site, the `info` of
+    /// its watchdog events.
+    engine: u32,
     faults: Option<DmaFaults>,
     deferred: Option<Deferred>,
 }
 
 impl FaultGate {
-    fn new(unit: FaultUnit) -> FaultGate {
+    fn new(unit: FaultUnit, engine: usize) -> FaultGate {
         FaultGate {
             unit,
+            engine: engine as u32,
             faults: None,
             deferred: None,
         }
     }
 
-    /// Whether the unit is wedged until the watchdog resets it. Pending
-    /// work keeps the engine's `busy()` true meanwhile, so both kernels
-    /// step densely and the watchdog counts identical cycles.
+    /// Arm the direction's site `base` under `plan`, the hang schedule
+    /// counted from `boot_at`. Each engine is its own site, eight ids
+    /// apart, so engine 0 keeps the single-engine ids and default runs
+    /// replay unchanged.
+    fn arm(&mut self, base: u64, plan: &FaultPlan, boot_at: Ps) {
+        let site = base + 8 * u64::from(self.engine);
+        self.faults = Some(DmaFaults::new(plan, site, boot_at));
+    }
+
+    /// Whether the unit is wedged until the watchdog resets it.
     #[inline]
     fn hung(&mut self, now: Ps) -> bool {
         self.faults.as_mut().is_some_and(|f| f.hang_active(now))
+    }
+
+    /// The watchdog's look at a wedged unit. One with work pending
+    /// (`busy`) is stuck: the first stuck cycle counts the hang, and
+    /// once that cycle is `watchdog_us` old the unit is reset. Pending
+    /// work keeps the engine's `busy()` true meanwhile, so both kernels
+    /// step densely and the watchdog counts identical cycles.
+    fn watchdog<P: Probe>(&mut self, busy: bool, now: Ps, probe: &mut P) {
+        let Some(f) = self.faults.as_mut().filter(|_| busy) else {
+            return;
+        };
+        let hangs = f.stats.assist_hangs;
+        if f.observe_stuck(now) {
+            f.watchdog_reset(now);
+            if P::ENABLED {
+                probe.emit(Event::Recovery {
+                    kind: RecoveryKind::WatchdogReset,
+                    unit: self.unit,
+                    info: self.engine,
+                    at: now,
+                });
+            }
+        } else if P::ENABLED && f.stats.assist_hangs != hangs {
+            probe.emit(Event::Fault {
+                kind: FaultKind::AssistHang,
+                unit: self.unit,
+                info: self.engine,
+                at: now,
+            });
+        }
     }
 
     /// Route a freshly fetched payload command (a frame transfer, never
@@ -172,7 +184,6 @@ impl FaultGate {
 /// The DMA **read** engine: host memory → NIC.
 #[derive(Debug)]
 pub struct DmaRead {
-    cfg: DmaConfig,
     ring: CmdRing,
     /// Scratchpad-destination command being executed (BD fetches).
     sp_exec: Option<(u32, u32)>, // (cmd idx, remaining word writes)
@@ -181,14 +192,14 @@ pub struct DmaRead {
 }
 
 impl DmaRead {
-    /// Create the engine.
-    pub fn new(cfg: DmaConfig) -> DmaRead {
+    /// Engine `engine` of the topology, on crossbar requester `port`,
+    /// driven through the command ring behind `regs`.
+    pub fn new(port: usize, regs: RingRegs, engine: usize) -> DmaRead {
         DmaRead {
-            cfg,
-            ring: cfg.ring(),
+            ring: CmdRing::new(port, regs),
             sp_exec: None,
             sdram_outstanding: 0,
-            gate: FaultGate::new(FaultUnit::DmaRead),
+            gate: FaultGate::new(FaultUnit::DmaRead, engine),
         }
     }
 
@@ -202,9 +213,10 @@ impl DmaRead {
         self.ring.reset_stats();
     }
 
-    /// Enable fault injection on this engine.
-    pub fn set_faults(&mut self, f: DmaFaults) {
-        self.gate.faults = Some(f);
+    /// Enable fault injection on this engine under `plan`, with the
+    /// hang schedule counted from `boot_at`.
+    pub fn arm(&mut self, plan: &FaultPlan, boot_at: Ps) {
+        self.gate.arm(SITE_DMA_READ, plan, boot_at);
     }
 
     /// Fault-site state, when injection is enabled.
@@ -212,20 +224,19 @@ impl DmaRead {
         self.gate.faults.as_ref()
     }
 
-    /// Mutable fault-site state (the watchdog in `NicSystem` drives the
-    /// stuck/reset bookkeeping from outside the engine).
-    pub fn faults_mut(&mut self) -> Option<&mut DmaFaults> {
-        self.gate.faults.as_mut()
-    }
-
     /// A frame-memory burst tagged `tag` completed.
     pub fn on_sdram_complete_probed<P: Probe>(&mut self, tag: u64, now: Ps, probe: &mut P) {
         self.sdram_outstanding -= 1;
-        self.ring.complete(tag as u32);
+        self.retire(tag as u32, now, probe);
+    }
+
+    /// Command `idx` moved its data: retire its ring slot.
+    fn retire<P: Probe>(&mut self, idx: u32, now: Ps, probe: &mut P) {
+        self.ring.complete(idx);
         if P::ENABLED {
             probe.emit(Event::DmaDone {
                 dir: DmaDir::Read,
-                idx: tag as u32,
+                idx,
                 at: now,
             });
         }
@@ -271,7 +282,7 @@ impl DmaRead {
                 StreamId::DmaRead,
                 cmd.w1,
                 &data,
-                dma_tag(self.cfg.engine, idx),
+                dma_tag(self.gate.engine, idx),
                 now,
             );
             self.sdram_outstanding += 1;
@@ -299,6 +310,7 @@ impl DmaRead {
         probe: &mut P,
     ) {
         if self.gate.hung(now) {
+            self.gate.watchdog(self.busy(sp_mem), now, probe);
             return;
         }
         if let Some(d) = self.gate.resolve_deferred(now, probe) {
@@ -323,14 +335,7 @@ impl DmaRead {
                 if let Some((idx, remaining)) = self.sp_exec {
                     if remaining == 1 {
                         self.sp_exec = None;
-                        self.ring.complete(idx);
-                        if P::ENABLED {
-                            probe.emit(Event::DmaDone {
-                                dir: DmaDir::Read,
-                                idx,
-                                at: now,
-                            });
-                        }
+                        self.retire(idx, now, probe);
                     } else {
                         self.sp_exec = Some((idx, remaining - 1));
                     }
@@ -354,27 +359,25 @@ impl DmaRead {
 /// The DMA **write** engine: NIC → host memory.
 #[derive(Debug)]
 pub struct DmaWrite {
-    cfg: DmaConfig,
     ring: CmdRing,
     /// Scratchpad-source command in progress: (idx, host addr, bytes
     /// collected, total bytes).
     sp_src: Option<(u32, u32, Vec<u8>, u32)>,
-    /// SDRAM-source commands in flight: host destination per tag.
+    /// SDRAM-source commands in flight: host destination per ring slot.
     sdram_dst: Vec<Option<u32>>,
     sdram_outstanding: u32,
     gate: FaultGate,
 }
 
 impl DmaWrite {
-    /// Create the engine.
-    pub fn new(cfg: DmaConfig) -> DmaWrite {
+    /// Engine `engine` of the topology (see [`DmaRead::new`]).
+    pub fn new(port: usize, regs: RingRegs, engine: usize) -> DmaWrite {
         DmaWrite {
-            cfg,
-            ring: cfg.ring(),
+            ring: CmdRing::new(port, regs),
             sp_src: None,
-            sdram_dst: vec![None; cfg.cmd_entries as usize],
+            sdram_dst: vec![None; regs.entries as usize],
             sdram_outstanding: 0,
-            gate: FaultGate::new(FaultUnit::DmaWrite),
+            gate: FaultGate::new(FaultUnit::DmaWrite, engine),
         }
     }
 
@@ -388,19 +391,14 @@ impl DmaWrite {
         self.ring.reset_stats();
     }
 
-    /// Enable fault injection on this engine.
-    pub fn set_faults(&mut self, f: DmaFaults) {
-        self.gate.faults = Some(f);
+    /// Enable fault injection on this engine (see [`DmaRead::arm`]).
+    pub fn arm(&mut self, plan: &FaultPlan, boot_at: Ps) {
+        self.gate.arm(SITE_DMA_WRITE, plan, boot_at);
     }
 
     /// Fault-site state, when injection is enabled.
     pub fn faults(&self) -> Option<&DmaFaults> {
         self.gate.faults.as_ref()
-    }
-
-    /// Mutable fault-site state (see [`DmaRead::faults_mut`]).
-    pub fn faults_mut(&mut self) -> Option<&mut DmaFaults> {
-        self.gate.faults.as_mut()
     }
 
     /// A frame-memory read burst completed; write its data to the host.
@@ -413,7 +411,8 @@ impl DmaWrite {
         probe: &mut P,
     ) {
         let idx = tag as u32;
-        let dst = self.sdram_dst[(idx % self.cfg.cmd_entries) as usize]
+        let slot = idx as usize % self.sdram_dst.len();
+        let dst = self.sdram_dst[slot]
             .take()
             .expect("sdram completion for unknown command");
         let poison = self
@@ -437,6 +436,11 @@ impl DmaWrite {
             host.write(dst, data);
         }
         self.sdram_outstanding -= 1;
+        self.retire(idx, now, probe);
+    }
+
+    /// Command `idx` moved its data: retire its ring slot.
+    fn retire<P: Probe>(&mut self, idx: u32, now: Ps, probe: &mut P) {
         self.ring.complete(idx);
         if P::ENABLED {
             probe.emit(Event::DmaDone {
@@ -468,14 +472,7 @@ impl DmaWrite {
         }
         if cmd.is_immediate() {
             host.write_u32(cmd.w1, cmd.w0);
-            self.ring.complete(idx);
-            if P::ENABLED {
-                probe.emit(Event::DmaDone {
-                    dir: DmaDir::Write,
-                    idx,
-                    at: now,
-                });
-            }
+            self.retire(idx, now, probe);
         } else if cmd.is_scratchpad() {
             let words = cmd.len.div_ceil(4);
             for k in 0..words {
@@ -486,12 +483,13 @@ impl DmaWrite {
             }
             self.sp_src = Some((idx, cmd.w1, Vec::with_capacity(cmd.len as usize), cmd.len));
         } else {
-            self.sdram_dst[(idx % self.cfg.cmd_entries) as usize] = Some(cmd.w1);
+            let slot = idx as usize % self.sdram_dst.len();
+            self.sdram_dst[slot] = Some(cmd.w1);
             fm.submit_read(
                 StreamId::DmaWrite,
                 cmd.w0,
                 cmd.len,
-                dma_tag(self.cfg.engine, idx),
+                dma_tag(self.gate.engine, idx),
                 now,
             );
             self.sdram_outstanding += 1;
@@ -518,6 +516,7 @@ impl DmaWrite {
         probe: &mut P,
     ) {
         if self.gate.hung(now) {
+            self.gate.watchdog(self.busy(sp_mem), now, probe);
             return;
         }
         if let Some(d) = self.gate.resolve_deferred(now, probe) {
@@ -550,14 +549,7 @@ impl DmaWrite {
                 if buf.len() >= len as usize {
                     buf.truncate(len as usize);
                     host.write(dst, &buf);
-                    self.ring.complete(idx);
-                    if P::ENABLED {
-                        probe.emit(Event::DmaDone {
-                            dir: DmaDir::Write,
-                            idx,
-                            at: now,
-                        });
-                    }
+                    self.retire(idx, now, probe);
                 } else {
                     self.sp_src = Some((idx, dst, buf, len));
                 }
@@ -639,7 +631,7 @@ mod tests {
             }
         }
 
-        /// Write command `idx` into `cfg()`'s ring (the doorbell is the
+        /// Write command `idx` into `REGS`' ring (the doorbell is the
         /// test's to ring).
         fn post(&mut self, idx: u32, w0: u32, w1: u32, len: u32, flags: u32) {
             let cmd = DmaCmd {
@@ -655,21 +647,17 @@ mod tests {
         }
     }
 
-    fn cfg() -> DmaConfig {
-        DmaConfig {
-            port: 0,
-            cmd_ring: 0x1000,
-            cmd_entries: 16,
-            prod_addr: 0x100,
-            done_addr: 0x104,
-            engine: 0,
-        }
-    }
+    const REGS: RingRegs = RingRegs {
+        ring: 0x1000,
+        entries: 16,
+        prod: 0x100,
+        done: 0x104,
+    };
 
     #[test]
     fn read_engine_copies_descriptors_to_scratchpad() {
         let mut rig = Rig::new();
-        let mut eng = DmaRead::new(cfg());
+        let mut eng = DmaRead::new(0, REGS, 0);
         rig.host.write(0x500, &[1, 2, 3, 4, 5, 6, 7, 8]);
         rig.post(0, 0x500, 0x2000, 8, FLAG_SP);
         rig.sp.poke(0x100, 1); // doorbell
@@ -682,7 +670,7 @@ mod tests {
     #[test]
     fn read_engine_moves_frame_data_to_sdram() {
         let mut rig = Rig::new();
-        let mut eng = DmaRead::new(cfg());
+        let mut eng = DmaRead::new(0, REGS, 0);
         let payload: Vec<u8> = (0..200u8).collect();
         rig.host.write(0x800, &payload);
         rig.post(0, 0x800, 0x4000, 200, 0);
@@ -695,8 +683,7 @@ mod tests {
     #[test]
     fn write_engine_immediate_and_scratchpad_sources() {
         let mut rig = Rig::new();
-        let wcfg = DmaConfig { port: 1, ..cfg() };
-        let mut eng = DmaWrite::new(wcfg);
+        let mut eng = DmaWrite::new(1, REGS, 0);
         // Command 0: immediate write of 0xabcd to host 0x900.
         rig.post(0, 0xabcd, 0x900, 4, FLAG_IMM);
         // Command 1: copy 8 bytes from scratchpad 0x3000 to host 0x910.
@@ -714,7 +701,7 @@ mod tests {
     #[test]
     fn write_engine_moves_sdram_to_host() {
         let mut rig = Rig::new();
-        let mut eng = DmaWrite::new(cfg());
+        let mut eng = DmaWrite::new(0, REGS, 0);
         let frame: Vec<u8> = (0..255u8).cycle().take(1518).collect();
         rig.fm
             .submit_write(StreamId::MacRx, 0x6000, &frame, 99, Ps::ZERO);
@@ -729,16 +716,15 @@ mod tests {
 
     #[test]
     fn read_engine_abort_poisons_destination_and_retires_slot() {
-        use nicsim_fault::{DmaFaults, FaultPlan, SITE_DMA_READ};
         let mut rig = Rig::new();
-        let mut eng = DmaRead::new(cfg());
+        let mut eng = DmaRead::new(0, REGS, 0);
         let plan = FaultPlan {
             dma_error: 1.0,
             max_retries: 0,
             backoff_ns: 10,
             ..FaultPlan::default()
         };
-        eng.set_faults(DmaFaults::new(&plan, SITE_DMA_READ));
+        eng.arm(&plan, Ps::ZERO);
         // Stale bytes at the destination must not survive the abort.
         rig.fm
             .submit_write(StreamId::DmaRead, 0x4000, &[0xff; 200], 99, Ps::ZERO);
@@ -760,15 +746,14 @@ mod tests {
 
     #[test]
     fn write_engine_stall_delays_but_delivers() {
-        use nicsim_fault::{DmaFaults, FaultPlan, SITE_DMA_WRITE};
         let mut rig = Rig::new();
-        let mut eng = DmaWrite::new(cfg());
+        let mut eng = DmaWrite::new(0, REGS, 0);
         let plan = FaultPlan {
             dma_stall: 1.0,
             stall_ns: 500,
             ..FaultPlan::default()
         };
-        eng.set_faults(DmaFaults::new(&plan, SITE_DMA_WRITE));
+        eng.arm(&plan, Ps::ZERO);
         let frame: Vec<u8> = (0..255u8).cycle().take(600).collect();
         rig.fm
             .submit_write(StreamId::MacRx, 0x6000, &frame, 99, Ps::ZERO);
@@ -781,5 +766,49 @@ mod tests {
         assert_eq!(rig.sp.peek(0x104), 1);
         assert_eq!(eng.faults().unwrap().stats.pci_stalls, 1);
         assert_eq!(eng.faults().unwrap().stats.dma_aborts, 0);
+    }
+
+    /// Hangs every microsecond; the watchdog waits two (400 of the
+    /// rig's 5 ns cycles).
+    const HANGS: &str = "hang_us=1,watchdog_us=2";
+
+    #[test]
+    fn watchdog_resets_a_hung_engine_with_work_pending() {
+        let mut rig = Rig::new();
+        let mut eng = DmaRead::new(0, REGS, 0);
+        eng.arm(&FaultPlan::parse(HANGS).unwrap(), Ps::ZERO);
+        rig.now = Ps::from_us(1); // the first hang is due
+        rig.host.write(0x500, &[1, 2, 3, 4]);
+        rig.post(0, 0x500, 0x2000, 4, FLAG_SP);
+        rig.sp.poke(0x100, 1);
+        rig.run_read(&mut eng, 400);
+        let stats = eng.faults().unwrap().stats;
+        assert_eq!((stats.assist_hangs, stats.watchdog_resets), (1, 0));
+        assert_eq!(rig.sp.peek(0x104), 0, "wedged: the command waits");
+        // The next cycle is `watchdog_us` past the first stuck one; the
+        // hang after that is a microsecond (200 cycles) further on.
+        rig.run_read(&mut eng, 100);
+        let stats = eng.faults().unwrap().stats;
+        assert_eq!((stats.assist_hangs, stats.watchdog_resets), (1, 1));
+        assert_eq!(rig.sp.peek(0x2000), 0x0403_0201);
+        assert_eq!(rig.sp.peek(0x104), 1, "reset, then completed");
+    }
+
+    #[test]
+    fn a_hung_idle_engine_counts_nothing() {
+        let mut rig = Rig::new();
+        let mut eng = DmaWrite::new(0, REGS, 0);
+        eng.arm(&FaultPlan::parse(HANGS).unwrap(), Ps::ZERO);
+        rig.now = Ps::from_us(1);
+        rig.run_write(&mut eng, 1000);
+        let stats = eng.faults().unwrap().stats;
+        assert_eq!((stats.assist_hangs, stats.watchdog_resets), (0, 0));
+        // Still wedged: a doorbell now starts the watchdog's clock, not
+        // the command.
+        rig.post(0, 0xabcd, 0x900, 4, FLAG_IMM);
+        rig.sp.poke(0x100, 1);
+        rig.run_write(&mut eng, 100);
+        assert_eq!(eng.faults().unwrap().stats.assist_hangs, 1);
+        assert_eq!(rig.host.read_u32(0x900), 0);
     }
 }

@@ -27,6 +27,7 @@ pub mod dma;
 pub mod mac;
 pub mod port;
 
-pub use dma::{dma_tag, dma_tag_engine, DmaConfig, DmaRead, DmaWrite};
-pub use mac::{MacRx, MacRxConfig, MacTx, MacTxConfig};
+pub use cmd::RingRegs;
+pub use dma::{dma_tag, dma_tag_engine, DmaRead, DmaWrite};
+pub use mac::{MacRx, MacRxConfig, MacTx};
 pub use port::{CmdRing, SpPort};

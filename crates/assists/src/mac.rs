@@ -13,10 +13,11 @@
 //! dropped — a receiver overrun, exactly what happens to a real NIC whose
 //! firmware cannot keep up.
 
+use crate::cmd::RingRegs;
 use crate::port::{CmdRing, Polled, SpPort};
 use nicsim_fault::LinkFault;
 use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId};
-use nicsim_net::frame::fcs_valid;
+use nicsim_net::frame::{fcs_valid, seq_of};
 use nicsim_net::link::{wire_time, RxGenerator, TxMonitor};
 use nicsim_obs::{Event, FaultKind, FaultUnit, Probe, RecoveryKind};
 use nicsim_sim::Ps;
@@ -24,21 +25,6 @@ use std::collections::VecDeque;
 
 const TAG_DESC: u32 = 6;
 const TAG_PROD: u32 = 7;
-
-/// MAC TX configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct MacTxConfig {
-    /// Crossbar port.
-    pub port: usize,
-    /// Transmit ring base (4 words per entry: addr, len, flags, seq).
-    pub ring: u32,
-    /// Entries in the transmit ring.
-    pub entries: u32,
-    /// Firmware producer doorbell (scratchpad word).
-    pub prod_addr: u32,
-    /// Done counter the MAC writes back.
-    pub done_addr: u32,
-}
 
 /// The transmit MAC.
 #[derive(Debug)]
@@ -48,16 +34,10 @@ pub struct MacTx {
     pub monitor: TxMonitor,
     reads_outstanding: u32,
     wire_busy_until: Ps,
-    /// Frames in flight on the wire: completion time and bytes.
-    tx_done: VecDeque<(Ps, Vec<u8>)>,
+    /// Frames in flight on the wire: completion time, the ring entry's
+    /// sequence number, and bytes.
+    tx_done: VecDeque<(Ps, u32, Vec<u8>)>,
     frames_sent: u64,
-    /// Observability only (maintained when the probe is enabled): frame
-    /// sequence numbers whose frame-memory read is in flight. Reads
-    /// complete in ring order, so a FIFO pairs fetches to completions.
-    obs_fetch_seq: VecDeque<u32>,
-    /// Observability only: sequence numbers on the wire, parallel to
-    /// `tx_done`.
-    obs_wire_seq: VecDeque<u32>,
     /// Fleet mode: when enabled, every frame leaving the wire is also
     /// retained as `(wire-done time, bytes)` for the fabric to collect
     /// at the next epoch barrier.
@@ -65,23 +45,17 @@ pub struct MacTx {
 }
 
 impl MacTx {
-    /// Create the transmit MAC.
-    pub fn new(cfg: MacTxConfig) -> MacTx {
+    /// The transmit MAC on crossbar requester `port`, draining the
+    /// transmit ring behind `regs` (4 words per entry: addr, len,
+    /// flags, seq).
+    pub fn new(port: usize, regs: RingRegs) -> MacTx {
         MacTx {
-            ring: CmdRing::new(
-                cfg.port,
-                cfg.ring,
-                cfg.entries,
-                cfg.prod_addr,
-                cfg.done_addr,
-            ),
+            ring: CmdRing::new(port, regs),
             monitor: TxMonitor::new(),
             reads_outstanding: 0,
             wire_busy_until: Ps::ZERO,
             tx_done: VecDeque::new(),
             frames_sent: 0,
-            obs_fetch_seq: VecDeque::new(),
-            obs_wire_seq: VecDeque::new(),
             egress: None,
         }
     }
@@ -119,26 +93,28 @@ impl MacTx {
         self.frames_sent = 0;
     }
 
-    /// A frame-memory read completed: the frame goes on the wire.
-    /// Reads complete in ring order (per-stream FIFO), preserving the
-    /// in-order transmit guarantee. Emits [`Event::MacTxWireStart`] at
-    /// the moment the frame starts occupying the wire (which may be
-    /// later than `now` when the wire is busy).
-    pub fn on_sdram_complete_probed<P: Probe>(&mut self, now: Ps, data: &[u8], probe: &mut P) {
+    /// The frame-memory read of frame `seq` (the read's tag) completed:
+    /// the frame goes on the wire. Reads complete in ring order
+    /// (per-stream FIFO), preserving the in-order transmit guarantee.
+    /// Emits [`Event::MacTxWireStart`] at the moment the frame starts
+    /// occupying the wire (which may be later than `now` when the wire
+    /// is busy).
+    pub fn on_sdram_complete_probed<P: Probe>(
+        &mut self,
+        seq: u32,
+        now: Ps,
+        data: &[u8],
+        probe: &mut P,
+    ) {
         self.reads_outstanding -= 1;
         let mut frame = data.to_vec();
         frame.extend_from_slice(&[0u8; 4]); // MAC appends the FCS
         let start = now.max(self.wire_busy_until);
         let done = start + wire_time(frame.len());
         self.wire_busy_until = done;
-        self.tx_done.push_back((done, frame));
+        self.tx_done.push_back((done, seq, frame));
         if P::ENABLED {
-            let seq = self
-                .obs_fetch_seq
-                .pop_front()
-                .expect("sdram completion without fetched seq");
             probe.emit(Event::MacTxWireStart { seq, at: start });
-            self.obs_wire_seq.push_back(seq);
         }
     }
 
@@ -165,25 +141,20 @@ impl MacTx {
         // the flags. The MAC pushes no transactions of its own.
         if let Some(Polled::Entry { words, .. }) = self.ring.poll(xbar) {
             let [addr, len, _, seq] = words;
-            fm.submit_read(StreamId::MacTx, addr, len, 0, now);
+            fm.submit_read(StreamId::MacTx, addr, len, u64::from(seq), now);
             self.reads_outstanding += 1;
             if P::ENABLED {
                 probe.emit(Event::MacTxFetch { seq, at: now });
-                self.obs_fetch_seq.push_back(seq);
             }
         }
         // Wire completions retire ring entries (in order); the frame is
         // validated and accounted as it leaves the wire.
-        while self.tx_done.front().is_some_and(|(t, _)| *t <= now) {
-            let (t, frame) = self.tx_done.pop_front().expect("nonempty");
+        while self.tx_done.front().is_some_and(|(t, ..)| *t <= now) {
+            let (t, seq, frame) = self.tx_done.pop_front().expect("nonempty");
             self.monitor.on_frame(&frame);
             self.ring.complete(self.ring.done());
             self.frames_sent += 1;
             if P::ENABLED {
-                let seq = self
-                    .obs_wire_seq
-                    .pop_front()
-                    .expect("wire completion without seq");
                 probe.emit(Event::MacTxWireDone { seq, at: t });
             }
             if let Some(egress) = &mut self.egress {
@@ -204,7 +175,7 @@ impl MacTx {
     /// The next wire completion: `tick` pops `tx_done` entries whose
     /// time has come, so the clock must not jump past the head.
     pub fn next_event(&self) -> Ps {
-        self.tx_done.front().map_or(Ps::MAX, |(t, _)| *t)
+        self.tx_done.front().map_or(Ps::MAX, |(t, ..)| *t)
     }
 }
 
@@ -252,9 +223,6 @@ pub struct MacRx {
     /// status and no buffer, but still publish in order behind any
     /// in-flight predecessors.
     pending_desc: VecDeque<PendingDesc>,
-    /// Observability only (maintained when the probe is enabled): wire
-    /// sequence numbers parallel to `pending_desc`.
-    obs_pending_seq: VecDeque<u32>,
     prod: u32,
     drops: u64,
     frames_received: u64,
@@ -268,6 +236,8 @@ pub struct MacRx {
 /// One receive descriptor queued for in-order publication.
 #[derive(Debug)]
 struct PendingDesc {
+    /// The frame's wire sequence number (what its events carry).
+    seq: u32,
     addr: u32,
     len: u32,
     /// Descriptor status word: 1 = OK, 2 = CRC error (no buffer).
@@ -292,7 +262,6 @@ impl MacRx {
             head: 0,
             writes_outstanding: 0,
             pending_desc: VecDeque::new(),
-            obs_pending_seq: VecDeque::new(),
             prod: 0,
             drops: 0,
             frames_received: 0,
@@ -354,11 +323,10 @@ impl MacRx {
         while self.pending_desc.front().is_some_and(|d| !d.write_pending) {
             let d = self.pending_desc.pop_front().expect("nonempty");
             if P::ENABLED {
-                let seq = self
-                    .obs_pending_seq
-                    .pop_front()
-                    .expect("publication without pending seq");
-                probe.emit(Event::MacRxDescPublish { seq, at: now });
+                probe.emit(Event::MacRxDescPublish {
+                    seq: d.seq,
+                    at: now,
+                });
             }
             let base = self.cfg.ring + (self.prod % self.cfg.entries) * 16;
             // addr, len, status, checksum info.
@@ -399,6 +367,16 @@ impl MacRx {
                 break;
             };
             let len = frame.len() as u32;
+            // Zero for a truncated frame too short to carry one.
+            let seq = seq_of(&frame);
+            let arrival = |dropped| Event::MacRxArrival {
+                seq,
+                len,
+                dropped,
+                at: now,
+            };
+            let ring_full = self.prod.wrapping_sub(sp_mem.peek(self.cfg.claim_addr))
+                >= self.cfg.entries - self.cfg.claim_slack;
             if self.crc_check {
                 let injected = self.generator.take_injection();
                 if P::ENABLED {
@@ -415,22 +393,9 @@ impl MacRx {
                     }
                 }
                 if !fcs_valid(&frame) {
-                    // Truncated frames may not even carry a sequence word.
-                    let seq = if frame.len() >= 46 {
-                        u32::from_be_bytes([frame[42], frame[43], frame[44], frame[45]])
-                    } else {
-                        0
-                    };
                     if P::ENABLED {
-                        probe.emit(Event::MacRxArrival {
-                            seq,
-                            len,
-                            dropped: true,
-                            at: now,
-                        });
+                        probe.emit(arrival(true));
                     }
-                    let ring_full = self.prod.wrapping_sub(sp_mem.peek(self.cfg.claim_addr))
-                        >= self.cfg.entries - self.cfg.claim_slack;
                     if ring_full {
                         self.drops += 1;
                         continue;
@@ -443,11 +408,11 @@ impl MacRx {
                             info: seq,
                             at: now,
                         });
-                        self.obs_pending_seq.push_back(seq);
                     }
                     // An error descriptor: no buffer, no SDRAM write —
                     // but it still publishes in arrival order.
                     self.pending_desc.push_back(PendingDesc {
+                        seq,
                         addr: 0,
                         len,
                         status: 2,
@@ -466,36 +431,22 @@ impl MacRx {
                 head = head.wrapping_add(self.cfg.buf_bytes - off);
             }
             let new_head = head.wrapping_add(align8(2 + len));
-            let ring_full = self.prod.wrapping_sub(sp_mem.peek(self.cfg.claim_addr))
-                >= self.cfg.entries - self.cfg.claim_slack;
             if new_head.wrapping_sub(tail) > self.cfg.buf_bytes || ring_full {
                 self.drops += 1;
                 if P::ENABLED {
-                    let seq = u32::from_be_bytes([frame[42], frame[43], frame[44], frame[45]]);
-                    probe.emit(Event::MacRxArrival {
-                        seq,
-                        len,
-                        dropped: true,
-                        at: now,
-                    });
+                    probe.emit(arrival(true));
                 }
                 continue;
             }
             let addr = self.cfg.buf_base + head % self.cfg.buf_bytes + 2;
             if P::ENABLED {
-                let seq = u32::from_be_bytes([frame[42], frame[43], frame[44], frame[45]]);
-                probe.emit(Event::MacRxArrival {
-                    seq,
-                    len,
-                    dropped: false,
-                    at: now,
-                });
-                self.obs_pending_seq.push_back(seq);
+                probe.emit(arrival(false));
             }
             fm.submit_write(StreamId::MacRx, addr, &frame, 0, now);
             self.head = new_head;
             self.writes_outstanding += 1;
             self.pending_desc.push_back(PendingDesc {
+                seq,
                 addr,
                 len,
                 status: 1,
@@ -538,19 +489,34 @@ mod tests {
         FrameMemory::new(FrameMemoryConfig::default())
     }
 
+    /// MAC RX on port 0 with an `entries`-deep ring at 0x2000 and a
+    /// 1 MB receive region.
+    fn rx_cfg(entries: u32) -> MacRxConfig {
+        MacRxConfig {
+            port: 0,
+            ring: 0x2000,
+            entries,
+            prod_addr: 0x200,
+            claim_addr: 0x204,
+            claim_slack: 0,
+            buf_base: 0x10_0000,
+            buf_bytes: 0x10_0000,
+            tail_addr: 0x208,
+        }
+    }
+
     #[test]
     fn mac_tx_transmits_ring_in_order() {
         let mut sp = Scratchpad::new(64 * 1024, 4);
         let mut xbar = Crossbar::new(1, 4);
         let mut fmem = fm();
-        let cfg = MacTxConfig {
-            port: 0,
+        let regs = RingRegs {
             ring: 0x1000,
             entries: 16,
-            prod_addr: 0x100,
-            done_addr: 0x104,
+            prod: 0x100,
+            done: 0x104,
         };
-        let mut mac = MacTx::new(cfg);
+        let mut mac = MacTx::new(0, regs);
         // Stage two frames in SDRAM and two ring entries.
         for i in 0..2u32 {
             let f = build_udp_frame(i, 1472);
@@ -568,7 +534,8 @@ mod tests {
             xbar.tick(&mut sp);
             mac.tick_probed(now, &mut xbar, &sp, &mut fmem, &mut NullProbe);
             for c in fmem.advance(now) {
-                mac.on_sdram_complete_probed(c.at, c.data.as_deref().unwrap(), &mut NullProbe);
+                let data = c.data.as_deref().unwrap();
+                mac.on_sdram_complete_probed(c.tag as u32, c.at, data, &mut NullProbe);
             }
         }
         assert_eq!(mac.frames_sent(), 2);
@@ -583,18 +550,7 @@ mod tests {
         let mut sp = Scratchpad::new(64 * 1024, 4);
         let mut xbar = Crossbar::new(1, 4);
         let mut fmem = fm();
-        let cfg = MacRxConfig {
-            port: 0,
-            ring: 0x2000,
-            entries: 64,
-            prod_addr: 0x200,
-            claim_addr: 0x204,
-            claim_slack: 0,
-            buf_base: 0x10_0000,
-            buf_bytes: 0x10_0000,
-            tail_addr: 0x208,
-        };
-        let mut mac = MacRx::new(cfg, RxGenerator::new(1472));
+        let mut mac = MacRx::new(rx_cfg(64), RxGenerator::new(1472));
         let mut now = Ps::ZERO;
         for _ in 0..3000 {
             now += Ps(5000);
@@ -625,18 +581,8 @@ mod tests {
         let mut sp = Scratchpad::new(64 * 1024, 4);
         let mut xbar = Crossbar::new(1, 4);
         let mut fmem = fm();
-        let cfg = MacRxConfig {
-            port: 0,
-            ring: 0x2000,
-            entries: 4, // tiny ring, firmware never claims
-            prod_addr: 0x200,
-            claim_addr: 0x204,
-            claim_slack: 0,
-            buf_base: 0x10_0000,
-            buf_bytes: 0x10_0000,
-            tail_addr: 0x208,
-        };
-        let mut mac = MacRx::new(cfg, RxGenerator::new(1472));
+        // A tiny ring, and firmware never claims.
+        let mut mac = MacRx::new(rx_cfg(4), RxGenerator::new(1472));
         let mut now = Ps::ZERO;
         for _ in 0..5000 {
             now += Ps(5000);
@@ -656,24 +602,13 @@ mod tests {
         let mut sp = Scratchpad::new(64 * 1024, 4);
         let mut xbar = Crossbar::new(1, 4);
         let mut fmem = fm();
-        let cfg = MacRxConfig {
-            port: 0,
-            ring: 0x2000,
-            entries: 64,
-            prod_addr: 0x200,
-            claim_addr: 0x204,
-            claim_slack: 0,
-            buf_base: 0x10_0000,
-            buf_bytes: 0x10_0000,
-            tail_addr: 0x208,
-        };
         let plan = FaultPlan {
             link_corrupt: 1.0,
             ..FaultPlan::default()
         };
         let mut generator = RxGenerator::new(1472);
         generator.set_faults(LinkFaults::new(&plan));
-        let mut mac = MacRx::new(cfg, generator);
+        let mut mac = MacRx::new(rx_cfg(64), generator);
         mac.set_crc_check(true);
         let mut now = Ps::ZERO;
         for _ in 0..3000 {

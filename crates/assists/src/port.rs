@@ -15,7 +15,7 @@
 //! can attribute completions by ring index. What differs between the
 //! units — starting a transfer, completing it — stays in the unit.
 
-use crate::cmd::RING_ENTRY_WORDS;
+use crate::cmd::{RingRegs, RING_ENTRY_WORDS};
 use nicsim_mem::{Crossbar, Scratchpad, SpOp, SpRequest};
 use std::collections::VecDeque;
 
@@ -115,10 +115,7 @@ pub enum Polled {
 #[derive(Debug)]
 pub struct CmdRing {
     sp: SpPort,
-    ring: u32,
-    entries: u32,
-    prod_addr: u32,
-    done_addr: u32,
+    regs: RingRegs,
     /// Entries fully read so far.
     fetched: u32,
     fetch_active: bool,
@@ -132,23 +129,19 @@ pub struct CmdRing {
 }
 
 impl CmdRing {
-    /// A ring of `entries` four-word entries at scratchpad address
-    /// `ring`, with its doorbell at `prod_addr` and its done counter at
-    /// `done_addr`, accessed through crossbar requester `port`.
-    pub fn new(port: usize, ring: u32, entries: u32, prod_addr: u32, done_addr: u32) -> CmdRing {
+    /// The ring behind `regs`, accessed through crossbar requester
+    /// `port`.
+    pub fn new(port: usize, regs: RingRegs) -> CmdRing {
         CmdRing {
             sp: SpPort::new(port),
-            ring,
-            entries,
-            prod_addr,
-            done_addr,
+            regs,
             fetched: 0,
             fetch_active: false,
             words: [0; 4],
             done: 0,
             done_written: 0,
             done_inflight: false,
-            retired: vec![false; entries as usize],
+            retired: vec![false; regs.entries as usize],
         }
     }
 
@@ -176,7 +169,7 @@ impl CmdRing {
     /// only over the contiguous prefix.
     #[inline]
     pub fn complete(&mut self, idx: u32) {
-        let n = self.entries;
+        let n = self.regs.entries;
         self.retired[(idx % n) as usize] = true;
         while self.retired[(self.done % n) as usize] {
             self.retired[(self.done % n) as usize] = false;
@@ -216,7 +209,7 @@ impl CmdRing {
     /// transaction) is ahead of what has been read.
     #[inline]
     fn fetch_ready(&self, sp_mem: &Scratchpad) -> bool {
-        !self.fetch_active && self.fetched != sp_mem.peek(self.prod_addr)
+        !self.fetch_active && self.fetched != sp_mem.peek(self.regs.prod)
     }
 
     /// Last step of a tick: read the next entry if the doorbell rang and
@@ -226,7 +219,7 @@ impl CmdRing {
     pub fn issue(&mut self, sp_mem: &Scratchpad, room: bool) {
         if room && self.fetch_ready(sp_mem) {
             self.fetch_active = true;
-            let base = self.ring + (self.fetched % self.entries) * RING_ENTRY_WORDS * 4;
+            let base = self.regs.ring + (self.fetched % self.regs.entries) * RING_ENTRY_WORDS * 4;
             for k in 0..RING_ENTRY_WORDS {
                 self.sp.push(
                     SpRequest {
@@ -240,7 +233,7 @@ impl CmdRing {
         if !self.done_inflight && self.done != self.done_written {
             self.sp.push(
                 SpRequest {
-                    addr: self.done_addr,
+                    addr: self.regs.done,
                     op: SpOp::Write(self.done),
                 },
                 TAG_DONE,
@@ -330,7 +323,15 @@ mod tests {
         (
             sp,
             Crossbar::new(1, 4),
-            CmdRing::new(0, RING, 8, PROD, DONE),
+            CmdRing::new(
+                0,
+                RingRegs {
+                    ring: RING,
+                    entries: 8,
+                    prod: PROD,
+                    done: DONE,
+                },
+            ),
         )
     }
 

@@ -50,12 +50,12 @@ fn main() {
         "Fault sweep: goodput vs injected error rate (6 RMW cores @ 166 MHz)",
         "zero-rate run bit-identical to clean; goodput degrades monotonically; no hangs",
     );
-    // `--faults` seeds the sweep's plans; the rates come from RATES.
+    // `--faults` seeds the sweep's plans; the rates come from RATES, and
+    // the baseline stays plan-free whatever the command line says.
     let base = exp.faults().unwrap_or(FaultPlan::with_rate(7, 0.0));
-    let mut specs = vec![RunSpec::single(
-        "clean",
-        args.configure(NicConfig::default()),
-    )];
+    let mut baseline = args.configure(NicConfig::default());
+    baseline.faults = None;
+    let mut specs = vec![RunSpec::single("clean", baseline)];
     for rate in RATES {
         let plan = FaultPlan {
             link_corrupt: rate,

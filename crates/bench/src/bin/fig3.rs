@@ -27,17 +27,18 @@ fn main() {
         "Figure 3: MESI hit ratio vs per-processor cache size (6 cores)",
         "hit ratio never exceeds ~55%; <1% of writes invalidate",
     );
-    let cfg = args.configure(NicConfig::builder().faults(exp.faults()).build().unwrap());
+    let cfg = args.configure(NicConfig::default());
     let (run, sys) = exp.run_with_probe("rmw@166+trace", cfg, AccessTrace::with_limit(2_000_000));
     let cores = sys.config().cores;
+    let first_mac = sys.config().topology.mactx_port(cores);
     let m = sys.map();
     let trace = sys.unwrap_probe();
-    // Cores keep their ids; DMA pair -> cache 6; MAC pair -> cache 7.
+    // Cores keep their ids; DMA engines -> cache 6; MAC pair -> cache 7.
     let merged = trace.merge_requesters(|r| {
         if r < cores {
             r
-        } else if r < cores + 2 {
-            cores // DMA read + DMA write interleaved
+        } else if r < first_mac {
+            cores // every DMA read + DMA write port interleaved
         } else {
             cores + 1 // MAC TX + MAC RX interleaved
         }

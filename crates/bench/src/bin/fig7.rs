@@ -21,7 +21,6 @@ fn main() {
     let core_counts = [1usize, 2, 4, 6, 8];
     let base = NicConfig::builder()
         .mode(FwMode::SoftwareOnly)
-        .faults(exp.faults())
         .build()
         .unwrap();
     let sweep = Sweep::new(args.configure(base))

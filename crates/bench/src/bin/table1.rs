@@ -29,27 +29,25 @@ fn main() {
         "Function", "Instructions", "Data Accesses"
     );
     let rows = [
-        (FwFunc::FetchSendBd, s.tx_frames),
-        (FwFunc::SendFrame, s.tx_frames),
-        (FwFunc::FetchRecvBd, s.rx_frames),
-        (FwFunc::RecvFrame, s.rx_frames),
+        FwFunc::FetchSendBd,
+        FwFunc::SendFrame,
+        FwFunc::FetchRecvBd,
+        FwFunc::RecvFrame,
     ];
-    for (f, frames) in rows {
+    for f in rows {
         println!(
             "{:<22} {:>14.1} {:>14.1}",
             f.label(),
-            s.instr_per_frame(f, frames),
-            s.accesses_per_frame(f, frames)
+            s.instr_per_frame(f),
+            s.accesses_per_frame(f)
         );
     }
-    let send_i = s.instr_per_frame(FwFunc::FetchSendBd, s.tx_frames)
-        + s.instr_per_frame(FwFunc::SendFrame, s.tx_frames);
-    let recv_i = s.instr_per_frame(FwFunc::FetchRecvBd, s.rx_frames)
-        + s.instr_per_frame(FwFunc::RecvFrame, s.rx_frames);
-    let send_a = s.accesses_per_frame(FwFunc::FetchSendBd, s.tx_frames)
-        + s.accesses_per_frame(FwFunc::SendFrame, s.tx_frames);
-    let recv_a = s.accesses_per_frame(FwFunc::FetchRecvBd, s.rx_frames)
-        + s.accesses_per_frame(FwFunc::RecvFrame, s.rx_frames);
+    let send_i = s.instr_per_frame(FwFunc::FetchSendBd) + s.instr_per_frame(FwFunc::SendFrame);
+    let recv_i = s.instr_per_frame(FwFunc::FetchRecvBd) + s.instr_per_frame(FwFunc::RecvFrame);
+    let send_a =
+        s.accesses_per_frame(FwFunc::FetchSendBd) + s.accesses_per_frame(FwFunc::SendFrame);
+    let recv_a =
+        s.accesses_per_frame(FwFunc::FetchRecvBd) + s.accesses_per_frame(FwFunc::RecvFrame);
     println!("----------------------------------------------------------------");
     println!("send total:    {send_i:6.1} instr {send_a:6.1} accesses  (paper: ~282 instr)");
     println!("receive total: {recv_i:6.1} instr {recv_a:6.1} accesses  (paper: ~253 instr)");

@@ -60,28 +60,22 @@ fn main() {
         FwFunc::RecvDispatch,
         FwFunc::RecvLock,
     ];
-    let frames = |s: &nicsim::RunStats, f: FwFunc| match f {
-        FwFunc::FetchSendBd | FwFunc::SendFrame | FwFunc::SendDispatch | FwFunc::SendLock => {
-            s.tx_frames
-        }
-        _ => s.rx_frames,
-    };
     for f in rows {
         println!(
             "{:<30} | {:>8.1} {:>8.1} {:>8.1} | {:>8.1} {:>8.1} {:>8.1}",
             f.label(),
-            ideal.instr_per_frame(f, frames(ideal, f)),
-            sw.instr_per_frame(f, frames(sw, f)),
-            rmw.instr_per_frame(f, frames(rmw, f)),
-            ideal.accesses_per_frame(f, frames(ideal, f)),
-            sw.accesses_per_frame(f, frames(sw, f)),
-            rmw.accesses_per_frame(f, frames(rmw, f)),
+            ideal.instr_per_frame(f),
+            sw.instr_per_frame(f),
+            rmw.instr_per_frame(f),
+            ideal.accesses_per_frame(f),
+            sw.accesses_per_frame(f),
+            rmw.accesses_per_frame(f),
         );
     }
-    let ord = |s: &nicsim::RunStats, d: FwFunc| s.instr_per_frame(d, frames(s, d));
+    let ord = nicsim::RunStats::instr_per_frame;
     let sd = 100.0 * (1.0 - ord(rmw, FwFunc::SendDispatch) / ord(sw, FwFunc::SendDispatch));
     let rd = 100.0 * (1.0 - ord(rmw, FwFunc::RecvDispatch) / ord(sw, FwFunc::RecvDispatch));
-    let orda = |s: &nicsim::RunStats, d: FwFunc| s.accesses_per_frame(d, frames(s, d));
+    let orda = nicsim::RunStats::accesses_per_frame;
     let sda = 100.0 * (1.0 - orda(rmw, FwFunc::SendDispatch) / orda(sw, FwFunc::SendDispatch));
     let rda = 100.0 * (1.0 - orda(rmw, FwFunc::RecvDispatch) / orda(sw, FwFunc::RecvDispatch));
     println!("----------------------------------------------------------------");

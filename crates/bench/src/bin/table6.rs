@@ -31,12 +31,6 @@ fn main() {
         sw.total_udp_gbps(),
         rmw.total_udp_gbps()
     );
-    let frames = |s: &nicsim::RunStats, f: FwFunc| match f {
-        FwFunc::FetchSendBd | FwFunc::SendFrame | FwFunc::SendDispatch | FwFunc::SendLock => {
-            s.tx_frames
-        }
-        _ => s.rx_frames,
-    };
     println!(
         "{:<30} {:>14} {:>14}",
         "Function", "sw-only @200", "RMW @166"
@@ -56,8 +50,8 @@ fn main() {
     let mut totals = [[0.0f64; 2]; 2];
     for (d, rows) in [send, recv].iter().enumerate() {
         for f in rows {
-            let a = sw.cycles_per_frame(*f, frames(sw, *f));
-            let b = rmw.cycles_per_frame(*f, frames(rmw, *f));
+            let a = sw.cycles_per_frame(*f);
+            let b = rmw.cycles_per_frame(*f);
             totals[d][0] += a;
             totals[d][1] += b;
             println!("{:<30} {:>14.1} {:>14.1}", f.label(), a, b);

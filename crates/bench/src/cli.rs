@@ -18,9 +18,10 @@
 //!   such as `pattern=incast,target=0,fps=2e5`).
 //!
 //! Binaries route each configuration they construct through
-//! [`Args::configure`], so the overrides apply uniformly — sweeps that
+//! [`Args::configure`], so the overrides — and a `--faults` plan, which
+//! every binary accepts — apply uniformly: sweeps that
 //! set their own core axis simply assign `cores` after `configure` and
-//! win — and an override the configuration cannot take (`--cores 2` on
+//! win, and an override the configuration cannot take (`--cores 2` on
 //! the single-core ideal firmware) is a usage error, not a panic.
 
 use nicsim::{ConfigError, DispatchMode, NicConfig};
@@ -135,6 +136,9 @@ impl Args {
     /// The [`ConfigError`] of the configuration with the overrides applied.
     pub fn try_configure(&self, mut cfg: NicConfig) -> Result<NicConfig, ConfigError> {
         cfg.dispatch = self.dispatch;
+        if let Some(plan) = self.exp.faults() {
+            cfg.faults = Some(plan);
+        }
         if let Some(c) = self.cores {
             cfg.cores = c;
         }
@@ -188,15 +192,7 @@ mod tests {
 
     #[test]
     fn configure_applies_overrides() {
-        let args = Args {
-            exp: Experiment::new("t"),
-            dispatch: DispatchMode::Interrupt,
-            cores: Some(3),
-            dma_engines: Some(2),
-            nics: None,
-            shards: None,
-            workload: None,
-        };
+        let args = parse(&["--dispatch=interrupt", "--cores=3", "--dma-engines=2"]).unwrap();
         let cfg = args.configure(NicConfig::default());
         assert_eq!(cfg.dispatch, DispatchMode::Interrupt);
         assert_eq!(cfg.cores, 3);
@@ -214,18 +210,23 @@ mod tests {
             crowded.try_configure(NicConfig::default()),
             Err(ConfigError::TooManyPorts { ports: 106 })
         );
-        let args = Args {
-            exp: Experiment::new("t"),
-            dispatch: DispatchMode::Polling,
-            cores: None,
-            dma_engines: None,
-            nics: None,
-            shards: None,
-            workload: None,
-        };
+        let args = parse(&[]).unwrap();
         let cfg = args.configure(NicConfig::default());
         assert_eq!(cfg.dispatch, DispatchMode::Polling);
         assert_eq!(cfg.cores, NicConfig::default().cores);
         assert_eq!(cfg.topology, nicsim::Topology::default());
+        assert_eq!(cfg.faults, None, "no --faults, no plan");
+    }
+
+    /// `--faults` reaches every configuration a binary builds, not only
+    /// the ones that remembered to ask `exp.faults()`.
+    #[test]
+    fn configure_installs_the_fault_plan() {
+        let args = parse(&["--faults", "seed=1,rate=0.1"]).unwrap();
+        let plan = args.exp.faults();
+        assert_eq!(plan.map(|p| p.seed), Some(1));
+        for cfg in [NicConfig::default(), NicConfig::software_only_200()] {
+            assert_eq!(args.configure(cfg).faults, plan);
+        }
     }
 }

@@ -201,29 +201,33 @@ impl RunStats {
         self.profile.total(|p| p.instructions) as f64 / total as f64
     }
 
-    /// Instructions per frame charged to `func`, normalized by the given
-    /// direction's frame count (Tables 1 and 5).
-    pub fn instr_per_frame(&self, func: FwFunc, frames: u64) -> f64 {
+    /// `count` per frame of `func`'s own direction: transmitted frames
+    /// for the send-side functions, received frames for the rest.
+    fn per_frame(&self, func: FwFunc, count: u64) -> f64 {
+        let frames = if func.is_send() {
+            self.tx_frames
+        } else {
+            self.rx_frames
+        };
         if frames == 0 {
             return 0.0;
         }
-        self.profile.func(func).instructions as f64 / frames as f64
+        count as f64 / frames as f64
+    }
+
+    /// Instructions per frame charged to `func` (Tables 1 and 5).
+    pub fn instr_per_frame(&self, func: FwFunc) -> f64 {
+        self.per_frame(func, self.profile.func(func).instructions)
     }
 
     /// Memory accesses per frame charged to `func`.
-    pub fn accesses_per_frame(&self, func: FwFunc, frames: u64) -> f64 {
-        if frames == 0 {
-            return 0.0;
-        }
-        self.profile.func(func).mem_accesses as f64 / frames as f64
+    pub fn accesses_per_frame(&self, func: FwFunc) -> f64 {
+        self.per_frame(func, self.profile.func(func).mem_accesses)
     }
 
     /// Cycles per frame charged to `func` (Table 6).
-    pub fn cycles_per_frame(&self, func: FwFunc, frames: u64) -> f64 {
-        if frames == 0 {
-            return 0.0;
-        }
-        self.profile.func(func).total_cycles() as f64 / frames as f64
+    pub fn cycles_per_frame(&self, func: FwFunc) -> f64 {
+        self.per_frame(func, self.profile.func(func).total_cycles())
     }
 
     /// Panic if any frame was corrupted, reordered, or spuriously

@@ -15,22 +15,18 @@
 
 use crate::config::{ConfigError, NicConfig};
 use crate::stats::RunStats;
-use nicsim_assists::{
-    dma_tag_engine, DmaConfig, DmaRead, DmaWrite, MacRx, MacRxConfig, MacTx, MacTxConfig,
-};
+use nicsim_assists::{dma_tag_engine, DmaRead, DmaWrite, MacRx, MacRxConfig, MacTx};
 use nicsim_cpu::{CodeLayout, Core, CoreCtx, CoreProfile, PendingOp};
-use nicsim_fault::{
-    DmaFaults, EccFaults, ErrorStats, FwFaults, LinkFaults, SITE_DMA_READ, SITE_DMA_WRITE,
-};
+use nicsim_fault::{EccFaults, ErrorStats, FwFaults, LinkFaults};
 use nicsim_firmware::handlers::HostRegs;
-use nicsim_firmware::map::{DMA_RING, MACRX_RING, MACTX_RING, RXBUF_BASE, RXBUF_BYTES, SLOTS};
+use nicsim_firmware::map::{MACRX_RING, RXBUF_BASE, RXBUF_BYTES};
 use nicsim_firmware::mode::Fw;
-use nicsim_firmware::{dispatch_loop, DispatchMode, MemMap};
+use nicsim_firmware::{dispatch_loop, doorbell_words, DispatchMode, MemMap};
 use nicsim_host::{Driver, DriverConfig, HostLayout, HostMemory, Mailbox};
 use nicsim_mem::{Crossbar, FrameMemory, InstrMemory, Scratchpad, StreamId};
 use nicsim_net::link::RxGenerator;
 use nicsim_net::workload::TxPacket;
-use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe, RecoveryKind};
+use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe};
 use nicsim_sim::{Freq, Ps, WakeTracker};
 
 /// The assembled NIC + host + network simulation.
@@ -206,35 +202,8 @@ impl<P: Probe> SystemBuilder<P> {
         let map = MemMap::for_topology(t.dma_engines);
         let mut sp = Scratchpad::new(cfg.scratchpad_bytes, cfg.banks);
         if cfg.dispatch == DispatchMode::Interrupt {
-            // Doorbell words: every scratchpad location whose write can
-            // make a future dispatch-loop peek succeed. Progress
-            // counters and mailboxes cover the pointer sources (one
-            // done counter per DMA engine and direction); the three
-            // status-bit arrays cover the pending-commit peeks; the
-            // stop flag covers shutdown. Claim counters, commit
-            // pointers, and locks are deliberately unwatched: writes to
-            // them only ever *consume* work, and the watched write that
-            // produced the work already woke every core.
-            for addr in [
-                map.sb_mailbox_prod,
-                map.rb_mailbox_prod,
-                map.mactx_done,
-                map.macrx_prod,
-                map.sbd_parsed,
-                map.stop_flag,
-            ] {
-                sp.watch_range(addr, 4);
-            }
-            for k in 0..t.dma_engines {
-                sp.watch_range(map.dmard(k).done, 4);
-                sp.watch_range(map.dmawr(k).done, 4);
-            }
-            for bits in [
-                map.send_ready_bits,
-                map.send_txdone_bits,
-                map.recv_done_bits,
-            ] {
-                sp.watch_range(bits, SLOTS / 8);
+            for (addr, bytes) in doorbell_words(&map) {
+                sp.watch_range(addr, bytes);
             }
         }
         let xbar = Crossbar::new(t.xbar_ports(cfg.cores), cfg.banks);
@@ -263,36 +232,14 @@ impl<P: Probe> SystemBuilder<P> {
         };
 
         // Frame-side units, each on the crossbar port the topology's
-        // layout assigns and the command rings the memory map holds.
-        let mut dmards = Vec::with_capacity(t.dma_engines);
-        let mut dmawrs = Vec::with_capacity(t.dma_engines);
-        for k in 0..t.dma_engines {
-            let rd = map.dmard(k);
-            dmards.push(DmaRead::new(DmaConfig {
-                port: t.dmard_port(cfg.cores, k),
-                cmd_ring: rd.ring,
-                cmd_entries: DMA_RING,
-                prod_addr: rd.prod,
-                done_addr: rd.done,
-                engine: k as u32,
-            }));
-            let wr = map.dmawr(k);
-            dmawrs.push(DmaWrite::new(DmaConfig {
-                port: t.dmawr_port(cfg.cores, k),
-                cmd_ring: wr.ring,
-                cmd_entries: DMA_RING,
-                prod_addr: wr.prod,
-                done_addr: wr.done,
-                engine: k as u32,
-            }));
-        }
-        let mut mactx = MacTx::new(MacTxConfig {
-            port: t.mactx_port(cfg.cores),
-            ring: map.mactx_ring,
-            entries: MACTX_RING,
-            prod_addr: map.mactx_prod,
-            done_addr: map.mactx_done,
-        });
+        // layout assigns and the ring registers the memory map holds.
+        let mut dmards: Vec<DmaRead> = (0..t.dma_engines)
+            .map(|k| DmaRead::new(t.dmard_port(cfg.cores, k), map.dmard(k).regs(), k))
+            .collect();
+        let mut dmawrs: Vec<DmaWrite> = (0..t.dma_engines)
+            .map(|k| DmaWrite::new(t.dmawr_port(cfg.cores, k), map.dmawr(k).regs(), k))
+            .collect();
+        let mut mactx = MacTx::new(t.mactx_port(cfg.cores), map.mactx());
         let mut generator = match cfg.offered_rx_fps {
             Some(fps) => RxGenerator::with_fps(cfg.udp_payload, fps),
             None => RxGenerator::new(cfg.udp_payload),
@@ -314,21 +261,18 @@ impl<P: Probe> SystemBuilder<P> {
             },
             generator,
         );
+        let boot_at = fleet.as_ref().map_or(Ps::ZERO, |m| m.boot_at);
         let mut fw_faults = Vec::new();
         if let Some(plan) = cfg.faults.as_ref().filter(|_| faults_armed) {
             // Arm every injection site and its recovery mechanism. The
             // CRC check only runs under an armed plan: clean builds —
             // and all-zeros plans — never pay for (or depend on) FCS
-            // computation. Each extra engine is its own fault site
-            // (offset so engine 0 keeps the legacy site ids and default
-            // runs replay unchanged).
+            // computation.
             macrx.set_crc_check(true);
             macrx.generator.set_faults(LinkFaults::new(plan));
-            for (k, d) in dmards.iter_mut().enumerate() {
-                d.set_faults(DmaFaults::new(plan, SITE_DMA_READ + 8 * k as u64));
-            }
-            for (k, d) in dmawrs.iter_mut().enumerate() {
-                d.set_faults(DmaFaults::new(plan, SITE_DMA_WRITE + 8 * k as u64));
+            for (rd, wr) in dmards.iter_mut().zip(&mut dmawrs) {
+                rd.arm(plan, boot_at);
+                wr.arm(plan, boot_at);
             }
             fm.set_faults(EccFaults::new(plan));
             fw_faults = (0..cfg.cores)
@@ -357,16 +301,10 @@ impl<P: Probe> SystemBuilder<P> {
             cores.push(core);
         }
 
-        let boot_at = fleet.as_ref().map_or(Ps::ZERO, |m| m.boot_at);
         if let Some(m) = fleet {
             driver.set_fleet(m.src, m.schedule, m.first_seq, m.rto);
             mactx.capture_egress();
             macrx.generator.set_external();
-            let rd = dmards.iter_mut().filter_map(DmaRead::faults_mut);
-            let wr = dmawrs.iter_mut().filter_map(DmaWrite::faults_mut);
-            for f in rd.chain(wr) {
-                f.rebase(boot_at);
-            }
         }
 
         Ok(NicSystem {
@@ -562,12 +500,11 @@ impl<P: Probe> NicSystem<P> {
                 .tick_probed(now, &mut self.xbar, &self.sp, &mut self.fm, &mut self.probe);
         }
 
-        // Fault supervision: the per-assist watchdog and the abort-count
-        // publication to the host status block. Only live under an armed
-        // plan — clean runs (and all-zeros plans) take one branch here
-        // and nothing else.
+        // The abort-count publication to the host status block. Only
+        // live under an armed plan — clean runs (and all-zeros plans)
+        // take one branch here and nothing else.
         if self.faults_armed {
-            self.fault_supervision(now);
+            self.publish_aborts();
         }
 
         // Frame-memory completions route back to their streams — and,
@@ -599,8 +536,12 @@ impl<P: Probe> NicSystem<P> {
                             Some(d) => d,
                             None => self.on_short_read(c.at),
                         };
-                        self.mactx
-                            .on_sdram_complete_probed(c.at, data, &mut self.probe)
+                        self.mactx.on_sdram_complete_probed(
+                            c.tag as u32,
+                            c.at,
+                            data,
+                            &mut self.probe,
+                        )
                     }
                     StreamId::MacRx => self.macrx.on_sdram_complete_probed(c.at, &mut self.probe),
                 }
@@ -678,27 +619,10 @@ impl<P: Probe> NicSystem<P> {
         &[]
     }
 
-    /// Watchdog pass over the DMA engines plus the abort-count
-    /// publication the driver's transmit-retry accounting reads.
-    ///
-    /// A hung engine with work pending is "stuck"; the first stuck
-    /// observation counts the hang, and once the observation is older
-    /// than the plan's watchdog timeout the system resets the unit.
-    /// Both kernels observe identical cycles here: a stuck engine's
-    /// pending work keeps `busy()` true, which pins the event-driven
-    /// kernel to dense stepping for the whole episode.
-    fn fault_supervision(&mut self, now: Ps) {
-        for (k, d) in self.dmards.iter_mut().enumerate() {
-            let (busy, unit) = (d.busy(&self.sp), FaultUnit::DmaRead);
-            Self::watchdog(busy, d.faults_mut(), unit, k, now, &mut self.probe);
-        }
-        for (k, d) in self.dmawrs.iter_mut().enumerate() {
-            let (busy, unit) = (d.busy(&self.sp), FaultUnit::DmaWrite);
-            Self::watchdog(busy, d.faults_mut(), unit, k, now, &mut self.probe);
-        }
-        // Aborted DMA reads are aborted transmit frames: publish the
-        // cumulative count (summed over every read engine) so the
-        // driver can re-post them.
+    /// Aborted DMA reads are aborted transmit frames: publish the
+    /// cumulative count (summed over every read engine) to the host
+    /// status block so the driver can re-post them.
+    fn publish_aborts(&mut self) {
         let aborts: u32 = self
             .dmards
             .iter()
@@ -709,41 +633,6 @@ impl<P: Probe> NicSystem<P> {
             self.aborts_published = aborts;
             self.host_mem.write_u32(self.status_aborts_addr, aborts);
             self.driver_idle = false;
-        }
-    }
-
-    /// One engine's watchdog step: count the hang on the first stuck
-    /// observation, reset the unit once the observation is older than
-    /// the plan's watchdog timeout.
-    fn watchdog(
-        busy: bool,
-        faults: Option<&mut DmaFaults>,
-        unit: FaultUnit,
-        engine: usize,
-        now: Ps,
-        probe: &mut P,
-    ) {
-        let Some(f) = faults.filter(|f| f.hung && busy) else {
-            return;
-        };
-        let first = f.stuck_since.is_none();
-        if f.observe_stuck(now) {
-            f.watchdog_reset(now);
-            if P::ENABLED {
-                probe.emit(Event::Recovery {
-                    kind: RecoveryKind::WatchdogReset,
-                    unit,
-                    info: engine as u32,
-                    at: now,
-                });
-            }
-        } else if first && P::ENABLED {
-            probe.emit(Event::Fault {
-                kind: FaultKind::AssistHang,
-                unit,
-                info: engine as u32,
-                at: now,
-            });
         }
     }
 
@@ -1166,6 +1055,47 @@ mod tests {
         for cfg in kb.into_iter().chain(banks) {
             let mut sys = NicSystem::build(cfg).finish().expect("sweep point builds");
             sys.run_measured(Ps::from_us(5), Ps::from_us(5));
+        }
+    }
+
+    /// Interrupt dispatch: a write to any word of the firmware's
+    /// doorbell list wakes a parked core for one more scan; a write to
+    /// a word outside it — a lock, a claim counter — does not.
+    #[test]
+    fn doorbell_writes_wake_a_parked_core_and_lock_writes_do_not() {
+        let cfg = NicConfig {
+            cores: 1,
+            dispatch: DispatchMode::Interrupt,
+            send_enabled: false,
+            recv_enabled: false,
+            topology: Topology { dma_engines: 2 },
+            ..NicConfig::default()
+        };
+        let mut sys = NicSystem::build(cfg).finish().unwrap();
+        let map = sys.map();
+        // Wait for the core to park (the first wait covers fetching the
+        // posted receive BDs), then write `addr`. The write lands
+        // between cycles; the wake line rises at the end of the next
+        // one and the core leaves `wfi` on the one after.
+        let mut parked_after_write = |addr: u32| {
+            let deadline = sys.now() + Ps::from_ms(1);
+            while !sys.cores[0].parked() {
+                assert!(sys.now() < deadline, "quiet system, core still running");
+                sys.run_until(sys.now() + Ps::from_us(10));
+            }
+            sys.sp.poke(addr, sys.sp.peek(addr));
+            sys.step();
+            sys.step();
+            sys.cores[0].parked()
+        };
+        for (addr, bytes) in doorbell_words(&map) {
+            for a in (addr..addr + bytes).step_by(4) {
+                assert!(!parked_after_write(a), "{a:#x} is a doorbell");
+            }
+        }
+        let rd = map.dmard(1);
+        for a in [map.lock_sbd, rd.lock, rd.claim, map.recv_commit] {
+            assert!(parked_after_write(a), "{a:#x} is not a doorbell");
         }
     }
 

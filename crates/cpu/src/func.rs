@@ -68,6 +68,13 @@ impl FwFunc {
         }
     }
 
+    /// Whether this is one of the four send-side buckets, whose
+    /// per-frame figures divide by transmitted frames (the rest divide
+    /// by received ones).
+    pub fn is_send(self) -> bool {
+        self.lock_bucket() == FwFunc::SendLock
+    }
+
     /// Row label as printed in the paper's tables.
     pub fn label(self) -> &'static str {
         match self {

@@ -121,9 +121,9 @@ impl Experiment {
         self.trace_path.as_deref()
     }
 
-    /// The fault plan `--faults <spec>` asked for, if any. Binaries
-    /// that support fault injection apply it to every configuration
-    /// they run (`cfg.faults = exp.faults()`); under a plan the engine
+    /// The fault plan `--faults <spec>` asked for, if any. The bench
+    /// binaries' shared `Args::configure` installs it in every
+    /// configuration they run; under a plan the engine
     /// skips the end-to-end cleanliness assertions — drops and retries
     /// are the point — and the report carries `err_*` counters plus the
     /// plan's spec string.

@@ -26,18 +26,19 @@ pub struct DmaFaults {
     /// Next scheduled hang onset (`Ps::MAX` when hangs are disabled).
     next_hang_at: Ps,
     /// The unit is currently wedged (cleared by a watchdog reset).
-    pub hung: bool,
+    hung: bool,
     /// When the unit was first observed stuck (hung with work pending).
-    pub stuck_since: Option<Ps>,
+    stuck_since: Option<Ps>,
     /// This engine's slice of the error table.
     pub stats: ErrorStats,
 }
 
 impl DmaFaults {
     /// Site state for `site` (one of [`SITE_DMA_READ`](crate::SITE_DMA_READ) /
-    /// [`SITE_DMA_WRITE`](crate::SITE_DMA_WRITE)) under `plan`, its
-    /// first hang one period after time zero.
-    pub fn new(plan: &FaultPlan, site: u64) -> DmaFaults {
+    /// [`SITE_DMA_WRITE`](crate::SITE_DMA_WRITE), plus eight per extra
+    /// engine) under `plan`, its first hang one period after `boot_at`:
+    /// time zero, or the boot of a crashed NIC's replacement.
+    pub fn new(plan: &FaultPlan, site: u64, boot_at: Ps) -> DmaFaults {
         let mut faults = DmaFaults {
             rng: XorShift64::for_site(plan.seed, site),
             plan: *plan,
@@ -46,14 +47,14 @@ impl DmaFaults {
             stuck_since: None,
             stats: ErrorStats::default(),
         };
-        faults.rebase(Ps::ZERO);
+        faults.rebase(boot_at);
         faults
     }
 
     /// Rebase the hang schedule onto an absolute restart time: the next
-    /// hang comes one period after `at` — the boot of a crashed NIC's
-    /// replacement, or a watchdog reset. Disabled hangs stay disabled.
-    pub fn rebase(&mut self, at: Ps) {
+    /// hang comes one period after `at` — the boot, or a watchdog
+    /// reset. Disabled hangs stay disabled.
+    fn rebase(&mut self, at: Ps) {
         if self.plan.hang_period_us != 0 {
             self.next_hang_at = at + Ps::from_us(self.plan.hang_period_us);
         }
@@ -168,7 +169,7 @@ mod tests {
             max_retries: 2,
             ..FaultPlan::default()
         };
-        let mut d = DmaFaults::new(&plan, SITE_DMA_READ);
+        let mut d = DmaFaults::new(&plan, SITE_DMA_READ, Ps::ZERO);
         let outcomes: Vec<_> = (0..200).map(|_| d.draw_command()).collect();
         assert!(outcomes.iter().any(|o| o.abort));
         assert!(outcomes.iter().any(|o| o.attempts > 0 && !o.abort));
@@ -193,11 +194,11 @@ mod tests {
             watchdog_us: 5,
             ..FaultPlan::default()
         };
-        let mut d = DmaFaults::new(&plan, SITE_DMA_WRITE);
+        let mut d = DmaFaults::new(&plan, SITE_DMA_WRITE, Ps::ZERO);
         assert!(!d.hang_active(Ps::from_us(9)));
         assert!(d.hang_active(Ps::from_us(10)));
         // Skipping straight past the onset gives the same answer.
-        let mut e = DmaFaults::new(&plan, SITE_DMA_WRITE);
+        let mut e = DmaFaults::new(&plan, SITE_DMA_WRITE, Ps::ZERO);
         assert!(e.hang_active(Ps::from_us(25)));
         // Stuck observations arm the watchdog after the timeout.
         assert!(!d.observe_stuck(Ps::from_us(10)));
@@ -220,7 +221,7 @@ mod tests {
             stall_alpha: 1.2,
             ..FaultPlan::default()
         };
-        let mut d = DmaFaults::new(&plan, SITE_DMA_READ);
+        let mut d = DmaFaults::new(&plan, SITE_DMA_READ, Ps::ZERO);
         let base = Ps(200 * 1000);
         let cap = Ps(base.0 * 100);
         let mut saw_tail = false;
@@ -241,13 +242,14 @@ mod tests {
                 ..FaultPlan::default()
             },
             SITE_DMA_READ,
+            Ps::ZERO,
         );
         assert_eq!(fixed.draw_command().delay, base);
     }
 
     #[test]
     fn poison_draws_only_when_enabled() {
-        let mut off = DmaFaults::new(&FaultPlan::default(), SITE_DMA_WRITE);
+        let mut off = DmaFaults::new(&FaultPlan::default(), SITE_DMA_WRITE, Ps::ZERO);
         let before = off.rng;
         assert_eq!(off.draw_poison(1500), None);
         assert_eq!(off.rng, before, "disabled poison must not consume draws");
@@ -257,6 +259,7 @@ mod tests {
                 ..FaultPlan::default()
             },
             SITE_DMA_WRITE,
+            Ps::ZERO,
         );
         let hit = on.draw_poison(1500).unwrap();
         assert!(hit < 1500);
@@ -270,13 +273,11 @@ mod tests {
             hang_period_us: 10,
             ..FaultPlan::default()
         };
-        let mut d = DmaFaults::new(&plan, SITE_DMA_WRITE);
-        d.rebase(Ps::from_us(100));
+        let mut d = DmaFaults::new(&plan, SITE_DMA_WRITE, Ps::from_us(100));
         assert!(!d.hang_active(Ps::from_us(109)));
         assert!(d.hang_active(Ps::from_us(110)));
-        // Hangs disabled: rebase keeps them disabled.
-        let mut off = DmaFaults::new(&FaultPlan::default(), SITE_DMA_WRITE);
-        off.rebase(Ps::from_us(100));
+        // Hangs disabled: a late boot keeps them disabled.
+        let mut off = DmaFaults::new(&FaultPlan::default(), SITE_DMA_WRITE, Ps::from_us(100));
         assert!(!off.hang_active(Ps::from_us(1_000_000)));
     }
 }

@@ -463,7 +463,7 @@ mod tests {
              flap_down_us=100000000,crash_us=100000000,stall_alpha=0.01",
         )
         .unwrap();
-        let mut d = DmaFaults::new(&plan, SITE_DMA_READ);
+        let mut d = DmaFaults::new(&plan, SITE_DMA_READ, Ps::ZERO);
         let o = d.draw_command();
         assert!(o.abort && o.attempts == 65);
         assert!(

@@ -8,16 +8,83 @@
 //! structure, ordering and committing frames — is charged inside the
 //! handlers to the direction's "Dispatch and Ordering" bucket.
 
+use crate::map::{MemMap, SLOTS};
 use crate::mode::{peek_bit_pending, peek_work, DispatchMode, Fw};
 use nicsim_cpu::FwFunc;
 
-/// The work sources the dispatch loop polls for the default topology:
-/// the seven hardware progress pointers plus the three pending-commit
-/// checks that guarantee a frame marked complete is committed even when
-/// no further completions arrive. Extra DMA engines append two sources
-/// each (their read and write done counters) after these, so the
-/// default scan order is unchanged.
-const N_SOURCES: usize = 10;
+/// What the scan peeks to see whether a source has work.
+#[derive(Debug, Clone, Copy)]
+enum Peek {
+    /// A progress counter ahead of the firmware's claim counter.
+    Work { avail: u32, claim: u32 },
+    /// The status bit at a commit pointer set: a frame marked complete
+    /// is committed even when no further completions arrive.
+    Bit { bits: u32, commit: u32 },
+}
+
+/// What a source with work runs.
+#[derive(Debug, Clone, Copy)]
+enum Handler {
+    FetchSendBds,
+    DmaRdDone(usize),
+    SendFrames,
+    MacTxDone,
+    FetchRecvBds,
+    RecvFrames,
+    DmaWrDone(usize),
+    CommitSendReady,
+    CommitTxDone,
+    CommitRecv,
+}
+
+type Source = (Peek, Handler);
+
+/// The work sources in scan order: the seven hardware progress pointers
+/// and three pending-commit checks of the default topology, then two
+/// per extra DMA engine (its read and write done counters), so the
+/// default order never moves. The scan, its length and the
+/// interrupt-mode doorbells all come from this one list.
+fn sources(m: &MemMap) -> impl Iterator<Item = Source> + '_ {
+    use Handler::*;
+    let work = |avail, claim| Peek::Work { avail, claim };
+    let bit = |bits, commit| Peek::Bit { bits, commit };
+    let dma = move |k: usize| {
+        let (rd, wr) = (m.dmard(k), m.dmawr(k));
+        [
+            (work(rd.done, rd.claim), DmaRdDone(k)),
+            (work(wr.done, wr.claim), DmaWrDone(k)),
+        ]
+    };
+    let [dmard0, dmawr0] = dma(0);
+    [
+        (work(m.sb_mailbox_prod, m.sb_fetched), FetchSendBds),
+        dmard0,
+        (work(m.sbd_parsed, m.sbd_cons), SendFrames),
+        (work(m.mactx_done, m.send_txdone_claim), MacTxDone),
+        (work(m.rb_mailbox_prod, m.rb_fetched), FetchRecvBds),
+        (work(m.macrx_prod, m.recv_claim), RecvFrames),
+        dmawr0,
+        (bit(m.send_ready_bits, m.send_ready_commit), CommitSendReady),
+        (bit(m.send_txdone_bits, m.send_txdone_commit), CommitTxDone),
+        (bit(m.recv_done_bits, m.recv_commit), CommitRecv),
+    ]
+    .into_iter()
+    .chain((1..m.n_dma as usize).flat_map(dma))
+}
+
+/// The interrupt-mode doorbells, as `(address, bytes)`: the stop flag
+/// and every location whose write can make a peek of the scan succeed —
+/// each source's progress counter or status-bit array. Claim counters,
+/// commit pointers and locks are not among them: writes to them only
+/// ever *consume* work, and the write that produced the work already
+/// woke every core.
+pub fn doorbell_words(m: &MemMap) -> impl Iterator<Item = (u32, u32)> + '_ {
+    let peeked = sources(m).map(|(peek, _)| match peek {
+        Peek::Work { avail, .. } => (avail, 4),
+        Peek::Bit { bits, .. } => (bits, SLOTS / 8),
+    });
+    [(m.stop_flag, 4)].into_iter().chain(peeked)
+}
 
 impl Fw {
     /// Draw the per-core instruction-fault site, if armed (draw-free
@@ -40,63 +107,45 @@ impl Fw {
         true
     }
 
-    async fn run_source(&self, src: usize) -> bool {
+    /// One source: the peek that says it has work, one draw of the
+    /// instruction-fault site, then the handler that consumes it. An
+    /// aborted handler counts as work done, so an interrupt-mode core
+    /// re-scans instead of parking.
+    async fn run_source(&self, (peek, handler): Source) -> bool {
         let ctx = &self.ctx;
-        let m = &self.m;
         // Polling a quiet source is idle time; the dispatch cost proper
         // (claim, event construction, ordering) is charged inside the
         // handlers.
         ctx.set_func(FwFunc::Idle);
-        // One source: the peek that says it has work, one draw of the
-        // instruction-fault site, then the handler that consumes it. An
-        // aborted handler counts as work done, so an interrupt-mode core
-        // re-scans instead of parking.
-        macro_rules! source {
-            ($peek:expr => $handler:expr) => {{
-                if !$peek.await {
-                    return false;
-                }
-                if self.fw_fault().await {
-                    return true;
-                }
-                $handler.await
-            }};
+        let pending = match peek {
+            Peek::Work { avail, claim } => peek_work(ctx, avail, claim).await,
+            Peek::Bit { bits, commit } => peek_bit_pending(ctx, bits, commit).await,
+        };
+        if !pending {
+            return false;
         }
-        let work = |avail, claim| peek_work(ctx, avail, claim);
-        let bit = |bits, commit| peek_bit_pending(ctx, bits, commit);
-        let (rd0, wr0) = (m.dmard(0), m.dmawr(0));
-        match src {
-            0 => source!(work(m.sb_mailbox_prod, m.sb_fetched) => self.fetch_send_bds()),
-            1 => source!(work(rd0.done, rd0.claim) => self.process_dmard_completions(0)),
-            2 => source!(work(m.sbd_parsed, m.sbd_cons) => self.send_frames()),
-            3 => source!(work(m.mactx_done, m.send_txdone_claim) => self.process_mactx_done()),
-            4 => source!(work(m.rb_mailbox_prod, m.rb_fetched) => self.fetch_recv_bds()),
-            5 => source!(work(m.macrx_prod, m.recv_claim) => self.recv_frames()),
-            6 => source!(work(wr0.done, wr0.claim) => self.process_dmawr_completions(0)),
-            7 => {
-                source!(bit(m.send_ready_bits, m.send_ready_commit) => self.commit_send_ready());
+        if self.fw_fault().await {
+            return true;
+        }
+        match handler {
+            Handler::FetchSendBds => self.fetch_send_bds().await,
+            Handler::DmaRdDone(k) => self.process_dmard_completions(k).await,
+            Handler::SendFrames => self.send_frames().await,
+            Handler::MacTxDone => self.process_mactx_done().await,
+            Handler::FetchRecvBds => self.fetch_recv_bds().await,
+            Handler::RecvFrames => self.recv_frames().await,
+            Handler::DmaWrDone(k) => self.process_dmawr_completions(k).await,
+            Handler::CommitSendReady => {
+                self.commit_send_ready().await;
                 true
             }
-            8 => {
-                source!(bit(m.send_txdone_bits, m.send_txdone_commit) => self.commit_txdone());
+            Handler::CommitTxDone => {
+                self.commit_txdone().await;
                 true
             }
-            9 => {
-                source!(bit(m.recv_done_bits, m.recv_commit) => self.commit_recv());
+            Handler::CommitRecv => {
+                self.commit_recv().await;
                 true
-            }
-            _ => {
-                // Past the fixed ten: the extra engines' completion
-                // counters, two per engine, the read side first.
-                let k = src - N_SOURCES;
-                let eng = 1 + k / 2;
-                if k.is_multiple_of(2) {
-                    let d = m.dmard(eng);
-                    source!(work(d.done, d.claim) => self.process_dmard_completions(eng))
-                } else {
-                    let d = m.dmawr(eng);
-                    source!(work(d.done, d.claim) => self.process_dmawr_completions(eng))
-                }
             }
         }
     }
@@ -106,7 +155,8 @@ impl Fw {
 /// the system sets the stop flag.
 pub async fn dispatch_loop(fw: Fw) {
     let ctx = &fw.ctx;
-    let n_sources = N_SOURCES + 2 * (fw.m.n_dma as usize - 1);
+    let sources: Vec<Source> = sources(&fw.m).collect();
+    let n_sources = sources.len();
     let mut rot = ctx.core_id() % n_sources;
     loop {
         ctx.set_func(FwFunc::Idle);
@@ -119,8 +169,7 @@ pub async fn dispatch_loop(fw: Fw) {
         ctx.branch().await;
         let mut did_work = false;
         for s in 0..n_sources {
-            let src = (rot + s) % n_sources;
-            if fw.run_source(src).await {
+            if fw.run_source(sources[(rot + s) % n_sources]).await {
                 did_work = true;
             }
         }
@@ -144,6 +193,76 @@ pub async fn dispatch_loop(fw: Fw) {
                     ctx.wfi().await;
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::mode::FwMode;
+    use nicsim_cpu::{CodeLayout, Core, CoreCtx, PendingOp};
+    use nicsim_mem::{Crossbar, ICacheConfig, InstrMemory, Scratchpad, SpOp};
+
+    /// The addresses one scan of a quiet system loads, in order: an
+    /// interrupt-mode core parks after exactly one.
+    fn idle_scan_loads(m: &MemMap) -> Vec<u32> {
+        let mut core = Core::new(0, ICacheConfig::default(), CodeLayout::new());
+        core.slot().borrow_mut().trace = Some(Vec::new());
+        core.install(dispatch_loop(Fw {
+            ctx: CoreCtx::new(core.slot(), 0),
+            m: *m,
+            host: Default::default(),
+            mode: FwMode::RmwEnhanced,
+            dispatch: DispatchMode::Interrupt,
+            fault_aware: false,
+            fw_faults: None,
+        }));
+        let mut sp = Scratchpad::new(256 * 1024, 4);
+        let (mut xbar, mut imem) = (Crossbar::new(1, 4), InstrMemory::new());
+        while !core.parked() {
+            xbar.tick(&mut sp);
+            core.tick(&mut xbar, &mut imem);
+        }
+        let trace = core.slot().borrow_mut().trace.take().expect("tracing");
+        let load = |op| match op {
+            PendingOp::Mem(r) if r.op == SpOp::Read => Some(r.addr),
+            _ => None,
+        };
+        trace.into_iter().filter_map(load).collect()
+    }
+
+    /// The scan loads the stop flag, then a pair per source: the word a
+    /// producer advances and the counter firmware consumes it through.
+    /// The doorbells are the stop flag and the producer side of every
+    /// pair — each range read by exactly one load — and nothing else.
+    #[test]
+    fn doorbell_words_cover_exactly_the_words_the_scan_peeks() {
+        for engines in [1, 2] {
+            let m = MemMap::for_topology(engines);
+            let loads = idle_scan_loads(&m);
+            assert_eq!(loads[0], m.stop_flag);
+            let mut consumed = vec![
+                m.sb_fetched,
+                m.dmard(0).claim,
+                m.sbd_cons,
+                m.send_txdone_claim,
+                m.rb_fetched,
+                m.recv_claim,
+                m.dmawr(0).claim,
+                m.send_ready_commit,
+                m.send_txdone_commit,
+                m.recv_commit,
+            ];
+            consumed.extend((1..engines).flat_map(|k| [m.dmard(k).claim, m.dmawr(k).claim]));
+            assert_eq!(loads.len(), 1 + 2 * consumed.len(), "{engines} engines");
+            for (w, n) in doorbell_words(&m) {
+                let hits = loads.iter().filter(|a| (w..w + n).contains(a)).count();
+                assert_eq!(hits, 1, "{engines} engines, range {w:#x}+{n}");
+            }
+            let watched = |a: &u32| doorbell_words(&m).any(|(w, n)| (w..w + n).contains(a));
+            let quiet: Vec<u32> = loads.into_iter().filter(|a| !watched(a)).collect();
+            assert_eq!(quiet, consumed, "{engines} engines");
         }
     }
 }

@@ -60,7 +60,7 @@ pub const CAL_RECV_COMMIT: u32 = 42;
 
 /// Host-memory addresses the firmware needs (programmed by the driver at
 /// initialization on real hardware).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct HostRegs {
     /// Host send BD ring base.
     pub send_bd_ring: u32,

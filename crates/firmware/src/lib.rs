@@ -37,6 +37,6 @@ pub mod handlers;
 pub mod map;
 pub mod mode;
 
-pub use dispatch::dispatch_loop;
+pub use dispatch::{dispatch_loop, doorbell_words};
 pub use map::{DmaIf, MemMap, MAX_DMA_ENGINES};
 pub use mode::{DispatchMode, FwMode};

@@ -6,6 +6,8 @@
 //! paper's observation that "the frame metadata ... [fits] entirely in
 //! 100 KB" (§2.3), and all of it lives in the 256 KB scratchpad.
 
+use nicsim_assists::cmd::RingRegs;
+
 /// Number of in-flight frame slots per direction (also the size of each
 /// status bit array, in bits).
 pub const SLOTS: u32 = 256;
@@ -94,6 +96,19 @@ pub struct DmaIf {
     pub ring: u32,
     /// Firmware info words parallel to the ring.
     pub info: u32,
+}
+
+impl DmaIf {
+    /// The ring registers the engine behind this interface is built
+    /// from.
+    pub fn regs(&self) -> RingRegs {
+        RingRegs {
+            ring: self.ring,
+            entries: DMA_RING,
+            prod: self.prod,
+            done: self.done,
+        }
+    }
 }
 
 /// All scratchpad addresses (bytes, word-aligned). Built by a linear
@@ -372,6 +387,16 @@ impl MemMap {
     pub fn dmawr(&self, k: usize) -> &DmaIf {
         debug_assert!(k < self.n_dma as usize);
         &self.dmawr_if[k]
+    }
+
+    /// The ring registers MAC TX is built from.
+    pub fn mactx(&self) -> RingRegs {
+        RingRegs {
+            ring: self.mactx_ring,
+            entries: MACTX_RING,
+            prod: self.mactx_prod,
+            done: self.mactx_done,
+        }
     }
 
     /// Statistics word offsets within the stats block.

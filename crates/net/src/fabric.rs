@@ -23,7 +23,7 @@
 //! runs can be compared for identical fabric behavior (order included)
 //! with a single `u64`.
 
-use crate::frame::{endpoints, write_fcs, CRC_BYTES, HEADER_BYTES};
+use crate::frame::{endpoints, seq_of, write_fcs, CRC_BYTES, HEADER_BYTES};
 use crate::link::ETH_OVERHEAD_BYTES;
 use nicsim_fault::FabricFaults;
 use nicsim_sim::Ps;
@@ -204,7 +204,7 @@ impl Fabric {
             self.ports.len()
         );
         let len = frame.len() as u64;
-        let seq = u32::from_be_bytes([frame[42], frame[43], frame[44], frame[45]]);
+        let seq = seq_of(&frame);
         self.stats.offered += 1;
         let t_in = w + self.cfg.link_latency;
         // Fault plane, in a fixed order so the per-site streams advance

@@ -142,6 +142,15 @@ pub fn build_udp_frame(seq: u32, udp_payload: usize) -> Vec<u8> {
     f
 }
 
+/// The sequence number a frame carries in the first four payload bytes
+/// (bytes 42..46); zero for a frame cut short of them.
+#[inline]
+pub fn seq_of(frame: &[u8]) -> u32 {
+    frame
+        .get(HEADER_BYTES..HEADER_BYTES + 4)
+        .map_or(0, |b| u32::from_be_bytes([b[0], b[1], b[2], b[3]]))
+}
+
 /// Stamp fleet endpoint ids into the Ethernet MAC addresses: `dst` into
 /// the low two bytes of the destination MAC, `src` into the low two
 /// bytes of the source MAC. [`validate_frame`] never inspects MAC
@@ -251,7 +260,7 @@ pub fn validate_frame(f: &[u8]) -> Result<FrameInfo, FrameError> {
         return Err(FrameError::BadHeaders);
     }
     let payload = udp_len - 8;
-    let seq = u32::from_be_bytes([f[42], f[43], f[44], f[45]]);
+    let seq = seq_of(f);
     for i in 0..payload - 4 {
         if f[46 + i] != pattern_byte(seq, i) {
             return Err(FrameError::CorruptPayload);
@@ -309,6 +318,10 @@ mod tests {
     #[test]
     fn short_frame_rejected() {
         assert_eq!(validate_frame(&[0u8; 32]), Err(FrameError::TooShort));
+        let f = build_udp_frame(0xdead_beef, 18);
+        assert_eq!(seq_of(&f), 0xdead_beef);
+        assert_eq!(seq_of(&f[..46]), 0xdead_beef);
+        assert_eq!(seq_of(&f[..45]), 0, "cut short of the sequence word");
     }
 
     #[test]

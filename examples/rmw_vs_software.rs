@@ -32,8 +32,8 @@ fn main() {
 
     println!();
     println!("send-side ordering overhead per frame (instructions):");
-    let swd = sw.instr_per_frame(FwFunc::SendDispatch, sw.tx_frames);
-    let rmwd = rmw.instr_per_frame(FwFunc::SendDispatch, rmw.tx_frames);
+    let swd = sw.instr_per_frame(FwFunc::SendDispatch);
+    let rmwd = rmw.instr_per_frame(FwFunc::SendDispatch);
     println!("  software-only: {swd:6.1}   (lock, scan, clear loops)");
     println!("  RMW-enhanced:  {rmwd:6.1}   (single `set` / `update` instructions)");
     println!(
@@ -43,8 +43,8 @@ fn main() {
 
     println!();
     println!("receive-side ordering overhead per frame (instructions):");
-    let swr = sw.instr_per_frame(FwFunc::RecvDispatch, sw.rx_frames);
-    let rmwr = rmw.instr_per_frame(FwFunc::RecvDispatch, rmw.rx_frames);
+    let swr = sw.instr_per_frame(FwFunc::RecvDispatch);
+    let rmwr = rmw.instr_per_frame(FwFunc::RecvDispatch);
     println!("  software-only: {swr:6.1}");
     println!("  RMW-enhanced:  {rmwr:6.1}");
     println!(

@@ -98,6 +98,16 @@ for bad in "table1 2" "table3 100"; do
         exit 1
     fi
 done
+# --faults reaches every binary through Args::configure, not only the
+# ones that ask exp.faults() themselves: a faulted table3 run carries
+# the err_ rows.
+NICSIM_QUICK=1 NICSIM_QUIET=1 NICSIM_RESULTS_DIR=target \
+    ./target/release/table3 --faults seed=1,rate=1e-3 >/dev/null
+if ! grep -q '"err_' target/table3.json; then
+    echo "FAIL: table3 --faults seed=1,rate=1e-3 wrote no err_ rows: the plan was ignored"
+    exit 1
+fi
+rm -f target/table3.json
 
 echo "==> trace smoke (Chrome trace_event + latency percentiles)"
 # The trace binary validates its own output: lifecycle violations

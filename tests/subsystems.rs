@@ -2,7 +2,7 @@
 //! tests inside each crate cannot reach.
 
 use nicsim::NullProbe;
-use nicsim_assists::{DmaConfig, DmaRead};
+use nicsim_assists::{DmaRead, RingRegs};
 use nicsim_firmware::map::{self, MemMap};
 use nicsim_host::{Driver, DriverConfig, HostLayout, HostMemory, Mailbox};
 use nicsim_mem::{Crossbar, FrameMemory, FrameMemoryConfig, Scratchpad, SpOp, SpRequest, StreamId};
@@ -18,15 +18,13 @@ fn dma_read_cycles_its_ring_many_times() {
     let mut host = HostMemory::new(1 << 20);
     let mut fm = FrameMemory::new(FrameMemoryConfig::default());
     let entries = 8u32;
-    let cfg = DmaConfig {
-        port: 0,
-        engine: 0,
-        cmd_ring: 0x1000,
-        cmd_entries: entries,
-        prod_addr: 0x100,
-        done_addr: 0x104,
+    let regs = RingRegs {
+        ring: 0x1000,
+        entries,
+        prod: 0x100,
+        done: 0x104,
     };
-    let mut eng = DmaRead::new(cfg);
+    let mut eng = DmaRead::new(0, regs, 0);
     let total = entries * 3;
     for i in 0..total {
         host.write_u32(0x8000 + i * 4, 0xbeef_0000 | i);
