@@ -24,6 +24,37 @@ pub struct RingRegs {
     pub done: u32,
 }
 
+/// The scratchpad registers and frame-memory region of MAC RX: what
+/// the memory map hands out for the receive MAC, and what it is built
+/// from. MAC RX produces into its descriptor ring rather than
+/// consuming a command ring, so it reads the firmware's counters
+/// instead of writing a done count.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MacRxRegs {
+    /// Byte address of the descriptor ring (`entries` x
+    /// [`RING_ENTRY_WORDS`] words: addr, len, status, checksum info).
+    pub ring: u32,
+    /// Entries in the descriptor ring.
+    pub entries: u32,
+    /// Producer count the MAC writes (frames delivered to firmware).
+    pub prod: u32,
+    /// Firmware's claim counter (frames taken), read as a register to
+    /// bound descriptor-ring occupancy.
+    pub claim: u32,
+    /// Ring entries held back from the occupancy check: the firmware
+    /// reads a descriptor *after* claiming it, so the MAC must not
+    /// overwrite entries the claim counter already covers. At least the
+    /// cores' aggregate in-flight claim batch.
+    pub claim_slack: u32,
+    /// Firmware-advanced free pointer of the receive region (bytes
+    /// retired, monotonic).
+    pub tail: u32,
+    /// Receive region base in the frame memory.
+    pub buf_base: u32,
+    /// Receive region size in bytes (circular).
+    pub buf_bytes: u32,
+}
+
 /// Flag in the DMA command `len` word: the NIC-side address is in the
 /// scratchpad (otherwise it is in the frame memory).
 pub const FLAG_SP: u32 = 1 << 31;

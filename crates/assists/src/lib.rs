@@ -27,7 +27,7 @@ pub mod dma;
 pub mod mac;
 pub mod port;
 
-pub use cmd::RingRegs;
+pub use cmd::{MacRxRegs, RingRegs};
 pub use dma::{dma_tag, dma_tag_engine, DmaRead, DmaWrite};
-pub use mac::{MacRx, MacRxConfig, MacTx};
+pub use mac::{MacRx, MacTx};
 pub use port::{CmdRing, SpPort};

@@ -13,7 +13,7 @@
 //! dropped — a receiver overrun, exactly what happens to a real NIC whose
 //! firmware cannot keep up.
 
-use crate::cmd::RingRegs;
+use crate::cmd::{MacRxRegs, RingRegs};
 use crate::port::{CmdRing, Polled, SpPort};
 use nicsim_fault::LinkFault;
 use nicsim_mem::{Crossbar, FrameMemory, Scratchpad, SpOp, SpRequest, StreamId};
@@ -37,7 +37,6 @@ pub struct MacTx {
     /// Frames in flight on the wire: completion time, the ring entry's
     /// sequence number, and bytes.
     tx_done: VecDeque<(Ps, u32, Vec<u8>)>,
-    frames_sent: u64,
     /// Fleet mode: when enabled, every frame leaving the wire is also
     /// retained as `(wire-done time, bytes)` for the fabric to collect
     /// at the next epoch barrier.
@@ -55,7 +54,6 @@ impl MacTx {
             reads_outstanding: 0,
             wire_busy_until: Ps::ZERO,
             tx_done: VecDeque::new(),
-            frames_sent: 0,
             egress: None,
         }
     }
@@ -77,11 +75,6 @@ impl MacTx {
         std::mem::take(self.egress.as_mut().expect("egress capture enabled"))
     }
 
-    /// Frames fully transmitted.
-    pub fn frames_sent(&self) -> u64 {
-        self.frames_sent
-    }
-
     /// Scratchpad accesses performed.
     pub fn sp_accesses(&self) -> u64 {
         self.ring.sp_accesses()
@@ -90,7 +83,6 @@ impl MacTx {
     /// Zero counters (keeps ring state).
     pub fn reset_stats(&mut self) {
         self.ring.reset_stats();
-        self.frames_sent = 0;
     }
 
     /// The frame-memory read of frame `seq` (the read's tag) completed:
@@ -153,7 +145,6 @@ impl MacTx {
             let (t, seq, frame) = self.tx_done.pop_front().expect("nonempty");
             self.monitor.on_frame(&frame);
             self.ring.complete(self.ring.done());
-            self.frames_sent += 1;
             if P::ENABLED {
                 probe.emit(Event::MacTxWireDone { seq, at: t });
             }
@@ -179,38 +170,10 @@ impl MacTx {
     }
 }
 
-/// MAC RX configuration.
-#[derive(Debug, Clone, Copy)]
-pub struct MacRxConfig {
-    /// Crossbar port.
-    pub port: usize,
-    /// Receive descriptor ring base (4 words per entry: addr, len,
-    /// status, checksum info).
-    pub ring: u32,
-    /// Entries in the descriptor ring.
-    pub entries: u32,
-    /// Producer count the MAC writes (frames delivered to firmware).
-    pub prod_addr: u32,
-    /// Firmware's claim counter (frames taken), read as a register to
-    /// bound descriptor-ring occupancy.
-    pub claim_addr: u32,
-    /// Ring entries held back from the occupancy check: the firmware
-    /// reads a descriptor *after* claiming it, so the MAC must not
-    /// overwrite entries the claim counter already covers. Must be at
-    /// least the cores' aggregate in-flight claim batch.
-    pub claim_slack: u32,
-    /// Receive region base in the frame memory.
-    pub buf_base: u32,
-    /// Receive region size in bytes (circular).
-    pub buf_bytes: u32,
-    /// Firmware-advanced free pointer (bytes retired, monotonic).
-    pub tail_addr: u32,
-}
-
 /// The receive MAC.
 #[derive(Debug)]
 pub struct MacRx {
-    cfg: MacRxConfig,
+    regs: MacRxRegs,
     sp: SpPort,
     /// The inbound traffic source.
     pub generator: RxGenerator,
@@ -225,7 +188,6 @@ pub struct MacRx {
     pending_desc: VecDeque<PendingDesc>,
     prod: u32,
     drops: u64,
-    frames_received: u64,
     /// Whether the MAC verifies the CRC32 FCS of arriving frames
     /// (enabled only under a fault plan; fault-free generators leave the
     /// FCS bytes zero, which would never verify).
@@ -253,18 +215,19 @@ fn align8(n: u32) -> u32 {
 }
 
 impl MacRx {
-    /// Create the receive MAC over an inbound generator.
-    pub fn new(cfg: MacRxConfig, generator: RxGenerator) -> MacRx {
+    /// The receive MAC on crossbar requester `port`, producing into the
+    /// descriptor ring and receive region behind `regs`, over an
+    /// inbound generator.
+    pub fn new(port: usize, regs: MacRxRegs, generator: RxGenerator) -> MacRx {
         MacRx {
-            cfg,
-            sp: SpPort::new(cfg.port),
+            regs,
+            sp: SpPort::new(port),
             generator,
             head: 0,
             writes_outstanding: 0,
             pending_desc: VecDeque::new(),
             prod: 0,
             drops: 0,
-            frames_received: 0,
             crc_check: false,
             crc_dropped: 0,
         }
@@ -286,11 +249,6 @@ impl MacRx {
         self.crc_dropped
     }
 
-    /// Frames accepted off the wire.
-    pub fn frames_received(&self) -> u64 {
-        self.frames_received
-    }
-
     /// Scratchpad accesses performed.
     pub fn sp_accesses(&self) -> u64 {
         self.sp.accesses()
@@ -300,7 +258,6 @@ impl MacRx {
     pub fn reset_stats(&mut self) {
         self.sp.reset_stats();
         self.drops = 0;
-        self.frames_received = 0;
     }
 
     /// An SDRAM write completed: the frame is visible, produce its
@@ -328,7 +285,7 @@ impl MacRx {
                     at: now,
                 });
             }
-            let base = self.cfg.ring + (self.prod % self.cfg.entries) * 16;
+            let base = self.regs.ring + (self.prod % self.regs.entries) * 16;
             // addr, len, status, checksum info.
             for (k, val) in [(0, d.addr), (1, d.len), (2, d.status), (3, 0)] {
                 self.sp.push(
@@ -342,7 +299,7 @@ impl MacRx {
             self.prod += 1;
             self.sp.push(
                 SpRequest {
-                    addr: self.cfg.prod_addr,
+                    addr: self.regs.prod,
                     op: SpOp::Write(self.prod),
                 },
                 TAG_PROD,
@@ -375,8 +332,8 @@ impl MacRx {
                 dropped,
                 at: now,
             };
-            let ring_full = self.prod.wrapping_sub(sp_mem.peek(self.cfg.claim_addr))
-                >= self.cfg.entries - self.cfg.claim_slack;
+            let ring_full = self.prod.wrapping_sub(sp_mem.peek(self.regs.claim))
+                >= self.regs.entries - self.regs.claim_slack;
             if self.crc_check {
                 let injected = self.generator.take_injection();
                 if P::ENABLED {
@@ -422,23 +379,23 @@ impl MacRx {
                     continue;
                 }
             }
-            let tail = sp_mem.peek(self.cfg.tail_addr);
+            let tail = sp_mem.peek(self.regs.tail);
             // Compute the candidate allocation (a wrap bump keeps each
             // frame contiguous in the region).
             let mut head = self.head;
-            let off = head % self.cfg.buf_bytes;
-            if off + 2 + len > self.cfg.buf_bytes {
-                head = head.wrapping_add(self.cfg.buf_bytes - off);
+            let off = head % self.regs.buf_bytes;
+            if off + 2 + len > self.regs.buf_bytes {
+                head = head.wrapping_add(self.regs.buf_bytes - off);
             }
             let new_head = head.wrapping_add(align8(2 + len));
-            if new_head.wrapping_sub(tail) > self.cfg.buf_bytes || ring_full {
+            if new_head.wrapping_sub(tail) > self.regs.buf_bytes || ring_full {
                 self.drops += 1;
                 if P::ENABLED {
                     probe.emit(arrival(true));
                 }
                 continue;
             }
-            let addr = self.cfg.buf_base + head % self.cfg.buf_bytes + 2;
+            let addr = self.regs.buf_base + head % self.regs.buf_bytes + 2;
             if P::ENABLED {
                 probe.emit(arrival(false));
             }
@@ -452,7 +409,6 @@ impl MacRx {
                 status: 1,
                 write_pending: true,
             });
-            self.frames_received += 1;
         }
     }
 
@@ -489,19 +445,18 @@ mod tests {
         FrameMemory::new(FrameMemoryConfig::default())
     }
 
-    /// MAC RX on port 0 with an `entries`-deep ring at 0x2000 and a
-    /// 1 MB receive region.
-    fn rx_cfg(entries: u32) -> MacRxConfig {
-        MacRxConfig {
-            port: 0,
+    /// An `entries`-deep descriptor ring at 0x2000 and a 1 MB receive
+    /// region.
+    fn rx_regs(entries: u32) -> MacRxRegs {
+        MacRxRegs {
             ring: 0x2000,
             entries,
-            prod_addr: 0x200,
-            claim_addr: 0x204,
+            prod: 0x200,
+            claim: 0x204,
             claim_slack: 0,
+            tail: 0x208,
             buf_base: 0x10_0000,
             buf_bytes: 0x10_0000,
-            tail_addr: 0x208,
         }
     }
 
@@ -538,7 +493,6 @@ mod tests {
                 mac.on_sdram_complete_probed(c.tag as u32, c.at, data, &mut NullProbe);
             }
         }
-        assert_eq!(mac.frames_sent(), 2);
         assert_eq!(mac.monitor.frames(), 2);
         assert_eq!(mac.monitor.out_of_order(), 0);
         assert!(mac.monitor.errors().is_empty());
@@ -550,7 +504,7 @@ mod tests {
         let mut sp = Scratchpad::new(64 * 1024, 4);
         let mut xbar = Crossbar::new(1, 4);
         let mut fmem = fm();
-        let mut mac = MacRx::new(rx_cfg(64), RxGenerator::new(1472));
+        let mut mac = MacRx::new(0, rx_regs(64), RxGenerator::new(1472));
         let mut now = Ps::ZERO;
         for _ in 0..3000 {
             now += Ps(5000);
@@ -582,7 +536,7 @@ mod tests {
         let mut xbar = Crossbar::new(1, 4);
         let mut fmem = fm();
         // A tiny ring, and firmware never claims.
-        let mut mac = MacRx::new(rx_cfg(4), RxGenerator::new(1472));
+        let mut mac = MacRx::new(0, rx_regs(4), RxGenerator::new(1472));
         let mut now = Ps::ZERO;
         for _ in 0..5000 {
             now += Ps(5000);
@@ -608,7 +562,7 @@ mod tests {
         };
         let mut generator = RxGenerator::new(1472);
         generator.set_faults(LinkFaults::new(&plan));
-        let mut mac = MacRx::new(rx_cfg(64), generator);
+        let mut mac = MacRx::new(0, rx_regs(64), generator);
         mac.set_crc_check(true);
         let mut now = Ps::ZERO;
         for _ in 0..3000 {
@@ -622,9 +576,12 @@ mod tests {
                 break;
             }
         }
-        assert!(sp.peek(0x200) >= 3, "error descriptors still produce");
-        assert!(mac.crc_dropped() >= 3);
-        assert_eq!(mac.frames_received(), 0, "no corrupt frame accepted");
+        let prod = sp.peek(0x200);
+        assert!(prod >= 3, "error descriptors still produce");
+        assert!(
+            mac.crc_dropped() >= u64::from(prod),
+            "every descriptor produced is a CRC drop: no corrupt frame accepted"
+        );
         assert_eq!(sp.peek(0x2000), 0, "error descriptor carries no buffer");
         assert_eq!(sp.peek(0x2008), 2, "status marks the CRC error");
     }

@@ -1,9 +1,8 @@
 //! Full-system configuration.
 
 use nicsim_fault::FaultPlan;
-use nicsim_firmware::map::{RXBUF_BASE, RXBUF_BYTES};
-use nicsim_firmware::{DispatchMode, FwMode, MemMap, MAX_DMA_ENGINES};
-use nicsim_mem::{FrameMemoryConfig, ICacheConfig, MAX_XBAR_PORTS};
+use nicsim_firmware::{DispatchMode, FwMode, MAX_DMA_ENGINES};
+use nicsim_mem::{ICacheConfig, MAX_XBAR_PORTS};
 use nicsim_net::{fabric::frame_len_for_payload, link::line_rate_fps};
 
 /// How many DMA engine pairs the SoC instantiates beside its one MAC.
@@ -20,8 +19,9 @@ use nicsim_net::{fabric::frame_len_for_payload, link::line_rate_fps};
 /// that layout.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Topology {
-    /// DMA engine pairs (read + write), 1..=4. Firmware stripes BD
-    /// fetches and frame transfers across engines round-robin.
+    /// DMA engine pairs (read + write), `1..=MAX_DMA_ENGINES`, the most
+    /// whose memory map fits the scratchpad. Firmware stripes BD fetches
+    /// and frame transfers across engines round-robin.
     pub dma_engines: usize,
 }
 
@@ -63,8 +63,12 @@ impl Default for Topology {
 ///
 /// The defaults are the paper's headline configuration: 6 cores and 4
 /// scratchpad banks at 166 MHz, 8 KB 2-way I-caches with 32-byte lines,
-/// 500 MHz GDDR SDRAM, RMW-enhanced firmware, and full-duplex streams of
-/// maximum-sized (1472-byte) UDP datagrams.
+/// RMW-enhanced firmware, and full-duplex streams of maximum-sized
+/// (1472-byte) UDP datagrams. What the paper's board fixes and never
+/// varies is not a field: the 256 KB scratchpad
+/// (`nicsim_firmware::map::SCRATCHPAD_BYTES`), the 500 MHz GDDR SDRAM
+/// (`FrameMemoryConfig::default()`) and the driver's polling period
+/// (`nicsim_host::driver::DRIVER_INTERVAL`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub struct NicConfig {
@@ -74,12 +78,8 @@ pub struct NicConfig {
     pub cpu_mhz: u64,
     /// Scratchpad banks (paper: 4).
     pub banks: usize,
-    /// Scratchpad capacity in bytes (paper: 256 KB).
-    pub scratchpad_bytes: usize,
     /// Per-core instruction cache geometry.
     pub icache: ICacheConfig,
-    /// Frame memory (GDDR SDRAM + frame bus) parameters.
-    pub frame_memory: FrameMemoryConfig,
     /// Firmware synchronization mode.
     pub mode: FwMode,
     /// How the dispatch loop waits for work: polling (the paper's
@@ -97,8 +97,6 @@ pub struct NicConfig {
     pub offered_tx_fps: Option<f64>,
     /// Offered receive load in frames/s (`None` = line rate).
     pub offered_rx_fps: Option<f64>,
-    /// CPU cycles between driver invocations (host-side polling period).
-    pub driver_interval: u64,
     /// Record core 0's operation trace (for the ILP study).
     pub capture_ilp: bool,
     /// Deterministic fault-injection plan (`None` = clean run, the
@@ -118,9 +116,7 @@ impl Default for NicConfig {
             cores: 6,
             cpu_mhz: 166,
             banks: 4,
-            scratchpad_bytes: 256 * 1024,
             icache: ICacheConfig::default(),
-            frame_memory: FrameMemoryConfig::default(),
             mode: FwMode::RmwEnhanced,
             dispatch: DispatchMode::Polling,
             udp_payload: 1472,
@@ -128,7 +124,6 @@ impl Default for NicConfig {
             recv_enabled: true,
             offered_tx_fps: None,
             offered_rx_fps: None,
-            driver_interval: 16,
             capture_ilp: false,
             faults: None,
             topology: Topology::default(),
@@ -138,13 +133,10 @@ impl Default for NicConfig {
 
 /// Highest clock the picosecond time base resolves, in MHz
 /// ([`nicsim_sim::Freq`]'s 1 THz limit): the bound on `cpu_mhz`.
-pub const MAX_CPU_MHZ: u64 = 1_000_000;
+const MAX_CPU_MHZ: u64 = 1_000_000;
 /// Largest I-cache `validate` accepts: the 128 KB instruction memory it
 /// caches.
 const MAX_ICACHE_BYTES: usize = 128 * 1024;
-/// Largest frame memory `validate` accepts (the paper's is 8 MB);
-/// `finish()` allocates it.
-const MAX_FRAME_MEMORY_BYTES: u32 = 256 * 1024 * 1024;
 
 /// Why a [`NicConfig`] was rejected by validation.
 ///
@@ -175,11 +167,6 @@ pub enum ConfigError {
         /// The rejected clock in MHz.
         mhz: u64,
     },
-    /// `scratchpad_bytes` was not a whole number of 32-bit words.
-    UnalignedScratchpad {
-        /// The rejected capacity in bytes.
-        bytes: usize,
-    },
     /// `offered_tx_fps` or `offered_rx_fps` was NaN, infinite, zero or
     /// negative — a frame rate has to be a finite positive number — or
     /// `offered_rx_fps` asked the wire for more frames of the configured
@@ -195,15 +182,6 @@ pub enum ConfigError {
         /// The rejected engine count.
         engines: usize,
     },
-    /// The scratchpad memory map for this topology (command rings and
-    /// registers for every DMA engine) does not fit in
-    /// `scratchpad_bytes`.
-    TopologyTooLarge {
-        /// Bytes the memory map needs.
-        needed: usize,
-        /// Bytes the scratchpad has.
-        available: usize,
-    },
     /// `cores` plus the topology's frame-side units need more crossbar
     /// ports than the arbiter's request mask holds.
     TooManyPorts {
@@ -216,14 +194,6 @@ pub enum ConfigError {
     BadICache {
         /// The rejected geometry.
         icache: ICacheConfig,
-    },
-    /// `frame_memory` has a zero `bytes_per_cycle`, `banks` or
-    /// `row_bytes`, a `row_bytes * banks` beyond `u32`, or a `capacity`
-    /// that does not hold the firmware's transmit and receive regions
-    /// or exceeds 256 MB.
-    BadFrameMemory {
-        /// The rejected parameters.
-        frame_memory: FrameMemoryConfig,
     },
     /// [`NicConfigBuilder::faults_spec`] could not parse the fault
     /// specification string, or the fault plan holds a value
@@ -248,9 +218,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadCpuMhz { mhz } => {
                 write!(f, "cpu_mhz must be in 1..={MAX_CPU_MHZ} (got {mhz})")
             }
-            ConfigError::UnalignedScratchpad { bytes } => {
-                write!(f, "scratchpad_bytes must be a multiple of 4 (got {bytes})")
-            }
             ConfigError::BadOfferedFps { direction, fps } => write!(
                 f,
                 "offered_{direction}_fps must be finite and positive, and rx \
@@ -259,11 +226,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::BadDmaEngines { engines } => write!(
                 f,
                 "dma_engines must be in 1..={MAX_DMA_ENGINES} (got {engines})"
-            ),
-            ConfigError::TopologyTooLarge { needed, available } => write!(
-                f,
-                "topology needs a {needed}-byte scratchpad map but only \
-                 {available} bytes are configured"
             ),
             ConfigError::TooManyPorts { ports } => write!(
                 f,
@@ -274,13 +236,6 @@ impl std::fmt::Display for ConfigError {
                 f,
                 "icache bytes must be in 1..={MAX_ICACHE_BYTES} and a multiple \
                  of ways * line_bytes, both nonzero (got {icache:?})"
-            ),
-            ConfigError::BadFrameMemory { frame_memory } => write!(
-                f,
-                "frame_memory needs nonzero bytes_per_cycle, banks and row_bytes, \
-                 row_bytes * banks within u32 and a capacity in {}..=\
-                 {MAX_FRAME_MEMORY_BYTES} (got {frame_memory:?})",
-                RXBUF_BASE + RXBUF_BYTES
             ),
             ConfigError::FaultSpec(msg) => write!(f, "bad fault spec: {msg}"),
         }
@@ -329,12 +284,8 @@ impl NicConfigBuilder {
         cpu_mhz: u64,
         /// Scratchpad banks (paper: 4).
         banks: usize,
-        /// Scratchpad capacity in bytes (paper: 256 KB).
-        scratchpad_bytes: usize,
         /// Per-core instruction cache geometry.
         icache: ICacheConfig,
-        /// Frame memory (GDDR SDRAM + frame bus) parameters.
-        frame_memory: FrameMemoryConfig,
         /// Firmware synchronization mode.
         mode: FwMode,
         /// How the dispatch loop waits for work (polling or interrupt).
@@ -349,8 +300,6 @@ impl NicConfigBuilder {
         offered_tx_fps: Option<f64>,
         /// Offered receive load in frames/s (`None` = line rate).
         offered_rx_fps: Option<f64>,
-        /// CPU cycles between driver invocations.
-        driver_interval: u64,
         /// Record core 0's operation trace (ILP study).
         capture_ilp: bool,
         /// Deterministic fault-injection plan (`None` = clean run).
@@ -359,7 +308,7 @@ impl NicConfigBuilder {
         topology: Topology,
     }
 
-    /// Number of DMA engine pairs (1..=4).
+    /// Number of DMA engine pairs (`1..=MAX_DMA_ENGINES`).
     #[must_use]
     pub fn dma_engines(mut self, dma_engines: usize) -> Self {
         self.cfg.topology.dma_engines = dma_engines;
@@ -430,26 +379,12 @@ impl NicConfig {
         if self.cpu_mhz == 0 || self.cpu_mhz > MAX_CPU_MHZ {
             return Err(ConfigError::BadCpuMhz { mhz: self.cpu_mhz });
         }
-        if !self.scratchpad_bytes.is_multiple_of(4) {
-            return Err(ConfigError::UnalignedScratchpad {
-                bytes: self.scratchpad_bytes,
-            });
-        }
         // What `ICacheConfig::sets` and `ICache::new` assume.
         let c = self.icache;
         let set_bytes = c.ways.checked_mul(c.line_bytes).filter(|&b| b > 0);
         let whole_sets = set_bytes.is_some_and(|b| c.bytes.is_multiple_of(b));
         if !(1..=MAX_ICACHE_BYTES).contains(&c.bytes) || !whole_sets {
             return Err(ConfigError::BadICache { icache: c });
-        }
-        // What `FrameMemory`'s bank arithmetic, its allocation and the
-        // firmware's buffer regions assume.
-        let m = self.frame_memory;
-        if m.bytes_per_cycle == 0
-            || m.row_bytes.checked_mul(m.banks).is_none_or(|b| b == 0)
-            || !(RXBUF_BASE + RXBUF_BYTES..=MAX_FRAME_MEMORY_BYTES).contains(&m.capacity)
-        {
-            return Err(ConfigError::BadFrameMemory { frame_memory: m });
         }
         // The wire bounds receive only: a faster send offer just keeps
         // the send window full.
@@ -475,13 +410,6 @@ impl NicConfig {
         if self.cores > MAX_XBAR_PORTS - assist_ports {
             return Err(ConfigError::TooManyPorts {
                 ports: self.cores.saturating_add(assist_ports),
-            });
-        }
-        let map = MemMap::for_topology(t.dma_engines);
-        if map.end as usize > self.scratchpad_bytes {
-            return Err(ConfigError::TopologyTooLarge {
-                needed: map.end as usize,
-                available: self.scratchpad_bytes,
             });
         }
         Ok(())
@@ -588,15 +516,8 @@ mod tests {
                 engines: MAX_DMA_ENGINES + 1
             })
         );
-        // A wide topology's memory map must fit the scratchpad.
-        let err = NicConfig::builder()
-            .dma_engines(MAX_DMA_ENGINES)
-            .build()
-            .unwrap_err();
-        assert!(matches!(err, ConfigError::TopologyTooLarge { .. }));
         NicConfig::builder()
             .dma_engines(MAX_DMA_ENGINES)
-            .scratchpad_bytes(512 * 1024)
             .build()
             .unwrap();
     }
@@ -637,10 +558,6 @@ mod tests {
             let built = b().cpu_mhz(mhz).build();
             assert_eq!(built, Err(ConfigError::BadCpuMhz { mhz }));
         }
-        assert_eq!(
-            b().scratchpad_bytes(262_146).build(),
-            Err(ConfigError::UnalignedScratchpad { bytes: 262_146 })
-        );
         for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
             let tx = b().offered_tx_fps(Some(bad)).build();
             let rx = b().offered_rx_fps(Some(bad)).build();

@@ -15,15 +15,16 @@
 
 use crate::config::{ConfigError, NicConfig};
 use crate::stats::RunStats;
-use nicsim_assists::{dma_tag_engine, DmaRead, DmaWrite, MacRx, MacRxConfig, MacTx};
+use nicsim_assists::{dma_tag_engine, DmaRead, DmaWrite, MacRx, MacTx};
 use nicsim_cpu::{CodeLayout, Core, CoreCtx, CoreProfile, PendingOp};
 use nicsim_fault::{EccFaults, ErrorStats, FwFaults, LinkFaults};
 use nicsim_firmware::handlers::HostRegs;
-use nicsim_firmware::map::{MACRX_RING, RXBUF_BASE, RXBUF_BYTES};
+use nicsim_firmware::map::SCRATCHPAD_BYTES;
 use nicsim_firmware::mode::Fw;
 use nicsim_firmware::{dispatch_loop, doorbell_words, DispatchMode, MemMap};
+use nicsim_host::driver::DRIVER_INTERVAL;
 use nicsim_host::{Driver, DriverConfig, HostLayout, HostMemory, Mailbox};
-use nicsim_mem::{Crossbar, FrameMemory, InstrMemory, Scratchpad, StreamId};
+use nicsim_mem::{Crossbar, FrameMemory, FrameMemoryConfig, InstrMemory, Scratchpad, StreamId};
 use nicsim_net::link::RxGenerator;
 use nicsim_net::workload::TxPacket;
 use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe};
@@ -60,8 +61,7 @@ pub struct NicSystem<P: Probe = NullProbe> {
     pub(crate) host_mem: HostMemory,
     pub(crate) driver: Driver,
     /// Cycles until the next driver poll (replaces a per-cycle
-    /// frequency-division-and-modulo check); `u64::MAX` when the driver
-    /// never polls.
+    /// frequency-division-and-modulo check).
     pub(crate) driver_countdown: u64,
     /// The driver's last poll changed nothing and the NIC has not
     /// written host memory since, so every poll until the next host
@@ -200,7 +200,7 @@ impl<P: Probe> SystemBuilder<P> {
         let t = cfg.topology;
         let faults_armed = cfg.faults.as_ref().is_some_and(|p| !p.is_noop());
         let map = MemMap::for_topology(t.dma_engines);
-        let mut sp = Scratchpad::new(cfg.scratchpad_bytes, cfg.banks);
+        let mut sp = Scratchpad::new(SCRATCHPAD_BYTES, cfg.banks);
         if cfg.dispatch == DispatchMode::Interrupt {
             for (addr, bytes) in doorbell_words(&map) {
                 sp.watch_range(addr, bytes);
@@ -208,7 +208,7 @@ impl<P: Probe> SystemBuilder<P> {
         }
         let xbar = Crossbar::new(t.xbar_ports(cfg.cores), cfg.banks);
         let imem = InstrMemory::new();
-        let mut fm = FrameMemory::new(cfg.frame_memory);
+        let mut fm = FrameMemory::new(FrameMemoryConfig::default());
 
         // Host.
         let layout = HostLayout::default();
@@ -218,7 +218,6 @@ impl<P: Probe> SystemBuilder<P> {
                 udp_payload: cfg.udp_payload,
                 offered_fps: cfg.offered_tx_fps,
                 send_enabled: cfg.send_enabled,
-                post_burst: 32,
                 fault_aware: faults_armed,
             },
             layout,
@@ -247,20 +246,7 @@ impl<P: Probe> SystemBuilder<P> {
         if !cfg.recv_enabled {
             generator.disable();
         }
-        let mut macrx = MacRx::new(
-            MacRxConfig {
-                port: t.macrx_port(cfg.cores),
-                ring: map.macrx_ring,
-                entries: MACRX_RING,
-                prod_addr: map.macrx_prod,
-                claim_addr: map.recv_claim,
-                claim_slack: 64,
-                buf_base: RXBUF_BASE,
-                buf_bytes: RXBUF_BYTES,
-                tail_addr: map.rxbuf_tail,
-            },
-            generator,
-        );
+        let mut macrx = MacRx::new(t.macrx_port(cfg.cores), map.macrx(), generator);
         let boot_at = fleet.as_ref().map_or(Ps::ZERO, |m| m.boot_at);
         let mut fw_faults = Vec::new();
         if let Some(plan) = cfg.faults.as_ref().filter(|_| faults_armed) {
@@ -324,11 +310,7 @@ impl<P: Probe> SystemBuilder<P> {
             macrx,
             host_mem,
             driver,
-            driver_countdown: if cfg.driver_interval == 0 {
-                u64::MAX
-            } else {
-                cfg.driver_interval
-            },
+            driver_countdown: DRIVER_INTERVAL,
             driver_idle: false,
             skipped_cycles: 0,
             stepped_cycles: 0,
@@ -551,32 +533,30 @@ impl<P: Probe> NicSystem<P> {
         // Host driver (polling period models interrupt mitigation). An
         // idle driver's poll is elided when gating: nothing wrote host
         // memory since a poll that did nothing, so this one would too.
-        if self.driver_countdown != u64::MAX {
-            self.driver_countdown -= 1;
-            if self.driver_countdown == 0 {
-                self.driver_countdown = self.cfg.driver_interval;
-                if !gate || !self.driver_idle {
-                    let acted = self
-                        .driver
-                        .tick_probed(now, &mut self.host_mem, &mut self.probe);
-                    // A time-sensitive driver (offered-load pacing, or a
-                    // fleet schedule with sends still pending) may act on
-                    // a later poll with no external write in between, so
-                    // its polls are never elided.
-                    self.driver_idle = !acted && !self.driver.time_sensitive();
-                    for w in self.driver.take_mailbox_writes() {
-                        let (addr, reg) = match w.reg {
-                            Mailbox::SendBdProd => (self.map.sb_mailbox_prod, "send_bd_prod"),
-                            Mailbox::RxBdProd => (self.map.rb_mailbox_prod, "rx_bd_prod"),
-                        };
-                        self.sp.poke(addr, w.value);
-                        if P::ENABLED {
-                            self.probe.emit(Event::MailboxWrite {
-                                reg,
-                                value: w.value,
-                                at: now,
-                            });
-                        }
+        self.driver_countdown -= 1;
+        if self.driver_countdown == 0 {
+            self.driver_countdown = DRIVER_INTERVAL;
+            if !gate || !self.driver_idle {
+                let acted = self
+                    .driver
+                    .tick_probed(now, &mut self.host_mem, &mut self.probe);
+                // A time-sensitive driver (offered-load pacing, or a
+                // fleet schedule with sends still pending) may act on a
+                // later poll with no external write in between, so its
+                // polls are never elided.
+                self.driver_idle = !acted && !self.driver.time_sensitive();
+                for w in self.driver.take_mailbox_writes() {
+                    let (addr, reg) = match w.reg {
+                        Mailbox::SendBdProd => (self.map.sb_mailbox_prod, "send_bd_prod"),
+                        Mailbox::RxBdProd => (self.map.rb_mailbox_prod, "rx_bd_prod"),
+                    };
+                    self.sp.poke(addr, w.value);
+                    if P::ENABLED {
+                        self.probe.emit(Event::MailboxWrite {
+                            reg,
+                            value: w.value,
+                            at: now,
+                        });
                     }
                 }
             }
@@ -702,18 +682,15 @@ impl<P: Probe> NicSystem<P> {
         for core in &mut self.cores {
             core.skip_cycles(n);
         }
-        if self.driver_countdown != u64::MAX {
-            if n < self.driver_countdown {
-                self.driver_countdown -= n;
-            } else {
-                // The skip crossed driver poll boundaries — legal only
-                // while the driver is provably idle (those polls are
-                // no-ops). Realign the countdown to the next boundary
-                // after the jump.
-                debug_assert!(self.driver_idle, "skipped a live driver poll");
-                let past = (n - self.driver_countdown) % self.cfg.driver_interval;
-                self.driver_countdown = self.cfg.driver_interval - past;
-            }
+        if n < self.driver_countdown {
+            self.driver_countdown -= n;
+        } else {
+            // The skip crossed driver poll boundaries — legal only while
+            // the driver is provably idle (those polls are no-ops).
+            // Realign the countdown to the next boundary after the jump.
+            debug_assert!(self.driver_idle, "skipped a live driver poll");
+            let past = (n - self.driver_countdown) % DRIVER_INTERVAL;
+            self.driver_countdown = DRIVER_INTERVAL - past;
         }
     }
 
@@ -952,21 +929,18 @@ mod tests {
         let fps = [None, Some(f64::NAN), Some(-5.0), Some(0.0), Some(2e4)];
         let mut accepted = 0;
         for cpu_mhz in [0, 1, 166, 1_000_000, 2_000_000, u64::MAX] {
-            for scratchpad_bytes in [0, 262_144, 262_146, 524_288] {
-                for dma_engines in [1, 4] {
-                    for (tx, rx) in [(0, 0), (1, 0), (0, 2), (3, 3), (4, 0), (0, 4)] {
-                        let cfg = NicConfig {
-                            cpu_mhz,
-                            scratchpad_bytes,
-                            offered_tx_fps: fps[tx],
-                            offered_rx_fps: fps[rx],
-                            topology: Topology { dma_engines },
-                            ..NicConfig::default()
-                        };
-                        let built = NicSystem::build(cfg).finish();
-                        assert_eq!(built.is_ok(), cfg.validate().is_ok(), "{cfg:?}");
-                        accepted += built.is_ok() as usize;
-                    }
+            for dma_engines in [1, 3, 4] {
+                for (tx, rx) in [(0, 0), (1, 0), (0, 2), (3, 3), (4, 0), (0, 4)] {
+                    let cfg = NicConfig {
+                        cpu_mhz,
+                        offered_tx_fps: fps[tx],
+                        offered_rx_fps: fps[rx],
+                        topology: Topology { dma_engines },
+                        ..NicConfig::default()
+                    };
+                    let built = NicSystem::build(cfg).finish();
+                    assert_eq!(built.is_ok(), cfg.validate().is_ok(), "{cfg:?}");
+                    accepted += built.is_ok() as usize;
                 }
             }
         }
@@ -976,13 +950,12 @@ mod tests {
         for (cores, dma_engines, fits) in [
             (60, 1, true),
             (61, 1, false),
-            (54, 4, true),
-            (55, 4, false),
+            (56, 3, true),
+            (57, 3, false),
             (usize::MAX, 1, false),
         ] {
             let cfg = NicConfig {
                 cores,
-                scratchpad_bytes: 524_288,
                 topology: Topology { dma_engines },
                 ..NicConfig::default()
             };
@@ -1000,12 +973,11 @@ mod tests {
         }
     }
 
-    /// The gate looks at the cache and the frame memory too: each of
-    /// these ran into an assert in `nicsim-mem` (at assembly or at the
-    /// first burst) or asked `finish()` for a 4 GiB `Vec`.
+    /// The gate looks at the cache geometry too: each of these ran into
+    /// an assert in `nicsim-mem` at assembly.
     #[test]
-    fn validate_gates_cache_and_frame_memory_geometry() {
-        use nicsim_mem::{FrameMemoryConfig, ICacheConfig};
+    fn validate_gates_cache_geometry() {
+        use nicsim_mem::ICacheConfig;
         let d = NicConfig::default();
         let icache = |(bytes, ways, line_bytes)| NicConfig {
             icache: ICacheConfig {
@@ -1024,29 +996,9 @@ mod tests {
             (8192, usize::MAX, 32),
             (1 << 40, 2, 32),
         ];
-        let frame_memories: [fn(&mut FrameMemoryConfig); 6] = [
-            |m| m.bytes_per_cycle = 0,
-            |m| m.banks = 0,
-            |m| m.row_bytes = 0,
-            |m| m.row_bytes = 1 << 31,
-            |m| m.capacity = 1024,
-            |m| m.capacity = u32::MAX,
-        ];
-        let bad = icaches
-            .into_iter()
-            .map(icache)
-            .chain(frame_memories.map(|set| {
-                let mut cfg = d;
-                set(&mut cfg.frame_memory);
-                cfg
-            }));
-        for cfg in bad {
+        for cfg in icaches.into_iter().map(icache) {
             let err = cfg.validate().expect_err("validate must reject");
-            let named = matches!(
-                err,
-                ConfigError::BadICache { .. } | ConfigError::BadFrameMemory { .. }
-            );
-            assert!(named, "{err}");
+            assert!(matches!(err, ConfigError::BadICache { .. }), "{err}");
             assert_eq!(NicSystem::build(cfg).finish().err(), Some(err));
         }
         // The defaults and both ablation sweeps' points still build and run.

@@ -415,7 +415,6 @@ fn kernels_match_on_random_configurations() {
             .cpu_mhz(pick(rng, &[150u64, 200, 300, 500]))
             .mode(pick(rng, &[FwMode::SoftwareOnly, FwMode::RmwEnhanced]))
             .udp_payload(pick(rng, &[32usize, 256, 800, 1472]))
-            .driver_interval(pick(rng, &[500u64, 1000, 2000]))
             .build()
             .unwrap();
         let warmup = Ps::from_us(pick(rng, &[50u64, 80, 120]));

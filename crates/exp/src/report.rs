@@ -7,9 +7,8 @@
 //! built from bit-identical `RunStats` produce byte-identical JSON.
 
 use crate::json::Json;
-use nicsim::{FwMode, NicConfig, RunStats, StatValue, MAX_CPU_MHZ};
+use nicsim::{FwMode, NicConfig, RunStats, StatValue};
 use nicsim_cpu::FwFunc;
-use nicsim_sim::Freq;
 use std::time::Duration;
 
 /// Version tag written into every results file.
@@ -146,7 +145,6 @@ pub fn config_to_json(cfg: &NicConfig) -> Json {
         .with("cores", cfg.cores)
         .with("cpu_mhz", cfg.cpu_mhz)
         .with("banks", cfg.banks)
-        .with("scratchpad_bytes", cfg.scratchpad_bytes)
         .with(
             "icache",
             Json::obj()
@@ -154,27 +152,12 @@ pub fn config_to_json(cfg: &NicConfig) -> Json {
                 .with("ways", cfg.icache.ways)
                 .with("line_bytes", cfg.icache.line_bytes),
         )
-        .with(
-            "frame_memory",
-            Json::obj()
-                .with("mhz", cfg.frame_memory.freq.as_mhz())
-                .with("bytes_per_cycle", cfg.frame_memory.bytes_per_cycle)
-                .with("banks", u64::from(cfg.frame_memory.banks))
-                .with("row_bytes", u64::from(cfg.frame_memory.row_bytes))
-                .with("row_miss_cycles", cfg.frame_memory.row_miss_cycles)
-                .with(
-                    "access_latency_cycles",
-                    cfg.frame_memory.access_latency_cycles,
-                )
-                .with("capacity", u64::from(cfg.frame_memory.capacity)),
-        )
         .with("mode", mode_str(cfg.mode))
         .with("udp_payload", cfg.udp_payload)
         .with("send_enabled", cfg.send_enabled)
         .with("recv_enabled", cfg.recv_enabled)
         .with("offered_tx_fps", cfg.offered_tx_fps)
         .with("offered_rx_fps", cfg.offered_rx_fps)
-        .with("driver_interval", cfg.driver_interval)
         .with(
             "topology",
             Json::obj().with("dma_engines", cfg.topology.dma_engines),
@@ -195,7 +178,10 @@ pub fn config_to_json(cfg: &NicConfig) -> Json {
 /// inverse of [`config_to_json`]. Goes through
 /// [`NicConfig::builder`], so a reconstructed configuration is always
 /// validated; any missing key, malformed value, or invalid combination
-/// is reported as an error string.
+/// is reported as an error string, and so is a key for a setting that
+/// became a constant (`scratchpad_bytes`, `frame_memory`,
+/// `driver_interval`): the file may describe a board this build does
+/// not simulate.
 pub fn config_from_json(doc: &Json) -> Result<NicConfig, String> {
     fn int<T: TryFrom<u64>>(doc: &Json, key: &str) -> Result<T, String> {
         let v = doc
@@ -217,23 +203,22 @@ pub fn config_from_json(doc: &Json) -> Result<NicConfig, String> {
             _ => Err(format!("missing boolean config key `{key}`")),
         }
     }
-    fn rate(doc: &Json, key: &str) -> Option<f64> {
+    fn rate(doc: &Json, key: &str) -> Result<Option<f64>, String> {
         match doc.get(key) {
-            Some(Json::Num(v)) => Some(*v),
-            _ => None,
+            Some(Json::Null) => Ok(None),
+            Some(Json::Num(v)) => Ok(Some(*v)),
+            _ => Err(format!("config key `{key}` must be a number or null")),
         }
     }
-    let icache = doc.get("icache").ok_or("missing `icache` object")?;
-    let fm = doc
-        .get("frame_memory")
-        .ok_or("missing `frame_memory` object")?;
-    // `Freq` asserts the range `validate()` holds `cpu_mhz` to.
-    let fm_mhz: u64 = int(fm, "mhz")?;
-    if !(1..=MAX_CPU_MHZ).contains(&fm_mhz) {
+    if let Some(key) = ["scratchpad_bytes", "frame_memory", "driver_interval"]
+        .into_iter()
+        .find(|k| doc.get(k).is_some())
+    {
         return Err(format!(
-            "config key `mhz` must be in 1..={MAX_CPU_MHZ} (got {fm_mhz})"
+            "config key `{key}` is no longer a setting: the paper's value is built in"
         ));
     }
+    let icache = doc.get("icache").ok_or("missing `icache` object")?;
     let mode = match doc.get("mode").and_then(Json::as_str) {
         Some("ideal") => FwMode::Ideal,
         Some("software-only") => FwMode::SoftwareOnly,
@@ -244,28 +229,17 @@ pub fn config_from_json(doc: &Json) -> Result<NicConfig, String> {
         .cores(int(doc, "cores")?)
         .cpu_mhz(int(doc, "cpu_mhz")?)
         .banks(int(doc, "banks")?)
-        .scratchpad_bytes(int(doc, "scratchpad_bytes")?)
         .icache(nicsim_mem::ICacheConfig {
             bytes: int(icache, "bytes")?,
             ways: int(icache, "ways")?,
             line_bytes: int(icache, "line_bytes")?,
         })
-        .frame_memory(nicsim_mem::FrameMemoryConfig {
-            freq: Freq::from_mhz(fm_mhz),
-            bytes_per_cycle: int(fm, "bytes_per_cycle")?,
-            banks: int(fm, "banks")?,
-            row_bytes: int(fm, "row_bytes")?,
-            row_miss_cycles: int(fm, "row_miss_cycles")?,
-            access_latency_cycles: int(fm, "access_latency_cycles")?,
-            capacity: int(fm, "capacity")?,
-        })
         .mode(mode)
         .udp_payload(int(doc, "udp_payload")?)
         .send_enabled(flag(doc, "send_enabled")?)
         .recv_enabled(flag(doc, "recv_enabled")?)
-        .offered_tx_fps(rate(doc, "offered_tx_fps"))
-        .offered_rx_fps(rate(doc, "offered_rx_fps"))
-        .driver_interval(int(doc, "driver_interval")?);
+        .offered_tx_fps(rate(doc, "offered_tx_fps")?)
+        .offered_rx_fps(rate(doc, "offered_rx_fps")?);
     if let Some(t) = doc.get("topology") {
         b = b.dma_engines(int(t, "dma_engines")?);
         // Files written while the MAC count was an axis carry `"macs": 1`.
@@ -402,7 +376,8 @@ mod tests {
     }
 
     /// Numbers a cast would coerce (negative, fractional, infinite, past
-    /// 2^53, past the field's own type), and the deleted MAC-count axis:
+    /// 2^53), a rate that is neither a number nor null (or missing), the
+    /// deleted MAC-count axis and the settings that became constants:
     /// each is an error naming the key, never a different configuration.
     #[test]
     fn config_from_json_rejects_coercible_numbers_and_extra_macs() {
@@ -411,21 +386,36 @@ mod tests {
             assert!(text.contains(from), "{from} not in {text}");
             config_from_json(&Json::parse(&text.replace(from, to)).unwrap())
         };
+        let tx = "\"offered_tx_fps\":null";
         for (from, to, key) in [
-            (
-                "\"driver_interval\":16",
-                "\"driver_interval\":-1",
-                "driver_interval",
-            ),
+            ("\"udp_payload\":1472", "\"udp_payload\":-1", "udp_payload"),
             ("\"cores\":6", "\"cores\":2.9", "cores"),
             ("\"cores\":6", "\"cores\":1e999", "cores"),
             ("\"cpu_mhz\":166", "\"cpu_mhz\":9007199254740994", "cpu_mhz"),
+            (tx, "\"offered_tx_fps\":\"2e4\"", "offered_tx_fps"),
+            (tx, "\"offered_tx_fps\":false", "offered_tx_fps"),
+            (tx, "\"no_offered_tx_fps\":null", "offered_tx_fps"),
             (
-                "\"row_bytes\":2048",
-                "\"row_bytes\":4294969344",
-                "row_bytes",
+                "\"offered_rx_fps\":null",
+                "\"offered_rx_fps\":[]",
+                "offered_rx_fps",
             ),
             ("\"dma_engines\":1", "\"dma_engines\":1,\"macs\":2", "macs"),
+            (
+                "\"cores\":6",
+                "\"cores\":6,\"scratchpad_bytes\":262144",
+                "scratchpad_bytes",
+            ),
+            (
+                "\"cores\":6",
+                "\"cores\":6,\"frame_memory\":{}",
+                "frame_memory",
+            ),
+            (
+                "\"cores\":6",
+                "\"cores\":6,\"driver_interval\":16",
+                "driver_interval",
+            ),
         ] {
             let err = load(from, to).expect_err(to);
             assert!(err.contains(&format!("`{key}`")), "{to}: {err}");
@@ -434,23 +424,15 @@ mod tests {
         assert_eq!(old_file, Ok(NicConfig::default()));
     }
 
-    /// Values that used to reach an assert: a frame-memory clock
-    /// `Freq::from_hz` panics on (before `validate()` ever ran), and a
-    /// cache geometry `ICacheConfig::sets` panics on, which loaded `Ok`.
+    /// A cache geometry `ICacheConfig::sets` panics on used to load
+    /// `Ok`.
     #[test]
     fn config_from_json_rejects_what_used_to_panic() {
         let text = config_to_json(&NicConfig::default()).compact();
-        for (from, to, needle) in [
-            ("\"mhz\":500", "\"mhz\":0", "`mhz`"),
-            ("\"mhz\":500", "\"mhz\":2000000", "`mhz`"),
-            ("\"ways\":2", "\"ways\":0", "icache"),
-            ("\"capacity\":8388608", "\"capacity\":1024", "frame_memory"),
-        ] {
-            assert!(text.contains(from), "{from} not in {text}");
-            let err =
-                config_from_json(&Json::parse(&text.replace(from, to)).unwrap()).expect_err(to);
-            assert!(err.contains(needle), "{to}: {err}");
-        }
+        let (from, to) = ("\"ways\":2", "\"ways\":0");
+        assert!(text.contains(from), "{from} not in {text}");
+        let err = config_from_json(&Json::parse(&text.replace(from, to)).unwrap()).expect_err(to);
+        assert!(err.contains("icache"), "{to}: {err}");
     }
 
     #[test]

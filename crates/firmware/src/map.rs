@@ -6,13 +6,16 @@
 //! paper's observation that "the frame metadata ... [fits] entirely in
 //! 100 KB" (§2.3), and all of it lives in the 256 KB scratchpad.
 
-use nicsim_assists::cmd::RingRegs;
+use nicsim_assists::cmd::{MacRxRegs, RingRegs};
 
+/// Scratchpad capacity in bytes (the paper's board: 256 KB).
+pub const SCRATCHPAD_BYTES: usize = 256 * 1024;
 /// Number of in-flight frame slots per direction (also the size of each
 /// status bit array, in bits).
 pub const SLOTS: u32 = 256;
-/// Most DMA engine pairs a topology may instantiate.
-pub const MAX_DMA_ENGINES: usize = 4;
+/// Most DMA engine pairs a topology may instantiate: the largest whose
+/// map fits [`SCRATCHPAD_BYTES`].
+pub const MAX_DMA_ENGINES: usize = 3;
 /// Entries in each DMA command ring. Sized above the structural bound
 /// on outstanding commands (frame slots x fragments + BD batches) so the
 /// producers' full-ring spin is a backstop, never the steady state.
@@ -21,6 +24,11 @@ pub const DMA_RING: u32 = 1024;
 pub const MACTX_RING: u32 = 512;
 /// Entries in the MAC RX descriptor ring.
 pub const MACRX_RING: u32 = 512;
+/// MAC RX descriptor-ring entries held back from its occupancy check: a
+/// core reads a descriptor only after releasing the claim lock, so the
+/// MAC must not overwrite what the claim counter already covers (at
+/// least the cores' aggregate in-flight `FRAME_BATCH`).
+pub const MACRX_CLAIM_SLACK: u32 = 64;
 /// Capacity of the raw and parsed buffer-descriptor caches, in BDs.
 pub const BD_CACHE: u32 = 1024;
 /// Entries in the return-descriptor staging ring.
@@ -399,6 +407,21 @@ impl MemMap {
         }
     }
 
+    /// The descriptor ring, counters and receive region MAC RX is built
+    /// from.
+    pub fn macrx(&self) -> MacRxRegs {
+        MacRxRegs {
+            ring: self.macrx_ring,
+            entries: MACRX_RING,
+            prod: self.macrx_prod,
+            claim: self.recv_claim,
+            claim_slack: MACRX_CLAIM_SLACK,
+            tail: self.rxbuf_tail,
+            buf_base: RXBUF_BASE,
+            buf_bytes: RXBUF_BYTES,
+        }
+    }
+
     /// Statistics word offsets within the stats block.
     pub fn stat(&self, idx: u32) -> u32 {
         debug_assert!(idx < 16);
@@ -432,9 +455,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fits_the_scratchpad_and_metadata_budget() {
+    fn stays_near_the_metadata_budget() {
         let m = MemMap::new();
-        assert!(m.end <= 256 * 1024, "must fit the 256 KB scratchpad");
         assert!(
             m.end <= 160 * 1024,
             "metadata should stay near the paper's ~100 KB working set \
@@ -466,12 +488,16 @@ mod tests {
             assert!(addr >= base.end);
             assert_eq!(addr % 4, 0);
         }
-        // The sweep range (2 engines) fits the paper's 256 KB
-        // scratchpad; the max topology needs a bigger one, which
-        // `NicConfig::validate` enforces against `scratchpad_bytes`.
-        assert!(big.end <= 256 * 1024, "got {}", big.end);
-        let max = MemMap::for_topology(MAX_DMA_ENGINES);
-        assert!(max.end > big.end);
+    }
+
+    /// `MAX_DMA_ENGINES` is the largest topology the scratchpad holds:
+    /// one more engine pair (each adds the same block) would not fit.
+    #[test]
+    fn the_scratchpad_holds_exactly_max_dma_engines() {
+        let max = MemMap::for_topology(MAX_DMA_ENGINES).end as usize;
+        let pair = max - MemMap::for_topology(MAX_DMA_ENGINES - 1).end as usize;
+        assert!(max <= SCRATCHPAD_BYTES, "{max}");
+        assert!(max + pair > SCRATCHPAD_BYTES, "{} fits", max + pair);
     }
 
     /// One FNV-1a value over every address the map hands out, in
@@ -484,7 +510,7 @@ mod tests {
         for (dma_engines, want) in [
             (1, 0x9b59_f8f3_814d_2370u64),
             (2, 0x650f_253c_5525_b8b8),
-            (4, 0x5e93_402d_f1d2_19e5),
+            (3, 0xa3cb_992c_997e_0b89),
         ] {
             let m = MemMap::for_topology(dma_engines);
             let mut words = vec![

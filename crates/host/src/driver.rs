@@ -24,6 +24,12 @@ use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 pub const SEND_BD_RING_ENTRIES: u32 = 1024;
 /// Maximum send frames in flight (limited by the BD ring).
 pub const SEND_FRAME_WINDOW: u32 = SEND_BD_RING_ENTRIES / 2;
+/// CPU cycles between driver invocations: the host's polling period,
+/// which models interrupt mitigation.
+pub const DRIVER_INTERVAL: u64 = 16;
+/// Most send frames posted per driver invocation (receive buffers: twice
+/// as many).
+const POST_BURST: u32 = 32;
 /// Number of receive buffer descriptors in the ring.
 pub const RX_BD_RING_ENTRIES: u32 = 1024;
 /// Number of preallocated receive buffers.
@@ -108,8 +114,6 @@ pub struct DriverConfig {
     pub offered_fps: Option<f64>,
     /// Whether the host transmits at all.
     pub send_enabled: bool,
-    /// Maximum frames posted per driver invocation.
-    pub post_burst: u32,
     /// Whether the NIC runs under a fault plan: the driver then honors
     /// error-flagged return descriptors (recycling the buffer instead of
     /// validating it) and re-posts transmit frames the NIC aborted,
@@ -123,7 +127,6 @@ impl Default for DriverConfig {
             udp_payload: 1472,
             offered_fps: None,
             send_enabled: true,
-            post_burst: 32,
             fault_aware: false,
         }
     }
@@ -424,7 +427,7 @@ impl Driver {
         }
         self.stats.tx_completed = completed_frames as u64;
         let in_flight = self.tx_slot_next - completed_frames;
-        let mut budget = (SEND_FRAME_WINDOW - in_flight).min(self.cfg.post_burst);
+        let mut budget = (SEND_FRAME_WINDOW - in_flight).min(POST_BURST);
         if let Some(fps) = self.cfg.offered_fps {
             let allowed = (now.as_secs_f64() * fps) as u64;
             budget = budget.min((allowed.saturating_sub(self.tx_seq_next as u64)) as u32);
@@ -607,7 +610,7 @@ impl Driver {
         let outstanding = self.rx_bd_prod - self.rx_frames_returned;
         let room = RX_BD_RING_ENTRIES - outstanding;
         let mut posted = 0;
-        for _ in 0..room.min(self.cfg.post_burst * 2) {
+        for _ in 0..room.min(POST_BURST * 2) {
             let Some(buf) = self.rx_free_bufs.pop_front() else {
                 break;
             };

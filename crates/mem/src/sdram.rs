@@ -104,7 +104,6 @@ pub struct FrameMemory {
     // stats
     padded_bytes: u64,
     wasted_bytes: u64,
-    row_activations: u64,
     bursts: u64,
     latency_sum_ps: u64,
     latency_max: Ps,
@@ -125,7 +124,6 @@ impl FrameMemory {
             ecc: None,
             padded_bytes: 0,
             wasted_bytes: 0,
-            row_activations: 0,
             bursts: 0,
             latency_sum_ps: 0,
             latency_max: Ps::ZERO,
@@ -221,7 +219,6 @@ impl FrameMemory {
         if self.open_row[bank] != Some(row) {
             cycles += self.cfg.row_miss_cycles;
             self.open_row[bank] = Some(row);
-            self.row_activations += 1;
         }
         cycles += padded.div_ceil(self.cfg.bytes_per_cycle);
         Ps(self.period.0 * cycles)
@@ -326,11 +323,6 @@ impl FrameMemory {
         self.wasted_bytes
     }
 
-    /// Row activations performed.
-    pub fn row_activations(&self) -> u64 {
-        self.row_activations
-    }
-
     /// Mean burst latency (submit to completion).
     pub fn mean_latency(&self) -> Ps {
         self.latency_sum_ps
@@ -352,7 +344,6 @@ impl FrameMemory {
     pub fn reset_stats(&mut self) {
         self.padded_bytes = 0;
         self.wasted_bytes = 0;
-        self.row_activations = 0;
         self.bursts = 0;
         self.latency_sum_ps = 0;
         self.latency_max = Ps::ZERO;
@@ -429,8 +420,14 @@ mod tests {
         let mut m = fm();
         m.submit_write(StreamId::MacRx, 0, &[0u8; 512], 0, Ps::ZERO);
         m.submit_write(StreamId::MacRx, 512, &[0u8; 512], 1, Ps::ZERO);
-        m.advance(Ps::from_us(1));
-        assert_eq!(m.row_activations(), 1, "second burst hits the open row");
+        let done = m.advance(Ps::from_us(1));
+        let c = *m.config();
+        let hit = c
+            .freq
+            .cycles(c.access_latency_cycles + 512 / c.bytes_per_cycle);
+        let miss = hit + c.freq.cycles(c.row_miss_cycles);
+        assert_eq!(done[0].at, miss, "the first burst opens the row");
+        assert_eq!(done[1].at - done[0].at, hit, "the second hits it");
     }
 
     #[test]

@@ -31,9 +31,6 @@ pub type RequesterId = usize;
 pub struct PortStats {
     /// Transactions granted on this port.
     pub grants: u64,
-    /// Cycles a pending request waited beyond its first arbitration
-    /// opportunity (bank conflicts).
-    pub conflict_cycles: u64,
 }
 
 /// All state owned by one requester port.
@@ -73,7 +70,6 @@ pub struct Crossbar {
     fresh: u64,
     /// Ports holding a consumable response.
     ready: u64,
-    bank_busy_cycles: Vec<u64>,
 }
 
 impl Crossbar {
@@ -104,7 +100,6 @@ impl Crossbar {
             requesting: 0,
             fresh: 0,
             ready: 0,
-            bank_busy_cycles: vec![0; banks],
         }
     }
 
@@ -131,8 +126,8 @@ impl Crossbar {
     /// Whether the next [`Crossbar::tick`] would do real work, i.e. some
     /// port has an ungranted request. A tick with no pending requests is
     /// a pure cycle increment: unconsumed responses are untouched, the
-    /// round-robin pointers only move on grants, and no conflict cycles
-    /// accrue — so the kernel may [`Crossbar::skip_cycles`] instead.
+    /// round-robin pointers only move on grants, and no request loses
+    /// arbitration — so the kernel may [`Crossbar::skip_cycles`] instead.
     #[inline]
     pub fn needs_tick(&self) -> bool {
         self.requesting != 0
@@ -140,8 +135,8 @@ impl Crossbar {
 
     /// Let `n` cycles pass without arbitrating — exactly equivalent to
     /// `n` calls to [`Crossbar::tick`] while no request is pending (no
-    /// grants, no conflict accrual, and the round-robin pointers only
-    /// move on grants). Outstanding *responses* are fine: the latest
+    /// grants, no conflicts, and the round-robin pointers only move on
+    /// grants). Outstanding *responses* are fine: the latest
     /// tick's become consumable, and ticks never touch them otherwise.
     ///
     /// # Panics
@@ -177,25 +172,16 @@ impl Crossbar {
         self.ports[port].stats
     }
 
-    /// Cycles each bank spent servicing a transaction.
-    pub fn bank_busy_cycles(&self) -> &[u64] {
-        &self.bank_busy_cycles
-    }
-
     /// Reset all counters (used to discard warm-up before measurement).
     pub fn reset_stats(&mut self) {
         for p in &mut self.ports {
             p.stats = PortStats::default();
         }
-        for b in &mut self.bank_busy_cycles {
-            *b = 0;
-        }
     }
 
     /// Arbitrate one CPU cycle: grant at most one pending transaction per
     /// bank, execute it against `sp`, and make the response consumable on
-    /// the next cycle. Ungranted-but-seen requests accumulate conflict
-    /// cycles.
+    /// the next cycle.
     pub fn tick(&mut self, sp: &mut Scratchpad) {
         self.tick_probed(sp, Ps::ZERO, &mut NullProbe);
     }
@@ -230,21 +216,18 @@ impl Crossbar {
                 });
             }
             port.stats.grants += 1;
-            self.bank_busy_cycles[bank] += 1;
         }
         // Every request still pending after this arbitration round lost a
         // cycle to a bank conflict (uncontended requests are granted on
         // their first round).
-        let mut losers = self.requesting;
-        while losers != 0 {
-            let p = losers.trailing_zeros() as usize;
-            losers &= losers - 1;
-            let port = &mut self.ports[p];
-            port.stats.conflict_cycles += 1;
-            if P::ENABLED {
+        if P::ENABLED {
+            let mut losers = self.requesting;
+            while losers != 0 {
+                let p = losers.trailing_zeros() as usize;
+                losers &= losers - 1;
                 probe.emit(Event::SpConflict {
                     port: p,
-                    bank: port.bank,
+                    bank: self.ports[p].bank,
                     at: now,
                 });
             }
@@ -260,6 +243,20 @@ mod tests {
         (Crossbar::new(ports, banks), Scratchpad::new(4096, banks))
     }
 
+    /// One tick; the ports that lost arbitration on it, from its
+    /// `SpConflict` events.
+    fn tick_losers(xb: &mut Crossbar, sp: &mut Scratchpad) -> Vec<usize> {
+        let mut log = nicsim_obs::EventLog::new();
+        xb.tick_probed(sp, Ps::ZERO, &mut log);
+        log.events()
+            .iter()
+            .filter_map(|e| match *e {
+                Event::SpConflict { port, .. } => Some(port),
+                _ => None,
+            })
+            .collect()
+    }
+
     #[test]
     fn two_cycle_uncontended_latency() {
         let (mut xb, mut sp) = setup(2, 4);
@@ -272,12 +269,11 @@ mod tests {
             },
         );
         // Cycle 1: granted, executes; response not yet consumable.
-        xb.tick(&mut sp);
+        assert_eq!(tick_losers(&mut xb, &mut sp), []);
         assert_eq!(xb.take_response(0), None);
         // Cycle 2: consumable.
         xb.tick(&mut sp);
         assert_eq!(xb.take_response(0), Some(77));
-        assert_eq!(xb.port_stats(0).conflict_cycles, 0);
     }
 
     #[test]
@@ -298,15 +294,13 @@ mod tests {
                 op: SpOp::Write(2),
             },
         );
-        xb.tick(&mut sp); // one granted
-        xb.tick(&mut sp); // other granted
+        // One granted, the other loses one cycle; then it is granted.
+        assert_eq!(tick_losers(&mut xb, &mut sp).len(), 1);
+        assert_eq!(tick_losers(&mut xb, &mut sp), []);
         xb.tick(&mut sp);
         let r0 = xb.take_response(0);
         let r1 = xb.take_response(1);
         assert!(r0.is_some() && r1.is_some());
-        // Exactly one port saw one conflict cycle.
-        let conflicts = xb.port_stats(0).conflict_cycles + xb.port_stats(1).conflict_cycles;
-        assert_eq!(conflicts, 1);
         assert_eq!(sp.peek(0), 1);
         assert_eq!(sp.peek(16), 2);
     }
@@ -328,12 +322,10 @@ mod tests {
                 op: SpOp::Write(2),
             },
         );
-        xb.tick(&mut sp);
+        assert_eq!(tick_losers(&mut xb, &mut sp), []);
         xb.tick(&mut sp);
         assert_eq!(xb.take_response(0), Some(1));
         assert_eq!(xb.take_response(1), Some(2));
-        assert_eq!(xb.port_stats(0).conflict_cycles, 0);
-        assert_eq!(xb.port_stats(1).conflict_cycles, 0);
     }
 
     #[test]
@@ -458,10 +450,7 @@ mod tests {
         b.tick(&mut spb);
         assert_eq!(a.take_response(0), Some(3));
         assert_eq!(b.take_response(0), Some(3));
-        assert_eq!(
-            a.port_stats(0).conflict_cycles,
-            b.port_stats(0).conflict_cycles
-        );
+        assert_eq!(a.port_stats(0).grants, b.port_stats(0).grants);
     }
 
     #[test]
@@ -489,10 +478,9 @@ mod tests {
     struct ScanXbar {
         pending: Vec<Option<SpRequest>>,
         response: Vec<Option<(u32, u64)>>,
-        stats: Vec<PortStats>,
+        grants: Vec<u64>,
         arbiters: Vec<RoundRobin>,
         cycle: u64,
-        bank_busy: Vec<u64>,
     }
 
     impl ScanXbar {
@@ -500,15 +488,15 @@ mod tests {
             ScanXbar {
                 pending: vec![None; ports],
                 response: vec![None; ports],
-                stats: vec![PortStats::default(); ports],
+                grants: vec![0; ports],
                 arbiters: vec![RoundRobin::new(ports); banks],
                 cycle: 0,
-                bank_busy: vec![0; banks],
             }
         }
 
-        /// One cycle; returns the `(port, bank)` grants in order.
-        fn tick(&mut self, sp: &mut Scratchpad) -> Vec<(usize, usize)> {
+        /// One cycle; returns the `(port, bank)` grants in order, then
+        /// the ports left waiting (each lost the cycle to a conflict).
+        fn tick(&mut self, sp: &mut Scratchpad) -> (Vec<(usize, usize)>, Vec<usize>) {
             self.cycle += 1;
             let mut grants = Vec::new();
             for bank in 0..self.arbiters.len() {
@@ -518,15 +506,14 @@ mod tests {
                 if let Some(p) = winner {
                     let req = self.pending[p].take().unwrap();
                     self.response[p] = Some((sp.execute(req), self.cycle + 1));
-                    self.stats[p].grants += 1;
-                    self.bank_busy[bank] += 1;
+                    self.grants[p] += 1;
                     grants.push((p, bank));
                 }
             }
-            for p in 0..self.pending.len() {
-                self.stats[p].conflict_cycles += u64::from(self.pending[p].is_some());
-            }
-            grants
+            let losers = (0..self.pending.len())
+                .filter(|&p| self.pending[p].is_some())
+                .collect();
+            (grants, losers)
         }
 
         fn take_response(&mut self, p: usize) -> Option<u32> {
@@ -568,15 +555,16 @@ mod tests {
                 );
                 let mut log = nicsim_obs::EventLog::new();
                 xb.tick_probed(&mut sp, Ps::ZERO, &mut log);
-                let grants: Vec<(usize, usize)> = log
-                    .events()
-                    .iter()
-                    .filter_map(|e| match *e {
-                        Event::SpGrant { port, bank, .. } => Some((port, bank)),
-                        _ => None,
-                    })
-                    .collect();
-                assert_eq!(grants, reference.tick(&mut ref_sp), "{ports}x{banks}");
+                let (mut grants, mut losers) = (Vec::new(), Vec::new());
+                for e in log.events() {
+                    match *e {
+                        Event::SpGrant { port, bank, .. } => grants.push((port, bank)),
+                        Event::SpConflict { port, .. } => losers.push(port),
+                        _ => {}
+                    }
+                }
+                let want = reference.tick(&mut ref_sp);
+                assert_eq!((grants, losers), want, "{ports}x{banks}");
                 for p in 0..ports {
                     if rng.below(2) == 0 {
                         assert_eq!(xb.take_response(p), reference.take_response(p));
@@ -584,11 +572,9 @@ mod tests {
                 }
             }
             for p in 0..ports {
-                let (got, want) = (xb.port_stats(p), reference.stats[p]);
-                assert_eq!(got.grants, want.grants, "{ports}x{banks} port {p}");
-                assert_eq!(got.conflict_cycles, want.conflict_cycles);
+                let (got, want) = (xb.port_stats(p).grants, reference.grants[p]);
+                assert_eq!(got, want, "{ports}x{banks} port {p}");
             }
-            assert_eq!(xb.bank_busy_cycles(), &reference.bank_busy[..]);
             assert!((0..48).step_by(4).all(|a| sp.peek(a) == ref_sp.peek(a)));
         }
     }

@@ -139,12 +139,6 @@ impl Freq {
         self.hz
     }
 
-    /// The frequency in (fractional) megahertz.
-    #[inline]
-    pub fn as_mhz(self) -> f64 {
-        self.hz as f64 / 1e6
-    }
-
     /// The clock period, rounded to the nearest picosecond.
     #[inline]
     pub fn period(self) -> Ps {

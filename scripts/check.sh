@@ -150,6 +150,24 @@ for f in results/*.json; do
     fi
 done
 
+echo "==> results stamps (every results/*.json from a clean tree in this history)"
+# A results file's "git" stamp is `git describe --dirty` at the run. A
+# -dirty stamp means the numbers came from uncommitted code; a stamp
+# that is not an ancestor of HEAD names code this tree never had.
+for f in results/*.json; do
+    stamp=$(sed -n 's/^ *"git": "\(.*\)",$/\1/p' "$f" | head -n 1)
+    case $stamp in
+    "" | *-dirty)
+        echo "FAIL: $f has git stamp '$stamp': regenerate it from a clean tree"
+        exit 1
+        ;;
+    esac
+    if ! git merge-base --is-ancestor "$stamp" HEAD 2>/dev/null; then
+        echo "FAIL: $f has git stamp '$stamp', which is not an ancestor of HEAD"
+        exit 1
+    fi
+done
+
 echo "==> cargo clippy (deny warnings)"
 if cargo clippy --version >/dev/null 2>&1; then
     cargo clippy --workspace --all-targets --quiet -- -D warnings

@@ -205,4 +205,8 @@ fn map_constants_are_mutually_consistent() {
     );
     assert!(map::BD_CACHE.is_multiple_of(map::SEND_BD_BATCH));
     assert!(map::BD_CACHE.is_multiple_of(map::RECV_BD_BATCH));
+    assert!(
+        FrameMemoryConfig::default().capacity >= map::RXBUF_BASE + map::RXBUF_BYTES,
+        "the frame memory holds the receive region"
+    );
 }
