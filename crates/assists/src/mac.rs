@@ -165,6 +165,7 @@ impl MacTx {
 
     /// The next wire completion: `tick` pops `tx_done` entries whose
     /// time has come, so the clock must not jump past the head.
+    #[inline]
     pub fn next_event(&self) -> Ps {
         self.tx_done.front().map_or(Ps::MAX, |(t, ..)| *t)
     }
@@ -416,6 +417,7 @@ impl MacRx {
     /// accepting an arrival (arrivals are time-driven, see
     /// [`MacRx::next_event`]): descriptor or producer writes pending on
     /// the scratchpad port.
+    #[inline]
     pub fn busy(&self) -> bool {
         self.sp.backlog() > 0
     }
@@ -425,6 +427,7 @@ impl MacRx {
     /// cannot run regardless of arrivals (overdue frames wait, without
     /// being dropped, exactly as in the dense kernel); the wake then
     /// comes from the SDRAM completion that frees a buffer.
+    #[inline]
     pub fn next_event(&self) -> Ps {
         if self.writes_outstanding < 2 {
             self.generator.next_arrival()

@@ -45,6 +45,7 @@ impl SpPort {
     }
 
     /// Transactions not yet completed (queued + in flight).
+    #[inline]
     pub fn backlog(&self) -> usize {
         self.queue.len() + usize::from(self.inflight.is_some())
     }
@@ -62,6 +63,7 @@ impl SpPort {
 
     /// Advance one cycle: collect the completed transaction (if any) and
     /// issue the next queued one. Returns `(tag, response)` on completion.
+    #[inline]
     pub fn tick(&mut self, xbar: &mut Crossbar) -> Option<(u32, u32)> {
         let mut done = None;
         if let Some(tag) = self.inflight {

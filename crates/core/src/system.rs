@@ -24,7 +24,9 @@ use nicsim_firmware::mode::Fw;
 use nicsim_firmware::{dispatch_loop, doorbell_words, DispatchMode, MemMap};
 use nicsim_host::driver::DRIVER_INTERVAL;
 use nicsim_host::{Driver, DriverConfig, HostLayout, HostMemory, Mailbox};
-use nicsim_mem::{Crossbar, FrameMemory, FrameMemoryConfig, InstrMemory, Scratchpad, StreamId};
+use nicsim_mem::{
+    Crossbar, FrameMemory, FrameMemoryConfig, InstrMemory, Listener, Scratchpad, StreamId,
+};
 use nicsim_net::link::RxGenerator;
 use nicsim_net::workload::TxPacket;
 use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe};
@@ -70,6 +72,10 @@ pub struct NicSystem<P: Probe = NullProbe> {
     /// time-sensitive — offered-load pacing, or a fleet schedule with
     /// sends pending — since those act on the clock alone.
     pub(crate) driver_idle: bool,
+    /// The frame side — DMA engines, MAC TX, MAC RX, frame memory —
+    /// sleeps until this time (see [`NicSystem::frame_side_asleep`]);
+    /// at or before `now` it is awake.
+    pub(crate) frame_wake: Ps,
     /// Cycles elided by the event-driven kernel (diagnostics).
     pub(crate) skipped_cycles: u64,
     /// Cycles simulated for real by the event-driven kernel.
@@ -201,9 +207,12 @@ impl<P: Probe> SystemBuilder<P> {
         let faults_armed = cfg.faults.as_ref().is_some_and(|p| !p.is_noop());
         let map = MemMap::for_topology(t.dma_engines);
         let mut sp = Scratchpad::new(SCRATCHPAD_BYTES, cfg.banks);
+        for (addr, bytes) in map.assist_registers() {
+            sp.watch_range(addr, bytes, Listener::FrameSide);
+        }
         if cfg.dispatch == DispatchMode::Interrupt {
             for (addr, bytes) in doorbell_words(&map) {
-                sp.watch_range(addr, bytes);
+                sp.watch_range(addr, bytes, Listener::Cores);
             }
         }
         let xbar = Crossbar::new(t.xbar_ports(cfg.cores), cfg.banks);
@@ -312,6 +321,7 @@ impl<P: Probe> SystemBuilder<P> {
             driver,
             driver_countdown: DRIVER_INTERVAL,
             driver_idle: false,
+            frame_wake: Ps::ZERO,
             skipped_cycles: 0,
             stepped_cycles: 0,
             window_start: boot_at,
@@ -403,6 +413,8 @@ impl<P: Probe> NicSystem<P> {
     pub fn inject_rx(&mut self, at: Ps, frame: Vec<u8>) {
         debug_assert!(at > self.now, "injected arrival is already due");
         self.macrx.generator.inject(at, frame);
+        // The arrival may come before the frame side's wake time.
+        self.frame_wake = Ps::ZERO;
     }
 
     /// Absolute time of the earliest cycle on which this system may
@@ -440,13 +452,81 @@ impl<P: Probe> NicSystem<P> {
             core.tick_probed(&mut self.xbar, &mut self.imem, now, &mut self.probe);
         }
 
-        // Frame-side units, in port-layout order (reads, writes, MAC TX,
-        // MAC RX). Each `busy` predicate mirrors its tick's gates
-        // exactly (scratchpad traffic queued or in flight, a done
-        // counter owed, a doorbell fetch ready); the MACs additionally
-        // act at their next timed event (wire completion, arrival).
+        // The frame side, unless it sleeps through this cycle. Looking
+        // at it answers any assist-register write so far.
+        if !gate || !self.frame_side_asleep() {
+            self.sp.take_signal(Listener::FrameSide);
+            self.step_frame_side(gate, now);
+        } else {
+            debug_assert!(
+                !self.frame_side_busy()
+                    && self.frame_wake <= self.fm.next_event()
+                    && self.frame_wake <= self.mactx.next_event()
+                    && self.frame_wake <= self.macrx.next_event(),
+                "the frame side slept through work due by {:?}",
+                self.frame_wake
+            );
+        }
+
+        // Host driver (polling period models interrupt mitigation). An
+        // idle driver's poll is elided when gating: nothing wrote host
+        // memory since a poll that did nothing, so this one would too.
+        self.driver_countdown -= 1;
+        if self.driver_countdown == 0 {
+            self.driver_countdown = DRIVER_INTERVAL;
+            if !gate || !self.driver_idle {
+                let acted = self
+                    .driver
+                    .tick_probed(now, &mut self.host_mem, &mut self.probe);
+                // A time-sensitive driver (offered-load pacing, or a
+                // fleet schedule with sends still pending) may act on a
+                // later poll with no external write in between, so its
+                // polls are never elided.
+                self.driver_idle = !acted && !self.driver.time_sensitive();
+                for w in self.driver.take_mailbox_writes() {
+                    let (addr, reg) = match w.reg {
+                        Mailbox::SendBdProd => (self.map.sb_mailbox_prod, "send_bd_prod"),
+                        Mailbox::RxBdProd => (self.map.rb_mailbox_prod, "rx_bd_prod"),
+                    };
+                    self.sp.poke(addr, w.value);
+                    if P::ENABLED {
+                        self.probe.emit(Event::MailboxWrite {
+                            reg,
+                            value: w.value,
+                            at: now,
+                        });
+                    }
+                }
+            }
+        }
+
+        // Doorbell fan-out (interrupt dispatch only — no core doorbell
+        // is watched otherwise): any write that landed on a watched
+        // word this cycle raises every core's wake line. The wake is
+        // level-triggered and sticky, and both kernels take this branch
+        // at the end of every simulated cycle, so a parked core resumes
+        // on the same cycle under dense and event-driven stepping.
+        if self.sp.take_signal(Listener::Cores) {
+            for core in &mut self.cores {
+                core.raise_wake();
+            }
+        }
+    }
+
+    /// One cycle of the frame side: the assists in port-layout order
+    /// (reads, writes, MAC TX, MAC RX), the abort-count publication,
+    /// then the frame memory. Each `busy` predicate mirrors its tick's
+    /// gates exactly (scratchpad traffic queued or in flight, a done
+    /// counter owed, a doorbell fetch ready); the MACs additionally act
+    /// at their next timed event (wire completion, arrival), the frame
+    /// memory only at its own. A gated cycle on which none of them acts
+    /// puts the side to sleep until the earliest of those events.
+    #[inline]
+    fn step_frame_side(&mut self, gate: bool, now: Ps) {
+        let mut acted = !gate;
         for d in &mut self.dmards {
             if !gate || d.busy(&self.sp) {
+                acted = true;
                 d.tick_probed(
                     now,
                     &mut self.xbar,
@@ -459,6 +539,7 @@ impl<P: Probe> NicSystem<P> {
         }
         for d in &mut self.dmawrs {
             if !gate || d.busy(&self.sp) {
+                acted = true;
                 d.tick_probed(
                     now,
                     &mut self.xbar,
@@ -474,17 +555,20 @@ impl<P: Probe> NicSystem<P> {
             }
         }
         if !gate || self.mactx.busy(&self.sp) || self.mactx.next_event() <= now {
+            acted = true;
             self.mactx
                 .tick_probed(now, &mut self.xbar, &self.sp, &mut self.fm, &mut self.probe);
         }
         if !gate || self.macrx.busy() || self.macrx.next_event() <= now {
+            acted = true;
             self.macrx
                 .tick_probed(now, &mut self.xbar, &self.sp, &mut self.fm, &mut self.probe);
         }
 
         // The abort-count publication to the host status block. Only
         // live under an armed plan — clean runs (and all-zeros plans)
-        // take one branch here and nothing else.
+        // take one branch here and nothing else. Only a read engine's
+        // tick moves the count, so an asleep side has nothing to publish.
         if self.faults_armed {
             self.publish_aborts();
         }
@@ -495,6 +579,7 @@ impl<P: Probe> NicSystem<P> {
         // controller changes state only at `next_event` (a burst start
         // or completion falling due).
         if !gate || self.fm.next_event() <= now {
+            acted = true;
             for c in self.fm.advance_probed(now, &mut self.probe) {
                 match c.stream {
                     StreamId::DmaRead => self.dmards[dma_tag_engine(c.tag)]
@@ -530,49 +615,14 @@ impl<P: Probe> NicSystem<P> {
             }
         }
 
-        // Host driver (polling period models interrupt mitigation). An
-        // idle driver's poll is elided when gating: nothing wrote host
-        // memory since a poll that did nothing, so this one would too.
-        self.driver_countdown -= 1;
-        if self.driver_countdown == 0 {
-            self.driver_countdown = DRIVER_INTERVAL;
-            if !gate || !self.driver_idle {
-                let acted = self
-                    .driver
-                    .tick_probed(now, &mut self.host_mem, &mut self.probe);
-                // A time-sensitive driver (offered-load pacing, or a
-                // fleet schedule with sends still pending) may act on a
-                // later poll with no external write in between, so its
-                // polls are never elided.
-                self.driver_idle = !acted && !self.driver.time_sensitive();
-                for w in self.driver.take_mailbox_writes() {
-                    let (addr, reg) = match w.reg {
-                        Mailbox::SendBdProd => (self.map.sb_mailbox_prod, "send_bd_prod"),
-                        Mailbox::RxBdProd => (self.map.rb_mailbox_prod, "rx_bd_prod"),
-                    };
-                    self.sp.poke(addr, w.value);
-                    if P::ENABLED {
-                        self.probe.emit(Event::MailboxWrite {
-                            reg,
-                            value: w.value,
-                            at: now,
-                        });
-                    }
-                }
-            }
-        }
-
-        // Doorbell fan-out (interrupt dispatch only — an unwatched
-        // scratchpad never signals): any write that landed on a watched
-        // word this cycle raises every core's wake line. The wake is
-        // level-triggered and sticky, and both kernels take this branch
-        // at the end of every simulated cycle, so a parked core resumes
-        // on the same cycle under dense and event-driven stepping.
-        if self.sp.take_signal() {
-            for core in &mut self.cores {
-                core.raise_wake();
-            }
-        }
+        // If nothing acted, nothing here changed: every `busy` stays
+        // false until the earliest timed event, unless an assist
+        // register is written or a frame is injected. Sleep until then.
+        self.frame_wake = if acted {
+            Ps::ZERO
+        } else {
+            self.frame_side_next_event()
+        };
     }
 
     /// Advance one CPU cycle, ticking every component (the dense
@@ -650,17 +700,42 @@ impl<P: Probe> NicSystem<P> {
                 return 1;
             }
         }
-        // Assists poll doorbells as registers: if one could issue work
-        // on the next tick, no skip.
-        if self.frame_side_busy() {
+        // The frame side. Asleep, its wake time is the earliest of its
+        // timed events, and no `busy` holds. Awake, assists poll
+        // doorbells as registers — if one could issue work on the next
+        // tick, no skip — and the timed events bound the rest:
+        // frame-memory burst starts/completions, wire completions,
+        // frame arrivals.
+        if self.frame_side_asleep() {
+            w.at_time(self.frame_wake);
+        } else if self.frame_side_busy() {
             return 1;
+        } else {
+            w.at_time(self.frame_side_next_event());
         }
-        // Time-driven events: frame-memory burst starts/completions,
-        // wire completions, frame arrivals.
-        w.at_time(self.fm.next_event());
-        w.at_time(self.mactx.next_event());
-        w.at_time(self.macrx.next_event());
         w.wake_in()
+    }
+
+    /// Whether the frame side sleeps through the next cycle: a stepped
+    /// cycle found none of its units with work and nothing due before
+    /// `frame_wake`, and no assist register has been written since
+    /// (the scratchpad's frame-side watch; an `inject_rx` wakes it
+    /// directly). Every input a `busy` predicate or a `next_event`
+    /// reads is one of those or the side's own state, so the rule is
+    /// exact — `step_inner` checks it on every cycle it sleeps through
+    /// in debug builds.
+    #[inline]
+    fn frame_side_asleep(&self) -> bool {
+        self.frame_wake > self.now && !self.sp.signal_pending(Listener::FrameSide)
+    }
+
+    /// The frame side's earliest timed event.
+    #[inline]
+    fn frame_side_next_event(&self) -> Ps {
+        self.fm
+            .next_event()
+            .min(self.mactx.next_event())
+            .min(self.macrx.next_event())
     }
 
     /// Whether any frame-side unit could issue work on its next tick —
@@ -1048,6 +1123,120 @@ mod tests {
         let rd = map.dmard(1);
         for a in [map.lock_sbd, rd.lock, rd.claim, map.recv_commit] {
             assert!(parked_after_write(a), "{a:#x} is not a doorbell");
+        }
+    }
+
+    /// The frame side's watch, for every topology: a write to any
+    /// assist register — each command ring's producer word — wakes a
+    /// sleeping frame side for one more look; a write to a lock, a
+    /// claim counter, or a word only the cores watch does not.
+    #[test]
+    fn assist_register_writes_wake_a_sleeping_frame_side_and_lock_writes_do_not() {
+        for dma_engines in 1..=nicsim_firmware::map::MAX_DMA_ENGINES {
+            let cfg = NicConfig {
+                cores: 1,
+                dispatch: DispatchMode::Interrupt,
+                send_enabled: false,
+                recv_enabled: false,
+                topology: Topology { dma_engines },
+                ..NicConfig::default()
+            };
+            let mut sys = NicSystem::build(cfg).finish().unwrap();
+            let map = sys.map();
+            // Wait for the side to fall asleep (the first wait covers
+            // fetching the posted receive BDs), then rewrite `addr` with
+            // its own value: a wake finds nothing to do, so the next
+            // stepped cycle puts the side back to sleep.
+            let mut asleep_after_write = |addr: u32| {
+                let deadline = sys.now() + Ps::from_ms(1);
+                while !sys.frame_side_asleep() {
+                    assert!(sys.now() < deadline, "quiet system, frame side awake");
+                    sys.run_until(sys.now() + Ps::from_us(10));
+                }
+                sys.sp.poke(addr, sys.sp.peek(addr));
+                let asleep = sys.frame_side_asleep();
+                sys.step_inner(true);
+                assert!(sys.frame_side_asleep(), "{addr:#x}: nothing to do");
+                asleep
+            };
+            let registers: Vec<_> = map.assist_registers().collect();
+            assert_eq!(registers.len(), 2 * dma_engines + 1);
+            for (addr, bytes) in registers {
+                assert_eq!(bytes, 4);
+                assert!(!asleep_after_write(addr), "{addr:#x} is a register");
+            }
+            let rd = map.dmard(dma_engines - 1);
+            let doorbell = rd.done;
+            for a in [map.lock_sbd, rd.lock, rd.claim, map.recv_commit, doorbell] {
+                assert!(asleep_after_write(a), "{a:#x} is not a register");
+            }
+        }
+    }
+
+    /// A frame injected into a fleet member whose frame side sleeps
+    /// (with no arrival pending, it sleeps with no wake time at all)
+    /// arrives on the cycle the dense kernel takes it, in both dispatch
+    /// modes, with the same event stream.
+    #[test]
+    fn an_injected_frame_wakes_a_sleeping_fleet_member_on_the_dense_cycle() {
+        use nicsim_net::frame::{build_udp_frame, set_endpoints};
+        use nicsim_obs::EventLog;
+        for dispatch in [DispatchMode::Polling, DispatchMode::Interrupt] {
+            let cfg = NicConfig {
+                cores: 1,
+                dispatch,
+                ..NicConfig::default()
+            };
+            let build = || {
+                NicSystem::build(cfg)
+                    .probe(EventLog::new())
+                    .fleet_member(FleetMember {
+                        src: 0,
+                        schedule: Vec::new(),
+                        first_seq: 0,
+                        rto: None,
+                        boot_at: Ps::ZERO,
+                    })
+                    .finish()
+                    .unwrap()
+            };
+            let (mut dense, mut event) = (build(), build());
+            // Past boot, cycle by cycle until the side falls asleep.
+            dense.run_until_dense(Ps::from_us(10));
+            event.run_until(Ps::from_us(10));
+            while !(event.frame_side_asleep() && event.frame_wake == Ps::MAX) {
+                assert!(event.now() < Ps::from_ms(1), "{dispatch:?}: side awake");
+                let next = event.now() + Ps(1);
+                dense.run_until_dense(next);
+                event.run_until(next);
+            }
+            let mut frame = build_udp_frame(0, 1472);
+            set_endpoints(&mut frame, 1, 0);
+            // Due between cycle boundaries, a few cycles out.
+            let at = event.now() + Ps(3 * event.cpu_period.0 - 1_234);
+            dense.inject_rx(at, frame.clone());
+            event.inject_rx(at, frame);
+            let end = at + Ps::from_us(20);
+            dense.run_until_dense(end);
+            event.run_until(end);
+            let arrival = |sys: &NicSystem<EventLog>| {
+                sys.probe().events().iter().find_map(|e| match e {
+                    Event::MacRxArrival { at, .. } => Some(*at),
+                    _ => None,
+                })
+            };
+            let first_cycle_at_or_after =
+                Ps(at.0.div_ceil(event.cpu_period.0) * event.cpu_period.0);
+            assert_eq!(
+                arrival(&dense),
+                Some(first_cycle_at_or_after),
+                "{dispatch:?}"
+            );
+            assert_eq!(arrival(&event), arrival(&dense), "{dispatch:?}");
+            assert!(
+                dense.probe().events() == event.probe().events(),
+                "{dispatch:?}: event streams diverged"
+            );
         }
     }
 

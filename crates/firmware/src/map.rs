@@ -407,6 +407,18 @@ impl MemMap {
         }
     }
 
+    /// The assists' registers, as `(address, bytes)`: the producer word
+    /// of every command ring the map hands out (each engine's DMA read
+    /// and write ring, then MAC TX's). It is the only word an assist's
+    /// `busy()` reads, so the system watches these to wake its frame
+    /// side; MAC RX reads its counters only when a frame arrives.
+    pub fn assist_registers(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
+        (0..self.n_dma as usize)
+            .flat_map(|k| [self.dmard(k).regs(), self.dmawr(k).regs()])
+            .chain([self.mactx()])
+            .map(|r| (r.prod, 4))
+    }
+
     /// The descriptor ring, counters and receive region MAC RX is built
     /// from.
     pub fn macrx(&self) -> MacRxRegs {

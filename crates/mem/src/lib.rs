@@ -26,7 +26,7 @@ pub mod trace;
 pub mod xbar;
 
 pub use icache::{ICache, ICacheConfig, InstrMemory};
-pub use scratchpad::{Scratchpad, SpOp, SpRequest};
+pub use scratchpad::{Listener, Scratchpad, SpOp, SpRequest};
 pub use sdram::{FrameMemory, FrameMemoryConfig, SdramCompletion, StreamId};
 pub use trace::{AccessKind, AccessTrace, TraceRecord};
 pub use xbar::{Crossbar, PortStats, RequesterId, MAX_XBAR_PORTS};

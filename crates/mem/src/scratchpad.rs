@@ -56,16 +56,37 @@ pub struct SpRequest {
     pub op: SpOp,
 }
 
-/// Doorbell-watch state for the interrupt dispatch mode: a bitmap over
-/// scratchpad words plus a sticky signal. Present only when at least one
-/// range is watched, so polling-mode systems pay a single `None` branch
-/// per write and nothing else.
+/// Who a watched word signals when it is written
+/// ([`Scratchpad::watch_range`]). A word may have both listeners.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Listener {
+    /// The cores' interrupt doorbells: a write raises every core's wake
+    /// line.
+    Cores = 0,
+    /// The assists' registers: a write wakes the sleeping frame side.
+    FrameSide = 1,
+}
+
+impl Listener {
+    #[inline]
+    const fn bit(self) -> u64 {
+        1 << self as u64
+    }
+}
+
+/// Write-watch state: two bits per word, one per [`Listener`], plus one
+/// sticky signal per listener. Present only when at least one range is
+/// watched, so an unwatched scratchpad pays a single `None` branch per
+/// write and nothing else.
 #[derive(Debug, Clone)]
 struct Watch {
-    /// One bit per scratchpad word; set words signal on write.
+    /// Word `w`'s listener bits at bit `2 * (w % 32)` of entry `w / 32`,
+    /// up to the highest watched word rather than over the whole
+    /// scratchpad: every system built allocates and zeroes it.
     bitmap: Vec<u64>,
-    /// A watched word was written since the last [`Scratchpad::take_signal`].
-    signal: bool,
+    /// [`Listener::bit`] set: a word that listener watches was written
+    /// since its last [`Scratchpad::take_signal`].
+    signals: u64,
 }
 
 /// The bank byte address `addr` maps to among `banks` word-interleaved
@@ -104,51 +125,62 @@ impl Scratchpad {
         }
     }
 
-    /// Watch the words covering `[addr, addr + bytes)` as doorbells: any
-    /// write-class operation ([`SpOp::is_write`]) landing on a watched
-    /// word — including functional [`Scratchpad::poke`]s from the host
-    /// side — raises a sticky signal collected by
-    /// [`Scratchpad::take_signal`].
+    /// Watch the words covering `[addr, addr + bytes)` for `listener`:
+    /// any write-class operation ([`SpOp::is_write`]) landing on a
+    /// watched word — including functional [`Scratchpad::poke`]s from
+    /// the host side — raises that listener's sticky signal, collected
+    /// by [`Scratchpad::take_signal`].
     ///
-    /// Used by the interrupt dispatch mode: producers do not issue any
-    /// extra instruction to ring a doorbell; detection happens here, at
-    /// the instant the write lands, so a wakeup can never be lost between
-    /// a producer's store and a consumer going to sleep.
-    pub fn watch_range(&mut self, addr: u32, bytes: u32) {
+    /// Producers do not issue any extra instruction to ring a doorbell;
+    /// detection happens here, at the instant the write lands, so a
+    /// wakeup can never be lost between a producer's store and a
+    /// consumer going to sleep.
+    pub fn watch_range(&mut self, addr: u32, bytes: u32, listener: Listener) {
         assert!(bytes > 0, "empty watch range");
         let first = self.word_index(addr);
         let last = self.word_index((addr + bytes - 1) & !3);
         let watch = self.watch.get_or_insert_with(|| {
             Box::new(Watch {
-                bitmap: vec![0; self.words.len().div_ceil(64)],
-                signal: false,
+                bitmap: Vec::new(),
+                signals: 0,
             })
         });
+        if watch.bitmap.len() <= last / 32 {
+            watch.bitmap.resize(last / 32 + 1, 0);
+        }
         for w in first..=last {
-            watch.bitmap[w / 64] |= 1 << (w % 64);
+            watch.bitmap[w / 32] |= listener.bit() << (2 * (w % 32));
         }
     }
 
-    /// Whether any doorbell range is being watched.
-    pub fn watching(&self) -> bool {
-        self.watch.is_some()
-    }
-
-    /// Return (and clear) the sticky doorbell signal: true if a watched
-    /// word was written since the last call. Always false when no range
-    /// is watched.
-    pub fn take_signal(&mut self) -> bool {
+    /// Return (and clear) `listener`'s sticky signal: true if a word it
+    /// watches was written since the last call. Always false when no
+    /// range is watched.
+    #[inline]
+    pub fn take_signal(&mut self, listener: Listener) -> bool {
         match &mut self.watch {
-            Some(w) => std::mem::take(&mut w.signal),
+            Some(w) => {
+                let set = w.signals & listener.bit() != 0;
+                w.signals &= !listener.bit();
+                set
+            }
             None => false,
         }
+    }
+
+    /// Whether `listener`'s signal is raised, without clearing it.
+    #[inline]
+    pub fn signal_pending(&self, listener: Listener) -> bool {
+        self.watch
+            .as_ref()
+            .is_some_and(|w| w.signals & listener.bit() != 0)
     }
 
     #[inline]
     fn note_write(&mut self, word: usize) {
         if let Some(w) = &mut self.watch {
-            if w.bitmap[word / 64] & (1 << (word % 64)) != 0 {
-                w.signal = true;
+            if let Some(bits) = w.bitmap.get(word / 32) {
+                w.signals |= (bits >> (2 * (word % 32))) & 3;
             }
         }
     }
@@ -169,6 +201,7 @@ impl Scratchpad {
         bank_of(addr, self.banks)
     }
 
+    #[inline]
     fn word_index(&self, addr: u32) -> usize {
         assert!(
             addr.is_multiple_of(4),
@@ -184,6 +217,7 @@ impl Scratchpad {
 
     /// Debug/functional peek without timing (used by tests and by the
     /// host-side of hardware assists, which model register reads).
+    #[inline]
     pub fn peek(&self, addr: u32) -> u32 {
         self.words[self.word_index(addr)]
     }
@@ -388,81 +422,119 @@ mod tests {
         assert_eq!(s.peek(32), 0);
     }
 
+    const LISTENERS: [Listener; 2] = [Listener::Cores, Listener::FrameSide];
+
     #[test]
     fn unwatched_scratchpad_never_signals() {
         let mut s = sp();
-        assert!(!s.watching());
         s.poke(0, 7);
         s.execute(SpRequest {
             addr: 4,
             op: SpOp::Write(1),
         });
-        assert!(!s.take_signal());
+        for l in LISTENERS {
+            assert!(!s.signal_pending(l));
+            assert!(!s.take_signal(l));
+        }
     }
 
     #[test]
     fn watch_signals_on_watched_writes_only() {
         let mut s = sp();
-        s.watch_range(16, 8); // words 4 and 5
-        assert!(s.watching());
-        assert!(!s.take_signal(), "no signal before any write");
+        s.watch_range(16, 8, Listener::Cores); // words 4 and 5
+        assert!(
+            !s.take_signal(Listener::Cores),
+            "no signal before any write"
+        );
 
-        // A write outside the range does not signal.
-        s.execute(SpRequest {
-            addr: 8,
-            op: SpOp::Write(1),
-        });
-        assert!(!s.take_signal());
+        // A write outside the range does not signal, below it or past
+        // the highest watched word.
+        for addr in [8, 1020] {
+            s.execute(SpRequest {
+                addr,
+                op: SpOp::Write(1),
+            });
+            assert!(!s.take_signal(Listener::Cores), "{addr}");
+        }
 
         // A read of a watched word does not signal.
         s.execute(SpRequest {
             addr: 16,
             op: SpOp::Read,
         });
-        assert!(!s.take_signal());
+        assert!(!s.take_signal(Listener::Cores));
 
         // A write to either watched word signals, and the signal is
-        // sticky until taken, then cleared.
+        // sticky until taken (a pending check leaves it), then cleared.
         s.execute(SpRequest {
             addr: 20,
             op: SpOp::Write(9),
         });
-        assert!(s.take_signal());
-        assert!(!s.take_signal(), "take clears");
+        assert!(s.signal_pending(Listener::Cores));
+        assert!(s.take_signal(Listener::Cores));
+        assert!(!s.take_signal(Listener::Cores), "take clears");
     }
 
+    /// Every write-class op and a poke on an assist register raise only
+    /// the frame side's signal; on a core doorbell, only the cores'; on
+    /// a word both watch, both.
     #[test]
-    fn watch_covers_rmw_ops_and_pokes() {
+    fn each_listener_hears_only_its_own_words() {
+        const DOORBELL: u32 = 32;
+        const REGISTER: u32 = 36;
+        const BOTH: u32 = 40;
         let mut s = sp();
-        s.watch_range(32, 4);
-        for op in [
+        s.watch_range(DOORBELL, 4, Listener::Cores);
+        s.watch_range(REGISTER, 4, Listener::FrameSide);
+        s.watch_range(BOTH, 4, Listener::Cores);
+        s.watch_range(BOTH, 4, Listener::FrameSide);
+        let ops = [
             SpOp::TestAndSet,
             SpOp::SetBit(2),
             SpOp::Update { start_bit: 2 },
             SpOp::Write(0),
-        ] {
-            s.execute(SpRequest { addr: 32, op });
-            assert!(s.take_signal(), "{op:?} should ring the doorbell");
+        ];
+        // `None` is a poke.
+        for write in ops.map(Some).into_iter().chain([None]) {
+            for (addr, cores, frame) in [
+                (DOORBELL, true, false),
+                (REGISTER, false, true),
+                (BOTH, true, true),
+            ] {
+                match write {
+                    Some(op) => {
+                        assert!(op.is_write());
+                        s.execute(SpRequest { addr, op });
+                    }
+                    None => s.poke(addr, 5),
+                }
+                let heard = (
+                    s.take_signal(Listener::Cores),
+                    s.take_signal(Listener::FrameSide),
+                );
+                assert_eq!(heard, (cores, frame), "{write:?} at {addr}");
+            }
         }
-        s.poke(32, 5);
-        assert!(s.take_signal(), "host poke should ring the doorbell");
     }
 
     #[test]
     fn watch_range_spans_partial_words() {
         let mut s = sp();
         // 5 bytes starting at 40 covers words 10 and 11.
-        s.watch_range(40, 5);
+        s.watch_range(40, 5, Listener::FrameSide);
         s.execute(SpRequest {
             addr: 44,
             op: SpOp::Write(1),
         });
-        assert!(s.take_signal());
+        assert!(s.take_signal(Listener::FrameSide));
         s.execute(SpRequest {
             addr: 48,
             op: SpOp::Write(1),
         });
-        assert!(!s.take_signal(), "word 12 is outside the range");
+        assert!(
+            !s.take_signal(Listener::FrameSide),
+            "word 12 is outside the range"
+        );
     }
 
     #[test]

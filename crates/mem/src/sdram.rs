@@ -199,6 +199,7 @@ impl FrameMemory {
     }
 
     /// Submission time of the oldest burst still queued on any stream.
+    #[inline]
     fn earliest_submission(&self) -> Option<Ps> {
         self.queues
             .iter()
@@ -355,6 +356,7 @@ impl FrameMemory {
     /// burst is a state change because it sets `busy_until` and
     /// schedules the completion — [`FrameMemory::advance`] must run at
     /// that instant to keep arbitration decisions time-coherent.
+    #[inline]
     pub fn next_event(&self) -> Ps {
         let done = self.completions.front().map_or(Ps::MAX, |c| c.at);
         match self.earliest_submission() {

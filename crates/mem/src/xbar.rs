@@ -112,10 +112,9 @@ impl Crossbar {
     /// construction.
     #[inline]
     pub fn submit(&mut self, port: RequesterId, req: SpRequest) {
-        assert!(
-            self.port_idle(port),
-            "port {port} already has an outstanding transaction"
-        );
+        if !self.port_idle(port) {
+            port_busy(port);
+        }
         let bank = bank_of(req.addr, self.requests.len());
         let p = &mut self.ports[port];
         (p.req, p.bank) = (req, bank);
@@ -233,6 +232,14 @@ impl Crossbar {
             }
         }
     }
+}
+
+/// [`Crossbar::submit`]'s panic, out of line so the inlined submit
+/// carries no formatting code.
+#[cold]
+#[inline(never)]
+fn port_busy(port: RequesterId) -> ! {
+    panic!("port {port} already has an outstanding transaction")
 }
 
 #[cfg(test)]

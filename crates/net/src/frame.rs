@@ -73,15 +73,29 @@ fn ip_checksum(header: &[u8]) -> u16 {
     !(sum as u16)
 }
 
-/// The deterministic payload byte at offset `i` for sequence `seq`
-/// (excluding the 4-byte embedded sequence number itself).
-fn pattern_byte(seq: u32, i: usize) -> u8 {
+/// Byte `j` of every 32-byte chunk of the payload pattern, before the
+/// chunk's offset ([`chunk_offset`]).
+const STEP: [u8; 32] = {
+    let mut t = [0u8; 32];
+    let mut j = 0;
+    while j < 32 {
+        t[j] = (31 * j) as u8;
+        j += 1;
+    }
+    t
+};
+
+/// The offset of pattern chunk `k` for sequence `seq`. Payload byte `i`
+/// (counted from the byte after the 4-byte embedded sequence number) is
+/// `base + 31 i + i / 32` mod 256, which within chunk `k = i / 32` is
+/// `STEP[i % 32]` plus `base + 993 k`: whole chunks fill and compare
+/// as vectors.
+fn chunk_offset(seq: u32, k: usize) -> u8 {
     // The multiply-and-take-high-byte mix depends on every bit of `seq`,
     // so damage anywhere in the embedded sequence number changes the
     // expected pattern.
-    ((seq.wrapping_mul(0x9e37_79b1) >> 24) as usize)
-        .wrapping_add(i.wrapping_mul(31))
-        .wrapping_add(i >> 5) as u8
+    let base = (seq.wrapping_mul(0x9e37_79b1) >> 24) as usize;
+    base.wrapping_add(k.wrapping_mul(31 * 32 + 1)) as u8
 }
 
 /// Build a complete frame carrying `udp_payload` bytes of UDP data and
@@ -136,8 +150,11 @@ pub fn build_udp_frame(seq: u32, udp_payload: usize) -> Vec<u8> {
 
     // Payload: embedded sequence + deterministic pattern.
     f[42..46].copy_from_slice(&seq.to_be_bytes());
-    for i in 0..wire_payload.saturating_sub(4) {
-        f[46 + i] = pattern_byte(seq, i);
+    for (k, chunk) in f[46..42 + wire_payload].chunks_mut(32).enumerate() {
+        let off = chunk_offset(seq, k);
+        for (b, s) in chunk.iter_mut().zip(STEP) {
+            *b = s.wrapping_add(off);
+        }
     }
     f
 }
@@ -261,10 +278,19 @@ pub fn validate_frame(f: &[u8]) -> Result<FrameInfo, FrameError> {
     }
     let payload = udp_len - 8;
     let seq = seq_of(f);
-    for i in 0..payload - 4 {
-        if f[46 + i] != pattern_byte(seq, i) {
-            return Err(FrameError::CorruptPayload);
-        }
+    let corrupt = f[46..42 + payload]
+        .chunks(32)
+        .enumerate()
+        .any(|(k, chunk)| {
+            let off = chunk_offset(seq, k);
+            let diff = chunk
+                .iter()
+                .zip(STEP)
+                .fold(0, |d, (b, s)| d | (b ^ s.wrapping_add(off)));
+            diff != 0
+        });
+    if corrupt {
+        return Err(FrameError::CorruptPayload);
     }
     Ok(FrameInfo {
         seq,
@@ -298,6 +324,19 @@ mod tests {
             let info = validate_frame(&f).unwrap();
             assert_eq!(info.seq, payload as u32);
             assert_eq!(info.udp_payload, payload);
+        }
+    }
+
+    /// The chunked fill is the per-byte definition, across chunk
+    /// boundaries and for a seq whose mix is not zero.
+    #[test]
+    fn payload_pattern_is_the_per_byte_definition() {
+        for seq in [0, 7, 0xdead_beef] {
+            let f = build_udp_frame(seq, 1472);
+            let base = (seq.wrapping_mul(0x9e37_79b1) >> 24) as usize;
+            for (i, b) in f[46..1514].iter().enumerate() {
+                assert_eq!(*b, (base + 31 * i + i / 32) as u8, "seq {seq}, byte {i}");
+            }
         }
     }
 

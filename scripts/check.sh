@@ -25,8 +25,12 @@ echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # across the dense and event kernels. The suite's pinned-digest
 # test (model_is_cycle_exact_against_pinned_digests) rides this stanza
 # too: four short runs' RunStats must hash to the committed constants,
-# which catches a change that moves both kernels the same way.
+# which catches a change that moves both kernels the same way. The
+# crate's unit tests ride along for the same reason: among them are
+# the frame side's sleep and wake tests (an assist-register write and
+# an injected arrival each wake it on the dense kernel's cycle).
 cargo test --release --quiet -p nicsim --test kernel_equivalence
+cargo test --release --quiet -p nicsim --lib
 
 echo "==> topology smoke (non-default topologies end-to-end, ~3 s)"
 # Drives non-default topologies through the experiment engine:
