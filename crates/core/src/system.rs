@@ -281,7 +281,7 @@ impl<P: Probe> SystemBuilder<P> {
             let mut core = Core::new(id, cfg.icache, CodeLayout::new());
             let ctx = CoreCtx::new(core.slot(), id);
             if cfg.capture_ilp && id == 0 {
-                core.slot().borrow_mut().trace = Some(Vec::new());
+                core.capture_trace();
             }
             let fw = Fw {
                 ctx,
@@ -954,7 +954,7 @@ impl<P: Probe> NicSystem<P> {
 
     /// Take core 0's operation trace (requires `capture_ilp`).
     pub fn take_ilp_trace(&mut self) -> Option<Vec<PendingOp>> {
-        self.cores[0].slot().borrow_mut().trace.take()
+        self.cores[0].take_trace()
     }
 }
 

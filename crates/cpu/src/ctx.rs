@@ -10,9 +10,8 @@
 //! firmware builds its spinlocks and frame ordering from.
 
 use crate::func::FwFunc;
-use crate::slot::{CoreSlot, PendingOp, SharedSlot, RUN_AHEAD};
+use crate::slot::{CoreSlot, PendingOp, SharedSlot};
 use nicsim_mem::{SpOp, SpRequest};
-use std::cell::RefCell;
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
@@ -24,13 +23,13 @@ pub struct CoreCtx {
     core_id: usize,
 }
 
-/// Future for one machine operation: queues the op under the current
-/// profiling tag (suspending first while the queue is full), then
-/// completes at once with 0 unless the firmware waits for a result
-/// ([`PendingOp::has_result`]), which a later poll resolves it with.
+/// Future for one machine operation: issues the op into the slot's batch
+/// under the current profiling tag (suspending first while the batch is
+/// full), then completes at once with 0 unless the firmware waits for a
+/// result ([`PendingOp::has_result`]), which a later poll resolves it with.
 #[must_use = "an operation is issued when its future is awaited"]
 pub struct Op<'a> {
-    slot: &'a RefCell<CoreSlot>,
+    slot: &'a CoreSlot,
     op: Option<PendingOp>,
 }
 
@@ -39,17 +38,13 @@ impl Future for Op<'_> {
 
     #[inline]
     fn poll(mut self: Pin<&mut Self>, _cx: &mut Context<'_>) -> Poll<u32> {
-        let slot: &RefCell<CoreSlot> = self.slot;
-        let mut slot = slot.borrow_mut();
         if let Some(op) = self.op {
             if op == PendingOp::Alu(0) {
                 return Poll::Ready(0); // nothing to charge
             }
-            if slot.queue.len() == RUN_AHEAD {
+            if !self.slot.push(op) {
                 return Poll::Pending;
             }
-            let func = slot.func;
-            slot.queue.push_back((op, func));
             self.op = None;
             return if op.has_result() {
                 Poll::Pending
@@ -57,7 +52,7 @@ impl Future for Op<'_> {
                 Poll::Ready(0)
             };
         }
-        match slot.response.take() {
+        match self.slot.response.take() {
             Some(v) => Poll::Ready(v),
             // The engine only polls when the response is ready, but a
             // future may be polled spuriously by combinators; stay pending.
@@ -95,7 +90,7 @@ impl CoreCtx {
     /// else reads, so the touch lands on the cycle the engine gets there.
     pub fn sync(&self) -> impl Future<Output = ()> + '_ {
         std::future::poll_fn(|_| {
-            if self.slot.borrow().queue.is_empty() {
+            if self.slot.is_empty() {
                 Poll::Ready(())
             } else {
                 Poll::Pending
@@ -106,12 +101,12 @@ impl CoreCtx {
     /// Switch the profiling tag; subsequent work is attributed to `f`.
     /// Returns the previous tag so handlers can restore it.
     pub fn set_func(&self, f: FwFunc) -> FwFunc {
-        std::mem::replace(&mut self.slot.borrow_mut().func, f)
+        self.slot.func.replace(f)
     }
 
     /// The current profiling tag.
     pub fn func(&self) -> FwFunc {
-        self.slot.borrow().func
+        self.slot.func.get()
     }
 
     /// Execute `n` ALU/control instructions. `alu(0)` is free.

@@ -4,8 +4,8 @@
 //! arbitrated). It advances the core's pipeline state machine, charging
 //! every cycle to exactly one [`StallBucket`] of the current firmware
 //! function. When the core is ready to issue, it takes the oldest
-//! operation the firmware has queued and polls the firmware future only
-//! when none is. See the crate docs for the timing rules.
+//! operation the firmware has issued and polls the firmware future only
+//! when none is left. See the crate docs for the timing rules.
 
 use crate::func::{CoreProfile, FwFunc, StallBucket};
 use crate::layout::CodeLayout;
@@ -69,6 +69,9 @@ pub struct CoreEngineStats {
 pub struct Core {
     id: usize,
     slot: SharedSlot,
+    /// Every op taken from the slot, in charging order, while capturing
+    /// for the ILP analysis (Table 2).
+    trace: Option<Vec<PendingOp>>,
     /// The firmware future; `None` once it has completed.
     fut: Option<Pin<Box<dyn Future<Output = ()>>>>,
     state: State,
@@ -98,6 +101,7 @@ impl Core {
         Core {
             id,
             slot: new_slot(),
+            trace: None,
             fut: None,
             state: State::Poll,
             func: FwFunc::Idle,
@@ -130,9 +134,17 @@ impl Core {
         self.fut = Some(Box::pin(fut));
         self.state = State::Poll;
         self.wake_pending = false;
-        let mut slot = self.slot.borrow_mut();
-        slot.queue.clear();
-        slot.response = None;
+        self.slot.clear();
+    }
+
+    /// Start recording every op this core charges, in charging order.
+    pub fn capture_trace(&mut self) {
+        self.trace = Some(Vec::new());
+    }
+
+    /// The ops recorded since [`Core::capture_trace`], ending the capture.
+    pub fn take_trace(&mut self) -> Option<Vec<PendingOp>> {
+        self.trace.take()
     }
 
     /// Raise the core's wake line. A parked core resumes on its next
@@ -180,25 +192,48 @@ impl Core {
     }
 
     /// The next operation to charge and the tag it was issued under:
-    /// the oldest queued one, polling the firmware only when nothing is
-    /// queued. `None` once the firmware has completed and everything it
-    /// issued has been charged.
-    #[inline]
+    /// the oldest one in the slot's batch, polling the firmware only when
+    /// the batch is drained. `None` once the firmware has completed and
+    /// everything it issued has been charged. The ILP trace is recorded
+    /// here, not at issue, so it never leads the engine.
+    #[inline(always)]
     fn next_op(&mut self) -> Option<(PendingOp, FwFunc)> {
-        if let Some(next) = self.slot.borrow_mut().pop() {
-            return Some(next);
+        let next = match self.slot.pop() {
+            Some(next) => next,
+            None => {
+                if !self.poll_firmware() {
+                    return None;
+                }
+                let next = self.slot.pop();
+                assert!(
+                    next.is_some() || self.fut.is_none(),
+                    "firmware future suspended without issuing an op"
+                );
+                next?
+            }
+        };
+        if let Some(t) = &mut self.trace {
+            t.push(next.0);
         }
-        let fut = self.fut.as_mut()?;
+        Some(next)
+    }
+
+    /// Poll the firmware future once, which fills the drained batch from
+    /// slot 0; `false` when it has already completed. Out of line so that
+    /// `next_op` inlines into the tick and the op it takes stays in
+    /// registers: returned through memory, its 16 bytes were copied with
+    /// overlapping stores that defeated store-to-load forwarding.
+    #[inline(never)]
+    fn poll_firmware(&mut self) -> bool {
+        let Some(fut) = self.fut.as_mut() else {
+            return false;
+        };
+        debug_assert!(self.slot.is_empty(), "polled with a batch in flight");
         let mut cx = Context::from_waker(Waker::noop());
         if fut.as_mut().poll(&mut cx).is_ready() {
             self.fut = None;
         }
-        let next = self.slot.borrow_mut().pop();
-        assert!(
-            next.is_some() || self.fut.is_none(),
-            "firmware future suspended without issuing an op"
-        );
-        next
+        true
     }
 
     /// Put `req` on the (free) crossbar port. A store is buffered, so
@@ -390,7 +425,7 @@ impl Core {
                         // dispatch, whose first cycle charges now; the
                         // firmware's `wfi` returns when it has elapsed.
                         self.wake_pending = false;
-                        self.slot.borrow_mut().response = Some(0);
+                        self.slot.response.set(Some(0));
                         self.state = State::Busy {
                             imiss: 0,
                             exec: WAKE_DISPATCH_CYCLES,
@@ -405,7 +440,7 @@ impl Core {
                 }
                 State::WaitMem { waited } => {
                     if let Some(v) = xbar.take_response(self.id) {
-                        self.slot.borrow_mut().response = Some(v);
+                        self.slot.response.set(Some(v));
                         // The dependent instruction issues this very
                         // cycle: chain into Poll without consuming.
                         self.state = State::Poll;
@@ -817,8 +852,8 @@ mod attribution_tests {
         core.tick_probed(&mut xbar, &mut imem, Ps::ZERO, &mut log);
         // One poll ran the firmware to its end: its tag has moved on to
         // the last one while the first op is still being charged.
-        assert_eq!(core.slot().borrow().func, FwFunc::Idle);
-        assert_eq!(core.slot().borrow().queue.len(), 3);
+        assert_eq!(core.slot().func.get(), FwFunc::Idle);
+        assert_eq!(core.slot().len(), 3);
         assert_eq!(core.profile().func(FwFunc::SendFrame).total_cycles(), 1);
         for _ in 0..200 {
             xbar.tick(&mut sp);
@@ -852,6 +887,27 @@ mod attribution_tests {
     }
 
     #[test]
+    fn trace_collects_charged_operations() {
+        let (mut core, mut xbar, mut sp, mut imem) = rig();
+        let ctx = CoreCtx::new(core.slot(), 0);
+        core.capture_trace();
+        core.install(async move {
+            ctx.alu(3).await;
+            ctx.store(8, 1).await;
+            ctx.load(8).await;
+        });
+        xbar.tick(&mut sp);
+        core.tick(&mut xbar, &mut imem);
+        // One poll issued all three; the engine has taken only the first.
+        assert_eq!(core.slot().len(), 2);
+        run(&mut core, &mut xbar, &mut sp, &mut imem);
+        let mem = |op| PendingOp::Mem(SpRequest { addr: 8, op });
+        let want = vec![PendingOp::Alu(3), mem(SpOp::Write(1)), mem(SpOp::Read)];
+        assert_eq!(core.take_trace(), Some(want));
+        assert_eq!(core.take_trace(), None, "taking ends the capture");
+    }
+
+    #[test]
     fn a_long_value_free_run_returns_to_the_engine() {
         // Nothing here ever waits for a result: only the queue bound
         // hands control back, so without it the first tick never ends.
@@ -866,7 +922,7 @@ mod attribution_tests {
         for _ in 0..100 {
             xbar.tick(&mut sp);
             core.tick(&mut xbar, &mut imem);
-            assert!(core.slot().borrow().queue.len() <= crate::slot::RUN_AHEAD);
+            assert!(core.slot().len() <= crate::slot::RUN_AHEAD);
         }
         assert!(!core.halted());
         let p = core.profile();
@@ -1062,7 +1118,7 @@ mod attribution_tests {
         // still-uncharged `alu(2)`, on the first poll.
         xbar.tick(&mut sp);
         core.tick(&mut xbar, &mut imem);
-        assert_eq!(core.slot().borrow().queue.len(), 1, "wfi queued");
+        assert_eq!(core.slot().len(), 1, "wfi queued");
         for _ in 0..20 {
             if core.parked() {
                 break;

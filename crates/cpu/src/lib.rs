@@ -20,9 +20,9 @@
 //!
 //! Firmware is ordinary Rust `async` code written against [`CoreCtx`]. The
 //! future runs ahead through operations whose result it does not read
-//! (ALU work, branches, stores: queued, a bounded number at a time) and
+//! (ALU work, branches, stores: issued into a fixed-size batch) and
 //! suspends at every load, RMW or `wfi`; the engine polls it again only
-//! when everything queued has been charged and the data has returned from
+//! when everything issued has been charged and the data has returned from
 //! the simulated scratchpad. That makes execution *execution-driven* —
 //! lock contention and ordering races unfold at their real cycle times.
 //! Per-function cycle/instruction/access profiles (the raw material of

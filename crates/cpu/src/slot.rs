@@ -1,17 +1,21 @@
 //! The communication slot between a firmware future and its core engine.
 //!
 //! Firmware runs as a Rust future; the core timing engine polls it. They
-//! exchange operations through [`CoreSlot`]: the future queues each
-//! [`PendingOp`] under the profiling tag current at that moment and
-//! suspends only when it needs the operation's result (or the queue is
-//! full); the engine charges the queued operations oldest first (issuing
-//! real scratchpad transactions for memory ops), deposits the response of
-//! a result-bearing one, and polls again once the queue is empty.
+//! exchange operations through [`CoreSlot`]: the future issues each
+//! [`PendingOp`] into a batch under the profiling tag current at that
+//! moment and suspends only when it needs the operation's result (or the
+//! batch is full); the engine takes the issued operations back oldest
+//! first (issuing real scratchpad transactions for memory ops), deposits
+//! the response of a result-bearing one, and polls again once the batch
+//! is drained.
+//!
+//! The engine polls only a drained batch, so every poll fills it from
+//! slot 0 and every take empties it front to back: a fixed array and two
+//! counts, no ring arithmetic and no borrow flag.
 
 use crate::func::FwFunc;
 use nicsim_mem::{SpOp, SpRequest};
-use std::cell::RefCell;
-use std::collections::VecDeque;
+use std::cell::Cell;
 use std::rc::Rc;
 
 /// How many issued-but-uncharged operations a slot holds: enough for the
@@ -49,86 +53,178 @@ impl PendingOp {
 }
 
 /// Shared state between one firmware future and its core engine.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct CoreSlot {
-    /// Operations issued by the future and not yet charged by the
-    /// engine, oldest first, each with the profiling tag current when it
-    /// was issued. Never longer than [`RUN_AHEAD`].
-    pub queue: VecDeque<(PendingOp, FwFunc)>,
+    /// The batch: `ops[..issued]` were issued by the last poll, each with
+    /// the profiling tag current when it was issued; `ops[..charged]`
+    /// have been taken back by the engine.
+    ops: [Cell<(PendingOp, FwFunc)>; RUN_AHEAD],
+    issued: Cell<usize>,
+    charged: Cell<usize>,
     /// Result of the last result-bearing operation (set by the engine,
     /// taken by the future).
-    pub response: Option<u32>,
+    pub(crate) response: Cell<Option<u32>>,
     /// Current profiling tag: what the firmware will issue under next.
-    pub func: FwFunc,
-    /// Optional operation trace for the ILP analysis (Table 2), in the
-    /// order the engine charges operations.
-    pub trace: Option<Vec<PendingOp>>,
+    pub(crate) func: Cell<FwFunc>,
 }
 
 impl CoreSlot {
-    /// Take the oldest issued operation for charging. The ILP trace is
-    /// recorded here, not at issue, so it never leads the engine.
+    /// Issue `op` under the current tag; `false` when the batch is full.
     #[inline]
-    pub fn pop(&mut self) -> Option<(PendingOp, FwFunc)> {
-        let next = self.queue.pop_front()?;
-        if let Some(t) = &mut self.trace {
-            t.push(next.0);
+    pub(crate) fn push(&self, op: PendingOp) -> bool {
+        let issued = self.issued.get();
+        let Some(cell) = self.ops.get(issued) else {
+            return false;
+        };
+        cell.set((op, self.func.get()));
+        self.issued.set(issued + 1);
+        true
+    }
+
+    /// Take the oldest issued operation for charging. Taking the last
+    /// one empties the batch, so the next poll fills it from slot 0.
+    #[inline]
+    pub(crate) fn pop(&self) -> Option<(PendingOp, FwFunc)> {
+        let (charged, issued) = (self.charged.get(), self.issued.get());
+        if charged == issued {
+            return None;
+        }
+        let next = self.ops[charged].get();
+        if charged + 1 == issued {
+            self.issued.set(0);
+            self.charged.set(0);
+        } else {
+            self.charged.set(charged + 1);
         }
         Some(next)
+    }
+
+    /// Forget every issued operation and any undelivered response.
+    pub(crate) fn clear(&self) {
+        self.issued.set(0);
+        self.charged.set(0);
+        self.response.set(None);
+    }
+
+    /// Operations issued and not yet taken by the engine.
+    pub fn len(&self) -> usize {
+        self.issued.get() - self.charged.get()
+    }
+
+    /// Whether nothing is issued: the next operation goes to slot 0.
+    pub fn is_empty(&self) -> bool {
+        self.issued.get() == 0
     }
 }
 
 /// Reference-counted handle to a [`CoreSlot`]. The simulator is
-/// single-threaded, so `Rc<RefCell<_>>` suffices and keeps polling cheap.
-pub type SharedSlot = Rc<RefCell<CoreSlot>>;
+/// single-threaded and every field is a `Cell`, so neither side pays for
+/// a borrow check.
+pub type SharedSlot = Rc<CoreSlot>;
 
 /// Create a fresh shared slot.
 pub fn new_slot() -> SharedSlot {
-    Rc::new(RefCell::new(CoreSlot::default()))
+    Rc::new(CoreSlot {
+        ops: std::array::from_fn(|_| Cell::new((PendingOp::Alu(0), FwFunc::Idle))),
+        issued: Cell::new(0),
+        charged: Cell::new(0),
+        response: Cell::new(None),
+        func: Cell::new(FwFunc::Idle),
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CodeLayout, Core};
+    use nicsim_mem::ICacheConfig;
+
+    const LOAD: PendingOp = PendingOp::Mem(SpRequest {
+        addr: 0,
+        op: SpOp::Read,
+    });
 
     #[test]
     fn slot_roundtrip() {
         let slot = new_slot();
-        let op = (PendingOp::Alu(3), FwFunc::SendFrame);
-        slot.borrow_mut().queue.push_back(op);
-        assert_eq!(slot.borrow_mut().pop(), Some(op));
-        assert_eq!(slot.borrow_mut().pop(), None);
-        slot.borrow_mut().response = Some(7);
-        assert_eq!(slot.borrow_mut().response.take(), Some(7));
+        slot.func.set(FwFunc::SendFrame);
+        assert!(slot.push(PendingOp::Alu(3)));
+        assert_eq!(slot.pop(), Some((PendingOp::Alu(3), FwFunc::SendFrame)));
+        assert_eq!(slot.pop(), None);
+        slot.response.set(Some(7));
+        assert_eq!(slot.response.take(), Some(7));
+        assert_eq!(slot.response.take(), None);
     }
 
     #[test]
     fn default_tag_is_idle() {
-        let slot = new_slot();
-        assert_eq!(slot.borrow().func, FwFunc::Idle);
+        assert_eq!(new_slot().func.get(), FwFunc::Idle);
     }
 
     #[test]
-    fn trace_collects_popped_operations() {
+    fn the_batch_refuses_the_op_after_run_ahead() {
         let slot = new_slot();
-        slot.borrow_mut().trace = Some(Vec::new());
-        let load = PendingOp::Mem(SpRequest {
-            addr: 0,
-            op: SpOp::Read,
-        });
-        for op in [load, PendingOp::Wfi] {
-            slot.borrow_mut().queue.push_back((op, FwFunc::Idle));
-            assert!(op.has_result());
+        for n in 1..=RUN_AHEAD {
+            assert!(slot.push(PendingOp::Alu(n as u32)), "op {n}");
         }
-        assert_eq!(
-            slot.borrow().trace.as_ref().unwrap().len(),
-            0,
-            "issued only"
-        );
-        while slot.borrow_mut().pop().is_some() {}
-        assert_eq!(
-            slot.borrow_mut().trace.take(),
-            Some(vec![load, PendingOp::Wfi])
-        );
+        assert!(!slot.push(PendingOp::Wfi), "op {}", RUN_AHEAD + 1);
+        assert_eq!(slot.len(), RUN_AHEAD);
+        // The refused op left the batch as it was.
+        for n in 1..RUN_AHEAD {
+            assert_eq!(slot.pop(), Some((PendingOp::Alu(n as u32), FwFunc::Idle)));
+        }
+        let last = slot.pop();
+        assert_eq!(last, Some((PendingOp::Alu(RUN_AHEAD as u32), FwFunc::Idle)));
+        assert_eq!(slot.pop(), None);
+    }
+
+    #[test]
+    fn ops_come_back_in_issue_order_with_their_tags() {
+        let slot = new_slot();
+        let issued = [
+            (PendingOp::Alu(2), FwFunc::SendFrame),
+            (PendingOp::Branch { mispredict: true }, FwFunc::RecvFrame),
+            (LOAD, FwFunc::RecvFrame),
+            (PendingOp::Wfi, FwFunc::Idle),
+        ];
+        for (op, func) in issued {
+            slot.func.set(func);
+            assert!(slot.push(op));
+        }
+        assert_eq!(slot.func.get(), FwFunc::Idle);
+        let taken: Vec<_> = std::iter::from_fn(|| slot.pop()).collect();
+        assert_eq!(taken, issued);
+    }
+
+    #[test]
+    fn a_drained_batch_starts_again_from_slot_zero() {
+        let slot = new_slot();
+        for _ in 0..3 {
+            assert!(slot.push(PendingOp::Alu(1)));
+        }
+        slot.pop();
+        assert_eq!((slot.len(), slot.is_empty()), (2, false));
+        slot.pop();
+        slot.pop();
+        assert_eq!((slot.len(), slot.is_empty()), (0, true));
+        // A full batch fits again, and its first op is the first taken.
+        for n in 1..=RUN_AHEAD {
+            assert!(slot.push(PendingOp::Alu(n as u32)));
+        }
+        assert_eq!(slot.pop(), Some((PendingOp::Alu(1), FwFunc::Idle)));
+    }
+
+    #[test]
+    fn install_empties_the_batch() {
+        let mut core = Core::new(0, ICacheConfig::default(), CodeLayout::new());
+        let slot = core.slot();
+        assert!(slot.push(LOAD));
+        assert!(slot.push(PendingOp::Alu(1)));
+        slot.pop();
+        slot.response.set(Some(9));
+        core.install(async {});
+        assert_eq!((slot.len(), slot.is_empty()), (0, true));
+        assert_eq!(slot.pop(), None);
+        assert_eq!(slot.response.take(), None);
     }
 }

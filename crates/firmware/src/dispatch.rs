@@ -208,7 +208,7 @@ mod tests {
     /// interrupt-mode core parks after exactly one.
     fn idle_scan_loads(m: &MemMap) -> Vec<u32> {
         let mut core = Core::new(0, ICacheConfig::default(), CodeLayout::new());
-        core.slot().borrow_mut().trace = Some(Vec::new());
+        core.capture_trace();
         core.install(dispatch_loop(Fw {
             ctx: CoreCtx::new(core.slot(), 0),
             m: *m,
@@ -224,7 +224,7 @@ mod tests {
             xbar.tick(&mut sp);
             core.tick(&mut xbar, &mut imem);
         }
-        let trace = core.slot().borrow_mut().trace.take().expect("tracing");
+        let trace = core.take_trace().expect("tracing");
         let load = |op| match op {
             PendingOp::Mem(r) if r.op == SpOp::Read => Some(r.addr),
             _ => None,

@@ -110,7 +110,7 @@ impl Crossbar {
     /// Panics if the port already has an outstanding request or an
     /// unconsumed response — requesters are single-outstanding by
     /// construction.
-    #[inline]
+    #[inline(always)]
     pub fn submit(&mut self, port: RequesterId, req: SpRequest) {
         if !self.port_idle(port) {
             port_busy(port);

@@ -315,6 +315,14 @@ impl Workload {
         if self.reliable && self.rto_us == 0 {
             return Err("workload: reliable mode needs rto_us >= 1".into());
         }
+        // 100 s, `FaultPlan`'s duration bound: in picoseconds it still
+        // fits a `u64` after the driver's backoff shift by 6.
+        if self.rto_us > 100_000_000 {
+            return Err(format!(
+                "workload: rto_us must be at most 100 seconds (100000000), got {}",
+                self.rto_us
+            ));
+        }
         Ok(())
     }
 
@@ -563,6 +571,11 @@ mod tests {
         assert_eq!(w.rto_us, 50, "default rto");
         assert!(Workload::parse("reliable=maybe").is_err());
         assert!(Workload::parse("reliable=1,rto_us=0").is_err());
+        assert!(Workload::parse("reliable=1,rto_us=100000000").is_ok());
+        for rto in ["100000001", "20000000000000"] {
+            let err = Workload::parse(&format!("reliable=1,rto_us={rto}")).unwrap_err();
+            assert!(err.contains("rto_us"), "rto_us={rto}: {err}");
+        }
         assert!(Workload::parse("rto_us=bogus").is_err());
     }
 

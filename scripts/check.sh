@@ -28,9 +28,12 @@ echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # which catches a change that moves both kernels the same way. The
 # crate's unit tests ride along for the same reason: among them are
 # the frame side's sleep and wake tests (an assist-register write and
-# an injected arrival each wake it on the dense kernel's cycle).
+# an injected arrival each wake it on the dense kernel's cycle). So do
+# nicsim-cpu's: the firmware-to-engine op batch and the run-ahead
+# contract (poll counts, issue-time tags) must hold optimised too.
 cargo test --release --quiet -p nicsim --test kernel_equivalence
 cargo test --release --quiet -p nicsim --lib
+cargo test --release --quiet -p nicsim-cpu
 
 echo "==> topology smoke (non-default topologies end-to-end, ~3 s)"
 # Drives non-default topologies through the experiment engine:
@@ -52,6 +55,15 @@ echo "==> fleet smoke (sharded multi-NIC determinism + incast drops, ~2 s)"
 # all-classes fault plan and requires at least one completed NIC
 # crash/reset cycle. A nonzero exit is the gate.
 NICSIM_QUICK=1 NICSIM_RESULTS_DIR=target ./target/release/fleetbench
+# A retransmit timeout whose picosecond value would overflow the
+# driver's backoff shift is a usage error naming the key, not a wrapped
+# timeout: Workload::validate bounds rto_us at 100 s.
+status=0
+err=$(timeout 10 ./target/release/fleetbench --workload reliable=1,rto_us=100000001 2>&1 >/dev/null) || status=$?
+if [ "$status" -ne 2 ] || ! printf '%s' "$err" | grep -q "rto_us"; then
+    echo "FAIL: fleetbench --workload reliable=1,rto_us=100000001 exited $status (want 2, naming rto_us): $err"
+    exit 1
+fi
 
 echo "==> fleet fault plane (faulted shard-invariance, crash/reset, reliable delivery)"
 # The release re-run of the fleet fault suite guards the fault plane's

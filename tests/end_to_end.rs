@@ -211,3 +211,29 @@ fn ilp_capture_produces_events() {
     let events = sys.take_ilp_trace().expect("ilp capture enabled");
     assert!(events.len() > 1000);
 }
+
+/// Table 2 is computed from core 0's charged-op trace, so the trace of a
+/// short run is pinned: FNV-1a over each op's `Debug` text, constant
+/// taken before the trace moved from the firmware slot to the engine.
+#[test]
+fn ilp_trace_is_pinned() {
+    let cfg = NicConfig::ideal()
+        .to_builder()
+        .capture_ilp(true)
+        .build()
+        .unwrap();
+    let mut sys = NicSystem::build(cfg).finish().unwrap();
+    sys.run_until(Ps::from_us(100));
+    let ops = sys.take_ilp_trace().expect("ilp capture enabled");
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for op in &ops {
+        for b in format!("{op:?};").bytes() {
+            h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+    assert_eq!(
+        (ops.len(), h),
+        (32_986, 0x0413_eae7_affe_42d2),
+        "ILP trace moved"
+    );
+}
