@@ -53,6 +53,12 @@ pub struct NicSystem<P: Probe = NullProbe> {
     pub(crate) imem: InstrMemory,
     pub(crate) fm: FrameMemory,
     pub(crate) cores: Vec<Core>,
+    /// Per core, the cycle it must next be ticked on if the crossbar
+    /// holds no response for it ([`Core::due`]).
+    pub(crate) core_due: Vec<u64>,
+    /// CPU cycles simulated since boot, skipped ones included: the cycle
+    /// number the cores are ticked with.
+    pub(crate) cycle: u64,
     /// DMA read engines, indexed by engine id (completion tags carry
     /// the id in their high word).
     pub(crate) dmards: Vec<DmaRead>,
@@ -312,7 +318,9 @@ impl<P: Probe> SystemBuilder<P> {
             xbar,
             imem,
             fm,
+            core_due: cores.iter().map(Core::due).collect(),
             cores,
+            cycle: 0,
             dmards,
             dmawrs,
             mactx,
@@ -438,7 +446,8 @@ impl<P: Probe> NicSystem<P> {
     #[inline]
     pub(crate) fn step_inner(&mut self, gate: bool) {
         self.now += self.cpu_period;
-        let now = self.now;
+        self.cycle += 1;
+        let (now, cycle) = (self.now, self.cycle);
 
         // Crossbar arbitration, then the cores. A tick only does work
         // when a request awaits a grant; unconsumed responses ride
@@ -448,8 +457,20 @@ impl<P: Probe> NicSystem<P> {
         } else {
             self.xbar.skip_cycles(1);
         }
-        for core in &mut self.cores {
-            core.tick_probed(&mut self.xbar, &mut self.imem, now, &mut self.probe);
+        // A core is ticked on its due cycle or when the crossbar holds
+        // its response (core `i` is port `i`). On any other cycle its
+        // tick would only charge a stall bucket, which the next tick or
+        // `catch_up` charges in bulk.
+        let ready = self.xbar.ready();
+        for (i, (core, due)) in self.cores.iter_mut().zip(&mut self.core_due).enumerate() {
+            if !gate || *due <= cycle || ready >> i & 1 != 0 {
+                *due =
+                    core.tick_probed(&mut self.xbar, &mut self.imem, cycle, now, &mut self.probe);
+            } else {
+                // Only a charge-only state is left alone: its own rule
+                // agrees the core is not due.
+                debug_assert!(core.due() > cycle, "core {i} slept through {cycle}");
+            }
         }
 
         // The frame side, unless it sleeps through this cycle. Looking
@@ -505,10 +526,14 @@ impl<P: Probe> NicSystem<P> {
         // word this cycle raises every core's wake line. The wake is
         // level-triggered and sticky, and both kernels take this branch
         // at the end of every simulated cycle, so a parked core resumes
-        // on the same cycle under dense and event-driven stepping.
+        // on the same cycle under dense and event-driven stepping. Each
+        // core is charged up to here with its line down first; a parked
+        // one is then due on the next cycle.
         if self.sp.take_signal(Listener::Cores) {
-            for core in &mut self.cores {
+            for (core, due) in self.cores.iter_mut().zip(&mut self.core_due) {
+                core.catch_up(cycle);
                 core.raise_wake();
+                *due = core.due();
             }
         }
     }
@@ -678,12 +703,13 @@ impl<P: Probe> NicSystem<P> {
         // An ungranted request keeps the crossbar arbitration hot:
         // simulate every cycle. Granted-but-unconsumed *responses* don't:
         // they ride through skips untouched, and every possible owner is
-        // bounded below — a core awaiting load data is in a wake-1 state,
-        // an assist with an in-flight transaction reports `busy`, and a
-        // buffered store's drain happens at the owning core's next real
-        // tick wherever that lands (draining late is unobservable: no
-        // stats accrue and the core consults the store buffer only in
-        // wake-1 states).
+        // bounded below — a core awaiting load data or the store buffer
+        // acts on the next cycle, an assist with an in-flight transaction
+        // reports `busy`, and any other core's buffered store drains at
+        // its next tick wherever that lands (the response's ready bit
+        // makes that the first stepped cycle; draining late is
+        // unobservable: no stats accrue and the core consults the store
+        // buffer only at a memory op's last cycle, a due cycle).
         if self.xbar.needs_tick() {
             return 1;
         }
@@ -694,8 +720,11 @@ impl<P: Probe> NicSystem<P> {
         if !self.driver_idle {
             w.at_most(self.driver_countdown);
         }
-        for core in &self.cores {
-            w.at_most(core.wake_in());
+        for (core, &due) in self.cores.iter().zip(&self.core_due) {
+            if core.awaits_response() {
+                return 1;
+            }
+            w.at_most(due - self.cycle);
             if w.is_immediate() {
                 return 1;
             }
@@ -750,13 +779,12 @@ impl<P: Probe> NicSystem<P> {
     }
 
     /// Jump the clock over `n` provably-idle cycles, keeping every
-    /// counter exactly as `n` dense steps would have left it.
+    /// counter exactly as `n` dense steps would have left it. The cores
+    /// charge them at their next tick or catch-up.
     pub(crate) fn skip_cycles(&mut self, n: u64) {
         self.now += Ps(self.cpu_period.0 * n);
+        self.cycle += n;
         self.xbar.skip_cycles(n);
-        for core in &mut self.cores {
-            core.skip_cycles(n);
-        }
         if n < self.driver_countdown {
             self.driver_countdown -= n;
         } else {
@@ -789,6 +817,11 @@ impl<P: Probe> NicSystem<P> {
             }
             self.stepped_cycles += 1;
             self.step_inner(true);
+        }
+        // Whatever reads the cores next — `collect`, `reset_window`, a
+        // fleet's crash snapshot — sees every cycle charged.
+        for core in &mut self.cores {
+            core.catch_up(self.cycle);
         }
     }
 

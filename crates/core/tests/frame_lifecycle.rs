@@ -12,7 +12,7 @@
 //!   simulation results: `RunStats` from the probed run is bit-identical
 //!   to the `NullProbe` run of the same configuration.
 
-use nicsim::{FrameTracker, FwMode, NicConfig, NicSystem};
+use nicsim::{Event, EventLog, FrameTracker, FwMode, NicConfig, NicSystem};
 use nicsim_sim::Ps;
 
 const WARMUP: Ps = Ps(100_000_000); // 100 us
@@ -129,6 +129,39 @@ fn lifecycle_in_ideal_mode_and_one_sided_traffic() {
         .build()
         .unwrap();
     assert_lifecycle(cfg, "send-only");
+}
+
+#[test]
+fn per_cycle_events_reach_only_sinks_that_read_them() {
+    // `FrameTracker` reads no crossbar, I-cache or handler events, so
+    // alone it is never handed them; paired with a log, the log still is.
+    // Neither side may notice the other.
+    let cfg = NicConfig::builder().cores(2).cpu_mhz(300).build().unwrap();
+    let (warmup, window) = (Ps::from_us(40), Ps::from_us(60));
+    let mut alone = NicSystem::build(cfg)
+        .probe(FrameTracker::new())
+        .finish()
+        .unwrap();
+    let base = alone.run_measured(warmup, window);
+    let mut log_alone = NicSystem::build(cfg)
+        .probe(EventLog::new())
+        .finish()
+        .unwrap();
+    assert_eq!(log_alone.run_measured(warmup, window), base);
+    let mut paired = NicSystem::build(cfg)
+        .probe((FrameTracker::new(), EventLog::new()))
+        .finish()
+        .unwrap();
+    assert_eq!(paired.run_measured(warmup, window), base);
+
+    let (tracker, log) = paired.unwrap_probe();
+    let (want, got) = (alone.probe().summary(), tracker.summary());
+    assert!(want.tx_frames > 0 && want.rx_frames > 0, "no traffic");
+    assert_eq!(format!("{want:?}"), format!("{got:?}"));
+    // Every event, every `SpGrant` among them, in the same order.
+    let want = log_alone.probe().events();
+    assert!(want.iter().any(|e| matches!(e, Event::SpGrant { .. })));
+    assert!(want == log.events(), "the paired log lost events");
 }
 
 #[test]

@@ -12,7 +12,7 @@ use nicsim::{
     DispatchMode, DmaDir, Event, EventLog, FaultPlan, FrameTracker, FwMode, NicConfig, NicSystem,
     Probe,
 };
-use nicsim_sim::{Ps, XorShift64};
+use nicsim_sim::{Freq, Ps, XorShift64};
 
 const WARMUP: Ps = Ps(100_000_000); // 100 us
 const WINDOW: Ps = Ps(150_000_000); // 150 us
@@ -421,6 +421,41 @@ fn kernels_match_on_random_configurations() {
         let window = Ps::from_us(pick(rng, &[80u64, 100, 150]));
         assert_identical(cfg, warmup, window, &format!("trial {trial}: {cfg:?}"));
     }
+}
+
+#[test]
+fn run_until_in_random_slices_matches_one_call() {
+    // Cores are ticked only on cycles where they act, and `run_until`
+    // charges every core's outstanding cycles before it returns. A fleet
+    // returns from it every microsecond, so the catch-up runs at every
+    // kind of boundary: mid-span, mid-wait, parked. Slicing the default
+    // 6-core run at random cycle counts must not move a counter, and
+    // neither run may differ from the dense reference (a missing
+    // catch-up would leave both short by the same cycles).
+    let cfg = NicConfig::default();
+    let (warmup, window) = (Ps::from_us(60), Ps::from_us(140));
+    let mut whole = NicSystem::build(cfg).finish().unwrap();
+    let want = whole.run_measured(warmup, window);
+    let mut dense = NicSystem::build(cfg).finish().unwrap();
+    assert_eq!(dense.run_measured_dense(warmup, window), want);
+
+    let period = Freq::from_mhz(cfg.cpu_mhz).period();
+    let rng = &mut XorShift64::for_site(0x51ce, 0);
+    let mut sliced = NicSystem::build(cfg).finish().unwrap();
+    let mut slices = 0;
+    let mut run = |sys: &mut NicSystem, span: Ps| {
+        let until = sys.now() + span;
+        while sys.now() < until {
+            let cycles = 1 + rng.below(500);
+            sys.run_until((sys.now() + Ps(period.0 * cycles)).min(until));
+            slices += 1;
+        }
+    };
+    run(&mut sliced, warmup);
+    sliced.reset_window();
+    run(&mut sliced, window);
+    assert_eq!(sliced.collect(), want, "sliced run diverged");
+    assert!(slices > 100, "{slices} slices");
 }
 
 /// FNV-1a over every `RunStats::summary()` row: the name's bytes, then

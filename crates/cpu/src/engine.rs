@@ -6,6 +6,12 @@
 //! function. When the core is ready to issue, it takes the oldest
 //! operation the firmware has issued and polls the firmware future only
 //! when none is left. See the crate docs for the timing rules.
+//!
+//! Most cycles only charge a bucket: inside a multi-cycle span, waiting
+//! for a load's data or the store buffer, parked, halted. So the system
+//! ticks a core only on the cycle [`Core::tick_probed`] returns as its
+//! *due* cycle, or when the crossbar holds its response; each tick first
+//! charges the cycles since the previous one in bulk ([`Core::catch_up`]).
 
 use crate::func::{CoreProfile, FwFunc, StallBucket};
 use crate::layout::CodeLayout;
@@ -46,8 +52,9 @@ enum State {
     },
     /// Port blocked by the in-flight buffered store.
     WaitStoreDrain { req: SpRequest },
-    /// A load/RMW is in the crossbar; waiting for data.
-    WaitMem { waited: u32 },
+    /// A load/RMW is in the crossbar; waiting for data. `stalled` once
+    /// the load-use stall cycle is charged: every later one is a conflict.
+    WaitMem { stalled: bool },
     /// Parked by `wfi`; wakes when the wake line is raised.
     Parked,
     /// Firmware future completed.
@@ -89,6 +96,7 @@ pub struct Core {
     fetch_func: FwFunc,
     /// Last line touched, to avoid redundant I-cache lookups.
     last_line: Option<u64>,
+    /// The last cycle this core has accounted for.
     cycle: u64,
     profile: CoreProfile,
     stats: CoreEngineStats,
@@ -149,9 +157,55 @@ impl Core {
 
     /// Raise the core's wake line. A parked core resumes on its next
     /// tick, paying the 2-cycle dispatch cost; a running core consumes
-    /// the (level-triggered, sticky) signal at its next `wfi`.
+    /// the (level-triggered, sticky) signal at its next `wfi`. A caller
+    /// that ticks sparsely catches the core up first: the cycles before
+    /// the wake were charged with the line down.
     pub fn raise_wake(&mut self) {
         self.wake_pending = true;
+    }
+
+    /// The next cycle on which this core must be ticked if no crossbar
+    /// response arrives for it — the value [`Core::tick_probed`] returns:
+    ///
+    /// * ready to issue, or parked with the wake line up: the next cycle;
+    /// * in a span that ends in a memory submit or a park: its last cycle;
+    /// * in a span that ends by taking the next op: the cycle *after* its
+    ///   last one, which only charges and moves the core to issue;
+    /// * waiting for a response, parked, halted: never (`u64::MAX`).
+    ///
+    /// Every cycle before it only charges a stall bucket, unless a
+    /// response arrives (the crossbar's ready bit for this port) or the
+    /// wake line is raised.
+    #[inline]
+    pub fn due(&self) -> u64 {
+        match self.state {
+            State::Poll => self.cycle + 1,
+            State::Busy {
+                imiss,
+                exec,
+                annul,
+                then,
+            } => {
+                let last = self.cycle + imiss as u64 + exec as u64 + annul as u64;
+                last + u64::from(matches!(then, Then::Poll))
+            }
+            State::Parked if self.wake_pending => self.cycle + 1,
+            State::WaitMem { .. }
+            | State::WaitStoreDrain { .. }
+            | State::Parked
+            | State::Halted => u64::MAX,
+        }
+    }
+
+    /// Whether the core waits for its own crossbar transaction: a load's
+    /// data, or the store buffer to drain. It acts on the cycle the
+    /// response becomes consumable, which no due cycle can say.
+    #[inline]
+    pub fn awaits_response(&self) -> bool {
+        matches!(
+            self.state,
+            State::WaitMem { .. } | State::WaitStoreDrain { .. }
+        )
     }
 
     /// Whether the core is parked on `wfi`.
@@ -245,7 +299,7 @@ impl Core {
             self.store_inflight = true;
             self.state = State::Poll;
         } else {
-            self.state = State::WaitMem { waited: 0 };
+            self.state = State::WaitMem { stalled: false };
         }
     }
 
@@ -268,7 +322,7 @@ impl Core {
             self.fetch_func = func;
             self.vpc_off = 0;
             self.last_line = None;
-            if P::ENABLED {
+            if P::CYCLE_EVENTS {
                 probe.emit(Event::HandlerEnter {
                     core: self.id,
                     func: func.label(),
@@ -285,7 +339,7 @@ impl Core {
             if self.last_line != Some(line) {
                 self.last_line = Some(line);
                 let hit = self.icache.access(addr);
-                if P::ENABLED {
+                if P::CYCLE_EVENTS {
                     probe.emit(Event::IcacheAccess {
                         core: self.id,
                         hit,
@@ -315,19 +369,25 @@ impl Core {
     /// Advance one CPU cycle. Must be called after `xbar.tick()` for the
     /// same cycle.
     pub fn tick(&mut self, xbar: &mut Crossbar, imem: &mut InstrMemory) {
-        self.tick_probed(xbar, imem, Ps::ZERO, &mut NullProbe);
+        let cycle = self.cycle + 1;
+        self.tick_probed(xbar, imem, cycle, Ps::ZERO, &mut NullProbe);
     }
 
-    /// [`Core::tick`] with probe instrumentation, stamping events with
-    /// the simulated time `now`.
+    /// [`Core::tick`] for cycle `cycle`, with probe instrumentation
+    /// stamping events with the simulated time `now`. Cycles since the
+    /// last tick are charged first ([`Core::catch_up`]), so a caller may
+    /// skip any cycle before the returned [`Core::due`] cycle on which
+    /// the crossbar holds no response for this core.
     pub fn tick_probed<P: Probe>(
         &mut self,
         xbar: &mut Crossbar,
         imem: &mut InstrMemory,
+        cycle: u64,
         now: Ps,
         probe: &mut P,
-    ) {
-        self.cycle += 1;
+    ) -> u64 {
+        self.catch_up(cycle - 1);
+        self.cycle = cycle;
         self.stats.ticks += 1;
 
         // Drain a completed buffered store.
@@ -343,7 +403,7 @@ impl Core {
             match self.state {
                 State::Halted => {
                     self.stats.halted_ticks += 1;
-                    return;
+                    break;
                 }
                 State::Poll => {
                     let Some((op, func)) = self.next_op() else {
@@ -395,7 +455,7 @@ impl Core {
                             annul,
                             then,
                         };
-                        return;
+                        break;
                     }
                     // Last cycle: perform the follow-up action at the tail
                     // of this cycle.
@@ -408,7 +468,7 @@ impl Core {
                         // The `wfi` returns on resume.
                         Then::Park => self.state = State::Parked,
                     }
-                    return;
+                    break;
                 }
                 State::WaitStoreDrain { req } => {
                     self.charge(StallBucket::Conflict);
@@ -417,7 +477,7 @@ impl Core {
                         // of this (conflict) cycle.
                         self.submit(xbar, req);
                     }
-                    return;
+                    break;
                 }
                 State::Parked => {
                     if self.wake_pending {
@@ -436,9 +496,9 @@ impl Core {
                     }
                     self.charge(StallBucket::Exec);
                     self.stats.parked_ticks += 1;
-                    return;
+                    break;
                 }
-                State::WaitMem { waited } => {
+                State::WaitMem { stalled } => {
                     if let Some(v) = xbar.take_response(self.id) {
                         self.slot.response.set(Some(v));
                         // The dependent instruction issues this very
@@ -446,76 +506,48 @@ impl Core {
                         self.state = State::Poll;
                         continue;
                     }
-                    self.charge(if waited == 0 {
-                        StallBucket::LoadStall
-                    } else {
+                    self.charge(if stalled {
                         StallBucket::Conflict
+                    } else {
+                        StallBucket::LoadStall
                     });
-                    self.state = State::WaitMem { waited: waited + 1 };
-                    return;
+                    self.state = State::WaitMem { stalled: true };
+                    break;
                 }
             }
         }
+        self.due()
     }
-}
 
-impl Core {
-    /// Lower bound, in cycles, on when this core can next change
-    /// architectural state *assuming no crossbar traffic is pending
-    /// anywhere* (the system kernel checks that separately).
+    /// Account for every cycle after the last one this core was ticked
+    /// or caught up on, through `cycle`, exactly as ticking each would:
+    /// tick counts, halted and parked ticks, and stall buckets — a span's
+    /// in `imiss -> exec -> annul` order, a wait for data as one load-use
+    /// stall then conflicts, a wait for the store buffer as conflicts. A
+    /// span that ends by taking the next op may be consumed to its end;
+    /// the core is then ready to issue.
     ///
-    /// `Busy` is the only multi-cycle state with a knowable span: the
-    /// core does nothing but charge stall buckets until the remaining
-    /// `imiss + exec + annul` cycles elapse (the final one performs the
-    /// follow-up action, so it must be simulated for real). Every other
-    /// live state may act on the very next cycle.
-    pub fn wake_in(&self) -> u64 {
-        match self.state {
-            State::Halted => u64::MAX,
-            State::Busy {
-                imiss, exec, annul, ..
-            } => imiss as u64 + exec as u64 + annul as u64,
-            // A parked core is inert until a doorbell raises its wake
-            // line; once raised it resumes on the very next cycle. The
-            // kernel re-evaluates wakeups after every stepped cycle, so
-            // a doorbell arriving mid-skip re-aligns the countdown
-            // without losing the 2-cycle dispatch cost (charged by the
-            // resume path in `tick`).
-            State::Parked => {
-                if self.wake_pending {
-                    1
-                } else {
-                    u64::MAX
-                }
-            }
-            _ => 1,
+    /// Callers must guarantee the core was not due on any of these cycles
+    /// (`due() > cycle`) and that no crossbar response arrived for it.
+    #[inline]
+    pub fn catch_up(&mut self, cycle: u64) {
+        if cycle > self.cycle {
+            self.charge_through(cycle);
         }
     }
 
-    /// Fast-forward `n` cycles of provably-uneventful work, preserving
-    /// every observable counter exactly as `n` calls to
-    /// [`Core::tick`] would: tick counts, halted-tick counts, and
-    /// per-bucket stall attribution in `imiss -> exec -> annul` order.
-    ///
-    /// Callers must guarantee `n < wake_in()` (the state-changing final
-    /// cycle of a `Busy` span is never skipped) and that no crossbar
-    /// response is pending for this core.
-    pub fn skip_cycles(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.cycle += n;
+    /// [`Core::catch_up`] over at least one cycle.
+    fn charge_through(&mut self, cycle: u64) {
+        let n = cycle - self.cycle;
+        debug_assert!(self.due() > cycle, "core {} due before {cycle}", self.id);
+        self.cycle = cycle;
         self.stats.ticks += n;
+        let p = self.profile.func_mut(self.func);
         match &mut self.state {
             State::Halted => self.stats.halted_ticks += n,
             State::Busy {
                 imiss, exec, annul, ..
             } => {
-                debug_assert!(
-                    (*imiss as u64 + *exec as u64 + *annul as u64) > n,
-                    "skip must not consume the final Busy cycle"
-                );
-                let p = self.profile.func_mut(self.func);
                 let mut left = n;
                 let take = (*imiss as u64).min(left);
                 p.cycles[StallBucket::IMiss.index()] += take;
@@ -530,22 +562,24 @@ impl Core {
                 *annul -= take as u32;
                 left -= take;
                 debug_assert_eq!(left, 0);
+                if *imiss + *exec + *annul == 0 {
+                    self.state = State::Poll;
+                }
             }
-            // Parked cores are the common case for the interrupt-mode
-            // event kernel: charge the elided cycles exactly as dense
-            // ticking would (idle exec time to the current function).
-            // The wake line must be down — a raised line makes
-            // `wake_in()` report 1, so the kernel never skips past the
-            // resume cycle and the 2-cycle wake dispatch is preserved.
+            State::WaitMem { stalled } => {
+                let load_use = u64::from(!*stalled);
+                p.cycles[StallBucket::LoadStall.index()] += load_use;
+                p.cycles[StallBucket::Conflict.index()] += n - load_use;
+                *stalled = true;
+            }
+            State::WaitStoreDrain { .. } => p.cycles[StallBucket::Conflict.index()] += n,
+            // The wake line is down: a raised one makes the core due on
+            // the next cycle, and its resume pays the 2-cycle dispatch.
             State::Parked => {
-                debug_assert!(
-                    !self.wake_pending,
-                    "skipped a parked core with its wake line raised"
-                );
-                self.profile.func_mut(self.func).cycles[StallBucket::Exec.index()] += n;
+                p.cycles[StallBucket::Exec.index()] += n;
                 self.stats.parked_ticks += n;
             }
-            _ => unreachable!("skipped a core in a single-cycle state"),
+            State::Poll => unreachable!("a core ready to issue is due every cycle"),
         }
     }
 }
@@ -849,15 +883,15 @@ mod attribution_tests {
         });
         let mut log = nicsim_obs::EventLog::new();
         xbar.tick(&mut sp);
-        core.tick_probed(&mut xbar, &mut imem, Ps::ZERO, &mut log);
+        core.tick_probed(&mut xbar, &mut imem, 1, Ps::ZERO, &mut log);
         // One poll ran the firmware to its end: its tag has moved on to
         // the last one while the first op is still being charged.
         assert_eq!(core.slot().func.get(), FwFunc::Idle);
         assert_eq!(core.slot().len(), 3);
         assert_eq!(core.profile().func(FwFunc::SendFrame).total_cycles(), 1);
-        for _ in 0..200 {
+        for cycle in 2..202 {
             xbar.tick(&mut sp);
-            core.tick_probed(&mut xbar, &mut imem, Ps::ZERO, &mut log);
+            core.tick_probed(&mut xbar, &mut imem, cycle, Ps::ZERO, &mut log);
         }
         assert!(core.halted());
         let exec = StallBucket::Exec.index();
@@ -1043,10 +1077,10 @@ mod attribution_tests {
     }
 
     #[test]
-    fn skip_cycles_matches_ticking_through_a_busy_span() {
-        // Two identical cores run the same firmware; one is fast-forwarded
-        // through the interior of a Busy span, the other ticks densely.
-        // Profiles and engine stats must match exactly.
+    fn catch_up_matches_ticking_through_a_busy_span() {
+        // Two identical cores run the same firmware; one is caught up
+        // through a Busy span that ends by taking the next op, the other
+        // ticks densely. Profiles and engine stats must match exactly.
         let build = || {
             let (mut core, xbar, sp, imem) = rig();
             let ctx = CoreCtx::new(core.slot(), 0);
@@ -1066,17 +1100,17 @@ mod attribution_tests {
         dense.tick(&mut dx, &mut dim);
         fx.tick(&mut fsp);
         fast.tick(&mut fx, &mut fim);
-        assert!(fast.wake_in() > 1, "core should be mid-Busy");
+        let due = fast.due();
+        assert!(due >= 13, "the span's last cycle only charges: {due}");
 
-        // Skip all but the final Busy cycle on the fast core; tick the
-        // dense core the same number of times.
-        let skip = fast.wake_in() - 1;
-        fast.skip_cycles(skip);
-        for _ in 0..skip {
+        // Charge the whole span, its last cycle included, on the fast
+        // core; tick the dense core through the same cycles.
+        fast.catch_up(due - 1);
+        for _ in 1..due - 1 {
             dx.tick(&mut dsp);
             dense.tick(&mut dx, &mut dim);
         }
-        assert_eq!(fast.wake_in(), 1);
+        assert_eq!(fast.due(), due, "ready to issue on the due cycle");
         assert_eq!(fast.profile(), dense.profile());
         assert_eq!(fast.engine_stats(), dense.engine_stats());
 
@@ -1088,7 +1122,7 @@ mod attribution_tests {
     }
 
     #[test]
-    fn halted_wake_is_never_and_skip_counts_halted_ticks() {
+    fn a_halted_core_is_never_due_and_catch_up_counts_halted_ticks() {
         let (mut core, mut xbar, mut sp, mut imem) = rig();
         let ctx = CoreCtx::new(core.slot(), 0);
         core.install(async move {
@@ -1096,9 +1130,9 @@ mod attribution_tests {
         });
         run(&mut core, &mut xbar, &mut sp, &mut imem);
         assert!(core.halted());
-        assert_eq!(core.wake_in(), u64::MAX);
+        assert_eq!(core.due(), u64::MAX);
         let before = core.engine_stats();
-        core.skip_cycles(1000);
+        core.catch_up(before.ticks + 1000);
         let after = core.engine_stats();
         assert_eq!(after.ticks, before.ticks + 1000);
         assert_eq!(after.halted_ticks, before.halted_ticks + 1000);
@@ -1127,7 +1161,7 @@ mod attribution_tests {
             core.tick(&mut xbar, &mut imem);
         }
         assert!(core.parked());
-        assert_eq!(core.wake_in(), u64::MAX, "no doorbell: inert");
+        assert_eq!(core.due(), u64::MAX, "no doorbell: inert");
         let instr_at_park = core.profile().total(|f| f.instructions);
         assert_eq!(instr_at_park, 3, "alu(2) + the wfi instruction");
 
@@ -1145,7 +1179,7 @@ mod attribution_tests {
         // 2-cycle dispatch plus the post-wake work, with no extra
         // instructions charged for the wakeup itself.
         core.raise_wake();
-        assert_eq!(core.wake_in(), 1);
+        assert_eq!(core.due(), core.engine_stats().ticks + 1);
         let cycles_at_wake = core.profile().total(|f| f.total_cycles());
         run(&mut core, &mut xbar, &mut sp, &mut imem);
         let cycles = core.profile().total(|f| f.total_cycles());
@@ -1158,7 +1192,7 @@ mod attribution_tests {
     }
 
     #[test]
-    fn parked_skip_matches_dense_ticking() {
+    fn parked_catch_up_matches_dense_ticking() {
         let build = || {
             let (mut core, xbar, sp, imem) = rig();
             let ctx = CoreCtx::new(core.slot(), 0);
@@ -1180,10 +1214,11 @@ mod attribution_tests {
         }
         assert!(dense.parked() && fast.parked());
 
-        // The doorbell fires 100 cycles later: the fast core skips the
-        // parked span, the dense core ticks through it. Everything
-        // observable must match, including the preserved wake cost.
-        fast.skip_cycles(100);
+        // The doorbell fires 100 cycles later: the fast core is caught
+        // up over the parked span, the dense core ticks through it.
+        // Everything observable must match, including the preserved wake
+        // cost.
+        fast.catch_up(110);
         for _ in 0..100 {
             dx.tick(&mut dsp);
             dense.tick(&mut dx, &mut dim);
@@ -1193,7 +1228,7 @@ mod attribution_tests {
 
         dense.raise_wake();
         fast.raise_wake();
-        assert_eq!(fast.wake_in(), dense.wake_in());
+        assert_eq!(fast.due(), dense.due());
         run(&mut dense, &mut dx, &mut dsp, &mut dim);
         run(&mut fast, &mut fx, &mut fsp, &mut fim);
         assert_eq!(fast.profile(), dense.profile());
@@ -1217,6 +1252,146 @@ mod attribution_tests {
         core.raise_wake();
         run(&mut core, &mut xbar, &mut sp, &mut imem);
         assert!(core.halted(), "sticky wake let the wfi complete");
+    }
+
+    /// One core on its own crossbar, scratchpad and instruction memory,
+    /// with three more requesters (ports 1–3) that each read bank 0
+    /// whenever they are idle.
+    struct Contended {
+        core: Core,
+        xbar: Crossbar,
+        sp: Scratchpad,
+        imem: InstrMemory,
+        log: nicsim_obs::EventLog,
+    }
+
+    impl Contended {
+        fn new() -> Contended {
+            let mut core = Core::new(0, ICacheConfig::default(), CodeLayout::new());
+            let ctx = CoreCtx::new(core.slot(), 0);
+            core.install(async move {
+                ctx.set_func(FwFunc::SendFrame);
+                ctx.alu(5).await;
+                ctx.branch().await;
+                for _ in 0..3 {
+                    ctx.load(0).await;
+                }
+                ctx.store(4, 1).await;
+                ctx.store(8, 2).await;
+                ctx.store(12, 3).await;
+                ctx.branch_miss().await;
+                ctx.set_func(FwFunc::RecvFrame);
+                ctx.alu(3).await;
+                ctx.wfi().await;
+                ctx.alu(20).await;
+                // The wake raised during the `alu(20)` is consumed here.
+                ctx.wfi().await;
+                ctx.update(64, 0).await;
+                // Parks with the store in flight: its response lands on a
+                // parked core.
+                ctx.store(16, 4).await;
+                ctx.wfi().await;
+                ctx.alu(2).await;
+            });
+            Contended {
+                core,
+                xbar: Crossbar::new(4, 4),
+                sp: Scratchpad::new(4096, 4),
+                imem: InstrMemory::new(),
+                log: nicsim_obs::EventLog::new(),
+            }
+        }
+
+        fn tick(&mut self, cycle: u64) -> u64 {
+            let at = Ps(cycle);
+            self.core
+                .tick_probed(&mut self.xbar, &mut self.imem, cycle, at, &mut self.log)
+        }
+
+        /// The other requesters' turn, at the end of the cycle.
+        fn contend(&mut self) {
+            for port in 1..4 {
+                self.xbar.take_response(port);
+                if self.xbar.port_idle(port) {
+                    let req = SpRequest {
+                        addr: 32,
+                        op: SpOp::Read,
+                    };
+                    self.xbar.submit(port, req);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn ticking_only_due_cycles_and_responses_matches_dense_ticking() {
+        let (mut dense, mut sparse) = (Contended::new(), Contended::new());
+        let same = |d: &Contended, s: &Contended, when: &str| {
+            assert_eq!(d.core.profile(), s.core.profile(), "{when}");
+            assert_eq!(d.core.engine_stats(), s.core.engine_stats(), "{when}");
+            assert_eq!(d.log.events(), s.log.events(), "{when}");
+        };
+        let (mut due, mut sparse_ticks, mut parked_for) = (1, 0, 0);
+        let (mut wakes, mut mid_span_at, mut halted_at) = (Vec::new(), None, None);
+        let mut cycle = 0;
+        while halted_at.is_none_or(|h| cycle < h + 20) {
+            cycle += 1;
+            assert!(cycle < 2_000, "did not halt");
+            dense.xbar.tick(&mut dense.sp);
+            sparse.xbar.tick(&mut sparse.sp);
+            dense.tick(cycle);
+            if due <= cycle || sparse.xbar.ready() & 1 != 0 {
+                due = sparse.tick(cycle);
+                sparse_ticks += 1;
+                same(&dense, &sparse, &format!("tick on {cycle}"));
+            } else {
+                assert!(sparse.core.due() > cycle, "{cycle}");
+                if cycle % 3 == 0 {
+                    sparse.core.catch_up(cycle);
+                    same(&dense, &sparse, &format!("catch-up to {cycle}"));
+                }
+            }
+            dense.contend();
+            sparse.contend();
+
+            // Doorbells, placed by the dense core's state: one after ten
+            // parked cycles, one in the middle of the `alu(20)` span.
+            parked_for = if dense.core.parked() {
+                parked_for + 1
+            } else {
+                0
+            };
+            if parked_for == 10 || mid_span_at == Some(cycle) {
+                if mid_span_at.is_none() {
+                    mid_span_at = Some(cycle + 8);
+                } else if mid_span_at == Some(cycle) {
+                    assert!(dense.core.due() > cycle + 1, "mid-span");
+                }
+                wakes.push(cycle);
+                dense.core.raise_wake();
+                sparse.core.catch_up(cycle);
+                sparse.core.raise_wake();
+                due = sparse.core.due();
+                same(&dense, &sparse, &format!("wake on {cycle}"));
+            }
+            if dense.core.halted() && halted_at.is_none() {
+                halted_at = Some(cycle);
+            }
+        }
+        sparse.core.catch_up(cycle);
+        same(&dense, &sparse, "the end");
+        assert!(sparse.core.halted());
+        assert_eq!(wakes.len(), 3, "{wakes:?}");
+        let p = dense.core.profile();
+        assert!(
+            p.bucket_cycles(StallBucket::Conflict) > 3,
+            "contended: {p:?}"
+        );
+        assert_eq!(dense.sp.peek(16), 4);
+        assert!(
+            sparse_ticks * 2 < cycle,
+            "{sparse_ticks} sparse ticks in {cycle} cycles"
+        );
     }
 
     #[test]

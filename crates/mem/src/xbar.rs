@@ -156,6 +156,14 @@ impl Crossbar {
         (self.requesting | self.fresh | self.ready) >> port & 1 == 0
     }
 
+    /// The ports holding a consumable response, one bit per port. Read
+    /// after a cycle's arbitration, these are the requesters that must
+    /// look at the crossbar on this cycle.
+    #[inline]
+    pub fn ready(&self) -> u64 {
+        self.ready
+    }
+
     /// Take the response for `port` if it is consumable this cycle.
     #[inline]
     pub fn take_response(&mut self, port: RequesterId) -> Option<u32> {
@@ -188,7 +196,8 @@ impl Crossbar {
     /// [`Crossbar::tick`] with probe instrumentation: emits
     /// [`Event::SpGrant`] for every granted transaction and
     /// [`Event::SpConflict`] for every request that lost arbitration this
-    /// cycle, stamped with `now`.
+    /// cycle, stamped with `now`, to a probe that reads per-cycle events
+    /// ([`Probe::CYCLE_EVENTS`]).
     pub fn tick_probed<P: Probe>(&mut self, sp: &mut Scratchpad, now: Ps, probe: &mut P) {
         debug_assert_eq!(
             sp.banks(),
@@ -205,7 +214,7 @@ impl Crossbar {
             self.fresh |= 1 << p;
             let port = &mut self.ports[p];
             port.value = sp.execute(port.req);
-            if P::ENABLED {
+            if P::CYCLE_EVENTS {
                 probe.emit(Event::SpGrant {
                     port: p,
                     bank,
@@ -219,7 +228,7 @@ impl Crossbar {
         // Every request still pending after this arbitration round lost a
         // cycle to a bank conflict (uncontended requests are granted on
         // their first round).
-        if P::ENABLED {
+        if P::CYCLE_EVENTS {
             let mut losers = self.requesting;
             while losers != 0 {
                 let p = losers.trailing_zeros() as usize;

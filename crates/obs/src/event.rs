@@ -391,4 +391,17 @@ impl Event {
             Event::FmBurst { done, .. } => done,
         }
     }
+
+    /// Whether this is one of the per-cycle events a sink opts into with
+    /// [`crate::Probe::CYCLE_EVENTS`].
+    #[inline]
+    pub(crate) fn per_cycle(&self) -> bool {
+        matches!(
+            self,
+            Event::SpGrant { .. }
+                | Event::SpConflict { .. }
+                | Event::IcacheAccess { .. }
+                | Event::HandlerEnter { .. }
+        )
+    }
 }

@@ -286,6 +286,8 @@ fn stage_stats(name: &'static str, deltas: &mut [u64]) -> StageStats {
 }
 
 impl Probe for FrameTracker {
+    const CYCLE_EVENTS: bool = false;
+
     fn emit(&mut self, ev: Event) {
         match ev {
             Event::HostTxPost { seq, at } => {

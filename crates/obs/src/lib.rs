@@ -16,9 +16,13 @@
 //!
 //!   ```ignore
 //!   if P::ENABLED {
-//!       probe.emit(Event::SpGrant { port, bank, addr, write, at: now });
+//!       probe.emit(Event::MacTxWireDone { seq, at: now });
 //!   }
 //!   ```
+//!
+//!   The per-cycle events (grants, conflicts, I-cache lines, handler
+//!   entries) are gated on [`Probe::CYCLE_EVENTS`] instead, which a sink
+//!   that never reads them turns off.
 //!
 //! * **Zero-cost when off.** [`NullProbe`] sets `ENABLED = false`, so the
 //!   branch above is a compile-time constant and the whole arm — event
@@ -72,6 +76,13 @@ pub trait Probe {
     /// away entirely.
     const ENABLED: bool = true;
 
+    /// Whether the sink reads the per-cycle events — [`Event::SpGrant`],
+    /// [`Event::SpConflict`], [`Event::IcacheAccess`] and
+    /// [`Event::HandlerEnter`], several per simulated cycle. Their
+    /// emission sites are gated on this instead of `ENABLED`, so a sink
+    /// that ignores them (like [`FrameTracker`]) is never handed them.
+    const CYCLE_EVENTS: bool = Self::ENABLED;
+
     /// Receive one event. Events arrive in simulation order per
     /// component; events from different components within the same cycle
     /// arrive in the system's fixed component order.
@@ -89,16 +100,19 @@ impl Probe for NullProbe {
     fn emit(&mut self, _ev: Event) {}
 }
 
-/// Fan-out composition: a pair of probes is a probe.
+/// Fan-out composition: a pair of probes is a probe. A per-cycle event
+/// reaches only a side that reads them.
 impl<A: Probe, B: Probe> Probe for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
+    const CYCLE_EVENTS: bool = A::CYCLE_EVENTS || B::CYCLE_EVENTS;
 
     #[inline]
     fn emit(&mut self, ev: Event) {
-        if A::ENABLED {
+        let per_cycle = ev.per_cycle();
+        if A::ENABLED && (A::CYCLE_EVENTS || !per_cycle) {
             self.0.emit(ev);
         }
-        if B::ENABLED {
+        if B::ENABLED && (B::CYCLE_EVENTS || !per_cycle) {
             self.1.emit(ev);
         }
     }
@@ -183,6 +197,36 @@ mod tests {
         assert_eq!(pair.1.len(), 1);
         const { assert!(<(NullProbe, EventLog)>::ENABLED) };
         const { assert!(!<(NullProbe, NullProbe)>::ENABLED) };
+    }
+
+    #[test]
+    fn per_cycle_events_reach_only_a_side_that_reads_them() {
+        const { assert!(!FrameTracker::CYCLE_EVENTS && FrameTracker::ENABLED) };
+        const { assert!(EventLog::CYCLE_EVENTS && !NullProbe::CYCLE_EVENTS) };
+        const { assert!(<(FrameTracker, EventLog)>::CYCLE_EVENTS) };
+        const { assert!(!<(FrameTracker, FrameTracker)>::CYCLE_EVENTS) };
+        /// Records every event it is handed, reading no per-cycle ones.
+        #[derive(Default)]
+        struct Lifecycle(EventLog);
+        impl Probe for Lifecycle {
+            const CYCLE_EVENTS: bool = false;
+            fn emit(&mut self, ev: Event) {
+                self.0.emit(ev);
+            }
+        }
+        let grant = Event::SpGrant {
+            port: 0,
+            bank: 1,
+            addr: 4,
+            write: false,
+            at: Ps(1),
+        };
+        let reset = Event::WindowReset { at: Ps(2) };
+        let mut pair = (Lifecycle::default(), EventLog::new());
+        pair.emit(grant);
+        pair.emit(reset);
+        assert_eq!(pair.0 .0.events(), [reset]);
+        assert_eq!(pair.1.events(), [grant, reset]);
     }
 
     #[test]

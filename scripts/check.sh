@@ -30,10 +30,16 @@ echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # the frame side's sleep and wake tests (an assist-register write and
 # an injected arrival each wake it on the dense kernel's cycle). So do
 # nicsim-cpu's: the firmware-to-engine op batch and the run-ahead
-# contract (poll counts, issue-time tags) must hold optimised too.
+# contract (poll counts, issue-time tags) must hold optimised too, and
+# so must a core ticked only on its due cycles and responses, charging
+# the cycles between in bulk, against one ticked every cycle. So does
+# frame_lifecycle: a probed run must equal the NullProbe run, and the
+# per-cycle events (grants, conflicts, I-cache, handler entries) must
+# reach a sink that reads them and skip one that does not.
 cargo test --release --quiet -p nicsim --test kernel_equivalence
 cargo test --release --quiet -p nicsim --lib
 cargo test --release --quiet -p nicsim-cpu
+cargo test --release --quiet -p nicsim --test frame_lifecycle
 
 echo "==> topology smoke (non-default topologies end-to-end, ~3 s)"
 # Drives non-default topologies through the experiment engine:
