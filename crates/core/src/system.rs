@@ -30,7 +30,7 @@ use nicsim_mem::{
 use nicsim_net::link::RxGenerator;
 use nicsim_net::workload::TxPacket;
 use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe};
-use nicsim_sim::{Freq, Ps, WakeTracker};
+use nicsim_sim::{Freq, Ps};
 
 /// The assembled NIC + host + network simulation.
 ///
@@ -68,9 +68,6 @@ pub struct NicSystem<P: Probe = NullProbe> {
     pub(crate) macrx: MacRx,
     pub(crate) host_mem: HostMemory,
     pub(crate) driver: Driver,
-    /// Cycles until the next driver poll (replaces a per-cycle
-    /// frequency-division-and-modulo check).
-    pub(crate) driver_countdown: u64,
     /// The driver's last poll changed nothing and the NIC has not
     /// written host memory since, so every poll until the next host
     /// write is a provable no-op: the event kernel elides them and may
@@ -82,6 +79,15 @@ pub struct NicSystem<P: Probe = NullProbe> {
     /// sleeps until this time (see [`NicSystem::frame_side_asleep`]);
     /// at or before `now` it is awake.
     pub(crate) frame_wake: Ps,
+    /// The first cycle on which any component may change architectural
+    /// state, folded at the end of every step (`fold_due`). `run_until`
+    /// jumps to it; `inject_rx`, `deliver_ack` and `reset_window` lower
+    /// it. The contract that keeps results bit-identical: each part's
+    /// value is a *lower bound* on its next state change. Too early
+    /// only costs a no-op cycle; too late would skip real work, which
+    /// the dense-vs-event equivalence tests catch. A timed event is
+    /// [`Ps::MAX`] for "never" and converts with [`NicSystem::cycle_at`].
+    pub(crate) next_due: u64,
     /// Cycles elided by the event-driven kernel (diagnostics).
     pub(crate) skipped_cycles: u64,
     /// Cycles simulated for real by the event-driven kernel.
@@ -327,9 +333,9 @@ impl<P: Probe> SystemBuilder<P> {
             macrx,
             host_mem,
             driver,
-            driver_countdown: DRIVER_INTERVAL,
             driver_idle: false,
             frame_wake: Ps::ZERO,
+            next_due: 1,
             skipped_cycles: 0,
             stepped_cycles: 0,
             window_start: boot_at,
@@ -387,6 +393,7 @@ impl<P: Probe> NicSystem<P> {
     pub fn deliver_ack(&mut self, at: Ps, seq: u32) {
         self.driver.deliver_ack(at, seq);
         self.driver_idle = false;
+        self.next_due = self.next_due.min(self.next_live_poll());
     }
 
     /// Drain the acknowledgments the driver owes, as
@@ -421,8 +428,11 @@ impl<P: Probe> NicSystem<P> {
     pub fn inject_rx(&mut self, at: Ps, frame: Vec<u8>) {
         debug_assert!(at > self.now, "injected arrival is already due");
         self.macrx.generator.inject(at, frame);
-        // The arrival may come before the frame side's wake time.
-        self.frame_wake = Ps::ZERO;
+        // The arrival may come before a sleeping frame side's wake time.
+        if self.frame_wake > self.now {
+            self.frame_wake = self.frame_wake.min(self.macrx.next_event());
+            self.next_due = self.next_due.min(self.cycle_at(self.frame_wake));
+        }
     }
 
     /// Absolute time of the earliest cycle on which this system may
@@ -431,7 +441,7 @@ impl<P: Probe> NicSystem<P> {
     /// provably a no-op (every stepped cycle would be gated), so the
     /// fleet engine skips the call — and the whole epoch — outright.
     pub fn next_activity(&self) -> Ps {
-        let wake = self.wake_cycles();
+        let wake = self.next_due - self.cycle;
         Ps(self
             .now
             .0
@@ -462,6 +472,7 @@ impl<P: Probe> NicSystem<P> {
         // tick would only charge a stall bucket, which the next tick or
         // `catch_up` charges in bulk.
         let ready = self.xbar.ready();
+        let mut cores_due = u64::MAX;
         for (i, (core, due)) in self.cores.iter_mut().zip(&mut self.core_due).enumerate() {
             if !gate || *due <= cycle || ready >> i & 1 != 0 {
                 *due =
@@ -471,6 +482,7 @@ impl<P: Probe> NicSystem<P> {
                 // agrees the core is not due.
                 debug_assert!(core.due() > cycle, "core {i} slept through {cycle}");
             }
+            cores_due = cores_due.min(*due);
         }
 
         // The frame side, unless it sleeps through this cycle. Looking
@@ -489,34 +501,31 @@ impl<P: Probe> NicSystem<P> {
             );
         }
 
-        // Host driver (polling period models interrupt mitigation). An
-        // idle driver's poll is elided when gating: nothing wrote host
-        // memory since a poll that did nothing, so this one would too.
-        self.driver_countdown -= 1;
-        if self.driver_countdown == 0 {
-            self.driver_countdown = DRIVER_INTERVAL;
-            if !gate || !self.driver_idle {
-                let acted = self
-                    .driver
-                    .tick_probed(now, &mut self.host_mem, &mut self.probe);
-                // A time-sensitive driver (offered-load pacing, or a
-                // fleet schedule with sends still pending) may act on a
-                // later poll with no external write in between, so its
-                // polls are never elided.
-                self.driver_idle = !acted && !self.driver.time_sensitive();
-                for w in self.driver.take_mailbox_writes() {
-                    let (addr, reg) = match w.reg {
-                        Mailbox::SendBdProd => (self.map.sb_mailbox_prod, "send_bd_prod"),
-                        Mailbox::RxBdProd => (self.map.rb_mailbox_prod, "rx_bd_prod"),
-                    };
-                    self.sp.poke(addr, w.value);
-                    if P::ENABLED {
-                        self.probe.emit(Event::MailboxWrite {
-                            reg,
-                            value: w.value,
-                            at: now,
-                        });
-                    }
+        // Host driver, polling on every `DRIVER_INTERVAL`-th cycle (the
+        // period models interrupt mitigation). An idle driver's poll is
+        // elided when gating: nothing wrote host memory since a poll
+        // that did nothing, so this one would do nothing too.
+        if cycle % DRIVER_INTERVAL == 0 && (!gate || !self.driver_idle) {
+            let acted = self
+                .driver
+                .tick_probed(now, &mut self.host_mem, &mut self.probe);
+            // A time-sensitive driver (offered-load pacing, or a fleet
+            // schedule with sends still pending) may act on a later poll
+            // with no external write in between, so its polls are never
+            // elided.
+            self.driver_idle = !acted && !self.driver.time_sensitive();
+            for w in self.driver.take_mailbox_writes() {
+                let (addr, reg) = match w.reg {
+                    Mailbox::SendBdProd => (self.map.sb_mailbox_prod, "send_bd_prod"),
+                    Mailbox::RxBdProd => (self.map.rb_mailbox_prod, "rx_bd_prod"),
+                };
+                self.sp.poke(addr, w.value);
+                if P::ENABLED {
+                    self.probe.emit(Event::MailboxWrite {
+                        reg,
+                        value: w.value,
+                        at: now,
+                    });
                 }
             }
         }
@@ -530,12 +539,91 @@ impl<P: Probe> NicSystem<P> {
         // core is charged up to here with its line down first; a parked
         // one is then due on the next cycle.
         if self.sp.take_signal(Listener::Cores) {
+            cores_due = u64::MAX;
             for (core, due) in self.cores.iter_mut().zip(&mut self.core_due) {
                 core.catch_up(cycle);
                 core.raise_wake();
                 *due = core.due();
+                cores_due = cores_due.min(*due);
             }
         }
+
+        self.next_due = self.fold_due(cores_due);
+    }
+
+    /// [`NicSystem::next_due`] at the end of a step whose cores are next
+    /// due on `cores_due`: the min of that, the next live driver poll
+    /// and the frame side's wake, or the next cycle outright.
+    ///
+    /// An ungranted request keeps the crossbar arbitration hot.
+    /// Granted-but-unconsumed *responses* do not: they ride through
+    /// skips untouched, and every possible owner is bounded below. A
+    /// core awaiting load data or the store buffer acts on the next
+    /// cycle; its port is then either requesting or granted on this
+    /// cycle, so only the cores in `fresh` are looked at. An assist with
+    /// an in-flight transaction reports `busy`. Any other core's buffered
+    /// store drains at its next tick wherever that lands (the response's
+    /// ready bit makes that the first stepped cycle; draining late is
+    /// unobservable: no stats accrue and the core consults the store
+    /// buffer only at a memory op's last cycle, a due cycle).
+    #[inline]
+    fn fold_due(&mut self, cores_due: u64) -> u64 {
+        let next = self.cycle + 1;
+        if self.xbar.needs_tick() {
+            return next;
+        }
+        // Core ports come first, so the scan ends at the first assist's
+        // port or, with nothing granted, at bit 64.
+        let mut fresh = self.xbar.fresh();
+        while let Some(core) = self.cores.get(fresh.trailing_zeros() as usize) {
+            if core.awaits_response() {
+                return next;
+            }
+            fresh &= fresh - 1;
+        }
+        debug_assert!(
+            !self.cores.iter().any(Core::awaits_response),
+            "a waiting core holds neither a request nor a fresh grant"
+        );
+        let due = cores_due.min(self.next_live_poll());
+        if due == next {
+            return next;
+        }
+        // The frame side. Asleep, no `busy` holds until its wake time.
+        // Awake, a `busy` assist makes the next cycle due; otherwise the
+        // side sleeps until its timed events: frame-memory bursts, wire
+        // completions, frame arrivals.
+        if !self.frame_side_asleep() {
+            if self.frame_side_busy() {
+                return next;
+            }
+            self.frame_wake = self.frame_side_next_event();
+        }
+        due.min(self.cycle_at(self.frame_wake))
+    }
+
+    /// The cycle of the next driver poll that is not provably a no-op:
+    /// the next multiple of `DRIVER_INTERVAL`, or never while the driver
+    /// is idle. Skipped cycles cannot write host memory (nothing acts),
+    /// so an idle driver stays idle across a jump.
+    #[inline]
+    fn next_live_poll(&self) -> u64 {
+        if self.driver_idle {
+            u64::MAX
+        } else {
+            (self.cycle / DRIVER_INTERVAL + 1) * DRIVER_INTERVAL
+        }
+    }
+
+    /// The first cycle whose time reaches `t`, but at least the next
+    /// one; never (`u64::MAX`) for [`Ps::MAX`].
+    #[inline]
+    fn cycle_at(&self, t: Ps) -> u64 {
+        if t == Ps::MAX {
+            return u64::MAX;
+        }
+        let ahead = t.0.saturating_sub(self.now.0).div_ceil(self.cpu_period.0);
+        self.cycle + ahead.max(1)
     }
 
     /// One cycle of the frame side: the assists in port-layout order
@@ -691,65 +779,11 @@ impl<P: Probe> NicSystem<P> {
         }
     }
 
-    /// How many cycles the clock may jump before any component can
-    /// change architectural state: 1 means "simulate the next cycle for
-    /// real", `n > 1` means cycles `1..n` are provably no-ops.
-    ///
-    /// Every bound here is a lower bound on the component's next state
-    /// change (the `nicsim_sim::sched` contract), so skipping `n - 1`
-    /// cycles and simulating the `n`-th is bit-identical to ticking
-    /// densely.
-    pub(crate) fn wake_cycles(&self) -> u64 {
-        // An ungranted request keeps the crossbar arbitration hot:
-        // simulate every cycle. Granted-but-unconsumed *responses* don't:
-        // they ride through skips untouched, and every possible owner is
-        // bounded below — a core awaiting load data or the store buffer
-        // acts on the next cycle, an assist with an in-flight transaction
-        // reports `busy`, and any other core's buffered store drains at
-        // its next tick wherever that lands (the response's ready bit
-        // makes that the first stepped cycle; draining late is
-        // unobservable: no stats accrue and the core consults the store
-        // buffer only at a memory op's last cycle, a due cycle).
-        if self.xbar.needs_tick() {
-            return 1;
-        }
-        let mut w = WakeTracker::new(self.now, self.cpu_period);
-        // An idle driver's polls are no-ops, so they don't bound the
-        // skip; skipped cycles can't write host memory (nothing acts),
-        // so the driver stays idle across the jump.
-        if !self.driver_idle {
-            w.at_most(self.driver_countdown);
-        }
-        for (core, &due) in self.cores.iter().zip(&self.core_due) {
-            if core.awaits_response() {
-                return 1;
-            }
-            w.at_most(due - self.cycle);
-            if w.is_immediate() {
-                return 1;
-            }
-        }
-        // The frame side. Asleep, its wake time is the earliest of its
-        // timed events, and no `busy` holds. Awake, assists poll
-        // doorbells as registers — if one could issue work on the next
-        // tick, no skip — and the timed events bound the rest:
-        // frame-memory burst starts/completions, wire completions,
-        // frame arrivals.
-        if self.frame_side_asleep() {
-            w.at_time(self.frame_wake);
-        } else if self.frame_side_busy() {
-            return 1;
-        } else {
-            w.at_time(self.frame_side_next_event());
-        }
-        w.wake_in()
-    }
-
     /// Whether the frame side sleeps through the next cycle: a stepped
     /// cycle found none of its units with work and nothing due before
     /// `frame_wake`, and no assist register has been written since
-    /// (the scratchpad's frame-side watch; an `inject_rx` wakes it
-    /// directly). Every input a `busy` predicate or a `next_event`
+    /// (the scratchpad's frame-side watch; an `inject_rx` brings the
+    /// wake time forward). Every input a `busy` predicate or a `next_event`
     /// reads is one of those or the side's own state, so the rule is
     /// exact — `step_inner` checks it on every cycle it sleeps through
     /// in debug builds.
@@ -771,48 +805,38 @@ impl<P: Probe> NicSystem<P> {
     /// the fold of every unit's `busy` predicate, over however many
     /// DMA engines the topology holds.
     #[inline]
-    pub(crate) fn frame_side_busy(&self) -> bool {
+    fn frame_side_busy(&self) -> bool {
         self.dmards.iter().any(|d| d.busy(&self.sp))
             || self.dmawrs.iter().any(|d| d.busy(&self.sp))
             || self.mactx.busy(&self.sp)
             || self.macrx.busy()
     }
 
-    /// Jump the clock over `n` provably-idle cycles, keeping every
-    /// counter exactly as `n` dense steps would have left it. The cores
-    /// charge them at their next tick or catch-up.
-    pub(crate) fn skip_cycles(&mut self, n: u64) {
-        self.now += Ps(self.cpu_period.0 * n);
-        self.cycle += n;
-        self.xbar.skip_cycles(n);
-        if n < self.driver_countdown {
-            self.driver_countdown -= n;
-        } else {
-            // The skip crossed driver poll boundaries — legal only while
-            // the driver is provably idle (those polls are no-ops).
-            // Realign the countdown to the next boundary after the jump.
-            debug_assert!(self.driver_idle, "skipped a live driver poll");
-            let past = (n - self.driver_countdown) % DRIVER_INTERVAL;
-            self.driver_countdown = DRIVER_INTERVAL - past;
-        }
-    }
-
     /// Run until simulation time `until` on the hybrid event-driven
-    /// kernel: cycles on which no component can act are skipped in bulk,
-    /// and within simulated cycles, components whose tick is provably a
-    /// no-op are bypassed. Results are bit-identical to
+    /// kernel: the cycles before [`NicSystem::next_due`] are skipped in
+    /// bulk, and within simulated cycles, components whose tick is
+    /// provably a no-op are bypassed. Results are bit-identical to
     /// [`NicSystem::run_until_dense`].
     pub fn run_until(&mut self, until: Ps) {
         while self.now < until {
-            let wake = self.wake_cycles();
-            if wake > 1 {
+            let idle = self.next_due - self.cycle - 1;
+            if idle > 0 {
                 // Never skip past `until`: the loop must terminate on
                 // the same cycle the dense kernel would.
                 let remaining = (until.0 - self.now.0).div_ceil(self.cpu_period.0);
-                let skip = (wake - 1).min(remaining.saturating_sub(1));
+                let skip = idle.min(remaining - 1);
                 if skip > 0 {
+                    // Only an idle driver's polls (no-ops) are skipped.
+                    debug_assert!(
+                        self.cycle + skip < self.next_live_poll(),
+                        "skipped a live driver poll"
+                    );
+                    // The cores charge the skipped cycles at their next
+                    // tick or catch-up.
                     self.skipped_cycles += skip;
-                    self.skip_cycles(skip);
+                    self.now += Ps(self.cpu_period.0 * skip);
+                    self.cycle += skip;
+                    self.xbar.skip_cycles(skip);
                 }
             }
             self.stepped_cycles += 1;
@@ -854,6 +878,7 @@ impl<P: Probe> NicSystem<P> {
         self.window_start = now;
         // Counter resets change what the next driver poll observes.
         self.driver_idle = false;
+        self.next_due = self.next_due.min(self.next_live_poll());
         for c in &mut self.cores {
             c.reset_stats();
         }
@@ -1270,6 +1295,88 @@ mod tests {
                 dense.probe().events() == event.probe().events(),
                 "{dispatch:?}: event streams diverged"
             );
+        }
+    }
+
+    /// A timed event converts to the first cycle at or after it, never
+    /// sooner than the next one; `Ps::MAX` stays never.
+    #[test]
+    fn cycle_at_rounds_up_to_a_later_cycle() {
+        let cfg = NicConfig {
+            cpu_mhz: 500,
+            ..NicConfig::default()
+        };
+        let mut sys = NicSystem::build(cfg).finish().unwrap();
+        sys.run_until_dense(Ps::from_ns(10));
+        // Cycle 5 at 10 ns, 2 ns a cycle.
+        assert_eq!((sys.cycle, sys.now), (5, Ps::from_ns(10)));
+        assert_eq!(sys.cycle_at(Ps::from_ns(16)), 8, "exactly 3 periods out");
+        assert_eq!(sys.cycle_at(Ps(16_001)), 9, "just past: a 4th cycle");
+        for at_or_before in [Ps::from_ns(10), Ps(3), Ps::ZERO] {
+            assert_eq!(sys.cycle_at(at_or_before), 6, "due now: the next cycle");
+        }
+        assert_eq!(sys.cycle_at(Ps::MAX), u64::MAX);
+    }
+
+    /// The fleet's quiet-epoch skip on one member: advanced to each 1 µs
+    /// boundary only when `next_activity()` falls inside the epoch (as
+    /// the fleet's `run_chunk` does), with a frame injected every 13
+    /// epochs, it ends in the same state and event stream as a member
+    /// stepped densely through every epoch. Interrupt dispatch parks
+    /// the cores, so epochs are actually skipped there.
+    #[test]
+    fn a_member_skipped_by_next_activity_matches_dense() {
+        use nicsim_net::frame::{build_udp_frame, set_endpoints};
+        use nicsim_obs::EventLog;
+        for dispatch in [DispatchMode::Polling, DispatchMode::Interrupt] {
+            let cfg = NicConfig {
+                cores: 2,
+                cpu_mhz: 500,
+                dispatch,
+                ..NicConfig::default()
+            };
+            let build = || {
+                NicSystem::build(cfg)
+                    .probe(EventLog::new())
+                    .fleet_member(FleetMember {
+                        src: 0,
+                        schedule: Vec::new(),
+                        first_seq: 0,
+                        rto: None,
+                        boot_at: Ps::ZERO,
+                    })
+                    .finish()
+                    .unwrap()
+            };
+            let (mut dense, mut event) = (build(), build());
+            let mut skipped = 0;
+            let mut end = Ps::ZERO;
+            for epoch in 1..=300u32 {
+                end = Ps::from_us(epoch.into());
+                if epoch % 13 == 0 {
+                    // Due inside this epoch, between cycle boundaries.
+                    let mut frame = build_udp_frame(epoch / 13, 1472);
+                    set_endpoints(&mut frame, 1, 0);
+                    let at = end - Ps(1_234);
+                    dense.inject_rx(at, frame.clone());
+                    event.inject_rx(at, frame);
+                }
+                dense.run_until_dense(end);
+                if event.next_activity() <= end {
+                    event.run_until(end);
+                } else {
+                    skipped += 1;
+                }
+            }
+            event.run_until(end);
+            assert_eq!(dense.collect(), event.collect(), "{dispatch:?}");
+            assert!(
+                dense.probe().events() == event.probe().events(),
+                "{dispatch:?}: event streams diverged"
+            );
+            if dispatch == DispatchMode::Interrupt {
+                assert!(skipped > 0, "no epoch was skipped");
+            }
         }
     }
 

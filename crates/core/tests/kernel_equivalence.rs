@@ -152,27 +152,36 @@ fn event_kernel_still_skips_where_the_model_idles() {
     // The skipped share of cycles is a function of the model alone —
     // the same on every host — so a wake-lookahead regression that
     // quietly degrades the event kernel to dense stepping fails here
-    // without a wall clock. The 1-core points run the 2 ms + 4 ms
-    // windows the committed readings were taken at (saturated 0.341,
-    // polling 0.106, interrupt 0.887); the floors sit below those.
-    let frac = |cfg: NicConfig, label: &str| {
-        let (skipped, stepped) = assert_identical(cfg, Ps::from_ms(2), Ps::from_ms(4), label);
-        skipped as f64 / (skipped + stepped) as f64
+    // without a wall clock. The 1-core points run 2 ms + 4 ms windows
+    // (saturated 0.406, polling 0.249, interrupt 0.900); the floors sit
+    // below those. Every point also pins its exact `(skipped, stepped)`
+    // split: the model fixes each skip decision, so a wake bound that
+    // moves by one cycle anywhere fails here like a pinned digest does.
+    let frac = |cfg: NicConfig, label: &str, pinned: (u64, u64)| {
+        let split = assert_identical(cfg, Ps::from_ms(2), Ps::from_ms(4), label);
+        assert_eq!(split, pinned, "{label}: skip decisions moved");
+        split.0 as f64 / (split.0 + split.1) as f64
     };
     let software = NicConfig::builder().cpu_mhz(200).mode(FwMode::SoftwareOnly);
     let one = software.cores(1).build().unwrap();
-    assert!(frac(one, "1 core, saturated") >= 0.30);
+    assert!(frac(one, "1 core, saturated", (487_752, 712_248)) >= 0.30);
     let moderate = one
         .to_builder()
         .send_enabled(false)
         .offered_rx_fps(Some(20_000.0));
-    assert!(frac(moderate.build().unwrap(), "20 kfps rx, polling") > 0.0);
+    let polling = moderate.build().unwrap();
+    assert!(frac(polling, "20 kfps rx, polling", (298_908, 901_092)) > 0.0);
     let parked = moderate.dispatch(DispatchMode::Interrupt).build().unwrap();
-    assert!(frac(parked, "20 kfps rx, interrupt") >= 0.85);
-    // At line rate nearly every cycle has crossbar traffic: nothing to
-    // skip, only identity to hold.
+    assert!(frac(parked, "20 kfps rx, interrupt", (1_080_153, 119_847)) >= 0.85);
+    // At line rate nearly every cycle has crossbar traffic: little to
+    // skip, mostly identity to hold.
     let six = software.cores(6).build().unwrap();
-    assert_identical(six, WARMUP, WINDOW, "6 cores, saturated");
+    let split = assert_identical(six, WARMUP, WINDOW, "6 cores, saturated");
+    assert_eq!(
+        split,
+        (14, 49_986),
+        "6 cores, saturated: skip decisions moved"
+    );
 }
 
 #[test]

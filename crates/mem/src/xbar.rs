@@ -164,6 +164,13 @@ impl Crossbar {
         self.ready
     }
 
+    /// The ports granted on the latest tick, one bit per port: their
+    /// responses become consumable on the next cycle.
+    #[inline]
+    pub fn fresh(&self) -> u64 {
+        self.fresh
+    }
+
     /// Take the response for `port` if it is consumable this cycle.
     #[inline]
     pub fn take_response(&mut self, port: RequesterId) -> Option<u32> {

@@ -3,11 +3,10 @@
 //! This crate plays the role that the Liberty Simulation Environment (LSE)
 //! plays for Spinach in the paper, cut down to what the simulator uses:
 //! the picosecond time base ([`Ps`], [`Freq`]), round-robin arbitration
-//! ([`RoundRobin`]), the seeded random streams ([`XorShift64`]), the
-//! wake fold of the event kernel ([`WakeTracker`]) and the fleet's epoch
-//! rendezvous ([`EpochBarrier`]). Everything is deterministic: arbiters
-//! are round-robin with a fixed requester order, and every random
-//! stream is seeded.
+//! ([`RoundRobin`]), the seeded random streams ([`XorShift64`]) and the
+//! fleet's epoch rendezvous ([`EpochBarrier`]). Everything is
+//! deterministic: arbiters are round-robin with a fixed requester order,
+//! and every random stream is seeded.
 //!
 //! # Example
 //!
@@ -23,11 +22,9 @@
 pub mod arbiter;
 pub mod domain;
 pub mod rng;
-pub mod sched;
 pub mod time;
 
 pub use arbiter::RoundRobin;
 pub use domain::EpochBarrier;
 pub use rng::XorShift64;
-pub use sched::WakeTracker;
 pub use time::{Freq, Ps};

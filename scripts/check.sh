@@ -35,11 +35,20 @@ echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # the cycles between in bulk, against one ticked every cycle. So does
 # frame_lifecycle: a probed run must equal the NullProbe run, and the
 # per-cycle events (grants, conflicts, I-cache, handler entries) must
-# reach a sink that reads them and skip one that does not.
+# reach a sink that reads them and skip one that does not. The event
+# kernel skips to the due cycle each step stores, and the fleet reads
+# that stored value to skip whole epochs:
+# event_kernel_still_skips_where_the_model_idles pins the exact
+# (skipped, stepped) split at four points;
+# a_member_skipped_by_next_activity_matches_dense (a unit test) holds
+# a member skipped epoch by epoch, injected frames included, to dense
+# stepping; and the fleet determinism suite holds skip decisions
+# shard- and seed-invariant.
 cargo test --release --quiet -p nicsim --test kernel_equivalence
 cargo test --release --quiet -p nicsim --lib
 cargo test --release --quiet -p nicsim-cpu
 cargo test --release --quiet -p nicsim --test frame_lifecycle
+cargo test --release --quiet -p nicsim-fleet --test determinism
 
 echo "==> topology smoke (non-default topologies end-to-end, ~3 s)"
 # Drives non-default topologies through the experiment engine:
