@@ -76,7 +76,7 @@ pub struct RunStats {
     pub rx_out_of_order: u64,
     /// Merged per-function profile across all cores.
     pub profile: CoreProfile,
-    /// Per-core total ticks in the window.
+    /// CPU cycles in the window; every core is charged for each.
     pub core_ticks: u64,
     /// Scratchpad accesses by the cores.
     pub core_sp_accesses: u64,

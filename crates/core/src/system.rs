@@ -918,12 +918,12 @@ impl<P: Probe> NicSystem<P> {
         let window = self.now.saturating_sub(self.window_start);
         let secs = window.as_secs_f64().max(1e-15);
         let mut profile = CoreProfile::new();
-        let mut core_ticks = 0;
+        // The clock advances one period per cycle, skipped ones included.
+        let core_ticks = window.0 / self.cpu_period.0;
         let mut icache_hits = 0;
         let mut icache_misses = 0;
         for c in &self.cores {
             profile.merge(c.profile());
-            core_ticks = core_ticks.max(c.engine_stats().ticks);
             icache_hits += c.icache().hits();
             icache_misses += c.icache().misses();
         }
@@ -1377,6 +1377,57 @@ mod tests {
             if dispatch == DispatchMode::Interrupt {
                 assert!(skipped > 0, "no epoch was skipped");
             }
+        }
+    }
+
+    /// `core_ticks` is the window in CPU cycles on both kernels: after a
+    /// measured run, after a second window reset, and for a fleet member
+    /// whose clock starts at a nonzero `boot_at`.
+    #[test]
+    fn core_ticks_is_the_window_in_cycles() {
+        let cfg = NicConfig {
+            cores: 2,
+            cpu_mhz: 500,
+            ..NicConfig::default()
+        };
+        let window_in_cycles = |sys: &NicSystem, when: &str| {
+            let s = sys.collect();
+            assert!(s.core_ticks > 0, "{when}: empty window");
+            assert_eq!(s.core_ticks * sys.cpu_period.0, s.window.0, "{when}");
+        };
+        for dense in [false, true] {
+            let run = |sys: &mut NicSystem, until: Ps| {
+                if dense {
+                    sys.run_until_dense(until);
+                } else {
+                    sys.run_until(until);
+                }
+            };
+            let (warmup, window) = (Ps::from_us(20), Ps::from_us(30));
+            let mut sys = NicSystem::build(cfg).finish().unwrap();
+            if dense {
+                sys.run_measured_dense(warmup, window);
+            } else {
+                sys.run_measured(warmup, window);
+            }
+            window_in_cycles(&sys, "run_measured");
+            sys.reset_window();
+            let until = sys.now() + Ps::from_us(7);
+            run(&mut sys, until);
+            window_in_cycles(&sys, "second reset_window");
+
+            let mut member = NicSystem::build(cfg)
+                .fleet_member(FleetMember {
+                    src: 0,
+                    schedule: Vec::new(),
+                    first_seq: 0,
+                    rto: None,
+                    boot_at: Ps::from_us(13),
+                })
+                .finish()
+                .unwrap();
+            run(&mut member, Ps::from_us(40));
+            window_in_cycles(&member, "late boot");
         }
     }
 

@@ -12,6 +12,8 @@
 //! ticks a core only on the cycle [`Core::tick_probed`] returns as its
 //! *due* cycle, or when the crossbar holds its response; each tick first
 //! charges the cycles since the previous one in bulk ([`Core::catch_up`]).
+//! One rule, `Core::charge(n)`, charges both: a tick's own cycle is
+//! `n = 1`, so a skipped cycle and a ticked one charge alike.
 
 use crate::func::{CoreProfile, FwFunc, StallBucket};
 use crate::layout::CodeLayout;
@@ -50,7 +52,8 @@ enum State {
         annul: u32,
         then: Then,
     },
-    /// Port blocked by the in-flight buffered store.
+    /// A memory op's last cycle has elapsed; it is submitted at the tail
+    /// of the first cycle the buffered store no longer blocks the port.
     WaitStoreDrain { req: SpRequest },
     /// A load/RMW is in the crossbar; waiting for data. `stalled` once
     /// the load-use stall cycle is charged: every later one is a conflict.
@@ -59,17 +62,6 @@ enum State {
     Parked,
     /// Firmware future completed.
     Halted,
-}
-
-/// Aggregate engine statistics not tied to a firmware function.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CoreEngineStats {
-    /// Total ticks the core has run.
-    pub ticks: u64,
-    /// Ticks spent with the future halted.
-    pub halted_ticks: u64,
-    /// Ticks spent parked on `wfi` (interrupt dispatch mode).
-    pub parked_ticks: u64,
 }
 
 /// One simulated processing core.
@@ -99,7 +91,6 @@ pub struct Core {
     /// The last cycle this core has accounted for.
     cycle: u64,
     profile: CoreProfile,
-    stats: CoreEngineStats,
 }
 
 impl Core {
@@ -122,7 +113,6 @@ impl Core {
             last_line: None,
             cycle: 0,
             profile: CoreProfile::new(),
-            stats: CoreEngineStats::default(),
         }
     }
 
@@ -223,11 +213,6 @@ impl Core {
         &self.profile
     }
 
-    /// Engine-level statistics.
-    pub fn engine_stats(&self) -> CoreEngineStats {
-        self.stats
-    }
-
     /// The core's instruction cache (for hit/miss statistics).
     pub fn icache(&self) -> &ICache {
         &self.icache
@@ -236,13 +221,7 @@ impl Core {
     /// Zero profiling counters (for steady-state measurement windows).
     pub fn reset_stats(&mut self) {
         self.profile.reset();
-        self.stats = CoreEngineStats::default();
         self.icache.reset_stats();
-    }
-
-    #[inline]
-    fn charge(&mut self, bucket: StallBucket) {
-        self.profile.func_mut(self.func).cycles[bucket.index()] += 1;
     }
 
     /// The next operation to charge and the tag it was issued under:
@@ -388,28 +367,23 @@ impl Core {
     ) -> u64 {
         self.catch_up(cycle - 1);
         self.cycle = cycle;
-        self.stats.ticks += 1;
 
         // Drain a completed buffered store.
         if self.store_inflight && xbar.take_response(self.id).is_some() {
             self.store_inflight = false;
         }
 
-        // At most one state-advancing action consumes this cycle; the
-        // `loop` exists only for the zero-cycle transitions (memory
-        // response consumption and polling chain into the next
-        // instruction's first cycle).
-        loop {
-            match self.state {
-                State::Halted => {
-                    self.stats.halted_ticks += 1;
-                    break;
-                }
-                State::Poll => {
-                    let Some((op, func)) = self.next_op() else {
-                        self.state = State::Halted;
-                        continue;
-                    };
+        // The zero-cycle transitions into the state this cycle is charged
+        // in: a load's data lets the dependent op issue this very cycle.
+        if let State::WaitMem { .. } = self.state {
+            if let Some(v) = xbar.take_response(self.id) {
+                self.slot.response.set(Some(v));
+                self.state = State::Poll;
+            }
+        }
+        match self.state {
+            State::Poll => {
+                if let Some((op, func)) = self.next_op() {
                     self.func = func;
                     let (exec, annul, then) = match op {
                         PendingOp::Alu(n) => (n, 0, Then::Poll),
@@ -428,92 +402,33 @@ impl Core {
                         annul,
                         then,
                     };
-                    continue; // consume this cycle in Busy
+                } else {
+                    self.state = State::Halted;
                 }
-                State::Busy {
-                    mut imiss,
-                    mut exec,
-                    mut annul,
-                    then,
-                } => {
-                    // Consume one cycle.
-                    if imiss > 0 {
-                        self.charge(StallBucket::IMiss);
-                        imiss -= 1;
-                    } else if exec > 0 {
-                        self.charge(StallBucket::Exec);
-                        exec -= 1;
-                    } else {
-                        debug_assert!(annul > 0);
-                        self.charge(StallBucket::Pipeline);
-                        annul -= 1;
-                    }
-                    if imiss + exec + annul > 0 {
-                        self.state = State::Busy {
-                            imiss,
-                            exec,
-                            annul,
-                            then,
-                        };
-                        break;
-                    }
-                    // Last cycle: perform the follow-up action at the tail
-                    // of this cycle.
-                    match then {
-                        Then::Poll => self.state = State::Poll,
-                        Then::Mem(req) if self.store_inflight => {
-                            self.state = State::WaitStoreDrain { req }
-                        }
-                        Then::Mem(req) => self.submit(xbar, req),
-                        // The `wfi` returns on resume.
-                        Then::Park => self.state = State::Parked,
-                    }
-                    break;
-                }
-                State::WaitStoreDrain { req } => {
-                    self.charge(StallBucket::Conflict);
-                    if !self.store_inflight {
-                        // Port freed this cycle; the submit rides the tail
-                        // of this (conflict) cycle.
-                        self.submit(xbar, req);
-                    }
-                    break;
-                }
-                State::Parked => {
-                    if self.wake_pending {
-                        // Doorbell: resume through the fixed wake
-                        // dispatch, whose first cycle charges now; the
-                        // firmware's `wfi` returns when it has elapsed.
-                        self.wake_pending = false;
-                        self.slot.response.set(Some(0));
-                        self.state = State::Busy {
-                            imiss: 0,
-                            exec: WAKE_DISPATCH_CYCLES,
-                            annul: 0,
-                            then: Then::Poll,
-                        };
-                        continue;
-                    }
-                    self.charge(StallBucket::Exec);
-                    self.stats.parked_ticks += 1;
-                    break;
-                }
-                State::WaitMem { stalled } => {
-                    if let Some(v) = xbar.take_response(self.id) {
-                        self.slot.response.set(Some(v));
-                        // The dependent instruction issues this very
-                        // cycle: chain into Poll without consuming.
-                        self.state = State::Poll;
-                        continue;
-                    }
-                    self.charge(if stalled {
-                        StallBucket::Conflict
-                    } else {
-                        StallBucket::LoadStall
-                    });
-                    self.state = State::WaitMem { stalled: true };
-                    break;
-                }
+            }
+            State::Parked if self.wake_pending => {
+                // Doorbell: resume through the fixed wake dispatch, whose
+                // first cycle charges now; the firmware's `wfi` returns
+                // when it has elapsed.
+                self.wake_pending = false;
+                self.slot.response.set(Some(0));
+                self.state = State::Busy {
+                    imiss: 0,
+                    exec: WAKE_DISPATCH_CYCLES,
+                    annul: 0,
+                    then: Then::Poll,
+                };
+            }
+            _ => {}
+        }
+
+        self.charge(1);
+
+        // A memory op submits at the tail of its last cycle, or of the
+        // (conflict) cycle the store buffer drains on.
+        if let State::WaitStoreDrain { req } = self.state {
+            if !self.store_inflight {
+                self.submit(xbar, req);
             }
         }
         self.due()
@@ -521,32 +436,43 @@ impl Core {
 
     /// Account for every cycle after the last one this core was ticked
     /// or caught up on, through `cycle`, exactly as ticking each would:
-    /// tick counts, halted and parked ticks, and stall buckets — a span's
-    /// in `imiss -> exec -> annul` order, a wait for data as one load-use
-    /// stall then conflicts, a wait for the store buffer as conflicts. A
-    /// span that ends by taking the next op may be consumed to its end;
-    /// the core is then ready to issue.
+    /// both charge with `Core::charge`. A span that ends by taking the
+    /// next op may be consumed to its end; the core is then ready to
+    /// issue.
     ///
     /// Callers must guarantee the core was not due on any of these cycles
     /// (`due() > cycle`) and that no crossbar response arrived for it.
     #[inline]
     pub fn catch_up(&mut self, cycle: u64) {
         if cycle > self.cycle {
-            self.charge_through(cycle);
+            self.charge_skipped(cycle);
         }
     }
 
     /// [`Core::catch_up`] over at least one cycle.
-    fn charge_through(&mut self, cycle: u64) {
-        let n = cycle - self.cycle;
+    #[inline(never)]
+    fn charge_skipped(&mut self, cycle: u64) {
         debug_assert!(self.due() > cycle, "core {} due before {cycle}", self.id);
+        self.charge(cycle - self.cycle);
         self.cycle = cycle;
-        self.stats.ticks += n;
+    }
+
+    /// Charge `n` cycles of the current state — the one rule for every
+    /// core cycle, ticked or skipped: a span in `imiss -> exec -> annul`
+    /// order, a wait for data as one load-use stall then conflicts, for
+    /// the store buffer as conflicts, parked as execution, halted as
+    /// nothing. A span that ends moves on: to issue, to the store port
+    /// or to park (only the first is reachable from a catch-up).
+    #[inline(always)]
+    fn charge(&mut self, n: u64) {
         let p = self.profile.func_mut(self.func);
         match &mut self.state {
-            State::Halted => self.stats.halted_ticks += n,
+            State::Halted => {}
             State::Busy {
-                imiss, exec, annul, ..
+                imiss,
+                exec,
+                annul,
+                then,
             } => {
                 let mut left = n;
                 let take = (*imiss as u64).min(left);
@@ -563,7 +489,12 @@ impl Core {
                 left -= take;
                 debug_assert_eq!(left, 0);
                 if *imiss + *exec + *annul == 0 {
-                    self.state = State::Poll;
+                    self.state = match *then {
+                        Then::Poll => State::Poll,
+                        Then::Mem(req) => State::WaitStoreDrain { req },
+                        // The `wfi` returns on resume.
+                        Then::Park => State::Parked,
+                    };
                 }
             }
             State::WaitMem { stalled } => {
@@ -573,13 +504,10 @@ impl Core {
                 *stalled = true;
             }
             State::WaitStoreDrain { .. } => p.cycles[StallBucket::Conflict.index()] += n,
-            // The wake line is down: a raised one makes the core due on
-            // the next cycle, and its resume pays the 2-cycle dispatch.
-            State::Parked => {
-                p.cycles[StallBucket::Exec.index()] += n;
-                self.stats.parked_ticks += n;
-            }
-            State::Poll => unreachable!("a core ready to issue is due every cycle"),
+            // The wake line is down: a raised one moves the core to its
+            // 2-cycle dispatch before the cycle is charged.
+            State::Parked => p.cycles[StallBucket::Exec.index()] += n,
+            State::Poll => unreachable!("a core ready to issue takes its op first"),
         }
     }
 }
@@ -697,8 +625,9 @@ mod tests {
         });
         rig.run(100);
         let p = rig.core.profile();
-        assert!(
-            p.bucket_cycles(StallBucket::Conflict) >= 1,
+        assert_eq!(
+            p.bucket_cycles(StallBucket::Conflict),
+            1,
             "second store must wait for the single store buffer"
         );
         assert_eq!(rig.sp.peek(8), 1);
@@ -852,7 +781,6 @@ mod attribution_tests {
         run(&mut core, &mut xbar, &mut sp, &mut imem);
         core.reset_stats();
         assert_eq!(core.profile().total(|f| f.instructions), 0);
-        assert_eq!(core.engine_stats().ticks, 0);
         // Cache contents survive: re-running through the same region
         // misses at most on the few lines the first pass never touched.
         let ctx = CoreCtx::new(core.slot(), 0);
@@ -989,8 +917,6 @@ mod attribution_tests {
             }
         }
         assert_eq!(halted_at, Some(11));
-        let st = core.engine_stats();
-        assert_eq!((st.ticks, st.halted_ticks), (20, 10));
         assert_eq!(core.profile().total(|f| f.instructions), 6);
         assert_eq!(sp.peek(8), 7);
     }
@@ -1012,7 +938,7 @@ mod attribution_tests {
             }
             xbar.tick(&mut sp);
             core.tick(&mut xbar, &mut imem);
-            assert!(core.engine_stats().ticks < 10_000, "did not halt");
+            assert!(core.cycle < 10_000, "did not halt");
         }
         polls.get()
     }
@@ -1080,7 +1006,7 @@ mod attribution_tests {
     fn catch_up_matches_ticking_through_a_busy_span() {
         // Two identical cores run the same firmware; one is caught up
         // through a Busy span that ends by taking the next op, the other
-        // ticks densely. Profiles and engine stats must match exactly.
+        // ticks densely. Profiles and cycles must match exactly.
         let build = || {
             let (mut core, xbar, sp, imem) = rig();
             let ctx = CoreCtx::new(core.slot(), 0);
@@ -1112,17 +1038,17 @@ mod attribution_tests {
         }
         assert_eq!(fast.due(), due, "ready to issue on the due cycle");
         assert_eq!(fast.profile(), dense.profile());
-        assert_eq!(fast.engine_stats(), dense.engine_stats());
+        assert_eq!(fast.cycle, dense.cycle);
 
         // Both finish identically.
         run(&mut dense, &mut dx, &mut dsp, &mut dim);
         run(&mut fast, &mut fx, &mut fsp, &mut fim);
         assert_eq!(fast.profile(), dense.profile());
-        assert_eq!(fast.engine_stats(), dense.engine_stats());
+        assert_eq!(fast.cycle, dense.cycle);
     }
 
     #[test]
-    fn a_halted_core_is_never_due_and_catch_up_counts_halted_ticks() {
+    fn a_halted_core_is_never_due_and_catch_up_charges_nothing() {
         let (mut core, mut xbar, mut sp, mut imem) = rig();
         let ctx = CoreCtx::new(core.slot(), 0);
         core.install(async move {
@@ -1131,11 +1057,10 @@ mod attribution_tests {
         run(&mut core, &mut xbar, &mut sp, &mut imem);
         assert!(core.halted());
         assert_eq!(core.due(), u64::MAX);
-        let before = core.engine_stats();
-        core.catch_up(before.ticks + 1000);
-        let after = core.engine_stats();
-        assert_eq!(after.ticks, before.ticks + 1000);
-        assert_eq!(after.halted_ticks, before.halted_ticks + 1000);
+        let (before, cycle) = (core.profile().clone(), core.cycle);
+        core.catch_up(cycle + 1000);
+        assert_eq!(core.cycle, cycle + 1000);
+        assert_eq!(core.profile(), &before);
     }
 
     #[test]
@@ -1172,14 +1097,13 @@ mod attribution_tests {
             core.tick(&mut xbar, &mut imem);
         }
         assert!(core.parked());
-        assert_eq!(core.engine_stats().parked_ticks, 5);
         assert_eq!(core.profile().total(|f| f.total_cycles()), before + 5);
 
         // Doorbell: next wake is immediate, the resume costs exactly the
         // 2-cycle dispatch plus the post-wake work, with no extra
         // instructions charged for the wakeup itself.
         core.raise_wake();
-        assert_eq!(core.due(), core.engine_stats().ticks + 1);
+        assert_eq!(core.due(), core.cycle + 1);
         let cycles_at_wake = core.profile().total(|f| f.total_cycles());
         run(&mut core, &mut xbar, &mut sp, &mut imem);
         let cycles = core.profile().total(|f| f.total_cycles());
@@ -1224,7 +1148,7 @@ mod attribution_tests {
             dense.tick(&mut dx, &mut dim);
         }
         assert_eq!(fast.profile(), dense.profile());
-        assert_eq!(fast.engine_stats(), dense.engine_stats());
+        assert_eq!(fast.cycle, dense.cycle);
 
         dense.raise_wake();
         fast.raise_wake();
@@ -1232,7 +1156,7 @@ mod attribution_tests {
         run(&mut dense, &mut dx, &mut dsp, &mut dim);
         run(&mut fast, &mut fx, &mut fsp, &mut fim);
         assert_eq!(fast.profile(), dense.profile());
-        assert_eq!(fast.engine_stats(), dense.engine_stats());
+        assert_eq!(fast.cycle, dense.cycle);
     }
 
     #[test]
@@ -1267,9 +1191,7 @@ mod attribution_tests {
 
     impl Contended {
         fn new() -> Contended {
-            let mut core = Core::new(0, ICacheConfig::default(), CodeLayout::new());
-            let ctx = CoreCtx::new(core.slot(), 0);
-            core.install(async move {
+            Contended::with(|ctx| async move {
                 ctx.set_func(FwFunc::SendFrame);
                 ctx.alu(5).await;
                 ctx.branch().await;
@@ -1292,7 +1214,13 @@ mod attribution_tests {
                 ctx.store(16, 4).await;
                 ctx.wfi().await;
                 ctx.alu(2).await;
-            });
+            })
+        }
+
+        /// The rig running firmware `fw`.
+        fn with<F: Future<Output = ()> + 'static>(fw: impl FnOnce(CoreCtx) -> F) -> Contended {
+            let mut core = Core::new(0, ICacheConfig::default(), CodeLayout::new());
+            core.install(fw(CoreCtx::new(core.slot(), 0)));
             Contended {
                 core,
                 xbar: Crossbar::new(4, 4),
@@ -1328,7 +1256,7 @@ mod attribution_tests {
         let (mut dense, mut sparse) = (Contended::new(), Contended::new());
         let same = |d: &Contended, s: &Contended, when: &str| {
             assert_eq!(d.core.profile(), s.core.profile(), "{when}");
-            assert_eq!(d.core.engine_stats(), s.core.engine_stats(), "{when}");
+            assert_eq!(d.core.cycle, s.core.cycle, "{when}");
             assert_eq!(d.log.events(), s.log.events(), "{when}");
         };
         let (mut due, mut sparse_ticks, mut parked_for) = (1, 0, 0);
@@ -1383,8 +1311,9 @@ mod attribution_tests {
         assert!(sparse.core.halted());
         assert_eq!(wakes.len(), 3, "{wakes:?}");
         let p = dense.core.profile();
-        assert!(
-            p.bucket_cycles(StallBucket::Conflict) > 3,
+        assert_eq!(
+            p.bucket_cycles(StallBucket::Conflict),
+            8,
             "contended: {p:?}"
         );
         assert_eq!(dense.sp.peek(16), 4);
@@ -1394,20 +1323,58 @@ mod attribution_tests {
         );
     }
 
+    /// Every state's bucket rule, pinned: one firmware takes the core
+    /// through an I-missing span, a contended load, a store waiting for
+    /// the buffer, an annulled slot, a parked span with its wake
+    /// dispatch, and the halt. The dense and sparse cores share the
+    /// rule, so only exact counts catch a wrong one.
     #[test]
-    fn halted_core_accumulates_halted_ticks() {
+    fn every_state_charges_its_pinned_buckets() {
+        let mut rig = Contended::with(|ctx| async move {
+            ctx.set_func(FwFunc::SendFrame);
+            ctx.alu(3).await;
+            ctx.load(0).await;
+            ctx.store(4, 1).await;
+            ctx.store(8, 2).await;
+            ctx.branch_miss().await;
+            ctx.wfi().await;
+            ctx.alu(1).await;
+        });
+        let (mut cycle, mut parked_for) = (0, 0);
+        while !rig.core.halted() {
+            cycle += 1;
+            assert!(cycle < 500, "did not halt");
+            rig.xbar.tick(&mut rig.sp);
+            rig.tick(cycle);
+            rig.contend();
+            parked_for += u32::from(rig.core.parked());
+            if parked_for == 4 && rig.core.parked() {
+                rig.core.raise_wake();
+            }
+        }
+        assert_eq!(cycle, 28, "halted on");
+        let p = rig.core.profile().func(FwFunc::SendFrame);
+        // Exec, IMiss, LoadStall, Conflict, Pipeline: 9 instructions, 3
+        // parked cycles and the 2-cycle dispatch execute; the load pays
+        // its load-use stall and 2 bank conflicts, the second store 1.
+        assert_eq!(p.cycles, [14, 8, 1, 3, 1]);
+        assert_eq!(p.instructions, 9);
+    }
+
+    #[test]
+    fn a_ticked_halted_core_charges_nothing() {
         let (mut core, mut xbar, mut sp, mut imem) = rig();
         let ctx = CoreCtx::new(core.slot(), 0);
         core.install(async move {
             ctx.alu(1).await;
         });
+        run(&mut core, &mut xbar, &mut sp, &mut imem);
+        let before = core.profile().clone();
         for _ in 0..100 {
             xbar.tick(&mut sp);
             core.tick(&mut xbar, &mut imem);
         }
         assert!(core.halted());
-        let st = core.engine_stats();
-        assert!(st.halted_ticks > 90);
-        assert_eq!(st.ticks, 100);
+        assert_eq!(core.profile(), &before);
     }
 }

@@ -112,7 +112,8 @@ pub struct FleetStats {
     /// NIC-epochs elided because the NIC provably could not act before
     /// the epoch boundary.
     pub nic_epochs_skipped: u64,
-    /// Simulated CPU cycles per NIC (identical for all NICs).
+    /// CPU cycles in the fleet's measurement window: each NIC's
+    /// [`RunStats::core_ticks`] unless it crashed in the window.
     pub cycles_per_nic: u64,
 }
 
@@ -331,7 +332,10 @@ impl Fleet {
             merged.merge(sys.probe());
         }
         let per_nic: Vec<RunStats> = self.systems.iter().map(|s| s.collect()).collect();
-        let cycles_per_nic = per_nic[0].core_ticks;
+        // Each clock stops on the first cycle at or after a boundary.
+        let period = nicsim_sim::Freq::from_mhz(self.cfg.nic.cpu_mhz).period().0;
+        let cycles_per_nic =
+            final_end.0.div_ceil(period) - (warm_epochs * self.epoch.0).div_ceil(period);
         FleetStats {
             per_nic,
             fabric: self.fabric.stats(),

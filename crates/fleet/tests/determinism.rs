@@ -13,7 +13,12 @@ use nicsim_sim::Ps;
 fn run(cfg: FleetConfig) -> FleetStats {
     let (warmup, window) = (Ps::from_us(150), Ps::from_us(300));
     let mut fleet = Fleet::new(cfg, warmup + window).expect("valid fleet config");
-    fleet.run_measured(warmup, window)
+    let stats = fleet.run_measured(warmup, window);
+    // No NIC crashes here, so every window is the fleet's own.
+    for (i, s) in stats.per_nic.iter().enumerate() {
+        assert_eq!(s.core_ticks, stats.cycles_per_nic, "NIC {i}");
+    }
+    stats
 }
 
 fn base_cfg(dispatch: DispatchMode, shards: usize) -> FleetConfig {

@@ -130,6 +130,9 @@ fn crashed_nics_reset_and_recover() {
         .filter(|s| s.errors.as_ref().is_some_and(|e| e.nic_resets > 0))
         .count();
     assert!(with_resets >= 1, "no per-NIC table records its reset");
+    // The fleet's window, whatever the crashes cut from each NIC's own:
+    // 600 us at 500 MHz.
+    assert_eq!(stats.cycles_per_nic, 300_000);
 }
 
 /// Reliable delivery under loss: with fabric corruption destroying

@@ -30,9 +30,11 @@ echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # the frame side's sleep and wake tests (an assist-register write and
 # an injected arrival each wake it on the dense kernel's cycle). So do
 # nicsim-cpu's: the firmware-to-engine op batch and the run-ahead
-# contract (poll counts, issue-time tags) must hold optimised too, and
-# so must a core ticked only on its due cycles and responses, charging
-# the cycles between in bulk, against one ticked every cycle. So does
+# contract (poll counts, issue-time tags) must hold optimised too. The
+# sparse and dense cores share one charge rule, so its tests check the
+# rest: a core ticked only on its due cycles and responses against one
+# ticked every cycle (the due cycle and the splitting of charges), and
+# exact per-bucket counts (the rule itself). So does
 # frame_lifecycle: a probed run must equal the NullProbe run, and the
 # per-cycle events (grants, conflicts, I-cache, handler entries) must
 # reach a sink that reads them and skip one that does not. The event
@@ -43,12 +45,14 @@ echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # a_member_skipped_by_next_activity_matches_dense (a unit test) holds
 # a member skipped epoch by epoch, injected frames included, to dense
 # stepping; and the fleet determinism suite holds skip decisions
-# shard- and seed-invariant.
+# shard- and seed-invariant. end_to_end's ilp_trace_is_pinned pins the
+# order in which the core tick takes the firmware's ops.
 cargo test --release --quiet -p nicsim --test kernel_equivalence
 cargo test --release --quiet -p nicsim --lib
 cargo test --release --quiet -p nicsim-cpu
 cargo test --release --quiet -p nicsim --test frame_lifecycle
 cargo test --release --quiet -p nicsim-fleet --test determinism
+cargo test --release --quiet --test end_to_end
 
 echo "==> topology smoke (non-default topologies end-to-end, ~3 s)"
 # Drives non-default topologies through the experiment engine:
