@@ -189,10 +189,6 @@ pub struct MacRx {
     pending_desc: VecDeque<PendingDesc>,
     prod: u32,
     drops: u64,
-    /// Whether the MAC verifies the CRC32 FCS of arriving frames
-    /// (enabled only under a fault plan; fault-free generators leave the
-    /// FCS bytes zero, which would never verify).
-    crc_check: bool,
     crc_dropped: u64,
 }
 
@@ -229,7 +225,6 @@ impl MacRx {
             pending_desc: VecDeque::new(),
             prod: 0,
             drops: 0,
-            crc_check: false,
             crc_dropped: 0,
         }
     }
@@ -237,11 +232,6 @@ impl MacRx {
     /// Frames dropped because the descriptor ring or buffer was full.
     pub fn drops(&self) -> u64 {
         self.drops
-    }
-
-    /// Enable FCS verification of arriving frames (fault plans only).
-    pub fn set_crc_check(&mut self, on: bool) {
-        self.crc_check = on;
     }
 
     /// Frames the CRC check caught and dropped (each one published an
@@ -335,7 +325,9 @@ impl MacRx {
             };
             let ring_full = self.prod.wrapping_sub(sp_mem.peek(self.regs.claim))
                 >= self.regs.entries - self.regs.claim_slack;
-            if self.crc_check {
+            // Only a faulted link's frames carry a real FCS (stamped by
+            // the generator or the fleet's fabric); clean ones never verify.
+            if self.generator.faulted() {
                 let injected = self.generator.take_injection();
                 if P::ENABLED {
                     if let Some(f) = injected {
@@ -566,7 +558,6 @@ mod tests {
         let mut generator = RxGenerator::new(1472);
         generator.set_faults(LinkFaults::new(&plan));
         let mut mac = MacRx::new(0, rx_regs(64), generator);
-        mac.set_crc_check(true);
         let mut now = Ps::ZERO;
         for _ in 0..3000 {
             now += Ps(5000);

@@ -5,10 +5,10 @@
 //! link corruption/truncation, transient DMA errors, PCI stalls, and
 //! ECC events all scale together — plus a plan-free baseline. Checks
 //! the fault plane's two headline properties along the way: the
-//! zero-rate armed run is bit-identical to the clean baseline, and
-//! goodput degrades monotonically as the rate climbs. Results land in
-//! `results/fault_sweep.json`; the goodput/error curve is under
-//! `"extra"`.
+//! zero-rate run (it arms no site) is bit-identical to the clean
+//! baseline, and goodput degrades monotonically as the rate climbs.
+//! Results land in `results/fault_sweep.json`; the goodput/error curve
+//! is under `"extra"`.
 //!
 //! `--faults <spec>` overrides the seed (and retry/backoff/hang knobs)
 //! the swept plans inherit: `fault_sweep --faults seed=42,retries=1`.
@@ -133,7 +133,7 @@ fn main() {
         );
         prev_goodput = s.total_udp_gbps();
     }
-    println!("zero-rate armed run matches the clean baseline bit for bit");
+    println!("zero-rate run matches the clean baseline bit for bit");
     let fleet_fault = fleet_fault_sweep(&args, base.seed);
     let extra = Json::obj()
         .with("seed", base.seed)

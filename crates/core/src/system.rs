@@ -93,20 +93,16 @@ pub struct NicSystem<P: Probe = NullProbe> {
     /// Cycles simulated for real by the event-driven kernel.
     pub(crate) stepped_cycles: u64,
     pub(crate) window_start: Ps,
-    /// Host-memory address the system publishes the cumulative DMA-read
-    /// abort count to (`status + 8`); the driver turns the delta into
-    /// transmit retries.
-    pub(crate) status_aborts_addr: u32,
     /// Last abort count published to the host status block.
     pub(crate) aborts_published: u32,
     /// Frame-bus read completions that arrived without data, recovered
     /// by substituting an empty transfer instead of panicking.
     pub(crate) fm_short_reads: u64,
-    /// Whether the configured fault plan actually injects anything.
-    /// An all-zeros plan keeps this false, and every fault gate in the
-    /// hot path keys off it, so `--faults rate=0` costs nothing and is
-    /// bit-identical to a clean run (collect() still reports a zeroed
-    /// error table, preserving the zero-rate output contract).
+    /// Whether the configured fault plan injects anything (the one stored
+    /// copy). Sites are armed and aborts published only when set, so
+    /// `--faults rate=0` costs nothing and is bit-identical to a clean
+    /// run (collect() still reports a zeroed error table, preserving
+    /// the zero-rate output contract).
     pub(crate) faults_armed: bool,
     /// Per-core instruction-fault sites, shared with the firmware's
     /// dispatch loops. Empty unless the plan is armed.
@@ -239,7 +235,6 @@ impl<P: Probe> SystemBuilder<P> {
                 udp_payload: cfg.udp_payload,
                 offered_fps: cfg.offered_tx_fps,
                 send_enabled: cfg.send_enabled,
-                fault_aware: faults_armed,
             },
             layout,
         );
@@ -247,8 +242,8 @@ impl<P: Probe> SystemBuilder<P> {
             send_bd_ring: layout.send_bd_ring,
             rx_bd_ring: layout.rx_bd_ring,
             return_ring: layout.return_ring,
-            status_send_cons: layout.status,
-            status_ret_prod: layout.status + 4,
+            status_send_cons: layout.send_cons(),
+            status_ret_prod: layout.ret_prod(),
         };
 
         // Frame-side units, each on the crossbar port the topology's
@@ -271,11 +266,10 @@ impl<P: Probe> SystemBuilder<P> {
         let boot_at = fleet.as_ref().map_or(Ps::ZERO, |m| m.boot_at);
         let mut fw_faults = Vec::new();
         if let Some(plan) = cfg.faults.as_ref().filter(|_| faults_armed) {
-            // Arm every injection site and its recovery mechanism. The
-            // CRC check only runs under an armed plan: clean builds —
-            // and all-zeros plans — never pay for (or depend on) FCS
+            // Arm every injection site. The MAC checks the FCS exactly
+            // when its link carries faults, so clean builds — and
+            // all-zeros plans — never pay for (or depend on) FCS
             // computation.
-            macrx.set_crc_check(true);
             macrx.generator.set_faults(LinkFaults::new(plan));
             for (rd, wr) in dmards.iter_mut().zip(&mut dmawrs) {
                 rd.arm(plan, boot_at);
@@ -301,7 +295,6 @@ impl<P: Probe> SystemBuilder<P> {
                 host: host_regs,
                 mode: cfg.mode,
                 dispatch: cfg.dispatch,
-                fault_aware: faults_armed,
                 fw_faults: fw_faults.get(id).cloned(),
             };
             core.install(dispatch_loop(fw));
@@ -339,7 +332,6 @@ impl<P: Probe> SystemBuilder<P> {
             skipped_cycles: 0,
             stepped_cycles: 0,
             window_start: boot_at,
-            status_aborts_addr: layout.status + 8,
             aborts_published: 0,
             fm_short_reads: 0,
             faults_armed,
@@ -774,7 +766,8 @@ impl<P: Probe> NicSystem<P> {
             .sum();
         if aborts != self.aborts_published {
             self.aborts_published = aborts;
-            self.host_mem.write_u32(self.status_aborts_addr, aborts);
+            self.host_mem
+                .write_u32(self.driver.layout().aborts(), aborts);
             self.driver_idle = false;
         }
     }

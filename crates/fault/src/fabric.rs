@@ -21,8 +21,6 @@ pub struct FabricFaults {
     flap_phase: Vec<Ps>,
     squeeze_rng: XorShift64,
     plan: FaultPlan,
-    /// `!plan.is_noop()`, see [`FabricFaults::armed`].
-    plan_armed: bool,
 }
 
 impl FabricFaults {
@@ -40,7 +38,6 @@ impl FabricFaults {
                 .collect(),
             squeeze_rng: XorShift64::for_site(plan.seed, SITE_FABRIC_SQUEEZE),
             plan: *plan,
-            plan_armed: !plan.is_noop(),
         }
     }
 
@@ -72,15 +69,6 @@ impl FabricFaults {
     pub fn draw_squeeze(&mut self) -> bool {
         self.squeeze_rng.chance(self.plan.squeeze)
     }
-
-    /// Whether the fabric must enter its fault path at all: true when
-    /// the plan arms *any* class, fabric-side or not — every receiver's
-    /// CRC check is then armed too, so each carried frame needs an FCS
-    /// stamp even under a crash-only plan; false for an all-zeros plan
-    /// (the fabric stays bit-identical to a clean one).
-    pub fn armed(&self) -> bool {
-        self.plan_armed
-    }
 }
 
 #[cfg(test)]
@@ -95,7 +83,6 @@ mod tests {
             ..FaultPlan::default()
         };
         let f = FabricFaults::new(&plan, 4);
-        assert!(f.armed());
         // Sample two full periods: each link must be down for exactly
         // flap_down out of every flap_period microseconds, and repeated
         // queries at the same time must agree (pure function of time).
@@ -133,6 +120,5 @@ mod tests {
         assert!(da.iter().any(|(c, _)| c.is_some()));
         assert!(da.iter().any(|(_, s)| *s));
         assert!(da.iter().all(|(c, _)| c.is_none_or(|bit| bit < 8000)));
-        assert!(!FabricFaults::new(&FaultPlan::default(), 2).armed());
     }
 }

@@ -215,7 +215,6 @@ mod tests {
             host: Default::default(),
             mode: FwMode::RmwEnhanced,
             dispatch: DispatchMode::Interrupt,
-            fault_aware: false,
             fw_faults: None,
         }));
         let mut sp = Scratchpad::new(256 * 1024, 4);

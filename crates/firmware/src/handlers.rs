@@ -608,7 +608,7 @@ impl Fw {
             ctx.branch().await;
             ctx.branch_miss().await; // status/error dispatch
             ctx.branch_miss().await; // buffer-size class
-            if self.fault_aware && status != 1 {
+            if status != 1 {
                 // CRC-error descriptor: the MAC dropped the payload, so
                 // there is nothing to DMA. Consume the BD and the slot
                 // anyway — ordering stays intact — flag the return
@@ -770,7 +770,7 @@ impl Fw {
                 ctx.store(st + 8, fseq).await;
                 ctx.store(st + 12, 0).await; // flags / vlan
                 let flags = ctx.load(slot + 20).await;
-                if self.fault_aware && flags != 0 {
+                if flags != 0 {
                     // Error frame: patch the staged return descriptor so
                     // the driver sees the flag and recycles the buffer.
                     ctx.alu(1).await;
@@ -779,7 +779,7 @@ impl Fw {
                 let sw = ctx.load(m.stat(3)).await; // rx frames returned
                 ctx.store(m.stat(3), sw.wrapping_add(1)).await;
                 ctx.set_func(self.recv_dispatch_tag());
-                if self.fault_aware && flags != 0 {
+                if flags != 0 {
                     // No buffer was allocated for a CRC-dropped frame —
                     // the MAC never advanced its head, so the tail must
                     // not move either.

@@ -284,11 +284,6 @@ pub struct Fw {
     pub mode: FwMode,
     /// How the dispatch loop waits for work.
     pub dispatch: DispatchMode,
-    /// Whether the error-recovery branches are live (set only when a
-    /// fault plan is configured). With this false, the handlers charge
-    /// exactly the same instruction sequence as a build without the
-    /// fault plane, keeping fault-free runs bit-identical.
-    pub fault_aware: bool,
     /// Per-core instruction-fault site: when armed, each dispatched
     /// handler may abort before running (the handler's state is rolled
     /// back by simply not running it — work stays claimed-pending) and

@@ -173,6 +173,53 @@ fn reliable_mode_delivers_exactly_once_under_loss() {
     );
 }
 
+/// The shard-invariance tests compare a fleet with itself, so a change
+/// that moves every shard the same way passes them. This pins one
+/// small faulted reliable-mode fleet — fabric corruption caught by the
+/// FCS check of the receivers' faulted links, DMA faults, NIC
+/// crash/reset — to the digest its results had when the test was
+/// written: every NIC's `RunStats::summary()` rows plus the fabric's
+/// delivery/drop digest.
+/// A refactor of the fault path keeps it; a deliberate model change
+/// re-pins it and says so.
+#[test]
+fn faulted_fleet_is_pinned() {
+    let plan = FaultPlan::parse(
+        "seed=41,fab_crc=0.01,crc=0.01,dma=0.01,crash_us=150,watchdog_us=40,stall_alpha=0",
+    )
+    .expect("valid fault spec");
+    let mut cfg = base_cfg(DispatchMode::Polling, 1);
+    cfg.workload.reliable = true;
+    cfg.workload.rto_us = 40;
+    cfg.nic.faults = Some(plan);
+    let window = Ps::from_us(400);
+    let stats = run(cfg, Ps::ZERO, window, window);
+    let errors = stats.errors_total().expect("faulted run has errors");
+    assert!(
+        stats.fabric.corrupted > 0 && errors.crc_dropped > 0 && errors.nic_resets > 0,
+        "a fault class the digest should cover never fired: {} corrupted, {errors:?}",
+        stats.fabric.corrupted
+    );
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |bytes: &[u8]| {
+        for b in bytes {
+            h = (h ^ *b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for nic in &stats.per_nic {
+        for (name, value) in nic.summary() {
+            eat(name.as_bytes());
+            eat(&match value {
+                nicsim::StatValue::Int(v) => v.to_le_bytes(),
+                nicsim::StatValue::Float(v) => v.to_bits().to_le_bytes(),
+            });
+        }
+    }
+    eat(&stats.fabric.digest.to_le_bytes());
+    let pinned = 0x2d27_17ae_c831_4d3cu64;
+    assert_eq!(h, pinned, "faulted fleet results moved: got {h:#018x}");
+}
+
 /// An all-zeros fault plan is free: the run is bit-identical to one
 /// with no plan at all — same per-NIC counters, same fabric digest —
 /// apart from the zeroed error tables it reports.

@@ -62,7 +62,7 @@ pub struct HostLayout {
     pub rx_bufs: u32,
     /// Receive return ring base.
     pub return_ring: u32,
-    /// Status block: `+0` send consumer (BDs), `+4` return producer.
+    /// Status block the NIC writes: see `send_cons`, `ret_prod`, `aborts`.
     pub status: u32,
 }
 
@@ -84,6 +84,21 @@ impl HostLayout {
     /// Host memory size needed for this layout.
     pub fn memory_size(&self) -> usize {
         (self.status + 64) as usize
+    }
+
+    /// Status word: send BDs the NIC has consumed.
+    pub fn send_cons(&self) -> u32 {
+        self.status
+    }
+
+    /// Status word: the receive return ring's producer index.
+    pub fn ret_prod(&self) -> u32 {
+        self.status + 4
+    }
+
+    /// Status word: transmit frames the NIC aborted, cumulative.
+    pub fn aborts(&self) -> u32 {
+        self.status + 8
     }
 }
 
@@ -114,11 +129,6 @@ pub struct DriverConfig {
     pub offered_fps: Option<f64>,
     /// Whether the host transmits at all.
     pub send_enabled: bool,
-    /// Whether the NIC runs under a fault plan: the driver then honors
-    /// error-flagged return descriptors (recycling the buffer instead of
-    /// validating it) and re-posts transmit frames the NIC aborted,
-    /// reading the cumulative abort count from `status + 8`.
-    pub fault_aware: bool,
 }
 
 impl Default for DriverConfig {
@@ -127,7 +137,6 @@ impl Default for DriverConfig {
             udp_payload: 1472,
             offered_fps: None,
             send_enabled: true,
-            fault_aware: false,
         }
     }
 }
@@ -247,10 +256,8 @@ pub struct Driver {
     rx_frames_returned: u32,
     rx_free_bufs: VecDeque<u32>,
     ret_cons: u32,
-    /// Debug: posting state per buffer (true = outstanding at the NIC).
-    dbg_outstanding: Vec<bool>,
-    /// Debug: count of returns for buffers that were not outstanding.
-    pub dbg_bad_returns: u64,
+    /// Posting state per buffer (true = outstanding at the NIC).
+    outstanding: Vec<bool>,
     /// Cumulative NIC abort count already folded into `tx_retries`.
     aborts_seen: u32,
     mailbox: Vec<MailboxWrite>,
@@ -272,8 +279,7 @@ impl Driver {
             rx_frames_returned: 0,
             rx_free_bufs: (0..RX_BUF_COUNT).collect(),
             ret_cons: 0,
-            dbg_outstanding: vec![false; RX_BUF_COUNT as usize],
-            dbg_bad_returns: 0,
+            outstanding: vec![false; RX_BUF_COUNT as usize],
             aborts_seen: 0,
             mailbox: Vec::new(),
             stats: DriverStats::default(),
@@ -416,7 +422,7 @@ impl Driver {
         if !self.cfg.send_enabled {
             return false;
         }
-        let completed_bds = mem.read_u32(self.layout.status);
+        let completed_bds = mem.read_u32(self.layout.send_cons());
         let completed_frames = completed_bds / 2;
         let completed_changed = self.stats.tx_completed != completed_frames as u64;
         if P::ENABLED && completed_changed {
@@ -432,24 +438,22 @@ impl Driver {
             let allowed = (now.as_secs_f64() * fps) as u64;
             budget = budget.min((allowed.saturating_sub(self.tx_seq_next as u64)) as u32);
         }
-        if self.cfg.fault_aware {
-            // Frames whose payload DMA the NIC aborted never reached the
-            // wire: grant extra posting credit on top of the paced
-            // budget so the offered load is made good.
-            let aborts = mem.read_u32(self.layout.status + 8);
-            let lost = aborts.wrapping_sub(self.aborts_seen);
-            if lost > 0 {
-                self.aborts_seen = aborts;
-                self.stats.tx_retries += lost as u64;
-                budget = (budget + lost).min(SEND_FRAME_WINDOW - in_flight);
-                if P::ENABLED {
-                    probe.emit(Event::Recovery {
-                        kind: RecoveryKind::TxRetry,
-                        unit: FaultUnit::Driver,
-                        info: lost,
-                        at: now,
-                    });
-                }
+        // Frames whose payload DMA the NIC aborted never reached the
+        // wire: grant extra posting credit on top of the paced budget so
+        // the offered load is made good.
+        let aborts = mem.read_u32(self.layout.aborts());
+        let lost = aborts.wrapping_sub(self.aborts_seen);
+        if lost > 0 {
+            self.aborts_seen = aborts;
+            self.stats.tx_retries += lost as u64;
+            budget = (budget + lost).min(SEND_FRAME_WINDOW - in_flight);
+            if P::ENABLED {
+                probe.emit(Event::Recovery {
+                    kind: RecoveryKind::TxRetry,
+                    unit: FaultUnit::Driver,
+                    info: lost,
+                    at: now,
+                });
             }
         }
         if budget == 0 {
@@ -614,7 +618,7 @@ impl Driver {
             let Some(buf) = self.rx_free_bufs.pop_front() else {
                 break;
             };
-            self.dbg_outstanding[buf as usize] = true;
+            self.outstanding[buf as usize] = true;
             let addr = self.layout.rx_bufs + buf * RX_BUF_BYTES + 2;
             let bd = self.layout.rx_bd_ring + (self.rx_bd_prod % RX_BD_RING_ENTRIES) * BD_BYTES;
             mem.write_u32(bd, addr);
@@ -634,13 +638,13 @@ impl Driver {
     }
 
     fn consume_returns<P: Probe>(&mut self, now: Ps, mem: &mut HostMemory, probe: &mut P) -> bool {
-        let prod = mem.read_u32(self.layout.status + 4);
+        let prod = mem.read_u32(self.layout.ret_prod());
         let consumed = self.ret_cons != prod;
         while self.ret_cons != prod {
             let d = self.layout.return_ring + (self.ret_cons % RETURN_RING_ENTRIES) * BD_BYTES;
             let addr = mem.read_u32(d);
             let len = mem.read_u32(d + 4);
-            if self.cfg.fault_aware && mem.read_u32(d + 12) != 0 {
+            if mem.read_u32(d + 12) != 0 {
                 // Error return: the MAC dropped the frame at the CRC
                 // check, so the buffer carries no payload — recycle it
                 // without validating and account the drop.
@@ -713,10 +717,11 @@ impl Driver {
     /// Return a buffer to the free pool by its posted address.
     fn recycle(&mut self, addr: u32) {
         let buf = (addr - 2 - self.layout.rx_bufs) / RX_BUF_BYTES;
-        if !self.dbg_outstanding[buf as usize] {
-            self.dbg_bad_returns += 1;
-        }
-        self.dbg_outstanding[buf as usize] = false;
+        debug_assert!(
+            self.outstanding[buf as usize],
+            "the NIC returned receive buffer {buf}, which the driver never posted"
+        );
+        self.outstanding[buf as usize] = false;
         self.rx_free_bufs.push_back(buf);
         self.rx_frames_returned += 1;
     }
@@ -788,7 +793,7 @@ mod tests {
         }
         assert_eq!(d.stats().tx_posted, SEND_FRAME_WINDOW as u64);
         // Completing frames opens the window.
-        mem.write_u32(d.layout().status, 20); // 10 frames done
+        mem.write_u32(d.layout().send_cons(), 20); // 10 frames done
         d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         assert_eq!(d.stats().tx_posted, SEND_FRAME_WINDOW as u64 + 10);
     }
@@ -830,7 +835,7 @@ mod tests {
         mem.write(addr, &frame);
         mem.write_u32(l.return_ring, addr);
         mem.write_u32(l.return_ring + 4, frame.len() as u32);
-        mem.write_u32(l.status + 4, 1); // return producer
+        mem.write_u32(l.ret_prod(), 1);
         d.tick_probed(Ps::from_us(1), &mut mem, &mut NullProbe);
         let s = d.stats();
         assert_eq!(s.rx_frames, 1);
@@ -851,7 +856,7 @@ mod tests {
             mem.write_u32(dsc, addr);
             mem.write_u32(dsc + 4, frame.len() as u32);
         }
-        mem.write_u32(l.status + 4, 2);
+        mem.write_u32(l.ret_prod(), 2);
         d.tick_probed(Ps::from_us(1), &mut mem, &mut NullProbe);
         assert_eq!(d.stats().rx_frames, 2);
         assert_eq!(d.stats().rx_dropped, 2, "frames 1 and 2 were dropped");
@@ -872,7 +877,7 @@ mod tests {
         mem.write(l.rx_bufs + 2, &frame);
         mem.write_u32(l.return_ring, l.rx_bufs + 2);
         mem.write_u32(l.return_ring + 4, frame.len() as u32);
-        mem.write_u32(l.status + 4, 1);
+        mem.write_u32(l.ret_prod(), 1);
         d.tick_probed(Ps::from_us(1), &mut mem, &mut NullProbe);
         assert_eq!(d.rx_bd_prod, RX_BUF_COUNT + 1, "buffer 0 reposted");
     }
@@ -881,24 +886,33 @@ mod tests {
     fn error_returns_recycle_without_validation() {
         let layout = HostLayout::default();
         let mut mem = HostMemory::new(layout.memory_size());
-        let cfg = DriverConfig {
-            fault_aware: true,
-            ..DriverConfig::default()
-        };
-        let mut d = Driver::new(cfg, layout);
+        let mut d = Driver::new(DriverConfig::default(), layout);
         d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe);
         let l = d.layout();
         // Error return for buffer 0: flags word nonzero, no payload.
         mem.write_u32(l.return_ring, l.rx_bufs + 2);
         mem.write_u32(l.return_ring + 4, 64);
         mem.write_u32(l.return_ring + 12, 1);
-        mem.write_u32(l.status + 4, 1);
+        mem.write_u32(l.ret_prod(), 1);
         d.tick_probed(Ps::from_us(1), &mut mem, &mut NullProbe);
         let s = d.stats();
         assert_eq!(s.rx_error_returns, 1);
         assert_eq!(s.rx_corrupt, 0, "error returns bypass validation");
         assert_eq!(s.rx_frames, 0);
-        assert_eq!(d.dbg_bad_returns, 0, "the buffer was recycled");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "never posted")]
+    fn return_of_an_unposted_buffer_is_caught() {
+        let (mut d, mut mem) = setup();
+        d.tick_probed(Ps::ZERO, &mut mem, &mut NullProbe); // posts buffers 0..64
+        let l = d.layout();
+        mem.write_u32(l.return_ring, l.rx_bufs + 100 * RX_BUF_BYTES + 2);
+        mem.write_u32(l.return_ring + 4, 64);
+        mem.write_u32(l.return_ring + 12, 1);
+        mem.write_u32(l.ret_prod(), 1);
+        d.tick_probed(Ps::from_us(1), &mut mem, &mut NullProbe);
     }
 
     #[test]
@@ -906,14 +920,13 @@ mod tests {
         let layout = HostLayout::default();
         let mut mem = HostMemory::new(layout.memory_size());
         let cfg = DriverConfig {
-            fault_aware: true,
             offered_fps: Some(1_000_000.0),
             ..DriverConfig::default()
         };
         let mut d = Driver::new(cfg, layout);
         d.tick_probed(Ps::from_us(10), &mut mem, &mut NullProbe); // 10 us at 1 Mfps = 10 frames
         assert_eq!(d.stats().tx_posted, 10);
-        mem.write_u32(layout.status + 8, 3); // NIC aborted 3 of them
+        mem.write_u32(layout.aborts(), 3); // NIC aborted 3 of them
         d.tick_probed(Ps::from_us(10), &mut mem, &mut NullProbe);
         let s = d.stats();
         assert_eq!(s.tx_retries, 3);
@@ -981,7 +994,7 @@ mod tests {
             mem.write_u32(dsc, addr);
             mem.write_u32(dsc + 4, frame.len() as u32);
         }
-        mem.write_u32(l.status + 4, 4);
+        mem.write_u32(l.ret_prod(), 4);
         d.tick_probed(Ps::from_us(1), &mut mem, &mut NullProbe);
         let s = d.stats();
         assert_eq!(s.rx_frames, 4);
@@ -1046,7 +1059,7 @@ mod tests {
             mem.write_u32(dsc, addr);
             mem.write_u32(dsc + 4, frame.len() as u32);
         }
-        mem.write_u32(l.status + 4, 3);
+        mem.write_u32(l.ret_prod(), 3);
         d.tick_probed(Ps::from_us(1), &mut mem, &mut NullProbe);
         let s = d.stats();
         assert_eq!(s.rx_frames, 2, "exactly-once delivery");

@@ -145,6 +145,11 @@ impl RxGenerator {
         self.faults = Some(faults);
     }
 
+    /// Whether link faults are attached, so frames carry a real FCS.
+    pub fn faulted(&self) -> bool {
+        self.faults.is_some()
+    }
+
     /// What the fault plane did to the most recently polled frame
     /// (cleared by the read), for the receiver to label probe events.
     pub fn take_injection(&mut self) -> Option<LinkFault> {

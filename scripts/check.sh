@@ -53,6 +53,10 @@ cargo test --release --quiet -p nicsim-cpu
 cargo test --release --quiet -p nicsim --test frame_lifecycle
 cargo test --release --quiet -p nicsim-fleet --test determinism
 cargo test --release --quiet --test end_to_end
+# The units whose fault-recovery branches run in every run, armed plan
+# or not: the driver's error returns and abort credit, MAC RX's FCS
+# check on a faulted link, the fabric's fault path and its site state.
+cargo test --release --quiet -p nicsim-host -p nicsim-assists -p nicsim-net -p nicsim-fault
 
 echo "==> topology smoke (non-default topologies end-to-end, ~3 s)"
 # Drives non-default topologies through the experiment engine:
@@ -93,15 +97,19 @@ echo "==> fleet fault plane (faulted shard-invariance, crash/reset, reliable del
 # counts {1, 2, 4} and both dispatch modes; crashed NICs must come
 # back and their lost frames be accounted; reliable mode must deliver
 # exactly-once under loss. The suite's zero-rate case is the fast-path
-# guard: an all-zeros plan must leave the run bit-identical to a
-# plan-free one (including the fabric digest), proving the armed-plan
-# hooks are free when every probability is zero.
+# guard: an all-zeros plan arms nothing, so the run must be
+# bit-identical to a plan-free one (including the fabric digest). Its
+# pinned case holds one faulted fleet's per-NIC summaries and fabric
+# digest to committed constants, which catches a change that moves
+# every shard the same way.
 cargo test --release --quiet -p nicsim-fleet --test fault_determinism
 
 echo "==> fault smoke (injection + recovery + zero-fault bit-identity)"
-# The fault_sweep binary asserts its own contracts: the zero-rate armed
-# run must be bit-identical to the plan-free baseline, nonzero rates
-# must inject (and the goodput curve must not rise), and every run must
+# The fault_sweep binary asserts its own contracts: a zero-rate plan
+# arms no site, and the driver's and firmware's recovery branches,
+# which run in every run, see only clean values, so the zero-rate run
+# must be bit-identical to the plan-free baseline; nonzero rates must
+# inject (and the goodput curve must not rise), and every run must
 # terminate cleanly — a hang here would trip the test harness timeout.
 # Its fleet_fault section sweeps fabric corruption over a reliable-mode
 # fleet: 100% delivery on the low rungs, monotone delivery throughout.
