@@ -11,7 +11,7 @@
 //! is under `"extra"`.
 //!
 //! `--faults <spec>` overrides the seed (and retry/backoff/hang knobs)
-//! the swept plans inherit: `fault_sweep --faults seed=42,retries=1`.
+//! the swept plans inherit: `repro fault_sweep --faults seed=42,retries=1`.
 //!
 //! A second section, `fleet_fault`, sweeps fabric corruption over a
 //! small reliable-mode fleet: per-flow retransmission must recover
@@ -20,8 +20,8 @@
 //! the corruption rate climbs. Its curve lands under
 //! `"extra"."fleet_fault"`.
 
+use crate::{header, Args};
 use nicsim::{DispatchMode, FaultPlan, NicConfig, RunStats};
-use nicsim_bench::{header, Args};
 use nicsim_exp::{Json, RunSpec};
 use nicsim_fleet::{Fleet, FleetConfig};
 use nicsim_net::workload::{Arrivals, Pattern, SizeMix, Workload};
@@ -43,8 +43,7 @@ const FLEET_CRC_RATES: [f64; 5] = [0.0, 5e-3, 2e-2, 8e-2, 4e-1];
 /// exactly once; above it the assertion relaxes to monotonicity.
 const FLEET_FULL_DELIVERY_MAX: f64 = 2e-2;
 
-fn main() {
-    let args = Args::parse("fault_sweep");
+pub fn run(args: &Args) {
     let exp = &args.exp;
     header(
         "Fault sweep: goodput vs injected error rate (6 RMW cores @ 166 MHz)",
@@ -52,7 +51,7 @@ fn main() {
     );
     // `--faults` seeds the sweep's plans; the rates come from RATES, and
     // the baseline stays plan-free whatever the command line says.
-    let base = exp.faults().unwrap_or(FaultPlan::with_rate(7, 0.0));
+    let base = args.faults.unwrap_or(FaultPlan::with_rate(7, 0.0));
     let mut baseline = args.configure(NicConfig::default());
     baseline.faults = None;
     let mut specs = vec![RunSpec::single("clean", baseline)];
@@ -134,7 +133,7 @@ fn main() {
         prev_goodput = s.total_udp_gbps();
     }
     println!("zero-rate run matches the clean baseline bit for bit");
-    let fleet_fault = fleet_fault_sweep(&args, base.seed);
+    let fleet_fault = fleet_fault_sweep(args, base.seed);
     let extra = Json::obj()
         .with("seed", base.seed)
         .with("clean_goodput_gbps", clean.total_udp_gbps())

@@ -35,8 +35,8 @@
 //! leaves the committed results file untouched; the determinism and
 //! incast-drop assertions still bind.
 
+use crate::{header, Args};
 use nicsim::{ErrorStats, FaultPlan, NicConfig};
-use nicsim_bench::{header, Args};
 use nicsim_exp::{latency_to_json, Json, RunReport};
 use nicsim_fleet::{Fleet, FleetConfig, FleetStats};
 use nicsim_net::workload::{Pattern, SizeMix, Workload};
@@ -44,8 +44,7 @@ use nicsim_net::FabricConfig;
 use nicsim_sim::Ps;
 use std::time::{Duration, Instant};
 
-fn main() {
-    let args = Args::parse("fleet");
+pub fn run(args: &Args) {
     let exp = &args.exp;
     header(
         "Fleet: sharded multi-NIC simulation through the switch fabric",

@@ -4,32 +4,31 @@
 //! per-frame latency stage breakdown in `results/BENCH_trace.json`.
 //!
 //! ```text
-//! cargo run --release --bin trace -- --trace results/trace_events.json
-//! cargo run --release --bin trace -- --cores 1
+//! repro BENCH_trace --trace results/trace_events.json
+//! repro BENCH_trace --cores 1
 //! ```
 //!
 //! `--trace <path>` picks the trace-file destination (default
-//! `results/trace_events.json`); `--cores N` and `--dispatch` come from
-//! the shared bench CLI ([`nicsim_bench::Args`]).
+//! `trace_events.json` in the results directory); `--cores N` and
+//! `--dispatch` come from the shared command line ([`crate::Args`]).
 //! The run fails if the probe observes an inconsistent frame lifecycle
 //! (a stage start without its completion) or if the written trace does
 //! not parse back as non-empty JSON.
 
+use crate::{header, traced_run, Args};
 use nicsim::NicConfig;
-use nicsim_bench::{header, traced_run, Args};
 use nicsim_exp::Json;
-use std::path::Path;
 
-fn main() {
-    let args = Args::parse("BENCH_trace");
+pub fn run(args: &Args) {
     let exp = &args.exp;
     header(
         "Frame-lifecycle trace: Chrome trace_event + latency percentiles",
         "per-frame stage breakdown for the line-rate configuration",
     );
     let cfg = args.configure(NicConfig::default());
-    let default_path = Path::new("results/trace_events.json");
-    let path = exp.trace_path().unwrap_or(default_path);
+    std::fs::create_dir_all(exp.results_dir()).expect("create results directory");
+    let default_path = exp.results_dir().join("trace_events.json");
+    let path = args.trace.as_deref().unwrap_or(&default_path);
     let label = format!("cores={},cpu_mhz={}", cfg.cores, cfg.cpu_mhz);
     let run = traced_run(exp, &label, cfg, path);
 

@@ -12,10 +12,10 @@
 use crate::json::Json;
 use crate::report::{RunReport, SweepReport};
 use crate::sweep::{RunSpec, Sweep};
-use nicsim::{ConfigError, FaultPlan, NicConfig, NicSystem, NullProbe, Probe};
+use nicsim::{ConfigError, NicConfig, NicSystem, NullProbe, Probe};
 use nicsim_sim::Ps;
 use std::io;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
@@ -31,8 +31,6 @@ pub struct Experiment {
     jobs: usize,
     out_dir: PathBuf,
     quiet: bool,
-    trace_path: Option<PathBuf>,
-    faults: Option<FaultPlan>,
     started: Instant,
 }
 
@@ -67,68 +65,8 @@ impl Experiment {
             jobs,
             out_dir,
             quiet: env_is("NICSIM_QUIET", "1"),
-            trace_path: None,
-            faults: None,
             started: Instant::now(),
         }
-    }
-
-    /// Apply one command-line flag if it is one of the engine's
-    /// (`--jobs <n>`, `--quiet`, `--trace <path>`, `--faults <spec>`;
-    /// `Ok(false)`: not ours), pulling its value from `value`.
-    /// Binaries with flags of their own call this from their
-    /// [`parse_flags`] callback for whatever they do not recognise, so
-    /// the command line is walked once.
-    ///
-    /// # Errors
-    ///
-    /// Returns the usage line for a missing or malformed value.
-    pub fn accept_flag<'a>(
-        &mut self,
-        flag: &str,
-        value: &mut dyn FnMut() -> Result<&'a str, String>,
-    ) -> Result<bool, String> {
-        match flag {
-            "--quiet" => self.quiet = true,
-            "--jobs" => {
-                self.jobs = value()
-                    .ok()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&n| n > 0)
-                    .ok_or("usage: --jobs <positive integer>")?;
-            }
-            "--trace" => {
-                self.trace_path = Some(PathBuf::from(
-                    value().map_err(|_| "usage: --trace <output path>")?,
-                ));
-            }
-            "--faults" => {
-                let v = value()
-                    .map_err(|_| "usage: --faults <spec>, e.g. --faults seed=7,rate=1e-4")?;
-                self.faults = Some(parse_faults(v)?);
-            }
-            _ => return Ok(false),
-        }
-        Ok(true)
-    }
-
-    /// Where `--trace <path>` asked for a Chrome `trace_event` JSON
-    /// file, if it did. Binaries that support tracing check this and
-    /// run their traced configuration through
-    /// [`Experiment::run_with_probe`] with a
-    /// [`nicsim::ChromeTrace`] sink.
-    pub fn trace_path(&self) -> Option<&std::path::Path> {
-        self.trace_path.as_deref()
-    }
-
-    /// The fault plan `--faults <spec>` asked for, if any. The bench
-    /// binaries' shared `Args::configure` installs it in every
-    /// configuration they run; under a plan the engine
-    /// skips the end-to-end cleanliness assertions — drops and retries
-    /// are the point — and the report carries `err_*` counters plus the
-    /// plan's spec string.
-    pub fn faults(&self) -> Option<FaultPlan> {
-        self.faults
     }
 
     /// Override the worker-thread count (clamped to at least 1).
@@ -159,6 +97,11 @@ impl Experiment {
     pub fn quiet(mut self) -> Experiment {
         self.quiet = true;
         self
+    }
+
+    /// The results directory.
+    pub fn results_dir(&self) -> &Path {
+        &self.out_dir
     }
 
     /// The experiment name (and results file stem).
@@ -299,7 +242,7 @@ impl Experiment {
     }
 
     /// Run a report through [`Experiment::report`] + [`Experiment::write`]
-    /// in one call: the common tail of every bench binary.
+    /// in one call: the common tail of every `repro` entry.
     ///
     /// # Errors
     ///
@@ -363,48 +306,6 @@ fn env_is(key: &str, value: &str) -> bool {
 
 fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Walk a command line once. Each argument is split into its flag and
-/// a getter for the flag's value (`--flag=value`, or the next argument
-/// for `--flag value`) and handed to `accept`, which answers whether it
-/// recognised the flag.
-///
-/// # Errors
-///
-/// Returns `accept`'s error, or one naming the first argument `accept`
-/// did not recognise.
-pub fn parse_flags<'a>(
-    argv: &'a [String],
-    mut accept: impl FnMut(&str, &mut dyn FnMut() -> Result<&'a str, String>) -> Result<bool, String>,
-) -> Result<(), String> {
-    let mut rest = argv.iter();
-    while let Some(arg) = rest.next() {
-        let (flag, inline) = match arg.split_once('=') {
-            Some((flag, v)) => (flag, Some(v)),
-            None => (arg.as_str(), None),
-        };
-        let mut value = || {
-            inline
-                .or_else(|| rest.next().map(String::as_str))
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        if !accept(flag, &mut value)? {
-            return Err(format!("unknown argument '{arg}'"));
-        }
-    }
-    Ok(())
-}
-
-fn parse_faults(v: &str) -> Result<FaultPlan, String> {
-    // Validated through the same builder path configurations take, so
-    // `--faults` and `NicConfigBuilder::faults_spec` share one grammar
-    // and one error surface.
-    let built = NicConfig::builder()
-        .faults_spec(v)
-        .and_then(|b| b.build())
-        .map_err(|e| format!("--faults {v}: {e}"))?;
-    Ok(built.faults.expect("faults_spec installs a plan"))
 }
 
 /// `git describe --always --dirty` of the working tree, cached for the

@@ -1,7 +1,7 @@
 //! Declarative sweep descriptions: named axes over a base
 //! configuration, expanded into the cartesian product of labeled runs.
 //!
-//! A sweep is *declared*, not hand-looped, so every bench binary states
+//! A sweep is *declared*, not hand-looped, so every `repro` entry states
 //! what it varies and the engine handles expansion, validation,
 //! parallel execution, and results serialization uniformly:
 //!

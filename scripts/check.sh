@@ -58,33 +58,48 @@ cargo test --release --quiet --test end_to_end
 # check on a faulted link, the fabric's fault path and its site state.
 cargo test --release --quiet -p nicsim-host -p nicsim-assists -p nicsim-net -p nicsim-fault
 
-echo "==> topology smoke (non-default topologies end-to-end, ~3 s)"
-# Drives non-default topologies through the experiment engine:
-# archsweep recomposes the SoC per point (crossbar ports, memory map,
-# dispatch sources) from NicConfig::topology and every run
-# asserts end-to-end frame validation. A composition regression —
-# a bad port assignment, a broken memory-map append, a mis-routed
-# completion tag — fails here even when the default system is intact.
+echo "==> every registry entry (repro all, quick mode, ~1 min)"
+# Runs every table, figure and study once. Several assert their own
+# contracts in-process, and a nonzero exit is the gate:
+# * archsweep recomposes the SoC per point (crossbar ports, memory
+#   map, dispatch sources) from NicConfig::topology, and every run
+#   asserts end-to-end frame validation. A composition regression — a
+#   bad port assignment, a broken memory-map append, a mis-routed
+#   completion tag — fails here even when the default system is intact.
+# * fleet asserts per-NIC stats, the fabric's order-sensitive
+#   delivery/drop digest, per-port counters and skip decisions
+#   bit-identical at shard counts {1, 2, 4}, and that the incast
+#   section overflows its shallow egress buffer. Its faulted section
+#   re-checks shard-invariance under a live all-classes fault plan and
+#   requires at least one completed NIC crash/reset cycle.
+# * fault_sweep: a zero-rate plan arms no site, and the driver's and
+#   firmware's recovery branches, which run in every run, see only
+#   clean values, so the zero-rate run must be bit-identical to the
+#   plan-free baseline; nonzero rates must inject (and the goodput
+#   curve must not rise), and every run must terminate cleanly — a
+#   hang here would trip the test harness timeout. Its fleet_fault
+#   section sweeps fabric corruption over a reliable-mode fleet: 100%
+#   delivery on the low rungs, monotone delivery throughout.
+# * BENCH_trace validates its own output: lifecycle violations panic,
+#   and the written trace file must round-trip as non-empty JSON.
 NICSIM_QUICK=1 NICSIM_QUIET=1 NICSIM_RESULTS_DIR=target \
-    ./target/release/archsweep >/dev/null
-rm -f target/archsweep.json
-
-echo "==> fleet smoke (sharded multi-NIC determinism + incast drops, ~2 s)"
-# fleetbench asserts its own contracts in-process: per-NIC stats, the
-# fabric's order-sensitive delivery/drop digest, per-port counters and
-# skip decisions must be bit-identical at shard counts {1, 2, 4}, and
-# the incast section must actually overflow its shallow egress buffer.
-# Its faulted section re-checks shard-invariance under a live
-# all-classes fault plan and requires at least one completed NIC
-# crash/reset cycle. A nonzero exit is the gate.
-NICSIM_QUICK=1 NICSIM_RESULTS_DIR=target ./target/release/fleetbench
+    ./target/release/repro all >/dev/null
+rm -f target/*.json
 # A retransmit timeout whose picosecond value would overflow the
 # driver's backoff shift is a usage error naming the key, not a wrapped
 # timeout: Workload::validate bounds rto_us at 100 s.
 status=0
-err=$(timeout 10 ./target/release/fleetbench --workload reliable=1,rto_us=100000001 2>&1 >/dev/null) || status=$?
+err=$(timeout 10 ./target/release/repro fleet --workload reliable=1,rto_us=100000001 2>&1 >/dev/null) || status=$?
 if [ "$status" -ne 2 ] || ! printf '%s' "$err" | grep -q "rto_us"; then
-    echo "FAIL: fleetbench --workload reliable=1,rto_us=100000001 exited $status (want 2, naming rto_us): $err"
+    echo "FAIL: repro fleet --workload reliable=1,rto_us=100000001 exited $status (want 2, naming rto_us): $err"
+    exit 1
+fi
+# A gated flag an entry does not read is a usage error naming it, not
+# a silently ignored option.
+status=0
+err=$(timeout 10 ./target/release/repro table3 --trace x 2>&1 >/dev/null) || status=$?
+if [ "$status" -ne 2 ] || ! printf '%s' "$err" | grep -q -- "--trace"; then
+    echo "FAIL: repro table3 --trace x exited $status (want 2, naming --trace): $err"
     exit 1
 fi
 
@@ -104,18 +119,7 @@ echo "==> fleet fault plane (faulted shard-invariance, crash/reset, reliable del
 # every shard the same way.
 cargo test --release --quiet -p nicsim-fleet --test fault_determinism
 
-echo "==> fault smoke (injection + recovery + zero-fault bit-identity)"
-# The fault_sweep binary asserts its own contracts: a zero-rate plan
-# arms no site, and the driver's and firmware's recovery branches,
-# which run in every run, see only clean values, so the zero-rate run
-# must be bit-identical to the plan-free baseline; nonzero rates must
-# inject (and the goodput curve must not rise), and every run must
-# terminate cleanly — a hang here would trip the test harness timeout.
-# Its fleet_fault section sweeps fabric corruption over a reliable-mode
-# fleet: 100% delivery on the low rungs, monotone delivery throughout.
-NICSIM_QUICK=1 NICSIM_QUIET=1 NICSIM_RESULTS_DIR=target \
-    ./target/release/fault_sweep >/dev/null
-rm -f target/fault_sweep.json
+echo "==> usage errors (--faults bounds, --cores overrides, a faulted table3)"
 # A --faults value that would wedge the retry loop or overflow a
 # duration is a usage error naming the key, in milliseconds, never a
 # hang: FaultPlan::validate bounds retries and every duration.
@@ -125,7 +129,7 @@ for bad in dma=1,retries=4294967295 hang_us=18446744073709551615 crc=2 stall_alp
     key=${bad%=*}
     key=${key##*,}
     status=0
-    err=$(timeout 10 ./target/release/fault_sweep --faults "$bad" 2>&1 >/dev/null) || status=$?
+    err=$(timeout 10 ./target/release/repro fault_sweep --faults "$bad" 2>&1 >/dev/null) || status=$?
     if [ "$status" -ne 2 ] || ! printf '%s' "$err" | grep -q "bad fault spec: $key="; then
         echo "FAIL: --faults $bad exited $status (want 2, naming $key): $err"
         exit 1
@@ -135,29 +139,22 @@ done
 # naming the field, never a panic: Args::configure re-validates.
 for bad in "table1 2" "table3 100"; do
     status=0
-    err=$(timeout 10 ./target/release/${bad% *} --cores "${bad#* }" 2>&1 >/dev/null) || status=$?
+    err=$(timeout 10 ./target/release/repro ${bad% *} --cores "${bad#* }" 2>&1 >/dev/null) || status=$?
     if [ "$status" -ne 2 ] || ! printf '%s' "$err" | grep -q "cores"; then
-        echo "FAIL: ${bad% *} --cores ${bad#* } exited $status (want 2, naming cores): $err"
+        echo "FAIL: repro ${bad% *} --cores ${bad#* } exited $status (want 2, naming cores): $err"
         exit 1
     fi
 done
-# --faults reaches every binary through Args::configure, not only the
-# ones that ask exp.faults() themselves: a faulted table3 run carries
+# --faults reaches every entry through Args::configure, not only the
+# ones that read args.faults themselves: a faulted table3 run carries
 # the err_ rows.
 NICSIM_QUICK=1 NICSIM_QUIET=1 NICSIM_RESULTS_DIR=target \
-    ./target/release/table3 --faults seed=1,rate=1e-3 >/dev/null
+    ./target/release/repro table3 --faults seed=1,rate=1e-3 >/dev/null
 if ! grep -q '"err_' target/table3.json; then
-    echo "FAIL: table3 --faults seed=1,rate=1e-3 wrote no err_ rows: the plan was ignored"
+    echo "FAIL: repro table3 --faults seed=1,rate=1e-3 wrote no err_ rows: the plan was ignored"
     exit 1
 fi
 rm -f target/table3.json
-
-echo "==> trace smoke (Chrome trace_event + latency percentiles)"
-# The trace binary validates its own output: lifecycle violations
-# panic, and the written file must round-trip as non-empty JSON.
-NICSIM_QUICK=1 NICSIM_RESULTS_DIR=target ./target/release/trace \
-    --trace target/trace_smoke.json >/dev/null
-rm -f target/trace_smoke.json target/BENCH_trace.json
 
 echo "==> benchmark package (perf/: unit tests + smoke run against these crates)"
 # perf/ is its own workspace, so nothing above compiles it. It measures
@@ -180,18 +177,6 @@ if [ "$status" -ne 2 ] || ! printf '%s' "$err" | grep -q "target/deep.json: JSON
     echo "FAIL: perf compare on a 100,000-deep document exited $status (want 2, a parse error naming the file): $err"
     exit 1
 fi
-
-echo "==> results orphan check (every results/*.json still has a producer)"
-# A results file names its experiment; some binary or example must
-# still pass that name to Args::parse, or the file has outlived the
-# code that can regenerate it.
-for f in results/*.json; do
-    name=$(sed -n 's/^ *"experiment": "\(.*\)",$/\1/p' "$f" | head -n 1)
-    if ! grep -rqF "Args::parse(\"$name\")" crates/bench/src/bin examples; then
-        echo "FAIL: $f names experiment '$name', which no binary or example produces"
-        exit 1
-    fi
-done
 
 echo "==> results stamps (every results/*.json from a clean tree in this history)"
 # A results file's "git" stamp is `git describe --dirty` at the run. A
