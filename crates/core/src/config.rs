@@ -1,7 +1,7 @@
 //! Full-system configuration.
 
 use nicsim_fault::FaultPlan;
-use nicsim_firmware::{DispatchMode, FwMode, MAX_DMA_ENGINES};
+use nicsim_firmware::{DispatchMode, FwMode, MAX_CORES, MAX_DMA_ENGINES};
 use nicsim_mem::{ICacheConfig, MAX_XBAR_PORTS};
 use nicsim_net::{fabric::frame_len_for_payload, link::line_rate_fps};
 
@@ -188,6 +188,12 @@ pub enum ConfigError {
         /// The rejected port count.
         ports: usize,
     },
+    /// `cores` above `MAX_CORES`, the most the firmware's per-core
+    /// structures (event areas, BD-pool and MAC RX claim slack) hold.
+    TooManyCores {
+        /// The rejected core count.
+        cores: usize,
+    },
     /// `icache` does not divide into a whole, nonzero number of sets
     /// (`bytes` a multiple of `ways * line_bytes`, both nonzero), or is
     /// larger than the instruction memory it caches.
@@ -232,6 +238,9 @@ impl std::fmt::Display for ConfigError {
                 "cores plus two ports per DMA engine and MAC must fit the \
                  {MAX_XBAR_PORTS}-port crossbar (got {ports})"
             ),
+            ConfigError::TooManyCores { cores } => {
+                write!(f, "cores must be in 1..={MAX_CORES} (got {cores})")
+            }
             ConfigError::BadICache { icache } => write!(
                 f,
                 "icache bytes must be in 1..={MAX_ICACHE_BYTES} and a multiple \
@@ -412,6 +421,9 @@ impl NicConfig {
                 ports: self.cores.saturating_add(assist_ports),
             });
         }
+        if self.cores > MAX_CORES {
+            return Err(ConfigError::TooManyCores { cores: self.cores });
+        }
         Ok(())
     }
 
@@ -579,6 +591,17 @@ mod tests {
         }
         b().offered_rx_fps(Some(812_744.0)).build().unwrap();
         b().offered_tx_fps(Some(1e13)).build().unwrap();
+    }
+
+    /// The firmware holds 16 cores' in-flight claims and event areas: a
+    /// 17th would share core 0's event area.
+    #[test]
+    fn cores_are_bounded_by_the_firmware() {
+        let built = NicConfig::builder().cores(17).build();
+        assert_eq!(built, Err(ConfigError::TooManyCores { cores: 17 }));
+        assert!(built.unwrap_err().to_string().starts_with("cores"));
+        let cfg = NicConfig::builder().cores(16).build().unwrap();
+        crate::NicSystem::build(cfg).finish().unwrap();
     }
 
     #[test]

@@ -18,7 +18,6 @@ use crate::stats::RunStats;
 use nicsim_assists::{dma_tag_engine, DmaRead, DmaWrite, MacRx, MacTx};
 use nicsim_cpu::{CodeLayout, Core, CoreCtx, CoreProfile, PendingOp};
 use nicsim_fault::{EccFaults, ErrorStats, FwFaults, LinkFaults};
-use nicsim_firmware::handlers::HostRegs;
 use nicsim_firmware::map::SCRATCHPAD_BYTES;
 use nicsim_firmware::mode::Fw;
 use nicsim_firmware::{dispatch_loop, doorbell_words, DispatchMode, MemMap};
@@ -238,13 +237,6 @@ impl<P: Probe> SystemBuilder<P> {
             },
             layout,
         );
-        let host_regs = HostRegs {
-            send_bd_ring: layout.send_bd_ring,
-            rx_bd_ring: layout.rx_bd_ring,
-            return_ring: layout.return_ring,
-            status_send_cons: layout.send_cons(),
-            status_ret_prod: layout.ret_prod(),
-        };
 
         // Frame-side units, each on the crossbar port the topology's
         // layout assigns and the ring registers the memory map holds.
@@ -292,7 +284,7 @@ impl<P: Probe> SystemBuilder<P> {
             let fw = Fw {
                 ctx,
                 m: map,
-                host: host_regs,
+                host: layout,
                 mode: cfg.mode,
                 dispatch: cfg.dispatch,
                 fw_faults: fw_faults.get(id).cloned(),
@@ -508,8 +500,8 @@ impl<P: Probe> NicSystem<P> {
             self.driver_idle = !acted && !self.driver.time_sensitive();
             for w in self.driver.take_mailbox_writes() {
                 let (addr, reg) = match w.reg {
-                    Mailbox::SendBdProd => (self.map.sb_mailbox_prod, "send_bd_prod"),
-                    Mailbox::RxBdProd => (self.map.rb_mailbox_prod, "rx_bd_prod"),
+                    Mailbox::SendBdProd => (self.map.send_bd.mailbox_prod, "send_bd_prod"),
+                    Mailbox::RxBdProd => (self.map.recv_bd.mailbox_prod, "rx_bd_prod"),
                 };
                 self.sp.poke(addr, w.value);
                 if P::ENABLED {
@@ -1071,29 +1063,30 @@ mod tests {
             }
         }
         assert!(accepted > 0, "the grid must include buildable points");
-        // The crossbar's 64-port limit from both sides, on the smallest
-        // and the largest topology.
-        for (cores, dma_engines, fits) in [
-            (60, 1, true),
-            (61, 1, false),
-            (56, 3, true),
-            (57, 3, false),
-            (usize::MAX, 1, false),
+        // Both bounds on `cores` from both sides: the firmware's
+        // `MAX_CORES` (16), and the crossbar's 64-port limit on the
+        // smallest and the largest topology, which is checked first.
+        let cores_err = |cores| Err(ConfigError::TooManyCores { cores });
+        let ports_err = |ports| Err(ConfigError::TooManyPorts { ports });
+        for (cores, dma_engines, want) in [
+            (16, 1, Ok(())),
+            (16, 3, Ok(())),
+            (17, 1, cores_err(17)),
+            (60, 1, cores_err(60)),
+            (61, 1, ports_err(65)),
+            (56, 3, cores_err(56)),
+            (57, 3, ports_err(65)),
+            (usize::MAX, 1, ports_err(usize::MAX)),
         ] {
             let cfg = NicConfig {
                 cores,
                 topology: Topology { dma_engines },
                 ..NicConfig::default()
             };
-            assert_eq!(
-                cfg.validate().is_ok(),
-                fits,
-                "{cores} cores: {:?}",
-                cfg.validate()
-            );
+            assert_eq!(cfg.validate(), want, "{cores} cores");
             assert_eq!(
                 NicSystem::build(cfg).finish().is_ok(),
-                fits,
+                want.is_ok(),
                 "{cores} cores"
             );
         }

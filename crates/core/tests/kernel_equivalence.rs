@@ -491,11 +491,13 @@ fn model_is_cycle_exact_against_pinned_digests() {
     // Dense/event identity cannot see a change that moves both kernels
     // the same way (say, an assist pushing its scratchpad transactions
     // in a different order, which re-decides crossbar arbitration). So
-    // four short runs are pinned to the digests this model produced
+    // five short runs are pinned to the digests this model produced
     // when the test was written; a refactor that claims to be
     // cycle-exact keeps them, a deliberate model change re-pins them
     // and says so. The faulted point keeps `stall_alpha=0`: the Pareto
-    // tail is the one place a libm `powf` could enter a statistic.
+    // tail is the one place a libm `powf` could enter a statistic. The
+    // software-only duplex point runs the send path under locks, which
+    // no other point does.
     let saturated = NicConfig::builder().cores(6).cpu_mhz(166);
     let faulted = NicConfig::builder()
         .cores(2)
@@ -525,6 +527,11 @@ fn model_is_cycle_exact_against_pinned_digests() {
             "2 DMA engine pairs, armed fault plan",
             faulted,
             0xccfc_1355_f10d_899c,
+        ),
+        (
+            "software-only 6x200 duplex 1472 B",
+            NicConfig::software_only_200().to_builder(),
+            0x6c2d_a3fa_577f_1bbf,
         ),
     ];
     let mut moved = Vec::new();

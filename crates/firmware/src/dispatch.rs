@@ -56,12 +56,13 @@ fn sources(m: &MemMap) -> impl Iterator<Item = Source> + '_ {
         ]
     };
     let [dmard0, dmawr0] = dma(0);
+    let (sb, rb) = (&m.send_bd, &m.recv_bd);
     [
-        (work(m.sb_mailbox_prod, m.sb_fetched), FetchSendBds),
+        (work(sb.mailbox_prod, sb.fetched), FetchSendBds),
         dmard0,
-        (work(m.sbd_parsed, m.sbd_cons), SendFrames),
+        (work(sb.parsed, sb.cons), SendFrames),
         (work(m.mactx_done, m.send_txdone_claim), MacTxDone),
-        (work(m.rb_mailbox_prod, m.rb_fetched), FetchRecvBds),
+        (work(rb.mailbox_prod, rb.fetched), FetchRecvBds),
         (work(m.macrx_prod, m.recv_claim), RecvFrames),
         dmawr0,
         (bit(m.send_ready_bits, m.send_ready_commit), CommitSendReady),
@@ -127,12 +128,19 @@ impl Fw {
         if self.fw_fault().await {
             return true;
         }
+        let (m, host) = (&self.m, &self.host);
         match handler {
-            Handler::FetchSendBds => self.fetch_send_bds().await,
+            Handler::FetchSendBds => {
+                self.fetch_bds(&m.send_bd, FwFunc::FetchSendBd, host.send_bd_ring)
+                    .await
+            }
             Handler::DmaRdDone(k) => self.process_dmard_completions(k).await,
             Handler::SendFrames => self.send_frames().await,
             Handler::MacTxDone => self.process_mactx_done().await,
-            Handler::FetchRecvBds => self.fetch_recv_bds().await,
+            Handler::FetchRecvBds => {
+                self.fetch_bds(&m.recv_bd, FwFunc::FetchRecvBd, host.rx_bd_ring)
+                    .await
+            }
             Handler::RecvFrames => self.recv_frames().await,
             Handler::DmaWrDone(k) => self.process_dmawr_completions(k).await,
             Handler::CommitSendReady => {
@@ -242,11 +250,11 @@ mod tests {
             let loads = idle_scan_loads(&m);
             assert_eq!(loads[0], m.stop_flag);
             let mut consumed = vec![
-                m.sb_fetched,
+                m.send_bd.fetched,
                 m.dmard(0).claim,
-                m.sbd_cons,
+                m.send_bd.cons,
                 m.send_txdone_claim,
-                m.rb_fetched,
+                m.recv_bd.fetched,
                 m.recv_claim,
                 m.dmawr(0).claim,
                 m.send_ready_commit,

@@ -2,29 +2,31 @@
 //!
 //! Handlers are grouped by the paper's Table 1/5 functions:
 //!
-//! * **Fetch Send BD** — issue the 32-descriptor DMA for newly mailboxed
-//!   send BDs (Fig. 1 step 3) and parse each arrived BD into the pool.
+//! * **Fetch Send BD** and **Fetch Receive BD** — one buffer-descriptor
+//!   path serves both directions: `fetch_bds` issues the DMA for newly
+//!   mailboxed BDs (32 send BDs per DMA, Fig. 1 step 3; 16 receive BDs)
+//!   into the direction's raw cache, and each arrived batch is parsed
+//!   into its pool in index order. Only the per-BD parse bodies differ.
 //! * **Send Frame** — turn BD pairs into frame slots, DMA the header and
 //!   payload into the transmit buffer (step 4), hand ready frames to the
 //!   MAC in order (step 5), and notify the host on completion (step 6).
-//! * **Fetch Receive BD** — the 16-descriptor receive-buffer fetch and
-//!   parse.
 //! * **Receive Frame** — pair arrived frames with preallocated host
 //!   buffers, DMA the contents to the host (Fig. 2 step 2), and produce
 //!   in-order return descriptors and the status update (steps 3–4).
-//! * **Dispatch and Ordering / Locking** — the claim machinery, status
-//!   bits, commit scans, and spinlocks, charged separately so the
-//!   RMW-vs-software comparison of Tables 5/6 falls out.
+//! * **Dispatch and Ordering / Locking** — the claim machinery (one
+//!   completion claim serves both DMA directions), status bits, commit
+//!   scans, and spinlocks, charged separately so the RMW-vs-software
+//!   comparison of Tables 5/6 falls out.
 //!
 //! ALU charges model the straight-line arithmetic (address generation,
 //! field packing, validation) the Tigon-II-derived handlers perform
 //! around each memory access.
 
 use crate::map::{
-    info, DmaIf, BD_CACHE, DMA_RING, MACRX_RING, MACTX_RING, RECV_BD_BATCH, RXBUF_BYTES,
-    SEND_BD_BATCH, SLOTS, STAGING, TXBUF_BASE, TX_SLOT_BYTES,
+    info, BdIf, DmaIf, BD_CACHE, DMA_RING, MACRX_RING, MACTX_RING, RXBUF_BYTES, SLOTS, STAGING,
+    TXBUF_BASE, TX_SLOT_BYTES,
 };
-use crate::mode::{claim_range, commit_scan, lock, mark_bit, try_lock, unlock, Fw};
+use crate::mode::{claim_range, commit_scan, lock, mark_bit, try_lock, unlock, Fw, FwMode};
 use nicsim_assists::cmd::{FLAG_IMM, FLAG_SP};
 use nicsim_cpu::FwFunc;
 
@@ -33,10 +35,16 @@ pub const CLAIM_BATCH: u32 = 8;
 /// BD-cache entries held back by the fetch guard. A handler claims pool
 /// entries under the claim lock but reads them afterwards; the slack
 /// keeps the parser from overwriting a claimed-but-not-yet-read entry
-/// (it must cover every core's in-flight claim: `FRAME_BATCH x cores`).
+/// (it must cover every core's in-flight claim: `FRAME_BATCH x
+/// MAX_CORES`).
 pub const BD_POOL_SLACK: u32 = 64;
 /// Frames claimed per send/receive frame pass.
 pub const FRAME_BATCH: u32 = 4;
+/// Most cores the firmware is sized for: `BD_POOL_SLACK` and
+/// `MACRX_CLAIM_SLACK` cover `FRAME_BATCH` in-flight claims per core,
+/// and the memory map holds one event-structure area per core.
+pub const MAX_CORES: usize = (BD_POOL_SLACK / FRAME_BATCH) as usize;
+const _: () = assert!(crate::map::MACRX_CLAIM_SLACK >= FRAME_BATCH * MAX_CORES as u32);
 
 // Straight-line instruction weights of the Tigon-II-derived handler
 // bodies (validation, byte swapping, field extraction, statistics),
@@ -58,42 +66,18 @@ pub const CAL_RECV_PREP: u32 = 50;
 /// Per-frame work at receive commit (return descriptor construction).
 pub const CAL_RECV_COMMIT: u32 = 42;
 
-/// Host-memory addresses the firmware needs (programmed by the driver at
-/// initialization on real hardware).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct HostRegs {
-    /// Host send BD ring base.
-    pub send_bd_ring: u32,
-    /// Host receive BD ring base.
-    pub rx_bd_ring: u32,
-    /// Host return ring base.
-    pub return_ring: u32,
-    /// Status word: send consumer index (BDs).
-    pub status_send_cons: u32,
-    /// Status word: return ring producer.
-    pub status_ret_prod: u32,
-}
-
 /// One DMA command to push: encoded words plus the firmware info word.
 type Cmd = ([u32; 4], u32);
 
 impl Fw {
-    /// The tag for send-side dispatch/ordering work. In ideal mode this
-    /// work belongs to Send Frame itself (Table 1 has no dispatch rows).
-    fn send_dispatch_tag(&self) -> FwFunc {
-        if self.mode == crate::mode::FwMode::Ideal {
-            FwFunc::SendFrame
-        } else {
-            FwFunc::SendDispatch
-        }
-    }
-
-    /// The tag for receive-side dispatch/ordering work.
-    fn recv_dispatch_tag(&self) -> FwFunc {
-        if self.mode == crate::mode::FwMode::Ideal {
-            FwFunc::RecvFrame
-        } else {
-            FwFunc::RecvDispatch
+    /// The tag for dispatch/ordering work of `frame`'s direction
+    /// (`SendFrame` or `RecvFrame`). In ideal mode this work belongs to
+    /// the frame function itself (Table 1 has no dispatch rows).
+    fn dispatch_tag(&self, frame: FwFunc) -> FwFunc {
+        match (self.mode, frame.is_send()) {
+            (FwMode::Ideal, _) => frame,
+            (_, true) => FwFunc::SendDispatch,
+            (_, false) => FwFunc::RecvDispatch,
         }
     }
 
@@ -144,93 +128,126 @@ impl Fw {
     }
 
     // ------------------------------------------------------------------
-    // Send path
+    // Buffer descriptors (both directions)
     // ------------------------------------------------------------------
 
-    /// Fetch Send BD, issue side: DMA up to 32 new send BDs from the host
-    /// ring into the raw cache (Fig. 1 step 3).
-    pub async fn fetch_send_bds(&self) -> bool {
+    /// Fetch Send/Receive BD, issue side: DMA up to `bd.batch` newly
+    /// mailboxed BDs from the host ring at `host_ring` into `bd`'s raw
+    /// cache (Fig. 1 step 3), charged to `func`.
+    pub async fn fetch_bds(&self, bd: &BdIf, func: FwFunc, host_ring: u32) -> bool {
         let ctx = &self.ctx;
-        ctx.set_func(FwFunc::FetchSendBd);
-        let m = &self.m;
-        lock(ctx, self.mode, m.lock_sb_fetch).await;
-        let prod = ctx.load(m.sb_mailbox_prod).await;
-        let fetched = ctx.load(m.sb_fetched).await;
-        let cons = ctx.load(m.sbd_cons).await;
+        ctx.set_func(func);
+        lock(ctx, self.mode, bd.lock_fetch).await;
+        let prod = ctx.load(bd.mailbox_prod).await;
+        let fetched = ctx.load(bd.fetched).await;
+        let cons = ctx.load(bd.cons).await;
         ctx.alu(5).await; // available/capacity arithmetic
         let avail = prod.wrapping_sub(fetched);
         // A raw/pool entry may be reused only after its BD is consumed
         // AND read; the slack covers claimed-but-unread entries.
         let cache_free = (BD_CACHE - BD_POOL_SLACK).saturating_sub(fetched.wrapping_sub(cons));
         let ring_space = BD_CACHE - fetched % BD_CACHE;
-        let batch = avail.min(SEND_BD_BATCH).min(cache_free).min(ring_space);
+        let batch = avail.min(bd.batch).min(cache_free).min(ring_space);
         if batch == 0 {
             ctx.branch_miss().await;
-            unlock(ctx, self.mode, m.lock_sb_fetch).await;
+            unlock(ctx, self.mode, bd.lock_fetch).await;
             return false;
         }
         ctx.branch().await;
         ctx.alu(6).await; // host/destination address generation
         let idx = fetched % BD_CACHE;
         let cmd = [
-            self.host.send_bd_ring + idx * 16,
-            m.sbd_raw + idx * 16,
+            host_ring + idx * 16,
+            bd.raw + idx * 16,
             (batch * 16) | FLAG_SP,
             0,
         ];
-        self.dma_push(
-            m.dmard(self.stripe(fetched)),
-            &[(
-                cmd,
-                info::pack(info::SEND_BD_BATCH, info::pack_batch(fetched, batch)),
-            )],
-        )
-        .await;
-        ctx.set_func(FwFunc::FetchSendBd);
-        ctx.store(m.sb_fetched, fetched.wrapping_add(batch)).await;
-        unlock(ctx, self.mode, m.lock_sb_fetch).await;
+        let inf = info::pack(bd.kind, info::pack_batch(fetched, batch));
+        let d = self.m.dmard(self.stripe(fetched));
+        self.dma_push(d, &[(cmd, inf)]).await;
+        ctx.set_func(func);
+        ctx.store(bd.fetched, fetched.wrapping_add(batch)).await;
+        unlock(ctx, self.mode, bd.lock_fetch).await;
         true
     }
 
-    /// Fetch Send BD, arrival side: parse a batch of raw BDs into the
-    /// pool (validation and byte order, as the Tigon firmware does).
-    /// Batches are parsed in BD-index order: if an earlier batch is
-    /// still being parsed by another core, spin until it finishes.
+    /// Fetch BD, arrival side, prologue: take `bd`'s parse lock at the
+    /// batch starting at `start18` and return the parse counter. Batches
+    /// are parsed in BD-index order: if an earlier batch is still being
+    /// parsed by another core, spin until it finishes. The caller parses
+    /// (validation and byte order, as the Tigon firmware does), advances
+    /// `bd.parsed` and releases the lock.
+    async fn parse_turn(&self, bd: &BdIf, start18: u32) -> u32 {
+        let ctx = &self.ctx;
+        lock(ctx, self.mode, bd.lock_parse).await;
+        let mut parsed = ctx.load(bd.parsed).await;
+        while parsed & 0x3ffff != start18 {
+            // An earlier batch has not been parsed yet: yield the lock.
+            unlock(ctx, self.mode, bd.lock_parse).await;
+            ctx.alu(3).await;
+            ctx.branch_miss().await;
+            lock(ctx, self.mode, bd.lock_parse).await;
+            parsed = ctx.load(bd.parsed).await;
+        }
+        ctx.alu(2).await;
+        parsed
+    }
+
+    /// Fetch Send BD, arrival side: parse a batch of raw send BDs into
+    /// the pool.
     async fn parse_send_bds(&self, start18: u32, count: u32) {
         let ctx = &self.ctx;
         ctx.set_func(FwFunc::FetchSendBd);
-        let m = &self.m;
-        lock(ctx, self.mode, m.lock_sbd_parse).await;
-        let mut parsed = ctx.load(m.sbd_parsed).await;
-        while parsed & 0x3ffff != start18 {
-            // An earlier batch has not been parsed yet: yield the lock.
-            unlock(ctx, self.mode, m.lock_sbd_parse).await;
-            ctx.alu(3).await;
-            ctx.branch_miss().await;
-            lock(ctx, self.mode, m.lock_sbd_parse).await;
-            parsed = ctx.load(m.sbd_parsed).await;
-        }
-        ctx.alu(2).await;
+        let bd = &self.m.send_bd;
+        let parsed = self.parse_turn(bd, start18).await;
         for k in 0..count {
-            let i = (parsed.wrapping_add(k)) % BD_CACHE;
-            let addr = ctx.load(m.sbd_raw + i * 16).await;
-            let len = ctx.load(m.sbd_raw + i * 16 + 4).await;
-            let flags = ctx.load(m.sbd_raw + i * 16 + 8).await;
-            let seq = ctx.load(m.sbd_raw + i * 16 + 12).await;
+            let i = parsed.wrapping_add(k) % BD_CACHE;
+            let (raw, pool) = (bd.raw + i * 16, bd.pool + i * 16);
+            let addr = ctx.load(raw).await;
+            let len = ctx.load(raw + 4).await;
+            let flags = ctx.load(raw + 8).await;
+            let seq = ctx.load(raw + 12).await;
             ctx.alu(CAL_PARSE_SBD).await; // validate flags, swap, pack
             ctx.branch().await;
             ctx.branch_miss().await; // descriptor-type dispatch
-            ctx.store(m.sbd_pool + i * 16, addr).await;
-            ctx.store(m.sbd_pool + i * 16 + 4, (len & 0xffff) | (flags << 28))
-                .await;
-            ctx.store(m.sbd_pool + i * 16 + 8, seq).await;
-            ctx.store(m.sbd_pool + i * 16 + 12, 0).await; // checksum info
-            ctx.load(m.sbd_raw + i * 16 + 4).await; // chain/len recheck
-            ctx.store(m.sbd_raw + i * 16 + 8, 0).await; // consume-mark the raw BD
+            ctx.store(pool, addr).await;
+            ctx.store(pool + 4, (len & 0xffff) | (flags << 28)).await;
+            ctx.store(pool + 8, seq).await;
+            ctx.store(pool + 12, 0).await; // checksum info
+            ctx.load(raw + 4).await; // chain/len recheck
+            ctx.store(raw + 8, 0).await; // consume-mark the raw BD
         }
-        ctx.store(m.sbd_parsed, parsed.wrapping_add(count)).await;
-        unlock(ctx, self.mode, m.lock_sbd_parse).await;
+        ctx.store(bd.parsed, parsed.wrapping_add(count)).await;
+        unlock(ctx, self.mode, bd.lock_parse).await;
     }
+
+    /// Fetch Receive BD, arrival side: parse a batch of raw receive BDs
+    /// into the buffer pool.
+    async fn parse_recv_bds(&self, start18: u32, count: u32) {
+        let ctx = &self.ctx;
+        ctx.set_func(FwFunc::FetchRecvBd);
+        let bd = &self.m.recv_bd;
+        let parsed = self.parse_turn(bd, start18).await;
+        for k in 0..count {
+            let i = parsed.wrapping_add(k) % BD_CACHE;
+            let (raw, pool) = (bd.raw + i * 16, bd.pool + i * 8);
+            let addr = ctx.load(raw).await;
+            let len = ctx.load(raw + 4).await;
+            ctx.load(raw + 8).await; // flags
+            ctx.alu(CAL_PARSE_RBD).await;
+            ctx.branch().await;
+            ctx.branch_miss().await; // pool-class selection
+            ctx.store(pool, addr).await;
+            ctx.store(pool + 4, len).await;
+            ctx.store(raw + 8, 0).await; // consume-mark
+        }
+        ctx.store(bd.parsed, parsed.wrapping_add(count)).await;
+        unlock(ctx, self.mode, bd.lock_parse).await;
+    }
+
+    // ------------------------------------------------------------------
+    // Send path
+    // ------------------------------------------------------------------
 
     /// Send Frame, start side: claim parsed BD pairs, allocate frame
     /// slots and transmit-buffer space, and DMA the header and payload
@@ -239,9 +256,10 @@ impl Fw {
         let ctx = &self.ctx;
         ctx.set_func(FwFunc::SendFrame);
         let m = &self.m;
+        let bd = &m.send_bd;
         lock(ctx, self.mode, m.lock_sbd).await;
-        let parsed = ctx.load(m.sbd_parsed).await;
-        let cons = ctx.load(m.sbd_cons).await;
+        let parsed = ctx.load(bd.parsed).await;
+        let cons = ctx.load(bd.cons).await;
         let txdone = ctx.load(m.send_txdone_commit).await;
         ctx.alu(5).await;
         let pairs = parsed.wrapping_sub(cons) / 2;
@@ -254,19 +272,19 @@ impl Fw {
             return false;
         }
         ctx.branch().await;
-        ctx.store(m.sbd_cons, cons.wrapping_add(batch * 2)).await;
+        ctx.store(bd.cons, cons.wrapping_add(batch * 2)).await;
         unlock(ctx, self.mode, m.lock_sbd).await;
         for f in 0..batch {
             let seq = seq0.wrapping_add(f);
             let sidx = seq % SLOTS;
             let i0 = (cons.wrapping_add(2 * f)) % BD_CACHE;
             let i1 = (cons.wrapping_add(2 * f + 1)) % BD_CACHE;
-            let haddr = ctx.load(m.sbd_pool + i0 * 16).await;
-            let hlen = ctx.load(m.sbd_pool + i0 * 16 + 4).await;
-            let hseq = ctx.load(m.sbd_pool + i0 * 16 + 8).await;
-            let paddr = ctx.load(m.sbd_pool + i1 * 16).await;
-            let plen = ctx.load(m.sbd_pool + i1 * 16 + 4).await;
-            let _csum = ctx.load(m.sbd_pool + i1 * 16 + 12).await;
+            let haddr = ctx.load(bd.pool + i0 * 16).await;
+            let hlen = ctx.load(bd.pool + i0 * 16 + 4).await;
+            let hseq = ctx.load(bd.pool + i0 * 16 + 8).await;
+            let paddr = ctx.load(bd.pool + i1 * 16).await;
+            let plen = ctx.load(bd.pool + i1 * 16 + 4).await;
+            let _csum = ctx.load(bd.pool + i1 * 16 + 12).await;
             ctx.alu(CAL_SEND_PREP).await; // fragment split, flag checks, dest compute
             ctx.branch().await;
             ctx.branch_miss().await; // fragment-count dispatch
@@ -281,11 +299,12 @@ impl Fw {
             ctx.store(slot + 20, hlen + plen).await;
             ctx.store(slot + 8, 0).await; // checksum offload info
             ctx.store(slot + 12, 0).await; // option flags
-                                           // The *host's* frame sequence number, not the slot counter:
-                                           // downstream this word only feeds the MAC TX ring's
-                                           // observability field, and fleet runs namespace it by
-                                           // source NIC (legacy runs post the two in lockstep, so the
-                                           // values coincide there).
+
+            // The *host's* frame sequence number, not the slot counter:
+            // downstream this word only feeds the MAC TX ring's
+            // observability field, and fleet runs namespace it by source
+            // NIC (legacy runs post the two in lockstep, so the values
+            // coincide there).
             ctx.store(slot + 24, hseq).await;
             ctx.store(slot + 28, 1).await; // state: fragments in flight
             let prev_slot = m.send_slot(seq.wrapping_sub(1));
@@ -329,7 +348,7 @@ impl Fw {
             self.m.send_ready_bits,
             sidx,
             self.m.lock_send_ready_commit,
-            self.send_dispatch_tag(),
+            self.dispatch_tag(FwFunc::SendFrame),
         )
         .await;
         self.commit_send_ready().await;
@@ -339,7 +358,7 @@ impl Fw {
     /// ready frames and append them to the MAC TX ring, in frame order.
     pub async fn commit_send_ready(&self) {
         let ctx = &self.ctx;
-        ctx.set_func(self.send_dispatch_tag());
+        ctx.set_func(self.dispatch_tag(FwFunc::SendFrame));
         let m = &self.m;
         if !try_lock(ctx, self.mode, m.lock_send_ready_commit).await {
             // Another core is committing; it (or the dispatch loop's
@@ -380,7 +399,7 @@ impl Fw {
                 ctx.store(e + 12, fseq).await;
                 prod = prod.wrapping_add(1);
             }
-            ctx.set_func(self.send_dispatch_tag());
+            ctx.set_func(self.dispatch_tag(FwFunc::SendFrame));
             commit = commit.wrapping_add(run);
         }
         if commit != commit0 {
@@ -396,7 +415,7 @@ impl Fw {
     /// (Fig. 1 step 6).
     pub async fn process_mactx_done(&self) -> bool {
         let ctx = &self.ctx;
-        ctx.set_func(self.send_dispatch_tag());
+        ctx.set_func(self.dispatch_tag(FwFunc::SendFrame));
         let m = &self.m;
         let (start, n) = claim_range(
             ctx,
@@ -431,7 +450,7 @@ impl Fw {
                 m.send_txdone_bits,
                 seq % SLOTS,
                 m.lock_send_txdone_commit,
-                self.send_dispatch_tag(),
+                self.dispatch_tag(FwFunc::SendFrame),
             )
             .await;
         }
@@ -444,7 +463,7 @@ impl Fw {
     /// requires a pointer update").
     pub async fn commit_txdone(&self) {
         let ctx = &self.ctx;
-        ctx.set_func(self.send_dispatch_tag());
+        ctx.set_func(self.dispatch_tag(FwFunc::SendFrame));
         let m = &self.m;
         if !try_lock(ctx, self.mode, m.lock_send_txdone_commit).await {
             return;
@@ -474,7 +493,7 @@ impl Fw {
                 &[(
                     [
                         commit.wrapping_mul(2),
-                        self.host.status_send_cons,
+                        self.host.send_cons(),
                         4 | FLAG_IMM,
                         0,
                     ],
@@ -482,7 +501,7 @@ impl Fw {
                 )],
             )
             .await;
-            ctx.set_func(self.send_dispatch_tag());
+            ctx.set_func(self.dispatch_tag(FwFunc::SendFrame));
         }
         ctx.alu(1).await;
         unlock(ctx, self.mode, m.lock_send_txdone_commit).await;
@@ -492,80 +511,6 @@ impl Fw {
     // Receive path
     // ------------------------------------------------------------------
 
-    /// Fetch Receive BD, issue side: DMA up to 16 receive BDs.
-    pub async fn fetch_recv_bds(&self) -> bool {
-        let ctx = &self.ctx;
-        ctx.set_func(FwFunc::FetchRecvBd);
-        let m = &self.m;
-        lock(ctx, self.mode, m.lock_rb_fetch).await;
-        let prod = ctx.load(m.rb_mailbox_prod).await;
-        let fetched = ctx.load(m.rb_fetched).await;
-        let cons = ctx.load(m.rbd_cons).await;
-        ctx.alu(5).await;
-        let avail = prod.wrapping_sub(fetched);
-        let cache_free = (BD_CACHE - BD_POOL_SLACK).saturating_sub(fetched.wrapping_sub(cons));
-        let ring_space = BD_CACHE - fetched % BD_CACHE;
-        let batch = avail.min(RECV_BD_BATCH).min(cache_free).min(ring_space);
-        if batch == 0 {
-            ctx.branch_miss().await;
-            unlock(ctx, self.mode, m.lock_rb_fetch).await;
-            return false;
-        }
-        ctx.branch().await;
-        ctx.alu(6).await;
-        let idx = fetched % BD_CACHE;
-        let cmd = [
-            self.host.rx_bd_ring + idx * 16,
-            m.rbd_raw + idx * 16,
-            (batch * 16) | FLAG_SP,
-            0,
-        ];
-        self.dma_push(
-            m.dmard(self.stripe(fetched)),
-            &[(
-                cmd,
-                info::pack(info::RX_BD_BATCH, info::pack_batch(fetched, batch)),
-            )],
-        )
-        .await;
-        ctx.set_func(FwFunc::FetchRecvBd);
-        ctx.store(m.rb_fetched, fetched.wrapping_add(batch)).await;
-        unlock(ctx, self.mode, m.lock_rb_fetch).await;
-        true
-    }
-
-    /// Fetch Receive BD, arrival side: parse raw BDs into the buffer
-    /// pool, in BD-index order (see `parse_send_bds`).
-    async fn parse_recv_bds(&self, start18: u32, count: u32) {
-        let ctx = &self.ctx;
-        ctx.set_func(FwFunc::FetchRecvBd);
-        let m = &self.m;
-        lock(ctx, self.mode, m.lock_rbd_parse).await;
-        let mut parsed = ctx.load(m.rbd_parsed).await;
-        while parsed & 0x3ffff != start18 {
-            unlock(ctx, self.mode, m.lock_rbd_parse).await;
-            ctx.alu(3).await;
-            ctx.branch_miss().await;
-            lock(ctx, self.mode, m.lock_rbd_parse).await;
-            parsed = ctx.load(m.rbd_parsed).await;
-        }
-        ctx.alu(2).await;
-        for k in 0..count {
-            let i = (parsed.wrapping_add(k)) % BD_CACHE;
-            let addr = ctx.load(m.rbd_raw + i * 16).await;
-            let len = ctx.load(m.rbd_raw + i * 16 + 4).await;
-            let _flags = ctx.load(m.rbd_raw + i * 16 + 8).await;
-            ctx.alu(CAL_PARSE_RBD).await;
-            ctx.branch().await;
-            ctx.branch_miss().await; // pool-class selection
-            ctx.store(m.rbd_pool + i * 8, addr).await;
-            ctx.store(m.rbd_pool + i * 8 + 4, len).await;
-            ctx.store(m.rbd_raw + i * 16 + 8, 0).await; // consume-mark
-        }
-        ctx.store(m.rbd_parsed, parsed.wrapping_add(count)).await;
-        unlock(ctx, self.mode, m.lock_rbd_parse).await;
-    }
-
     /// Receive Frame, start side: claim arrived frames, pair each with a
     /// preallocated host buffer, and DMA the contents to the host
     /// (Fig. 2 step 2).
@@ -573,11 +518,12 @@ impl Fw {
         let ctx = &self.ctx;
         ctx.set_func(FwFunc::RecvFrame);
         let m = &self.m;
+        let bd = &m.recv_bd;
         lock(ctx, self.mode, m.lock_rxclaim).await;
         let prod = ctx.load(m.macrx_prod).await;
         let claim = ctx.load(m.recv_claim).await;
-        let rparsed = ctx.load(m.rbd_parsed).await;
-        let rcons = ctx.load(m.rbd_cons).await;
+        let rparsed = ctx.load(bd.parsed).await;
+        let rcons = ctx.load(bd.cons).await;
         let commit = ctx.load(m.recv_commit).await;
         ctx.alu(6).await;
         let avail = prod.wrapping_sub(claim);
@@ -591,7 +537,7 @@ impl Fw {
         }
         ctx.branch().await;
         ctx.store(m.recv_claim, claim.wrapping_add(batch)).await;
-        ctx.store(m.rbd_cons, rcons.wrapping_add(batch)).await;
+        ctx.store(bd.cons, rcons.wrapping_add(batch)).await;
         unlock(ctx, self.mode, m.lock_rxclaim).await;
         for f in 0..batch {
             let seq = claim.wrapping_add(f);
@@ -602,8 +548,8 @@ impl Fw {
             let status = ctx.load(e + 8).await;
             let _csum = ctx.load(e + 12).await;
             let pi = rcons.wrapping_add(f) % BD_CACHE;
-            let hbuf = ctx.load(m.rbd_pool + pi * 8).await;
-            let _blen = ctx.load(m.rbd_pool + pi * 8 + 4).await;
+            let hbuf = ctx.load(bd.pool + pi * 8).await;
+            let _blen = ctx.load(bd.pool + pi * 8 + 4).await;
             ctx.alu(CAL_RECV_PREP).await; // length checks, slot setup
             ctx.branch().await;
             ctx.branch_miss().await; // status/error dispatch
@@ -631,7 +577,7 @@ impl Fw {
                     m.recv_done_bits,
                     sidx,
                     m.lock_recv_commit,
-                    self.recv_dispatch_tag(),
+                    self.dispatch_tag(FwFunc::RecvFrame),
                 )
                 .await;
                 ctx.set_func(FwFunc::RecvFrame);
@@ -665,40 +611,15 @@ impl Fw {
     /// completions, mark frames whose payload reached the host, and
     /// commit the in-order prefix.
     pub async fn process_dmawr_completions(&self, eng: usize) -> bool {
-        let ctx = &self.ctx;
-        ctx.set_func(self.recv_dispatch_tag());
-        let m = &self.m;
-        let d = *m.dmawr(eng);
-        let (start, n) = claim_range(
-            ctx,
-            self.mode,
-            d.lock_claim,
-            d.done,
-            d.claim,
-            CLAIM_BATCH,
-            m.event_area(ctx.core_id()),
-        )
-        .await;
+        let (ctx, m) = (&self.ctx, &self.m);
+        let d = m.dmawr(eng);
+        let (start, n) = self.claim_completions(d, FwFunc::RecvFrame).await;
         if n == 0 {
             return false;
         }
         let mut any = false;
-        for k in 0..n {
-            let idx = start.wrapping_add(k);
-            ctx.set_func(self.recv_dispatch_tag());
-            let inf = ctx.load(d.info + (idx % DMA_RING) * 4).await;
-            if self.mode.locking() {
-                ctx.set_func(FwFunc::RecvFrame);
-                ctx.load(m.event_area(ctx.core_id()) + 8).await; // event range
-                ctx.load(m.event_area(ctx.core_id()) + 4).await; // range start
-                ctx.alu(17).await; // event bookkeeping, retry checks
-                ctx.branch_miss().await; // retry-path decision
-            } else {
-                ctx.alu(5).await;
-            }
-            ctx.branch().await;
-            ctx.branch_miss().await; // handler-type dispatch
-            let (kind, arg) = info::unpack(inf);
+        for idx in (0..n).map(|k| start.wrapping_add(k)) {
+            let (kind, arg) = self.completion(d, idx, FwFunc::RecvFrame).await;
             if kind == info::RECV_PAYLOAD {
                 ctx.set_func(FwFunc::RecvFrame);
                 let slot = m.recv_slots + arg * 32;
@@ -712,7 +633,7 @@ impl Fw {
                     m.recv_done_bits,
                     arg,
                     m.lock_recv_commit,
-                    self.recv_dispatch_tag(),
+                    self.dispatch_tag(FwFunc::RecvFrame),
                 )
                 .await;
                 any = true;
@@ -732,7 +653,7 @@ impl Fw {
     /// space, and update the return producer (Fig. 2 steps 3–4).
     pub async fn commit_recv(&self) {
         let ctx = &self.ctx;
-        ctx.set_func(self.recv_dispatch_tag());
+        ctx.set_func(self.dispatch_tag(FwFunc::RecvFrame));
         let m = &self.m;
         if !try_lock(ctx, self.mode, m.lock_recv_commit).await {
             return;
@@ -778,7 +699,7 @@ impl Fw {
                 }
                 let sw = ctx.load(m.stat(3)).await; // rx frames returned
                 ctx.store(m.stat(3), sw.wrapping_add(1)).await;
-                ctx.set_func(self.recv_dispatch_tag());
+                ctx.set_func(self.dispatch_tag(FwFunc::RecvFrame));
                 if flags != 0 {
                     // No buffer was allocated for a CRC-dropped frame —
                     // the MAC never advanced its head, so the tail must
@@ -818,7 +739,7 @@ impl Fw {
                     )],
                 )
                 .await;
-                ctx.set_func(self.recv_dispatch_tag());
+                ctx.set_func(self.dispatch_tag(FwFunc::RecvFrame));
                 first = first.wrapping_add(cnt);
                 remaining -= cnt;
             }
@@ -831,73 +752,84 @@ impl Fw {
             self.dma_push(
                 m.dmawr(0),
                 &[(
-                    [commit, self.host.status_ret_prod, 4 | FLAG_IMM, 0],
+                    [commit, self.host.ret_prod(), 4 | FLAG_IMM, 0],
                     info::pack(info::NOP, 0),
                 )],
             )
             .await;
-            ctx.set_func(self.recv_dispatch_tag());
+            ctx.set_func(self.dispatch_tag(FwFunc::RecvFrame));
         }
         ctx.alu(1).await;
         unlock(ctx, self.mode, m.lock_recv_commit).await;
     }
 
     // ------------------------------------------------------------------
-    // Shared completion stream
+    // DMA completions (both directions)
     // ------------------------------------------------------------------
 
-    /// Claim engine `eng`'s DMA-read completions and dispatch each by
-    /// its info kind (send BD batches, send frame fragments, receive BD
-    /// batches).
-    pub async fn process_dmard_completions(&self, eng: usize) -> bool {
+    /// Claim up to `CLAIM_BATCH` of `d`'s completions, charged to the
+    /// dispatch tag of `frame`'s direction; returns `(start, n)`.
+    async fn claim_completions(&self, d: &DmaIf, frame: FwFunc) -> (u32, u32) {
         let ctx = &self.ctx;
-        ctx.set_func(self.send_dispatch_tag());
-        let m = &self.m;
-        let d = *m.dmard(eng);
-        let (start, n) = claim_range(
+        ctx.set_func(self.dispatch_tag(frame));
+        claim_range(
             ctx,
             self.mode,
             d.lock_claim,
             d.done,
             d.claim,
             CLAIM_BATCH,
-            m.event_area(ctx.core_id()),
+            self.m.event_area(ctx.core_id()),
         )
-        .await;
+        .await
+    }
+
+    /// Read claimed completion `idx`'s info word and do its event
+    /// bookkeeping; returns the unpacked `(kind, arg)`. The bookkeeping
+    /// is frame processing, not ordering (Table 5 charges only
+    /// claims/scans/pointers to "Dispatch and Ordering"), so it is
+    /// charged to `frame`.
+    async fn completion(&self, d: &DmaIf, idx: u32, frame: FwFunc) -> (u32, u32) {
+        let ctx = &self.ctx;
+        ctx.set_func(self.dispatch_tag(frame));
+        let inf = ctx.load(d.info + (idx % DMA_RING) * 4).await;
+        if self.mode.locking() {
+            ctx.set_func(frame);
+            let ev = self.m.event_area(ctx.core_id());
+            ctx.load(ev + 8).await; // event range
+            ctx.load(ev + 4).await; // range start
+            ctx.alu(17).await; // event bookkeeping, retry checks
+            ctx.branch_miss().await; // retry-path decision
+        } else {
+            ctx.alu(5).await;
+        }
+        ctx.branch().await;
+        ctx.branch_miss().await; // handler-type dispatch
+        info::unpack(inf)
+    }
+
+    /// Claim engine `eng`'s DMA-read completions and dispatch each by
+    /// its info kind (send BD batches, send frame fragments, receive BD
+    /// batches).
+    pub async fn process_dmard_completions(&self, eng: usize) -> bool {
+        let d = self.m.dmard(eng);
+        let (start, n) = self.claim_completions(d, FwFunc::SendFrame).await;
         if n == 0 {
             return false;
         }
-        for k in 0..n {
-            let idx = start.wrapping_add(k);
-            ctx.set_func(self.send_dispatch_tag());
-            let inf = ctx.load(d.info + (idx % DMA_RING) * 4).await;
-            if self.mode.locking() {
-                // Completion bookkeeping is frame processing, not
-                // ordering (Table 5 charges only claims/scans/pointers
-                // to "Dispatch and Ordering").
-                ctx.set_func(FwFunc::SendFrame);
-                ctx.load(m.event_area(ctx.core_id()) + 8).await; // event range
-                ctx.load(m.event_area(ctx.core_id()) + 4).await; // range start
-                ctx.alu(17).await; // event bookkeeping, retry checks
-                ctx.branch_miss().await; // retry-path decision
-            } else {
-                ctx.alu(5).await;
-            }
-            ctx.branch().await;
-            ctx.branch_miss().await; // handler-type dispatch
-            let (kind, arg) = info::unpack(inf);
-            match kind {
-                info::SEND_BD_BATCH => {
+        for idx in (0..n).map(|k| start.wrapping_add(k)) {
+            match self.completion(d, idx, FwFunc::SendFrame).await {
+                (info::SEND_BD_BATCH, arg) => {
                     let (start, count) = info::unpack_batch(arg);
                     self.parse_send_bds(start, count).await;
                 }
-                info::SEND_FRAME_LAST => self.send_frame_ready(arg).await,
-                info::RX_BD_BATCH => {
+                (info::SEND_FRAME_LAST, arg) => self.send_frame_ready(arg).await,
+                (info::RX_BD_BATCH, arg) => {
                     let (start, count) = info::unpack_batch(arg);
                     self.parse_recv_bds(start, count).await;
                 }
                 _ => {
-                    ctx.alu(1).await;
+                    self.ctx.alu(1).await;
                 }
             }
         }

@@ -38,5 +38,6 @@ pub mod map;
 pub mod mode;
 
 pub use dispatch::{dispatch_loop, doorbell_words};
-pub use map::{DmaIf, MemMap, MAX_DMA_ENGINES};
+pub use handlers::MAX_CORES;
+pub use map::{BdIf, DmaIf, MemMap, MAX_DMA_ENGINES};
 pub use mode::{DispatchMode, FwMode};

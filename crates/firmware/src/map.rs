@@ -6,6 +6,7 @@
 //! paper's observation that "the frame metadata ... [fits] entirely in
 //! 100 KB" (§2.3), and all of it lives in the 256 KB scratchpad.
 
+use crate::handlers::MAX_CORES;
 use nicsim_assists::cmd::{MacRxRegs, RingRegs};
 
 /// Scratchpad capacity in bytes (the paper's board: 256 KB).
@@ -27,7 +28,7 @@ pub const MACRX_RING: u32 = 512;
 /// MAC RX descriptor-ring entries held back from its occupancy check: a
 /// core reads a descriptor only after releasing the claim lock, so the
 /// MAC must not overwrite what the claim counter already covers (at
-/// least the cores' aggregate in-flight `FRAME_BATCH`).
+/// least the cores' aggregate in-flight `FRAME_BATCH x MAX_CORES`).
 pub const MACRX_CLAIM_SLACK: u32 = 64;
 /// Capacity of the raw and parsed buffer-descriptor caches, in BDs.
 pub const BD_CACHE: u32 = 1024;
@@ -119,21 +120,45 @@ impl DmaIf {
     }
 }
 
+/// Buffer-descriptor state of one direction (Figures 1 and 2's "Fetch
+/// Send BD" and "Fetch Receive BD"): the driver rings the mailbox, the
+/// firmware DMAs batches of BDs into the raw cache, parses each batch
+/// into the pool in index order, and the frame path consumes them. Like
+/// engine 0's `DmaIf`, its words are interleaved with the map's other
+/// locks, counters and regions (`MemMap::for_topology`).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct BdIf {
+    /// Guards the fetch state (`fetched` and the issue of a batch).
+    pub lock_fetch: u32,
+    /// Guards parsing (raw cache -> parsed pool).
+    pub lock_parse: u32,
+    /// BDs posted by the driver (mailbox register mirror).
+    pub mailbox_prod: u32,
+    /// BDs whose fetch DMA has been issued.
+    pub fetched: u32,
+    /// BDs parsed into the pool.
+    pub parsed: u32,
+    /// BDs consumed by the frame path.
+    pub cons: u32,
+    /// Raw BDs as DMA'd from the host (`BD_CACHE` x 4 words).
+    pub raw: u32,
+    /// Parsed BDs (`BD_CACHE` entries; send: 4 words of host addr,
+    /// len|flags, seq, checksum info; receive: 2 words of host addr,
+    /// len).
+    pub pool: u32,
+    /// BDs fetched per DMA.
+    pub batch: u32,
+    /// The `info` kind a fetched batch completes as.
+    pub kind: u32,
+}
+
 /// All scratchpad addresses (bytes, word-aligned). Built by a linear
 /// allocator so regions can never overlap.
 #[derive(Debug, Clone, Copy)]
 pub struct MemMap {
     // ---- locks ----
-    /// Guards the send-mailbox fetch state.
-    pub lock_sb_fetch: u32,
-    /// Guards the receive-mailbox fetch state.
-    pub lock_rb_fetch: u32,
     /// Guards send-BD consumption and send-slot allocation.
     pub lock_sbd: u32,
-    /// Guards send-BD parsing (raw cache -> parsed pool).
-    pub lock_sbd_parse: u32,
-    /// Guards receive-BD parsing.
-    pub lock_rbd_parse: u32,
     /// Guards the receive claim (arrived frames -> slots).
     pub lock_rxclaim: u32,
     /// Guards the MAC-TX completion claim.
@@ -147,28 +172,12 @@ pub struct MemMap {
     pub lock_recv_commit: u32,
 
     // ---- counters (all monotonic u32) ----
-    /// Send mailbox: BDs posted by the driver (register mirror).
-    pub sb_mailbox_prod: u32,
-    /// Send BDs whose fetch DMA has been issued.
-    pub sb_fetched: u32,
-    /// Send BDs parsed into the pool.
-    pub sbd_parsed: u32,
-    /// Send BDs consumed (always in pairs).
-    pub sbd_cons: u32,
     /// Send frames committed to the MAC TX ring.
     pub send_ready_commit: u32,
     /// MAC TX completions claimed.
     pub send_txdone_claim: u32,
     /// Send frames fully completed (in order).
     pub send_txdone_commit: u32,
-    /// Receive mailbox: BDs posted by the driver (register mirror).
-    pub rb_mailbox_prod: u32,
-    /// Receive BDs whose fetch DMA has been issued.
-    pub rb_fetched: u32,
-    /// Receive BDs parsed into the pool.
-    pub rbd_parsed: u32,
-    /// Receive BDs consumed.
-    pub rbd_cons: u32,
     /// Arrived frames claimed into slots (MAC RX reads this for ring
     /// space).
     pub recv_claim: u32,
@@ -193,15 +202,6 @@ pub struct MemMap {
     /// MAC RX descriptor ring (`MACRX_RING` x 4 words: addr, len,
     /// status, checksum info).
     pub macrx_ring: u32,
-    /// Raw send BDs as DMA'd from the host (`BD_CACHE` x 4 words).
-    pub sbd_raw: u32,
-    /// Raw receive BDs.
-    pub rbd_raw: u32,
-    /// Parsed send BDs (`BD_CACHE` x 4 words: host addr, len|flags,
-    /// seq, checksum info).
-    pub sbd_pool: u32,
-    /// Parsed receive buffers (`BD_CACHE` x 2 words: host addr, len).
-    pub rbd_pool: u32,
     /// Send frame slots (`SLOTS` x 8 words).
     pub send_slots: u32,
     /// Receive frame slots (`SLOTS` x 8 words).
@@ -216,9 +216,16 @@ pub struct MemMap {
     pub staging: u32,
     /// Firmware statistics counters (16 words).
     pub stats: u32,
-    /// Per-core event-structure scratch (16 cores x 8 words) — the event
-    /// data structures of Figure 5 are built here before processing.
+    /// Per-core event-structure scratch (`MAX_CORES` x 8 words) — the
+    /// event data structures of Figure 5 are built here before
+    /// processing.
     pub event_scratch: u32,
+
+    // ---- buffer descriptors (send BDs count two per frame) ----
+    /// Send-BD fetch, parse and consumption.
+    pub send_bd: BdIf,
+    /// Receive-BD fetch, parse and consumption.
+    pub recv_bd: BdIf,
 
     // ---- topology (`NicConfig::topology`) ----
     /// Instantiated DMA engine pairs (1..=`MAX_DMA_ENGINES`).
@@ -242,9 +249,9 @@ impl MemMap {
     /// pairs, with a linear allocator starting at address 0.
     ///
     /// The allocation order below is load-bearing: a word's bank decides
-    /// crossbar arbitration, so engine 0's words stay interleaved where
-    /// they are and extra engines are appended after `event_scratch`
-    /// (`layout_is_pinned` holds every address).
+    /// crossbar arbitration, so engine 0's and the BD blocks' words stay
+    /// interleaved where they are and extra engines are appended after
+    /// `event_scratch` (`layout_is_pinned` holds every address).
     ///
     /// # Panics
     ///
@@ -255,19 +262,23 @@ impl MemMap {
         let mut dmard_if = [DmaIf::default(); MAX_DMA_ENGINES];
         let mut dmawr_if = [DmaIf::default(); MAX_DMA_ENGINES];
         let (rd0, wr0) = (&mut dmard_if[0], &mut dmawr_if[0]);
+        let (mut send_bd, mut recv_bd) = (BdIf::default(), BdIf::default());
+        let (sb, rb) = (&mut send_bd, &mut recv_bd);
+        (sb.batch, sb.kind) = (SEND_BD_BATCH, info::SEND_BD_BATCH);
+        (rb.batch, rb.kind) = (RECV_BD_BATCH, info::RX_BD_BATCH);
         let mut cur = 0u32;
         let mut word = || {
             let a = cur;
             cur += 4;
             a
         };
-        let lock_sb_fetch = word();
-        let lock_rb_fetch = word();
+        sb.lock_fetch = word();
+        rb.lock_fetch = word();
         rd0.lock = word();
         wr0.lock = word();
         let lock_sbd = word();
-        let lock_sbd_parse = word();
-        let lock_rbd_parse = word();
+        sb.lock_parse = word();
+        rb.lock_parse = word();
         let lock_rxclaim = word();
         rd0.lock_claim = word();
         wr0.lock_claim = word();
@@ -275,17 +286,17 @@ impl MemMap {
         let lock_send_ready_commit = word();
         let lock_send_txdone_commit = word();
         let lock_recv_commit = word();
-        let sb_mailbox_prod = word();
-        let sb_fetched = word();
-        let sbd_parsed = word();
-        let sbd_cons = word();
+        sb.mailbox_prod = word();
+        sb.fetched = word();
+        sb.parsed = word();
+        sb.cons = word();
         let send_ready_commit = word();
         let send_txdone_claim = word();
         let send_txdone_commit = word();
-        let rb_mailbox_prod = word();
-        let rb_fetched = word();
-        let rbd_parsed = word();
-        let rbd_cons = word();
+        rb.mailbox_prod = word();
+        rb.fetched = word();
+        rb.parsed = word();
+        rb.cons = word();
         let recv_claim = word();
         let recv_commit = word();
         rd0.claim = word();
@@ -310,10 +321,10 @@ impl MemMap {
         wr0.info = region(DMA_RING * 4);
         let mactx_ring = region(MACTX_RING * 16);
         let macrx_ring = region(MACRX_RING * 16);
-        let sbd_raw = region(BD_CACHE * 16);
-        let rbd_raw = region(BD_CACHE * 16);
-        let sbd_pool = region(BD_CACHE * 16);
-        let rbd_pool = region(BD_CACHE * 8);
+        sb.raw = region(BD_CACHE * 16);
+        rb.raw = region(BD_CACHE * 16);
+        sb.pool = region(BD_CACHE * 16);
+        rb.pool = region(BD_CACHE * 8);
         let send_slots = region(SLOTS * 32);
         let recv_slots = region(SLOTS * 32);
         let send_ready_bits = region(SLOTS / 8);
@@ -321,7 +332,7 @@ impl MemMap {
         let recv_done_bits = region(SLOTS / 8);
         let staging = region(STAGING * 16);
         let stats = region(16 * 4);
-        let event_scratch = region(16 * 32);
+        let event_scratch = region(MAX_CORES as u32 * 32);
         for k in 1..dma_engines {
             for table in [&mut dmard_if, &mut dmawr_if] {
                 table[k] = DmaIf {
@@ -336,27 +347,15 @@ impl MemMap {
             }
         }
         MemMap {
-            lock_sb_fetch,
-            lock_rb_fetch,
             lock_sbd,
-            lock_sbd_parse,
-            lock_rbd_parse,
             lock_rxclaim,
             lock_mactx_claim,
             lock_send_ready_commit,
             lock_send_txdone_commit,
             lock_recv_commit,
-            sb_mailbox_prod,
-            sb_fetched,
-            sbd_parsed,
-            sbd_cons,
             send_ready_commit,
             send_txdone_claim,
             send_txdone_commit,
-            rb_mailbox_prod,
-            rb_fetched,
-            rbd_parsed,
-            rbd_cons,
             recv_claim,
             recv_commit,
             stop_flag,
@@ -366,10 +365,6 @@ impl MemMap {
             macrx_prod,
             mactx_ring,
             macrx_ring,
-            sbd_raw,
-            rbd_raw,
-            sbd_pool,
-            rbd_pool,
             send_slots,
             recv_slots,
             send_ready_bits,
@@ -378,6 +373,8 @@ impl MemMap {
             staging,
             stats,
             event_scratch,
+            send_bd,
+            recv_bd,
             n_dma: dma_engines as u32,
             dmard_if,
             dmawr_if,
@@ -442,7 +439,7 @@ impl MemMap {
 
     /// Event-structure scratch area of one core.
     pub fn event_area(&self, core: usize) -> u32 {
-        self.event_scratch + (core as u32 % 16) * 32
+        self.event_scratch + (core % MAX_CORES) as u32 * 32
     }
 
     /// Address of send slot `seq % SLOTS`.
@@ -525,28 +522,29 @@ mod tests {
             (3, 0xa3cb_992c_997e_0b89),
         ] {
             let m = MemMap::for_topology(dma_engines);
+            let (sb, rb) = (m.send_bd, m.recv_bd);
             let mut words = vec![
-                m.lock_sb_fetch,
-                m.lock_rb_fetch,
+                sb.lock_fetch,
+                rb.lock_fetch,
                 m.lock_sbd,
-                m.lock_sbd_parse,
-                m.lock_rbd_parse,
+                sb.lock_parse,
+                rb.lock_parse,
                 m.lock_rxclaim,
                 m.lock_mactx_claim,
                 m.lock_send_ready_commit,
                 m.lock_send_txdone_commit,
                 m.lock_recv_commit,
-                m.sb_mailbox_prod,
-                m.sb_fetched,
-                m.sbd_parsed,
-                m.sbd_cons,
+                sb.mailbox_prod,
+                sb.fetched,
+                sb.parsed,
+                sb.cons,
                 m.send_ready_commit,
                 m.send_txdone_claim,
                 m.send_txdone_commit,
-                m.rb_mailbox_prod,
-                m.rb_fetched,
-                m.rbd_parsed,
-                m.rbd_cons,
+                rb.mailbox_prod,
+                rb.fetched,
+                rb.parsed,
+                rb.cons,
                 m.recv_claim,
                 m.recv_commit,
                 m.stop_flag,
@@ -556,10 +554,10 @@ mod tests {
                 m.macrx_prod,
                 m.mactx_ring,
                 m.macrx_ring,
-                m.sbd_raw,
-                m.rbd_raw,
-                m.sbd_pool,
-                m.rbd_pool,
+                sb.raw,
+                rb.raw,
+                sb.pool,
+                rb.pool,
                 m.send_slots,
                 m.recv_slots,
                 m.send_ready_bits,
@@ -604,7 +602,7 @@ mod tests {
         let m = MemMap::new();
         for a in [
             m.lock_sbd,
-            m.sb_mailbox_prod,
+            m.send_bd.mailbox_prod,
             m.macrx_prod,
             m.staging,
             m.send_ready_bits,

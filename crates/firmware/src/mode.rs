@@ -6,9 +6,9 @@
 //! with all parallelization overhead removed provides the Table 1
 //! baseline.
 
-use crate::handlers::HostRegs;
 use crate::map::MemMap;
 use nicsim_cpu::CoreCtx;
+use nicsim_host::HostLayout;
 
 /// Which firmware build is running.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -271,15 +271,16 @@ pub async fn peek_work(ctx: &CoreCtx, avail_addr: u32, claim_addr: u32) -> bool 
 }
 
 /// Everything one core's firmware runs against: the core handle, the
-/// memory map, the host's addresses, and the mode.
+/// memory map, the driver's host-memory layout, and the mode.
 #[derive(Debug)]
 pub struct Fw {
     /// The core this instance runs on.
     pub ctx: CoreCtx,
     /// Scratchpad memory map.
     pub m: MemMap,
-    /// Host-memory addresses the driver programmed.
-    pub host: HostRegs,
+    /// Where the driver's rings and status words live in host memory
+    /// (programmed by the driver at initialization on real hardware).
+    pub host: HostLayout,
     /// Synchronization mode.
     pub mode: FwMode,
     /// How the dispatch loop waits for work.

@@ -3,10 +3,10 @@
 //! The paper's evaluation (§4–5) hinges on per-component visibility:
 //! stall buckets, scratchpad contention, assist utilization, frame
 //! ordering. This crate turns those ad-hoc side channels into a single
-//! redesigned instrumentation surface: every component exposes a
-//! `*_probed` variant of its tick that emits typed [`Event`]s at each
-//! frame-lifecycle edge, and anything that wants to observe a run
-//! implements [`Probe`].
+//! redesigned instrumentation surface: every component's tick is a
+//! `*_probed` function emitting typed [`Event`]s at each frame-lifecycle
+//! edge (`Crossbar`, `Core` and `FrameMemory` keep an unprobed form
+//! only because `perf/` pins it), and an observer implements [`Probe`].
 //!
 //! ## The contract
 //!

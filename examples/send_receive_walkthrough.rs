@@ -42,15 +42,15 @@ fn main() {
         println!(
             "{:>6} | {:>7} {:>7} {:>7} {:>7} {:>7} | {:>7} {:>7} {:>7} {:>7}",
             step * 5,
-            sp.peek(m.sb_mailbox_prod), // step 2: driver rings the mailbox (BDs)
-            sp.peek(m.sb_fetched),      // step 3: BD fetch DMAs issued
-            sp.peek(m.sbd_cons) / 2,    // step 4: frames whose data DMA started
-            sp.peek(m.mactx_done),      // step 5: frames transmitted by the MAC
-            sp.peek(m.send_txdone_commit), // step 6: completions returned to host
-            sp.peek(m.rb_mailbox_prod), // receive buffers posted (BDs)
-            sp.peek(m.macrx_prod),      // step 1: frames arrived from the wire
-            sp.peek(m.recv_claim),      // step 2: frame DMAs to host buffers
-            sp.peek(m.recv_commit),     // steps 3-4: return descriptors produced
+            sp.peek(m.send_bd.mailbox_prod), // step 2: driver rings the mailbox (BDs)
+            sp.peek(m.send_bd.fetched),      // step 3: BD fetch DMAs issued
+            sp.peek(m.send_bd.cons) / 2,     // step 4: frames whose data DMA started
+            sp.peek(m.mactx_done),           // step 5: frames transmitted by the MAC
+            sp.peek(m.send_txdone_commit),   // step 6: completions returned to host
+            sp.peek(m.recv_bd.mailbox_prod), // receive buffers posted (BDs)
+            sp.peek(m.macrx_prod),           // step 1: frames arrived from the wire
+            sp.peek(m.recv_claim),           // step 2: frame DMAs to host buffers
+            sp.peek(m.recv_commit),          // steps 3-4: return descriptors produced
         );
     }
     println!();

@@ -24,11 +24,13 @@ echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # topologies (2 DMA pairs) ride in the same suite and must agree
 # across the dense and event kernels. The suite's pinned-digest
 # test (model_is_cycle_exact_against_pinned_digests) rides this stanza
-# too: four short runs' RunStats must hash to the committed constants,
-# which catches a change that moves both kernels the same way. The
-# crate's unit tests ride along for the same reason: among them are
-# the frame side's sleep and wake tests (an assist-register write and
-# an injected arrival each wake it on the dense kernel's cycle). So do
+# too: five short runs' RunStats (among them a software-ordering duplex
+# point, the only one that runs the send path under locks) must hash to
+# the committed constants, which catches a change that moves both
+# kernels the same way. The crate's unit tests ride along for the same
+# reason: among them are the frame side's sleep and wake tests (an
+# assist-register write and an injected arrival each wake it on the
+# dense kernel's cycle). So do
 # nicsim-cpu's: the firmware-to-engine op batch and the run-ahead
 # contract (poll counts, issue-time tags) must hold optimised too. The
 # sparse and dense cores share one charge rule, so its tests check the
@@ -46,10 +48,17 @@ echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # a member skipped epoch by epoch, injected frames included, to dense
 # stepping; and the fleet determinism suite holds skip decisions
 # shard- and seed-invariant. end_to_end's ilp_trace_is_pinned pins the
-# order in which the core tick takes the firmware's ops.
+# order in which the core tick takes the firmware's ops. nicsim-firmware's
+# tests pin what those ops touch: layout_is_pinned holds every
+# scratchpad address the memory map hands out (a moved word re-decides
+# bank arbitration), the doorbell-coverage test holds the dispatch
+# scan's loads to its interrupt-mode doorbells, and sync_primitives
+# runs the spinlock, the status-bit mark and scan and the completion
+# claim on simulated cores in all three modes.
 cargo test --release --quiet -p nicsim --test kernel_equivalence
 cargo test --release --quiet -p nicsim --lib
 cargo test --release --quiet -p nicsim-cpu
+cargo test --release --quiet -p nicsim-firmware
 cargo test --release --quiet -p nicsim --test frame_lifecycle
 cargo test --release --quiet -p nicsim-fleet --test determinism
 cargo test --release --quiet --test end_to_end
@@ -136,8 +145,10 @@ for bad in dma=1,retries=4294967295 hang_us=18446744073709551615 crc=2 stall_alp
     fi
 done
 # A --cores override the configuration cannot take is a usage error
-# naming the field, never a panic: Args::configure re-validates.
-for bad in "table1 2" "table3 100"; do
+# naming the field, never a panic: Args::configure re-validates. The
+# three cover ideal mode's single core, the firmware's MAX_CORES (16)
+# and the crossbar's port count.
+for bad in "table1 2" "table3 17" "table3 100"; do
     status=0
     err=$(timeout 10 ./target/release/repro ${bad% *} --cores "${bad#* }" 2>&1 >/dev/null) || status=$?
     if [ "$status" -ne 2 ] || ! printf '%s' "$err" | grep -q "cores"; then

@@ -16,10 +16,10 @@ fn run_system(cfg: NicConfig, us: u64) -> NicSystem {
 fn check_send_chain(sys: &NicSystem) {
     let m = sys.map();
     let sp = sys.scratchpad();
-    let mbox = sp.peek(m.sb_mailbox_prod);
-    let fetched = sp.peek(m.sb_fetched);
-    let parsed = sp.peek(m.sbd_parsed);
-    let cons = sp.peek(m.sbd_cons);
+    let mbox = sp.peek(m.send_bd.mailbox_prod);
+    let fetched = sp.peek(m.send_bd.fetched);
+    let parsed = sp.peek(m.send_bd.parsed);
+    let cons = sp.peek(m.send_bd.cons);
     let ready = sp.peek(m.send_ready_commit);
     let mactx_prod = sp.peek(m.mactx_prod);
     let mactx_done = sp.peek(m.mactx_done);
@@ -40,10 +40,10 @@ fn check_send_chain(sys: &NicSystem) {
 fn check_recv_chain(sys: &NicSystem) {
     let m = sys.map();
     let sp = sys.scratchpad();
-    let mbox = sp.peek(m.rb_mailbox_prod);
-    let fetched = sp.peek(m.rb_fetched);
-    let parsed = sp.peek(m.rbd_parsed);
-    let cons = sp.peek(m.rbd_cons);
+    let mbox = sp.peek(m.recv_bd.mailbox_prod);
+    let fetched = sp.peek(m.recv_bd.fetched);
+    let parsed = sp.peek(m.recv_bd.parsed);
+    let cons = sp.peek(m.recv_bd.cons);
     let macrx = sp.peek(m.macrx_prod);
     let claim = sp.peek(m.recv_claim);
     let commit = sp.peek(m.recv_commit);
@@ -133,13 +133,13 @@ fn stop_drains_to_a_consistent_state() {
     let m = sys.map();
     let sp = sys.scratchpad();
     for lock in [
-        m.lock_sb_fetch,
-        m.lock_rb_fetch,
+        m.send_bd.lock_fetch,
+        m.recv_bd.lock_fetch,
         m.dmard(0).lock,
         m.dmawr(0).lock,
         m.lock_sbd,
-        m.lock_sbd_parse,
-        m.lock_rbd_parse,
+        m.send_bd.lock_parse,
+        m.recv_bd.lock_parse,
         m.lock_rxclaim,
         m.dmard(0).lock_claim,
         m.dmawr(0).lock_claim,
@@ -167,7 +167,7 @@ fn firmware_statistics_track_progress() {
     let tx_done = sp.peek(m.stat(1));
     let rx_started = sp.peek(m.stat(2));
     let rx_returned = sp.peek(m.stat(3));
-    let alloc = sp.peek(m.sbd_cons) / 2;
+    let alloc = sp.peek(m.send_bd.cons) / 2;
     let commit = sp.peek(m.recv_commit);
     assert!(tx_started > 0 && rx_started > 0);
     assert!(tx_done <= tx_started);

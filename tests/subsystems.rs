@@ -181,12 +181,12 @@ fn memory_map_counters_are_bank_spread() {
     let m = MemMap::new();
     let sp = Scratchpad::new(256 * 1024, 4);
     let hot = [
-        m.sb_mailbox_prod,
+        m.send_bd.mailbox_prod,
         m.dmard(0).done,
         m.mactx_done,
         m.macrx_prod,
         m.dmawr(0).done,
-        m.rb_mailbox_prod,
+        m.recv_bd.mailbox_prod,
     ];
     let banks: std::collections::HashSet<usize> = hot.iter().map(|&a| sp.bank_of(a)).collect();
     assert!(banks.len() >= 3, "hot counters bunched on {banks:?}");
