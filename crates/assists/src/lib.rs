@@ -9,7 +9,8 @@
 //!   region of the frame memory.
 //! * **DMA write** — moves data from the NIC to host memory: received
 //!   frame contents from the frame memory, return descriptors and status
-//!   words from the scratchpad (or as immediate values).
+//!   words from the scratchpad (or as immediate values). Both
+//!   directions are one [`Dma`] type, built with its direction.
 //! * **MAC TX** — drains the transmit ring: reads frame bytes from the
 //!   frame memory and puts them on the wire with Ethernet timing.
 //! * **MAC RX** — accepts frames from the wire into the receive region of
@@ -28,6 +29,6 @@ pub mod mac;
 pub mod port;
 
 pub use cmd::{MacRxRegs, RingRegs};
-pub use dma::{dma_tag, dma_tag_engine, DmaRead, DmaWrite};
+pub use dma::{dma_tag, dma_tag_engine, Dma};
 pub use mac::{MacRx, MacTx};
 pub use port::{CmdRing, SpPort};

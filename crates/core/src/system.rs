@@ -7,15 +7,16 @@
 //! four assists — as many DMA read/write engine pairs as the
 //! configuration's [`Topology`](crate::config::Topology) asks for, each
 //! with its own crossbar port and command rings, and the one MAC TX and
-//! MAC RX; `step_inner` names each kind because their tick signatures
-//! differ. The main loop advances the CPU clock domain cycle
+//! MAC RX. The DMA engines of both directions are one [`Dma`] type with
+//! one tick; `step_inner` names the MACs apart because their tick
+//! signatures differ. The main loop advances the CPU clock domain cycle
 //! by cycle; the frame-side components keep picosecond-resolution state
 //! internally and are polled at each CPU tick, and the host's mailbox
 //! writes land between cycles as memory-mapped register writes.
 
 use crate::config::{ConfigError, NicConfig};
 use crate::stats::RunStats;
-use nicsim_assists::{dma_tag_engine, DmaRead, DmaWrite, MacRx, MacTx};
+use nicsim_assists::{dma_tag_engine, Dma, MacRx, MacTx};
 use nicsim_cpu::{CodeLayout, Core, CoreCtx, CoreProfile, PendingOp};
 use nicsim_fault::{EccFaults, ErrorStats, FwFaults, LinkFaults};
 use nicsim_firmware::map::SCRATCHPAD_BYTES;
@@ -28,7 +29,7 @@ use nicsim_mem::{
 };
 use nicsim_net::link::RxGenerator;
 use nicsim_net::workload::TxPacket;
-use nicsim_obs::{Event, FaultKind, FaultUnit, NullProbe, Probe};
+use nicsim_obs::{DmaDir, Event, FaultKind, FaultUnit, NullProbe, Probe};
 use nicsim_sim::{Freq, Ps};
 
 /// The assembled NIC + host + network simulation.
@@ -60,9 +61,9 @@ pub struct NicSystem<P: Probe = NullProbe> {
     pub(crate) cycle: u64,
     /// DMA read engines, indexed by engine id (completion tags carry
     /// the id in their high word).
-    pub(crate) dmards: Vec<DmaRead>,
+    pub(crate) dmards: Vec<Dma>,
     /// DMA write engines, indexed by engine id.
-    pub(crate) dmawrs: Vec<DmaWrite>,
+    pub(crate) dmawrs: Vec<Dma>,
     pub(crate) mactx: MacTx,
     pub(crate) macrx: MacRx,
     pub(crate) host_mem: HostMemory,
@@ -240,11 +241,25 @@ impl<P: Probe> SystemBuilder<P> {
 
         // Frame-side units, each on the crossbar port the topology's
         // layout assigns and the ring registers the memory map holds.
-        let mut dmards: Vec<DmaRead> = (0..t.dma_engines)
-            .map(|k| DmaRead::new(t.dmard_port(cfg.cores, k), map.dmard(k).regs(), k))
+        let mut dmards: Vec<Dma> = (0..t.dma_engines)
+            .map(|k| {
+                Dma::new(
+                    DmaDir::Read,
+                    t.dmard_port(cfg.cores, k),
+                    map.dmard(k).regs(),
+                    k,
+                )
+            })
             .collect();
-        let mut dmawrs: Vec<DmaWrite> = (0..t.dma_engines)
-            .map(|k| DmaWrite::new(t.dmawr_port(cfg.cores, k), map.dmawr(k).regs(), k))
+        let mut dmawrs: Vec<Dma> = (0..t.dma_engines)
+            .map(|k| {
+                Dma::new(
+                    DmaDir::Write,
+                    t.dmawr_port(cfg.cores, k),
+                    map.dmawr(k).regs(),
+                    k,
+                )
+            })
             .collect();
         let mut mactx = MacTx::new(t.mactx_port(cfg.cores), map.mactx());
         let mut generator = match cfg.offered_rx_fps {
@@ -263,9 +278,8 @@ impl<P: Probe> SystemBuilder<P> {
             // all-zeros plans — never pay for (or depend on) FCS
             // computation.
             macrx.generator.set_faults(LinkFaults::new(plan));
-            for (rd, wr) in dmards.iter_mut().zip(&mut dmawrs) {
-                rd.arm(plan, boot_at);
-                wr.arm(plan, boot_at);
+            for d in dmards.iter_mut().chain(&mut dmawrs) {
+                d.arm(plan, boot_at);
             }
             fm.set_faults(EccFaults::new(plan));
             fw_faults = (0..cfg.cores)
@@ -621,20 +635,8 @@ impl<P: Probe> NicSystem<P> {
     #[inline]
     fn step_frame_side(&mut self, gate: bool, now: Ps) {
         let mut acted = !gate;
-        for d in &mut self.dmards {
-            if !gate || d.busy(&self.sp) {
-                acted = true;
-                d.tick_probed(
-                    now,
-                    &mut self.xbar,
-                    &self.sp,
-                    &self.host_mem,
-                    &mut self.fm,
-                    &mut self.probe,
-                );
-            }
-        }
-        for d in &mut self.dmawrs {
+        let reads = self.dmards.len();
+        for (k, d) in self.dmards.iter_mut().chain(&mut self.dmawrs).enumerate() {
             if !gate || d.busy(&self.sp) {
                 acted = true;
                 d.tick_probed(
@@ -645,10 +647,12 @@ impl<P: Probe> NicSystem<P> {
                     &mut self.fm,
                     &mut self.probe,
                 );
-                // The write engine may have touched host memory
+                // A write engine may have touched host memory
                 // (immediate status updates, scratchpad-source copies):
                 // the driver must poll for real again.
-                self.driver_idle = false;
+                if k >= reads {
+                    self.driver_idle = false;
+                }
             }
         }
         if !gate || self.mactx.busy(&self.sp) || self.mactx.next_event() <= now {
@@ -680,7 +684,13 @@ impl<P: Probe> NicSystem<P> {
             for c in self.fm.advance_probed(now, &mut self.probe) {
                 match c.stream {
                     StreamId::DmaRead => self.dmards[dma_tag_engine(c.tag)]
-                        .on_sdram_complete_probed(c.tag, c.at, &mut self.probe),
+                        .on_sdram_complete_probed(
+                            c.tag,
+                            None,
+                            &mut self.host_mem,
+                            c.at,
+                            &mut self.probe,
+                        ),
                     StreamId::DmaWrite => {
                         let data = match c.data.as_deref() {
                             Some(d) => d,
@@ -688,7 +698,7 @@ impl<P: Probe> NicSystem<P> {
                         };
                         self.dmawrs[dma_tag_engine(c.tag)].on_sdram_complete_probed(
                             c.tag,
-                            data,
+                            Some(data),
                             &mut self.host_mem,
                             c.at,
                             &mut self.probe,
@@ -786,15 +796,17 @@ impl<P: Probe> NicSystem<P> {
             .min(self.macrx.next_event())
     }
 
+    /// Every DMA engine: the read engines, then the write engines.
+    fn dmas(&self) -> impl Iterator<Item = &Dma> {
+        self.dmards.iter().chain(&self.dmawrs)
+    }
+
     /// Whether any frame-side unit could issue work on its next tick —
     /// the fold of every unit's `busy` predicate, over however many
     /// DMA engines the topology holds.
     #[inline]
     fn frame_side_busy(&self) -> bool {
-        self.dmards.iter().any(|d| d.busy(&self.sp))
-            || self.dmawrs.iter().any(|d| d.busy(&self.sp))
-            || self.mactx.busy(&self.sp)
-            || self.macrx.busy()
+        self.dmas().any(|d| d.busy(&self.sp)) || self.mactx.busy(&self.sp) || self.macrx.busy()
     }
 
     /// Run until simulation time `until` on the hybrid event-driven
@@ -870,10 +882,7 @@ impl<P: Probe> NicSystem<P> {
         self.xbar.reset_stats();
         self.imem.reset_stats();
         self.fm.reset_stats();
-        for d in &mut self.dmards {
-            d.reset_stats();
-        }
-        for d in &mut self.dmawrs {
+        for d in self.dmards.iter_mut().chain(&mut self.dmawrs) {
             d.reset_stats();
         }
         self.mactx.monitor.reset(now);
@@ -915,8 +924,7 @@ impl<P: Probe> NicSystem<P> {
         let core_sp: u64 = (0..self.cfg.cores)
             .map(|p| self.xbar.port_stats(p).grants)
             .sum();
-        let assist_sp: u64 = self.dmards.iter().map(|d| d.sp_accesses()).sum::<u64>()
-            + self.dmawrs.iter().map(|d| d.sp_accesses()).sum::<u64>()
+        let assist_sp: u64 = self.dmas().map(Dma::sp_accesses).sum::<u64>()
             + self.mactx.sp_accesses()
             + self.macrx.sp_accesses();
         let d = self.driver.stats();
@@ -933,10 +941,9 @@ impl<P: Probe> NicSystem<P> {
                 rx_duplicates: d.rx_duplicates,
                 ..ErrorStats::default()
             };
-            let rd = self.dmards.iter().filter_map(|d| d.faults());
-            let wr = self.dmawrs.iter().filter_map(|d| d.faults());
-            let sites = rd
-                .chain(wr)
+            let sites = self
+                .dmas()
+                .filter_map(|d| d.faults())
                 .map(|f| f.stats)
                 .chain(self.macrx.generator.fault_stats())
                 .chain(self.fm.fault_stats())

@@ -415,18 +415,15 @@ impl Fw {
     /// (Fig. 1 step 6).
     pub async fn process_mactx_done(&self) -> bool {
         let ctx = &self.ctx;
-        ctx.set_func(self.dispatch_tag(FwFunc::SendFrame));
         let m = &self.m;
-        let (start, n) = claim_range(
-            ctx,
-            self.mode,
-            m.lock_mactx_claim,
-            m.mactx_done,
-            m.send_txdone_claim,
-            CLAIM_BATCH,
-            m.event_area(ctx.core_id()),
-        )
-        .await;
+        let (start, n) = self
+            .claim_completions(
+                m.lock_mactx_claim,
+                m.mactx_done,
+                m.send_txdone_claim,
+                FwFunc::SendFrame,
+            )
+            .await;
         if n == 0 {
             return false;
         }
@@ -613,7 +610,9 @@ impl Fw {
     pub async fn process_dmawr_completions(&self, eng: usize) -> bool {
         let (ctx, m) = (&self.ctx, &self.m);
         let d = m.dmawr(eng);
-        let (start, n) = self.claim_completions(d, FwFunc::RecvFrame).await;
+        let (start, n) = self
+            .claim_completions(d.lock_claim, d.done, d.claim, FwFunc::RecvFrame)
+            .await;
         if n == 0 {
             return false;
         }
@@ -767,17 +766,25 @@ impl Fw {
     // DMA completions (both directions)
     // ------------------------------------------------------------------
 
-    /// Claim up to `CLAIM_BATCH` of `d`'s completions, charged to the
-    /// dispatch tag of `frame`'s direction; returns `(start, n)`.
-    async fn claim_completions(&self, d: &DmaIf, frame: FwFunc) -> (u32, u32) {
+    /// Claim up to `CLAIM_BATCH` completions of the unit whose done
+    /// counter is `done` (claimed under `lock` through the `claim`
+    /// counter), charged to the dispatch tag of `frame`'s direction;
+    /// returns `(start, n)`.
+    async fn claim_completions(
+        &self,
+        lock: u32,
+        done: u32,
+        claim: u32,
+        frame: FwFunc,
+    ) -> (u32, u32) {
         let ctx = &self.ctx;
         ctx.set_func(self.dispatch_tag(frame));
         claim_range(
             ctx,
             self.mode,
-            d.lock_claim,
-            d.done,
-            d.claim,
+            lock,
+            done,
+            claim,
             CLAIM_BATCH,
             self.m.event_area(ctx.core_id()),
         )
@@ -813,7 +820,9 @@ impl Fw {
     /// batches).
     pub async fn process_dmard_completions(&self, eng: usize) -> bool {
         let d = self.m.dmard(eng);
-        let (start, n) = self.claim_completions(d, FwFunc::SendFrame).await;
+        let (start, n) = self
+            .claim_completions(d.lock_claim, d.done, d.claim, FwFunc::SendFrame)
+            .await;
         if n == 0 {
             return false;
         }

@@ -661,8 +661,7 @@ impl Driver {
                 self.ret_cons += 1;
                 continue;
             }
-            let frame = mem.read(addr, len).to_vec();
-            match validate_frame(&frame) {
+            match validate_frame(mem.read(addr, len)) {
                 Ok(info) => {
                     // Ordering is per sender: the one peer of a stream,
                     // or in a fleet the source NIC recovered from the

@@ -8,6 +8,23 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
+# The gate must leave the tree as it found it: no results/* file
+# regenerated, no tracked file rewritten, nothing untracked left
+# behind. Record the status and a checksum of the diff now; the last
+# stanza compares them. perf/Cargo.lock is left out by name: every
+# build of perf/ rewrites it until the benchmark package's PR commits
+# its nicsim-firmware -> nicsim-host edge (CHANGES.md FOUND on
+# perf/Cargo.lock, ROADMAP item 1(d)). Without git there is nothing to
+# compare, and the check is skipped.
+tree_state() {
+    git status --porcelain -- . ':(exclude)perf/Cargo.lock'
+    git diff -- . ':(exclude)perf/Cargo.lock' | cksum
+}
+tree_before=
+if git rev-parse --is-inside-work-tree >/dev/null 2>&1; then
+    tree_before=$(tree_state)
+fi
+
 echo "==> cargo build --release --workspace --all-targets"
 cargo build --release --workspace --all-targets
 
@@ -223,5 +240,14 @@ fi
 
 echo "==> Rust line counts (the number acceptance criteria and CHANGES.md quote)"
 scripts/loc.sh
+
+echo "==> the tree is as the gate found it"
+if [ -z "$tree_before" ]; then
+    echo "    not a git checkout; skipping"
+elif [ "$(tree_state)" != "$tree_before" ]; then
+    echo "FAIL: the gate changed the tree; git status now reads:"
+    git status --porcelain
+    exit 1
+fi
 
 echo "all checks passed"

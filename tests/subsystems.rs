@@ -1,8 +1,8 @@
 //! Cross-crate subsystem tests that exercise component seams the unit
 //! tests inside each crate cannot reach.
 
-use nicsim::NullProbe;
-use nicsim_assists::{DmaRead, RingRegs};
+use nicsim::{DmaDir, NullProbe};
+use nicsim_assists::{Dma, RingRegs};
 use nicsim_firmware::map::{self, MemMap};
 use nicsim_host::{Driver, DriverConfig, HostLayout, HostMemory, Mailbox};
 use nicsim_mem::{Crossbar, FrameMemory, FrameMemoryConfig, Scratchpad, SpOp, SpRequest, StreamId};
@@ -24,7 +24,7 @@ fn dma_read_cycles_its_ring_many_times() {
         prod: 0x100,
         done: 0x104,
     };
-    let mut eng = DmaRead::new(0, regs, 0);
+    let mut eng = Dma::new(DmaDir::Read, 0, regs, 0);
     let total = entries * 3;
     for i in 0..total {
         host.write_u32(0x8000 + i * 4, 0xbeef_0000 | i);
@@ -46,9 +46,9 @@ fn dma_read_cycles_its_ring_many_times() {
             sp.poke(0x100, issued);
         }
         xbar.tick(&mut sp);
-        eng.tick_probed(now, &mut xbar, &sp, &host, &mut fm, &mut NullProbe);
+        eng.tick_probed(now, &mut xbar, &sp, &mut host, &mut fm, &mut NullProbe);
         for c in fm.advance(now) {
-            eng.on_sdram_complete_probed(c.tag, now, &mut NullProbe);
+            eng.on_sdram_complete_probed(c.tag, None, &mut host, now, &mut NullProbe);
         }
         if sp.peek(0x104) == total {
             break;
