@@ -4,7 +4,7 @@
 use crate::{header, Args};
 use nicsim::NicConfig;
 use nicsim_cpu::StallBucket;
-use nicsim_exp::Sweep;
+use nicsim_exp::RunSpec;
 use nicsim_mem::ICacheConfig;
 
 /// Ablation: scratchpad bank count. The paper provisions 4 banks so that
@@ -17,19 +17,19 @@ pub fn banks(args: &Args) {
         "Ablation: scratchpad banks (6 cores, RMW, 166 MHz)",
         "banked scratchpad overprovisions bandwidth to keep latency low (§2.3)",
     );
-    let sweep = Sweep::new(args.configure(NicConfig::rmw_166())).axis(
-        "banks",
-        [1usize, 2, 4, 8],
-        |cfg, v| {
-            cfg.banks = v;
-        },
-    );
-    let report = exp.sweep(&sweep);
+    let base = args.configure(NicConfig::rmw_166());
+    let mut specs = Vec::new();
+    for banks in [1usize, 2, 4, 8] {
+        let mut cfg = base;
+        cfg.banks = banks;
+        specs.push(RunSpec::at(cfg, &[("banks", &banks)]));
+    }
+    let runs = exp.run_all(&specs).expect("valid sweep");
     println!(
         "{:>6} {:>12} {:>16} {:>12}",
         "banks", "Gb/s", "conflict IPC", "IPC"
     );
-    for run in &report.runs {
+    for run in &runs {
         let s = &run.stats;
         println!(
             "{:>6} {:>12.2} {:>16.3} {:>12.3}",
@@ -39,7 +39,7 @@ pub fn banks(args: &Args) {
             s.ipc()
         );
     }
-    exp.write(&report).expect("write results");
+    exp.finish(runs, None).expect("write results");
 }
 
 /// Ablation: per-core instruction cache size. The paper's 8 KB 2-way
@@ -52,23 +52,23 @@ pub fn icache(args: &Args) {
         "Ablation: per-core I-cache capacity (6 cores, RMW, 166 MHz)",
         "paper: 8 KB 2-way captures the code working set despite task migration",
     );
-    let sweep = Sweep::new(args.configure(NicConfig::rmw_166())).axis(
-        "icache_kb",
-        [1usize, 2, 4, 8, 16],
-        |cfg, kb| {
-            cfg.icache = ICacheConfig {
-                bytes: kb * 1024,
-                ways: 2,
-                line_bytes: 32,
-            };
-        },
-    );
-    let report = exp.sweep(&sweep);
+    let base = args.configure(NicConfig::rmw_166());
+    let mut specs = Vec::new();
+    for kb in [1usize, 2, 4, 8, 16] {
+        let mut cfg = base;
+        cfg.icache = ICacheConfig {
+            bytes: kb * 1024,
+            ways: 2,
+            line_bytes: 32,
+        };
+        specs.push(RunSpec::at(cfg, &[("icache_kb", &kb)]));
+    }
+    let runs = exp.run_all(&specs).expect("valid sweep");
     println!(
         "{:>8} {:>12} {:>12} {:>14}",
         "bytes", "Gb/s", "imiss IPC", "hit rate %"
     );
-    for run in &report.runs {
+    for run in &runs {
         let s = &run.stats;
         println!(
             "{:>8} {:>12.2} {:>12.3} {:>14.2}",
@@ -78,7 +78,7 @@ pub fn icache(args: &Args) {
             s.icache_hits as f64 * 100.0 / (s.icache_hits + s.icache_misses).max(1) as f64
         );
     }
-    exp.write(&report).expect("write results");
+    exp.finish(runs, None).expect("write results");
 }
 
 /// Architecture sweep over `NicConfig::topology`: how full-duplex UDP
@@ -104,12 +104,16 @@ pub fn archsweep(args: &Args) {
     let cores = [2usize, 4, 6];
     let engines = [1usize, 2];
     let base = args.configure(NicConfig::default());
-    let sweep = Sweep::new(base)
-        .axis("cores", cores, |cfg, v| cfg.cores = v)
-        .axis("dma_engines", engines, |cfg, v| {
-            cfg.topology.dma_engines = v;
-        });
-    let report = exp.sweep(&sweep);
+    let mut specs = Vec::new();
+    for c in cores {
+        for e in engines {
+            let mut cfg = base;
+            cfg.cores = c;
+            cfg.topology.dma_engines = e;
+            specs.push(RunSpec::at(cfg, &[("cores", &c), ("dma_engines", &e)]));
+        }
+    }
+    let runs = exp.run_all(&specs).expect("valid sweep");
 
     println!("full-duplex UDP throughput (Gb/s); Ethernet limit = 19.15");
     print!("{:>6}", "cores");
@@ -120,14 +124,13 @@ pub fn archsweep(args: &Args) {
         );
     }
     println!();
-    // Row-major over (cores, dma_engines): the engine axis varies fastest.
     for (ci, c) in cores.iter().enumerate() {
         print!("{c:>6}");
         for ei in 0..engines.len() {
-            let s = &report.runs[ci * engines.len() + ei].stats;
+            let s = &runs[ci * engines.len() + ei].stats;
             print!(" {:>12.2}", s.total_udp_gbps());
         }
         println!();
     }
-    exp.write(&report).expect("write results");
+    exp.finish(runs, None).expect("write results");
 }

@@ -96,7 +96,20 @@ impl Args {
             match flag {
                 "--quiet" => quiet = true,
                 "--jobs" => jobs = count()?,
-                "--trace" => args.trace = Some(value()?.into()),
+                "--trace" => {
+                    // Checked here, so a path the trace cannot be
+                    // written to stops the command before the runs
+                    // whose trace it would hold.
+                    let path = PathBuf::from(value()?);
+                    let dir = path.parent().filter(|d| !d.as_os_str().is_empty());
+                    if path.is_dir() || dir.is_some_and(|d| !d.is_dir()) {
+                        let path = path.display();
+                        return Err(format!(
+                            "--trace {path}: not a file in an existing directory"
+                        ));
+                    }
+                    args.trace = Some(path);
+                }
                 "--faults" => {
                     let v = value()?;
                     // Validated through the same builder path
@@ -243,6 +256,8 @@ mod tests {
             (&["--jobs"], "--jobs"),
             (&["--workload"], "--workload"),
             (&["--workload", "fps=1e99"], "--workload"),
+            (&["--trace", "/nonexistent/dir/x.json"], "--trace"),
+            (&["--trace", "."], "--trace"),
         ] {
             let err = parse(argv)
                 .err()

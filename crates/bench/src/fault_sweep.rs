@@ -64,18 +64,13 @@ pub fn run(args: &Args) {
             ecc: rate,
             ..base
         };
-        specs.push(RunSpec::single(
-            &format!("rate={rate:e}"),
-            args.configure(NicConfig::default())
-                .to_builder()
-                .faults(Some(plan))
-                .build()
-                .expect("valid fault-sweep config"),
-        ));
+        let mut cfg = baseline;
+        cfg.faults = Some(plan);
+        specs.push(RunSpec::single(&format!("rate={rate:e}"), cfg));
     }
-    let report = exp.run_specs(specs);
+    let runs = exp.run_all(&specs).expect("valid fault-sweep config");
 
-    let clean = &report.runs[0].stats;
+    let clean = &runs[0].stats;
     println!(
         "{:>8} {:>12} {:>10} {:>10} {:>9} {:>8} {:>9}",
         "rate", "goodput Gb/s", "crc drops", "dma retry", "aborts", "ecc", "resets"
@@ -93,7 +88,7 @@ pub fn run(args: &Args) {
     let mut curve = Vec::new();
     let mut prev_goodput = f64::INFINITY;
     for (i, rate) in RATES.iter().enumerate() {
-        let s = &report.runs[i + 1].stats;
+        let s = &runs[i + 1].stats;
         let e = s.errors.expect("swept runs carry a plan");
         println!(
             "{:>8.0e} {:>12.2} {:>10} {:>10} {:>9} {:>8} {:>9}",
@@ -139,7 +134,7 @@ pub fn run(args: &Args) {
         .with("clean_goodput_gbps", clean.total_udp_gbps())
         .with("curve", Json::Arr(curve))
         .with("fleet_fault", fleet_fault);
-    exp.finish(report.runs, Some(extra)).expect("write results");
+    exp.finish(runs, Some(extra)).expect("write results");
 }
 
 /// Reliable delivery under fabric corruption, swept over

@@ -25,7 +25,8 @@
 //!   `err_*` table (per-NIC and fleet totals) lands under
 //!   `"extra"."faults"`.
 //! * **Scaling** — the uniform fleet re-runs at shard counts 1, 2
-//!   and 4 (capped at the NIC count; `--shards` adds a point). Every
+//!   and 4 (capped at the NIC count; `--shards` adds a point, which
+//!   must not exceed it). Every
 //!   count must reproduce the single-shard result bit-for-bit —
 //!   per-NIC stats, fabric digest, per-port counters, and skip
 //!   decisions — which re-asserts the fleet determinism contract on
@@ -51,7 +52,7 @@ pub fn run(args: &Args) {
         "bit-identical per-NIC stats and fabric digest at every shard count; \
          incast must drop",
     );
-    let quick = std::env::var("NICSIM_QUICK").is_ok_and(|v| v == "1");
+    let quick = exp.is_quick();
     // Fleet windows are shorter than the single-NIC defaults: every
     // epoch advances N full NIC systems, and the scaling section runs
     // the whole fleet once per shard count.
@@ -72,28 +73,92 @@ pub fn run(args: &Args) {
         workload: args.workload.unwrap_or_default(),
     };
 
-    let mut failures = Vec::new();
+    let incast_cfg = FleetConfig {
+        nics,
+        shards: 1,
+        nic,
+        fabric: FabricConfig {
+            port_buffer_bytes: 16 * 1024,
+            ..FabricConfig::default()
+        },
+        workload: Workload {
+            pattern: Pattern::Incast { target: 0 },
+            sizes: SizeMix::Fixed(1472),
+            fps: 400_000.0,
+            ..Workload::default()
+        },
+    };
+    let incast_shards = 4.min(nics);
+    let fault_spec = "seed=23,rate=0.002,fab_crc=0.01,flap_us=200,flap_down_us=20,\
+                      squeeze=0.005,crash_us=180,watchdog_us=60,poison=0.002,\
+                      fw=0.001,stall_alpha=1.5";
+    let plan = FaultPlan::parse(fault_spec).expect("valid fault spec");
+    // Fixed window regardless of quick mode: the crash period needs
+    // room for at least one full crash/reset cycle.
+    let faulted_window = Ps::from_us(400);
+    let faulted_cfg = FleetConfig {
+        nics,
+        shards: 1,
+        nic: nic
+            .to_builder()
+            .faults(Some(plan))
+            .build()
+            .expect("valid faulted config"),
+        fabric: FabricConfig::default(),
+        workload: Workload {
+            reliable: true,
+            rto_us: 40,
+            ..uniform.workload
+        },
+    };
+    let faulted_shards = 2.min(nics);
 
-    // Shard counts under test: the determinism triple {1, 2, 4} and
-    // any explicit --shards point.
-    let mut counts = vec![1usize, 2, 4];
+    // Shard counts under test: the determinism triple {1, 2, 4}, capped
+    // at the NIC count, and any explicit --shards point, which is not.
+    let mut counts: Vec<usize> = [1, 2, 4].into_iter().filter(|&s| s <= nics).collect();
     counts.extend(args.shards);
-    counts.retain(|&s| s <= nics);
     counts.sort_unstable();
     counts.dedup();
+
+    // Every fleet the sections below run passes through Fleet::new
+    // before the first one runs: a shape it refuses is a usage error
+    // naming the flag that asked for it, not a failure after the
+    // earlier sections' simulations. Of the fleet-shape flags, the
+    // incast fleets take only --nics; --workload shapes the uniform and
+    // faulted ones, and --shards its own scaling point.
+    let sharded = |cfg: FleetConfig, shards| FleetConfig { shards, ..cfg };
+    let mut checks = vec![
+        ("--nics", incast_cfg, horizon),
+        ("--nics", sharded(incast_cfg, incast_shards), horizon),
+        ("--workload", faulted_cfg, faulted_window),
+        (
+            "--workload",
+            sharded(faulted_cfg, faulted_shards),
+            faulted_window,
+        ),
+    ];
+    for &s in &counts {
+        let flag = if args.shards == Some(s) {
+            "--shards"
+        } else {
+            "--workload"
+        };
+        checks.push((flag, sharded(uniform, s), horizon));
+    }
+    for (flag, cfg, horizon) in checks {
+        if let Err(e) = Fleet::new(cfg, horizon) {
+            eprintln!("{flag}: {e}");
+            std::process::exit(2);
+        }
+    }
+
+    let mut failures = Vec::new();
 
     println!("uniform: {} NICs, workload {:?}", nics, uniform.workload);
     println!("{:>8} {:>10}", "shards", "identical");
     let mut scaling: Vec<(usize, Duration, FleetStats)> = Vec::new();
     for &s in &counts {
-        let cfg = FleetConfig {
-            shards: s,
-            ..uniform
-        };
-        let mut fleet = Fleet::new(cfg, horizon).unwrap_or_else(|e| {
-            eprintln!("FAIL: fleet config: {e}");
-            std::process::exit(1);
-        });
+        let mut fleet = Fleet::new(sharded(uniform, s), horizon).expect("checked above");
         let t0 = Instant::now();
         let stats = fleet.run_measured(warmup, window);
         let wall = t0.elapsed();
@@ -125,32 +190,9 @@ pub fn run(args: &Args) {
     // Incast: everyone hammers NIC 0 through a shallow buffer. The
     // interesting output is the drop behavior — and that it replays
     // bit-identically when sharded.
-    let incast_cfg = FleetConfig {
-        nics,
-        shards: 1,
-        nic,
-        fabric: FabricConfig {
-            port_buffer_bytes: 16 * 1024,
-            ..FabricConfig::default()
-        },
-        workload: Workload {
-            pattern: Pattern::Incast { target: 0 },
-            sizes: SizeMix::Fixed(1472),
-            fps: 400_000.0,
-            ..Workload::default()
-        },
-    };
-    let mut fleet = Fleet::new(incast_cfg, horizon).expect("valid incast config");
+    let mut fleet = Fleet::new(incast_cfg, horizon).expect("checked above");
     let incast = fleet.run_measured(warmup, window);
-    let incast_shards = 4.min(nics);
-    let mut fleet = Fleet::new(
-        FleetConfig {
-            shards: incast_shards,
-            ..incast_cfg
-        },
-        horizon,
-    )
-    .expect("valid incast config");
+    let mut fleet = Fleet::new(sharded(incast_cfg, incast_shards), horizon).expect("checked above");
     let incast_sharded = fleet.run_measured(warmup, window);
     if incast.fabric_drops() == 0 {
         failures.push("incast: no fabric drops through a 16 KB egress buffer".into());
@@ -175,39 +217,10 @@ pub fn run(args: &Args) {
     // reliable mode, run clean-sharded and re-sharded. The interesting
     // outputs are the aggregated err_* table and the determinism
     // re-check under fire.
-    let fault_spec = "seed=23,rate=0.002,fab_crc=0.01,flap_us=200,flap_down_us=20,\
-                      squeeze=0.005,crash_us=180,watchdog_us=60,poison=0.002,\
-                      fw=0.001,stall_alpha=1.5";
-    let plan = FaultPlan::parse(fault_spec).expect("valid fault spec");
-    // Fixed window regardless of quick mode: the crash period needs
-    // room for at least one full crash/reset cycle.
-    let faulted_window = Ps::from_us(400);
-    let faulted_cfg = FleetConfig {
-        nics,
-        shards: 1,
-        nic: nic
-            .to_builder()
-            .faults(Some(plan))
-            .build()
-            .expect("valid faulted config"),
-        fabric: FabricConfig::default(),
-        workload: Workload {
-            reliable: true,
-            rto_us: 40,
-            ..uniform.workload
-        },
-    };
-    let mut fleet = Fleet::new(faulted_cfg, faulted_window).expect("valid faulted config");
+    let mut fleet = Fleet::new(faulted_cfg, faulted_window).expect("checked above");
     let faulted = fleet.run_measured(Ps::ZERO, faulted_window);
-    let faulted_shards = 2.min(nics);
-    let mut fleet = Fleet::new(
-        FleetConfig {
-            shards: faulted_shards,
-            ..faulted_cfg
-        },
-        faulted_window,
-    )
-    .expect("valid faulted config");
+    let mut fleet =
+        Fleet::new(sharded(faulted_cfg, faulted_shards), faulted_window).expect("checked above");
     let faulted_sharded = fleet.run_measured(Ps::ZERO, faulted_window);
     if !identical(&faulted, &faulted_sharded) {
         failures.push(format!(

@@ -10,7 +10,7 @@
 //!   window (scaled down by `NICSIM_QUICK=1` for smoke runs);
 //! * always validate: every run asserts zero corrupt, reordered, or
 //!   invalid frames end to end;
-//! * sweeps run in parallel (`--jobs N` / `NICSIM_JOBS`), and every
+//! * an entry's runs execute in parallel (`--jobs N`), and every
 //!   entry writes its structured results to `results/<name>.json`
 //!   (schema documented in EXPERIMENTS.md).
 

@@ -4,7 +4,7 @@ use crate::{header, to_ilp_trace, traced_run, Args};
 use nicsim::{FwMode, NicConfig, NicConfigBuilder, NullProbe};
 use nicsim_coherence::{sweep_sizes, Access};
 use nicsim_cpu::{FwFunc, StallBucket};
-use nicsim_exp::{Json, RunSpec, Sweep};
+use nicsim_exp::{Json, RunSpec};
 use nicsim_ilp::{analyze, expand, BranchModel, IssueOrder, PipelineModel, ProcessorConfig};
 use nicsim_mem::{AccessKind, AccessTrace};
 use nicsim_net::link::max_udp_throughput_gbps;
@@ -332,13 +332,9 @@ pub fn table5(args: &Args) {
     );
     let ideal = ("ideal@300", args.configure(ideal_300().build().unwrap()));
     let [sw, rmw] = firmware(args);
-    let sweep = Sweep::new(NicConfig::default()).axis_configs("firmware", [ideal, sw, rmw]);
-    let report = exp.sweep(&sweep);
-    let (ideal, sw, rmw) = (
-        &report.runs[0].stats,
-        &report.runs[1].stats,
-        &report.runs[2].stats,
-    );
+    let specs = [ideal, sw, rmw].map(|(name, cfg)| RunSpec::at(cfg, &[("firmware", &name)]));
+    let runs = exp.run_all(&specs).expect("valid sweep");
+    let (ideal, sw, rmw) = (&runs[0].stats, &runs[1].stats, &runs[2].stats);
 
     println!(
         "{:<30} | {:>8} {:>8} {:>8} | {:>8} {:>8} {:>8}",
@@ -379,7 +375,7 @@ pub fn table5(args: &Args) {
     println!("----------------------------------------------------------------");
     println!("RMW reduction, dispatch+ordering instructions: send {sd:.1}% (paper 51.5%), recv {rd:.1}% (paper 30.8%)");
     println!("RMW reduction, dispatch+ordering accesses:     send {sda:.1}% (paper 65.0%), recv {rda:.1}% (paper 35.2%)");
-    exp.write(&report).expect("write results");
+    exp.finish(runs, None).expect("write results");
 }
 
 /// Table 6: cycles spent in each function per packet for the
@@ -391,9 +387,9 @@ pub fn table6(args: &Args) {
         "Table 6: per-packet cycles by function, software@200 vs RMW@166",
         "paper: RMW cuts send cycles 28.4%, receive cycles 4.7%; both reach line rate",
     );
-    let sweep = Sweep::new(NicConfig::default()).axis_configs("firmware", firmware(args));
-    let report = exp.sweep(&sweep);
-    let (sw, rmw) = (&report.runs[0].stats, &report.runs[1].stats);
+    let specs = firmware(args).map(|(name, cfg)| RunSpec::at(cfg, &[("firmware", &name)]));
+    let runs = exp.run_all(&specs).expect("valid sweep");
+    let (sw, rmw) = (&runs[0].stats, &runs[1].stats);
     println!(
         "throughput: software {:.2} Gb/s, RMW {:.2} Gb/s (limit 19.15)",
         sw.total_udp_gbps(),
@@ -440,7 +436,7 @@ pub fn table6(args: &Args) {
         100.0 * (1.0 - totals[0][1] / totals[0][0]),
         100.0 * (1.0 - totals[1][1] / totals[1][0]),
     );
-    exp.write(&report).expect("write results");
+    exp.finish(runs, None).expect("write results");
 }
 
 /// Figure 7: full-duplex UDP throughput while scaling core frequency and
@@ -458,25 +454,28 @@ pub fn fig7(args: &Args) {
     );
     let freqs = [100u64, 125, 150, 166, 175, 200];
     let core_counts = [1usize, 2, 4, 6, 8];
-    let base = NicConfig::builder()
-        .mode(FwMode::SoftwareOnly)
-        .build()
-        .unwrap();
-    let sweep = Sweep::new(args.configure(base))
-        .axis("cpu_mhz", freqs, |cfg, v| cfg.cpu_mhz = v)
-        .axis("cores", core_counts, |cfg, v| cfg.cores = v);
-    let mut specs = sweep.runs().expect("valid sweep");
-    // The single-core scaling claim rides along in the same pool.
-    specs.push(RunSpec::single(
-        "cpu_mhz=800,cores=1",
-        args.configure(base)
-            .to_builder()
-            .cores(1)
-            .cpu_mhz(800)
+    let base = args.configure(
+        NicConfig::builder()
+            .mode(FwMode::SoftwareOnly)
             .build()
             .unwrap(),
-    ));
-    let mut report = exp.run_specs(specs);
+    );
+    let mut specs = Vec::new();
+    for cpu_mhz in freqs {
+        for cores in core_counts {
+            let mut cfg = base;
+            (cfg.cpu_mhz, cfg.cores) = (cpu_mhz, cores);
+            specs.push(RunSpec::at(
+                cfg,
+                &[("cpu_mhz", &cpu_mhz), ("cores", &cores)],
+            ));
+        }
+    }
+    // The single-core scaling claim rides along in the same pool.
+    let mut one_core = base;
+    (one_core.cpu_mhz, one_core.cores) = (800, 1);
+    specs.push(RunSpec::single("cpu_mhz=800,cores=1", one_core));
+    let mut runs = exp.run_all(&specs).expect("valid sweep");
 
     println!("Ethernet limit (duplex): 19.15 Gb/s of UDP payload");
     print!("{:>6}", "MHz");
@@ -487,12 +486,12 @@ pub fn fig7(args: &Args) {
     for (fi, mhz) in freqs.iter().enumerate() {
         print!("{mhz:>6}");
         for ci in 0..core_counts.len() {
-            let s = &report.runs[fi * core_counts.len() + ci].stats;
+            let s = &runs[fi * core_counts.len() + ci].stats;
             print!(" {:>9.2}", s.total_udp_gbps());
         }
         println!();
     }
-    let fast = &report.runs.last().expect("800 MHz run").stats;
+    let fast = &runs.last().expect("800 MHz run").stats;
     println!(
         "1 core @ 800 MHz: {:.2} Gb/s ({:.1}% of line rate; paper: a single core needs 800 MHz)",
         fast.total_udp_gbps(),
@@ -513,9 +512,9 @@ pub fn fig7(args: &Args) {
                 .unwrap(),
             path,
         );
-        report.runs.push(traced);
+        runs.push(traced);
     }
-    exp.write(&report).expect("write results");
+    exp.finish(runs, None).expect("write results");
 }
 
 /// Figure 8: full-duplex throughput for various UDP datagram sizes under
@@ -528,22 +527,27 @@ pub fn fig8(args: &Args) {
         "both configurations scale together; small frames saturate ~2.2M frames/s",
     );
     let sizes = [18usize, 100, 200, 400, 600, 800, 1000, 1200, 1472];
-    // Axes apply in declaration order: the firmware axis installs the
-    // whole preset, then the payload axis overrides the datagram size.
-    let sweep = Sweep::new(NicConfig::default())
-        .axis_configs("firmware", firmware(args))
-        .axis("udp_payload", sizes, |cfg, v| cfg.udp_payload = v);
-    let report = exp.sweep(&sweep);
+    let mut specs = Vec::new();
+    for (name, preset) in firmware(args) {
+        for udp_payload in sizes {
+            let mut cfg = preset;
+            cfg.udp_payload = udp_payload;
+            specs.push(RunSpec::at(
+                cfg,
+                &[("firmware", &name), ("udp_payload", &udp_payload)],
+            ));
+        }
+    }
+    let runs = exp.run_all(&specs).expect("valid sweep");
 
     println!(
         "{:>6} {:>10} {:>12} {:>12} | {:>12} {:>12}",
         "bytes", "limit Gb/s", "sw@200 Gb/s", "rmw@166 Gb/s", "sw Mfps", "rmw Mfps"
     );
-    // Row-major over (firmware, size): sw runs first, then rmw.
     for (si, size) in sizes.iter().enumerate() {
         let limit = 2.0 * max_udp_throughput_gbps(*size);
-        let sw = &report.runs[si].stats;
-        let rmw = &report.runs[sizes.len() + si].stats;
+        let sw = &runs[si].stats;
+        let rmw = &runs[sizes.len() + si].stats;
         println!(
             "{:>6} {:>10.2} {:>12.2} {:>12.2} | {:>12.2} {:>12.2}",
             size,
@@ -554,5 +558,5 @@ pub fn fig8(args: &Args) {
             rmw.total_fps() / 1e6,
         );
     }
-    exp.write(&report).expect("write results");
+    exp.finish(runs, None).expect("write results");
 }

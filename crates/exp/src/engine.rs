@@ -2,32 +2,73 @@
 //! pool of work-stealing worker threads — with the standard measurement
 //! methodology, and persist structured results.
 //!
-//! Each `NicSystem` is single-threaded and fully deterministic, so the
-//! runs of a sweep are embarrassingly parallel: workers pull the next
-//! un-started run off a shared counter, and results land in declaration
-//! order regardless of completion order. A sweep therefore produces
+//! An experiment is a plain list of [`RunSpec`]s, built with ordinary
+//! loops. Each `NicSystem` is single-threaded and fully deterministic,
+//! so the runs are embarrassingly parallel: workers pull the next
+//! un-started run off a shared counter, and results land in the order
+//! given regardless of completion order. A list therefore produces
 //! bit-identical statistics whether it runs with `--jobs 1` or
 //! `--jobs 32` (asserted by `tests/determinism`).
 
 use crate::json::Json;
 use crate::report::{RunReport, SweepReport};
-use crate::sweep::{RunSpec, Sweep};
 use nicsim::{ConfigError, NicConfig, NicSystem, NullProbe, Probe};
 use nicsim_sim::Ps;
+use std::fmt::Display;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+/// One run of an experiment: its label, its coordinates, and the
+/// configuration it simulates.
+#[derive(Debug, Clone)]
+pub struct RunSpec {
+    /// `"axis=value,axis=value"` for a grid point.
+    pub label: String,
+    /// `(axis name, value)` pairs in axis order; empty for a single run.
+    pub axes: Vec<(String, String)>,
+    /// The configuration this run simulates.
+    pub cfg: NicConfig,
+}
+
+impl RunSpec {
+    /// A single labeled run outside any grid.
+    pub fn single(label: &str, cfg: NicConfig) -> RunSpec {
+        RunSpec {
+            label: label.to_string(),
+            axes: Vec::new(),
+            cfg,
+        }
+    }
+
+    /// The run of `cfg` at one grid point: `axes` names each coordinate
+    /// and its value, in order, and the label is `"name=value,…"`.
+    pub fn at(cfg: NicConfig, axes: &[(&str, &dyn Display)]) -> RunSpec {
+        let axes: Vec<(String, String)> = axes
+            .iter()
+            .map(|(name, value)| (name.to_string(), value.to_string()))
+            .collect();
+        let label = axes
+            .iter()
+            .map(|(name, value)| format!("{name}={value}"))
+            .collect::<Vec<_>>()
+            .join(",");
+        RunSpec { label, axes, cfg }
+    }
+}
+
 /// A named experiment: measurement windows, worker count, and results
 /// location. The single entry point for running configurations —
-/// one-offs ([`run`](Experiment::run)) and declared sweeps
-/// ([`sweep`](Experiment::sweep)) share the same methodology.
+/// one-offs ([`run`](Experiment::run)) and lists of runs
+/// ([`run_all`](Experiment::run_all)) share the same methodology, and
+/// [`finish`](Experiment::finish) writes the results file.
 pub struct Experiment {
     name: String,
     warmup: Ps,
     window: Ps,
+    quick: bool,
     jobs: usize,
     out_dir: PathBuf,
     quiet: bool,
@@ -35,26 +76,16 @@ pub struct Experiment {
 }
 
 impl Experiment {
-    /// Create an experiment from the environment:
+    /// Create an experiment with the available hardware parallelism as
+    /// its worker count, from the environment:
     ///
     /// * `NICSIM_QUICK=1` shrinks the warm-up/measure windows from
     ///   2 ms/4 ms to 1 ms/1 ms of simulated time (smoke runs);
-    /// * `NICSIM_JOBS=<n>` sets the worker count (default: available
-    ///   hardware parallelism);
     /// * `NICSIM_RESULTS_DIR=<dir>` overrides the `results/` output
-    ///   directory;
-    /// * `NICSIM_QUIET=1` silences per-run progress on stderr.
+    ///   directory.
     pub fn new(name: &str) -> Experiment {
-        let (warmup_ms, window_ms) = if env_is("NICSIM_QUICK", "1") {
-            (1, 1)
-        } else {
-            (2, 4)
-        };
-        let jobs = std::env::var("NICSIM_JOBS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-            .unwrap_or_else(default_jobs);
+        let quick = std::env::var("NICSIM_QUICK").is_ok_and(|v| v == "1");
+        let (warmup_ms, window_ms) = if quick { (1, 1) } else { (2, 4) };
         let out_dir = std::env::var("NICSIM_RESULTS_DIR")
             .map(PathBuf::from)
             .unwrap_or_else(|_| PathBuf::from("results"));
@@ -62,9 +93,10 @@ impl Experiment {
             name: name.to_string(),
             warmup: Ps::from_ms(warmup_ms),
             window: Ps::from_ms(window_ms),
-            jobs,
+            quick,
+            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
             out_dir,
-            quiet: env_is("NICSIM_QUIET", "1"),
+            quiet: false,
             started: Instant::now(),
         }
     }
@@ -114,6 +146,12 @@ impl Experiment {
         self.jobs
     }
 
+    /// Whether `NICSIM_QUICK=1` shrank the windows: entries that pick
+    /// their own windows shrink them too.
+    pub fn is_quick(&self) -> bool {
+        self.quick
+    }
+
     /// Run one configuration with the standard methodology (warm up,
     /// measure, validate every frame) and return its report.
     ///
@@ -146,41 +184,22 @@ impl Experiment {
         out
     }
 
-    /// Expand and run a declared sweep across the worker pool, in
-    /// parallel, returning reports in declaration order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any expanded configuration is invalid (use
-    /// [`Experiment::try_sweep`]) or any run fails validation.
-    pub fn sweep(&self, sweep: &Sweep) -> SweepReport {
-        match self.try_sweep(sweep) {
-            Ok(report) => report,
-            Err(e) => panic!("experiment '{}': invalid sweep: {e}", self.name),
-        }
-    }
-
-    /// Fallible [`Experiment::sweep`].
+    /// Run every spec across the worker pool and return the reports in
+    /// the order given. One worker runs them in that order; more
+    /// workers pull the next un-started spec off a shared counter.
     ///
     /// # Errors
     ///
-    /// Returns [`ConfigError`] when any expanded configuration is
-    /// invalid; nothing runs in that case.
-    pub fn try_sweep(&self, sweep: &Sweep) -> Result<SweepReport, ConfigError> {
-        let specs = sweep.runs()?;
-        Ok(self.run_specs(specs))
-    }
-
-    /// Run an explicit list of specs across the worker pool and collect
-    /// a report (the lower-level form of [`Experiment::sweep`]).
+    /// Returns the first [`ConfigError`] any spec's configuration
+    /// violates; every spec is checked before any run starts.
     ///
     /// # Panics
     ///
-    /// Panics if any configuration is invalid or fails validation.
-    pub fn run_specs(&self, specs: Vec<RunSpec>) -> SweepReport {
-        // Work-stealing: scoped workers pull the next un-started spec
-        // from a shared counter until none remain. One worker runs the
-        // specs in declaration order.
+    /// Panics if a run fails end-to-end validation.
+    pub fn run_all(&self, specs: &[RunSpec]) -> Result<Vec<RunReport>, ConfigError> {
+        for spec in specs {
+            spec.cfg.validate()?;
+        }
         let total = specs.len();
         let next = AtomicUsize::new(0);
         let done = AtomicUsize::new(0);
@@ -199,58 +218,42 @@ impl Experiment {
                 });
             }
         });
-        let runs = slots
+        Ok(slots
             .into_iter()
             .map(|slot| {
                 slot.into_inner()
                     .expect("result slot")
                     .expect("every spec ran to completion")
             })
-            .collect();
-        self.report(runs)
+            .collect())
     }
 
-    /// Wrap finished runs into a [`SweepReport`] carrying this
-    /// experiment's methodology metadata.
-    pub fn report(&self, runs: Vec<RunReport>) -> SweepReport {
-        SweepReport {
+    /// Wrap finished runs and `extra` (appended verbatim under
+    /// `"extra"`) into a [`SweepReport`] carrying this experiment's
+    /// methodology metadata, and write it to
+    /// `<out_dir>/<experiment>.json`: the common tail of every `repro`
+    /// entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns any I/O error from creating the directory or writing
+    /// the file.
+    pub fn finish(&self, runs: Vec<RunReport>, extra: Option<Json>) -> io::Result<SweepReport> {
+        let report = SweepReport {
             experiment: self.name.clone(),
             jobs: self.jobs,
             warmup_ms: ps_to_ms(self.warmup),
             window_ms: ps_to_ms(self.window),
             runs,
             wall: self.started.elapsed(),
-            extra: None,
-        }
-    }
-
-    /// Serialize a report to `<out_dir>/<experiment>.json` and return
-    /// the path.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from creating the directory or writing
-    /// the file.
-    pub fn write(&self, report: &SweepReport) -> io::Result<PathBuf> {
+            extra,
+        };
         std::fs::create_dir_all(&self.out_dir)?;
-        let path = self.out_dir.join(format!("{}.json", report.experiment));
+        let path = self.out_dir.join(format!("{}.json", self.name));
         std::fs::write(&path, report.to_json(git_describe()).pretty())?;
         if !self.quiet {
             eprintln!("wrote {}", path.display());
         }
-        Ok(path)
-    }
-
-    /// Run a report through [`Experiment::report`] + [`Experiment::write`]
-    /// in one call: the common tail of every `repro` entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from [`Experiment::write`].
-    pub fn finish(&self, runs: Vec<RunReport>, extra: Option<Json>) -> io::Result<SweepReport> {
-        let mut report = self.report(runs);
-        report.extra = extra;
-        self.write(&report)?;
         Ok(report)
     }
 
@@ -298,14 +301,6 @@ impl Experiment {
 
 fn ps_to_ms(ps: Ps) -> u64 {
     ps.0 / 1_000_000_000
-}
-
-fn env_is(key: &str, value: &str) -> bool {
-    std::env::var(key).is_ok_and(|v| v == value)
-}
-
-fn default_jobs() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
 }
 
 /// `git describe --always --dirty` of the working tree, cached for the

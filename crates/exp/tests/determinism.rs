@@ -1,39 +1,45 @@
-//! The engine's central guarantee: a sweep produces bit-identical
-//! statistics whether its runs execute serially or across a worker
-//! pool. Each `NicSystem` is single-threaded and deterministic, and the
-//! engine stores results by declaration index, so the only way this can
-//! fail is a scheduling bug — which is exactly what the test guards.
+//! The engine's central guarantee: a list of runs produces
+//! bit-identical statistics whether it executes serially or across a
+//! worker pool. Each `NicSystem` is single-threaded and deterministic,
+//! and the engine stores results by list index, so the only way this
+//! can fail is a scheduling bug — which is exactly what the test guards.
 
 use nicsim::NicConfig;
-use nicsim_exp::{stats_to_json, Experiment, Sweep};
+use nicsim_exp::{stats_to_json, Experiment, RunSpec};
 
-fn sweep() -> Sweep {
+fn specs() -> Vec<RunSpec> {
     // Four cheap configurations: small core counts keep the simulated
     // windows fast in debug builds while still exercising distinct
     // firmware schedules per run.
-    Sweep::new(NicConfig::default())
-        .axis("cores", [1usize, 2], |cfg, v| cfg.cores = v)
-        .axis("cpu_mhz", [100u64, 166], |cfg, v| cfg.cpu_mhz = v)
+    let mut specs = Vec::new();
+    for cores in [1usize, 2] {
+        for cpu_mhz in [100u64, 166] {
+            let mut cfg = NicConfig::default();
+            (cfg.cores, cfg.cpu_mhz) = (cores, cpu_mhz);
+            specs.push(RunSpec::at(
+                cfg,
+                &[("cores", &cores), ("cpu_mhz", &cpu_mhz)],
+            ));
+        }
+    }
+    specs
 }
 
 #[test]
 fn parallel_sweep_is_bit_identical_to_serial() {
-    let serial = Experiment::new("determinism-serial")
-        .windows_ms(1, 1)
-        .quiet()
-        .jobs(1)
-        .sweep(&sweep());
-    let parallel = Experiment::new("determinism-parallel")
-        .windows_ms(1, 1)
-        .quiet()
-        .jobs(4)
-        .sweep(&sweep());
+    let run = |name, jobs| {
+        let exp = Experiment::new(name).windows_ms(1, 1).quiet().jobs(jobs);
+        exp.run_all(&specs()).expect("valid specs")
+    };
+    let serial = run("determinism-serial", 1);
+    let parallel = run("determinism-parallel", 4);
 
-    assert_eq!(serial.runs.len(), 4);
-    assert_eq!(parallel.runs.len(), 4);
-    for (s, p) in serial.runs.iter().zip(&parallel.runs) {
-        // Same declaration order regardless of completion order...
-        assert_eq!(s.label, p.label);
+    assert_eq!(serial.len(), 4);
+    assert_eq!(parallel.len(), 4);
+    for ((s, p), spec) in serial.iter().zip(&parallel).zip(specs()) {
+        // The order given regardless of completion order...
+        assert_eq!(s.label, spec.label);
+        assert_eq!(p.label, spec.label);
         assert_eq!(s.axes, p.axes);
         // ...and byte-identical serialized statistics: shortest-roundtrip
         // float formatting means bit-identical stats give identical JSON.

@@ -108,8 +108,8 @@ echo "==> every registry entry (repro all, quick mode, ~1 min)"
 #   delivery on the low rungs, monotone delivery throughout.
 # * BENCH_trace validates its own output: lifecycle violations panic,
 #   and the written trace file must round-trip as non-empty JSON.
-NICSIM_QUICK=1 NICSIM_QUIET=1 NICSIM_RESULTS_DIR=target \
-    ./target/release/repro all >/dev/null
+NICSIM_QUICK=1 NICSIM_RESULTS_DIR=target \
+    ./target/release/repro all --quiet >/dev/null
 rm -f target/*.json
 # A retransmit timeout whose picosecond value would overflow the
 # driver's backoff shift is a usage error naming the key, not a wrapped
@@ -129,6 +129,16 @@ if [ "$status" -ne 2 ] || ! printf '%s' "$err" | grep -q -- "--trace"; then
     exit 1
 fi
 
+echo "==> examples (quick mode)"
+# The examples drive the nicsim_repro facade (Experiment, NicConfig)
+# as a user would; each must run to completion, not only compile.
+for ex in quickstart rmw_vs_software send_receive_walkthrough; do
+    if ! NICSIM_QUICK=1 ./target/release/examples/$ex >/dev/null; then
+        echo "FAIL: example $ex exited nonzero"
+        exit 1
+    fi
+done
+
 echo "==> fleet fault plane (faulted shard-invariance, crash/reset, reliable delivery)"
 # The release re-run of the fleet fault suite guards the fault plane's
 # determinism contract against optimization-dependent divergence, the
@@ -145,7 +155,7 @@ echo "==> fleet fault plane (faulted shard-invariance, crash/reset, reliable del
 # every shard the same way.
 cargo test --release --quiet -p nicsim-fleet --test fault_determinism
 
-echo "==> usage errors (--faults bounds, --cores overrides, a faulted table3)"
+echo "==> usage errors (--faults bounds, --cores overrides, fleet shape, --trace, a faulted table3)"
 # A --faults value that would wedge the retry loop or overflow a
 # duration is a usage error naming the key, in milliseconds, never a
 # hang: FaultPlan::validate bounds retries and every duration.
@@ -173,11 +183,28 @@ for bad in "table1 2" "table3 17" "table3 100"; do
         exit 1
     fi
 done
+# A fleet shape Fleet::new refuses is a usage error naming the flag
+# that asked for it, found before the first fleet runs: a NIC count out
+# of range, a workload target beyond the fleet, an explicit shard count
+# above the NIC count. A --trace file in a missing directory is refused
+# by the parser, before fig7's 31 runs.
+for bad in "fleet --nics 1|--nics" "fleet --nics 300|--nics" \
+    "fleet --nics 2 --workload pattern=incast,target=5|--workload" \
+    "fleet --shards 9|--shards" "fig7 --trace /nonexistent/dir/x.json|--trace"; do
+    cmd=${bad%|*}
+    flag=${bad#*|}
+    status=0
+    err=$(timeout 10 ./target/release/repro $cmd 2>&1 >/dev/null) || status=$?
+    if [ "$status" -ne 2 ] || ! printf '%s' "$err" | grep -q -- "$flag"; then
+        echo "FAIL: repro $cmd exited $status (want 2, naming $flag): $err"
+        exit 1
+    fi
+done
 # --faults reaches every entry through Args::configure, not only the
 # ones that read args.faults themselves: a faulted table3 run carries
 # the err_ rows.
-NICSIM_QUICK=1 NICSIM_QUIET=1 NICSIM_RESULTS_DIR=target \
-    ./target/release/repro table3 --faults seed=1,rate=1e-3 >/dev/null
+NICSIM_QUICK=1 NICSIM_RESULTS_DIR=target \
+    ./target/release/repro table3 --faults seed=1,rate=1e-3 --quiet >/dev/null
 if ! grep -q '"err_' target/table3.json; then
     echo "FAIL: repro table3 --faults seed=1,rate=1e-3 wrote no err_ rows: the plan was ignored"
     exit 1

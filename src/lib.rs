@@ -19,7 +19,7 @@
 pub use nicsim::*;
 pub use nicsim_exp::{
     config_to_json, git_describe, latency_to_json, mode_str, stats_to_json, Experiment, Json,
-    RunReport, RunSpec, Sweep, SweepReport, SCHEMA,
+    RunReport, RunSpec, SweepReport, SCHEMA,
 };
 
 /// The experiment engine crate, re-exported whole for access to its

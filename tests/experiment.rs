@@ -1,8 +1,9 @@
 //! Integration tests for the experiment engine as exposed through the
 //! `nicsim_repro` facade: validated configuration building, the unified
-//! `Experiment::run` entry point, and the structured JSON results file.
+//! `Experiment::run`/`run_all` entry points, `RunSpec` labels, and the
+//! structured JSON results file.
 
-use nicsim_repro::{ConfigError, Experiment, Json, NicConfig, NicSystem, Sweep, SCHEMA};
+use nicsim_repro::{ConfigError, Experiment, Json, NicConfig, NicSystem, RunSpec, SCHEMA};
 
 #[test]
 fn builder_rejects_invalid_configurations() {
@@ -59,10 +60,17 @@ fn run_and_results_file_round_trip() {
     assert_eq!(run.label, "run");
     assert!(run.stats.tx_frames > 0, "warmed-up run must move frames");
 
-    let sweep = Sweep::new(cfg).axis("cores", [1usize, 2], |c, v| c.cores = v);
-    let report = exp.sweep(&sweep);
-    let path = exp.write(&report).expect("write results file");
-    assert_eq!(path, out_dir.join("facade-smoke.json"));
+    let specs: Vec<RunSpec> = [1usize, 2]
+        .into_iter()
+        .map(|cores| {
+            let mut point = cfg;
+            point.cores = cores;
+            RunSpec::at(point, &[("cores", &cores)])
+        })
+        .collect();
+    let runs = exp.run_all(&specs).expect("valid specs");
+    let report = exp.finish(runs, None).expect("write results file");
+    let path = out_dir.join("facade-smoke.json");
 
     let text = std::fs::read_to_string(&path).expect("read results file");
     let doc = Json::parse(&text).expect("results file is valid JSON");
@@ -93,12 +101,21 @@ fn run_and_results_file_round_trip() {
     std::fs::remove_dir_all(&out_dir).ok();
 }
 
+/// Nested loops give a row-major grid, and `RunSpec::at` labels each
+/// point `"axis=value,…"` with its coordinates in axis order.
 #[test]
 fn sweep_labels_expand_row_major() {
-    let sweep = Sweep::new(NicConfig::default())
-        .axis("cores", [1usize, 2], |c, v| c.cores = v)
-        .axis("cpu_mhz", [100u64, 200], |c, v| c.cpu_mhz = v);
-    let specs = sweep.runs().expect("valid sweep");
+    let mut specs = Vec::new();
+    for cores in [1usize, 2] {
+        for cpu_mhz in [100u64, 200] {
+            let mut cfg = NicConfig::default();
+            (cfg.cores, cfg.cpu_mhz) = (cores, cpu_mhz);
+            specs.push(RunSpec::at(
+                cfg,
+                &[("cores", &cores), ("cpu_mhz", &cpu_mhz)],
+            ));
+        }
+    }
     let labels: Vec<&str> = specs.iter().map(|s| s.label.as_str()).collect();
     assert_eq!(
         labels,
@@ -109,14 +126,31 @@ fn sweep_labels_expand_row_major() {
             "cores=2,cpu_mhz=200",
         ]
     );
+    assert_eq!((specs[2].cfg.cores, specs[2].cfg.cpu_mhz), (2, 100));
+    assert_eq!(
+        specs[1].axes,
+        [
+            ("cores".to_string(), "1".to_string()),
+            ("cpu_mhz".to_string(), "200".to_string()),
+        ]
+    );
+    let single = RunSpec::single("cpu_mhz=800,cores=1", NicConfig::default());
+    assert_eq!(single.label, "cpu_mhz=800,cores=1");
+    assert!(single.axes.is_empty());
 }
 
+/// `run_all` checks every configuration before the first run starts:
+/// an invalid spec anywhere in the list fails the whole call.
 #[test]
 fn invalid_sweep_point_fails_before_running() {
-    let sweep = Sweep::new(NicConfig::default()).axis("cores", [1usize, 0], |c, v| c.cores = v);
-    assert_eq!(sweep.runs().unwrap_err(), ConfigError::ZeroCores);
+    let mut bad = NicConfig::default();
+    bad.cores = 0;
+    let specs = [
+        RunSpec::at(NicConfig::default(), &[("cores", &6)]),
+        RunSpec::at(bad, &[("cores", &0)]),
+    ];
     let exp = Experiment::new("facade-invalid").quiet();
-    assert!(exp.try_sweep(&sweep).is_err());
+    assert_eq!(exp.run_all(&specs).unwrap_err(), ConfigError::ZeroCores);
 }
 
 /// Every run of every committed results file still rebuilds through
