@@ -52,8 +52,8 @@ pub struct Args {
     pub dma_engines: Option<usize>,
     /// `--nics`: fleet size override, if given (fleet entries only).
     pub nics: Option<usize>,
-    /// `--shards`: fleet worker-thread override, if given (fleet
-    /// entries only).
+    /// `--shards`: fleet thread count override, the calling thread
+    /// included, if given (fleet entries only).
     pub shards: Option<usize>,
     /// `--workload`: fleet workload spec override, if given (fleet
     /// entries only; parsed eagerly so typos fail at startup).

@@ -499,20 +499,12 @@ pub fn fig7(args: &Args) {
     );
     // `--trace <path>`: re-run the headline point (6 cores @ 175 MHz,
     // the paper's 96.3%-of-line-rate configuration) with the full
-    // observability bundle and append its traced report.
+    // observability bundle and append its traced report. It starts
+    // from `base`, like every grid point, so the shared flags reach it.
     if let Some(path) = &args.trace {
-        let traced = traced_run(
-            exp,
-            "cpu_mhz=175,cores=6+trace",
-            NicConfig::builder()
-                .cores(6)
-                .cpu_mhz(175)
-                .mode(FwMode::SoftwareOnly)
-                .build()
-                .unwrap(),
-            path,
-        );
-        runs.push(traced);
+        let mut cfg = base;
+        (cfg.cpu_mhz, cfg.cores) = (175, 6);
+        runs.push(traced_run(exp, "cpu_mhz=175,cores=6+trace", cfg, path));
     }
     exp.finish(runs, None).expect("write results");
 }

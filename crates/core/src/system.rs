@@ -1313,10 +1313,10 @@ mod tests {
 
     /// The fleet's quiet-epoch skip on one member: advanced to each 1 µs
     /// boundary only when `next_activity()` falls inside the epoch (as
-    /// the fleet's `run_chunk` does), with a frame injected every 13
-    /// epochs, it ends in the same state and event stream as a member
-    /// stepped densely through every epoch. Interrupt dispatch parks
-    /// the cores, so epochs are actually skipped there.
+    /// the fleet's `Member::run_epoch` does), with a frame injected
+    /// every 13 epochs, it ends in the same state and event stream as a
+    /// member stepped densely through every epoch. Interrupt dispatch
+    /// parks the cores, so epochs are actually skipped there.
     #[test]
     fn a_member_skipped_by_next_activity_matches_dense() {
         use nicsim_net::frame::{build_udp_frame, set_endpoints};

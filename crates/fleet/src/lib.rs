@@ -26,14 +26,18 @@
 //!
 //! # Sharding
 //!
-//! With `shards > 1` the NICs split into contiguous chunks, one per
-//! persistent worker thread, synchronized by an
+//! The NICs split into `shards` contiguous chunks. The calling thread
+//! (the coordinator) runs the first chunk and one worker thread runs
+//! each other, in lockstep on an
 //! [`EpochBarrier`](nicsim_sim::EpochBarrier) generation per epoch;
 //! the frame exchange runs on the coordinator between generations.
-//! Because epochs are global and the fabric ordering is canonical,
-//! results are bit-identical at any shard count — per-NIC [`RunStats`]
-//! and the fabric's order-sensitive delivery digest alike, which the
-//! engine's tests assert across shard counts and dispatch modes.
+//! With `shards: 1` the same loop runs every NIC on the calling thread
+//! and spawns none. Because epochs are global and the fabric ordering
+//! is canonical, results are bit-identical at any shard count —
+//! per-NIC [`RunStats`] and the fabric's order-sensitive delivery
+//! digest alike, which the engine's tests assert across shard counts
+//! and dispatch modes. A NIC that panics, on a worker or on the
+//! coordinator, fails [`Fleet::run_measured`] with that panic.
 //!
 //! Quiet NICs skip whole epochs: the engine consults
 //! [`NicSystem::next_activity`] (the event kernel's own wake bound)
@@ -45,7 +49,7 @@ use nicsim::{ErrorStats, FleetMember, NicConfig, NicSystem, RunStats};
 use nicsim_net::workload::{TxPacket, Workload};
 use nicsim_net::{Fabric, FabricConfig, FabricFaults, FabricStats, PortStats};
 use nicsim_obs::{FrameTracker, LatencySummary};
-use nicsim_sim::{EpochBarrier, Ps};
+use nicsim_sim::{EpochBarrier, Freq, Ps};
 
 /// Fleet-level configuration: how many NICs, how they are sharded,
 /// what fabric connects them, and what traffic they offer.
@@ -54,8 +58,10 @@ pub struct FleetConfig {
     /// Number of NIC + host systems (2..=256; sequence numbers carry
     /// the source id in their top byte).
     pub nics: usize,
-    /// Worker threads to shard the NICs across (1 = run on the calling
-    /// thread, no barrier). Results are identical at any value.
+    /// Threads that run the NICs, the calling thread included: it runs
+    /// the first of `shards` contiguous chunks and a worker thread runs
+    /// each other (1 = every NIC on the calling thread, no thread
+    /// spawned). Results are identical at any value.
     pub shards: usize,
     /// Per-NIC configuration (all NICs identical; `send_enabled` and
     /// `recv_enabled` must both be set so the driver posts the fleet
@@ -76,6 +82,55 @@ impl Default for FleetConfig {
             fabric: FabricConfig::default(),
             workload: Workload::default(),
         }
+    }
+}
+
+impl FleetConfig {
+    /// Check everything [`Fleet::new`] checks before it generates a
+    /// schedule: the fleet's shape, the NIC configuration, the
+    /// workload, the epoch length, and every schedule's expected length
+    /// over `horizon` against the 24-bit sequence space. Nothing is
+    /// built. (`Fleet::new` also bounds the generated lengths, which
+    /// vary for Poisson and bursty arrivals.)
+    ///
+    /// # Errors
+    ///
+    /// Returns the first rule the configuration violates.
+    pub fn validate(&self, horizon: Ps) -> Result<(), FleetError> {
+        let fail = |msg: String| Err(FleetError(msg));
+        let (nics, shards, nic) = (self.nics, self.shards, &self.nic);
+        if !(2..=256).contains(&nics) {
+            return fail(format!("nics must be in 2..=256, got {nics}"));
+        }
+        if shards == 0 || shards > nics {
+            return fail(format!("shards must be in 1..={nics}, got {shards}"));
+        }
+        if !nic.send_enabled || !nic.recv_enabled {
+            return fail("fleet NICs need send_enabled and recv_enabled".into());
+        }
+        if nic.offered_tx_fps.is_some() || nic.offered_rx_fps.is_some() {
+            return fail("offered-load pacing conflicts with the fleet schedule".into());
+        }
+        nic.validate().map_err(|e| FleetError(e.to_string()))?;
+        self.workload.check(nics).map_err(FleetError)?;
+        let epoch = self.fabric.link_latency.0;
+        let period = Freq::from_mhz(nic.cpu_mhz).period().0;
+        if epoch < 2 * period {
+            return fail(format!(
+                "link latency {epoch} ps must be at least two CPU periods ({} ps): \
+                 the epoch engine needs one clock cycle of conservative slack",
+                2 * period
+            ));
+        }
+        // Sequence numbers carry the source NIC in their top byte,
+        // which leaves each source 24 bits. Bound every schedule by its
+        // expected length before any is allocated.
+        let expected = self.workload.fps * horizon.as_secs_f64();
+        if expected >= SEQ_NAMESPACE as f64 {
+            let first = (0..nics).find(|&i| self.workload.sends(i)).unwrap_or(0);
+            return Err(seq_namespace_error(first, expected as u64));
+        }
+        Ok(())
     }
 }
 
@@ -152,39 +207,55 @@ impl FleetStats {
     }
 }
 
-/// The assembled fleet: `N` systems, the fabric, and the epoch clock.
+/// The assembled fleet: one [`Member`] per NIC, the fabric, and the
+/// schedule horizon.
 pub struct Fleet {
     cfg: FleetConfig,
-    systems: Vec<NicSystem<FrameTracker>>,
+    members: Vec<Member>,
     fabric: Fabric,
-    /// Epoch length: the fabric's per-link latency.
-    epoch: Ps,
     /// Schedule horizon the workload was generated over; replacements
     /// built by the crash/reset lifecycle regenerate their remaining
     /// schedule from it.
     horizon: Ps,
-    /// NIC-epochs elided so far.
-    skipped: u64,
     /// Guards against reusing a consumed fleet.
     ran: bool,
-    /// Whether the workload runs in reliable-delivery mode (the epoch
-    /// exchange then conveys acknowledgments between the NICs).
-    reliable: bool,
-    /// Per-NIC time of the next seeded whole-NIC crash; `Ps::MAX` when
-    /// crash injection is off. Crashes take effect at the first epoch
-    /// boundary at or after the drawn onset (coordinator-only state, so
-    /// the lifecycle is shard-invariant by construction).
-    crash_next: Vec<Ps>,
-    /// Per-NIC recovery time: `Ps::ZERO` means the NIC is up; anything
-    /// else means it is down (frozen — the run loops skip it) until the
-    /// fleet watchdog resets it at that boundary.
-    up_at: Vec<Ps>,
-    /// Fabric deliveries addressed to a NIC while it was down, folded
-    /// into `err_nic_reset_lost` when the watchdog resets it.
-    pending_lost: Vec<u64>,
     /// Frame-lifecycle records inherited from dead NIC incarnations,
     /// merged into the fleet latency summary at collection.
     carry_probe: FrameTracker,
+}
+
+/// One NIC of the fleet and its crash/reset lifecycle state. Only the
+/// thread that holds the member's chunk touches it while an epoch
+/// runs; the lifecycle fields change only in the exchange between
+/// epochs, on the coordinator, so the lifecycle is shard-invariant by
+/// construction.
+struct Member {
+    sys: NicSystem<FrameTracker>,
+    /// `Some(t)` while the NIC is down: frozen (the epoch loop skips
+    /// it) until the fleet watchdog resets it at boundary `t`.
+    down_until: Option<Ps>,
+    /// Time of the next seeded whole-NIC crash, taking effect at the
+    /// first epoch boundary at or after it; `Ps::MAX` when crash
+    /// injection is off.
+    next_crash: Ps,
+    /// Fabric deliveries addressed to the NIC while it was down,
+    /// folded into `err_nic_reset_lost` when the watchdog resets it.
+    lost: u64,
+    /// NIC-epochs elided: down, or provably unable to act before the
+    /// epoch boundary.
+    skipped: u64,
+}
+
+impl Member {
+    /// One epoch: advance the NIC to the boundary `end`, or count a
+    /// skip if it is down or provably cannot act before `end`.
+    fn run_epoch(&mut self, end: Ps) {
+        if self.down_until.is_none() && self.sys.next_activity() <= end {
+            self.sys.run_until(end);
+        } else {
+            self.skipped += 1;
+        }
+    }
 }
 
 impl Fleet {
@@ -193,39 +264,14 @@ impl Fleet {
     /// workload schedule generated over `horizon` (which must cover
     /// the whole warmup + window the fleet will run).
     pub fn new(cfg: FleetConfig, horizon: Ps) -> Result<Fleet, FleetError> {
-        if !(2..=256).contains(&cfg.nics) {
-            return Err(FleetError(format!(
-                "nics must be in 2..=256, got {}",
-                cfg.nics
-            )));
-        }
-        if cfg.shards == 0 || cfg.shards > cfg.nics {
-            return Err(FleetError(format!(
-                "shards must be in 1..={}, got {}",
-                cfg.nics, cfg.shards
-            )));
-        }
-        if !cfg.nic.send_enabled || !cfg.nic.recv_enabled {
-            return Err(FleetError(
-                "fleet NICs need send_enabled and recv_enabled".into(),
-            ));
-        }
-        if cfg.nic.offered_tx_fps.is_some() || cfg.nic.offered_rx_fps.is_some() {
-            return Err(FleetError(
-                "offered-load pacing conflicts with the fleet schedule".into(),
-            ));
-        }
-        cfg.workload.check(cfg.nics).map_err(FleetError)?;
-        let mut fabric = Fabric::new(cfg.nics, cfg.fabric);
-        let epoch = cfg.fabric.link_latency;
-        let period = nicsim_sim::Freq::from_mhz(cfg.nic.cpu_mhz).period();
-        if epoch.0 < 2 * period.0 {
-            return Err(FleetError(format!(
-                "link latency {} ps must be at least two CPU periods ({} ps): \
-                 the epoch engine needs one clock cycle of conservative slack",
-                epoch.0,
-                2 * period.0
-            )));
+        cfg.validate(horizon)?;
+        // Poisson and bursty schedule lengths vary: bound what was
+        // generated too, before any NIC is built.
+        let schedules: Vec<_> = (0..cfg.nics)
+            .map(|i| cfg.workload.schedule(i, cfg.nics, horizon))
+            .collect();
+        if let Some(i) = schedules.iter().position(|s| s.len() >= SEQ_NAMESPACE) {
+            return Err(seq_namespace_error(i, schedules[i].len() as u64));
         }
         // The fault plane. Each NIC gets its own derived plan
         // (`build_member`); the fabric's sites run off the fleet
@@ -234,62 +280,34 @@ impl Fleet {
         // bit-identical to one with no plan at all (apart from the
         // zeroed error tables in the results).
         let plan = cfg.nic.faults.filter(|p| !p.is_noop());
+        let mut fabric = Fabric::new(cfg.nics, cfg.fabric);
         if let Some(p) = &plan {
             fabric.set_faults(FabricFaults::new(p, cfg.nics));
         }
-        let crash_next: Vec<Ps> = (0..cfg.nics)
-            .map(|i| {
-                plan.as_ref()
-                    .and_then(|p| p.crash_onset(i as u64))
-                    .unwrap_or(Ps::MAX)
-            })
-            .collect();
-        // Sequence numbers carry the source NIC in their top byte,
-        // which leaves each source 24 bits. Bound every schedule by its
-        // expected length before allocating any, then by what was
-        // generated (Poisson and bursty lengths vary), before any NIC
-        // is built.
-        let expected = cfg.workload.fps * horizon.as_secs_f64();
-        if expected >= SEQ_NAMESPACE as f64 {
-            let first = (0..cfg.nics).find(|&i| cfg.workload.sends(i)).unwrap_or(0);
-            return Err(seq_namespace_error(first, expected as u64));
-        }
-        let schedules: Vec<_> = (0..cfg.nics)
-            .map(|i| cfg.workload.schedule(i, cfg.nics, horizon))
-            .collect();
-        if let Some(i) = schedules.iter().position(|s| s.len() >= SEQ_NAMESPACE) {
-            return Err(seq_namespace_error(i, schedules[i].len() as u64));
-        }
-        let systems = schedules
+        let members = schedules
             .into_iter()
             .enumerate()
-            .map(|(i, schedule)| build_member(&cfg, i, schedule, 0, Ps::ZERO))
-            .collect::<Result<Vec<_>, _>>()?;
+            .map(|(i, schedule)| {
+                Ok(Member {
+                    sys: build_member(&cfg, i, schedule, 0, Ps::ZERO)?,
+                    down_until: None,
+                    next_crash: plan
+                        .as_ref()
+                        .and_then(|p| p.crash_onset(i as u64))
+                        .unwrap_or(Ps::MAX),
+                    lost: 0,
+                    skipped: 0,
+                })
+            })
+            .collect::<Result<Vec<_>, FleetError>>()?;
         Ok(Fleet {
-            systems,
-            fabric,
-            epoch,
-            horizon,
-            skipped: 0,
-            ran: false,
-            reliable: cfg.workload.reliable,
-            crash_next,
-            up_at: vec![Ps::ZERO; cfg.nics],
-            pending_lost: vec![0; cfg.nics],
-            carry_probe: FrameTracker::new(),
             cfg,
+            members,
+            fabric,
+            horizon,
+            ran: false,
+            carry_probe: FrameTracker::new(),
         })
-    }
-
-    /// Whether NIC `i` is currently down (crashed, awaiting the fleet
-    /// watchdog's reset).
-    fn is_down(&self, i: usize) -> bool {
-        self.up_at[i] != Ps::ZERO
-    }
-
-    /// The configuration this fleet was assembled from.
-    pub fn config(&self) -> FleetConfig {
-        self.cfg
     }
 
     /// Warm the fleet up, then measure a steady-state window; both
@@ -298,173 +316,141 @@ impl Fleet {
     pub fn run_measured(&mut self, warmup: Ps, window: Ps) -> FleetStats {
         assert!(!self.ran, "a fleet runs once; build a new one");
         self.ran = true;
-        let warm_epochs = warmup.0.div_ceil(self.epoch.0);
-        let total_epochs = warm_epochs + window.0.div_ceil(self.epoch.0).max(1);
+        let epoch = self.cfg.fabric.link_latency.0;
+        let warm_epochs = warmup.0.div_ceil(epoch);
+        let total_epochs = warm_epochs + window.0.div_ceil(epoch).max(1);
+        self.run_epochs(warm_epochs, total_epochs);
 
-        if self.cfg.shards == 1 {
-            self.run_epochs_sequential(warm_epochs, total_epochs);
-        } else {
-            self.run_epochs_sharded(warm_epochs, total_epochs);
-        }
-
-        let final_end = Ps(total_epochs * self.epoch.0);
-        for (i, sys) in self.systems.iter_mut().enumerate() {
-            if self.up_at[i] == Ps::ZERO {
-                sys.run_until(final_end);
-            }
-        }
-        // A NIC still down at the end of the run: its reset never
-        // completed, so fold the deliveries it missed into its error
-        // table directly (the reset itself is not counted — it never
-        // happened).
-        for i in 0..self.cfg.nics {
-            if self.is_down(i) && self.pending_lost[i] > 0 {
-                self.systems[i].carry_errors(ErrorStats {
-                    nic_reset_lost_frames: self.pending_lost[i],
+        let final_end = Ps(total_epochs * epoch);
+        for m in &mut self.members {
+            if m.down_until.is_none() {
+                m.sys.run_until(final_end);
+            } else if m.lost > 0 {
+                // Still down at the end of the run: the reset never
+                // completed, so fold the deliveries the NIC missed
+                // into its error table directly (the reset itself is
+                // not counted — it never happened).
+                m.sys.carry_errors(ErrorStats {
+                    nic_reset_lost_frames: std::mem::take(&mut m.lost),
                     ..ErrorStats::default()
                 });
-                self.pending_lost[i] = 0;
             }
         }
         let mut merged = FrameTracker::new();
         merged.merge(&self.carry_probe);
-        for sys in &self.systems {
-            merged.merge(sys.probe());
+        for m in &self.members {
+            merged.merge(m.sys.probe());
         }
-        let per_nic: Vec<RunStats> = self.systems.iter().map(|s| s.collect()).collect();
+        let per_nic: Vec<RunStats> = self.members.iter().map(|m| m.sys.collect()).collect();
         // Each clock stops on the first cycle at or after a boundary.
-        let period = nicsim_sim::Freq::from_mhz(self.cfg.nic.cpu_mhz).period().0;
-        let cycles_per_nic =
-            final_end.0.div_ceil(period) - (warm_epochs * self.epoch.0).div_ceil(period);
+        let period = Freq::from_mhz(self.cfg.nic.cpu_mhz).period().0;
+        let cycles_per_nic = final_end.0.div_ceil(period) - (warm_epochs * epoch).div_ceil(period);
         FleetStats {
             per_nic,
             fabric: self.fabric.stats(),
             ports: self.fabric.port_stats(),
             latency: merged.summary(),
             epochs: total_epochs,
-            nic_epochs_skipped: self.skipped,
+            nic_epochs_skipped: self.members.iter().map(|m| m.skipped).sum(),
             cycles_per_nic,
         }
     }
 
-    /// The epoch loop on the calling thread: advance every NIC to each
-    /// boundary in turn, then exchange frames.
-    fn run_epochs_sequential(&mut self, warm_epochs: u64, total_epochs: u64) {
-        for k in 1..=total_epochs {
-            let end = Ps(k * self.epoch.0);
-            self.skipped += run_chunk(&mut self.systems, &self.up_at, end);
-            self.exchange(k, warm_epochs);
-        }
-    }
+    /// The epoch loop, the same at every shard count. The members
+    /// split into `shards` contiguous chunks: the coordinator (the
+    /// calling thread) runs the first, one worker thread runs each
+    /// other, in lockstep on an [`EpochBarrier`] generation per epoch.
+    /// The exchange touches the members only between `wait_done` and
+    /// the next `open`, when every worker is parked at the barrier.
+    fn run_epochs(&mut self, warm_epochs: u64, total_epochs: u64) {
+        let epoch = self.cfg.fabric.link_latency;
 
-    /// The epoch loop across `shards` persistent worker threads, one
-    /// contiguous chunk of NICs each, in lockstep on an
-    /// [`EpochBarrier`] generation per epoch. The coordinator touches
-    /// the systems only between `wait_done` and the next `open`, when
-    /// every worker is parked at the barrier.
-    fn run_epochs_sharded(&mut self, warm_epochs: u64, total_epochs: u64) {
-        let shards = self.cfg.shards;
-        let epoch = self.epoch;
-        let mut worker_skipped = vec![0u64; shards];
-
-        /// One worker's view: a raw chunk of the systems vector, its
-        /// skip counter, and a read-only view of the same chunk of the
-        /// fleet's down-state vector. Dereferenced only while a
-        /// generation is open (see the disjointness argument at the
-        /// spawn site).
-        struct Shard {
-            systems: *mut [NicSystem<FrameTracker>],
-            skipped: *mut u64,
-            up_at: *const [Ps],
-        }
-        // SAFETY: the pointers are dereferenced only between
-        // `wait_open` and `finish`, when the coordinator touches
-        // neither the chunk nor the counter; chunks are disjoint
-        // sub-slices, so no two workers alias. The NIC systems contain
+        /// One thread's chunk of the members, dereferenced only while
+        /// a generation is open.
+        struct Shard(*mut [Member]);
+        // SAFETY: the chunk is dereferenced only between `open` and
+        // `finish` (a worker) or `wait_done` (the coordinator), when
+        // the exchange touches no member; chunks are disjoint
+        // sub-slices, so no two threads alias. The NIC systems contain
         // thread-unsafe internals (`Rc` core slots), but each system's
         // are reachable only through that system, and a system is only
         // ever touched by the one thread holding its chunk while a
         // generation is open — accesses hand over at the barrier's
-        // Release/Acquire edges, never overlap. The down-state vector
-        // is written by the coordinator only between generations and
-        // only read by workers while one is open, under the same
-        // Release/Acquire edges.
+        // Release/Acquire edges, never overlap.
         unsafe impl Send for Shard {}
-
-        let mut shards_vec = Vec::with_capacity(shards);
-        {
-            let mut rest: &mut [NicSystem<FrameTracker>] = &mut self.systems;
-            let mut rest_up: &[Ps] = &self.up_at;
-            let mut counters = worker_skipped.iter_mut();
-            let base = rest.len() / shards;
-            let extra = rest.len() % shards;
-            for w in 0..shards {
-                let take = base + usize::from(w < extra);
-                let (chunk, tail) = rest.split_at_mut(take);
-                let (chunk_up, tail_up) = rest_up.split_at(take);
-                (rest, rest_up) = (tail, tail_up);
-                shards_vec.push(Shard {
-                    systems: chunk,
-                    skipped: counters.next().expect("one counter per shard"),
-                    up_at: chunk_up,
-                });
+        impl Shard {
+            /// # Safety
+            ///
+            /// A generation is open and this thread holds the chunk.
+            unsafe fn run_epoch(&self, end: Ps) {
+                for m in unsafe { &mut *self.0 } {
+                    m.run_epoch(end);
+                }
             }
         }
 
-        let barrier = EpochBarrier::new(shards);
+        let shards = self.cfg.shards;
+        let (base, extra) = (self.members.len() / shards, self.members.len() % shards);
+        let mut chunks = Vec::with_capacity(shards);
+        let mut rest: &mut [Member] = &mut self.members;
+        for w in 0..shards {
+            let (chunk, tail) = rest.split_at_mut(base + usize::from(w < extra));
+            chunks.push(Shard(chunk));
+            rest = tail;
+        }
+        let mut chunks = chunks.into_iter();
+        let own = chunks.next().expect("at least one shard");
+
+        let barrier = EpochBarrier::new(shards - 1);
         std::thread::scope(|scope| {
             let b = &barrier;
-            let handles: Vec<_> = shards_vec
-                .into_iter()
-                .enumerate()
-                .map(|(idx, shard)| {
-                    scope.spawn(move || {
-                        // Capture the Shard wrapper whole: disjoint
-                        // field capture would otherwise move the raw
-                        // pointers individually, bypassing its Send.
-                        let shard = shard;
-                        // Poison the barrier if a NIC panics so the
-                        // coordinator fails fast instead of spinning.
-                        struct Guard<'a>(&'a EpochBarrier);
-                        impl Drop for Guard<'_> {
-                            fn drop(&mut self) {
-                                if std::thread::panicking() {
-                                    self.0.poison();
-                                }
+            // However the coordinator leaves the scope — done, or
+            // unwinding from its own NIC's panic or from `wait_done`
+            // on a dead worker — the workers must leave their wait
+            // loops, or the scope would wait for them forever.
+            struct Shutdown<'a>(&'a EpochBarrier);
+            impl Drop for Shutdown<'_> {
+                fn drop(&mut self) {
+                    self.0.shutdown();
+                }
+            }
+            let _shutdown = Shutdown(b);
+            for (idx, shard) in chunks.enumerate() {
+                let worker = scope.spawn(move || {
+                    // Poison the barrier if a NIC panics so the
+                    // coordinator's `wait_done` fails instead of
+                    // spinning.
+                    struct Poison<'a>(&'a EpochBarrier);
+                    impl Drop for Poison<'_> {
+                        fn drop(&mut self) {
+                            if std::thread::panicking() {
+                                self.0.poison();
                             }
                         }
-                        let _guard = Guard(b);
-                        let mut last = 0;
-                        while let Some(g) = b.wait_open(last) {
-                            last = g;
-                            let end = Ps(g * epoch.0);
-                            // SAFETY: generation `g` is open — the
-                            // coordinator is blocked in wait_done and
-                            // the chunk is exclusively this worker's;
-                            // the down-state vector is frozen for the
-                            // generation.
-                            let systems = unsafe { &mut *shard.systems };
-                            let up_at = unsafe { &*shard.up_at };
-                            let skipped = run_chunk(systems, up_at, end);
-                            unsafe { *shard.skipped += skipped };
-                            b.finish(idx, g);
-                        }
-                    })
-                })
-                .collect();
-            for h in &handles {
-                barrier.register_worker(h.thread().clone());
+                    }
+                    let _poison = Poison(b);
+                    let mut last = 0;
+                    while let Some(g) = b.wait_open(last) {
+                        last = g;
+                        // SAFETY: generation `g` is open and the chunk
+                        // is this worker's alone.
+                        unsafe { shard.run_epoch(Ps(g * epoch.0)) };
+                        b.finish(idx, g);
+                    }
+                });
+                b.register_worker(worker.thread().clone());
             }
             for k in 1..=total_epochs {
-                barrier.open(k);
-                barrier.wait_done(k);
-                // Exclusive section: all workers parked, all shard
+                b.open(k);
+                // SAFETY: generation `k` is open and the first chunk
+                // is the coordinator's alone.
+                unsafe { own.run_epoch(Ps(k * epoch.0)) };
+                b.wait_done(k);
+                // Exclusive section: all workers parked, all their
                 // writes acquired.
                 self.exchange(k, warm_epochs);
             }
-            barrier.shutdown();
         });
-        self.skipped += worker_skipped.iter().sum::<u64>();
     }
 
     /// The epoch-barrier frame exchange: complete due NIC resets, drain
@@ -478,18 +464,18 @@ impl Fleet {
     /// at an epoch boundary — never inside a worker's epoch — so the
     /// whole lifecycle is shard-invariant by construction.
     fn exchange(&mut self, k: u64, warm_epochs: u64) {
-        let boundary = Ps(k * self.epoch.0);
+        let epoch = self.cfg.fabric.link_latency;
+        let boundary = Ps(k * epoch.0);
         // Resets due: the watchdog detected the crash and the recovery
         // delay has elapsed — bring the NIC back as a fresh system.
-        for i in 0..self.cfg.nics {
-            if self.is_down(i) && boundary >= self.up_at[i] {
+        for i in 0..self.members.len() {
+            if self.members[i].down_until.is_some_and(|t| boundary >= t) {
                 self.reset_nic(i, boundary);
-                self.up_at[i] = Ps::ZERO;
             }
         }
         let mut offers: Vec<(Ps, usize, Vec<u8>)> = Vec::new();
-        for (src, sys) in self.systems.iter_mut().enumerate() {
-            for (w, frame) in sys.take_egress() {
+        for (src, m) in self.members.iter_mut().enumerate() {
+            for (w, frame) in m.sys.take_egress() {
                 offers.push((w, src, frame));
             }
         }
@@ -498,16 +484,17 @@ impl Fleet {
         offers.sort_unstable_by_key(|(w, src, _)| (w.0, *src));
         for (w, src, frame) in offers {
             if let Some(d) = self.fabric.offer(w, src, frame) {
-                if self.is_down(d.dst) {
+                let dst = &mut self.members[d.dst];
+                if dst.down_until.is_some() {
                     // The fabric delivered to a dead port: the frame is
                     // lost with the NIC, accounted when it resets.
-                    self.pending_lost[d.dst] += 1;
+                    dst.lost += 1;
                 } else {
-                    self.systems[d.dst].inject_rx(d.at, d.frame);
+                    dst.sys.inject_rx(d.at, d.frame);
                 }
             }
         }
-        if self.reliable {
+        if self.cfg.workload.reliable {
             // Acknowledgments ride out of band but pay the wire's
             // round-trip: a frame received at `t` is acknowledged to
             // its source at `t + 2E` (receiver → switch → sender),
@@ -515,46 +502,42 @@ impl Fleet {
             // conveyance is shard-invariant. Acks to a down NIC are
             // lost with it (its unacked state died anyway).
             let mut acks: Vec<(usize, u32, Ps)> = Vec::new();
-            for (i, sys) in self.systems.iter_mut().enumerate() {
-                if self.up_at[i] != Ps::ZERO {
-                    continue;
-                }
-                for (src, seq, t) in sys.take_acks() {
-                    acks.push((src as usize, seq, Ps(t.0 + 2 * self.epoch.0)));
+            for m in self.members.iter_mut().filter(|m| m.down_until.is_none()) {
+                for (src, seq, t) in m.sys.take_acks() {
+                    acks.push((src as usize, seq, Ps(t.0 + 2 * epoch.0)));
                 }
             }
             for (src, seq, at) in acks {
-                if !self.is_down(src) {
-                    self.systems[src].deliver_ack(at, seq);
+                let m = &mut self.members[src];
+                if m.down_until.is_none() {
+                    m.sys.deliver_ack(at, seq);
                 }
             }
         }
         // Crashes due: the NIC hangs whole at this boundary (onset
         // rounded up to the epoch grid). The watchdog's detection plus
         // recovery takes `watchdog_us`, rounded up to whole epochs.
-        for i in 0..self.cfg.nics {
-            if !self.is_down(i) && boundary >= self.crash_next[i] {
+        for m in &mut self.members {
+            if m.down_until.is_none() && boundary >= m.next_crash {
                 let plan = self.cfg.nic.faults.expect("crash schedule implies a plan");
                 let down = Ps::from_us(plan.watchdog_us.max(1));
-                let down_epochs = down.0.div_ceil(self.epoch.0).max(1);
-                self.up_at[i] = Ps(boundary.0 + down_epochs * self.epoch.0);
-                self.crash_next[i] = Ps(self.crash_next[i]
+                let down_epochs = down.0.div_ceil(epoch.0).max(1);
+                m.down_until = Some(Ps(boundary.0 + down_epochs * epoch.0));
+                m.next_crash = Ps(m
+                    .next_crash
                     .0
                     .saturating_add(Ps::from_us(plan.crash_period_us).0));
             }
         }
         if k == warm_epochs {
-            for (i, sys) in self.systems.iter_mut().enumerate() {
-                if self.up_at[i] != Ps::ZERO {
-                    // Down NICs are frozen mid-crash; their replacement
-                    // opens its own window at reset time.
-                    continue;
-                }
+            // Down NICs are frozen mid-crash; their replacement opens
+            // its own window at reset time.
+            for m in self.members.iter_mut().filter(|m| m.down_until.is_none()) {
                 // Quiet NICs may have skipped up to this boundary:
                 // bring every clock to it so all windows are equal
                 // (a provable no-op for the skipped ones).
-                sys.run_until(boundary);
-                sys.reset_window();
+                m.sys.run_until(boundary);
+                m.sys.reset_window();
             }
             self.fabric.reset_stats();
         }
@@ -569,20 +552,21 @@ impl Fleet {
     /// it lost — carries into the replacement so per-NIC accounting
     /// survives.
     fn reset_nic(&mut self, i: usize, at: Ps) {
-        let old = &self.systems[i];
+        let m = &mut self.members[i];
         // Frames that died with the NIC: driver-posted transmits not
         // yet completed and arrivals still queued on the wire, plus
         // fabric deliveries dropped while it was down.
-        let (dying, posted) = old.crash_state();
-        let mut carry = old.collect().errors.unwrap_or_default();
+        let (dying, posted) = m.sys.crash_state();
+        let mut carry = m.sys.collect().errors.unwrap_or_default();
         carry.nic_resets += 1;
-        carry.nic_reset_lost_frames += dying + std::mem::take(&mut self.pending_lost[i]);
+        carry.nic_reset_lost_frames += dying + std::mem::take(&mut m.lost);
 
         let schedule = self.cfg.workload.schedule(i, self.cfg.nics, self.horizon);
         let mut sys = build_member(&self.cfg, i, schedule, posted, at)
             .expect("replacement NIC build (config already validated)");
         sys.carry_errors(carry);
-        let old = std::mem::replace(&mut self.systems[i], sys);
+        let old = std::mem::replace(&mut m.sys, sys);
+        m.down_until = None;
         self.carry_probe.merge(old.probe());
     }
 }
@@ -632,22 +616,6 @@ fn build_member(
         .map_err(|e| FleetError(e.to_string()))
 }
 
-/// One epoch for one chunk of NICs: advance each to the boundary `end`
-/// and return how many were skipped — crashed (`up_at` nonzero: frozen
-/// until the watchdog resets it) or provably unable to act before
-/// `end`.
-fn run_chunk(systems: &mut [NicSystem<FrameTracker>], up_at: &[Ps], end: Ps) -> u64 {
-    let mut skipped = 0;
-    for (sys, up) in systems.iter_mut().zip(up_at) {
-        if *up == Ps::ZERO && sys.next_activity() <= end {
-            sys.run_until(end);
-        } else {
-            skipped += 1;
-        }
-    }
-    skipped
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -677,21 +645,32 @@ mod tests {
     #[test]
     fn rejects_bad_configs() {
         let horizon = Ps::from_us(100);
-        let mut cfg = small_cfg();
-        cfg.nics = 1;
-        assert!(Fleet::new(cfg, horizon).is_err());
-        let mut cfg = small_cfg();
-        cfg.shards = 9;
-        assert!(Fleet::new(cfg, horizon).is_err());
-        let mut cfg = small_cfg();
-        cfg.nic.send_enabled = false;
-        assert!(Fleet::new(cfg, horizon).is_err());
-        let mut cfg = small_cfg();
-        cfg.nic.offered_tx_fps = Some(1e6);
-        assert!(Fleet::new(cfg, horizon).is_err());
-        let mut cfg = small_cfg();
-        cfg.fabric.link_latency = Ps(1_000);
-        assert!(Fleet::new(cfg, horizon).is_err(), "epoch under one cycle");
+        let spoiled = |spoil: fn(&mut FleetConfig)| {
+            let mut cfg = small_cfg();
+            spoil(&mut cfg);
+            cfg
+        };
+        let bad = [
+            ("one NIC", spoiled(|c| c.nics = 1)),
+            ("more shards than NICs", spoiled(|c| c.shards = 9)),
+            ("no shards", spoiled(|c| c.shards = 0)),
+            ("send disabled", spoiled(|c| c.nic.send_enabled = false)),
+            (
+                "offered-load pacing",
+                spoiled(|c| c.nic.offered_tx_fps = Some(1e6)),
+            ),
+            ("invalid NIC config", spoiled(|c| c.nic.cores = 0)),
+            (
+                "epoch under two cycles",
+                spoiled(|c| c.fabric.link_latency = Ps(1_000)),
+            ),
+        ];
+        for (what, cfg) in bad {
+            // validate refuses without building, and new agrees.
+            assert!(cfg.validate(horizon).is_err(), "{what}: validate");
+            assert!(Fleet::new(cfg, horizon).is_err(), "{what}: new");
+        }
+        assert_eq!(small_cfg().validate(horizon), Ok(()));
     }
 
     #[test]
@@ -703,6 +682,7 @@ mod tests {
         let mut cfg = small_cfg();
         cfg.workload.fps = 1e7;
         let err = Fleet::new(cfg, Ps::from_ms(2_000)).err().expect("refused");
+        assert_eq!(cfg.validate(Ps::from_ms(2_000)), Err(err.clone()));
         assert!(
             err.0.contains("NIC 0") && err.0.contains("20000000"),
             "{err}"

@@ -72,7 +72,9 @@ fn shard_count_is_unobservable() {
             reference.fabric.delivered > 0,
             "{dispatch:?}: no fabric traffic — the identity check is vacuous"
         );
-        for shards in [2usize, 4] {
+        // 5 is the NIC count: every chunk, the coordinator's
+        // included, is one NIC.
+        for shards in [2usize, 4, 5] {
             let sharded = run(base_cfg(dispatch, shards));
             assert_identical(
                 &reference,

@@ -62,7 +62,9 @@ fn assert_identical(a: &FleetStats, b: &FleetStats, label: &str) {
 
 /// Every fault class at once — fabric and NIC sites, crashes, reliable
 /// retransmission — and the result is still bit-identical across shard
-/// counts {1, 2, 4} and both dispatch modes.
+/// counts {1, 2, 3, 4} and both dispatch modes. At 3 the coordinator's
+/// chunk holds two NICs and each worker's one; at 4 (the NIC count)
+/// every chunk, the coordinator's included, is one NIC.
 #[test]
 fn faulted_fleet_is_shard_invariant() {
     let plan = FaultPlan::parse(
@@ -83,7 +85,7 @@ fn faulted_fleet_is_shard_invariant() {
             errors.injected() > 0,
             "{dispatch:?}: no faults injected — shard invariance is vacuous"
         );
-        for shards in [2usize, 4] {
+        for shards in [2usize, 3, 4] {
             let mut cfg = base_cfg(dispatch, shards);
             cfg.workload.reliable = true;
             cfg.workload.rto_us = 40;

@@ -7,11 +7,12 @@
 //!
 //! Parallelism lives one level up: NICs in a fleet are causally
 //! independent within an epoch, so the fleet engine runs shards of them
-//! on worker threads in lockstep. [`EpochBarrier`] is that rendezvous: a
+//! on threads in lockstep. [`EpochBarrier`] is that rendezvous: a
 //! generation-numbered open/finish handshake. The coordinator *opens*
 //! generation `g` (publishing all prior writes), every worker does its
-//! disjoint slice of work and *finishes* `g`, and the coordinator
-//! *waits* for the finishes (acquiring all the workers' writes).
+//! disjoint slice of work and *finishes* `g` while the coordinator does
+//! its own slice, and the coordinator then *waits* for the finishes
+//! (acquiring all the workers' writes).
 //! Determinism follows from the disjointness of the slices, not from
 //! timing: any interleaving of the threads between open and finish
 //! produces the same state.
@@ -46,9 +47,10 @@ struct DoneSlot(AtomicU64);
 ///
 /// Protocol per epoch: the coordinator *opens* generation `g`
 /// (publishing the frames injected since the last epoch), every worker
-/// runs its shard of NICs up to the epoch boundary and *finishes* `g`,
-/// and the coordinator *waits* for all `n` finishes (acquiring every
-/// shard's writes) before exchanging frames through the fabric.
+/// runs its shard of NICs up to the epoch boundary and *finishes* `g`
+/// while the coordinator runs its own shard, and the coordinator then
+/// *waits* for all `n` finishes (acquiring every shard's writes) before
+/// exchanging frames through the fabric.
 /// Determinism follows from the disjointness of the shards plus the
 /// fabric's canonical ordering, not from thread timing.
 #[derive(Debug)]
@@ -68,8 +70,8 @@ pub struct EpochBarrier {
 }
 
 impl EpochBarrier {
-    /// A barrier for `n` workers at generation 0 (nothing open,
-    /// nothing done).
+    /// A barrier for `n` workers (0 is legal) at generation 0
+    /// (nothing open, nothing done).
     pub fn new(n: usize) -> EpochBarrier {
         let parallelism = std::thread::available_parallelism().map_or(1, |p| p.get());
         Self::with_spin(n, if parallelism > n { SPIN } else { 0 })
@@ -78,9 +80,10 @@ impl EpochBarrier {
     /// A barrier with an explicit spin budget. `with_spin(n, 0)` is the
     /// path an oversubscribed host takes: every wait goes straight to
     /// yield/park, which must still make progress (the unit tests pin
-    /// this down without needing such a host).
+    /// this down without needing such a host). `n` may be 0: a
+    /// coordinator with no workers, whose `open` and `wait_done`
+    /// return at once.
     pub fn with_spin(n: usize, spin: u32) -> EpochBarrier {
-        assert!(n >= 1, "a barrier needs at least one worker");
         EpochBarrier {
             go: AtomicU64::new(0),
             done: (0..n).map(|_| DoneSlot(AtomicU64::new(0))).collect(),
@@ -331,5 +334,83 @@ mod tests {
             worker.join()
         });
         assert!(handle.is_err(), "worker must have panicked");
+    }
+
+    /// Run `f` on its own thread and return whether it panicked, or
+    /// fail the test if it has not returned within ten seconds: a
+    /// regression here is a hang, which must fail rather than wedge
+    /// the suite.
+    fn panics_within_10s(f: impl FnOnce() + Send + 'static) -> bool {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            let _ = tx.send(r.is_err());
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("still running after 10 s: hung")
+    }
+
+    #[test]
+    fn epoch_barrier_without_workers_returns_at_once() {
+        // The fleet engine's single-shard case: the coordinator runs
+        // every NIC itself, so there is no one to wait for.
+        let panicked = panics_within_10s(|| {
+            let barrier = EpochBarrier::new(0);
+            assert_eq!(barrier.workers(), 0);
+            for gen in 1..=100u64 {
+                barrier.open(gen);
+                barrier.wait_done(gen);
+            }
+            barrier.shutdown();
+        });
+        assert!(!panicked);
+    }
+
+    #[test]
+    fn epoch_barrier_shutdown_on_unwind_releases_live_workers() {
+        // Two workers; one dies mid-generation while the other parks
+        // in wait_open. The coordinator's wait_done panics, and the
+        // shutdown its drop guard makes during the unwind lets the live
+        // worker leave, so thread::scope returns the panic instead of
+        // waiting for that worker forever. This is the fleet engine's
+        // shape.
+        struct Poison<'a>(&'a EpochBarrier);
+        impl Drop for Poison<'_> {
+            fn drop(&mut self) {
+                if std::thread::panicking() {
+                    self.0.poison();
+                }
+            }
+        }
+        struct Shutdown<'a>(&'a EpochBarrier);
+        impl Drop for Shutdown<'_> {
+            fn drop(&mut self) {
+                self.0.shutdown();
+            }
+        }
+        let panicked = panics_within_10s(|| {
+            let barrier = EpochBarrier::new(2);
+            std::thread::scope(|scope| {
+                let b = &barrier;
+                let _shutdown = Shutdown(b);
+                for idx in 0..2 {
+                    let worker = scope.spawn(move || {
+                        let _poison = Poison(b);
+                        let mut last = 0;
+                        while let Some(g) = b.wait_open(last) {
+                            last = g;
+                            assert!(idx == 0 || g < 2, "shard blew up");
+                            b.finish(idx, g);
+                        }
+                    });
+                    b.register_worker(worker.thread().clone());
+                }
+                for gen in 1..=3u64 {
+                    b.open(gen);
+                    b.wait_done(gen);
+                }
+            });
+        });
+        assert!(panicked, "the worker's panic must reach the caller");
     }
 }

@@ -145,7 +145,7 @@ echo "==> fleet fault plane (faulted shard-invariance, crash/reset, reliable del
 # same reason kernel_equivalence re-runs in release: a fully faulted
 # fleet (fabric corruption, flaps, squeezes, NIC crash/reset cycles,
 # reliable-mode retransmission) must be bit-identical across shard
-# counts {1, 2, 4} and both dispatch modes; crashed NICs must come
+# counts {1, 2, 3, 4} and both dispatch modes; crashed NICs must come
 # back and their lost frames be accounted; reliable mode must deliver
 # exactly-once under loss. The suite's zero-rate case is the fast-path
 # guard: an all-zeros plan arms nothing, so the run must be
@@ -155,7 +155,7 @@ echo "==> fleet fault plane (faulted shard-invariance, crash/reset, reliable del
 # every shard the same way.
 cargo test --release --quiet -p nicsim-fleet --test fault_determinism
 
-echo "==> usage errors (--faults bounds, --cores overrides, fleet shape, --trace, a faulted table3)"
+echo "==> usage errors (--faults bounds, --cores overrides, fleet shape, --trace, a faulted table3 and fig7)"
 # A --faults value that would wedge the retry loop or overflow a
 # duration is a usage error naming the key, in milliseconds, never a
 # hang: FaultPlan::validate bounds retries and every duration.
@@ -183,11 +183,11 @@ for bad in "table1 2" "table3 17" "table3 100"; do
         exit 1
     fi
 done
-# A fleet shape Fleet::new refuses is a usage error naming the flag
-# that asked for it, found before the first fleet runs: a NIC count out
-# of range, a workload target beyond the fleet, an explicit shard count
-# above the NIC count. A --trace file in a missing directory is refused
-# by the parser, before fig7's 31 runs.
+# A fleet shape FleetConfig::validate refuses is a usage error naming
+# the flag that asked for it, found before the first fleet runs: a NIC
+# count out of range, a workload target beyond the fleet, an explicit
+# shard count above the NIC count. A --trace file in a missing
+# directory is refused by the parser, before fig7's 31 runs.
 for bad in "fleet --nics 1|--nics" "fleet --nics 300|--nics" \
     "fleet --nics 2 --workload pattern=incast,target=5|--workload" \
     "fleet --shards 9|--shards" "fig7 --trace /nonexistent/dir/x.json|--trace"; do
@@ -210,6 +210,19 @@ if ! grep -q '"err_' target/table3.json; then
     exit 1
 fi
 rm -f target/table3.json
+# fig7's --trace run starts from the grid's configured base, so the
+# plan reaches it as well: every row of fig7.json carries it, the
+# traced row included. Under the plan's link faults MAC RX publishes
+# error descriptors, which the traced run's lifecycle check must take.
+NICSIM_QUICK=1 NICSIM_RESULTS_DIR=target ./target/release/repro fig7 \
+    --trace target/fig7_trace.json --faults seed=1,rate=1e-3 --quiet >/dev/null
+rows=$(grep -c '"label"' target/fig7.json)
+faulted=$(grep -c '"faults": "seed=1,' target/fig7.json)
+if [ "$rows" -eq 0 ] || [ "$faulted" -ne "$rows" ]; then
+    echo "FAIL: repro fig7 --trace --faults: $faulted of $rows rows carry the plan"
+    exit 1
+fi
+rm -f target/fig7.json target/fig7_trace.json
 
 echo "==> benchmark package (perf/: unit tests + smoke run against these crates)"
 # perf/ is its own workspace, so nothing above compiles it. It measures
