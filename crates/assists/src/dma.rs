@@ -544,7 +544,7 @@ mod tests {
                 for c in self.fm.advance(now) {
                     eng.on_sdram_complete_probed(
                         c.tag,
-                        Some(c.data.as_deref().unwrap()),
+                        Some(self.fm.peek(c.addr, c.len)),
                         host,
                         now,
                         probe,

@@ -99,7 +99,8 @@ impl MacTx {
         probe: &mut P,
     ) {
         self.reads_outstanding -= 1;
-        let mut frame = data.to_vec();
+        let mut frame = Vec::with_capacity(data.len() + 4);
+        frame.extend_from_slice(data);
         frame.extend_from_slice(&[0u8; 4]); // MAC appends the FCS
         let start = now.max(self.wire_busy_until);
         let done = start + wire_time(frame.len());
@@ -273,6 +274,7 @@ impl MacRx {
             if P::ENABLED {
                 probe.emit(Event::MacRxDescPublish {
                     seq: d.seq,
+                    error: d.status == 2,
                     at: now,
                 });
             }
@@ -484,7 +486,7 @@ mod tests {
             xbar.tick(&mut sp);
             mac.tick_probed(now, &mut xbar, &sp, &mut fmem, &mut NullProbe);
             for c in fmem.advance(now) {
-                let data = c.data.as_deref().unwrap();
+                let data = fmem.peek(c.addr, c.len);
                 mac.on_sdram_complete_probed(c.tag as u32, c.at, data, &mut NullProbe);
             }
         }

@@ -14,13 +14,11 @@
 //!   entry writes its structured results to `results/<name>.json`
 //!   (schema documented in EXPERIMENTS.md).
 
-use nicsim::{ChromeTrace, Event, FrameTracker, Metrics, NicConfig, Probe};
+use nicsim::{ChromeTrace, FrameTracker, Metrics, NicConfig};
 use nicsim_cpu::PendingOp;
 use nicsim_exp::{latency_to_json, Experiment, RunReport};
 use nicsim_ilp::TraceOp;
 use nicsim_mem::SpOp;
-use nicsim_obs::RecoveryKind;
-use std::collections::HashSet;
 use std::path::Path;
 
 mod ablation;
@@ -107,12 +105,9 @@ pub fn select(names: &[String], argv: &[String]) -> Result<Vec<&'static Entry>, 
 /// the trace file cannot be written, or the frame lifecycle the probe
 /// observed is inconsistent (a start without a matching completion).
 pub fn traced_run(exp: &Experiment, label: &str, cfg: NicConfig, path: &Path) -> RunReport {
-    let probe = (
-        ChromeTrace::new(),
-        (AcceptedFrames::default(), Metrics::new()),
-    );
+    let probe = (ChromeTrace::new(), (FrameTracker::new(), Metrics::new()));
     let (mut report, sys) = exp.run_with_probe(label, cfg, probe);
-    let (chrome, (AcceptedFrames(tracker, _), metrics)) = sys.unwrap_probe();
+    let (chrome, (tracker, metrics)) = sys.unwrap_probe();
 
     let violations = tracker.violations();
     assert!(
@@ -145,33 +140,6 @@ pub fn traced_run(exp: &Experiment, label: &str, cfg: NicConfig, path: &Path) ->
         dma_wr.mean(),
     );
     report
-}
-
-/// A [`FrameTracker`] that never sees the error descriptor MAC RX
-/// publishes, under a link fault plan, for a frame it refused on a bad
-/// FCS ([`RecoveryKind::CrcDrop`]). That publish is no stage of an
-/// accepted frame's lifecycle; the bare tracker would count it as
-/// `desc` reached without `arrival`. The set holds the refused frames
-/// whose error descriptor is still to come.
-#[derive(Default)]
-struct AcceptedFrames(FrameTracker, HashSet<u32>);
-
-impl Probe for AcceptedFrames {
-    const CYCLE_EVENTS: bool = false;
-
-    fn emit(&mut self, ev: Event) {
-        match ev {
-            Event::Recovery {
-                kind: RecoveryKind::CrcDrop,
-                info,
-                ..
-            } => {
-                self.1.insert(info);
-            }
-            Event::MacRxDescPublish { seq, .. } if self.1.remove(&seq) => {}
-            _ => self.0.emit(ev),
-        }
-    }
 }
 
 /// Convert the operations a core charged into the ILP analyzer's trace
@@ -293,32 +261,5 @@ mod tests {
             Alu(1),
         ];
         assert_eq!(to_ilp_trace(&ops), want);
-    }
-
-    #[test]
-    fn an_error_descriptor_is_no_lifecycle_violation() {
-        use nicsim_obs::FaultUnit;
-        use nicsim_sim::Ps;
-        let mut p = AcceptedFrames::default();
-        let at = Ps(1_000);
-        p.emit(Event::MacRxArrival {
-            seq: 7,
-            len: 64,
-            dropped: true,
-            at,
-        });
-        p.emit(Event::Recovery {
-            kind: RecoveryKind::CrcDrop,
-            unit: FaultUnit::MacRx,
-            info: 7,
-            at,
-        });
-        p.emit(Event::MacRxDescPublish { seq: 7, at });
-        assert!(p.0.violations().is_empty());
-        assert!(p.1.is_empty());
-        // A publish with neither an arrival nor a CRC drop is still an
-        // orphan.
-        p.emit(Event::MacRxDescPublish { seq: 8, at });
-        assert_eq!(p.0.violations().len(), 1);
     }
 }

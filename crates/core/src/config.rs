@@ -3,7 +3,7 @@
 use nicsim_fault::FaultPlan;
 use nicsim_firmware::{DispatchMode, FwMode, MAX_CORES, MAX_DMA_ENGINES};
 use nicsim_mem::{ICacheConfig, MAX_XBAR_PORTS};
-use nicsim_net::{fabric::frame_len_for_payload, link::line_rate_fps};
+use nicsim_net::{frame::frame_len, link::line_rate_fps};
 
 /// How many DMA engine pairs the SoC instantiates beside its one MAC.
 ///
@@ -313,8 +313,6 @@ impl NicConfigBuilder {
         capture_ilp: bool,
         /// Deterministic fault-injection plan (`None` = clean run).
         faults: Option<FaultPlan>,
-        /// Frame-side unit counts (DMA engine pairs).
-        topology: Topology,
     }
 
     /// Number of DMA engine pairs (`1..=MAX_DMA_ENGINES`).
@@ -397,7 +395,7 @@ impl NicConfig {
         }
         // The wire bounds receive only: a faster send offer just keeps
         // the send window full.
-        let rx_max = line_rate_fps(frame_len_for_payload(self.udp_payload)).ceil();
+        let rx_max = line_rate_fps(frame_len(self.udp_payload)).ceil();
         for (direction, fps, max) in [
             ("tx", self.offered_tx_fps, f64::MAX),
             ("rx", self.offered_rx_fps, rx_max),

@@ -29,7 +29,7 @@ use nicsim_mem::{
 };
 use nicsim_net::link::RxGenerator;
 use nicsim_net::workload::TxPacket;
-use nicsim_obs::{DmaDir, Event, FaultKind, FaultUnit, NullProbe, Probe};
+use nicsim_obs::{DmaDir, Event, NullProbe, Probe};
 use nicsim_sim::{Freq, Ps};
 
 /// The assembled NIC + host + network simulation.
@@ -95,9 +95,6 @@ pub struct NicSystem<P: Probe = NullProbe> {
     pub(crate) window_start: Ps,
     /// Last abort count published to the host status block.
     pub(crate) aborts_published: u32,
-    /// Frame-bus read completions that arrived without data, recovered
-    /// by substituting an empty transfer instead of panicking.
-    pub(crate) fm_short_reads: u64,
     /// Whether the configured fault plan injects anything (the one stored
     /// copy). Sites are armed and aborts published only when set, so
     /// `--faults rate=0` costs nothing and is bit-identical to a clean
@@ -339,7 +336,6 @@ impl<P: Probe> SystemBuilder<P> {
             stepped_cycles: 0,
             window_start: boot_at,
             aborts_published: 0,
-            fm_short_reads: 0,
             faults_armed,
             fw_faults,
             carried_errors: ErrorStats::default(),
@@ -692,31 +688,21 @@ impl<P: Probe> NicSystem<P> {
                             &mut self.probe,
                         ),
                     StreamId::DmaWrite => {
-                        let data = match c.data.as_deref() {
-                            Some(d) => d,
-                            None => self.on_short_read(c.at),
-                        };
                         self.dmawrs[dma_tag_engine(c.tag)].on_sdram_complete_probed(
                             c.tag,
-                            Some(data),
+                            Some(self.fm.peek(c.addr, c.len)),
                             &mut self.host_mem,
                             c.at,
                             &mut self.probe,
                         );
                         self.driver_idle = false;
                     }
-                    StreamId::MacTx => {
-                        let data = match c.data.as_deref() {
-                            Some(d) => d,
-                            None => self.on_short_read(c.at),
-                        };
-                        self.mactx.on_sdram_complete_probed(
-                            c.tag as u32,
-                            c.at,
-                            data,
-                            &mut self.probe,
-                        )
-                    }
+                    StreamId::MacTx => self.mactx.on_sdram_complete_probed(
+                        c.tag as u32,
+                        c.at,
+                        self.fm.peek(c.addr, c.len),
+                        &mut self.probe,
+                    ),
                     StreamId::MacRx => self.macrx.on_sdram_complete_probed(c.at, &mut self.probe),
                 }
             }
@@ -736,24 +722,6 @@ impl<P: Probe> NicSystem<P> {
     /// reference kernel's step).
     fn step(&mut self) {
         self.step_inner(false);
-    }
-
-    /// Recover a frame-bus read completion that arrived without data:
-    /// count it, report it, and substitute an empty transfer. The
-    /// downstream unit completes its descriptor with nothing written,
-    /// which end-to-end validation then surfaces as a frame error.
-    #[cold]
-    fn on_short_read(&mut self, at: Ps) -> &'static [u8] {
-        self.fm_short_reads += 1;
-        if P::ENABLED {
-            self.probe.emit(Event::Fault {
-                kind: FaultKind::ShortRead,
-                unit: FaultUnit::FrameMemory,
-                info: 0,
-                at,
-            });
-        }
-        &[]
     }
 
     /// Aborted DMA reads are aborted transmit frames: publish the
@@ -929,14 +897,13 @@ impl<P: Probe> NicSystem<P> {
             + self.macrx.sp_accesses();
         let d = self.driver.stats();
         let window_cycles = core_ticks.max(1) as f64;
-        // Every site counts into its own error table; the six rows
+        // Every site counts into its own error table; the five rows
         // named here are the ones that live outside a site.
         let errors = self.cfg.faults.map(|_| {
             let mut e = ErrorStats {
                 crc_dropped: self.macrx.crc_dropped(),
                 rx_error_returns: d.rx_error_returns,
                 tx_retries: d.tx_retries,
-                fm_short_reads: self.fm_short_reads,
                 tx_retransmits: d.tx_retransmits,
                 rx_duplicates: d.rx_duplicates,
                 ..ErrorStats::default()

@@ -12,13 +12,13 @@
 //!   simulation results: `RunStats` from the probed run is bit-identical
 //!   to the `NullProbe` run of the same configuration.
 
-use nicsim::{Event, EventLog, FrameTracker, FwMode, NicConfig, NicSystem};
+use nicsim::{Event, EventLog, FrameTracker, FwMode, NicConfig, NicSystem, RunStats};
 use nicsim_sim::Ps;
 
 const WARMUP: Ps = Ps(100_000_000); // 100 us
 const WINDOW: Ps = Ps(150_000_000); // 150 us
 
-fn assert_lifecycle(cfg: NicConfig, label: &str) {
+fn assert_lifecycle(cfg: NicConfig, label: &str) -> RunStats {
     let mut plain = NicSystem::build(cfg).finish().unwrap();
     let base = plain.run_measured(WARMUP, WINDOW);
 
@@ -71,6 +71,7 @@ fn assert_lifecycle(cfg: NicConfig, label: &str) {
     if cfg.recv_enabled {
         assert!(s.rx_frames > 0, "{label}: no complete rx frames in window");
     }
+    stats
 }
 
 #[test]
@@ -129,6 +130,23 @@ fn lifecycle_in_ideal_mode_and_one_sided_traffic() {
         .build()
         .unwrap();
     assert_lifecycle(cfg, "send-only");
+}
+
+#[test]
+fn lifecycle_under_link_crc_faults() {
+    // MAC RX refuses a CRC-bad frame and publishes an error descriptor
+    // for it, flagged as such: the tracker must not take it for the
+    // descriptor stage of a frame that never arrived.
+    let cfg = NicConfig::builder()
+        .cores(2)
+        .cpu_mhz(300)
+        .faults_spec("seed=1,crc=0.05")
+        .unwrap()
+        .build()
+        .unwrap();
+    let stats = assert_lifecycle(cfg, "crc faults");
+    let crc_dropped = stats.errors.expect("a fault plan").crc_dropped;
+    assert!(crc_dropped > 0, "the plan refused no frame");
 }
 
 #[test]

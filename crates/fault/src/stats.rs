@@ -67,8 +67,8 @@ error_stats! {
     rx_error_returns: "err_rx_error_returns" OUTCOME,
     /// Aborted transmit frames the host driver accounted and re-posted.
     tx_retries: "err_tx_retries" OUTCOME,
-    /// Frame-bus read completions that arrived without data and were
-    /// recovered as aborted transfers.
+    /// Always 0: a frame-memory read completion names its burst, so none
+    /// can arrive without data. The row stays for the results schema.
     fm_short_reads: "err_fm_short_reads" OUTCOME,
     /// Payload bytes poisoned in host memory by a DMA write (caught by
     /// driver frame validation as `rx_corrupt`).

@@ -60,7 +60,9 @@ impl Default for FrameMemoryConfig {
     }
 }
 
-/// A completed burst, delivered by [`FrameMemory::advance`].
+/// A completed burst, delivered by [`FrameMemory::advance`]. It names
+/// the burst rather than carrying its bytes: a read's consumer takes
+/// them in place with [`FrameMemory::peek`]`(addr, len)`.
 #[derive(Debug, Clone)]
 pub struct SdramCompletion {
     /// Which stream issued the burst.
@@ -69,8 +71,10 @@ pub struct SdramCompletion {
     pub tag: u64,
     /// Completion time.
     pub at: Ps,
-    /// For reads, the bytes read; `None` for writes.
-    pub data: Option<Vec<u8>>,
+    /// First byte of the burst.
+    pub addr: u32,
+    /// Burst length in bytes.
+    pub len: u32,
 }
 
 #[derive(Debug)]
@@ -292,12 +296,6 @@ impl FrameMemory {
                     queued: self.queues[s].len() as u32,
                 });
             }
-            let data = if burst.write {
-                None
-            } else {
-                let a = burst.addr as usize;
-                Some(self.data[a..a + burst.len as usize].to_vec())
-            };
             debug_assert!(
                 self.completions.back().is_none_or(|c| c.at <= done),
                 "the bus completes bursts in grant order"
@@ -306,7 +304,8 @@ impl FrameMemory {
                 stream: StreamId::ALL[s],
                 tag: burst.tag,
                 at: done,
-                data,
+                addr: burst.addr,
+                len: burst.len,
             });
         }
         let ready = self.completions.partition_point(|c| c.at <= now);
@@ -336,7 +335,8 @@ impl FrameMemory {
         self.latency_max
     }
 
-    /// Functional peek (tests and debugging).
+    /// The bytes at `addr..addr + len`: how a read burst's consumer
+    /// takes the [`SdramCompletion`] it was handed.
     pub fn peek(&self, addr: u32, len: u32) -> &[u8] {
         &self.data[addr as usize..(addr + len) as usize]
     }
@@ -391,11 +391,11 @@ mod tests {
         m.submit_write(StreamId::MacRx, 64, &payload, 1, Ps::ZERO);
         let done = m.advance(Ps::from_us(1));
         assert_eq!(done.len(), 1);
-        assert!(done[0].data.is_none());
         m.submit_read(StreamId::DmaWrite, 64, 100, 2, Ps::from_us(1));
         let done = m.advance(Ps::from_us(2));
         assert_eq!(done.len(), 1);
-        assert_eq!(done[0].data.as_deref(), Some(&payload[..]));
+        assert_eq!((done[0].addr, done[0].len), (64, 100));
+        assert_eq!(m.peek(done[0].addr, done[0].len), &payload[..]);
     }
 
     #[test]
@@ -513,7 +513,7 @@ mod tests {
         assert_eq!(done[0].at, clean_at + Ps(8_000), "fixed correction cost");
         assert_eq!(m.fault_stats().unwrap().ecc_corrections, 1);
         // Data is corrected, not corrupted.
-        assert_eq!(done[0].data.as_deref(), Some(&[0u8; 256][..]));
+        assert_eq!(m.peek(done[0].addr, done[0].len), &[0u8; 256][..]);
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! runs can be compared for identical fabric behavior (order included)
 //! with a single `u64`.
 
-use crate::frame::{endpoints, seq_of, write_fcs, CRC_BYTES, HEADER_BYTES};
+use crate::frame::{endpoints, seq_of, write_fcs, CRC_BYTES};
 use crate::link::ETH_OVERHEAD_BYTES;
 use nicsim_fault::FabricFaults;
 use nicsim_sim::Ps;
@@ -299,12 +299,6 @@ impl Fabric {
     }
 }
 
-/// Frame length (including FCS) for a UDP payload of `udp_payload`
-/// bytes — the fabric-side mirror of the frame builder's padding rule.
-pub fn frame_len_for_payload(udp_payload: usize) -> usize {
-    (HEADER_BYTES + udp_payload).max(crate::frame::MIN_FRAME - CRC_BYTES) + CRC_BYTES
-}
-
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
@@ -501,15 +495,5 @@ mod tests {
         let s = fab.stats();
         assert_eq!(s.squeeze_drops, 1);
         assert_eq!(s.dropped, 1);
-    }
-
-    #[test]
-    fn frame_len_matches_builder() {
-        for payload in [4usize, 18, 100, 1472] {
-            assert_eq!(
-                frame_len_for_payload(payload),
-                build_udp_frame(0, payload).len()
-            );
-        }
     }
 }

@@ -98,6 +98,12 @@ fn chunk_offset(seq: u32, k: usize) -> u8 {
     base.wrapping_add(k.wrapping_mul(31 * 32 + 1)) as u8
 }
 
+/// Length (including FCS) of the frame that carries `udp_payload` bytes
+/// of UDP data: the header stack and payload, padded to [`MIN_FRAME`].
+pub fn frame_len(udp_payload: usize) -> usize {
+    (HEADER_BYTES + udp_payload).max(MIN_FRAME - CRC_BYTES) + CRC_BYTES
+}
+
 /// Build a complete frame carrying `udp_payload` bytes of UDP data and
 /// the given sequence number. Returns the frame bytes including a zeroed
 /// 4-byte FCS placeholder (the MAC model treats FCS as opaque).
@@ -120,9 +126,7 @@ pub fn build_udp_frame(seq: u32, udp_payload: usize) -> Vec<u8> {
     assert!(udp_payload >= 4, "payload must hold the 4-byte sequence");
     assert!(udp_payload <= MAX_UDP_PAYLOAD, "payload exceeds 1472 bytes");
     let wire_payload = udp_payload;
-    let len_no_pad = HEADER_BYTES + wire_payload;
-    let eth_len = len_no_pad.max(MIN_FRAME - CRC_BYTES);
-    let mut f = vec![0u8; eth_len + CRC_BYTES];
+    let mut f = vec![0u8; frame_len(udp_payload)];
 
     // Ethernet: dst, src, ethertype IPv4.
     f[0..6].copy_from_slice(&[0x02, 0, 0, 0, 0, 0x01]);
@@ -307,6 +311,13 @@ mod tests {
     fn max_frame_is_1518() {
         let f = build_udp_frame(0, 1472);
         assert_eq!(f.len(), MAX_FRAME);
+    }
+
+    #[test]
+    fn frame_len_matches_builder() {
+        for payload in [4usize, 18, 100, 1472] {
+            assert_eq!(frame_len(payload), build_udp_frame(0, payload).len());
+        }
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! that is (1518 + 20) * 0.8 ns = 1230.4 ns, i.e. the paper's 812,744
 //! frames per second per direction.
 
-use crate::frame::{build_udp_frame, validate_frame, write_fcs, FrameError};
+use crate::frame::{build_udp_frame, frame_len, validate_frame, write_fcs, FrameError};
 use nicsim_fault::{ErrorStats, LinkFault, LinkFaults};
 use nicsim_sim::Ps;
 use std::collections::VecDeque;
@@ -30,8 +30,7 @@ pub fn line_rate_fps(frame_len: usize) -> f64 {
 /// for a given datagram size — the "Ethernet Limit" curves of
 /// Figures 7 and 8.
 pub fn max_udp_throughput_gbps(udp_payload: usize) -> f64 {
-    let frame = build_udp_frame(0, udp_payload.max(4)).len();
-    line_rate_fps(frame) * (udp_payload as f64) * 8.0 / 1e9
+    line_rate_fps(frame_len(udp_payload)) * (udp_payload as f64) * 8.0 / 1e9
 }
 
 /// Where an [`RxGenerator`]'s frames come from.
@@ -69,12 +68,11 @@ pub struct RxGenerator {
 impl RxGenerator {
     /// Generate `udp_payload`-byte datagrams at line rate.
     pub fn new(udp_payload: usize) -> RxGenerator {
-        let frame_len = build_udp_frame(0, udp_payload.max(4)).len();
         RxGenerator {
             udp_payload,
             next_at: Ps::ZERO,
             seq: 0,
-            period: wire_time(frame_len),
+            period: wire_time(frame_len(udp_payload)),
             source: Source::Synth,
             faults: None,
             last_injection: None,

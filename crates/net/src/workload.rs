@@ -374,8 +374,7 @@ impl Workload {
                     burst_left -= 1;
                     if burst_left > 0 {
                         // Back-to-back within the burst: one wire time.
-                        crate::link::wire_time(crate::fabric::frame_len_for_payload(udp_payload)).0
-                            as f64
+                        crate::link::wire_time(crate::frame::frame_len(udp_payload)).0 as f64
                     } else {
                         // The off period carries the rest of the
                         // burst's share of the mean spacing.

@@ -341,8 +341,9 @@ impl Probe for ChromeTrace {
                 let name = if dropped { "drop" } else { "arrival" };
                 self.instant(Track::MacRx, name, at, Some(("seq", seq as u64)));
             }
-            Event::MacRxDescPublish { seq, at } => {
-                self.instant(Track::MacRx, "desc", at, Some(("seq", seq as u64)));
+            Event::MacRxDescPublish { seq, error, at } => {
+                let name = if error { "desc_error" } else { "desc" };
+                self.instant(Track::MacRx, name, at, Some(("seq", seq as u64)));
             }
             Event::HostTxPost { seq, at } => {
                 self.instant(Track::Driver, "tx_post", at, Some(("seq", seq as u64)));

@@ -104,8 +104,6 @@ pub enum FaultKind {
     EccSingleBit,
     /// An assist unit wedged (stuck until the watchdog resets it).
     AssistHang,
-    /// A frame-bus read completion arrived without data (short read).
-    ShortRead,
     /// A DMA write poisoned a payload byte as it landed in host memory.
     HostPoison,
 }
@@ -120,7 +118,6 @@ impl FaultKind {
             FaultKind::PciStall => "fault:pci_stall",
             FaultKind::EccSingleBit => "fault:ecc",
             FaultKind::AssistHang => "fault:hang",
-            FaultKind::ShortRead => "fault:short_read",
             FaultKind::HostPoison => "fault:host_poison",
         }
     }
@@ -327,10 +324,14 @@ pub enum Event {
         at: Ps,
     },
     /// The MAC RX assist published the receive descriptor for a frame
-    /// whose contents finished landing in frame memory.
+    /// whose contents finished landing in frame memory, or an error
+    /// descriptor for a frame it refused on a bad FCS.
     MacRxDescPublish {
         /// Frame sequence number.
         seq: u32,
+        /// True for an error descriptor (CRC status, no frame written):
+        /// no stage of an accepted frame's lifecycle.
+        error: bool,
         /// Simulated time.
         at: Ps,
     },

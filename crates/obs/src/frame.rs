@@ -310,7 +310,13 @@ impl Probe for FrameTracker {
             } => {
                 self.rx.entry(seq).or_default().arrival = Some(at);
             }
-            Event::MacRxDescPublish { seq, at } => {
+            // An error descriptor stands for a frame MAC RX refused on a
+            // bad FCS: no stage of an accepted frame's lifecycle.
+            Event::MacRxDescPublish {
+                seq,
+                error: false,
+                at,
+            } => {
                 self.rx.entry(seq).or_default().desc = Some(at);
             }
             Event::HostRxDeliver { seq, at, .. } => {
@@ -384,6 +390,7 @@ mod tests {
         });
         t.emit(Event::MacRxDescPublish {
             seq: 7,
+            error: false,
             at: Ps(900),
         });
         t.emit(Event::HostRxDeliver {
@@ -418,7 +425,32 @@ mod tests {
         });
         t.emit(Event::MacRxDescPublish {
             seq: 2,
+            error: false,
             at: Ps(400),
+        });
+        assert_eq!(t.violations().len(), 1);
+    }
+
+    #[test]
+    fn an_error_descriptor_is_no_lifecycle_violation() {
+        let mut t = FrameTracker::new();
+        t.emit(Event::MacRxArrival {
+            seq: 7,
+            len: 64,
+            dropped: true,
+            at: Ps(1_000),
+        });
+        t.emit(Event::MacRxDescPublish {
+            seq: 7,
+            error: true,
+            at: Ps(1_000),
+        });
+        assert!(t.violations().is_empty());
+        // A publish with no arrival is still an orphan.
+        t.emit(Event::MacRxDescPublish {
+            seq: 8,
+            error: false,
+            at: Ps(1_000),
         });
         assert_eq!(t.violations().len(), 1);
     }
@@ -457,6 +489,7 @@ mod tests {
                     });
                     t.emit(Event::MacRxDescPublish {
                         seq,
+                        error: false,
                         at: Ps(base + 2000 + 300 * (nic as u64 + 1)),
                     });
                     t.emit(Event::HostRxDeliver {

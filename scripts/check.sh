@@ -213,7 +213,8 @@ rm -f target/table3.json
 # fig7's --trace run starts from the grid's configured base, so the
 # plan reaches it as well: every row of fig7.json carries it, the
 # traced row included. Under the plan's link faults MAC RX publishes
-# error descriptors, which the traced run's lifecycle check must take.
+# error descriptors, flagged as such: the traced run's bare
+# FrameTracker must record none of them as a lifecycle stage.
 NICSIM_QUICK=1 NICSIM_RESULTS_DIR=target ./target/release/repro fig7 \
     --trace target/fig7_trace.json --faults seed=1,rate=1e-3 --quiet >/dev/null
 rows=$(grep -c '"label"' target/fig7.json)

@@ -125,8 +125,8 @@ fn frame_memory_handles_interleaved_duplex_streams() {
     for c in done {
         let i = (c.tag % 100) as usize;
         assert_eq!(
-            c.data.as_deref(),
-            Some(&frames[i][..]),
+            fm.peek(c.addr, c.len),
+            &frames[i][..],
             "stream {:?}",
             c.stream
         );
