@@ -25,7 +25,8 @@ use nicsim_firmware::{dispatch_loop, doorbell_words, DispatchMode, MemMap};
 use nicsim_host::driver::DRIVER_INTERVAL;
 use nicsim_host::{Driver, DriverConfig, HostLayout, HostMemory, Mailbox};
 use nicsim_mem::{
-    Crossbar, FrameMemory, FrameMemoryConfig, InstrMemory, Listener, Scratchpad, StreamId,
+    Crossbar, FrameMemory, FrameMemoryConfig, InstrMemory, Listener, Scratchpad, SdramCompletion,
+    StreamId,
 };
 use nicsim_net::link::RxGenerator;
 use nicsim_net::workload::TxPacket;
@@ -52,6 +53,9 @@ pub struct NicSystem<P: Probe = NullProbe> {
     pub(crate) xbar: Crossbar,
     pub(crate) imem: InstrMemory,
     pub(crate) fm: FrameMemory,
+    /// The frame memory's completions of the current step, drained as
+    /// they are routed: one buffer for the whole run.
+    pub(crate) fm_done: Vec<SdramCompletion>,
     pub(crate) cores: Vec<Core>,
     /// Per core, the cycle it must next be ticked on if the crossbar
     /// holds no response for it ([`Core::due`]).
@@ -320,6 +324,7 @@ impl<P: Probe> SystemBuilder<P> {
             xbar,
             imem,
             fm,
+            fm_done: Vec::new(),
             core_due: cores.iter().map(Core::due).collect(),
             cores,
             cycle: 0,
@@ -593,6 +598,12 @@ impl<P: Probe> NicSystem<P> {
             }
             self.frame_wake = self.frame_side_next_event();
         }
+        // A wake later than the due cycle's time falls on a later cycle,
+        // so only a wake that can bind pays `cycle_at`'s division.
+        let gap = (due - self.cycle).saturating_mul(self.cpu_period.0);
+        if self.frame_wake.0 > self.now.0.saturating_add(gap) {
+            return due;
+        }
         due.min(self.cycle_at(self.frame_wake))
     }
 
@@ -677,7 +688,9 @@ impl<P: Probe> NicSystem<P> {
         // or completion falling due).
         if !gate || self.fm.next_event() <= now {
             acted = true;
-            for c in self.fm.advance_probed(now, &mut self.probe) {
+            let mut done = std::mem::take(&mut self.fm_done);
+            self.fm.advance_probed(now, &mut done, &mut self.probe);
+            for c in done.drain(..) {
                 match c.stream {
                     StreamId::DmaRead => self.dmards[dma_tag_engine(c.tag)]
                         .on_sdram_complete_probed(
@@ -706,6 +719,7 @@ impl<P: Probe> NicSystem<P> {
                     StreamId::MacRx => self.macrx.on_sdram_complete_probed(c.at, &mut self.probe),
                 }
             }
+            self.fm_done = done;
         }
 
         // If nothing acted, nothing here changed: every `busy` stays
@@ -787,9 +801,16 @@ impl<P: Probe> NicSystem<P> {
             let idle = self.next_due - self.cycle - 1;
             if idle > 0 {
                 // Never skip past `until`: the loop must terminate on
-                // the same cycle the dense kernel would.
-                let remaining = (until.0 - self.now.0).div_ceil(self.cpu_period.0);
-                let skip = idle.min(remaining - 1);
+                // the same cycle the dense kernel would, so at most
+                // `ceil(left / period) - 1` cycles go. `idle` is below
+                // that exactly when `idle * period < left`, and then the
+                // clamp cannot bind and nothing is divided.
+                let (left, period) = (until.0 - self.now.0, self.cpu_period.0);
+                let skip = if idle.saturating_mul(period) < left {
+                    idle
+                } else {
+                    left.div_ceil(period) - 1
+                };
                 if skip > 0 {
                     // Only an idle driver's polls (no-ops) are skipped.
                     debug_assert!(
@@ -1276,6 +1297,117 @@ mod tests {
             assert_eq!(sys.cycle_at(at_or_before), 6, "due now: the next cycle");
         }
         assert_eq!(sys.cycle_at(Ps::MAX), u64::MAX);
+    }
+
+    /// A fleet member with nothing scheduled, in interrupt dispatch: its
+    /// core parks and its driver and frame side go quiet.
+    fn quiet_member() -> NicSystem<nicsim_obs::EventLog> {
+        let cfg = NicConfig {
+            cores: 1,
+            cpu_mhz: 500,
+            dispatch: DispatchMode::Interrupt,
+            ..NicConfig::default()
+        };
+        NicSystem::build(cfg)
+            .probe(nicsim_obs::EventLog::new())
+            .fleet_member(FleetMember {
+                src: 0,
+                schedule: Vec::new(),
+                first_seq: 0,
+                rto: None,
+                boot_at: Ps::ZERO,
+            })
+            .finish()
+            .unwrap()
+    }
+
+    /// `run_until(t)` ends on the dense kernel's cycle for `t` on a cycle
+    /// edge and 1 ps either side of it, whether the due cycle lies before
+    /// `t`'s last cycle (the skip fits), on it, just past it or nowhere
+    /// (the clamp binds). A due cycle lowered by hand is allowed: too
+    /// early only costs a no-op step.
+    #[test]
+    fn run_until_stops_on_the_dense_cycle_around_a_cycle_edge() {
+        let (mut dense, mut event) = (quiet_member(), quiet_member());
+        dense.run_until_dense(Ps::from_us(10));
+        event.run_until(Ps::from_us(10));
+        while event.next_due != u64::MAX {
+            assert!(event.now() < Ps::from_ms(1), "never quiet");
+            let next = event.now() + Ps(1);
+            dense.run_until_dense(next);
+            event.run_until(next);
+        }
+        let mut clamped = 0;
+        for offset in [-1, 0, 1] {
+            for ahead in [Some(99), Some(100), Some(101), None] {
+                // Cycle edge 100 cycles out, then `t` around it.
+                let edge = event.now.0 + 100 * event.cpu_period.0;
+                let t = Ps(edge.checked_add_signed(offset).unwrap());
+                if let Some(k) = ahead {
+                    event.next_due = event.next_due.min(event.cycle + k);
+                }
+                clamped += u32::from(event.next_due > event.cycle + 101);
+                dense.run_until_dense(t);
+                event.run_until(t);
+                let when = format!("offset {offset} ps, due {ahead:?}");
+                assert_eq!((event.cycle, event.now), (dense.cycle, dense.now), "{when}");
+                assert_eq!(event.collect(), dense.collect(), "{when}");
+            }
+        }
+        assert_eq!(clamped, 3, "the quiet member was due before `t`");
+        assert!(
+            dense.probe().events() == event.probe().events(),
+            "event streams diverged"
+        );
+    }
+
+    /// A sleeping frame side whose wake time is exactly the time of the
+    /// due cycle (here a live driver poll), or 1 ps either side of it:
+    /// the fold keeps that cycle, and the run matches the dense kernel.
+    /// A wake one whole cycle earlier binds instead.
+    #[test]
+    fn a_frame_wake_on_the_due_cycles_time_matches_dense() {
+        use nicsim_net::frame::{build_udp_frame, set_endpoints};
+        let period = Freq::from_mhz(500).period().0 as i64;
+        for offset in [-period, -1, 0, 1] {
+            let (mut dense, mut event) = (quiet_member(), quiet_member());
+            dense.run_until_dense(Ps::from_us(10));
+            event.run_until(Ps::from_us(10));
+            // Until nothing at all is due, and the next driver poll is
+            // at least two cycles past the next one.
+            while !(event.next_due == u64::MAX && (event.cycle + 2) % DRIVER_INTERVAL != 0) {
+                assert!(event.now() < Ps::from_ms(1), "side awake");
+                let next = event.now() + Ps(1);
+                dense.run_until_dense(next);
+                event.run_until(next);
+            }
+            // The poll after the next cycle, made live; a frame arrives
+            // on its time, give or take `offset`.
+            let poll = ((event.cycle + 1) / DRIVER_INTERVAL + 1) * DRIVER_INTERVAL;
+            let poll_at = event.now.0 + (poll - event.cycle) * event.cpu_period.0;
+            let at = Ps(poll_at.checked_add_signed(offset).unwrap());
+            let mut frame = build_udp_frame(0, 1472);
+            set_endpoints(&mut frame, 1, 0);
+            dense.inject_rx(at, frame.clone());
+            event.inject_rx(at, frame);
+            event.driver_idle = false;
+            // One step, whose fold sees the wake against the poll.
+            let next = event.now() + Ps(1);
+            dense.run_until_dense(next);
+            event.run_until(next);
+            assert!(event.frame_side_asleep(), "offset {offset} ps");
+            assert_eq!(event.frame_wake, at, "offset {offset} ps");
+            let wake_binds = u64::from(offset == -period);
+            assert_eq!(event.next_due, poll - wake_binds, "offset {offset} ps");
+            let end = at + Ps::from_us(20);
+            dense.run_until_dense(end);
+            event.run_until(end);
+            assert_eq!(dense.collect(), event.collect(), "offset {offset} ps");
+            assert!(
+                dense.probe().events() == event.probe().events(),
+                "offset {offset} ps: event streams diverged"
+            );
+        }
     }
 
     /// The fleet's quiet-epoch skip on one member: advanced to each 1 µs

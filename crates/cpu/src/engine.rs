@@ -35,8 +35,9 @@ const WAKE_DISPATCH_CYCLES: u32 = 2;
 enum Then {
     /// Take the firmware's next operation.
     Poll,
-    /// Submit this memory transaction to the crossbar.
-    Mem(SpRequest),
+    /// Submit the taken memory transaction ([`Core`]'s `req`) to the
+    /// crossbar.
+    Mem,
     /// Park the core until its wake line is raised (`wfi`).
     Park,
 }
@@ -54,7 +55,7 @@ enum State {
     },
     /// A memory op's last cycle has elapsed; it is submitted at the tail
     /// of the first cycle the buffered store no longer blocks the port.
-    WaitStoreDrain { req: SpRequest },
+    WaitStoreDrain,
     /// A load/RMW is in the crossbar; waiting for data. `stalled` once
     /// the load-use stall cycle is charged: every later one is a conflict.
     WaitMem { stalled: bool },
@@ -77,6 +78,9 @@ pub struct Core {
     /// Profiling tag of the operation being charged: the one current
     /// when it was issued, which the slot's tag may have moved past.
     func: FwFunc,
+    /// The last memory op taken, written once when it is taken and read
+    /// at its submit; the states between carry no copy of it.
+    req: SpRequest,
     store_inflight: bool,
     /// Level-triggered wake line, consumed when a parked core resumes.
     wake_pending: bool,
@@ -104,6 +108,10 @@ impl Core {
             fut: None,
             state: State::Poll,
             func: FwFunc::Idle,
+            req: SpRequest {
+                addr: 0,
+                op: SpOp::Read,
+            },
             store_inflight: false,
             wake_pending: false,
             icache: ICache::new(icache_cfg),
@@ -180,10 +188,9 @@ impl Core {
                 last + u64::from(matches!(then, Then::Poll))
             }
             State::Parked if self.wake_pending => self.cycle + 1,
-            State::WaitMem { .. }
-            | State::WaitStoreDrain { .. }
-            | State::Parked
-            | State::Halted => u64::MAX,
+            State::WaitMem { .. } | State::WaitStoreDrain | State::Parked | State::Halted => {
+                u64::MAX
+            }
         }
     }
 
@@ -192,10 +199,7 @@ impl Core {
     /// response becomes consumable, which no due cycle can say.
     #[inline]
     pub fn awaits_response(&self) -> bool {
-        matches!(
-            self.state,
-            State::WaitMem { .. } | State::WaitStoreDrain { .. }
-        )
+        matches!(self.state, State::WaitMem { .. } | State::WaitStoreDrain)
     }
 
     /// Whether the core is parked on `wfi`.
@@ -269,12 +273,12 @@ impl Core {
         true
     }
 
-    /// Put `req` on the (free) crossbar port. A store is buffered, so
-    /// the core moves on; anything else waits for its data.
+    /// Put the taken memory op on the (free) crossbar port. A store is
+    /// buffered, so the core moves on; anything else waits for its data.
     #[inline]
-    fn submit(&mut self, xbar: &mut Crossbar, req: SpRequest) {
-        xbar.submit(self.id, req);
-        if matches!(req.op, SpOp::Write(_)) {
+    fn submit(&mut self, xbar: &mut Crossbar) {
+        xbar.submit(self.id, self.req);
+        if matches!(self.req.op, SpOp::Write(_)) {
             self.store_inflight = true;
             self.state = State::Poll;
         } else {
@@ -377,7 +381,7 @@ impl Core {
         // in: a load's data lets the dependent op issue this very cycle.
         if let State::WaitMem { .. } = self.state {
             if let Some(v) = xbar.take_response(self.id) {
-                self.slot.response.set(Some(v));
+                self.slot.deliver(v);
                 self.state = State::Poll;
             }
         }
@@ -388,14 +392,17 @@ impl Core {
                     let (exec, annul, then) = match op {
                         PendingOp::Alu(n) => (n, 0, Then::Poll),
                         PendingOp::Branch { mispredict } => (1, u32::from(mispredict), Then::Poll),
-                        PendingOp::Mem(req) => (1, 0, Then::Mem(req)),
+                        PendingOp::Mem(req) => {
+                            self.req = req;
+                            (1, 0, Then::Mem)
+                        }
                         PendingOp::Wfi => (1, 0, Then::Park),
                     };
                     debug_assert!(exec > 0, "alu(0) completes in `Op` without being queued");
                     let imiss = self.touch_code(exec, imem, now, probe);
                     let p = self.profile.func_mut(func);
                     p.instructions += exec as u64;
-                    p.mem_accesses += u64::from(matches!(then, Then::Mem(_)));
+                    p.mem_accesses += u64::from(matches!(then, Then::Mem));
                     self.state = State::Busy {
                         imiss,
                         exec,
@@ -411,7 +418,7 @@ impl Core {
                 // first cycle charges now; the firmware's `wfi` returns
                 // when it has elapsed.
                 self.wake_pending = false;
-                self.slot.response.set(Some(0));
+                self.slot.deliver(0);
                 self.state = State::Busy {
                     imiss: 0,
                     exec: WAKE_DISPATCH_CYCLES,
@@ -426,10 +433,8 @@ impl Core {
 
         // A memory op submits at the tail of its last cycle, or of the
         // (conflict) cycle the store buffer drains on.
-        if let State::WaitStoreDrain { req } = self.state {
-            if !self.store_inflight {
-                self.submit(xbar, req);
-            }
+        if matches!(self.state, State::WaitStoreDrain) && !self.store_inflight {
+            self.submit(xbar);
         }
         self.due()
     }
@@ -491,7 +496,7 @@ impl Core {
                 if *imiss + *exec + *annul == 0 {
                     self.state = match *then {
                         Then::Poll => State::Poll,
-                        Then::Mem(req) => State::WaitStoreDrain { req },
+                        Then::Mem => State::WaitStoreDrain,
                         // The `wfi` returns on resume.
                         Then::Park => State::Parked,
                     };
@@ -503,7 +508,7 @@ impl Core {
                 p.cycles[StallBucket::Conflict.index()] += n - load_use;
                 *stalled = true;
             }
-            State::WaitStoreDrain { .. } => p.cycles[StallBucket::Conflict.index()] += n,
+            State::WaitStoreDrain => p.cycles[StallBucket::Conflict.index()] += n,
             // The wake line is down: a raised one moves the core to its
             // 2-cycle dispatch before the cycle is charged.
             State::Parked => p.cycles[StallBucket::Exec.index()] += n,
@@ -703,6 +708,8 @@ mod attribution_tests {
     use crate::ctx::CoreCtx;
     use crate::func::{FwFunc, StallBucket};
     use nicsim_mem::Scratchpad;
+    use std::cell::{Cell, RefCell};
+    use std::rc::Rc;
 
     fn rig() -> (Core, Crossbar, Scratchpad, InstrMemory) {
         (
@@ -1248,6 +1255,102 @@ mod attribution_tests {
                     self.xbar.submit(port, req);
                 }
             }
+        }
+    }
+
+    /// Every value a firmware's loads returned, in order.
+    type Loaded = Rc<RefCell<Vec<u32>>>;
+
+    /// The [`Contended`] rig running three rounds, each of `lead` ops (a
+    /// store to word 0, then ALU ops) and then loads of word 0 and word
+    /// 16, both on the contended bank, as one pair or as two loads; every
+    /// round starts a batch. Also returns the firmware's poll count and
+    /// the values its loads returned.
+    fn pair_rig(paired: bool, lead: usize) -> (Contended, Rc<Cell<u32>>, Loaded) {
+        let polls = Rc::new(Cell::new(0));
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let (counter, log) = (polls.clone(), seen.clone());
+        let mut rig = Contended::with(move |ctx| {
+            let mut fw = Box::pin(async move {
+                ctx.set_func(FwFunc::SendFrame);
+                let mut sum = 0;
+                for round in 0..3 {
+                    ctx.store(0, sum + round).await;
+                    for _ in 1..lead {
+                        ctx.alu(1).await;
+                    }
+                    let (a, b) = if paired {
+                        ctx.load_pair(0, 16).await
+                    } else {
+                        (ctx.load(0).await, ctx.load(16).await)
+                    };
+                    log.borrow_mut().extend([a, b]);
+                    sum = a + b;
+                }
+            });
+            std::future::poll_fn(move |cx| {
+                counter.set(counter.get() + 1);
+                fw.as_mut().poll(cx)
+            })
+        });
+        rig.sp.poke(16, 7);
+        (rig, polls, seen)
+    }
+
+    /// Run the paired and the two-load firmware side by side: every tick
+    /// leaves both cores with the same profile, crossbar grants, due
+    /// cycle and probe events, the loads return the same values, and the
+    /// pair polls `fewer` times less per round. Returns the bank-conflict
+    /// cycles.
+    fn pair_matches_two_loads(lead: usize, contend: bool, fewer: u32) -> u64 {
+        let (mut pair, pair_polls, pair_seen) = pair_rig(true, lead);
+        let (mut two, two_polls, two_seen) = pair_rig(false, lead);
+        let mut cycle = 0;
+        while !two.core.halted() {
+            cycle += 1;
+            assert!(cycle < 500, "did not halt");
+            let mut due = [0; 2];
+            for (rig, due) in [&mut pair, &mut two].into_iter().zip(&mut due) {
+                rig.xbar.tick(&mut rig.sp);
+                *due = rig.tick(cycle);
+                if contend {
+                    rig.contend();
+                }
+            }
+            let when = format!("lead {lead}, contend {contend}, cycle {cycle}");
+            assert_eq!(due[0], due[1], "{when}");
+            assert_eq!(pair.core.profile(), two.core.profile(), "{when}");
+            for port in 0..4 {
+                let grants = |r: &Contended| r.xbar.port_stats(port).grants;
+                assert_eq!(grants(&pair), grants(&two), "port {port}, {when}");
+            }
+        }
+        assert!(pair.core.halted());
+        assert_eq!(pair.log.events(), two.log.events());
+        assert_eq!(*pair_seen.borrow(), [0, 7, 8, 7, 17, 7]);
+        assert_eq!(*two_seen.borrow(), *pair_seen.borrow());
+        assert_eq!(pair_polls.get() + 3 * fewer, two_polls.get());
+        pair.core.profile().bucket_cycles(StallBucket::Conflict)
+    }
+
+    #[test]
+    fn a_load_pair_charges_like_two_loads_with_one_poll_fewer() {
+        for lead in [1, 4] {
+            let quiet = pair_matches_two_loads(lead, false, 1);
+            let contended = pair_matches_two_loads(lead, true, 1);
+            assert!(contended > quiet, "lead {lead}: {contended} > {quiet}");
+        }
+    }
+
+    #[test]
+    fn a_pair_that_straddles_a_full_batch_matches_two_loads() {
+        use crate::slot::RUN_AHEAD;
+        for contend in [false, true] {
+            // The first load fills the batch: the second goes into the
+            // next one, after a poll, as a second `load` would.
+            pair_matches_two_loads(RUN_AHEAD - 1, contend, 0);
+            // The batch is full before the pair: both go into the next.
+            pair_matches_two_loads(RUN_AHEAD, contend, 1);
         }
     }
 

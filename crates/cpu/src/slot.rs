@@ -55,15 +55,20 @@ impl PendingOp {
 /// Shared state between one firmware future and its core engine.
 #[derive(Debug)]
 pub struct CoreSlot {
-    /// The batch: `ops[..issued]` were issued by the last poll, each with
-    /// the profiling tag current when it was issued; `ops[..charged]`
-    /// have been taken back by the engine.
-    ops: [Cell<(PendingOp, FwFunc)>; RUN_AHEAD],
+    /// The batch: `ops[..issued]` were issued by the last poll, each
+    /// with the profiling tag in `funcs` current when it was issued;
+    /// `ops[..charged]` have been taken back by the engine. Ops and tags
+    /// sit in separate cells so that each moves as whole words.
+    ops: [Cell<PendingOp>; RUN_AHEAD],
+    funcs: [Cell<FwFunc>; RUN_AHEAD],
     issued: Cell<usize>,
     charged: Cell<usize>,
     /// Result of the last result-bearing operation (set by the engine,
     /// taken by the future).
     pub(crate) response: Cell<Option<u32>>,
+    /// The response before it, still untaken: a [`crate::CoreCtx::load_pair`]'s
+    /// first load, which waits here while the engine charges the second.
+    pub(crate) early: Cell<Option<u32>>,
     /// Current profiling tag: what the firmware will issue under next.
     pub(crate) func: Cell<FwFunc>,
 }
@@ -73,10 +78,11 @@ impl CoreSlot {
     #[inline]
     pub(crate) fn push(&self, op: PendingOp) -> bool {
         let issued = self.issued.get();
-        let Some(cell) = self.ops.get(issued) else {
+        let (Some(cell), Some(func)) = (self.ops.get(issued), self.funcs.get(issued)) else {
             return false;
         };
-        cell.set((op, self.func.get()));
+        cell.set(op);
+        func.set(self.func.get());
         self.issued.set(issued + 1);
         true
     }
@@ -89,7 +95,7 @@ impl CoreSlot {
         if charged == issued {
             return None;
         }
-        let next = self.ops[charged].get();
+        let next = (self.ops[charged].get(), self.funcs[charged].get());
         if charged + 1 == issued {
             self.issued.set(0);
             self.charged.set(0);
@@ -99,11 +105,21 @@ impl CoreSlot {
         Some(next)
     }
 
+    /// Hand the future the result `v` of the op just charged. A response
+    /// the future has not taken yet moves to `early`: only a pair's
+    /// first load leaves one, since every other result-bearing op ends
+    /// the batch and the engine polls before the next response.
+    #[inline]
+    pub(crate) fn deliver(&self, v: u32) {
+        self.early.set(self.response.replace(Some(v)));
+    }
+
     /// Forget every issued operation and any undelivered response.
     pub(crate) fn clear(&self) {
         self.issued.set(0);
         self.charged.set(0);
         self.response.set(None);
+        self.early.set(None);
     }
 
     /// Operations issued and not yet taken by the engine.
@@ -125,10 +141,12 @@ pub type SharedSlot = Rc<CoreSlot>;
 /// Create a fresh shared slot.
 pub fn new_slot() -> SharedSlot {
     Rc::new(CoreSlot {
-        ops: std::array::from_fn(|_| Cell::new((PendingOp::Alu(0), FwFunc::Idle))),
+        ops: std::array::from_fn(|_| Cell::new(PendingOp::Alu(0))),
+        funcs: std::array::from_fn(|_| Cell::new(FwFunc::Idle)),
         issued: Cell::new(0),
         charged: Cell::new(0),
         response: Cell::new(None),
+        early: Cell::new(None),
         func: Cell::new(FwFunc::Idle),
     })
 }
@@ -151,9 +169,38 @@ mod tests {
         assert!(slot.push(PendingOp::Alu(3)));
         assert_eq!(slot.pop(), Some((PendingOp::Alu(3), FwFunc::SendFrame)));
         assert_eq!(slot.pop(), None);
-        slot.response.set(Some(7));
+        slot.deliver(7);
         assert_eq!(slot.response.take(), Some(7));
         assert_eq!(slot.response.take(), None);
+    }
+
+    #[test]
+    fn an_untaken_response_waits_in_early_for_the_next() {
+        let slot = new_slot();
+        slot.deliver(1);
+        assert_eq!(slot.early.get(), None, "nothing was untaken");
+        slot.deliver(2);
+        assert_eq!(
+            (slot.early.take(), slot.response.take()),
+            (Some(1), Some(2))
+        );
+        // A taken response leaves nothing behind for the next delivery.
+        slot.deliver(3);
+        assert_eq!((slot.early.take(), slot.response.take()), (None, Some(3)));
+    }
+
+    #[test]
+    fn clear_drops_an_undelivered_early_response() {
+        let slot = new_slot();
+        assert!(slot.push(LOAD));
+        assert!(slot.push(LOAD));
+        slot.pop();
+        slot.deliver(4);
+        slot.pop();
+        slot.deliver(5);
+        slot.clear();
+        assert_eq!((slot.early.get(), slot.response.get()), (None, None));
+        assert_eq!((slot.len(), slot.is_empty()), (0, true));
     }
 
     #[test]
@@ -221,10 +268,13 @@ mod tests {
         assert!(slot.push(LOAD));
         assert!(slot.push(PendingOp::Alu(1)));
         slot.pop();
-        slot.response.set(Some(9));
+        // A pair's first response, waiting for the second.
+        slot.deliver(8);
+        slot.deliver(9);
         core.install(async {});
         assert_eq!((slot.len(), slot.is_empty()), (0, true));
         assert_eq!(slot.pop(), None);
         assert_eq!(slot.response.take(), None);
+        assert_eq!(slot.early.take(), None);
     }
 }

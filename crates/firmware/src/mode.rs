@@ -256,10 +256,10 @@ pub async fn peek_bit_pending(ctx: &CoreCtx, bits: u32, commit_addr: u32) -> boo
     pending
 }
 
-/// Peek whether a work source has anything pending (two loads, no lock).
+/// Peek whether a work source has anything pending (two loads, no lock,
+/// issued as one pair: neither address depends on the other).
 pub async fn peek_work(ctx: &CoreCtx, avail_addr: u32, claim_addr: u32) -> bool {
-    let avail = ctx.load(avail_addr).await;
-    let claim = ctx.load(claim_addr).await;
+    let (avail, claim) = ctx.load_pair(avail_addr, claim_addr).await;
     ctx.alu(1).await;
     let has = avail != claim;
     if has {

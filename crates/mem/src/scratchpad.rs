@@ -17,7 +17,14 @@
 //! baseline "software-only" firmware synchronizes exclusively with these).
 
 /// An atomic operation performed at a scratchpad bank.
+///
+/// The tag is a whole word, so every payload sits on a word boundary
+/// and a copy of the op (or of the [`SpRequest`] holding it) is whole
+/// aligned words: with a byte tag, the bytes after it were moved as
+/// overlapping unaligned pieces that store-to-load forwarding cannot
+/// serve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
 pub enum SpOp {
     /// Read the 32-bit word; response is its value.
     Read,

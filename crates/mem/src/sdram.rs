@@ -232,14 +232,22 @@ impl FrameMemory {
     /// Advance the controller to `now`: start any bursts whose turn has
     /// come, and return all completions with `at <= now` (in time order).
     pub fn advance(&mut self, now: Ps) -> Vec<SdramCompletion> {
-        self.advance_probed(now, &mut NullProbe)
+        let mut done = Vec::new();
+        self.advance_probed(now, &mut done, &mut NullProbe);
+        done
     }
 
-    /// [`FrameMemory::advance`] with probe instrumentation: emits one
-    /// [`Event::FmBurst`] per serviced burst, carrying the bus grant and
-    /// completion times plus the stream's residual queue depth
-    /// (frame-memory occupancy).
-    pub fn advance_probed<P: Probe>(&mut self, now: Ps, probe: &mut P) -> Vec<SdramCompletion> {
+    /// [`FrameMemory::advance`] into the caller's `out` (appended, so a
+    /// buffer kept across calls allocates nothing in the steady state),
+    /// with probe instrumentation: emits one [`Event::FmBurst`] per
+    /// serviced burst, carrying the bus grant and completion times plus
+    /// the stream's residual queue depth (frame-memory occupancy).
+    pub fn advance_probed<P: Probe>(
+        &mut self,
+        now: Ps,
+        out: &mut Vec<SdramCompletion>,
+        probe: &mut P,
+    ) {
         // Start bursts while the bus frees up at or before `now`.
         loop {
             let free_at = self.busy_until;
@@ -309,7 +317,7 @@ impl FrameMemory {
             });
         }
         let ready = self.completions.partition_point(|c| c.at <= now);
-        self.completions.drain(..ready).collect()
+        out.extend(self.completions.drain(..ready));
     }
 
     /// Bytes moved over the bus including alignment padding (Table 4's

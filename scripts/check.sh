@@ -234,6 +234,27 @@ echo "==> benchmark package (perf/: unit tests + smoke run against these crates)
 # perf/results/.
 cargo test --quiet --manifest-path perf/Cargo.toml
 cargo run --release --quiet --manifest-path perf/Cargo.toml -- run --smoke
+# The smoke run's sim_digests, pinned: each hashes one workload's
+# simulated results (RunStats, or a fleet's per-NIC stats), so a change
+# that claims to leave the model alone, as a speed change must, leaves
+# all five as they are. kernel_equivalence pins five short runs of its
+# own; these are the benchmark's own scenarios, whose digests perf only
+# compares between two result files. A model change that moves one
+# updates its constant here, in the same commit, saying why.
+for pin in nic6_sat_1472=6794854cc8457e66 nic6_sat_18=efb6e7a1349d52b4 \
+    nic1_rx20k_irq=7e7b580e4665b398 fleet8_uniform=24e6d85ba5e4dc91 \
+    fleet8_faulted=468e97be220847ac; do
+    workload=${pin%=*}
+    want=${pin#*=}
+    got=$(awk -v w="\"workload\": \"$workload\"" '
+        index($0, w) { found = 1 }
+        found && /"sim_digest"/ { gsub(/[",]/, "", $2); print $2; exit }
+    ' perf/results/latest.json)
+    if [ "$got" != "$want" ]; then
+        echo "FAIL: perf run --smoke: $workload sim_digest is '$got', pinned $want"
+        exit 1
+    fi
+done
 # perf reads result files with the crates' JSON parser, whose recursion
 # is bounded: 100,000 nested arrays are a parse error naming the file
 # (exit 2), not a stack overflow that kills the process on a signal.

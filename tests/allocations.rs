@@ -71,6 +71,6 @@ fn steady_state(udp_payload: usize) -> (u64, u64) {
 
 #[test]
 fn steady_state_allocations_are_pinned() {
-    assert_eq!(steady_state(1472), (2_647, 608), "1472-byte datagrams");
-    assert_eq!(steady_state(18), (8_576, 712), "18-byte datagrams");
+    assert_eq!(steady_state(1472), (992, 608), "1472-byte datagrams");
+    assert_eq!(steady_state(18), (6_710, 712), "18-byte datagrams");
 }
