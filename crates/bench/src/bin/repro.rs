@@ -3,6 +3,8 @@
 //! `results/<name>.json` (`repro all`: every entry). Every name and
 //! flag is checked before the first run; a bad one exits with status 2.
 
+#![forbid(unsafe_code)]
+
 use nicsim_bench::{select, Args};
 
 fn main() {

@@ -147,7 +147,7 @@ pub fn run(args: &Args) {
 
     let mut failures = Vec::new();
 
-    println!("uniform: {} NICs, workload {:?}", nics, uniform.workload);
+    println!("uniform: {nics} NICs, workload {}", uniform.workload.spec());
     println!("{:>8} {:>10}", "shards", "identical");
     let mut scaling: Vec<(usize, Duration, FleetStats)> = Vec::new();
     for &s in &counts {
@@ -291,13 +291,10 @@ pub fn run(args: &Args) {
         .with("warmup_us", warmup.0 / 1_000_000)
         .with("window_us", window.0 / 1_000_000)
         .with("epochs", reference.epochs)
-        .with(
-            "uniform",
-            fleet_json(reference, &format!("{:?}", uniform.workload)),
-        )
+        .with("uniform", fleet_json(reference, &uniform.workload.spec()))
         .with(
             "incast",
-            fleet_json(&incast, &format!("{:?}", incast_cfg.workload)).with(
+            fleet_json(&incast, &incast_cfg.workload.spec()).with(
                 "victim_port_max_occupancy_bytes",
                 incast.ports[0].max_occupancy,
             ),

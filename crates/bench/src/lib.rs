@@ -14,6 +14,8 @@
 //!   entry writes its structured results to `results/<name>.json`
 //!   (schema documented in EXPERIMENTS.md).
 
+#![forbid(unsafe_code)]
+
 use nicsim::{ChromeTrace, FrameTracker, Metrics, NicConfig};
 use nicsim_cpu::PendingOp;
 use nicsim_exp::{latency_to_json, Experiment, RunReport};

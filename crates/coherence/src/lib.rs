@@ -13,6 +13,8 @@
 //! access trace against one private cache per requester, maintaining a
 //! directory of sharers, and reports hit ratios and invalidation counts.
 
+#![forbid(unsafe_code)]
+
 use std::collections::HashMap;
 
 /// Cache line coherence state.

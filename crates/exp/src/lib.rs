@@ -37,6 +37,8 @@
 //! exp.finish(runs, None).unwrap(); // results/freq_scan.json
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod json;
 pub mod report;

@@ -36,6 +36,8 @@
 //! and the simulator's behavior (and `RunStats`) is bit-identical to a
 //! build without this crate wired in.
 
+#![forbid(unsafe_code)]
+
 mod dma;
 mod ecc;
 mod fabric;

@@ -3,7 +3,7 @@
 //! `parse`, `spec`, `validate` and `is_noop` walk.
 
 use crate::{SITE_NIC_CRASH_BASE, SITE_NIC_PLAN_BASE};
-use nicsim_sim::{Ps, XorShift64};
+use nicsim_sim::{Ps, Spec, XorShift64};
 
 /// Most retry attempts a plan may ask for before a failing DMA command
 /// aborts ([`FaultPlan::validate`]).
@@ -57,6 +57,9 @@ macro_rules! fault_plan {
                 FaultPlan { $($field: $default,)* }
             }
         }
+
+        /// The spec keys: [`KEYS`]' names, then the `rate` shorthand.
+        const NAMES: &[&str] = &[$($key,)* "rate"];
 
         /// The spec grammar, one row per [`FaultPlan`] field.
         const KEYS: &[Key] = &[$(Key {
@@ -138,31 +141,27 @@ fault_plan! {
 impl FaultPlan {
     /// A plan applying `rate` uniformly to the per-event fault classes
     /// (link corruption, truncation at a tenth, DMA errors, stalls,
-    /// ECC) — the axis the `fault_sweep` bench walks.
+    /// ECC) — the axis the `fault_sweep` bench walks, and what the
+    /// `rate=` shorthand sets.
     pub fn with_rate(seed: u64, rate: f64) -> FaultPlan {
-        let mut plan = FaultPlan {
+        FaultPlan {
             seed,
+            link_corrupt: rate,
+            link_truncate: rate * 0.1,
+            dma_error: rate,
+            dma_stall: rate,
+            ecc: rate,
             ..FaultPlan::default()
-        };
-        plan.set_rate(rate);
-        plan
+        }
     }
 
-    /// What [`FaultPlan::with_rate`] and the `rate=` shorthand both do.
-    fn set_rate(&mut self, rate: f64) {
-        self.link_corrupt = rate;
-        self.link_truncate = rate * 0.1;
-        self.dma_error = rate;
-        self.dma_stall = rate;
-        self.ecc = rate;
-    }
-
-    /// Parse a `--faults` spec: a comma-separated `key=value` list.
+    /// Parse a `--faults` spec: a comma-separated `key=value` list in
+    /// any order, each key at most once ([`Spec`]).
     ///
     /// | key           | meaning                                    |
     /// |---------------|--------------------------------------------|
     /// | `seed`        | master seed (u64, default 1)               |
-    /// | `rate`        | shorthand: sets `crc`, `dma`, `stall`, `ecc` to the value and `trunc` to a tenth |
+    /// | `rate`        | shorthand: sets `crc`, `dma`, `stall`, `ecc` to the value and `trunc` to a tenth; none of those five may be given with it |
     /// | `crc`         | per-frame link corruption probability      |
     /// | `trunc`       | per-frame link truncation probability      |
     /// | `dma`         | per-command transient DMA error probability|
@@ -188,26 +187,27 @@ impl FaultPlan {
     ///
     /// # Errors
     ///
-    /// Returns a description of the first malformed entry, or what
+    /// Returns a description naming the first malformed item, or what
     /// [`FaultPlan::validate`] rejects.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
-        let mut plan = FaultPlan::default();
-        for item in spec.split(',').filter(|s| !s.trim().is_empty()) {
-            let (key, value) = item
-                .split_once('=')
-                .ok_or_else(|| format!("'{item}': expected key=value"))?;
-            let (key, value) = (key.trim(), value.trim());
-            let bad_value = || format!("'{item}': bad value for {key}");
-            if key == "rate" {
-                plan.set_rate(value.parse().map_err(|_| bad_value())?);
+        let mut given = Spec::read(spec, NAMES)?;
+        let default = FaultPlan::default();
+        let rate = given.take(KEYS.len());
+        let mut plan = match rate {
+            Some(_) => FaultPlan::with_rate(default.seed, given.value("rate", 0.0)?),
+            None => default,
+        };
+        // The classes `rate` sets are the rows it moves off their default.
+        let rated = FaultPlan::with_rate(default.seed, 1.0);
+        for (row, k) in KEYS.iter().enumerate() {
+            let Some(text) = given.take(row) else {
                 continue;
+            };
+            if let Some(r) = rate.filter(|_| (k.num)(&rated) != (k.num)(&default)) {
+                return Err(format!("rate={r}: also sets {}, which is given", k.name));
             }
-            let k = KEYS
-                .iter()
-                .find(|k| k.name == key)
-                .ok_or_else(|| format!("'{item}': unknown key '{key}'"))?;
-            if !(k.set)(&mut plan, value) {
-                return Err(bad_value());
+            if !(k.set)(&mut plan, text) {
+                return Err(format!("{}={text}: bad value", k.name));
             }
         }
         plan.validate()?;

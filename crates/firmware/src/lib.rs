@@ -32,6 +32,8 @@
 //! * [`FwMode::Ideal`] — single-core, all synchronization elided; used to
 //!   measure the intrinsic per-function costs of Table 1.
 
+#![forbid(unsafe_code)]
+
 pub mod dispatch;
 pub mod handlers;
 pub mod map;

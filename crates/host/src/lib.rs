@@ -14,6 +14,8 @@
 //! and latency are **not** modeled: DMA reads/writes against host memory
 //! are functionally instantaneous, and mailbox writes land immediately.
 
+#![forbid(unsafe_code)]
+
 pub mod driver;
 pub mod memory;
 

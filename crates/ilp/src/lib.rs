@@ -20,6 +20,8 @@
 //! ([`expand`]) and computes the idealized IPC for each processor
 //! configuration ([`analyze`]).
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod expand;
 

@@ -7,6 +7,8 @@
 //! frame, CRC, interframe gap — and provides the traffic generator and
 //! transmit-side monitor that the simulator's "network model" is made of.
 
+#![forbid(unsafe_code)]
+
 pub mod fabric;
 pub mod frame;
 pub mod link;

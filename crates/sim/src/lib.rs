@@ -3,8 +3,9 @@
 //! This crate plays the role that the Liberty Simulation Environment (LSE)
 //! plays for Spinach in the paper, cut down to what the simulator uses:
 //! the picosecond time base ([`Ps`], [`Freq`]), round-robin arbitration
-//! ([`RoundRobin`]), the seeded random streams ([`XorShift64`]) and the
-//! fleet's epoch rendezvous ([`EpochBarrier`]). Everything is
+//! ([`RoundRobin`]), the seeded random streams ([`XorShift64`]), the
+//! fleet's epoch rendezvous ([`EpochBarrier`]) and the `key=value`
+//! reader every spec string goes through ([`Spec`]). Everything is
 //! deterministic: arbiters are round-robin with a fixed requester order,
 //! and every random stream is seeded.
 //!
@@ -22,9 +23,11 @@
 pub mod arbiter;
 pub mod domain;
 pub mod rng;
+pub mod spec;
 pub mod time;
 
 pub use arbiter::RoundRobin;
 pub use domain::EpochBarrier;
 pub use rng::XorShift64;
+pub use spec::Spec;
 pub use time::{Freq, Ps};

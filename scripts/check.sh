@@ -84,7 +84,7 @@ cargo test --release --quiet --test end_to_end
 # check on a faulted link, the fabric's fault path and its site state.
 cargo test --release --quiet -p nicsim-host -p nicsim-assists -p nicsim-net -p nicsim-fault
 
-echo "==> every registry entry (repro all, quick mode, ~1 min)"
+echo "==> every registry entry (repro all, quick mode, ~1 min), its output pinned"
 # Runs every table, figure and study once. Several assert their own
 # contracts in-process, and a nonzero exit is the gate:
 # * archsweep recomposes the SoC per point (crossbar ports, memory
@@ -108,9 +108,27 @@ echo "==> every registry entry (repro all, quick mode, ~1 min)"
 #   delivery on the low rungs, monotone delivery throughout.
 # * BENCH_trace validates its own output: lifecycle violations panic,
 #   and the written trace file must round-trip as non-empty JSON.
-NICSIM_QUICK=1 NICSIM_RESULTS_DIR=target \
-    ./target/release/repro all --quiet >/dev/null
-rm -f target/*.json
+# Then the output itself is pinned: scripts/quick_digests.sh sums each
+# entry's results file, run-to-run noise (wall time, jobs, stamp, trace
+# path) dropped, and fleet's printed result lines, and every sum must
+# equal its line in scripts/quick_digests.txt. A change that claims to
+# leave the model alone leaves all fifteen as they are; one that moves
+# the model rewrites the file and says why. The sums do not depend on
+# --jobs.
+rm -rf target/quick
+mkdir -p target/quick
+NICSIM_QUICK=1 NICSIM_RESULTS_DIR=target/quick \
+    ./target/release/repro all --quiet >target/quick/stdout.txt
+scripts/quick_digests.sh target/quick >target/quick/digests.txt
+moved=$(diff scripts/quick_digests.txt target/quick/digests.txt |
+    sed -n 's/^[<>] \([^ ]*\) .*/\1/p' | sort -u | tr '\n' ' ')
+if [ -n "$moved" ]; then
+    echo "FAIL: repro all quick-mode output moved for: $moved"
+    echo "      (pinned in scripts/quick_digests.txt; now:)"
+    cat target/quick/digests.txt
+    exit 1
+fi
+rm -rf target/quick
 # A retransmit timeout whose picosecond value would overflow the
 # driver's backoff shift is a usage error naming the key, not a wrapped
 # timeout: Workload::validate bounds rto_us at 100 s.
@@ -155,13 +173,16 @@ echo "==> fleet fault plane (faulted shard-invariance, crash/reset, reliable del
 # every shard the same way.
 cargo test --release --quiet -p nicsim-fleet --test fault_determinism
 
-echo "==> usage errors (--faults bounds, --cores overrides, fleet shape, --trace, a faulted table3 and fig7)"
+echo "==> usage errors (--faults bounds, --cores overrides, fleet shape, --workload grammar, --trace, a faulted table3 and fig7)"
 # A --faults value that would wedge the retry loop or overflow a
 # duration is a usage error naming the key, in milliseconds, never a
 # hang: FaultPlan::validate bounds retries and every duration.
 # One out-of-bounds value per kind of key rides along (a probability,
 # the Pareto shape; the two above are the retry count and a period).
-for bad in dma=1,retries=4294967295 hang_us=18446744073709551615 crc=2 stall_alpha=-1; do
+# So does a rate= shorthand given with a class it sets (crc here): the
+# value must not depend on key order.
+for bad in dma=1,retries=4294967295 hang_us=18446744073709551615 crc=2 stall_alpha=-1 \
+    crc=0.5,rate=1e-3; do
     key=${bad%=*}
     key=${key##*,}
     status=0
@@ -187,10 +208,15 @@ done
 # the flag that asked for it, found before the first fleet runs: a NIC
 # count out of range, a workload target beyond the fleet, an explicit
 # shard count above the NIC count. A --trace file in a missing
-# directory is refused by the parser, before fig7's 31 runs.
+# directory is refused by the parser, before fig7's 31 runs. A
+# --workload spec that repeats a key, names two size families, or gives
+# a key its pattern, sizes or arrivals do not use is refused naming it.
 for bad in "fleet --nics 1|--nics" "fleet --nics 300|--nics" \
     "fleet --nics 2 --workload pattern=incast,target=5|--workload" \
-    "fleet --shards 9|--shards" "fig7 --trace /nonexistent/dir/x.json|--trace"; do
+    "fleet --shards 9|--shards" "fig7 --trace /nonexistent/dir/x.json|--trace" \
+    "fleet --workload pattern=hotspot,target=1,pattern=hotspot|pattern=hotspot: key given twice" \
+    "fleet --workload size=200,small=100|size and small: two size families" \
+    "fleet --workload arrivals=cbr,burst=4|burst=4: does not apply"; do
     cmd=${bad%|*}
     flag=${bad#*|}
     status=0

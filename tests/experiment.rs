@@ -154,11 +154,12 @@ fn invalid_sweep_point_fails_before_running() {
 }
 
 /// Every run of every committed results file still rebuilds through
-/// `config_from_json` — what the file's `config` object is for.
+/// `config_from_json` — what the file's `config` object is for — and
+/// every fleet workload it records re-parses to the same spec.
 #[test]
 fn committed_results_reload() {
     let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("results");
-    let mut runs = 0;
+    let (mut runs, mut workloads) = (0, 0);
     for entry in std::fs::read_dir(dir).expect("results/ exists") {
         let path = entry.unwrap().path();
         if path.extension().is_none_or(|e| e != "json") {
@@ -174,6 +175,20 @@ fn committed_results_reload() {
             }
             runs += 1;
         }
+        // A fleet section records its workload as the spec that rebuilds it.
+        if let Some(Json::Obj(sections)) = doc.get("extra") {
+            for (name, section) in sections {
+                if let Some(spec) = section.get("workload").and_then(Json::as_str) {
+                    let parsed = nicsim_net::Workload::parse(spec).map(|w| w.spec());
+                    assert_eq!(parsed.as_deref(), Ok(spec), "{}: {name}", path.display());
+                    workloads += 1;
+                }
+            }
+        }
     }
     assert!(runs >= 84, "only {runs} runs under results/");
+    assert!(
+        workloads >= 2,
+        "only {workloads} workload specs under results/"
+    );
 }
