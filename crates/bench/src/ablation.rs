@@ -109,7 +109,7 @@ pub fn archsweep(args: &Args) {
         for e in engines {
             let mut cfg = base;
             cfg.cores = c;
-            cfg.topology.dma_engines = e;
+            cfg.dma_engines = e;
             specs.push(RunSpec::at(cfg, &[("cores", &c), ("dma_engines", &e)]));
         }
     }

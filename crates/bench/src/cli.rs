@@ -178,7 +178,7 @@ impl Args {
             cfg.cores = c;
         }
         if let Some(d) = self.dma_engines {
-            cfg.topology.dma_engines = d;
+            cfg.dma_engines = d;
         }
         cfg.validate()?;
         Ok(cfg)
@@ -306,7 +306,7 @@ mod tests {
         let cfg = args.configure(NicConfig::default());
         assert_eq!(cfg.dispatch, DispatchMode::Interrupt);
         assert_eq!(cfg.cores, 3);
-        assert_eq!(cfg.topology.dma_engines, 2);
+        assert_eq!(cfg.dma_engines, 2);
         // Overrides are validated against the configuration they land on.
         assert_eq!(
             args.try_configure(NicConfig::ideal()),
@@ -324,7 +324,7 @@ mod tests {
         let cfg = args.configure(NicConfig::default());
         assert_eq!(cfg.dispatch, DispatchMode::Polling);
         assert_eq!(cfg.cores, NicConfig::default().cores);
-        assert_eq!(cfg.topology, nicsim::Topology::default());
+        assert_eq!(cfg.dma_engines, 1);
         assert_eq!(cfg.faults, None, "no --faults, no plan");
     }
 

@@ -17,10 +17,7 @@
 #![forbid(unsafe_code)]
 
 use nicsim::{ChromeTrace, FrameTracker, Metrics, NicConfig};
-use nicsim_cpu::PendingOp;
 use nicsim_exp::{latency_to_json, Experiment, RunReport};
-use nicsim_ilp::TraceOp;
-use nicsim_mem::SpOp;
 use std::path::Path;
 
 mod ablation;
@@ -144,23 +141,6 @@ pub fn traced_run(exp: &Experiment, label: &str, cfg: NicConfig, path: &Path) ->
     report
 }
 
-/// Convert the operations a core charged into the ILP analyzer's trace
-/// alphabet (`wfi` counts as one ALU instruction).
-pub fn to_ilp_trace(ops: &[PendingOp]) -> Vec<TraceOp> {
-    ops.iter()
-        .map(|&op| match op {
-            PendingOp::Alu(n) => TraceOp::Alu(n),
-            PendingOp::Wfi => TraceOp::Alu(1),
-            PendingOp::Branch { mispredict } => TraceOp::Branch { mispredict },
-            PendingOp::Mem(req) => match req.op {
-                SpOp::Read => TraceOp::Load,
-                SpOp::Write(_) => TraceOp::Store,
-                _ => TraceOp::Rmw,
-            },
-        })
-        .collect()
-}
-
 /// Print a standard experiment header.
 pub fn header(what: &str, paper: &str) {
     println!("================================================================");
@@ -240,28 +220,5 @@ mod tests {
             files += 1;
         }
         assert_eq!(files, REGISTRY.len());
-    }
-
-    #[test]
-    fn ilp_trace_conversion_is_faithful() {
-        let mem = |op| PendingOp::Mem(nicsim_mem::SpRequest { addr: 0, op });
-        let ops = [
-            PendingOp::Alu(3),
-            mem(SpOp::Read),
-            mem(SpOp::Write(1)),
-            mem(SpOp::SetBit(2)),
-            PendingOp::Branch { mispredict: true },
-            PendingOp::Wfi,
-        ];
-        use TraceOp::{Alu, Branch, Load, Rmw, Store};
-        let want = [
-            Alu(3),
-            Load,
-            Store,
-            Rmw,
-            Branch { mispredict: true },
-            Alu(1),
-        ];
-        assert_eq!(to_ilp_trace(&ops), want);
     }
 }

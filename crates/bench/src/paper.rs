@@ -1,12 +1,14 @@
 //! The paper's tables and figures.
 
-use crate::{header, to_ilp_trace, traced_run, Args};
-use nicsim::{FwMode, NicConfig, NicConfigBuilder, NullProbe};
+use crate::{header, traced_run, Args};
+use nicsim::{Event, FwMode, NicConfig, NicConfigBuilder, Probe};
 use nicsim_coherence::{sweep_sizes, Access};
-use nicsim_cpu::{FwFunc, StallBucket};
+use nicsim_cpu::{FwFunc, PendingOp, StallBucket};
 use nicsim_exp::{Json, RunSpec};
-use nicsim_ilp::{analyze, expand, BranchModel, IssueOrder, PipelineModel, ProcessorConfig};
-use nicsim_mem::{AccessKind, AccessTrace};
+use nicsim_ilp::{
+    analyze, expand, BranchModel, IssueOrder, PipelineModel, ProcessorConfig, TraceOp,
+};
+use nicsim_mem::{AccessKind, AccessTrace, SpOp};
 use nicsim_net::link::max_udp_throughput_gbps;
 
 /// The idealized firmware on one 300 MHz core (Tables 1, 2 and 5).
@@ -73,6 +75,37 @@ pub fn table1(args: &Args) {
     exp.finish(vec![run], None).expect("write results");
 }
 
+/// Table 2's dynamic trace: the first `limit` ops core 0 takes, in the
+/// ILP analyzer's alphabet (`wfi` counts as one ALU instruction). A
+/// probe of the work events alone.
+struct IlpTrace {
+    ops: Vec<TraceOp>,
+    limit: usize,
+}
+
+impl Probe for IlpTrace {
+    const CYCLE_EVENTS: bool = false;
+    const WORK_EVENTS: bool = true;
+
+    fn emit(&mut self, ev: Event) {
+        let Event::OpTaken { core: 0, op, .. } = ev else {
+            return;
+        };
+        if self.ops.len() < self.limit {
+            self.ops.push(match op {
+                PendingOp::Alu(n) => TraceOp::Alu(n),
+                PendingOp::Wfi => TraceOp::Alu(1),
+                PendingOp::Branch { mispredict } => TraceOp::Branch { mispredict },
+                PendingOp::Mem(req) => match req.op {
+                    SpOp::Read => TraceOp::Load,
+                    SpOp::Write(_) => TraceOp::Store,
+                    _ => TraceOp::Rmw,
+                },
+            });
+        }
+    }
+}
+
 /// Table 2: theoretical peak IPCs of NIC firmware for different
 /// processor configurations, from an offline analysis of a dynamic
 /// instruction trace of the idealized firmware. Writes
@@ -83,13 +116,16 @@ pub fn table2(args: &Args) {
         "Table 2: theoretical peak IPCs of NIC firmware",
         "trends: in-order prefers hazard removal; out-of-order prefers branch prediction",
     );
-    let cfg = args.configure(ideal_300().capture_ilp(true).build().unwrap());
-    let (run, mut sys) = exp.run_with_probe("ideal@300+ilp", cfg, NullProbe);
-    let mut events = sys.take_ilp_trace().expect("ILP capture enabled");
+    let cfg = args.configure(ideal_300().build().unwrap());
     // The IPC limits converge within a few hundred thousand
-    // instructions; truncate so the offline analysis stays quick.
-    events.truncate(120_000);
-    let trace = expand(&to_ilp_trace(&events));
+    // instructions; the first 120,000 ops keep the offline analysis
+    // quick.
+    let ops = IlpTrace {
+        ops: Vec::new(),
+        limit: 120_000,
+    };
+    let (run, sys) = exp.run_with_probe("ideal@300+ilp", cfg, ops);
+    let trace = expand(&sys.unwrap_probe().ops);
     println!("dynamic trace: {} instructions", trace.len());
     println!(
         "{:<10} {:>6} | {:>8} {:>8} | {:>8} {:>8} {:>8}",
@@ -174,7 +210,7 @@ pub fn fig3(args: &Args) {
     let cfg = args.configure(NicConfig::default());
     let (run, sys) = exp.run_with_probe("rmw@166+trace", cfg, AccessTrace::with_limit(2_000_000));
     let cores = sys.config().cores;
-    let first_mac = sys.config().topology.mactx_port(cores);
+    let first_mac = sys.config().mactx_port();
     let m = sys.map();
     let trace = sys.unwrap_probe();
     // Cores keep their ids; DMA engines -> cache 6; MAC pair -> cache 7.
@@ -551,4 +587,50 @@ pub fn fig8(args: &Args) {
         );
     }
     exp.finish(runs, None).expect("write results");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use nicsim_mem::SpRequest;
+    use nicsim_sim::Ps;
+
+    /// Core 0's ops map one to one, other cores' are skipped, and the
+    /// trace stops at its limit.
+    #[test]
+    fn ilp_trace_maps_core_0s_ops_up_to_its_limit() {
+        let mem = |op| PendingOp::Mem(SpRequest { addr: 0, op });
+        let ops = [
+            PendingOp::Alu(3),
+            mem(SpOp::Read),
+            mem(SpOp::Write(1)),
+            mem(SpOp::SetBit(2)),
+            PendingOp::Branch { mispredict: true },
+            PendingOp::Wfi,
+            PendingOp::Alu(7),
+        ];
+        let mut trace = IlpTrace {
+            ops: Vec::new(),
+            limit: 6,
+        };
+        for op in ops {
+            for core in [1, 0] {
+                trace.emit(Event::OpTaken {
+                    core,
+                    op,
+                    at: Ps(1),
+                });
+            }
+        }
+        use TraceOp::{Alu, Branch, Load, Rmw, Store};
+        let want = [
+            Alu(3),
+            Load,
+            Store,
+            Rmw,
+            Branch { mispredict: true },
+            Alu(1),
+        ];
+        assert_eq!(trace.ops, want);
+    }
 }

@@ -5,60 +5,6 @@ use nicsim_firmware::{DispatchMode, FwMode, MAX_CORES, MAX_DMA_ENGINES};
 use nicsim_mem::{ICacheConfig, MAX_XBAR_PORTS};
 use nicsim_net::{frame::frame_len, link::line_rate_fps};
 
-/// How many DMA engine pairs the SoC instantiates beside its one MAC.
-///
-/// The default (one pair) is the paper's board; extra engines are the
-/// architecture-exploration axis (`archsweep`). Each DMA "engine" is a
-/// read/write pair with its own command rings, scratchpad ports, and
-/// crossbar attachments.
-///
-/// Crossbar ports (the paper's "P+4 × S+1" switch, generalized): cores
-/// take `0..cores`, then every DMA read engine, every DMA write engine,
-/// MAC TX, MAC RX — `cores + 2·dma_engines + 2` in all, 6/7/8/9 of 10
-/// on the paper's board. The methods below are the one definition of
-/// that layout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Topology {
-    /// DMA engine pairs (read + write), `1..=MAX_DMA_ENGINES`, the most
-    /// whose memory map fits the scratchpad. Firmware stripes BD fetches
-    /// and frame transfers across engines round-robin.
-    pub dma_engines: usize,
-}
-
-impl Topology {
-    /// Total crossbar requester ports: the cores plus one per
-    /// frame-side scratchpad client.
-    pub fn xbar_ports(self, cores: usize) -> usize {
-        cores + 2 * self.dma_engines + 2
-    }
-
-    /// Crossbar port of DMA-read engine `k`.
-    pub fn dmard_port(self, cores: usize, k: usize) -> usize {
-        cores + k
-    }
-
-    /// Crossbar port of DMA-write engine `k`.
-    pub fn dmawr_port(self, cores: usize, k: usize) -> usize {
-        cores + self.dma_engines + k
-    }
-
-    /// Crossbar port of MAC TX.
-    pub fn mactx_port(self, cores: usize) -> usize {
-        cores + 2 * self.dma_engines
-    }
-
-    /// Crossbar port of MAC RX.
-    pub fn macrx_port(self, cores: usize) -> usize {
-        cores + 2 * self.dma_engines + 1
-    }
-}
-
-impl Default for Topology {
-    fn default() -> Self {
-        Topology { dma_engines: 1 }
-    }
-}
-
 /// Configuration of the simulated NIC and its workload.
 ///
 /// The defaults are the paper's headline configuration: 6 cores and 4
@@ -97,17 +43,20 @@ pub struct NicConfig {
     pub offered_tx_fps: Option<f64>,
     /// Offered receive load in frames/s (`None` = line rate).
     pub offered_rx_fps: Option<f64>,
-    /// Record core 0's operation trace (for the ILP study).
-    pub capture_ilp: bool,
     /// Deterministic fault-injection plan (`None` = clean run, the
     /// default). A configured plan enables the MAC RX CRC32 check, the
     /// DMA retry/abort machinery, ECC events, assist hangs with the
     /// system watchdog, and the firmware/driver recovery paths; runs are
     /// reproducible from `(plan.seed, plan)`.
     pub faults: Option<FaultPlan>,
-    /// Frame-side unit counts (DMA engine pairs). The default is the
-    /// paper's board: one pair.
-    pub topology: Topology,
+    /// DMA engine pairs (read + write) beside the one MAC,
+    /// `1..=MAX_DMA_ENGINES`, the most whose memory map fits the
+    /// scratchpad. The default is the paper's board: one pair; more are
+    /// the architecture-exploration axis (`archsweep`). Each pair has its
+    /// own command rings, scratchpad ports and crossbar attachments, and
+    /// firmware stripes BD fetches and frame transfers across them
+    /// round-robin.
+    pub dma_engines: usize,
 }
 
 impl Default for NicConfig {
@@ -124,9 +73,8 @@ impl Default for NicConfig {
             recv_enabled: true,
             offered_tx_fps: None,
             offered_rx_fps: None,
-            capture_ilp: false,
             faults: None,
-            topology: Topology::default(),
+            dma_engines: 1,
         }
     }
 }
@@ -177,12 +125,12 @@ pub enum ConfigError {
         /// The rejected rate in frames/s.
         fps: f64,
     },
-    /// `topology.dma_engines` outside `1..=MAX_DMA_ENGINES`.
+    /// `dma_engines` outside `1..=MAX_DMA_ENGINES`.
     BadDmaEngines {
         /// The rejected engine count.
         engines: usize,
     },
-    /// `cores` plus the topology's frame-side units need more crossbar
+    /// `cores` plus the frame-side units need more crossbar
     /// ports than the arbiter's request mask holds.
     TooManyPorts {
         /// The rejected port count.
@@ -309,17 +257,10 @@ impl NicConfigBuilder {
         offered_tx_fps: Option<f64>,
         /// Offered receive load in frames/s (`None` = line rate).
         offered_rx_fps: Option<f64>,
-        /// Record core 0's operation trace (ILP study).
-        capture_ilp: bool,
         /// Deterministic fault-injection plan (`None` = clean run).
         faults: Option<FaultPlan>,
-    }
-
-    /// Number of DMA engine pairs (`1..=MAX_DMA_ENGINES`).
-    #[must_use]
-    pub fn dma_engines(mut self, dma_engines: usize) -> Self {
-        self.cfg.topology.dma_engines = dma_engines;
-        self
+        /// Number of DMA engine pairs (`1..=MAX_DMA_ENGINES`).
+        dma_engines: usize,
     }
 
     /// Parse a [`FaultPlan`] spec string (the `--faults` grammar, e.g.
@@ -407,13 +348,12 @@ impl NicConfig {
         if let Some(plan) = &self.faults {
             plan.validate().map_err(ConfigError::FaultSpec)?;
         }
-        let t = self.topology;
-        if t.dma_engines == 0 || t.dma_engines > MAX_DMA_ENGINES {
+        if self.dma_engines == 0 || self.dma_engines > MAX_DMA_ENGINES {
             return Err(ConfigError::BadDmaEngines {
-                engines: t.dma_engines,
+                engines: self.dma_engines,
             });
         }
-        let assist_ports = t.xbar_ports(0);
+        let assist_ports = self.assist_ports();
         if self.cores > MAX_XBAR_PORTS - assist_ports {
             return Err(ConfigError::TooManyPorts {
                 ports: self.cores.saturating_add(assist_ports),
@@ -423,6 +363,41 @@ impl NicConfig {
             return Err(ConfigError::TooManyCores { cores: self.cores });
         }
         Ok(())
+    }
+
+    /// Crossbar requester ports beside the cores: one per frame-side
+    /// scratchpad client.
+    fn assist_ports(&self) -> usize {
+        2 * self.dma_engines + 2
+    }
+
+    /// Total crossbar requester ports (the paper's "P+4 × S+1" switch,
+    /// generalized): cores take `0..cores`, then every DMA read engine,
+    /// every DMA write engine, MAC TX, MAC RX — 6/7/8/9 of 10 on the
+    /// paper's board. This method and the four below are the one
+    /// definition of that layout.
+    pub fn xbar_ports(&self) -> usize {
+        self.cores + self.assist_ports()
+    }
+
+    /// Crossbar port of DMA-read engine `k`.
+    pub fn dmard_port(&self, k: usize) -> usize {
+        self.cores + k
+    }
+
+    /// Crossbar port of DMA-write engine `k`.
+    pub fn dmawr_port(&self, k: usize) -> usize {
+        self.cores + self.dma_engines + k
+    }
+
+    /// Crossbar port of MAC TX.
+    pub fn mactx_port(&self) -> usize {
+        self.cores + 2 * self.dma_engines
+    }
+
+    /// Crossbar port of MAC RX.
+    pub fn macrx_port(&self) -> usize {
+        self.cores + 2 * self.dma_engines + 1
     }
 
     /// The paper's software-only baseline at 200 MHz.
@@ -511,9 +486,9 @@ mod tests {
     }
 
     #[test]
-    fn topology_builder_and_validation() {
+    fn dma_engines_builder_and_validation() {
         let cfg = NicConfig::builder().dma_engines(2).build().unwrap();
-        assert_eq!(cfg.topology, Topology { dma_engines: 2 });
+        assert_eq!(cfg.dma_engines, 2);
         assert_eq!(
             NicConfig::builder().dma_engines(0).build(),
             Err(ConfigError::BadDmaEngines { engines: 0 })
@@ -534,12 +509,12 @@ mod tests {
 
     #[test]
     fn legacy_port_assignment_is_preserved() {
-        let (cores, t) = (NicConfig::default().cores, Topology::default());
-        assert_eq!(t.xbar_ports(cores), 10);
-        assert_eq!(t.dmard_port(cores, 0), 6);
-        assert_eq!(t.dmawr_port(cores, 0), 7);
-        assert_eq!(t.mactx_port(cores), 8);
-        assert_eq!(t.macrx_port(cores), 9);
+        let c = NicConfig::default();
+        assert_eq!(c.xbar_ports(), 10);
+        assert_eq!(c.dmard_port(0), 6);
+        assert_eq!(c.dmawr_port(0), 7);
+        assert_eq!(c.mactx_port(), 8);
+        assert_eq!(c.macrx_port(), 9);
     }
 
     /// Every buildable board: the assigned ports are unique and cover
@@ -549,14 +524,18 @@ mod tests {
     fn non_default_topologies_check_out() {
         for cores in 1..=8 {
             for dma_engines in 1..=MAX_DMA_ENGINES {
-                let t = Topology { dma_engines };
+                let c = NicConfig {
+                    cores,
+                    dma_engines,
+                    ..NicConfig::default()
+                };
                 let ports: Vec<usize> = (0..cores)
-                    .chain((0..dma_engines).map(|k| t.dmard_port(cores, k)))
-                    .chain((0..dma_engines).map(|k| t.dmawr_port(cores, k)))
-                    .chain([t.mactx_port(cores), t.macrx_port(cores)])
+                    .chain((0..dma_engines).map(|k| c.dmard_port(k)))
+                    .chain((0..dma_engines).map(|k| c.dmawr_port(k)))
+                    .chain([c.mactx_port(), c.macrx_port()])
                     .collect();
-                let all: Vec<usize> = (0..t.xbar_ports(cores)).collect();
-                assert_eq!(ports, all, "{cores} cores, {t:?}");
+                let all: Vec<usize> = (0..c.xbar_ports()).collect();
+                assert_eq!(ports, all, "{cores} cores, {dma_engines} DMA engines");
             }
         }
     }

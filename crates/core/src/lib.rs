@@ -51,7 +51,7 @@ pub mod config;
 pub mod stats;
 pub mod system;
 
-pub use config::{ConfigError, NicConfig, NicConfigBuilder, Topology};
+pub use config::{ConfigError, NicConfig, NicConfigBuilder};
 pub use nicsim_fault::{ErrorStats, FaultPlan};
 pub use nicsim_firmware::{DispatchMode, FwMode};
 pub use nicsim_obs::{

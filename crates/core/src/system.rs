@@ -5,7 +5,7 @@
 //! memory, the assists — plus the host (driver + main memory) and
 //! the network model. [`SystemBuilder::finish`] assembles the paper's
 //! four assists — as many DMA read/write engine pairs as the
-//! configuration's [`Topology`](crate::config::Topology) asks for, each
+//! configuration's [`dma_engines`](crate::config::NicConfig::dma_engines) asks for, each
 //! with its own crossbar port and command rings, and the one MAC TX and
 //! MAC RX. The DMA engines of both directions are one [`Dma`] type with
 //! one tick; `step_inner` names the MACs apart because their tick
@@ -17,7 +17,7 @@
 use crate::config::{ConfigError, NicConfig};
 use crate::stats::RunStats;
 use nicsim_assists::{dma_tag_engine, Dma, MacRx, MacTx};
-use nicsim_cpu::{CodeLayout, Core, CoreCtx, CoreProfile, PendingOp};
+use nicsim_cpu::{CodeLayout, Core, CoreCtx, CoreProfile};
 use nicsim_fault::{EccFaults, ErrorStats, FwFaults, LinkFaults};
 use nicsim_firmware::map::SCRATCHPAD_BYTES;
 use nicsim_firmware::mode::Fw;
@@ -203,8 +203,7 @@ impl<P: Probe> SystemBuilder<P> {
         self
     }
 
-    /// Validate the configuration and assemble the system its
-    /// topology asks for.
+    /// Validate the configuration and assemble the system it asks for.
     ///
     /// # Errors
     ///
@@ -212,9 +211,8 @@ impl<P: Probe> SystemBuilder<P> {
     pub fn finish(self) -> Result<NicSystem<P>, ConfigError> {
         let SystemBuilder { cfg, probe, fleet } = self;
         cfg.validate()?;
-        let t = cfg.topology;
         let faults_armed = cfg.faults.as_ref().is_some_and(|p| !p.is_noop());
-        let map = MemMap::for_topology(t.dma_engines);
+        let map = MemMap::for_topology(cfg.dma_engines);
         let mut sp = Scratchpad::new(SCRATCHPAD_BYTES, cfg.banks);
         for (addr, bytes) in map.assist_registers() {
             sp.watch_range(addr, bytes, Listener::FrameSide);
@@ -224,7 +222,7 @@ impl<P: Probe> SystemBuilder<P> {
                 sp.watch_range(addr, bytes, Listener::Cores);
             }
         }
-        let xbar = Crossbar::new(t.xbar_ports(cfg.cores), cfg.banks);
+        let xbar = Crossbar::new(cfg.xbar_ports(), cfg.banks);
         let imem = InstrMemory::new();
         let mut fm = FrameMemory::new(FrameMemoryConfig::default());
 
@@ -240,29 +238,15 @@ impl<P: Probe> SystemBuilder<P> {
             layout,
         );
 
-        // Frame-side units, each on the crossbar port the topology's
+        // Frame-side units, each on the crossbar port the configuration's port
         // layout assigns and the ring registers the memory map holds.
-        let mut dmards: Vec<Dma> = (0..t.dma_engines)
-            .map(|k| {
-                Dma::new(
-                    DmaDir::Read,
-                    t.dmard_port(cfg.cores, k),
-                    map.dmard(k).regs(),
-                    k,
-                )
-            })
+        let mut dmards: Vec<Dma> = (0..cfg.dma_engines)
+            .map(|k| Dma::new(DmaDir::Read, cfg.dmard_port(k), map.dmard(k).regs(), k))
             .collect();
-        let mut dmawrs: Vec<Dma> = (0..t.dma_engines)
-            .map(|k| {
-                Dma::new(
-                    DmaDir::Write,
-                    t.dmawr_port(cfg.cores, k),
-                    map.dmawr(k).regs(),
-                    k,
-                )
-            })
+        let mut dmawrs: Vec<Dma> = (0..cfg.dma_engines)
+            .map(|k| Dma::new(DmaDir::Write, cfg.dmawr_port(k), map.dmawr(k).regs(), k))
             .collect();
-        let mut mactx = MacTx::new(t.mactx_port(cfg.cores), map.mactx());
+        let mut mactx = MacTx::new(cfg.mactx_port(), map.mactx());
         let mut generator = match cfg.offered_rx_fps {
             Some(fps) => RxGenerator::with_fps(cfg.udp_payload, fps),
             None => RxGenerator::new(cfg.udp_payload),
@@ -270,7 +254,7 @@ impl<P: Probe> SystemBuilder<P> {
         if !cfg.recv_enabled {
             generator.disable();
         }
-        let mut macrx = MacRx::new(t.macrx_port(cfg.cores), map.macrx(), generator);
+        let mut macrx = MacRx::new(cfg.macrx_port(), map.macrx(), generator);
         let boot_at = fleet.as_ref().map_or(Ps::ZERO, |m| m.boot_at);
         let mut fw_faults = Vec::new();
         if let Some(plan) = cfg.faults.as_ref().filter(|_| faults_armed) {
@@ -293,9 +277,6 @@ impl<P: Probe> SystemBuilder<P> {
         for id in 0..cfg.cores {
             let mut core = Core::new(id, cfg.icache, CodeLayout::new());
             let ctx = CoreCtx::new(core.slot(), id);
-            if cfg.capture_ilp && id == 0 {
-                core.capture_trace();
-            }
             let fw = Fw {
                 ctx,
                 m: map,
@@ -785,7 +766,7 @@ impl<P: Probe> NicSystem<P> {
 
     /// Whether any frame-side unit could issue work on its next tick —
     /// the fold of every unit's `busy` predicate, over however many
-    /// DMA engines the topology holds.
+    /// DMA engines the configuration holds.
     #[inline]
     fn frame_side_busy(&self) -> bool {
         self.dmas().any(|d| d.busy(&self.sp)) || self.mactx.busy(&self.sp) || self.macrx.busy()
@@ -989,11 +970,6 @@ impl<P: Probe> NicSystem<P> {
     pub fn halted(&self) -> bool {
         self.cores.iter().all(|c| c.halted())
     }
-
-    /// Take core 0's operation trace (requires `capture_ilp`).
-    pub fn take_ilp_trace(&mut self) -> Option<Vec<PendingOp>> {
-        self.cores[0].take_trace()
-    }
 }
 
 impl<P: Probe> std::fmt::Debug for NicSystem<P> {
@@ -1010,7 +986,6 @@ impl<P: Probe> std::fmt::Debug for NicSystem<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Topology;
     use nicsim_firmware::FwMode;
 
     #[test]
@@ -1048,7 +1023,7 @@ mod tests {
                         cpu_mhz,
                         offered_tx_fps: fps[tx],
                         offered_rx_fps: fps[rx],
-                        topology: Topology { dma_engines },
+                        dma_engines,
                         ..NicConfig::default()
                     };
                     let built = NicSystem::build(cfg).finish();
@@ -1075,7 +1050,7 @@ mod tests {
         ] {
             let cfg = NicConfig {
                 cores,
-                topology: Topology { dma_engines },
+                dma_engines,
                 ..NicConfig::default()
             };
             assert_eq!(cfg.validate(), want, "{cores} cores");
@@ -1134,7 +1109,7 @@ mod tests {
             dispatch: DispatchMode::Interrupt,
             send_enabled: false,
             recv_enabled: false,
-            topology: Topology { dma_engines: 2 },
+            dma_engines: 2,
             ..NicConfig::default()
         };
         let mut sys = NicSystem::build(cfg).finish().unwrap();
@@ -1177,7 +1152,7 @@ mod tests {
                 dispatch: DispatchMode::Interrupt,
                 send_enabled: false,
                 recv_enabled: false,
-                topology: Topology { dma_engines },
+                dma_engines,
                 ..NicConfig::default()
             };
             let mut sys = NicSystem::build(cfg).finish().unwrap();

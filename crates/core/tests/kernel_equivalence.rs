@@ -189,8 +189,8 @@ fn probed_event_kernel_event_stream_is_bit_identical_to_dense() {
     // Probes observe, they never feed back — and cycle skipping and
     // per-component gating only ever elide ticks that emit nothing. So a
     // probed event-kernel run must produce the *same event stream, in
-    // the same order*, as the probed dense kernel — not merely the same
-    // aggregate stats. Compare raw captures in both dispatch modes (a
+    // the same order*, every op each core takes included, as the probed
+    // dense kernel — not merely the same aggregate stats. Compare raw captures in both dispatch modes (a
     // shorter window keeps the captures tractable: grants alone run to
     // hundreds of thousands of events).
     let warmup = Ps::from_us(40);
@@ -216,6 +216,11 @@ fn probed_event_kernel_event_stream_is_bit_identical_to_dense() {
         assert_eq!(d, e, "{label}: stats diverged");
         let (de, ee) = (dense.probe().events(), event.probe().events());
         assert!(!de.is_empty(), "{label}: no events captured");
+        // The log reads the work class too: the op streams are compared.
+        assert!(
+            de.iter().any(|e| matches!(e, Event::OpTaken { .. })),
+            "{label}: no ops captured"
+        );
         if de != ee {
             let n = de.len().min(ee.len());
             let i = (0..n).find(|&i| de[i] != ee[i]).unwrap_or(n);

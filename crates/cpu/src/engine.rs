@@ -69,9 +69,6 @@ enum State {
 pub struct Core {
     id: usize,
     slot: SharedSlot,
-    /// Every op taken from the slot, in charging order, while capturing
-    /// for the ILP analysis (Table 2).
-    trace: Option<Vec<PendingOp>>,
     /// The firmware future; `None` once it has completed.
     fut: Option<Pin<Box<dyn Future<Output = ()>>>>,
     state: State,
@@ -104,7 +101,6 @@ impl Core {
         Core {
             id,
             slot: new_slot(),
-            trace: None,
             fut: None,
             state: State::Poll,
             func: FwFunc::Idle,
@@ -141,16 +137,6 @@ impl Core {
         self.state = State::Poll;
         self.wake_pending = false;
         self.slot.clear();
-    }
-
-    /// Start recording every op this core charges, in charging order.
-    pub fn capture_trace(&mut self) {
-        self.trace = Some(Vec::new());
-    }
-
-    /// The ops recorded since [`Core::capture_trace`], ending the capture.
-    pub fn take_trace(&mut self) -> Option<Vec<PendingOp>> {
-        self.trace.take()
     }
 
     /// Raise the core's wake line. A parked core resumes on its next
@@ -231,28 +217,22 @@ impl Core {
     /// The next operation to charge and the tag it was issued under:
     /// the oldest one in the slot's batch, polling the firmware only when
     /// the batch is drained. `None` once the firmware has completed and
-    /// everything it issued has been charged. The ILP trace is recorded
-    /// here, not at issue, so it never leads the engine.
+    /// everything it issued has been charged. The tick reports each as
+    /// [`Event::OpTaken`], so an op trace never leads the engine.
     #[inline(always)]
     fn next_op(&mut self) -> Option<(PendingOp, FwFunc)> {
-        let next = match self.slot.pop() {
-            Some(next) => next,
-            None => {
-                if !self.poll_firmware() {
-                    return None;
-                }
-                let next = self.slot.pop();
-                assert!(
-                    next.is_some() || self.fut.is_none(),
-                    "firmware future suspended without issuing an op"
-                );
-                next?
-            }
-        };
-        if let Some(t) = &mut self.trace {
-            t.push(next.0);
+        if let Some(next) = self.slot.pop() {
+            return Some(next);
         }
-        Some(next)
+        if !self.poll_firmware() {
+            return None;
+        }
+        let next = self.slot.pop();
+        assert!(
+            next.is_some() || self.fut.is_none(),
+            "firmware future suspended without issuing an op"
+        );
+        next
     }
 
     /// Poll the firmware future once, which fills the drained batch from
@@ -388,6 +368,13 @@ impl Core {
         match self.state {
             State::Poll => {
                 if let Some((op, func)) = self.next_op() {
+                    if P::WORK_EVENTS {
+                        probe.emit(Event::OpTaken {
+                            core: self.id,
+                            op,
+                            at: now,
+                        });
+                    }
                     self.func = func;
                     let (exec, annul, then) = match op {
                         PendingOp::Alu(n) => (n, 0, Then::Poll),
@@ -856,24 +843,39 @@ mod attribution_tests {
     }
 
     #[test]
-    fn trace_collects_charged_operations() {
+    fn taken_ops_are_reported_in_charging_order() {
         let (mut core, mut xbar, mut sp, mut imem) = rig();
         let ctx = CoreCtx::new(core.slot(), 0);
-        core.capture_trace();
         core.install(async move {
             ctx.alu(3).await;
             ctx.store(8, 1).await;
             ctx.load(8).await;
         });
+        let mut log = nicsim_obs::EventLog::new();
+        let mut cycle = 1;
         xbar.tick(&mut sp);
-        core.tick(&mut xbar, &mut imem);
+        core.tick_probed(&mut xbar, &mut imem, cycle, Ps(cycle), &mut log);
         // One poll issued all three; the engine has taken only the first.
         assert_eq!(core.slot().len(), 2);
-        run(&mut core, &mut xbar, &mut sp, &mut imem);
+        while !core.halted() {
+            cycle += 1;
+            xbar.tick(&mut sp);
+            core.tick_probed(&mut xbar, &mut imem, cycle, Ps(cycle), &mut log);
+        }
+        let taken: Vec<(PendingOp, Ps)> = log
+            .events()
+            .iter()
+            .filter_map(|e| match *e {
+                Event::OpTaken { core: 0, op, at } => Some((op, at)),
+                _ => None,
+            })
+            .collect();
         let mem = |op| PendingOp::Mem(SpRequest { addr: 8, op });
-        let want = vec![PendingOp::Alu(3), mem(SpOp::Write(1)), mem(SpOp::Read)];
-        assert_eq!(core.take_trace(), Some(want));
-        assert_eq!(core.take_trace(), None, "taking ends the capture");
+        let want = [PendingOp::Alu(3), mem(SpOp::Write(1)), mem(SpOp::Read)];
+        assert_eq!(taken.iter().map(|t| t.0).collect::<Vec<_>>(), want);
+        // Each is stamped with the time of the tick that took it.
+        assert_eq!(taken[0].1, Ps(1));
+        assert!(taken[1].1 > taken[0].1 && taken[2].1 > taken[1].1);
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! counts, no ring arithmetic and no borrow flag.
 
 use crate::func::FwFunc;
-use nicsim_mem::{SpOp, SpRequest};
+pub use nicsim_obs::PendingOp;
 use std::cell::Cell;
 use std::rc::Rc;
 
@@ -22,35 +22,6 @@ use std::rc::Rc;
 /// firmware's runs of ALU, branch and store work between loads, finite
 /// so that `loop { alu(1) }` returns to the engine.
 pub const RUN_AHEAD: usize = 8;
-
-/// An operation requested by firmware, to be charged by the core engine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PendingOp {
-    /// `n` ALU/control instructions of straight-line work.
-    Alu(u32),
-    /// A conditional branch; `mispredict` annuls one issue slot.
-    Branch {
-        /// Whether the static predictor got it wrong.
-        mispredict: bool,
-    },
-    /// A scratchpad transaction (load, store, or atomic RMW).
-    Mem(SpRequest),
-    /// Wait-for-interrupt: one instruction to issue, then the core parks
-    /// until its wake line is raised (interrupt dispatch mode).
-    Wfi,
-}
-
-impl PendingOp {
-    /// Whether the firmware waits for this operation's result: loads and
-    /// atomic RMWs return data, `wfi` returns when the core is woken.
-    pub fn has_result(self) -> bool {
-        match self {
-            PendingOp::Alu(_) | PendingOp::Branch { .. } => false,
-            PendingOp::Mem(req) => !matches!(req.op, SpOp::Write(_)),
-            PendingOp::Wfi => true,
-        }
-    }
-}
 
 /// Shared state between one firmware future and its core engine.
 #[derive(Debug)]
@@ -155,7 +126,7 @@ pub fn new_slot() -> SharedSlot {
 mod tests {
     use super::*;
     use crate::{CodeLayout, Core};
-    use nicsim_mem::ICacheConfig;
+    use nicsim_mem::{ICacheConfig, SpOp, SpRequest};
 
     const LOAD: PendingOp = PendingOp::Mem(SpRequest {
         addr: 0,

@@ -164,11 +164,12 @@ impl Experiment {
     }
 
     /// [`Experiment::run`] with an observability probe attached — every
-    /// frame-lifecycle event of warmup and window goes to `probe` —
-    /// returning the simulated system beside the report, for post-run
-    /// inspection (trace extraction for the coherence and ILP studies)
-    /// and to hand the probe back ([`NicSystem::unwrap_probe`],
-    /// [`NicSystem::probe`]).
+    /// event of warmup and window in the classes `probe` reads goes to
+    /// it — returning the simulated system beside the report, for
+    /// post-run inspection and to hand the probe back
+    /// ([`NicSystem::unwrap_probe`], [`NicSystem::probe`]). The Figure 3
+    /// coherence study's access trace and Table 2's op trace (the work
+    /// class, [`Probe::WORK_EVENTS`]) are such probes.
     ///
     /// # Panics
     ///

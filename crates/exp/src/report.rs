@@ -134,12 +134,12 @@ pub fn mode_str(mode: FwMode) -> &'static str {
 }
 
 /// A [`NicConfig`] as a `nicsim-exp/v1` JSON object, carrying the full
-/// resolved configuration — including the frame-side `"topology"` — so
-/// every result row can be rebuilt and re-run exactly (see
-/// [`config_from_json`]). The `"faults"` key (the fault plan's spec
-/// string) appears only when a plan is configured, and the
-/// `"dispatch"` / `"capture_ilp"` keys only under their non-default
-/// settings, so pre-existing reports keep their exact schema.
+/// resolved configuration — including the frame side's
+/// `"topology": {"dma_engines": N}` — so every result row can be rebuilt
+/// and re-run exactly (see [`config_from_json`]). The `"faults"` key
+/// (the fault plan's spec string) appears only when a plan is
+/// configured, and the `"dispatch"` key only under interrupt dispatch,
+/// so pre-existing reports keep their exact schema.
 pub fn config_to_json(cfg: &NicConfig) -> Json {
     let mut doc = Json::obj()
         .with("cores", cfg.cores)
@@ -158,18 +158,12 @@ pub fn config_to_json(cfg: &NicConfig) -> Json {
         .with("recv_enabled", cfg.recv_enabled)
         .with("offered_tx_fps", cfg.offered_tx_fps)
         .with("offered_rx_fps", cfg.offered_rx_fps)
-        .with(
-            "topology",
-            Json::obj().with("dma_engines", cfg.topology.dma_engines),
-        );
+        .with("topology", Json::obj().with("dma_engines", cfg.dma_engines));
     if let Some(plan) = &cfg.faults {
         doc.set("faults", plan.spec().as_str());
     }
     if cfg.dispatch == nicsim::DispatchMode::Interrupt {
         doc.set("dispatch", "interrupt");
-    }
-    if cfg.capture_ilp {
-        doc.set("capture_ilp", true);
     }
     doc
 }
@@ -181,7 +175,8 @@ pub fn config_to_json(cfg: &NicConfig) -> Json {
 /// is reported as an error string, and so is a key for a setting that
 /// became a constant (`scratchpad_bytes`, `frame_memory`,
 /// `driver_interval`): the file may describe a board this build does
-/// not simulate.
+/// not simulate. The retired `capture_ilp` switch is refused the same
+/// way: an op trace is a probe sink now, not part of the NIC.
 pub fn config_from_json(doc: &Json) -> Result<NicConfig, String> {
     fn int<T: TryFrom<u64>>(doc: &Json, key: &str) -> Result<T, String> {
         let v = doc
@@ -210,13 +205,15 @@ pub fn config_from_json(doc: &Json) -> Result<NicConfig, String> {
             _ => Err(format!("config key `{key}` must be a number or null")),
         }
     }
-    if let Some(key) = ["scratchpad_bytes", "frame_memory", "driver_interval"]
-        .into_iter()
-        .find(|k| doc.get(k).is_some())
-    {
-        return Err(format!(
-            "config key `{key}` is no longer a setting: the paper's value is built in"
-        ));
+    for (key, why) in [
+        ("scratchpad_bytes", "the paper's value is built in"),
+        ("frame_memory", "the paper's value is built in"),
+        ("driver_interval", "the paper's value is built in"),
+        ("capture_ilp", "attach a probe that reads Event::OpTaken"),
+    ] {
+        if doc.get(key).is_some() {
+            return Err(format!("config key `{key}` is no longer a setting: {why}"));
+        }
     }
     let icache = doc.get("icache").ok_or("missing `icache` object")?;
     let mode = match doc.get("mode").and_then(Json::as_str) {
@@ -252,9 +249,6 @@ pub fn config_from_json(doc: &Json) -> Result<NicConfig, String> {
     }
     if doc.get("dispatch").and_then(Json::as_str) == Some("interrupt") {
         b = b.dispatch(nicsim::DispatchMode::Interrupt);
-    }
-    if matches!(doc.get("capture_ilp"), Some(Json::Bool(true))) {
-        b = b.capture_ilp(true);
     }
     b.build().map_err(|e| e.to_string())
 }
@@ -357,7 +351,6 @@ mod tests {
             .mode(FwMode::SoftwareOnly)
             .dispatch(DispatchMode::Interrupt)
             .offered_tx_fps(Some(250_000.0))
-            .capture_ilp(false)
             .faults(Some(FaultPlan::with_rate(7, 1e-4)))
             .dma_engines(2)
             .build()
@@ -415,6 +408,11 @@ mod tests {
                 "\"cores\":6",
                 "\"cores\":6,\"driver_interval\":16",
                 "driver_interval",
+            ),
+            (
+                "\"cores\":6",
+                "\"cores\":6,\"capture_ilp\":true",
+                "capture_ilp",
             ),
         ] {
             let err = load(from, to).expect_err(to);

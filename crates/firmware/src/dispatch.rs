@@ -211,12 +211,13 @@ mod tests {
     use crate::mode::FwMode;
     use nicsim_cpu::{CodeLayout, Core, CoreCtx, PendingOp};
     use nicsim_mem::{Crossbar, ICacheConfig, InstrMemory, Scratchpad, SpOp};
+    use nicsim_obs::{Event, EventLog};
+    use nicsim_sim::Ps;
 
     /// The addresses one scan of a quiet system loads, in order: an
     /// interrupt-mode core parks after exactly one.
     fn idle_scan_loads(m: &MemMap) -> Vec<u32> {
         let mut core = Core::new(0, ICacheConfig::default(), CodeLayout::new());
-        core.capture_trace();
         core.install(dispatch_loop(Fw {
             ctx: CoreCtx::new(core.slot(), 0),
             m: *m,
@@ -227,16 +228,20 @@ mod tests {
         }));
         let mut sp = Scratchpad::new(256 * 1024, 4);
         let (mut xbar, mut imem) = (Crossbar::new(1, 4), InstrMemory::new());
+        let (mut log, mut cycle) = (EventLog::new(), 0);
         while !core.parked() {
+            cycle += 1;
             xbar.tick(&mut sp);
-            core.tick(&mut xbar, &mut imem);
+            core.tick_probed(&mut xbar, &mut imem, cycle, Ps::ZERO, &mut log);
         }
-        let trace = core.take_trace().expect("tracing");
-        let load = |op| match op {
-            PendingOp::Mem(r) if r.op == SpOp::Read => Some(r.addr),
+        let load = |e: &Event| match *e {
+            Event::OpTaken {
+                op: PendingOp::Mem(r),
+                ..
+            } if r.op == SpOp::Read => Some(r.addr),
             _ => None,
         };
-        trace.into_iter().filter_map(load).collect()
+        log.events().iter().filter_map(load).collect()
     }
 
     /// The scan loads the stop flag, then a pair per source: the word a

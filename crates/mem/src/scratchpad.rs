@@ -16,52 +16,7 @@
 //! plus a conventional `test-and-set` used to build spinlocks (the
 //! baseline "software-only" firmware synchronizes exclusively with these).
 
-/// An atomic operation performed at a scratchpad bank.
-///
-/// The tag is a whole word, so every payload sits on a word boundary
-/// and a copy of the op (or of the [`SpRequest`] holding it) is whole
-/// aligned words: with a byte tag, the bytes after it were moved as
-/// overlapping unaligned pieces that store-to-load forwarding cannot
-/// serve.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[repr(u32)]
-pub enum SpOp {
-    /// Read the 32-bit word; response is its value.
-    Read,
-    /// Write the 32-bit word; response is the written value.
-    Write(u32),
-    /// Atomically read the word and write all-ones; response is the old
-    /// value (0 means the lock was acquired).
-    TestAndSet,
-    /// Atomically set bit `(addr*32 + bit)` of a bit array; response is
-    /// the previous value of the word. This is the paper's `set`.
-    SetBit(u8),
-    /// Atomically scan the word starting at `start_bit`, clear the run of
-    /// consecutive set bits found there, and respond with the run length
-    /// (0 if `start_bit` itself is clear). This is the paper's `update`,
-    /// which "examines at most one aligned 32-bit word".
-    Update {
-        /// Bit offset within the word at which the scan begins.
-        start_bit: u8,
-    },
-}
-
-impl SpOp {
-    /// Whether this operation modifies memory (for coherence tracing, all
-    /// RMW ops count as writes).
-    pub fn is_write(self) -> bool {
-        !matches!(self, SpOp::Read)
-    }
-}
-
-/// One scratchpad transaction: a word-aligned byte address plus operation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SpRequest {
-    /// Byte address; must be 4-byte aligned.
-    pub addr: u32,
-    /// The operation to perform.
-    pub op: SpOp,
-}
+pub use nicsim_obs::{SpOp, SpRequest};
 
 /// Who a watched word signals when it is written
 /// ([`Scratchpad::watch_range`]). A word may have both listeners.

@@ -3,8 +3,8 @@
 //! N NICs attach to one switch. A transmitted frame leaves its source
 //! NIC at wire-done time `w`, crosses the ingress link (one
 //! [`FabricConfig::link_latency`] hop), queues at the egress port for
-//! its destination, serializes onto the egress link at
-//! [`FabricConfig::link_gbps`], and arrives `link_latency` after its
+//! its destination, serializes onto the egress link at the NIC link's
+//! 10 Gb/s ([`wire_time`]), and arrives `link_latency` after its
 //! departure. Egress ports have finite buffers: a frame whose arrival
 //! would overflow [`FabricConfig::port_buffer_bytes`] is dropped — the
 //! incast-congestion behavior the fleet experiments measure.
@@ -24,7 +24,7 @@
 //! with a single `u64`.
 
 use crate::frame::{endpoints, seq_of, write_fcs, CRC_BYTES};
-use crate::link::ETH_OVERHEAD_BYTES;
+use crate::link::wire_time;
 use nicsim_fault::FabricFaults;
 use nicsim_sim::Ps;
 use std::collections::VecDeque;
@@ -32,8 +32,6 @@ use std::collections::VecDeque;
 /// Switch/fabric parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FabricConfig {
-    /// Per-port link bandwidth, Gb/s.
-    pub link_gbps: f64,
     /// One-hop propagation latency (NIC→switch and switch→NIC each pay
     /// one). The fleet epoch length is bounded by this: a frame leaving
     /// a NIC during an epoch cannot arrive anywhere before the next
@@ -50,7 +48,6 @@ impl Default for FabricConfig {
     /// switch, small enough that incast visibly drops.
     fn default() -> FabricConfig {
         FabricConfig {
-            link_gbps: 10.0,
             link_latency: Ps::from_us(1),
             port_buffer_bytes: 128 * 1024,
         }
@@ -127,9 +124,6 @@ struct Port {
 #[derive(Debug)]
 pub struct Fabric {
     cfg: FabricConfig,
-    /// Egress serialization cost per byte, picoseconds (pre-computed so
-    /// the hot path is pure integer math).
-    ps_per_byte: u64,
     ports: Vec<Port>,
     stats: FabricStats,
     /// Fleet fault-plane policy (fabric link corruption, flaps, port
@@ -143,21 +137,15 @@ impl Fabric {
     ///
     /// # Panics
     ///
-    /// Panics if `link_gbps` is not positive or the hop latency is
-    /// zero (a zero-latency fabric admits no conservative epoch).
+    /// Panics if the hop latency is zero (a zero-latency fabric admits
+    /// no conservative epoch).
     pub fn new(nics: usize, cfg: FabricConfig) -> Fabric {
-        assert!(
-            cfg.link_gbps > 0.0,
-            "fabric link bandwidth must be positive"
-        );
         assert!(
             cfg.link_latency > Ps::ZERO,
             "fabric hop latency must be positive"
         );
         Fabric {
             cfg,
-            // 1 Gb/s = 8000 ps per byte.
-            ps_per_byte: (8000.0 / cfg.link_gbps) as u64,
             ports: (0..nics).map(|_| Port::default()).collect(),
             stats: FabricStats {
                 digest: FNV_OFFSET,
@@ -177,12 +165,6 @@ impl Fabric {
     /// receivers, which check it under the same plan, catch corruption.
     pub fn set_faults(&mut self, faults: FabricFaults) {
         self.faults = Some(faults);
-    }
-
-    /// Wire occupancy of `frame_len` bytes on a fabric port (preamble +
-    /// frame + interframe gap, like the NIC link model).
-    fn serialization(&self, frame_len: u64) -> Ps {
-        Ps((frame_len + ETH_OVERHEAD_BYTES) * self.ps_per_byte)
     }
 
     /// Offer one transmitted frame to the fabric: `src` finished
@@ -233,7 +215,8 @@ impl Fabric {
             }
             squeezed = f.draw_squeeze();
         }
-        let serialization = self.serialization(len);
+        // Preamble + frame + interframe gap, as on the NIC's own link.
+        let serialization = wire_time(len as usize);
         let cap = if squeezed {
             self.cfg.port_buffer_bytes / 4
         } else {
@@ -327,6 +310,7 @@ fn fnv_fold(mut h: u64, kind: u8, src: usize, dst: usize, seq: u32, t: Ps) -> u6
 mod tests {
     use super::*;
     use crate::frame::{build_udp_frame, set_endpoints};
+    use crate::link::ETH_OVERHEAD_BYTES;
 
     fn addressed(seq: u32, payload: usize, src: u16, dst: u16) -> Vec<u8> {
         let mut f = build_udp_frame(seq, payload);

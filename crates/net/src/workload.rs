@@ -32,8 +32,8 @@ pub enum Pattern {
     /// NIC `i` sends only to NIC `(i + shift) mod n` — a permutation
     /// matrix with no egress contention at the fabric.
     Permutation {
-        /// Destination offset (0 is remapped to 1: self-traffic is
-        /// meaningless).
+        /// Destination offset; [`Workload::check`] refuses a multiple of
+        /// the NIC count, which would send each NIC's traffic to itself.
         shift: usize,
     },
     /// A fraction of traffic converges on one hot NIC; the rest is
@@ -287,6 +287,13 @@ impl Workload {
                 return Err(format!("workload: target {t} out of range for {nics} NICs"));
             }
         }
+        if let Pattern::Permutation { shift } = self.pattern {
+            if shift % nics == 0 {
+                return Err(format!(
+                    "workload: shift={shift}: a multiple of the {nics} NICs sends each to itself"
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -303,18 +310,33 @@ impl Workload {
                 self.fps
             ));
         }
-        let ok_size = |s: usize| (4..=MAX_UDP_PAYLOAD).contains(&s);
-        let sizes_ok = match self.sizes {
-            SizeMix::Fixed(s) => ok_size(s),
+        // Each family's payload sizes, and its shape parameter if out of
+        // range.
+        let (sizes, shape) = match self.sizes {
+            SizeMix::Fixed(s) => (vec![("size", s)], None),
             SizeMix::Bimodal {
                 small,
                 large,
-                small_frac,
-            } => ok_size(small) && ok_size(large) && (0.0..=1.0).contains(&small_frac),
-            SizeMix::Pareto { min, alpha } => ok_size(min) && alpha > 0.0,
+                small_frac: f,
+            } => (
+                vec![("small", small), ("large", large)],
+                Some(("small_frac", f, "must be in [0,1]")).filter(|_| !(0.0..=1.0).contains(&f)),
+            ),
+            SizeMix::Pareto { min, alpha: a } => (
+                vec![("pareto_min", min)],
+                Some(("alpha", a, "must be positive")).filter(|_| a.is_nan() || a <= 0.0),
+            ),
         };
-        if !sizes_ok {
-            return Err("workload: payload sizes must be 4..=1472".into());
+        if let Some((key, v)) = sizes
+            .into_iter()
+            .find(|(_, s)| !(4..=MAX_UDP_PAYLOAD).contains(s))
+        {
+            return Err(format!(
+                "workload: {key}={v}: payload size must be in 4..={MAX_UDP_PAYLOAD}"
+            ));
+        }
+        if let Some((key, v, why)) = shape {
+            return Err(format!("workload: {key}={v}: {why}"));
         }
         if let Pattern::Hotspot { fraction, .. } = self.pattern {
             if !(0.0..=1.0).contains(&fraction) {
@@ -402,10 +424,7 @@ impl Workload {
     fn pick_dst(&self, rng: &mut XorShift64, nic: usize, nics: usize) -> usize {
         match self.pattern {
             Pattern::Uniform => uniform_peer(rng, nic, nics),
-            Pattern::Permutation { shift } => {
-                let s = if shift % nics == 0 { 1 } else { shift % nics };
-                (nic + s) % nics
-            }
+            Pattern::Permutation { shift } => (nic + shift % nics) % nics,
             Pattern::Hotspot { target, fraction } => {
                 if uniform(rng) < fraction && target != nic {
                     target
@@ -591,6 +610,41 @@ mod tests {
         let w = Workload::parse("pattern=incast,target=9").unwrap();
         assert!(w.check(4).is_err());
         assert!(w.check(16).is_ok());
+    }
+
+    /// A shift that is a multiple of the NIC count would send every
+    /// NIC's traffic to itself: refused naming it, never rewritten.
+    #[test]
+    fn check_rejects_a_shift_that_maps_each_nic_to_itself() {
+        for (spec, nics) in [("shift=8", 8), ("shift=0", 8), ("shift=12", 4)] {
+            let w = Workload::parse(&format!("pattern=permutation,{spec}")).unwrap();
+            let err = w.check(nics).unwrap_err();
+            assert!(err.starts_with(&format!("workload: {spec}: ")), "{err}");
+        }
+        let w = Workload::parse("pattern=permutation,shift=9").unwrap();
+        w.check(8).unwrap();
+        let s = w.schedule(3, 8, Ps::from_ms(1));
+        assert!(!s.is_empty() && s.iter().all(|p| p.dst == 4));
+    }
+
+    /// Each payload-size key is named with its value when out of range.
+    #[test]
+    fn validate_names_the_size_key_and_value() {
+        for spec in [
+            "size=2",
+            "size=1473",
+            "small=3",
+            "large=2000",
+            "pareto_min=0",
+        ] {
+            let err = Workload::parse(spec).unwrap_err();
+            let want = format!("workload: {spec}: payload size must be in 4..=1472");
+            assert_eq!(err, want);
+        }
+        let err = Workload::parse("small_frac=1.5").unwrap_err();
+        assert_eq!(err, "workload: small_frac=1.5: must be in [0,1]");
+        let err = Workload::parse("alpha=0").unwrap_err();
+        assert_eq!(err, "workload: alpha=0: must be positive");
     }
 
     #[test]

@@ -9,7 +9,7 @@ use nicsim_sim::XorShift64;
 
 /// Every valid workload spec string the tree holds (tests, docs,
 /// scripts, and the two `spec()` strings `results/fleet.json` records).
-const WORKLOAD_SPECS: [&str; 16] = [
+const WORKLOAD_SPECS: [&str; 18] = [
     "pattern=incast,target=3,fps=400000,size=256,seed=9",
     "pattern=hotspot,target=1,fraction=0.8,arrivals=bursty,burst=8",
     "pareto_min=64,alpha=1.5,arrivals=poisson",
@@ -26,6 +26,8 @@ const WORKLOAD_SPECS: [&str; 16] = [
     "reliable=1,rto_us=30,fps=1e5",
     "pattern=uniform,size=1472,arrivals=cbr,fps=100000,seed=1,reliable=0,rto_us=50",
     "pattern=incast,target=0,size=1472,arrivals=cbr,fps=400000,seed=1,reliable=0,rto_us=50",
+    "pattern=permutation,shift=8",
+    "pattern=permutation,shift=9",
 ];
 
 /// Every valid `--faults` spec string the tree holds.

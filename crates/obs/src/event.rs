@@ -2,7 +2,8 @@
 //!
 //! One [`Event`] is emitted at every frame-lifecycle edge the simulator
 //! models: the host posting a send descriptor, the mailbox doorbell, the
-//! firmware entering a handler, scratchpad crossbar grants and retries,
+//! firmware entering a handler, a core taking each firmware op,
+//! scratchpad crossbar grants and retries,
 //! DMA and frame-memory bursts, the MAC putting bits on the wire, and the
 //! driver consuming a return descriptor. Events are small `Copy` values —
 //! identifiers, byte counts, and picosecond timestamps — so a disabled
@@ -15,6 +16,7 @@
 //! from [`Event::MacRxArrival`] through [`Event::HostRxDeliver`] can be
 //! joined on `seq` to reconstruct a per-frame timeline.
 
+use crate::Probe;
 use nicsim_sim::Ps;
 
 /// The four frame-data streams over the shared frame bus, one per
@@ -61,6 +63,85 @@ impl FmStream {
         FmStream::MacTx,
         FmStream::MacRx,
     ];
+}
+
+/// An atomic operation performed at a scratchpad bank. This and
+/// [`SpRequest`] are defined here so that [`Event::OpTaken`] carries the
+/// op exactly; `nicsim_mem` re-exports both.
+///
+/// The tag is a whole word, so every payload sits on a word boundary
+/// and a copy of the op (or of the [`SpRequest`] holding it) is whole
+/// aligned words: with a byte tag, the bytes after it were moved as
+/// overlapping unaligned pieces that store-to-load forwarding cannot
+/// serve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(u32)]
+pub enum SpOp {
+    /// Read the 32-bit word; response is its value.
+    Read,
+    /// Write the 32-bit word; response is the written value.
+    Write(u32),
+    /// Atomically read the word and write all-ones; response is the old
+    /// value (0 means the lock was acquired).
+    TestAndSet,
+    /// Atomically set bit `(addr*32 + bit)` of a bit array; response is
+    /// the previous value of the word. This is the paper's `set`.
+    SetBit(u8),
+    /// Atomically scan the word starting at `start_bit`, clear the run of
+    /// consecutive set bits found there, and respond with the run length
+    /// (0 if `start_bit` itself is clear). This is the paper's `update`,
+    /// which "examines at most one aligned 32-bit word".
+    Update {
+        /// Bit offset within the word at which the scan begins.
+        start_bit: u8,
+    },
+}
+
+impl SpOp {
+    /// Whether this operation modifies memory (for coherence tracing, all
+    /// RMW ops count as writes).
+    pub fn is_write(self) -> bool {
+        !matches!(self, SpOp::Read)
+    }
+}
+
+/// One scratchpad transaction: a word-aligned byte address plus operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpRequest {
+    /// Byte address; must be 4-byte aligned.
+    pub addr: u32,
+    /// The operation to perform.
+    pub op: SpOp,
+}
+
+/// An operation requested by firmware, to be charged by the core engine
+/// (`nicsim_cpu` re-exports it).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PendingOp {
+    /// `n` ALU/control instructions of straight-line work.
+    Alu(u32),
+    /// A conditional branch; `mispredict` annuls one issue slot.
+    Branch {
+        /// Whether the static predictor got it wrong.
+        mispredict: bool,
+    },
+    /// A scratchpad transaction (load, store, or atomic RMW).
+    Mem(SpRequest),
+    /// Wait-for-interrupt: one instruction to issue, then the core parks
+    /// until its wake line is raised (interrupt dispatch mode).
+    Wfi,
+}
+
+impl PendingOp {
+    /// Whether the firmware waits for this operation's result: loads and
+    /// atomic RMWs return data, `wfi` returns when the core is woken.
+    pub fn has_result(self) -> bool {
+        match self {
+            PendingOp::Alu(_) | PendingOp::Branch { .. } => false,
+            PendingOp::Mem(req) => !matches!(req.op, SpOp::Write(_)),
+            PendingOp::Wfi => true,
+        }
+    }
 }
 
 /// Which DMA engine an event refers to.
@@ -235,6 +316,16 @@ pub enum Event {
         /// Simulated time.
         at: Ps,
     },
+    /// A core took an operation from its firmware's batch to charge it:
+    /// one per op, in charging order.
+    OpTaken {
+        /// Core index.
+        core: usize,
+        /// The operation, exactly as the firmware issued it.
+        op: PendingOp,
+        /// Simulated time.
+        at: Ps,
+    },
     /// An instruction-cache line access.
     IcacheAccess {
         /// Core index.
@@ -378,6 +469,7 @@ impl Event {
             | Event::HandlerEnter { at, .. }
             | Event::SpGrant { at, .. }
             | Event::SpConflict { at, .. }
+            | Event::OpTaken { at, .. }
             | Event::IcacheAccess { at, .. }
             | Event::DmaStart { at, .. }
             | Event::DmaDone { at, .. }
@@ -393,16 +485,19 @@ impl Event {
         }
     }
 
-    /// Whether this is one of the per-cycle events a sink opts into with
-    /// [`crate::Probe::CYCLE_EVENTS`].
+    /// Whether a sink of type `P` reads this event's class: the
+    /// per-cycle events when it sets [`Probe::CYCLE_EVENTS`], the
+    /// simulator-work events when it sets [`Probe::WORK_EVENTS`], every
+    /// other event always.
     #[inline]
-    pub(crate) fn per_cycle(&self) -> bool {
-        matches!(
-            self,
+    pub(crate) fn reaches<P: Probe>(&self) -> bool {
+        match self {
             Event::SpGrant { .. }
-                | Event::SpConflict { .. }
-                | Event::IcacheAccess { .. }
-                | Event::HandlerEnter { .. }
-        )
+            | Event::SpConflict { .. }
+            | Event::IcacheAccess { .. }
+            | Event::HandlerEnter { .. } => P::CYCLE_EVENTS,
+            Event::OpTaken { .. } => P::WORK_EVENTS,
+            _ => true,
+        }
     }
 }

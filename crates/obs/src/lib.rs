@@ -20,9 +20,12 @@
 //!   }
 //!   ```
 //!
-//!   The per-cycle events (grants, conflicts, I-cache lines, handler
-//!   entries) are gated on [`Probe::CYCLE_EVENTS`] instead, which a sink
-//!   that never reads them turns off.
+//!   Events come in three classes. The per-cycle events (grants,
+//!   conflicts, I-cache lines, handler entries) are gated on
+//!   [`Probe::CYCLE_EVENTS`] instead, which a sink that never reads them
+//!   turns off. The simulator-work events ([`Event::OpTaken`], one per
+//!   firmware op a core takes) are gated on [`Probe::WORK_EVENTS`],
+//!   which a sink turns on. Every other event is a frame-lifecycle edge.
 //!
 //! * **Zero-cost when off.** [`NullProbe`] sets `ENABLED = false`, so the
 //!   branch above is a compile-time constant and the whole arm — event
@@ -46,7 +49,8 @@
 //!   core, assist, and scratchpad bank) openable at <https://ui.perfetto.dev>.
 //! * [`Metrics`] — counters and depth histograms (crossbar grants and
 //!   retries per bank, I-cache hit rate, DMA/wire queue depths).
-//! * [`EventLog`] — a bounded raw event capture for tests.
+//! * [`EventLog`] — a bounded raw event capture for tests, of every
+//!   class.
 //! * `nicsim_mem::AccessTrace` — the Figure 3 coherence capture is itself
 //!   a `Probe` sink over [`Event::SpGrant`].
 //!
@@ -61,7 +65,9 @@ pub mod frame;
 pub mod metrics;
 
 pub use chrome::ChromeTrace;
-pub use event::{DmaDir, Event, FaultKind, FaultUnit, FmStream, RecoveryKind};
+pub use event::{
+    DmaDir, Event, FaultKind, FaultUnit, FmStream, PendingOp, RecoveryKind, SpOp, SpRequest,
+};
 pub use frame::{FrameTracker, LatencySummary, StageStats};
 pub use metrics::{DepthHistogram, Metrics};
 
@@ -83,6 +89,13 @@ pub trait Probe {
     /// that ignores them (like [`FrameTracker`]) is never handed them.
     const CYCLE_EVENTS: bool = Self::ENABLED;
 
+    /// Whether the sink reads the simulator-work events —
+    /// [`Event::OpTaken`], one per firmware op a core takes. Off unless a
+    /// sink turns it on: the work events describe the simulator rather
+    /// than the NIC's frames, and only [`EventLog`] and sinks built to
+    /// read them (the ILP study's trace) ask for them.
+    const WORK_EVENTS: bool = false;
+
     /// Receive one event. Events arrive in simulation order per
     /// component; events from different components within the same cycle
     /// arrive in the system's fixed component order.
@@ -100,19 +113,19 @@ impl Probe for NullProbe {
     fn emit(&mut self, _ev: Event) {}
 }
 
-/// Fan-out composition: a pair of probes is a probe. A per-cycle event
-/// reaches only a side that reads them.
+/// Fan-out composition: a pair of probes is a probe. A per-cycle or
+/// work event reaches only a side that reads its class.
 impl<A: Probe, B: Probe> Probe for (A, B) {
     const ENABLED: bool = A::ENABLED || B::ENABLED;
     const CYCLE_EVENTS: bool = A::CYCLE_EVENTS || B::CYCLE_EVENTS;
+    const WORK_EVENTS: bool = A::WORK_EVENTS || B::WORK_EVENTS;
 
     #[inline]
     fn emit(&mut self, ev: Event) {
-        let per_cycle = ev.per_cycle();
-        if A::ENABLED && (A::CYCLE_EVENTS || !per_cycle) {
+        if A::ENABLED && ev.reaches::<A>() {
             self.0.emit(ev);
         }
-        if B::ENABLED && (B::CYCLE_EVENTS || !per_cycle) {
+        if B::ENABLED && ev.reaches::<B>() {
             self.1.emit(ev);
         }
     }
@@ -163,6 +176,8 @@ impl EventLog {
 }
 
 impl Probe for EventLog {
+    const WORK_EVENTS: bool = true;
+
     fn emit(&mut self, ev: Event) {
         if self.limit == 0 || self.events.len() < self.limit {
             self.events.push(ev);
@@ -227,6 +242,43 @@ mod tests {
         pair.emit(reset);
         assert_eq!(pair.0 .0.events(), [reset]);
         assert_eq!(pair.1.events(), [grant, reset]);
+    }
+
+    /// The work class folds like the per-cycle one, but a sink asks
+    /// for it: only [`EventLog`] among the crate's sinks does. An event
+    /// carrying a whole op stays five words.
+    #[test]
+    fn work_events_reach_only_a_side_that_reads_them() {
+        assert_eq!(std::mem::size_of::<Event>(), 40);
+        const { assert!(EventLog::WORK_EVENTS && !NullProbe::WORK_EVENTS) };
+        const { assert!(!FrameTracker::WORK_EVENTS && !Metrics::WORK_EVENTS) };
+        const { assert!(!ChromeTrace::WORK_EVENTS) };
+        const { assert!(<(FrameTracker, EventLog)>::WORK_EVENTS) };
+        const { assert!(!<(FrameTracker, Metrics)>::WORK_EVENTS) };
+        let taken = Event::OpTaken {
+            core: 0,
+            op: PendingOp::Mem(SpRequest {
+                addr: 8,
+                op: SpOp::Update { start_bit: 3 },
+            }),
+            at: Ps(1),
+        };
+        let reset = Event::WindowReset { at: Ps(2) };
+        /// Records every event it is handed, reading the per-cycle
+        /// class but not the work class.
+        #[derive(Default)]
+        struct Cycles(EventLog);
+        impl Probe for Cycles {
+            fn emit(&mut self, ev: Event) {
+                self.0.emit(ev);
+            }
+        }
+        const { assert!(Cycles::CYCLE_EVENTS && !Cycles::WORK_EVENTS) };
+        let mut pair = (Cycles::default(), EventLog::new());
+        pair.emit(taken);
+        pair.emit(reset);
+        assert_eq!(pair.0 .0.events(), [reset]);
+        assert_eq!(pair.1.events(), [taken, reset]);
     }
 
     #[test]

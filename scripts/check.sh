@@ -88,7 +88,7 @@ echo "==> every registry entry (repro all, quick mode, ~1 min), its output pinne
 # Runs every table, figure and study once. Several assert their own
 # contracts in-process, and a nonzero exit is the gate:
 # * archsweep recomposes the SoC per point (crossbar ports, memory
-#   map, dispatch sources) from NicConfig::topology, and every run
+#   map, dispatch sources) from NicConfig::dma_engines, and every run
 #   asserts end-to-end frame validation. A composition regression — a
 #   bad port assignment, a broken memory-map append, a mis-routed
 #   completion tag — fails here even when the default system is intact.
@@ -209,14 +209,18 @@ done
 # count out of range, a workload target beyond the fleet, an explicit
 # shard count above the NIC count. A --trace file in a missing
 # directory is refused by the parser, before fig7's 31 runs. A
-# --workload spec that repeats a key, names two size families, or gives
-# a key its pattern, sizes or arrivals do not use is refused naming it.
+# --workload spec that repeats a key, names two size families, gives
+# a key its pattern, sizes or arrivals do not use, sets a payload size
+# out of range, or shifts a permutation by a multiple of the NIC count
+# (every NIC to itself) is refused naming it.
 for bad in "fleet --nics 1|--nics" "fleet --nics 300|--nics" \
     "fleet --nics 2 --workload pattern=incast,target=5|--workload" \
     "fleet --shards 9|--shards" "fig7 --trace /nonexistent/dir/x.json|--trace" \
     "fleet --workload pattern=hotspot,target=1,pattern=hotspot|pattern=hotspot: key given twice" \
     "fleet --workload size=200,small=100|size and small: two size families" \
-    "fleet --workload arrivals=cbr,burst=4|burst=4: does not apply"; do
+    "fleet --workload arrivals=cbr,burst=4|burst=4: does not apply" \
+    "fleet --workload size=2|size=2" \
+    "fleet --workload pattern=permutation,shift=8|shift=8"; do
     cmd=${bad%|*}
     flag=${bad#*|}
     status=0

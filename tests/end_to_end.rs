@@ -5,7 +5,8 @@
 //! contracts the paper's design guarantees: byte-exact delivery,
 //! total frame ordering, and conservation of frames.
 
-use nicsim::{FwMode, NicConfig, NicSystem};
+use nicsim::{Event, EventLog, FwMode, NicConfig, NicSystem};
+use nicsim_cpu::PendingOp;
 use nicsim_sim::Ps;
 
 fn small(cfg: NicConfig) -> NicConfig {
@@ -199,17 +200,25 @@ fn trace_capture_produces_metadata_accesses() {
     assert!(trace.records().iter().all(|r| r.addr < end));
 }
 
+/// Core 0's ops over `[0, until)` of the idealized firmware, as an
+/// [`EventLog`] receives them.
+fn ideal_core0_ops(until: Ps) -> Vec<PendingOp> {
+    let mut sys = NicSystem::build(NicConfig::ideal())
+        .probe(EventLog::new())
+        .finish()
+        .unwrap();
+    sys.run_until(until);
+    let log = sys.unwrap_probe();
+    let ops = log.events().iter().filter_map(|e| match *e {
+        Event::OpTaken { core: 0, op, .. } => Some(op),
+        _ => None,
+    });
+    ops.collect()
+}
+
 #[test]
 fn ilp_capture_produces_events() {
-    let cfg = NicConfig::ideal()
-        .to_builder()
-        .capture_ilp(true)
-        .build()
-        .unwrap();
-    let mut sys = NicSystem::build(cfg).finish().unwrap();
-    sys.run_until(Ps::from_us(300));
-    let events = sys.take_ilp_trace().expect("ilp capture enabled");
-    assert!(events.len() > 1000);
+    assert!(ideal_core0_ops(Ps::from_us(300)).len() > 1000);
 }
 
 /// Table 2 is computed from core 0's charged-op trace, so the trace of a
@@ -217,14 +226,7 @@ fn ilp_capture_produces_events() {
 /// taken before the trace moved from the firmware slot to the engine.
 #[test]
 fn ilp_trace_is_pinned() {
-    let cfg = NicConfig::ideal()
-        .to_builder()
-        .capture_ilp(true)
-        .build()
-        .unwrap();
-    let mut sys = NicSystem::build(cfg).finish().unwrap();
-    sys.run_until(Ps::from_us(100));
-    let ops = sys.take_ilp_trace().expect("ilp capture enabled");
+    let ops = ideal_core0_ops(Ps::from_us(100));
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for op in &ops {
         for b in format!("{op:?};").bytes() {
