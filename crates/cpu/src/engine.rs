@@ -18,7 +18,7 @@
 use crate::func::{CoreProfile, FwFunc, StallBucket};
 use crate::layout::CodeLayout;
 use crate::slot::{new_slot, PendingOp, SharedSlot};
-use nicsim_mem::{Crossbar, ICache, ICacheConfig, InstrMemory, SpOp, SpRequest};
+use nicsim_mem::{Crossbar, ICache, ICacheConfig, InstrMemory, Scratchpad, SpOp, SpRequest};
 use nicsim_obs::{Event, NullProbe, Probe};
 use nicsim_sim::Ps;
 use std::future::Future;
@@ -424,6 +424,69 @@ impl Core {
             self.submit(xbar);
         }
         self.due()
+    }
+
+    /// Run this core alone from the end of cycle `cycle`, at time `now`,
+    /// through at most cycle `limit`, cycles `period` apart: exactly the
+    /// gated kernel's steps of a system in which nothing else acts. The
+    /// crossbar arbitrates only on the cycle after this core submits
+    /// ([`Crossbar::tick_alone`]), the core is ticked on its due cycles
+    /// and when its response becomes consumable, and every other cycle
+    /// only charges, at the next tick. Returns the last cycle it acted
+    /// on (`cycle` when none), which is before `limit` when:
+    ///
+    /// * the core parks with its wake line down, or halts: it has nothing
+    ///   left to do;
+    /// * the next cycle would grant a write-class op to a watched word
+    ///   ([`Scratchpad::watched`]): raising its signal is the system's
+    ///   step, so the request stays in the crossbar for that step;
+    /// * its next act falls after `limit`.
+    ///
+    /// The caller guarantees that nothing else acts through `limit`: no
+    /// other requester holds a crossbar transaction, and no wake line
+    /// is raised.
+    pub fn run_alone<P: Probe>(
+        &mut self,
+        xbar: &mut Crossbar,
+        sp: &mut Scratchpad,
+        imem: &mut InstrMemory,
+        (cycle, now, period): (u64, Ps, Ps),
+        limit: u64,
+        probe: &mut P,
+    ) -> u64 {
+        let bit = 1u64 << self.id;
+        let at = |d: u64| Ps(now.0 + period.0 * (d - cycle));
+        let (mut last, mut due) = (cycle, self.due());
+        loop {
+            if xbar.needs_tick() {
+                // Its request, submitted on the last cycle, is granted on
+                // this one. A store leaves the core due now; a load's
+                // data becomes consumable on the next cycle.
+                let d = last + 1;
+                if d > limit || self.req.op.is_write() && sp.watched(self.req.addr) {
+                    return last;
+                }
+                xbar.tick_alone(sp, at(d), probe);
+                if due <= d {
+                    due = self.tick_probed(xbar, imem, d, at(d), probe);
+                }
+                last = d;
+                continue;
+            }
+            // A grant becomes consumable on the next cycle; otherwise
+            // every cycle before the due one only charges.
+            let d = if xbar.fresh() & bit != 0 {
+                last + 1
+            } else {
+                due
+            };
+            if d > limit {
+                return last;
+            }
+            xbar.skip_cycles(1);
+            due = self.tick_probed(xbar, imem, d, at(d), probe);
+            last = d;
+        }
     }
 
     /// Account for every cycle after the last one this core was ticked
@@ -1481,5 +1544,225 @@ mod attribution_tests {
         }
         assert!(core.halted());
         assert_eq!(core.profile(), &before);
+    }
+}
+
+#[cfg(test)]
+mod run_alone_tests {
+    use super::*;
+    use crate::ctx::CoreCtx;
+    use crate::func::FwFunc;
+    use nicsim_mem::{Listener, Scratchpad};
+    use nicsim_obs::EventLog;
+
+    const PERIOD: Ps = Ps(5_000);
+    /// The one watched word: a write to it is the system's to grant.
+    const WATCHED: u32 = 96;
+
+    fn at(cycle: u64) -> Ps {
+        Ps(PERIOD.0 * cycle)
+    }
+
+    /// One core on a 4-port crossbar whose other ports stay idle, with
+    /// its scratchpad (one watched word), instruction memory and log.
+    struct Rig {
+        core: Core,
+        xbar: Crossbar,
+        sp: Scratchpad,
+        imem: InstrMemory,
+        log: EventLog,
+    }
+
+    /// Everything the two sides must agree on after a cycle: the core's
+    /// profile, cycle and due cycle, the crossbar (port grant counts,
+    /// arbiter pointers, requests and responses), the scratchpad's words
+    /// and how many events the log holds.
+    type Snapshot = (CoreProfile, u64, u64, String, Vec<u32>, usize);
+
+    impl Rig {
+        fn new<F: Future<Output = ()> + 'static>(fw: impl FnOnce(CoreCtx) -> F) -> Rig {
+            let mut core = Core::new(0, ICacheConfig::default(), CodeLayout::new());
+            core.install(fw(CoreCtx::new(core.slot(), 0)));
+            let mut sp = Scratchpad::new(4096, 4);
+            sp.watch_range(WATCHED, 4, Listener::FrameSide);
+            Rig {
+                core,
+                xbar: Crossbar::new(4, 4),
+                sp,
+                imem: InstrMemory::new(),
+                log: EventLog::new(),
+            }
+        }
+
+        /// Cycle `c` ticked in full: the crossbar, then the core.
+        fn step(&mut self, c: u64) {
+            self.xbar.tick_probed(&mut self.sp, at(c), &mut self.log);
+            self.core
+                .tick_probed(&mut self.xbar, &mut self.imem, c, at(c), &mut self.log);
+        }
+
+        /// Raise the wake line at the end of cycle `c`, as the system's
+        /// doorbell fan-out does.
+        fn wake(&mut self, c: u64) {
+            self.core.catch_up(c);
+            self.core.raise_wake();
+        }
+
+        fn snapshot(&mut self, c: u64) -> Snapshot {
+            self.core.catch_up(c);
+            let words = (0..128).map(|w| self.sp.peek(w * 4)).collect();
+            (
+                self.core.profile().clone(),
+                self.core.cycle,
+                self.core.due(),
+                format!("{:?}", self.xbar),
+                words,
+                self.log.events().len(),
+            )
+        }
+    }
+
+    /// The firmware every case runs: loads, a load pair, back-to-back
+    /// stores, a load right after a store, each RMW, a branch miss, a
+    /// function switch that misses in the I-cache, a store to the
+    /// watched word, and two `wfi`s (the second one after the wake has
+    /// already been raised, so it passes through).
+    async fn firmware(ctx: CoreCtx) {
+        ctx.set_func(FwFunc::SendFrame);
+        ctx.alu(3).await;
+        let v = ctx.load(0).await;
+        let (a, b) = ctx.load_pair(4, 8).await;
+        ctx.store(12, v + a + b + 1).await;
+        ctx.store(16, 2).await;
+        let w = ctx.load(12).await;
+        ctx.branch().await;
+        ctx.set_bit(20, 3).await;
+        ctx.set_bit(20, 4).await;
+        let run = ctx.update(20, 3).await;
+        let held = ctx.test_and_set(24).await;
+        ctx.branch_miss().await;
+        ctx.set_func(FwFunc::RecvFrame);
+        ctx.alu(40).await;
+        ctx.store(WATCHED, w + run + held).await;
+        ctx.alu(2).await;
+        ctx.store(28, 7).await;
+        ctx.wfi().await;
+        ctx.set_func(FwFunc::Idle);
+        ctx.alu(30).await;
+        ctx.wfi().await;
+        for i in 0..6 {
+            ctx.load(4 * i).await;
+            ctx.alu(i + 1).await;
+        }
+    }
+
+    /// The reference: every cycle ticked, a wake raised 5 cycles into
+    /// each park and another in the middle of the `alu(30)`. Returns the
+    /// snapshot after each cycle (index 0: before the first), the wake
+    /// cycles, and the log.
+    fn reference() -> (Vec<Snapshot>, Vec<u64>, EventLog) {
+        let mut rig = Rig::new(firmware);
+        let mut snaps = vec![rig.snapshot(0)];
+        let (mut wakes, mut parked_for, mut idle_ops) = (Vec::new(), 0, false);
+        let mut c = 0;
+        while !rig.core.halted() {
+            c += 1;
+            assert!(c < 1_000, "did not halt");
+            rig.step(c);
+            parked_for = if rig.core.parked() { parked_for + 1 } else { 0 };
+            let in_idle = rig.core.func == FwFunc::Idle;
+            if parked_for == 5 || (in_idle && !idle_ops && rig.core.due() > c + 10) {
+                idle_ops |= in_idle;
+                rig.wake(c);
+                wakes.push(c);
+            }
+            snaps.push(rig.snapshot(c));
+        }
+        (snaps, wakes, rig.log)
+    }
+
+    /// Run the firmware ahead with a limit on every cycle `≡ offset`
+    /// (mod `window`) and at every wake; each stop is followed by one
+    /// full step, as the system steps the cycle a frame side wakes on.
+    /// Every stop must match the reference. Returns the cycles the
+    /// runs covered, whether one stopped before granting the store to
+    /// the watched word, and whether one stopped on a parked core.
+    fn ahead(window: u64, offset: u64) -> (u64, bool, bool) {
+        let (snaps, wakes, log) = reference();
+        let end = snaps.len() as u64 - 1;
+        let mut rig = Rig::new(firmware);
+        let (mut c, mut ran, mut woken) = (0, 0, 0);
+        let (mut stopped_at_watch, mut stopped_parked) = (false, false);
+        while c < end {
+            let boundary = c + 1 + (offset + window - (c + 1) % window) % window;
+            let wake = wakes.get(woken).copied().unwrap_or(u64::MAX);
+            let limit = boundary.min(wake).min(end);
+            let e = rig.core.run_alone(
+                &mut rig.xbar,
+                &mut rig.sp,
+                &mut rig.imem,
+                (c, at(c), PERIOD),
+                limit,
+                &mut rig.log,
+            );
+            assert!(e >= c && e <= limit);
+            ran += e - c;
+            stopped_at_watch |= rig.xbar.needs_tick() && rig.core.req.addr == WATCHED;
+            stopped_parked |= rig.core.parked();
+            c = e;
+            assert_eq!(
+                rig.snapshot(c),
+                snaps[c as usize],
+                "stop at {c} ({window}, {offset})"
+            );
+            if wakes.get(woken) == Some(&c) {
+                rig.wake(c);
+                woken += 1;
+            } else if c < end {
+                c += 1;
+                rig.step(c);
+                if wakes.get(woken) == Some(&c) {
+                    rig.wake(c);
+                    woken += 1;
+                }
+            }
+            assert_eq!(
+                rig.snapshot(c),
+                snaps[c as usize],
+                "step {c} ({window}, {offset})"
+            );
+        }
+        assert_eq!(rig.log.events(), log.events(), "({window}, {offset})");
+        assert!(
+            rig.sp.take_signal(Listener::FrameSide),
+            "the watched write landed"
+        );
+        (ran, stopped_at_watch, stopped_parked)
+    }
+
+    #[test]
+    fn running_alone_matches_ticking_every_cycle() {
+        let (snaps, wakes, _) = reference();
+        assert_eq!(wakes.len(), 2, "{wakes:?}");
+        let p = &snaps.last().unwrap().0;
+        assert!(p.bucket_cycles(StallBucket::IMiss) > 0);
+        assert!(p.bucket_cycles(StallBucket::Conflict) > 0, "a store waited");
+        assert!(
+            p.bucket_cycles(StallBucket::Pipeline) > 0,
+            "a branch missed"
+        );
+        // Unbounded: only the watched write, the parks and the wakes stop
+        // it, and it covers most of the run.
+        let end = snaps.len() as u64 - 1;
+        let (ran, watched, parked) = ahead(u64::MAX / 2, 0);
+        assert!(watched, "never stopped before the watched write");
+        assert!(parked, "never stopped at a `wfi`");
+        assert!(ran * 10 > end * 8, "ran {ran} of {end}");
+        // A limit at every cycle offset of a window.
+        for window in [1, 2, 3, 7, 16] {
+            for offset in 0..window {
+                ahead(window, offset);
+            }
+        }
     }
 }

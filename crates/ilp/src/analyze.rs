@@ -82,10 +82,10 @@ pub fn analyze(trace: &[Inst], cfg: ProcessorConfig) -> f64 {
     // Register -> cycle at which its value becomes usable by a
     // dependent instruction's issue.
     let mut ready_at = [0u64; 32];
-    // Per-cycle issue bookkeeping. The schedule only moves forward, so
-    // a ring of recent cycles suffices for in-order; out-of-order can
-    // schedule into the past relative to the scan point, so keep a map.
-    let mut cycles: std::collections::HashMap<u64, CycleState> = std::collections::HashMap::new();
+    // Per-cycle issue bookkeeping, indexed by cycle and grown on demand:
+    // out-of-order issue can schedule into the past relative to the scan
+    // point, and cycles never touched read as empty.
+    let mut cycles: Vec<CycleState> = Vec::new();
     let mut prev_issue = 0u64;
     let mut last_cycle = 0u64;
     // With no branch prediction, instructions after a branch cannot
@@ -120,7 +120,10 @@ pub fn analyze(trace: &[Inst], cfg: ProcessorConfig) -> f64 {
         // Find a cycle with a free slot satisfying structural rules.
         let mut c = earliest;
         loop {
-            let st = cycles.entry(c).or_default();
+            if cycles.len() <= c as usize {
+                cycles.resize(c as usize + 1, CycleState::default());
+            }
+            let st = &mut cycles[c as usize];
             let width_ok = st.issued < cfg.width;
             let mem_ok = cfg.pipeline == PipelineModel::Perfect
                 || inst.kind == InstKind::Alu
@@ -149,7 +152,7 @@ pub fn analyze(trace: &[Inst], cfg: ProcessorConfig) -> f64 {
                 // Advance the saturation skip pointers (amortized O(1)).
                 if issued_now >= cfg.width {
                     while cycles
-                        .get(&width_full_below)
+                        .get(width_full_below as usize)
                         .is_some_and(|s| s.issued >= cfg.width)
                     {
                         width_full_below += 1;
@@ -157,7 +160,7 @@ pub fn analyze(trace: &[Inst], cfg: ProcessorConfig) -> f64 {
                 }
                 if is_mem {
                     while cycles
-                        .get(&mem_full_below)
+                        .get(mem_full_below as usize)
                         .is_some_and(|s| s.mem_issued >= 1)
                     {
                         mem_full_below += 1;

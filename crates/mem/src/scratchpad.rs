@@ -138,6 +138,18 @@ impl Scratchpad {
             .is_some_and(|w| w.signals & listener.bit() != 0)
     }
 
+    /// Whether a write to `addr` raises a listener's signal: the word
+    /// lies in some watch range, of either listener.
+    #[inline]
+    pub fn watched(&self, addr: u32) -> bool {
+        let word = addr as usize / 4;
+        self.watch.as_ref().is_some_and(|w| {
+            w.bitmap
+                .get(word / 32)
+                .is_some_and(|bits| bits >> (2 * (word % 32)) & 3 != 0)
+        })
+    }
+
     #[inline]
     fn note_write(&mut self, word: usize) {
         if let Some(w) = &mut self.watch {
@@ -398,6 +410,7 @@ mod tests {
             assert!(!s.signal_pending(l));
             assert!(!s.take_signal(l));
         }
+        assert!(!s.watched(0) && !s.watched(4));
     }
 
     #[test]
@@ -450,6 +463,10 @@ mod tests {
         s.watch_range(REGISTER, 4, Listener::FrameSide);
         s.watch_range(BOTH, 4, Listener::Cores);
         s.watch_range(BOTH, 4, Listener::FrameSide);
+        // `watched` answers for either listener, and for no other word.
+        for addr in (28..48).step_by(4) {
+            assert_eq!(s.watched(addr), (32..44).contains(&addr), "{addr}");
+        }
         let ops = [
             SpOp::TestAndSet,
             SpOp::SetBit(2),

@@ -213,24 +213,7 @@ impl Crossbar {
         );
         self.ready |= std::mem::take(&mut self.fresh);
         for bank in 0..self.requests.len() {
-            let Some(p) = self.arbiters[bank].grant_mask(self.requests[bank]) else {
-                continue;
-            };
-            self.requests[bank] &= !(1 << p);
-            self.requesting &= !(1 << p);
-            self.fresh |= 1 << p;
-            let port = &mut self.ports[p];
-            port.value = sp.execute(port.req);
-            if P::CYCLE_EVENTS {
-                probe.emit(Event::SpGrant {
-                    port: p,
-                    bank,
-                    addr: port.req.addr,
-                    write: port.req.op.is_write(),
-                    at: now,
-                });
-            }
-            port.stats.grants += 1;
+            self.grant(bank, sp, now, probe);
         }
         // Every request still pending after this arbitration round lost a
         // cycle to a bank conflict (uncontended requests are granted on
@@ -247,6 +230,42 @@ impl Crossbar {
                 });
             }
         }
+    }
+
+    /// [`Crossbar::tick_probed`] on a cycle with exactly one request
+    /// pending: the same grant, found without visiting the other banks.
+    /// A lone request never loses arbitration, so no conflict is emitted.
+    #[inline]
+    pub fn tick_alone<P: Probe>(&mut self, sp: &mut Scratchpad, now: Ps, probe: &mut P) {
+        debug_assert_eq!(self.requesting.count_ones(), 1, "not a lone request");
+        self.ready |= std::mem::take(&mut self.fresh);
+        let bank = self.ports[self.requesting.trailing_zeros() as usize].bank;
+        self.grant(bank, sp, now, probe);
+    }
+
+    /// Arbitrate `bank`: grant the round-robin winner among its requests,
+    /// if any, execute it against `sp` and make its response consumable
+    /// on the next cycle — the one grant rule of both ticks.
+    #[inline(always)]
+    fn grant<P: Probe>(&mut self, bank: usize, sp: &mut Scratchpad, now: Ps, probe: &mut P) {
+        let Some(p) = self.arbiters[bank].grant_mask(self.requests[bank]) else {
+            return;
+        };
+        self.requests[bank] &= !(1 << p);
+        self.requesting &= !(1 << p);
+        self.fresh |= 1 << p;
+        let port = &mut self.ports[p];
+        port.value = sp.execute(port.req);
+        if P::CYCLE_EVENTS {
+            probe.emit(Event::SpGrant {
+                port: p,
+                bank,
+                addr: port.req.addr,
+                write: port.req.op.is_write(),
+                at: now,
+            });
+        }
+        port.stats.grants += 1;
     }
 }
 
@@ -600,6 +619,60 @@ mod tests {
             }
             assert!((0..48).step_by(4).all(|a| sp.peek(a) == ref_sp.peek(a)));
         }
+    }
+
+    #[test]
+    fn a_lone_grant_equals_a_tick_with_one_request() {
+        use nicsim_sim::XorShift64;
+        // Side by side: `full` always ticks, `alone` takes the lone-grant
+        // path whenever one request is pending and skips idle cycles.
+        // Ports, arbiter pointers, responses, words and events agree.
+        let rng = &mut XorShift64::for_site(17, 0);
+        let (mut full, mut sp_full) = setup(5, 4);
+        let (mut alone, mut sp_alone) = setup(5, 4);
+        let (mut log_full, mut log_alone) =
+            (nicsim_obs::EventLog::new(), nicsim_obs::EventLog::new());
+        let mut lone_ticks = 0;
+        for cycle in 0..3_000 {
+            let port = rng.below(5) as usize;
+            if full.port_idle(port) && rng.below(2) == 0 {
+                let req = SpRequest {
+                    addr: rng.below(16) as u32 * 4,
+                    op: match rng.below(5) {
+                        0 => SpOp::Read,
+                        1 => SpOp::Write(rng.next_u64() as u32),
+                        2 => SpOp::SetBit(rng.below(32) as u8),
+                        3 => SpOp::Update {
+                            start_bit: rng.below(32) as u8,
+                        },
+                        _ => SpOp::TestAndSet,
+                    },
+                };
+                full.submit(port, req);
+                alone.submit(port, req);
+            }
+            let now = Ps(cycle);
+            full.tick_probed(&mut sp_full, now, &mut log_full);
+            match alone.requesting.count_ones() {
+                0 => alone.skip_cycles(1),
+                1 => {
+                    alone.tick_alone(&mut sp_alone, now, &mut log_alone);
+                    lone_ticks += 1;
+                }
+                _ => alone.tick_probed(&mut sp_alone, now, &mut log_alone),
+            }
+            for p in 0..5 {
+                if rng.below(3) == 0 {
+                    assert_eq!(full.take_response(p), alone.take_response(p));
+                }
+            }
+            assert_eq!(format!("{full:?}"), format!("{alone:?}"), "cycle {cycle}");
+        }
+        assert!(lone_ticks > 500, "{lone_ticks} lone grants");
+        assert_eq!(log_full.events(), log_alone.events());
+        assert!((0..64)
+            .step_by(4)
+            .all(|a| sp_full.peek(a) == sp_alone.peek(a)));
     }
 
     #[test]

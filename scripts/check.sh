@@ -60,7 +60,9 @@ echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # kernel skips to the due cycle each step stores, and the fleet reads
 # that stored value to skip whole epochs:
 # event_kernel_still_skips_where_the_model_idles pins the exact
-# (skipped, stepped) split at four points;
+# (skipped, stepped) split at four points, whose three 1-core splits
+# count the cycles a core alone on the crossbar runs ahead of the
+# clock (Core::run_alone) as skipped;
 # a_member_skipped_by_next_activity_matches_dense (a unit test) holds
 # a member skipped epoch by epoch, injected frames included, to dense
 # stepping; and the fleet determinism suite holds skip decisions
@@ -71,10 +73,17 @@ echo "==> kernel equivalence (release: dense vs event, both dispatch modes)"
 # bank arbitration), the doorbell-coverage test holds the dispatch
 # scan's loads to its interrupt-mode doorbells, and sync_primitives
 # runs the spinlock, the status-bit mark and scan and the completion
-# claim on simulated cores in all three modes.
+# claim on simulated cores in all three modes. The run-ahead has its
+# own pins: nicsim-cpu runs a core ahead beside one ticked every cycle
+# (every op kind, the stops at a park and before a watched write, a
+# limit at every cycle offset of a window); the probed event-stream
+# test and the random run_until slicing test each carry a 1-core
+# interrupt point that must run ahead (more skipped cycles than before
+# it existed). It grants through the crossbar's one grant rule, which
+# nicsim-mem's tests hold equal to a tick with one request.
 cargo test --release --quiet -p nicsim --test kernel_equivalence
 cargo test --release --quiet -p nicsim --lib
-cargo test --release --quiet -p nicsim-cpu
+cargo test --release --quiet -p nicsim-cpu -p nicsim-mem
 cargo test --release --quiet -p nicsim-firmware
 cargo test --release --quiet -p nicsim --test frame_lifecycle
 cargo test --release --quiet -p nicsim-fleet --test determinism
@@ -84,7 +93,7 @@ cargo test --release --quiet --test end_to_end
 # check on a faulted link, the fabric's fault path and its site state.
 cargo test --release --quiet -p nicsim-host -p nicsim-assists -p nicsim-net -p nicsim-fault
 
-echo "==> every registry entry (repro all, quick mode, ~1 min), its output pinned"
+echo "==> every registry entry (repro all, quick mode, ~10 s), its output pinned"
 # Runs every table, figure and study once. Several assert their own
 # contracts in-process, and a nonzero exit is the gate:
 # * archsweep recomposes the SoC per point (crossbar ports, memory
